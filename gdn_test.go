@@ -2,12 +2,15 @@ package gdn_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"gdn"
 	"gdn/internal/netsim"
+	"gdn/internal/pkgobj"
 )
 
 func newWorld(t *testing.T, top gdn.Topology) *gdn.World {
@@ -100,8 +103,13 @@ func TestSecureWorldEndToEnd(t *testing.T) {
 		Protocol: gdn.ProtocolClientServer,
 		Servers:  w.GOSAddrs("eu-nl-vu"),
 	}
+	// The source tarball spans several storage chunks with an unaligned
+	// tail, so its download is a bulk stream of full-chunk records
+	// through the secured channel.
+	src := make([]byte, 3*pkgobj.DefaultChunkSize+4321)
+	rand.New(rand.NewSource(17)).Read(src)
 	if _, _, err := mod.CreatePackage("/apps/editors/vim", scenario, gdn.Package{
-		Files: map[string][]byte{"vim.tar": []byte("vim content")},
+		Files: map[string][]byte{"vim.tar": []byte("vim content"), "vim-src.tar": src},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -114,6 +122,13 @@ func TestSecureWorldEndToEnd(t *testing.T) {
 	defer stub.Close()
 	if _, err := stub.GetFileContents("vim.tar"); err != nil {
 		t.Fatalf("user read: %v", err)
+	}
+	h := sha256.New()
+	if n, err := stub.ReadFileTo(h, "vim-src.tar"); err != nil || n != int64(len(src)) {
+		t.Fatalf("secured bulk download: %d of %d bytes, %v", n, len(src), err)
+	}
+	if got, want := h.Sum(nil), sha256.Sum256(src); !bytes.Equal(got, want[:]) {
+		t.Fatal("secured bulk download: SHA-256 mismatch")
 	}
 	// ...but cannot modify the package (paper §6.1).
 	if err := stub.AddFile("trojan", []byte("evil")); err == nil {

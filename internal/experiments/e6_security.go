@@ -26,9 +26,9 @@ type E6Config struct {
 // too negatively by the superfluous encryption and decryption we will
 // have to rethink our security scheme."
 //
-// The table compares plain connections, integrity-only channels and
-// integrity+confidentiality channels on real CPU time (the virtual
-// network cost is identical up to MAC/padding bytes), plus the
+// The table compares plain connections, integrity-only channels (the
+// payload in clear under an AES-GCM tag) and integrity+confidentiality
+// channels (the payload AES-GCM sealed) on real CPU time, plus the
 // handshake cost of one-way versus two-way authentication (Fig 4).
 func E6ChannelCost(cfg E6Config) *Table {
 	if cfg.Handshakes <= 0 {

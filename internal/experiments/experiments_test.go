@@ -158,7 +158,7 @@ func TestE6ChannelModesDoWhatTheyClaim(t *testing.T) {
 	// microsecond work are unreliable under parallel test load (the
 	// experiment and benchmarks report them under controlled runs).
 	// What the test pins down is the mechanical difference the modes
-	// claim: integrity-only channels ship the plaintext (plus a MAC),
+	// claim: integrity-only channels ship the plaintext (plus a tag),
 	// encrypted channels do not ship the plaintext at all — the
 	// "superfluous confidentiality" the paper pays for (§6.3).
 	tab := E6ChannelCost(E6Config{Handshakes: 3, Transfers: 10, Payloads: []int{1 << 10}})

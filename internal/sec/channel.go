@@ -10,7 +10,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"sync"
 	"time"
 
@@ -35,9 +34,11 @@ type Config struct {
 	// roles a server admits (e.g. a GOS command port admits only
 	// moderators and admins, §6.1).
 	AllowedRoles []string
-	// Encrypt enables AES-CTR confidentiality. The paper notes TLS
-	// forces them to pay for confidentiality they do not need; setting
-	// this false yields an integrity-only channel for comparison (§6.3).
+	// Encrypt makes records confidential: the payload is sealed with
+	// AES-256-GCM instead of travelling in clear under the GCM tag. The
+	// paper notes TLS forces them to pay for confidentiality they do not
+	// need; setting this false yields the cheaper integrity-only channel
+	// (§6.3).
 	Encrypt bool
 }
 
@@ -63,18 +64,17 @@ type Channel struct {
 	peer    *Certificate // nil when the peer is anonymous
 	encrypt bool
 
-	sendMu   sync.Mutex
-	sendSeq  uint64
-	sendMAC  []byte
-	sendHash hash.Hash    // keyed HMAC state, Reset per record under sendMu
-	sendKey  cipher.Block // nil when !encrypt
+	sendMu    sync.Mutex
+	sendSeq   uint64
+	sendAEAD  cipher.AEAD
+	sendNonce [nonceSize]byte
+	recs      [][]byte  // SendBatch scratch
+	bps       []*[]byte // SendBatch scratch
 
-	recvMu     sync.Mutex
-	recvSeq    uint64
-	recvMAC    []byte
-	recvHash   hash.Hash
-	recvMACBuf [macSize]byte
-	recvKey    cipher.Block
+	recvMu    sync.Mutex
+	recvSeq   uint64
+	recvAEAD  cipher.AEAD
+	recvNonce [nonceSize]byte
 }
 
 var _ transport.Conn = (*Channel)(nil)
@@ -329,45 +329,40 @@ func serverHandshake(conn transport.Conn, cfg *Config) (*Channel, error) {
 
 func handshakeTranscript(clientHello, srvPub, srvCert []byte) []byte {
 	h := sha256.New()
-	h.Write([]byte("gdn-handshake-v1"))
+	h.Write([]byte("gdn-handshake-v2"))
 	h.Write(clientHello)
 	h.Write(srvPub)
 	h.Write(srvCert)
 	return h.Sum(nil)
 }
 
-// newChannel derives direction keys from the shared secret and
-// transcript. isClient selects which key set is used for sending.
+// newChannel derives one AES-256-GCM key per direction from the shared
+// secret and transcript. isClient selects which key is used for sending.
 func newChannel(conn transport.Conn, shared, transcript []byte, isClient, encrypt bool) (*Channel, error) {
 	prk := hkdfExtract(transcript, shared)
-	cMAC := hkdfExpand(prk, "client mac", 32)
-	sMAC := hkdfExpand(prk, "server mac", 32)
+	cAEAD, err := newAEAD(hkdfExpand(prk, "client write key", 32))
+	if err != nil {
+		return nil, err
+	}
+	sAEAD, err := newAEAD(hkdfExpand(prk, "server write key", 32))
+	if err != nil {
+		return nil, err
+	}
 	ch := &Channel{conn: conn, encrypt: encrypt}
 	if isClient {
-		ch.sendMAC, ch.recvMAC = cMAC, sMAC
+		ch.sendAEAD, ch.recvAEAD = cAEAD, sAEAD
 	} else {
-		ch.sendMAC, ch.recvMAC = sMAC, cMAC
-	}
-	ch.sendHash = hmac.New(sha256.New, ch.sendMAC)
-	ch.recvHash = hmac.New(sha256.New, ch.recvMAC)
-	if encrypt {
-		cEnc := hkdfExpand(prk, "client enc", 32)
-		sEnc := hkdfExpand(prk, "server enc", 32)
-		cBlock, err := aes.NewCipher(cEnc)
-		if err != nil {
-			return nil, err
-		}
-		sBlock, err := aes.NewCipher(sEnc)
-		if err != nil {
-			return nil, err
-		}
-		if isClient {
-			ch.sendKey, ch.recvKey = cBlock, sBlock
-		} else {
-			ch.sendKey, ch.recvKey = sBlock, cBlock
-		}
+		ch.sendAEAD, ch.recvAEAD = sAEAD, cAEAD
 	}
 	return ch, nil
+}
+
+func newAEAD(key []byte) (cipher.AEAD, error) {
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
+	}
+	return cipher.NewGCM(block)
 }
 
 // hkdfExtract and hkdfExpand implement the HKDF construction with
@@ -391,7 +386,14 @@ func hkdfExpand(prk []byte, info string, n int) []byte {
 	return out[:n]
 }
 
-const macSize = sha256.Size
+// Record framing: seq(8) || payload || tag(16). The GCM nonce is
+// 0(4) || seq — unique because each direction has its own key and seq
+// strictly increases.
+const (
+	seqSize   = 8
+	tagSize   = 16
+	nonceSize = 12
+)
 
 // recPool recycles send-record buffers. The transports below never
 // retain the slice passed to Send (TCP framing writes it out, netsim
@@ -404,29 +406,30 @@ var recPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b 
 // dominant large-transfer path — while dropping outliers.
 const maxPooledRec = 512 << 10
 
-// sealLocked seals one record into a pooled buffer: seq(8) || payload'
-// || hmac(32), where payload' is AES-CTR encrypted when confidentiality
-// is on. Caller must hold sendMu and return the buffer to recPool once
-// the record has been sent.
+// sealLocked seals one record into a pooled buffer. Integrity-only
+// records carry the payload in clear and authenticate header and
+// payload as GCM additional data; encrypted records seal the payload
+// into the buffer with the header as additional data. Caller must hold
+// sendMu and return the buffer to recPool once the record has been
+// sent.
 func (ch *Channel) sealLocked(p []byte) (*[]byte, []byte) {
 	seq := ch.sendSeq
 	ch.sendSeq++
+	binary.BigEndian.PutUint64(ch.sendNonce[4:], seq)
 
-	n := 8 + len(p) + macSize
+	n := seqSize + len(p) + tagSize
 	bp := recPool.Get().(*[]byte)
 	if cap(*bp) < n {
 		*bp = make([]byte, 0, n)
 	}
 	rec := (*bp)[:n]
-	binary.BigEndian.PutUint64(rec[:8], seq)
-	body := rec[8 : 8+len(p)]
-	copy(body, p)
-	if ch.sendKey != nil {
-		ctr(ch.sendKey, seq).XORKeyStream(body, body)
+	binary.BigEndian.PutUint64(rec[:seqSize], seq)
+	if ch.encrypt {
+		ch.sendAEAD.Seal(rec[seqSize:seqSize], ch.sendNonce[:], p, rec[:seqSize])
+	} else {
+		end := seqSize + copy(rec[seqSize:], p)
+		ch.sendAEAD.Seal(rec[end:end], ch.sendNonce[:], nil, rec[:end])
 	}
-	ch.sendHash.Reset()
-	ch.sendHash.Write(rec[:8+len(p)])
-	ch.sendHash.Sum(rec[:8+len(p)])
 	return bp, rec
 }
 
@@ -456,15 +459,19 @@ func (ch *Channel) SendBatch(frames [][]byte) error {
 	ch.sendMu.Lock()
 	defer ch.sendMu.Unlock()
 	if bs, ok := ch.conn.(transport.BatchSender); ok {
-		recs := make([][]byte, len(frames))
-		bps := make([]*[]byte, len(frames))
-		for i, p := range frames {
-			bps[i], recs[i] = ch.sealLocked(p)
+		for _, p := range frames {
+			bp, rec := ch.sealLocked(p)
+			ch.bps = append(ch.bps, bp)
+			ch.recs = append(ch.recs, rec)
 		}
-		err := bs.SendBatch(recs)
-		for _, bp := range bps {
+		err := bs.SendBatch(ch.recs)
+		for _, bp := range ch.bps {
 			putRec(bp)
 		}
+		// Drop the references to recycled buffers before reuse.
+		clear(ch.bps)
+		clear(ch.recs)
+		ch.bps, ch.recs = ch.bps[:0], ch.recs[:0]
 		return err
 	}
 	// Plain transport: still seal and send under one sendMu hold so the
@@ -481,7 +488,12 @@ func (ch *Channel) SendBatch(frames [][]byte) error {
 	return nil
 }
 
-// Recv opens one record, verifying integrity and sequencing.
+// putFrame releases the frame of a rejected record. It is a variable
+// only so the fuzz target can count releases.
+var putFrame = transport.PutFrame
+
+// Recv opens one record, verifying length, sequence and tag in that
+// order. A rejected record's frame is released before Recv returns.
 func (ch *Channel) Recv() ([]byte, time.Duration, error) {
 	ch.recvMu.Lock()
 	defer ch.recvMu.Unlock()
@@ -489,36 +501,30 @@ func (ch *Channel) Recv() ([]byte, time.Duration, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(rec) < 8+macSize {
-		transport.PutFrame(rec)
+	if len(rec) < seqSize+tagSize {
+		putFrame(rec)
 		return nil, 0, fmt.Errorf("%w: short record", ErrRecord)
 	}
-	seq := binary.BigEndian.Uint64(rec[:8])
+	seq := binary.BigEndian.Uint64(rec[:seqSize])
 	if seq != ch.recvSeq {
-		transport.PutFrame(rec)
+		putFrame(rec)
 		return nil, 0, fmt.Errorf("%w: sequence %d, want %d (replay or reorder)", ErrRecord, seq, ch.recvSeq)
 	}
-	payloadEnd := len(rec) - macSize
-	ch.recvHash.Reset()
-	ch.recvHash.Write(rec[:payloadEnd])
-	if !hmac.Equal(ch.recvHash.Sum(ch.recvMACBuf[:0]), rec[payloadEnd:]) {
-		transport.PutFrame(rec)
-		return nil, 0, fmt.Errorf("%w: bad MAC on record %d", ErrRecord, seq)
+	binary.BigEndian.PutUint64(ch.recvNonce[4:], seq)
+	var body []byte
+	if ch.encrypt {
+		body, err = ch.recvAEAD.Open(rec[seqSize:seqSize], ch.recvNonce[:], rec[seqSize:], rec[:seqSize])
+	} else {
+		end := len(rec) - tagSize
+		body = rec[seqSize:end]
+		_, err = ch.recvAEAD.Open(nil, ch.recvNonce[:], rec[end:], rec[:end])
+	}
+	if err != nil {
+		putFrame(rec)
+		return nil, 0, fmt.Errorf("%w: bad tag on record %d", ErrRecord, seq)
 	}
 	ch.recvSeq++
-	body := rec[8:payloadEnd]
-	if ch.recvKey != nil {
-		ctr(ch.recvKey, seq).XORKeyStream(body, body)
-	}
 	return body, cost, nil
-}
-
-// ctr builds the per-record CTR stream: the IV is the record sequence
-// number, which never repeats under one key.
-func ctr(block cipher.Block, seq uint64) cipher.Stream {
-	iv := make([]byte, block.BlockSize())
-	binary.BigEndian.PutUint64(iv[:8], seq)
-	return cipher.NewCTR(block, iv)
 }
 
 // Close closes the underlying connection.

@@ -13,9 +13,11 @@
 //     Ed25519.
 //   - A station-to-station style handshake with X25519 key agreement,
 //     one-way or mutual authentication.
-//   - A record layer with HMAC-SHA256 integrity, strictly increasing
-//     sequence numbers (replay protection), and optional AES-CTR
-//     confidentiality so experiments can price the "superfluous
+//   - A record layer with one AES-256-GCM key per direction and
+//     strictly increasing sequence numbers (replay protection). By
+//     default a record's payload travels in clear, authenticated as GCM
+//     additional data (integrity only); with Config.Encrypt it is
+//     sealed too, so experiments can price the "superfluous
 //     encryption" the paper worries about.
 //
 // It is an educational recreation of the TLS properties the GDN needs,

@@ -1,0 +1,5 @@
+//go:build !race
+
+package sec
+
+const raceEnabled = false

@@ -2,6 +2,7 @@ package sec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
@@ -184,84 +185,13 @@ func TestRoleAuthorization(t *testing.T) {
 	}
 }
 
-func TestTamperDetected(t *testing.T) {
-	// A man in the middle flips a bit in a record; the receiver must
-	// reject it. We build the MITM by relaying through a raw pair.
-	tb := newTestbed(t)
-	scfg := &Config{Creds: tb.creds(t, "gos:b", RoleGOS), TrustAnchors: tb.ca.Anchors()}
-	ccfg := &Config{TrustAnchors: tb.ca.Anchors()}
-	cch, sch, cerr, serr := handshake(t, tb, ccfg, scfg)
-	if cerr != nil || serr != nil {
-		t.Fatalf("handshake: %v %v", cerr, serr)
-	}
-	// Send a record out-of-band with a corrupted MAC by writing directly
-	// to the underlying conn — simulate tampering by sending a bogus
-	// frame before the genuine one.
-	forged := make([]byte, 8+5+32)
-	copy(forged[8:], "EVIL!")
-	if err := tb.client.Send(forged); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sch.Recv(); !errors.Is(err, ErrRecord) {
-		t.Fatalf("forged record accepted: %v", err)
-	}
-	_ = cch
-}
-
-func TestReplayDetected(t *testing.T) {
-	tb := newTestbed(t)
-	scfg := &Config{Creds: tb.creds(t, "gos:b", RoleGOS), TrustAnchors: tb.ca.Anchors()}
-	ccfg := &Config{TrustAnchors: tb.ca.Anchors()}
-
-	// Tap the client->server conn so we can capture and replay frames.
-	rawClient := tb.client
-	tap := &tappingConn{Conn: rawClient}
-	type res struct {
-		ch  *Channel
-		err error
-	}
-	sDone := make(chan res, 1)
-	go func() {
-		ch, err := Server(tb.server, scfg)
-		sDone <- res{ch, err}
-	}()
-	cch, cerr := Client(tap, ccfg)
-	sr := <-sDone
-	if cerr != nil || sr.err != nil {
-		t.Fatalf("handshake: %v %v", cerr, sr.err)
-	}
-	sch := sr.ch
-
-	if err := cch.Send([]byte("withdraw 100")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sch.Recv(); err != nil {
-		t.Fatal(err)
-	}
-	// Replay the captured record verbatim.
-	if err := rawClient.Send(tap.last); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sch.Recv(); !errors.Is(err, ErrRecord) {
-		t.Fatalf("replayed record accepted: %v", err)
-	}
-}
-
-type tappingConn struct {
-	transport.Conn
-	last []byte
-}
-
-func (tc *tappingConn) Send(p []byte) error {
-	tc.last = append([]byte(nil), p...)
-	return tc.Conn.Send(p)
-}
-
-func TestConfidentialityOnWire(t *testing.T) {
-	tb := newTestbed(t)
-	scfg := &Config{Creds: tb.creds(t, "gos:b", RoleGOS), TrustAnchors: tb.ca.Anchors(), Encrypt: true}
-	ccfg := &Config{TrustAnchors: tb.ca.Anchors(), Encrypt: true}
-
+// tappedHandshake establishes a channel pair whose client side sends
+// through a tappingConn, so a test can watch and rewrite the client's
+// records on the wire.
+func tappedHandshake(t *testing.T, tb *testbed, encrypt bool) (*Channel, *Channel, *tappingConn) {
+	t.Helper()
+	scfg := &Config{Creds: tb.creds(t, "gos:b", RoleGOS), TrustAnchors: tb.ca.Anchors(), Encrypt: encrypt}
+	ccfg := &Config{TrustAnchors: tb.ca.Anchors(), Encrypt: encrypt}
 	tap := &tappingConn{Conn: tb.client}
 	type res struct {
 		ch  *Channel
@@ -277,7 +207,117 @@ func TestConfidentialityOnWire(t *testing.T) {
 	if cerr != nil || sr.err != nil {
 		t.Fatalf("handshake: %v %v", cerr, sr.err)
 	}
+	return cch, sr.ch, tap
+}
 
+// tappingConn is a man in the middle on the client's side of the wire:
+// it records the last record the client sent and, when tamper is set,
+// forwards tamper's rewrite of each record instead of the original.
+type tappingConn struct {
+	transport.Conn
+	last   []byte
+	tamper func(rec []byte) []byte
+}
+
+func (tc *tappingConn) Send(p []byte) error {
+	tc.last = append([]byte(nil), p...)
+	if tc.tamper != nil {
+		p = tc.tamper(append([]byte(nil), p...))
+	}
+	return tc.Conn.Send(p)
+}
+
+func flipBit(off func(rec []byte) int) func([]byte) []byte {
+	return func(rec []byte) []byte {
+		rec[off(rec)] ^= 0x10
+		return rec
+	}
+}
+
+func TestTamperDetected(t *testing.T) {
+	// A man in the middle rewrites a genuine record in each of its
+	// regions, or reflects a client's own record back at it; the
+	// receiver must reject every variant, in both protection modes.
+	cases := []struct {
+		name    string
+		tamper  func(rec []byte) []byte
+		reflect bool
+	}{
+		{name: "sequence header", tamper: flipBit(func([]byte) int { return seqSize - 1 })},
+		{name: "payload", tamper: flipBit(func(rec []byte) int { return seqSize + (len(rec)-seqSize-tagSize)/2 })},
+		{name: "tag", tamper: flipBit(func(rec []byte) int { return len(rec) - 1 })},
+		{name: "truncated", tamper: func(rec []byte) []byte { return rec[:len(rec)-1] }},
+		{name: "reflected", reflect: true},
+	}
+	payload := []byte("withdraw 100 from account 42 and credit account 7")
+	for _, encrypt := range []bool{false, true} {
+		for _, tc := range cases {
+			t.Run(modeName(encrypt)+"/"+tc.name, func(t *testing.T) {
+				tb := newTestbed(t)
+				cch, sch, tap := tappedHandshake(t, tb, encrypt)
+				if !tc.reflect {
+					tap.tamper = tc.tamper
+					if err := cch.Send(payload); err != nil {
+						t.Fatal(err)
+					}
+					if p, _, err := sch.Recv(); !errors.Is(err, ErrRecord) {
+						t.Fatalf("tampered record accepted: %q %v", p, err)
+					}
+					return
+				}
+				// Reflect a client record whose sequence number is the
+				// one the client expects next, so only the per-direction
+				// key can tell it apart from a genuine server record.
+				for {
+					if err := cch.Send(payload); err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := sch.Recv(); err != nil {
+						t.Fatal(err)
+					}
+					if cch.sendSeq > cch.recvSeq {
+						break
+					}
+				}
+				if seq := binary.BigEndian.Uint64(tap.last); seq != cch.recvSeq {
+					t.Fatalf("reflected record has sequence %d, client expects %d", seq, cch.recvSeq)
+				}
+				if err := tb.server.Send(tap.last); err != nil {
+					t.Fatal(err)
+				}
+				if p, _, err := cch.Recv(); !errors.Is(err, ErrRecord) {
+					t.Fatalf("reflected record accepted: %q %v", p, err)
+				}
+			})
+		}
+	}
+}
+
+func TestReplayDetected(t *testing.T) {
+	for _, encrypt := range []bool{false, true} {
+		t.Run(modeName(encrypt), func(t *testing.T) {
+			tb := newTestbed(t)
+			cch, sch, tap := tappedHandshake(t, tb, encrypt)
+			if err := cch.Send([]byte("withdraw 100")); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := sch.Recv(); err != nil {
+				t.Fatal(err)
+			}
+			// Replay the captured record verbatim.
+			if err := tb.client.Send(tap.last); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := sch.Recv(); !errors.Is(err, ErrRecord) {
+				t.Fatalf("replayed record accepted: %v", err)
+			}
+		})
+	}
+}
+
+func TestConfidentialityOnWire(t *testing.T) {
+	tb := newTestbed(t)
+	cch, sch, tap := tappedHandshake(t, tb, true)
 	secret := []byte("the gimp 1.2 source tarball")
 	if err := cch.Send(secret); err != nil {
 		t.Fatal(err)
@@ -285,7 +325,7 @@ func TestConfidentialityOnWire(t *testing.T) {
 	if bytes.Contains(tap.last, secret) {
 		t.Fatal("plaintext visible on wire with Encrypt=true")
 	}
-	p, _, err := sr.ch.Recv()
+	p, _, err := sch.Recv()
 	if err != nil || !bytes.Equal(p, secret) {
 		t.Fatalf("decrypt failed: %q %v", p, err)
 	}
@@ -295,30 +335,15 @@ func TestIntegrityOnlyLeavesPlaintext(t *testing.T) {
 	// With Encrypt=false the payload is visible (integrity only) —
 	// the cheaper mode the paper wishes TLS offered (§6.3).
 	tb := newTestbed(t)
-	scfg := &Config{Creds: tb.creds(t, "gos:b", RoleGOS), TrustAnchors: tb.ca.Anchors(), Encrypt: false}
-	ccfg := &Config{TrustAnchors: tb.ca.Anchors(), Encrypt: false}
-
-	tap := &tappingConn{Conn: tb.client}
-	type res struct {
-		ch  *Channel
-		err error
-	}
-	sDone := make(chan res, 1)
-	go func() {
-		ch, err := Server(tb.server, scfg)
-		sDone <- res{ch, err}
-	}()
-	cch, cerr := Client(tap, ccfg)
-	sr := <-sDone
-	if cerr != nil || sr.err != nil {
-		t.Fatalf("handshake: %v %v", cerr, sr.err)
-	}
+	cch, sch, tap := tappedHandshake(t, tb, false)
 	payload := []byte("public free software bits")
-	cch.Send(payload)
+	if err := cch.Send(payload); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Contains(tap.last, payload) {
 		t.Fatal("integrity-only channel encrypted payload")
 	}
-	p, _, err := sr.ch.Recv()
+	p, _, err := sch.Recv()
 	if err != nil || !bytes.Equal(p, payload) {
 		t.Fatalf("recv: %q %v", p, err)
 	}
