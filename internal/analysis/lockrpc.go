@@ -253,9 +253,6 @@ func dangerCall(info *types.Info, call *ast.CallExpr) string {
 	if fn == nil {
 		return ""
 	}
-	if funcIs(fn, "gdn/internal/transport", "SendVec") || funcIs(fn, "gdn/internal/transport", "SendFileFrame") {
-		return "transport." + fn.Name()
-	}
 	recvPkg, recvType, ok := recvTypeName(fn)
 	if !ok {
 		return ""

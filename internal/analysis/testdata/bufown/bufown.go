@@ -94,9 +94,9 @@ func doublePut(n int) {
 	transport.PutFrame(p) // want `transport\.GetFrame buffer is released twice`
 }
 
-// dropShortFrame mirrors the sequencedConn.Recv leak this analyzer
-// caught in the real tree: an undersized frame dropped on the
-// validation path without going back to the pool.
+// dropShortFrame mirrors a receive-path leak this analyzer caught in
+// the real tree: an undersized frame dropped on the validation path
+// without going back to the pool.
 func dropShortFrame(c transport.Conn) ([]byte, error) {
 	p, _, err := c.Recv()
 	if err != nil {

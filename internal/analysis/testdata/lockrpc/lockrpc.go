@@ -35,10 +35,10 @@ func streamSendUnderLock(sh *tableShard, sw *rpc.StreamWriter, p []byte) {
 	sw.Send(p) // want `rpc\.StreamWriter\.Send while holding`
 }
 
-func transportWriteUnderLock(sh *tableShard, conn transport.Conn, parts [][]byte) {
+func transportWriteUnderLock(sh *tableShard, conn transport.Conn, frames []transport.Frame) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	transport.SendVec(conn, parts) // want `transport\.SendVec while holding`
+	conn.SendFrames(frames) // want `transport\.Conn\.SendFrames while holding`
 }
 
 func connSendUnderLock(sh *tableShard, conn transport.Conn, p []byte) {

@@ -41,7 +41,8 @@ func nonBlockingSend(sh *tableShard, id uint64, p []byte) bool {
 }
 
 // sequencer is connection-level state, not a shard: holding its mutex
-// across a send is the sequencedConn idiom and is legitimate.
+// across a send (as a security channel does to keep records in
+// sequence order) is legitimate.
 type sequencer struct {
 	mu   sync.Mutex
 	next uint64

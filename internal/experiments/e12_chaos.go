@@ -28,7 +28,7 @@ type E12Config struct {
 	// two runs must replay identically.
 	Seeds []int64
 	// Families restricts the schedule families (default all three:
-	// "loss-reorder", "oneway-partition", "crash-restart").
+	// "loss-jitter", "oneway-partition", "crash-restart").
 	Families []string
 	// Downloads per fault-injection phase. Default 6.
 	Downloads int
@@ -45,7 +45,7 @@ type E12Config struct {
 
 // e12Families is the default schedule-family sweep, one per failure
 // mode the chaos plane models.
-var e12Families = []string{"loss-reorder", "oneway-partition", "crash-restart"}
+var e12Families = []string{"loss-jitter", "oneway-partition", "crash-restart"}
 
 // E12ChaosSoak is the chaos soak: seeded fault schedules against a
 // three-region world, each run twice to prove the chaos plane replays
@@ -61,9 +61,10 @@ var e12Families = []string{"loss-reorder", "oneway-partition", "crash-restart"}
 //     location service within one lease TTL;
 //   - the world tears down without leaking goroutines;
 //   - no RPC handler panics (registry counter delta), and under
-//     loss-reorder every sequencing-layer condemnation is accounted for
-//     by an injected frame fault — the rpc layer never condemns a
-//     connection the chaos plane left alone.
+//     loss-jitter the family really injects loss and every
+//     wedged-connection condemnation is accounted for by a lost frame —
+//     the rpc layer never condemns a connection the chaos plane left
+//     alone.
 //
 // An invariant violation panics with the schedule family and seed, so
 // a failing CI run names the exact schedule to replay.
@@ -148,10 +149,10 @@ func panicE12(family string, seed int64, msg string) {
 func e12Schedule(family string, seed int64) netsim.Schedule {
 	const healAt = 30 * time.Second
 	switch family {
-	case "loss-reorder":
+	case "loss-jitter":
 		return netsim.Schedule{Name: family, Seed: seed, Steps: []netsim.Step{
 			{At: 0, Action: netsim.Action{Kind: netsim.ActSetFaults, Class: netsim.WideArea, Faults: netsim.LinkFaults{
-				Loss: 0.01, Dup: 0.01, Reorder: 0.05, Jitter: 2 * time.Millisecond,
+				Loss: 0.05, Jitter: 2 * time.Millisecond,
 			}}},
 			{At: healAt, Action: netsim.Action{Kind: netsim.ActClearFaults}},
 		}}
@@ -186,7 +187,7 @@ func runE12(cfg E12Config, family string, seed int64) e12Result {
 
 	g0 := runtime.NumGoroutine()
 	panics0 := obs.Default.CounterValue("gdn_rpc_server_panics_total")
-	seqgap0 := obs.Default.CounterValue(`gdn_rpc_conns_condemned_total{cause="seqgap"}`)
+	wedged0 := obs.Default.CounterValue(`gdn_rpc_conns_condemned_total{cause="wedged"}`)
 
 	w := newWorld(gdn.Topology{
 		Regions: map[string][]string{
@@ -233,7 +234,7 @@ func runE12(cfg E12Config, family string, seed int64) e12Result {
 	r := e12Result{digest: sched.Digest(), reRegMS: -1}
 
 	switch family {
-	case "loss-reorder":
+	case "loss-jitter":
 		run.AdvanceTo(0)
 		for i := 0; i < cfg.Downloads; i++ {
 			ok, corrupt := e12Download(client, url, content)
@@ -341,20 +342,24 @@ func runE12(cfg E12Config, family string, seed int64) e12Result {
 	e12PostHeal(client, url, content, family, seed)
 
 	// Registry-counter invariants. Handler panics are recoverable at
-	// the rpc layer but always a bug, in any family. Under loss-reorder,
-	// the sequencing layer may condemn connections, but only ever as
-	// many as the chaos plane actually disturbed: condemnations are
-	// bounded by injected frame faults. (The counters are process-global
-	// while FaultStats is per-world, hence the before/after deltas.)
+	// the rpc layer but always a bug, in any family. Under loss-jitter
+	// the links stay in-order streams, so a lost frame can only stall a
+	// connection until a later send retransmits it; a stall may
+	// condemn the connection as wedged, but each one needs at least one
+	// held frame, so condemnations are bounded by lost frames. (The
+	// counters are process-global while FaultStats is per-world, hence
+	// the before/after deltas.)
 	if d := obs.Default.CounterValue("gdn_rpc_server_panics_total") - panics0; d != 0 {
 		panicE12(family, seed, fmt.Sprintf("%d RPC handler panics during the run", d))
 	}
-	if family == "loss-reorder" {
-		faults := w.Net.FaultStats()
-		injected := faults.Lost + faults.Duplicated + faults.Reordered
-		if d := obs.Default.CounterValue(`gdn_rpc_conns_condemned_total{cause="seqgap"}`) - seqgap0; d > injected {
+	if family == "loss-jitter" {
+		lost := w.Net.FaultStats().Lost
+		if lost == 0 {
+			panicE12(family, seed, "no frame was lost: the family injected no loss")
+		}
+		if d := obs.Default.CounterValue(`gdn_rpc_conns_condemned_total{cause="wedged"}`) - wedged0; d > lost {
 			panicE12(family, seed, fmt.Sprintf(
-				"%d seqconn condemnations but only %d injected frame faults — the rpc layer condemned connections chaos left alone", d, injected))
+				"%d wedged-connection condemnations but only %d lost frames — the rpc layer condemned connections chaos left alone", d, lost))
 		}
 	}
 

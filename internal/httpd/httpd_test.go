@@ -121,7 +121,13 @@ func TestFileDownload(t *testing.T) {
 		t.Fatalf("content-length = %d", resp.ContentLength)
 	}
 
+	// The handler records the download after the last body write, so
+	// the client can hold the whole body before the stats land: wait
+	// for them rather than race the handler.
 	st := h.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.BytesServed < 500_000 && time.Now().Before(deadline); st = h.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.Downloads != 1 || st.BytesServed != 500_000 {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -10,29 +10,24 @@ import (
 	"gdn/internal/transport"
 )
 
-// LinkFaults is the frame-perturbation spec for one link class.
-// Probabilities are per frame in [0, 1]; the zero value is a clean
-// link. Faults apply at send time, so both directions of a connection
-// are perturbed independently.
+// LinkFaults is the frame-perturbation spec for one link class. The
+// zero value is a clean link. Faults apply at send time, so both
+// directions of a connection are perturbed independently. Links stay
+// reliable, in-order streams under every spec: like TCP, they turn
+// loss into delay, never into a gap or a reordering.
 type LinkFaults struct {
-	// Loss drops the frame silently: the sender sees success, the
-	// receiver sees nothing. Reliable-delivery layers above (RPC
-	// deadlines, retries) must recover.
+	// Loss is the per-frame probability in [0, 1] that a send is lost
+	// on the wire. A lost frame is retransmitted: it and every later
+	// frame from the same endpoint are held, in order, until a send
+	// draws no loss, which delivers the whole backlog. The sender never
+	// sees an error; at Loss 1 the link stalls silently.
 	Loss float64
-	// Dup delivers the frame twice, the way a retransmission races its
-	// original on real networks.
-	Dup float64
-	// Reorder holds the frame back one slot: it is delivered after the
-	// next frame this endpoint sends (a one-frame reordering window).
-	Reorder float64
 	// Jitter adds a uniformly random extra virtual cost in [0, Jitter]
 	// to each frame, modelling queueing-delay variance.
 	Jitter time.Duration
 }
 
-func (f LinkFaults) isZero() bool {
-	return f.Loss == 0 && f.Dup == 0 && f.Reorder == 0 && f.Jitter == 0
-}
+func (f LinkFaults) isZero() bool { return f.Loss == 0 && f.Jitter == 0 }
 
 // String renders the spec for schedule timelines.
 func (f LinkFaults) String() string {
@@ -42,12 +37,6 @@ func (f LinkFaults) String() string {
 	var parts []string
 	if f.Loss > 0 {
 		parts = append(parts, fmt.Sprintf("loss=%.3g", f.Loss))
-	}
-	if f.Dup > 0 {
-		parts = append(parts, fmt.Sprintf("dup=%.3g", f.Dup))
-	}
-	if f.Reorder > 0 {
-		parts = append(parts, fmt.Sprintf("reorder=%.3g", f.Reorder))
 	}
 	if f.Jitter > 0 {
 		parts = append(parts, fmt.Sprintf("jitter=%s", f.Jitter))
@@ -66,9 +55,9 @@ func (n *Network) SetLinkFaults(class LinkClass, f LinkFaults) {
 	n.mu.Unlock()
 }
 
-// ClearFaults restores clean delivery on every link class. A frame
-// currently held in a reordering window stays held until its
-// connection's next send flushes it (equivalent to tail jitter).
+// ClearFaults restores clean delivery on every link class. Frames a
+// connection is holding after a loss stay held until its next send
+// delivers them (equivalent to tail latency).
 func (n *Network) ClearFaults() {
 	n.mu.Lock()
 	n.faults = [WideArea + 1]LinkFaults{}
@@ -76,7 +65,7 @@ func (n *Network) ClearFaults() {
 }
 
 // SeedFaults seeds the frame-level fault PRNGs and resets the
-// connection sequence and fault counters, so a workload started after
+// connection sequence and fault counter, so a workload started after
 // this call draws a reproducible fault pattern (see the package
 // comment's seed discipline). Existing connections keep their PRNGs.
 func (n *Network) SeedFaults(seed int64) {
@@ -85,28 +74,21 @@ func (n *Network) SeedFaults(seed int64) {
 	n.connSeq = 0
 	n.mu.Unlock()
 	n.lost.Store(0)
-	n.duped.Store(0)
-	n.heldCnt.Store(0)
 }
 
 // FaultStats counts frame-level fault injections since the last
 // SeedFaults. These are diagnostic: they depend on how many frames the
 // workload happened to send, so deterministic experiments must not
 // assert exact values — though one-sided bounds are safe (e.g. E12's
-// "seqconn condemnations never exceed injected faults").
+// "wedged-connection condemnations never exceed lost frames").
 type FaultStats struct {
-	Lost       int64
-	Duplicated int64
-	Reordered  int64
+	// Lost counts sends that drew loss (each one held a frame back).
+	Lost int64
 }
 
 // FaultStats returns a snapshot of injected-fault counts.
 func (n *Network) FaultStats() FaultStats {
-	return FaultStats{
-		Lost:       n.lost.Load(),
-		Duplicated: n.duped.Load(),
-		Reordered:  n.heldCnt.Load(),
-	}
+	return FaultStats{Lost: n.lost.Load()}
 }
 
 // faultSeed derives a connection endpoint's PRNG seed from the network
@@ -118,57 +100,38 @@ func faultSeed(seed int64, dialerAddr, targetAddr string, seq int64, end int64) 
 	return seed ^ int64(h.Sum64()) ^ (seq << 8) ^ end
 }
 
-// sendFaulty is the perturbed send path: it runs the loss / duplication
-// / reordering / jitter pipeline under the connection's fault mutex.
-// Holding faultMu across deliveries keeps the reordering swap atomic;
-// the receiver drains independently, so this cannot deadlock.
-func (c *conn) sendFaulty(p []byte, class LinkClass, cost time.Duration, fl LinkFaults) error {
-	c.faultMu.Lock()
-	defer c.faultMu.Unlock()
+// sendFaulty is the perturbed send path: jitter, then the loss draw.
+// A lost frame joins the endpoint's backlog; a frame that gets through
+// first delivers the backlog in order. Caller holds sendMu.
+func (c *conn) sendFaulty(f frame, class LinkClass, fl LinkFaults) error {
 	if c.rng == nil {
 		c.rng = rand.New(rand.NewSource(c.rngSeed))
 	}
 	if fl.Jitter > 0 {
-		cost += time.Duration(c.rng.Int63n(int64(fl.Jitter) + 1))
+		f.cost += time.Duration(c.rng.Int63n(int64(fl.Jitter) + 1))
 	}
 	if fl.Loss > 0 && c.rng.Float64() < fl.Loss {
-		// The frame vanishes mid-path: the sender has no way to know.
 		c.net.lost.Add(1)
+		c.backlog = append(c.backlog, f)
 		return nil
 	}
-	dup := fl.Dup > 0 && c.rng.Float64() < fl.Dup
-	if c.held == nil && fl.Reorder > 0 && c.rng.Float64() < fl.Reorder {
-		// Open a one-frame reordering window: park a copy and deliver
-		// it after the next frame.
-		cp := transport.GetFrame(len(p))
-		copy(cp, p)
-		c.held = &frame{payload: cp, cost: cost}
-		c.hasHeld.Store(true)
-		c.net.heldCnt.Add(1)
-		return nil
-	}
-	if err := c.deliver(p, class, cost); err != nil {
-		return err
-	}
-	if dup {
-		c.net.duped.Add(1)
-		if err := c.deliver(p, class, cost); err != nil {
+	for i, held := range c.backlog {
+		if err := c.deliver(held, class); err != nil {
+			c.dropBacklog(i + 1)
+			transport.PutFrame(f.payload)
 			return err
 		}
 	}
-	if held := c.held; held != nil {
-		// Close the window: the delayed frame follows the one that
-		// overtook it.
-		c.held = nil
-		c.hasHeld.Store(false)
-		select {
-		case <-c.closed:
-			transport.PutFrame(held.payload)
-		case <-c.peerClosed:
-			transport.PutFrame(held.payload)
-		case c.out <- *held:
-			c.net.record(class, len(held.payload))
-		}
+	c.dropBacklog(len(c.backlog))
+	return c.deliver(f, class)
+}
+
+// dropBacklog recycles the held frames from index i on and empties the
+// backlog. Caller holds sendMu.
+func (c *conn) dropBacklog(i int) {
+	for _, held := range c.backlog[i:] {
+		transport.PutFrame(held.payload)
 	}
-	return nil
+	clear(c.backlog)
+	c.backlog = c.backlog[:0]
 }

@@ -29,9 +29,15 @@
 //     intact; recovering soft state is the protocols' job (leases,
 //     re-registration, re-subscription).
 //   - Frame perturbation: SetLinkFaults attaches a LinkFaults spec to a
-//     link class — probabilistic loss, duplication, a one-frame
-//     reordering window, and added virtual-cost jitter. Faults apply at
-//     send time on connections whose path has that class.
+//     link class — probabilistic loss and added virtual-cost jitter,
+//     applied at send time on connections whose path has that class.
+//     Every connection stays a reliable, in-order stream, as a TCP
+//     connection does: a lost frame is retransmitted, so it and the
+//     frames behind it are held back in order until a later send gets
+//     through. Loss therefore shows up as delay, or — when nothing
+//     more is sent, or at Loss 1 — as a silent stall; never as a
+//     duplicated, reordered or missing frame. Crashes and partitions
+//     are the resets.
 //   - Programs: a Schedule is a list of timestamped fault actions (cut,
 //     heal, crash, restart, fault bursts) applied by a Runner as the
 //     experiment's clock advances, so a whole chaos run is a value that
@@ -43,7 +49,7 @@
 // — which faults fire, in what order, at which virtual times — is
 // exactly deterministic: Runner applies steps in sorted order and its
 // Timeline/Digest are pure functions of the Schedule. Frame-level fault
-// decisions (which frame is lost or duplicated) come from a per-
+// decisions (which frames are lost) come from a per-
 // connection PRNG seeded from SeedFaults' seed, the connection's
 // endpoint addresses, and a connection sequence number, so a given
 // connection's fault pattern replays exactly when dials happen in the
@@ -249,9 +255,7 @@ type Network struct {
 	frames  [WideArea + 1]int64
 	bytes   [WideArea + 1]int64
 
-	lost    atomic.Int64
-	duped   atomic.Int64
-	heldCnt atomic.Int64
+	lost atomic.Int64
 }
 
 var _ transport.Network = (*Network)(nil)
@@ -553,12 +557,12 @@ type conn struct {
 	closed     chan struct{}
 	peerClosed chan struct{}
 
-	// Fault state, lazily engaged when the link class carries faults.
+	// sendMu serializes senders, so each call's frames go out
+	// contiguously, and guards the fault state below.
+	sendMu  sync.Mutex
 	rngSeed int64
-	faultMu sync.Mutex
-	rng     *rand.Rand
-	held    *frame      // one frame delayed by the reordering window
-	hasHeld atomic.Bool // fast-path check so clean sends skip faultMu
+	rng     *rand.Rand // lazily engaged when the link class carries faults
+	backlog []frame    // frames held back by loss, in send order
 }
 
 func newConnPair(n *Network, dialer, target Site, dialerAddr, targetAddr string) (*conn, *conn) {
@@ -587,74 +591,61 @@ func newConnPair(n *Network, dialer, target Site, dialerAddr, targetAddr string)
 	return a, b
 }
 
-// Send implements transport.Conn. The frame is priced and metered at
-// send time; a copy of the payload is delivered so callers may reuse
-// their buffers.
+// Send implements transport.Conn.
 func (c *conn) Send(p []byte) error {
-	if len(p) > transport.MaxFrame {
-		return transport.ErrFrameSize
-	}
-	ok, class, fl := c.net.linkState(c.local, c.remote)
-	if !ok {
-		return fmt.Errorf("%w: %s -> %s", transport.ErrUnreachable, c.local.ID, c.remote.ID)
-	}
-	cost := c.net.model.Cost(c.local, c.remote, len(p))
-	if !fl.isZero() || c.hasHeld.Load() {
-		return c.sendFaulty(p, class, cost, fl)
-	}
-	return c.deliver(p, class, cost)
+	_, err := c.SendFrames([]transport.Frame{{Head: p}})
+	return err
 }
 
-// SendVec implements transport.VecSender: the parts are assembled once
-// into the pooled delivery buffer, so a vectored frame costs a single
-// copy end to end where Send costs one on each side of the handoff.
-// Faulty links fall back to the contiguous path — fault injection
-// operates on whole frames and is far off the hot path.
-func (c *conn) SendVec(parts [][]byte) error {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+// SendFrames implements transport.Conn. Each frame is gathered once
+// into a pooled delivery buffer — file sections are read straight into
+// it — then priced and metered at send time, so callers may reuse their
+// buffers as soon as the call returns. Nothing is spliced.
+func (c *conn) SendFrames(frames []transport.Frame) (int64, error) {
+	if err := transport.CheckFrames(frames, transport.MaxFrame); err != nil {
+		return 0, err
 	}
-	if total > transport.MaxFrame {
-		return transport.ErrFrameSize
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	for i := range frames {
+		if err := c.sendLocked(&frames[i]); err != nil {
+			return 0, err
+		}
 	}
+	return 0, nil
+}
+
+// sendLocked copies one frame into a delivery buffer and hands it to
+// the link. Caller holds sendMu.
+func (c *conn) sendLocked(fr *transport.Frame) error {
 	ok, class, fl := c.net.linkState(c.local, c.remote)
 	if !ok {
 		return fmt.Errorf("%w: %s -> %s", transport.ErrUnreachable, c.local.ID, c.remote.ID)
 	}
-	cost := c.net.model.Cost(c.local, c.remote, total)
-	cp := transport.GetFrame(total)
-	off := 0
-	for _, p := range parts {
-		off += copy(cp[off:], p)
-	}
-	if !fl.isZero() || c.hasHeld.Load() {
-		err := c.sendFaulty(cp, class, cost, fl)
-		transport.PutFrame(cp)
+	n := int(fr.Len())
+	f := frame{payload: transport.GetFrame(n), cost: c.net.model.Cost(c.local, c.remote, n)}
+	if err := fr.ReadInto(f.payload); err != nil {
+		transport.PutFrame(f.payload)
 		return err
 	}
-	return c.deliverOwned(cp, total, class, cost)
+	if fl.isZero() && len(c.backlog) == 0 {
+		return c.deliver(f, class)
+	}
+	return c.sendFaulty(f, class, fl)
 }
 
-// deliver copies and enqueues one frame toward the peer.
-func (c *conn) deliver(p []byte, class LinkClass, cost time.Duration) error {
-	cp := transport.GetFrame(len(p))
-	copy(cp, p)
-	return c.deliverOwned(cp, len(p), class, cost)
-}
-
-// deliverOwned enqueues an already-pooled buffer toward the peer,
-// taking ownership of cp.
-func (c *conn) deliverOwned(cp []byte, n int, class LinkClass, cost time.Duration) error {
+// deliver enqueues one frame toward the peer, taking ownership of its
+// pooled payload.
+func (c *conn) deliver(f frame, class LinkClass) error {
 	select {
 	case <-c.closed:
-		transport.PutFrame(cp)
+		transport.PutFrame(f.payload)
 		return transport.ErrClosed
 	case <-c.peerClosed:
-		transport.PutFrame(cp)
+		transport.PutFrame(f.payload)
 		return transport.ErrClosed
-	case c.out <- frame{payload: cp, cost: cost}:
-		c.net.record(class, n)
+	case c.out <- f:
+		c.net.record(class, len(f.payload))
 		return nil
 	}
 }
@@ -684,13 +675,9 @@ func (c *conn) Close() error {
 		c.net.mu.Lock()
 		delete(c.net.conns, c)
 		c.net.mu.Unlock()
-		c.faultMu.Lock()
-		if c.held != nil {
-			transport.PutFrame(c.held.payload)
-			c.held = nil
-			c.hasHeld.Store(false)
-		}
-		c.faultMu.Unlock()
+		c.sendMu.Lock()
+		c.dropBacklog(0)
+		c.sendMu.Unlock()
 	})
 	return nil
 }

@@ -226,10 +226,8 @@ func RandomSchedule(name string, seed int64, sites []string, span time.Duration)
 				Step{At: at(end), Action: Action{Kind: ActHealOneWay, A: a, B: b}})
 		case 2: // lossy wide-area burst
 			f := LinkFaults{
-				Loss:    0.02 + 0.08*rng.Float64(),
-				Dup:     0.02 * rng.Float64(),
-				Reorder: 0.05 * rng.Float64(),
-				Jitter:  time.Duration(rng.Intn(40)) * time.Millisecond,
+				Loss:   0.02 + 0.08*rng.Float64(),
+				Jitter: time.Duration(rng.Intn(40)) * time.Millisecond,
 			}
 			s.Steps = append(s.Steps,
 				Step{At: at(start), Action: Action{Kind: ActSetFaults, Class: WideArea, Faults: f}},

@@ -57,16 +57,18 @@
 // variants make ownership explicit instead:
 //
 //   - SendOwned(p, release) transfers ownership of p to the stream. The
-//     bytes travel header-and-body as separate parts down to a vectored
-//     transport write (writev on TCP; a single assemble on transports
-//     that cannot vector), and release fires exactly once, at write
-//     completion — or on any failure path that means the write will
-//     never happen (connection death, credit abort, encode error).
+//     bytes travel header-and-body as separate parts of one
+//     transport.Frame (writev on TCP; one gather into the delivery
+//     buffer or sealed record elsewhere), and release fires exactly
+//     once, at write completion — or on any failure path that means
+//     the write will never happen (connection death, credit abort,
+//     encode error).
 //     Callers hand the released buffer back to its pool there, so one
 //     chunk buffer flows store→rpc→wire with no intermediate copy.
 //   - SendFile(f, n, release) transfers an open file's next n bytes.
-//     TCP transports splice them (sendfile(2)) so the payload never
-//     enters user space; others fall back to one pooled read. release
+//     Plain TCP splices them (sendfile(2)) so the payload never enters
+//     user space; security channels and the simulated network read
+//     them once, straight into the buffer they seal or deliver. release
 //     closes the file under the same exactly-once contract.
 //
 // The sender's queue honours the same contract for every frame it ever

@@ -25,12 +25,6 @@ var (
 
 	mCondemnedWedged = obs.Default.Counter(`gdn_rpc_conns_condemned_total{cause="wedged"}`,
 		"connections condemned after a full silent timeout window")
-	mSeqCondemned = obs.Default.Counter(`gdn_rpc_conns_condemned_total{cause="seqgap"}`,
-		"connections condemned by the sequence layer on a frame gap")
-	mSeqDups = obs.Default.Counter("gdn_rpc_seqconn_dup_frames_total",
-		"duplicate frames dropped by the sequence layer")
-	mSeqReorders = obs.Default.Counter("gdn_rpc_seqconn_reorders_total",
-		"one-frame reorders repaired by the sequence layer")
 
 	mServeSeconds = obs.Default.Histogram("gdn_rpc_server_op_seconds",
 		"server-side handler latency per dispatched request",
@@ -38,20 +32,19 @@ var (
 	mServePanics = obs.Default.Counter("gdn_rpc_server_panics_total",
 		"handler panics converted to remote errors")
 
-	// Zero-copy data-plane counters: where payload bytes stopped being
-	// copied. A vec frame's body reached the transport out of band
-	// (writev on TCP, single assembly on netsim); a sendfile frame's
-	// bytes were spliced disk→socket without entering user space; an
-	// assembled frame fell back to one pooled-buffer copy because the
-	// connection stack (e.g. a security channel) cannot vector.
+	// Zero-copy data-plane counters. A vec frame's body reached the
+	// transport out of band, never copied into the frame encoder
+	// (writev on TCP, one gather into the delivery buffer or sealed
+	// record elsewhere). A sendfile frame's bytes were spliced
+	// disk→socket by the kernel without entering user space; file
+	// sections a transport read into memory (netsim, security
+	// channels) are not counted.
 	mSendVecFrames = obs.Default.Counter("gdn_rpc_send_vec_frames_total",
 		"frames whose payload traveled out of band with no encoder copy")
 	mSendVecBytes = obs.Default.Counter("gdn_rpc_send_vec_bytes_total",
 		"payload bytes handed to the transport without an encoder copy")
 	mSendSendfileFrames = obs.Default.Counter("gdn_rpc_send_sendfile_frames_total",
-		"file-backed frames spliced by the transport (sendfile on TCP)")
+		"file-backed frames spliced by the kernel (sendfile on TCP)")
 	mSendSendfileBytes = obs.Default.Counter("gdn_rpc_send_sendfile_bytes_total",
-		"payload bytes spliced from files by the transport")
-	mSendAssembledFrames = obs.Default.Counter("gdn_rpc_send_assembled_frames_total",
-		"vectored/file frames assembled into one pooled buffer (non-vectoring conn)")
+		"payload bytes spliced from files by the kernel")
 )

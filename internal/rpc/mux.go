@@ -221,10 +221,7 @@ func (c *Client) dial(s *connSlot) (*muxConn, error) {
 		s.nextTry = time.Now().Add(transport.Backoff(s.fails-dialBackoffAfter+1, dialBackoffBase, dialBackoffMax))
 		return nil, &unsentError{err}
 	}
-	// The sequence layer sits directly on the raw connection, below any
-	// security channel, so link-level frame faults are caught before
-	// they can scramble the multiplexed (or encrypted) stream.
-	conn := sequenced(raw)
+	conn := raw
 	if c.wrap != nil {
 		var werr error
 		conn, _, werr = c.wrap(conn)

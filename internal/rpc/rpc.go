@@ -209,9 +209,7 @@ func (s *Server) untrack(c transport.Conn) {
 // complete, tagged with the request ID, so they may overtake slower
 // requests received earlier.
 func (s *Server) serveConn(raw transport.Conn) {
-	// Mirror of Client.dial: the sequence layer wraps the raw
-	// connection on both ends, below any security channel.
-	conn, peer := sequenced(raw), ""
+	conn, peer := raw, ""
 	if s.wrap != nil {
 		var err error
 		conn, peer, err = s.wrap(conn)

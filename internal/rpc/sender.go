@@ -34,9 +34,6 @@ type outFrame struct {
 	release func()
 }
 
-// plain reports whether the frame is fully encoded in w.
-func (f *outFrame) plain() bool { return f.body == nil && f.file == nil }
-
 // done releases everything the sender owned for this frame.
 func (f *outFrame) done() {
 	f.w.Free()
@@ -48,10 +45,10 @@ func (f *outFrame) done() {
 // connSender serializes outbound frames for one connection with flush
 // combining: the first enqueuer becomes the flusher and keeps draining
 // the queue, so frames enqueued by other goroutines while a send is in
-// flight go out together — one vectored write on transports that
-// implement BatchSender. Under load this collapses many pipelined
-// requests (or responses) into one syscall; with a single caller it
-// degenerates to a plain immediate send, adding no latency.
+// flight go out together — one SendFrames call per drained batch, which
+// is one vectored write on TCP. Under load this collapses many
+// pipelined requests (or responses) into one syscall; with a single
+// caller it degenerates to a plain immediate send, adding no latency.
 //
 // The sender owns every frame handed to enqueue and releases it after
 // the frame is sent or discarded. Send failures are reported once
@@ -68,6 +65,8 @@ type connSender struct {
 	spare  []outFrame // recycled queue backing, swapped by flush
 	active bool
 	dead   bool
+
+	frames []transport.Frame // the flusher's SendFrames scratch
 }
 
 func newConnSender(conn transport.Conn, onErr func(error)) *connSender {
@@ -101,7 +100,6 @@ func (s *connSender) enqueueOut(f outFrame) {
 }
 
 func (s *connSender) flush() {
-	var frames [][]byte
 	for {
 		s.mu.Lock()
 		if s.dead || len(s.queue) == 0 {
@@ -119,34 +117,8 @@ func (s *connSender) flush() {
 		s.spare = nil
 		s.mu.Unlock()
 
-		// Contiguous runs of plain frames go out as one batched write;
-		// vectored and file-backed frames go out individually (each is
-		// one whole frame to the transport). Order is preserved across
-		// the boundary — a stream's data frames and its trailer ride the
-		// same queue.
-		var err error
-		i := 0
-		for i < len(batch) && err == nil {
-			if batch[i].plain() {
-				j := i
-				frames = frames[:0]
-				for j < len(batch) && batch[j].plain() {
-					frames = append(frames, batch[j].w.Bytes())
-					j++
-				}
-				err = sendFrames(s.conn, frames)
-				for ; i < j; i++ {
-					batch[i].done()
-					batch[i] = outFrame{}
-				}
-			} else {
-				err = s.sendPayload(&batch[i])
-				batch[i].done()
-				batch[i] = outFrame{}
-				i++
-			}
-		}
-		for ; i < len(batch); i++ {
+		err := s.send(batch)
+		for i := range batch {
 			batch[i].done()
 			batch[i] = outFrame{}
 		}
@@ -160,26 +132,34 @@ func (s *connSender) flush() {
 	}
 }
 
-// sendPayload transmits one vectored or file-backed frame, counting
-// how its payload bytes actually traveled.
-func (s *connSender) sendPayload(f *outFrame) error {
-	hdr := f.w.Bytes()
-	if f.file != nil {
-		if _, ok := s.conn.(transport.FileSender); ok {
-			mSendSendfileFrames.Inc()
-			mSendSendfileBytes.Add(f.fileN)
-		} else {
-			mSendAssembledFrames.Inc()
+// send transmits one drained batch in a single SendFrames call, in
+// queue order — a stream's data frames and its trailer ride the same
+// queue — and counts how the payload bytes traveled.
+func (s *connSender) send(batch []outFrame) error {
+	var vecFrames, vecBytes, fileFrames int64
+	for i := range batch {
+		f := &batch[i]
+		s.frames = append(s.frames, transport.Frame{Head: f.w.Bytes(), Body: f.body, File: f.file, FileN: f.fileN})
+		if f.body != nil {
+			vecFrames++
+			vecBytes += int64(len(f.body))
 		}
-		return transport.SendFileFrame(s.conn, hdr, f.file, f.fileN)
+		if f.file != nil {
+			fileFrames++
+		}
 	}
-	if _, ok := s.conn.(transport.VecSender); ok {
-		mSendVecFrames.Inc()
-		mSendVecBytes.Add(int64(len(f.body)))
-	} else {
-		mSendAssembledFrames.Inc()
+	spliced, err := s.conn.SendFrames(s.frames)
+	clear(s.frames)
+	s.frames = s.frames[:0]
+	if vecFrames > 0 {
+		mSendVecFrames.Add(vecFrames)
+		mSendVecBytes.Add(vecBytes)
 	}
-	return transport.SendVec(s.conn, [][]byte{hdr, f.body})
+	if spliced > 0 {
+		mSendSendfileFrames.Add(fileFrames)
+		mSendSendfileBytes.Add(spliced)
+	}
+	return err
 }
 
 // fail marks the sender dead, discards queued frames, and reports err
@@ -201,21 +181,4 @@ func (s *connSender) fail(err error) {
 	if s.onErr != nil {
 		s.onErr(err)
 	}
-}
-
-// sendFrames transmits a batch through one vectored write when the
-// transport supports it, else frame by frame.
-func sendFrames(conn transport.Conn, frames [][]byte) error {
-	if len(frames) == 1 {
-		return conn.Send(frames[0])
-	}
-	if bs, ok := conn.(transport.BatchSender); ok {
-		return bs.SendBatch(frames)
-	}
-	for _, p := range frames {
-		if err := conn.Send(p); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -257,9 +257,9 @@ func (sw *StreamWriter) SendOwned(p []byte, release func()) error {
 // SendFile transmits one data frame of n bytes read from f's current
 // offset. Ownership of the handle passes to the send path; release
 // (typically closing f) is called exactly once after the bytes are on
-// the wire or the frame is dropped. On TCP transports the file section
-// is spliced with sendfile(2), so resident disk chunks are served
-// without their bytes ever entering user space.
+// the wire or the frame is dropped. On plain TCP the file section is
+// spliced with sendfile(2), so resident disk chunks are served without
+// their bytes ever entering user space.
 func (sw *StreamWriter) SendFile(f *os.File, n int64, release func()) error {
 	if err := sw.acquireCredit(); err != nil {
 		if release != nil {

@@ -9,6 +9,10 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gdn/internal/obs"
+	"gdn/internal/sec"
+	"gdn/internal/transport"
 )
 
 // TestSendOwnedReleasesExactlyOnceOnSuccess streams owned buffers and
@@ -189,5 +193,107 @@ func TestSendFileStreamsFileBytes(t *testing.T) {
 			t.Fatalf("file release fired %d times, want exactly 1", releases.Load())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// streamFile serves one stream of a single file-backed frame over net
+// and reads it back, returning once the frame's release has fired —
+// after the send path counted it.
+func streamFile(t *testing.T, net transport.Network, addr, from string, content []byte, srvOpts []ServerOption, cliOpts []ClientOption) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "chunk")
+	if err := os.WriteFile(path, content, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	srv, err := Serve(net, addr, func(c *Call) ([]byte, error) {
+		sw, err := c.OpenStream()
+		if err != nil {
+			return nil, err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		return nil, sw.SendFile(f, int64(len(content)), func() { f.Close(); close(released) })
+	}, srvOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl := NewClient(net, from, srv.Addr(), cliOpts...)
+	defer cl.Close()
+	st, err := cl.CallStream(7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var got bytes.Buffer
+	for {
+		p, _, err := st.Recv()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Write(p)
+	}
+	if !bytes.Equal(got.Bytes(), content) {
+		t.Fatalf("stream delivered %d bytes, want %d intact", got.Len(), len(content))
+	}
+	select {
+	case <-released:
+	case <-time.After(5 * time.Second):
+		t.Fatal("file frame never released")
+	}
+}
+
+// TestSendfileCountersCountOnlySplicedBytes streams a file-backed frame
+// over each kind of connection: the sendfile counters rise by the
+// file's bytes only where the kernel spliced them (plain TCP), and not
+// where the transport read the file into memory (a security channel
+// sealing it into a record, or the simulated network).
+func TestSendfileCountersCountOnlySplicedBytes(t *testing.T) {
+	content := bytes.Repeat([]byte("chunk bytes "), 8<<10)
+	ca, err := sec.NewAuthority("rpc-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	config := func(role string) *sec.Config {
+		creds, err := sec.NewCredentials(ca, sec.Principal(role, "test"), role)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &sec.Config{Creds: creds, TrustAnchors: ca.Anchors(), RequireClientAuth: true}
+	}
+	srvSec, cliSec := config(sec.RoleGOS), config(sec.RoleHTTPD)
+	cases := []struct {
+		name    string
+		net     transport.Network
+		addr    string
+		srvOpts []ServerOption
+		cliOpts []ClientOption
+		want    int64
+	}{
+		{name: "tcp", net: transport.TCP{}, addr: "127.0.0.1:0", want: int64(len(content))},
+		{name: "tcp+sec", net: transport.TCP{}, addr: "127.0.0.1:0",
+			srvOpts: []ServerOption{WithServerWrapper(srvSec.WrapServer)},
+			cliOpts: []ClientOption{WithClientWrapper(cliSec.WrapClient)}},
+		{name: "netsim", net: simNet(t), addr: "server:zcsplice"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bytes0 := obs.Default.CounterValue("gdn_rpc_send_sendfile_bytes_total")
+			frames0 := obs.Default.CounterValue("gdn_rpc_send_sendfile_frames_total")
+			streamFile(t, tc.net, tc.addr, "client", content, tc.srvOpts, tc.cliOpts)
+			if d := obs.Default.CounterValue("gdn_rpc_send_sendfile_bytes_total") - bytes0; d != tc.want {
+				t.Errorf("sendfile bytes counter rose by %d, want %d", d, tc.want)
+			}
+			wantFrames := map[bool]int64{true: 1}[tc.want > 0]
+			if d := obs.Default.CounterValue("gdn_rpc_send_sendfile_frames_total") - frames0; d != wantFrames {
+				t.Errorf("sendfile frames counter rose by %d, want %d", d, wantFrames)
+			}
+		})
 	}
 }

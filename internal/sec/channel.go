@@ -68,8 +68,8 @@ type Channel struct {
 	sendSeq   uint64
 	sendAEAD  cipher.AEAD
 	sendNonce [nonceSize]byte
-	recs      [][]byte  // SendBatch scratch
-	bps       []*[]byte // SendBatch scratch
+	recs      []transport.Frame // SendFrames scratch: the sealed records
+	bps       []*[]byte         // SendFrames scratch: their pool handles
 
 	recvMu    sync.Mutex
 	recvSeq   uint64
@@ -393,11 +393,14 @@ const (
 	seqSize   = 8
 	tagSize   = 16
 	nonceSize = 12
+	// maxPayload keeps every sealed record within transport.MaxFrame.
+	maxPayload = transport.MaxFrame - seqSize - tagSize
 )
 
 // recPool recycles send-record buffers. The transports below never
-// retain the slice passed to Send (TCP framing writes it out, netsim
-// copies it), so the buffer can be reused as soon as Send returns.
+// retain the frames passed to SendFrames (TCP framing writes them out,
+// netsim copies them), so a buffer can be reused as soon as the call
+// returns.
 var recPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // maxPooledRec bounds the record capacity retained by the pool. It is
@@ -406,31 +409,40 @@ var recPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b 
 // dominant large-transfer path — while dropping outliers.
 const maxPooledRec = 512 << 10
 
-// sealLocked seals one record into a pooled buffer. Integrity-only
-// records carry the payload in clear and authenticate header and
-// payload as GCM additional data; encrypted records seal the payload
-// into the buffer with the header as additional data. Caller must hold
-// sendMu and return the buffer to recPool once the record has been
-// sent.
-func (ch *Channel) sealLocked(p []byte) (*[]byte, []byte) {
+// sealLocked seals one frame into a pooled record. The frame is
+// gathered into the record's payload region — file sections are read
+// straight into it — and authenticated in place: integrity-only
+// records carry the payload in clear with header and payload as GCM
+// additional data; encrypted records encrypt the payload with the
+// header as additional data, straight from the caller's buffer when
+// the frame is a single part. Caller must hold sendMu and return the
+// buffer with putRec once the record is sent.
+func (ch *Channel) sealLocked(f *transport.Frame) (*[]byte, []byte, error) {
+	n := int(f.Len())
+	bp := recPool.Get().(*[]byte)
+	if cap(*bp) < seqSize+n+tagSize {
+		*bp = make([]byte, 0, seqSize+n+tagSize)
+	}
+	rec := (*bp)[:seqSize+n+tagSize]
+	payload := rec[seqSize : seqSize+n]
+	src := f.Head
+	if !ch.encrypt || len(f.Body) > 0 || f.File != nil {
+		if err := f.ReadInto(payload); err != nil {
+			putRec(bp)
+			return nil, nil, err
+		}
+		src = payload
+	}
 	seq := ch.sendSeq
 	ch.sendSeq++
-	binary.BigEndian.PutUint64(ch.sendNonce[4:], seq)
-
-	n := seqSize + len(p) + tagSize
-	bp := recPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, n)
-	}
-	rec := (*bp)[:n]
 	binary.BigEndian.PutUint64(rec[:seqSize], seq)
+	binary.BigEndian.PutUint64(ch.sendNonce[4:], seq)
 	if ch.encrypt {
-		ch.sendAEAD.Seal(rec[seqSize:seqSize], ch.sendNonce[:], p, rec[:seqSize])
+		ch.sendAEAD.Seal(payload[:0], ch.sendNonce[:], src, rec[:seqSize])
 	} else {
-		end := seqSize + copy(rec[seqSize:], p)
-		ch.sendAEAD.Seal(rec[end:end], ch.sendNonce[:], nil, rec[:end])
+		ch.sendAEAD.Seal(rec[seqSize+n:seqSize+n], ch.sendNonce[:], nil, rec[:seqSize+n])
 	}
-	return bp, rec
+	return bp, rec, nil
 }
 
 func putRec(bp *[]byte) {
@@ -442,50 +454,45 @@ func putRec(bp *[]byte) {
 // Send seals and transmits one record. The sequence number is
 // authenticated, giving replay and reorder protection.
 func (ch *Channel) Send(p []byte) error {
-	ch.sendMu.Lock()
-	defer ch.sendMu.Unlock()
-	bp, rec := ch.sealLocked(p)
-	err := ch.conn.Send(rec)
-	putRec(bp)
+	_, err := ch.SendFrames([]transport.Frame{{Head: p}})
 	return err
 }
 
-// SendBatch seals several records and hands them to the underlying
-// transport as one batch, preserving record order. It implements
-// transport.BatchSender so the multiplexed RPC layer's write combining
-// survives the security layer instead of being split back into one
-// write per record.
-func (ch *Channel) SendBatch(frames [][]byte) error {
+// SendFrames seals each frame into its own record and hands all the
+// records to the underlying transport in one call, preserving order, so
+// the multiplexed RPC layer's write combining survives the security
+// layer. File sections are read into the records, never spliced, so
+// spliced is always 0. If a file read fails nothing is sent and the
+// batch's sequence numbers are reused.
+func (ch *Channel) SendFrames(frames []transport.Frame) (int64, error) {
+	if err := transport.CheckFrames(frames, maxPayload); err != nil {
+		return 0, err
+	}
 	ch.sendMu.Lock()
 	defer ch.sendMu.Unlock()
-	if bs, ok := ch.conn.(transport.BatchSender); ok {
-		for _, p := range frames {
-			bp, rec := ch.sealLocked(p)
-			ch.bps = append(ch.bps, bp)
-			ch.recs = append(ch.recs, rec)
+	seq0 := ch.sendSeq
+	var err error
+	for i := range frames {
+		bp, rec, serr := ch.sealLocked(&frames[i])
+		if serr != nil {
+			err = serr
+			ch.sendSeq = seq0
+			break
 		}
-		err := bs.SendBatch(ch.recs)
-		for _, bp := range ch.bps {
-			putRec(bp)
-		}
-		// Drop the references to recycled buffers before reuse.
-		clear(ch.bps)
-		clear(ch.recs)
-		ch.bps, ch.recs = ch.bps[:0], ch.recs[:0]
-		return err
+		ch.bps = append(ch.bps, bp)
+		ch.recs = append(ch.recs, transport.Frame{Head: rec})
 	}
-	// Plain transport: still seal and send under one sendMu hold so the
-	// batch stays atomic with respect to concurrent Send calls, as the
-	// BatchSender contract requires.
-	for _, p := range frames {
-		bp, rec := ch.sealLocked(p)
-		err := ch.conn.Send(rec)
+	if err == nil {
+		_, err = ch.conn.SendFrames(ch.recs)
+	}
+	for _, bp := range ch.bps {
 		putRec(bp)
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	// Drop the references to recycled buffers before reuse.
+	clear(ch.bps)
+	clear(ch.recs)
+	ch.bps, ch.recs = ch.bps[:0], ch.recs[:0]
+	return 0, err
 }
 
 // putFrame releases the frame of a rejected record. It is a variable

@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -22,6 +25,14 @@ func (c *loopConn) Recv() ([]byte, time.Duration, error) { return c.buf, 0, nil 
 func (c *loopConn) Close() error                         { return nil }
 func (c *loopConn) LocalAddr() string                    { return "loop" }
 func (c *loopConn) RemoteAddr() string                   { return "loop" }
+
+// SendFrames keeps the last record, which a Channel hands down in Head.
+func (c *loopConn) SendFrames(frames []transport.Frame) (int64, error) {
+	for i := range frames {
+		c.buf = append(c.buf[:0], frames[i].Head...)
+	}
+	return 0, nil
+}
 
 // keyedChannel returns one side of an established channel over conn,
 // keyed from a fixed shared secret and transcript so that records are
@@ -55,65 +66,55 @@ func TestRecordSealOpenAllocatesNothing(t *testing.T) {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	payload := bytes.Repeat([]byte("gdn!"), 64<<10) // 256 KiB: one storage chunk
-	for _, encrypt := range []bool{false, true} {
-		t.Run(modeName(encrypt), func(t *testing.T) {
-			tx, rx := recordPair(t, encrypt)
-			roundTrip := func() {
-				if err := tx.Send(payload); err != nil {
-					t.Fatal(err)
-				}
-				body, _, err := rx.Recv()
-				if err != nil || len(body) != len(payload) {
-					t.Fatalf("recv: %d bytes, %v", len(body), err)
-				}
-			}
-			roundTrip() // warm the record pool and the loopConn buffer
-			if got := testing.AllocsPerRun(20, roundTrip); got != 0 {
-				t.Errorf("seal+open of a 256 KiB record allocates %.1f objects, want 0", got)
-			}
-		})
+	hdr := []byte("stream frame header")
+	path := filepath.Join(t.TempDir(), "chunk")
+	if err := os.WriteFile(path, payload, 0o600); err != nil {
+		t.Fatal(err)
 	}
-}
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	fileFrame := []transport.Frame{{Head: hdr, File: file, FileN: int64(len(payload))}}
 
-// batchConn gives a conn the transport.BatchSender shape.
-type batchConn struct {
-	transport.Conn
-	batches int
-}
-
-func (c *batchConn) SendBatch(frames [][]byte) error {
-	c.batches++
-	for _, p := range frames {
-		if err := c.Conn.Send(p); err != nil {
+	inputs := []struct {
+		name string
+		send func(tx *Channel) error
+		want int
+	}{
+		{"memory", func(tx *Channel) error { return tx.Send(payload) }, len(payload)},
+		{"file", func(tx *Channel) error {
+			if _, err := file.Seek(0, io.SeekStart); err != nil {
+				return err
+			}
+			_, err := tx.SendFrames(fileFrame)
 			return err
-		}
+		}, len(hdr) + len(payload)},
 	}
-	return nil
-}
-
-func TestSendBatchSealsEveryRecordInOrder(t *testing.T) {
-	tb := newTestbed(t)
-	bc := &batchConn{Conn: tb.client}
-	tx := keyedChannel(t, bc, true, false)
-	rx := keyedChannel(t, tb.server, false, false)
-	// The second, shorter batch reuses the scratch slices the first grew.
-	batches := [][][]byte{
-		{[]byte("a"), []byte("bb"), []byte("ccc")},
-		{[]byte("dddd")},
-	}
-	for _, batch := range batches {
-		if err := tx.SendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		for _, want := range batch {
-			got, _, err := rx.Recv()
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("recv: %q %v, want %q", got, err, want)
+	for _, encrypt := range []bool{false, true} {
+		for _, in := range inputs {
+			name := modeName(encrypt)
+			if in.name != "memory" {
+				name += "/" + in.name
 			}
+			t.Run(name, func(t *testing.T) {
+				tx, rx := recordPair(t, encrypt)
+				roundTrip := func() {
+					if err := in.send(tx); err != nil {
+						t.Fatal(err)
+					}
+					body, _, err := rx.Recv()
+					if err != nil || len(body) != in.want {
+						t.Fatalf("recv: %d bytes, %v", len(body), err)
+					}
+				}
+				roundTrip() // warm the record pool and the loopConn buffer
+				if got := testing.AllocsPerRun(20, roundTrip); got != 0 {
+					t.Errorf("seal+open of a 256 KiB %s record allocates %.1f objects, want 0", in.name, got)
+				}
+			})
 		}
-	}
-	if bc.batches != len(batches) {
-		t.Fatalf("%d transport batches, want %d", bc.batches, len(batches))
 	}
 }
 

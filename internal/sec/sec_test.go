@@ -220,11 +220,24 @@ type tappingConn struct {
 }
 
 func (tc *tappingConn) Send(p []byte) error {
-	tc.last = append([]byte(nil), p...)
-	if tc.tamper != nil {
-		p = tc.tamper(append([]byte(nil), p...))
+	_, err := tc.SendFrames([]transport.Frame{{Head: p}})
+	return err
+}
+
+// SendFrames taps records, which a Channel always hands down whole in
+// Head.
+func (tc *tappingConn) SendFrames(frames []transport.Frame) (int64, error) {
+	for _, f := range frames {
+		p := f.Head
+		tc.last = append([]byte(nil), p...)
+		if tc.tamper != nil {
+			p = tc.tamper(append([]byte(nil), p...))
+		}
+		if err := tc.Conn.Send(p); err != nil {
+			return 0, err
+		}
 	}
-	return tc.Conn.Send(p)
+	return 0, nil
 }
 
 func flipBit(off func(rec []byte) int) func([]byte) []byte {

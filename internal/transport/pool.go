@@ -24,8 +24,9 @@ var frameClasses = [...]int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 288
 var framePools [len(frameClasses)]sync.Pool
 
 // frameSlack tolerates in-place prefix stripping by layered transports
-// (the RPC sequence layer consumes an 8-byte header without copying):
-// a buffer within frameSlack below a class still pools in that class.
+// (a security channel hands out a record's payload without its 8-byte
+// sequence header): a buffer within frameSlack below a class still
+// pools in that class.
 // Without the tolerance a stripped frame rounds down a whole class and
 // is then rejected as grossly oversized, so the receive path of every
 // layered connection would leak its buffers out of the pool and every

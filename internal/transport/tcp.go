@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"time"
 )
@@ -59,15 +58,20 @@ const recvBufSize = 64 << 10
 // framedConn adapts a stream connection to the frame-oriented Conn
 // interface with 32-bit length prefixes.
 //
-// Lock scope: sendMu guards sendHdr and the write side of c so
+// Lock scope: sendMu guards the send scratch and the write side of c so
 // concurrent senders cannot interleave a prefix from one frame with the
 // payload of another; recvMu guards recvHdr and br. The two sides are
 // independent, so a sender never blocks a receiver.
 type framedConn struct {
 	c net.Conn
+	// splice is set on TCP sockets, where io.CopyN from an *os.File
+	// becomes sendfile(2) inside net.TCPConn.ReadFrom.
+	splice bool
 
-	sendMu  sync.Mutex
-	sendHdr [4]byte
+	sendMu   sync.Mutex
+	prefixes []byte      // one 4-byte length prefix per frame of a call
+	iov      net.Buffers // parts gathered for the next writev
+	wv       net.Buffers // the vector being written (WriteTo consumes it)
 
 	recvMu  sync.Mutex
 	recvHdr [4]byte
@@ -80,90 +84,64 @@ type framedConn struct {
 // NewFramedConn wraps a stream connection (TCP, a net.Pipe end, or a
 // security channel's underlying socket) as a frame-oriented Conn.
 func NewFramedConn(c net.Conn) Conn {
-	return &framedConn{c: c, br: bufio.NewReaderSize(c, recvBufSize)}
+	_, splice := c.(*net.TCPConn)
+	return &framedConn{c: c, splice: splice, br: bufio.NewReaderSize(c, recvBufSize)}
 }
 
 // Send transmits the length prefix and payload as one vectored write
 // (writev on TCP), so a frame costs a single syscall instead of two and
 // small frames are never split across segments by the framing layer.
 func (f *framedConn) Send(p []byte) error {
-	if len(p) > MaxFrame {
-		return ErrFrameSize
-	}
-	f.sendMu.Lock()
-	defer f.sendMu.Unlock()
-	binary.BigEndian.PutUint32(f.sendHdr[:], uint32(len(p)))
-	bufs := net.Buffers{f.sendHdr[:], p}
-	_, err := bufs.WriteTo(f.c)
+	_, err := f.SendFrames([]Frame{{Head: p}})
 	return err
 }
 
-// SendBatch transmits several frames as one vectored write: all length
-// prefixes and payloads in a single writev, so a burst of pipelined RPC
-// frames costs one syscall total.
-func (f *framedConn) SendBatch(frames [][]byte) error {
-	bufs := make(net.Buffers, 0, 2*len(frames))
-	hdrs := make([]byte, 4*len(frames))
-	for i, p := range frames {
-		if len(p) > MaxFrame {
-			return ErrFrameSize
+// SendFrames writes every length prefix, header and body as one
+// vectored write. A file section ends the vector: what is gathered so
+// far is written, the section is copied with io.CopyN — spliced by
+// sendfile(2) on a TCP socket, so chunk bytes move disk→socket without
+// entering user space — and gathering resumes after it.
+func (f *framedConn) SendFrames(frames []Frame) (spliced int64, err error) {
+	if err := CheckFrames(frames, MaxFrame); err != nil {
+		return 0, err
+	}
+	f.sendMu.Lock()
+	defer f.sendMu.Unlock()
+	if cap(f.prefixes) < 4*len(frames) {
+		f.prefixes = make([]byte, 4*len(frames))
+	}
+	for i := range frames {
+		fr := &frames[i]
+		prefix := f.prefixes[4*i : 4*i+4]
+		binary.BigEndian.PutUint32(prefix, uint32(fr.Len()))
+		f.iov = append(f.iov, prefix, fr.Head)
+		if len(fr.Body) > 0 {
+			f.iov = append(f.iov, fr.Body)
 		}
-		h := hdrs[i*4 : i*4+4]
-		binary.BigEndian.PutUint32(h, uint32(len(p)))
-		bufs = append(bufs, h, p)
-	}
-	f.sendMu.Lock()
-	defer f.sendMu.Unlock()
-	_, err := bufs.WriteTo(f.c)
-	return err
-}
-
-// SendVec transmits one frame whose payload is the concatenation of
-// parts, as a single vectored write: length prefix and every part in
-// one writev, no assembly copy anywhere on the send side.
-func (f *framedConn) SendVec(parts [][]byte) error {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total > MaxFrame {
-		return ErrFrameSize
-	}
-	f.sendMu.Lock()
-	defer f.sendMu.Unlock()
-	binary.BigEndian.PutUint32(f.sendHdr[:], uint32(total))
-	bufs := make(net.Buffers, 0, 1+len(parts))
-	bufs = append(bufs, f.sendHdr[:])
-	for _, p := range parts {
-		if len(p) > 0 {
-			bufs = append(bufs, p)
+		if fr.File == nil {
+			continue
+		}
+		if err := f.writev(); err != nil {
+			return spliced, err
+		}
+		n, err := io.CopyN(f.c, fr.File, fr.FileN)
+		if f.splice {
+			spliced += n
+		}
+		if err != nil {
+			return spliced, err
 		}
 	}
-	_, err := bufs.WriteTo(f.c)
-	return err
+	return spliced, f.writev()
 }
 
-// SendFileFrame transmits one frame of hdr plus n bytes read from the
-// file's current offset. The prefix and hdr go out as one vectored
-// write, then the file section is copied with io.CopyN — on a TCP
-// connection net.TCPConn.ReadFrom recognizes the *os.File inside the
-// LimitedReader and splices it with sendfile(2), so chunk bytes move
-// disk→socket without entering user space.
-func (f *framedConn) SendFileFrame(hdr []byte, file *os.File, n int64) error {
-	if n < 0 || int64(len(hdr))+n > int64(MaxFrame) {
-		return ErrFrameSize
-	}
-	f.sendMu.Lock()
-	defer f.sendMu.Unlock()
-	binary.BigEndian.PutUint32(f.sendHdr[:], uint32(int64(len(hdr))+n))
-	bufs := net.Buffers{f.sendHdr[:], hdr}
-	if _, err := bufs.WriteTo(f.c); err != nil {
-		return err
-	}
-	written, err := io.CopyN(f.c, file, n)
-	if err == nil && written != n {
-		err = io.ErrShortWrite
-	}
+// writev writes the gathered parts and empties the vector, dropping its
+// references to the callers' buffers. Caller holds sendMu.
+func (f *framedConn) writev() error {
+	f.wv = f.iov
+	_, err := f.wv.WriteTo(f.c)
+	clear(f.iov)
+	f.iov, f.wv = f.iov[:0], nil
 	return err
 }
 
@@ -180,11 +158,15 @@ func (f *framedConn) Recv() ([]byte, time.Duration, error) {
 	}
 	p := GetFrame(int(n))
 	if _, err := io.ReadFull(f.br, p); err != nil {
-		PutFrame(p)
+		putFrame(p)
 		return nil, 0, err
 	}
 	return p, 0, nil
 }
+
+// putFrame releases the frame of a failed receive. It is a variable
+// only so the fuzz target can count releases.
+var putFrame = PutFrame
 
 func (f *framedConn) Close() error {
 	f.closed.Do(func() { f.closeErr = f.c.Close() })

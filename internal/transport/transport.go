@@ -14,21 +14,36 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"time"
 )
 
-// A Conn is a bidirectional, ordered, message-oriented connection.
-// Frames are delivered whole or not at all. Send and Recv are each safe
-// for concurrent use: any number of goroutines may Send (frames are
-// serialized, never interleaved) and any number may Recv (each frame is
-// delivered to exactly one receiver). The multiplexed RPC layer relies
-// on this: many callers send on one shared connection while a single
-// demux goroutine receives.
+// A Conn is a bidirectional, ordered, message-oriented connection: a
+// reliable, in-order frame stream. Frames are delivered whole, exactly
+// once and in the order they were sent, or the connection fails; no
+// implementation reorders, duplicates or silently skips a frame (the
+// simulated network holds frames back instead, the way TCP
+// retransmits). Send, SendFrames and Recv are each safe for concurrent
+// use: any number of goroutines may send (each call's frames go out
+// contiguously, never interleaved with another call's) and any number
+// may Recv (each frame is delivered to exactly one receiver). The
+// multiplexed RPC layer relies on this: many callers send on one
+// shared connection while a single demux goroutine receives.
 type Conn interface {
 	// Send transmits one frame.
 	Send(p []byte) error
+	// SendFrames transmits frames in order as one operation — on TCP,
+	// one vectored write, with file sections spliced by sendfile(2).
+	// Every frame is checked against MaxFrame before any byte is
+	// written, so ErrFrameSize leaves the connection usable; after any
+	// other error it is not. The frames' buffers are only read during
+	// the call and each file's offset advances by exactly its FileN.
+	// spliced counts the file bytes the kernel moved without a
+	// user-space copy; it is 0 on transports that read file sections
+	// into memory.
+	SendFrames(frames []Frame) (spliced int64, err error)
 	// Recv blocks for the next frame. The returned cost is the virtual
 	// network cost of delivering the frame (propagation plus
 	// transmission) on simulated networks, and zero on real ones.
@@ -41,85 +56,47 @@ type Conn interface {
 	RemoteAddr() string
 }
 
-// A BatchSender is a Conn that can transmit several frames in one
-// operation — on TCP, one vectored write instead of a syscall per
-// frame. Frames are delivered in order, atomically with respect to
-// concurrent Send calls. The multiplexed RPC layer batches pipelined
-// requests and responses through it when available; callers must be
-// prepared for a plain Conn and fall back to per-frame Send.
-type BatchSender interface {
-	Conn
-	SendBatch(frames [][]byte) error
+// A Frame is one outbound frame in a SendFrames call. On the wire it is
+// Head, then Body, then FileN bytes read from File at its current
+// offset; the peer's Recv sees their concatenation as one buffer. Body
+// and File are optional. This is the zero-copy handoff the bulk data
+// plane rides on: the RPC layer passes a small frame header plus a
+// chunk buffer or an open chunk file, and the transport writes the
+// parts vectored, splices the file, or gathers them once into the
+// buffer it delivers or seals.
+type Frame struct {
+	Head  []byte
+	Body  []byte
+	File  *os.File
+	FileN int64
 }
 
-// A VecSender is a Conn that can transmit one frame whose payload is
-// supplied as a vector of parts: the frame on the wire is the
-// concatenation of the parts, delivered to the peer's Recv as a single
-// contiguous buffer. This is the zero-copy handoff the bulk data plane
-// rides on — the RPC layer passes a tiny frame header plus a
-// chunk-sized body straight from the store's buffers, and the
-// transport either writes the parts vectored (writev on TCP: zero
-// copies) or assembles them once into the delivery buffer (simulated
-// networks: one copy, where the naive path costs three). Parts are
-// only read during the call; ownership stays with the caller.
-type VecSender interface {
-	Conn
-	SendVec(parts [][]byte) error
-}
+// Len is the frame's size on the wire.
+func (f *Frame) Len() int64 { return int64(len(f.Head)) + int64(len(f.Body)) + f.FileN }
 
-// A FileSender is a Conn that can transmit one frame whose payload is
-// hdr followed by n bytes read from f at its current offset. On TCP
-// the file section is spliced with sendfile(2) — the chunk bytes go
-// disk→socket without visiting user space. The conn owns f only for
-// the duration of the call. Callers must be prepared for a plain Conn
-// and fall back to reading the file themselves (SendFileFrame helper).
-type FileSender interface {
-	Conn
-	SendFileFrame(hdr []byte, f *os.File, n int64) error
-}
-
-// SendVec transmits one frame assembled from parts over any Conn:
-// vectored when the conn supports it, otherwise assembled once into a
-// pooled buffer. It is the fallback-aware entry point callers use.
-func SendVec(c Conn, parts [][]byte) error {
-	if vs, ok := c.(VecSender); ok {
-		return vs.SendVec(parts)
+// ReadInto gathers the frame into p, which must be exactly f.Len()
+// bytes: Head and Body are copied and the file section is read
+// straight into place, advancing File's offset by FileN.
+func (f *Frame) ReadInto(p []byte) error {
+	off := copy(p, f.Head)
+	off += copy(p[off:], f.Body)
+	if f.File == nil {
+		return nil
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total > MaxFrame {
-		return ErrFrameSize
-	}
-	buf := GetFrame(total)
-	off := 0
-	for _, p := range parts {
-		off += copy(buf[off:], p)
-	}
-	err := c.Send(buf)
-	PutFrame(buf)
+	_, err := io.ReadFull(f.File, p[off:])
 	return err
 }
 
-// SendFileFrame transmits one frame of hdr plus n bytes from f over
-// any Conn: spliced when the conn supports FileSender, otherwise read
-// once into a pooled buffer and sent (vectored if possible).
-func SendFileFrame(c Conn, hdr []byte, f *os.File, n int64) error {
-	if fs, ok := c.(FileSender); ok {
-		return fs.SendFileFrame(hdr, f, n)
+// CheckFrames reports ErrFrameSize when any frame is negative-sized or
+// longer than limit, so a SendFrames call can refuse a batch before it
+// writes any of it.
+func CheckFrames(frames []Frame, limit int) error {
+	for i := range frames {
+		if n := frames[i].Len(); frames[i].FileN < 0 || n > int64(limit) {
+			return fmt.Errorf("%w: %d bytes", ErrFrameSize, n)
+		}
 	}
-	if n < 0 || n > int64(MaxFrame) {
-		return ErrFrameSize
-	}
-	buf := GetFrame(int(n))
-	if _, err := io.ReadFull(f, buf); err != nil {
-		PutFrame(buf)
-		return err
-	}
-	err := SendVec(c, [][]byte{hdr, buf})
-	PutFrame(buf)
-	return err
+	return nil
 }
 
 // A Listener accepts inbound connections for one transport address.

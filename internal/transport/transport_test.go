@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"errors"
-	"net"
 	"sync"
 	"testing"
 )
@@ -92,115 +91,9 @@ func TestTCPFrameSizeBound(t *testing.T) {
 	}
 }
 
-func TestTCPHostileLengthPrefix(t *testing.T) {
-	// A raw peer announcing an absurd frame length must not make the
-	// framed side allocate it (§6.1: survive malformed traffic).
-	var tcp TCP
-	l, err := tcp.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-
-	type accepted struct {
-		conn Conn
-		err  error
-	}
-	acc := make(chan accepted, 1)
-	go func() {
-		c, err := l.Accept()
-		acc <- accepted{c, err}
-	}()
-	raw, err := net.Dial("tcp", l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	a := <-acc
-	if a.err != nil {
-		t.Fatal(a.err)
-	}
-	defer a.conn.Close()
-
-	// 0xFFFFFFFF length prefix.
-	if _, err := raw.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := a.conn.Recv(); err == nil {
-		t.Fatal("hostile length prefix must be rejected")
-	}
-}
-
 func TestTCPDialFailure(t *testing.T) {
 	var tcp TCP
 	if _, err := tcp.Dial("", "127.0.0.1:1"); err == nil {
 		t.Fatal("dialing a closed port must fail")
-	}
-}
-
-func TestTCPSendBatchOrderingAndInterleave(t *testing.T) {
-	client, server := pair(t)
-	bs, ok := client.(BatchSender)
-	if !ok {
-		t.Fatal("framed TCP conn must implement BatchSender")
-	}
-	// Interleave batched and plain sends from concurrent goroutines;
-	// every frame must arrive whole, in some serialized order.
-	const rounds = 30
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			batch := [][]byte{
-				bytes.Repeat([]byte{1}, i+1),
-				bytes.Repeat([]byte{2}, i+2),
-				bytes.Repeat([]byte{3}, i+3),
-			}
-			if err := bs.SendBatch(batch); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rounds; i++ {
-			if err := client.Send(bytes.Repeat([]byte{9}, i+1)); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	got := make(map[byte]int)
-	for i := 0; i < rounds*3+rounds; i++ {
-		p, _, err := server.Recv()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if len(p) == 0 {
-			t.Fatalf("frame %d empty", i)
-		}
-		for _, b := range p {
-			if b != p[0] {
-				t.Fatalf("frame %d interleaved: %v", i, p)
-			}
-		}
-		got[p[0]]++
-	}
-	for _, tag := range []byte{1, 2, 3, 9} {
-		if got[tag] != rounds {
-			t.Fatalf("tag %d: got %d frames, want %d", tag, got[tag], rounds)
-		}
-	}
-	wg.Wait()
-}
-
-func TestTCPSendBatchSizeBound(t *testing.T) {
-	client, _ := pair(t)
-	bs := client.(BatchSender)
-	err := bs.SendBatch([][]byte{{1}, make([]byte, MaxFrame+1)})
-	if !errors.Is(err, ErrFrameSize) {
-		t.Fatalf("err = %v, want ErrFrameSize", err)
 	}
 }
