@@ -59,7 +59,16 @@ var runners = []struct {
 		return []*experiments.Table{experiments.E10Admission()}
 	}},
 	{"E11", "replica failover under a fleet of downloads", func() []*experiments.Table {
-		return []*experiments.Table{experiments.E11Failover(experiments.E11Config{})}
+		tab := experiments.E11Failover(experiments.E11Config{})
+		// Every phase must complete every download bit-exact with no
+		// 5xx; a red CI run names the phase.
+		for _, row := range tab.Rows {
+			if row[2] != row[1] || row[3] != "0" || row[4] != row[1] {
+				tab.Render(os.Stdout)
+				panic(fmt.Sprintf("E11: phase %q: %s of %s downloads ok, %s HTTP 5xx, %s bit-exact", row[0], row[2], row[1], row[3], row[4]))
+			}
+		}
+		return []*experiments.Table{tab}
 	}},
 	{"E12", "chaos soak: seeded fault schedules vs the invariants", func() []*experiments.Table {
 		return []*experiments.Table{experiments.E12ChaosSoak(experiments.E12Config{Seeds: e12Seeds})}

@@ -35,6 +35,7 @@ func main() {
 	if err != nil {
 		daemon.Fatal(err)
 	}
+	defer rt.Close()
 	srv, err := gos.Start(daemon.Net, gos.Config{
 		Site:     cf.Site,
 		CmdAddr:  *cmdAddr,

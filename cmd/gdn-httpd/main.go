@@ -40,6 +40,7 @@ func main() {
 	if err != nil {
 		daemon.Fatal(err)
 	}
+	defer rt.Close()
 	if rt.Names() == nil {
 		daemon.Fatal(fmt.Errorf("gdn-httpd: -dns is required (names resolve through the GNS)"))
 	}

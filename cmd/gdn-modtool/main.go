@@ -38,6 +38,7 @@ func main() {
 	if err != nil {
 		daemon.Fatal(err)
 	}
+	defer rt.Close()
 	tool, err := modtool.New(modtool.Config{
 		Site:            cf.Site,
 		Net:             daemon.Net,

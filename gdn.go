@@ -511,6 +511,7 @@ func (w *World) runtime(site string, auth *sec.Config) (*core.Runtime, error) {
 		Auth:     auth,
 		Clock:    w.Clock.Now,
 	})
+	w.addCloser(func() { rt.Close() })
 	w.mu.Lock()
 	w.runtimes[key] = rt
 	w.mu.Unlock()

@@ -143,7 +143,7 @@ func (p *testProxy) Invoke(inv Invocation) ([]byte, time.Duration, error) {
 	return p.peer.Call(OpInvoke, inv.Encode())
 }
 
-func (p *testProxy) Close() error { return p.peer.Close() }
+func (p *testProxy) Close() error { return nil }
 
 type testReplica struct {
 	env *Env
@@ -224,7 +224,7 @@ func newWorld(t *testing.T) *world {
 	}
 	t.Cleanup(func() { disp.Close() })
 
-	return &world{
+	w := &world{
 		net:  net,
 		tree: tree,
 		serverRT: NewRuntime(RuntimeConfig{
@@ -235,6 +235,8 @@ func newWorld(t *testing.T) *world {
 		}),
 		disp: disp,
 	}
+	t.Cleanup(func() { w.serverRT.Close(); w.clientRT.Close() })
+	return w
 }
 
 // createCounter hosts a counter replica and registers it in the GLS.
@@ -406,8 +408,9 @@ func TestDispatcherDemultiplexesObjects(t *testing.T) {
 
 func TestDispatcherRejectsUnknownObject(t *testing.T) {
 	w := newWorld(t)
-	peer := DialPeer(w.net, "client-site", ids.Derive("unknown"), w.disp.Addr(), nil)
-	defer peer.Close()
+	cl := rpc.NewClient(w.net, "client-site", w.disp.Addr())
+	defer cl.Close()
+	peer := &PeerClient{oid: ids.Derive("unknown"), rpc: cl}
 	if _, _, err := peer.Call(OpInvoke, Invocation{Method: "get"}.Encode()); err == nil {
 		t.Fatal("unknown object must be rejected")
 	}
@@ -471,8 +474,9 @@ func TestCostFlowsThroughDispatcher(t *testing.T) {
 	})
 	defer w.disp.Unregister(oid)
 
-	peer := DialPeer(w.net, "client-site", oid, w.disp.Addr(), nil)
-	defer peer.Close()
+	cl := rpc.NewClient(w.net, "client-site", w.disp.Addr())
+	defer cl.Close()
+	peer := &PeerClient{oid: oid, rpc: cl}
 	_, cost, err := peer.Call(OpInvoke, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -147,27 +147,13 @@ func (d *Dispatcher) dispatch(call *rpc.Call) ([]byte, error) {
 	return resp, err
 }
 
-// PeerClient is the dialing half of the communication subobject: a
-// connection to one remote dispatcher, speaking the replica protocol
-// for one object.
+// PeerClient is the dialing half of the communication subobject: the
+// replica protocol for one object, spoken over a client borrowed from
+// the runtime's table (Env.Dial). It owns no connection — every object
+// bound to the same dispatcher shares one — so it has nothing to close.
 type PeerClient struct {
 	oid ids.OID
 	rpc *rpc.Client
-}
-
-// DialPeer connects to the dispatcher at addr on behalf of object oid.
-// auth supplies client credentials for authenticated deployments.
-func DialPeer(net transport.Network, site string, oid ids.OID, addr string, auth *sec.Config) *PeerClient {
-	// Up to four shared connections per peer: a single conn's pipeline
-	// window saturates under many concurrent bulk streams (each stream
-	// occupies an in-flight slot for its whole transfer), and extra
-	// conns are dialed lazily only at that point — light peers still
-	// use exactly one.
-	opts := []rpc.ClientOption{rpc.WithMaxConns(4)}
-	if auth != nil {
-		opts = append(opts, rpc.WithClientWrapper(auth.WrapClient))
-	}
-	return &PeerClient{oid: oid, rpc: rpc.NewClient(net, site, addr, opts...)}
 }
 
 // Addr returns the remote dispatcher address.
@@ -215,6 +201,3 @@ func (p *PeerClient) CallUploadT(tc obs.SpanContext, op uint16, header []byte) (
 	buf = append(buf, header...)
 	return p.rpc.CallUploadT(tc, op, buf)
 }
-
-// Close releases the connection.
-func (p *PeerClient) Close() error { return p.rpc.Close() }

@@ -66,7 +66,6 @@ type PeerSet struct {
 	mu         sync.Mutex
 	rnd        *rand.Rand
 	peers      map[string]*peerState
-	clients    map[string]*PeerClient
 	resolvedAt time.Time
 
 	failovers atomic.Int64
@@ -171,7 +170,6 @@ func newPeerSet(env *Env, cas []gls.ContactAddress, protocol string, readPrefs, 
 		pinned:     pinned,
 		rnd:        rand.New(rand.NewSource(peerSeed.Add(1)*0x5851F42D4C957F2D + time.Now().UnixNano())),
 		peers:      make(map[string]*peerState),
-		clients:    make(map[string]*PeerClient),
 		resolvedAt: env.Now(),
 	}
 	if env.Disp != nil {
@@ -187,11 +185,11 @@ func newPeerSet(env *Env, cas []gls.ContactAddress, protocol string, readPrefs, 
 // mergeLocked reconciles the candidate set with a fresh lookup result:
 // new addresses join with clean health, known ones keep their health
 // record, and addresses the location service no longer returns are
-// dropped (their connections closed). A result with no usable
-// candidate leaves the set untouched — lookups are proximity-based, so
-// a registered cache asking the location service for its object gets
-// its own (excluded) address back as the nearest replica, and emptying
-// the set on that answer would orphan the cache from its parents.
+// dropped. A result with no usable candidate leaves the set
+// untouched — lookups are proximity-based, so a registered cache
+// asking the location service for its object gets its own (excluded)
+// address back as the nearest replica, and emptying the set on that
+// answer would orphan the cache from its parents.
 // Callers hold ps.mu or own ps exclusively (construction).
 func (ps *PeerSet) mergeLocked(addrs []gls.ContactAddress) {
 	seen := make(map[string]bool, len(addrs))
@@ -220,10 +218,6 @@ func (ps *PeerSet) mergeLocked(addrs []gls.ContactAddress) {
 	for addr := range ps.peers {
 		if !seen[addr] {
 			delete(ps.peers, addr)
-			if pc := ps.clients[addr]; pc != nil {
-				pc.Close()
-				delete(ps.clients, addr)
-			}
 		}
 	}
 }
@@ -258,20 +252,11 @@ func (ps *PeerSet) refresh(force bool) (time.Duration, bool) {
 	return cost, true
 }
 
-// ClientFor returns the cached connection for a candidate address,
-// dialing on first use. Callers that orchestrate per-candidate traffic
-// themselves (the active protocol's all-peer chunk negotiation) share
-// the set's connections through it.
-func (ps *PeerSet) ClientFor(addr string) *PeerClient {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	pc, ok := ps.clients[addr]
-	if !ok {
-		pc = ps.env.Dial(addr)
-		ps.clients[addr] = pc
-	}
-	return pc
-}
+// ClientFor returns the client for a candidate address, on the
+// runtime's shared connection. Callers that orchestrate per-candidate
+// traffic themselves (the active protocol's all-peer chunk
+// negotiation) reach the candidates through it.
+func (ps *PeerSet) ClientFor(addr string) *PeerClient { return ps.env.Dial(addr) }
 
 // PickAddr returns the currently top-ranked candidate for the given
 // operation class — the address a caller should treat as its upstream
@@ -545,15 +530,4 @@ func (ps *PeerSet) Addrs() []string {
 		out = append(out, addr)
 	}
 	return out
-}
-
-// Close releases every cached connection.
-func (ps *PeerSet) Close() error {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	for _, pc := range ps.clients {
-		pc.Close()
-	}
-	ps.clients = make(map[string]*PeerClient)
-	return nil
 }

@@ -8,9 +8,9 @@ import (
 
 	"gdn/internal/gls"
 	"gdn/internal/ids"
+	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/store"
-	"gdn/internal/transport"
 )
 
 // Env is everything a replication subobject needs from its hosting
@@ -22,8 +22,9 @@ type Env struct {
 	OID ids.OID
 	// Site is the hosting site.
 	Site string
-	// Net is the transport network for peer communication.
-	Net transport.Network
+	// Clients is the hosting runtime's table of shared peer clients;
+	// Dial borrows from it.
+	Clients *rpc.Clients
 	// Exec executes invocations against the co-resident semantics
 	// subobject.
 	Exec LocalExec
@@ -76,9 +77,10 @@ func (e *Env) Param(key, def string) string {
 	return def
 }
 
-// Dial opens a peer connection for this object to a remote dispatcher.
+// Dial returns this object's client for a remote dispatcher, riding
+// the runtime's shared connection to it.
 func (e *Env) Dial(addr string) *PeerClient {
-	return DialPeer(e.Net, e.Site, e.OID, addr, e.Auth)
+	return &PeerClient{oid: e.OID, rpc: e.Clients.Get(addr)}
 }
 
 // PeersWithRole filters the known contact addresses by protocol role.

@@ -9,6 +9,7 @@ import (
 	"gdn/internal/gls"
 	"gdn/internal/gns"
 	"gdn/internal/ids"
+	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/store"
 	"gdn/internal/transport"
@@ -19,7 +20,7 @@ import (
 // replicas for object servers. One Runtime serves one site.
 type Runtime struct {
 	site     string
-	net      transport.Network
+	clients  *rpc.Clients
 	resolver *gls.Resolver
 	names    *gns.NameService
 	registry *Registry
@@ -63,9 +64,18 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 	if cfg.Registry == nil {
 		cfg.Registry = NewRegistry()
 	}
+	// Up to four shared connections per peer dispatcher: a single
+	// conn's pipeline window saturates under many concurrent bulk
+	// streams (each stream occupies an in-flight slot for its whole
+	// transfer), and extra conns are dialed lazily only at that point —
+	// light peers still use exactly one.
+	opts := []rpc.ClientOption{rpc.WithMaxConns(4)}
+	if cfg.Auth != nil {
+		opts = append(opts, rpc.WithClientWrapper(cfg.Auth.WrapClient))
+	}
 	return &Runtime{
 		site:     cfg.Site,
-		net:      cfg.Net,
+		clients:  rpc.NewClients(cfg.Net, cfg.Site, opts...),
 		resolver: cfg.Resolver,
 		names:    cfg.Names,
 		registry: cfg.Registry,
@@ -75,6 +85,11 @@ func NewRuntime(cfg RuntimeConfig) *Runtime {
 		rnd:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
+
+// Close closes the connections the runtime's bindings and hosted
+// replicas share. The resolver and name service belong to whoever
+// built them.
+func (rt *Runtime) Close() error { return rt.clients.Close() }
 
 // Site returns the runtime's site.
 func (rt *Runtime) Site() string { return rt.site }
@@ -138,12 +153,12 @@ func (rt *Runtime) proxyFromAddrs(oid ids.OID, addrs []gls.ContactAddress) (*LR,
 		return nil, fmt.Errorf("core: bind %s: %w", oid.Short(), err)
 	}
 	env := &Env{
-		OID:   oid,
-		Site:  rt.site,
-		Net:   rt.net,
-		Exec:  NewLocalExec(sem),
-		Auth:  rt.auth,
-		Peers: addrs,
+		OID:     oid,
+		Site:    rt.site,
+		Clients: rt.clients,
+		Exec:    NewLocalExec(sem),
+		Auth:    rt.auth,
+		Peers:   addrs,
 		Resolve: func() ([]gls.ContactAddress, time.Duration, error) {
 			return rt.resolver.Lookup(oid)
 		},
@@ -248,7 +263,7 @@ func (rt *Runtime) NewReplica(spec ReplicaSpec, disp *Dispatcher) (*LR, gls.Cont
 	env := &Env{
 		OID:     spec.OID,
 		Site:    rt.site,
-		Net:     rt.net,
+		Clients: rt.clients,
 		Exec:    NewLocalExec(sem),
 		Disp:    disp,
 		Auth:    rt.auth,

@@ -75,7 +75,8 @@ func Registry() *core.Registry {
 }
 
 // Runtime assembles a Globe runtime from the flags. The name service
-// is attached only when DNS roots are given.
+// is attached only when DNS roots are given. The caller owns the
+// runtime's shared connections and closes them with Runtime.Close.
 func (cf *ClientFlags) Runtime() (*core.Runtime, error) {
 	leaf := SplitList(cf.GLSLeaf)
 	if len(leaf) == 0 {

@@ -491,5 +491,5 @@ func TestServerSurvivesGarbage(t *testing.T) {
 
 // resolverRawCall sends raw bytes as the DNS op, bypassing Encode.
 func resolverRawCall(r *Resolver, addr string, body []byte) ([]byte, time.Duration, error) {
-	return r.client(addr).Call(OpDNS, body)
+	return r.clients.Get(addr).Call(OpDNS, body)
 }

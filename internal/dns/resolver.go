@@ -20,19 +20,17 @@ import (
 // when the caller calls Advance, so simulations control TTL behaviour
 // deterministically. Resolvers are safe for concurrent use.
 type Resolver struct {
-	net   transport.Network
-	site  string
-	roots []string
+	roots   []string
+	clients *rpc.Clients
 
 	// CacheEnabled controls positive and negative caching; the E7
 	// experiment compares resolution cost with and without it.
 	CacheEnabled bool
 
-	mu      sync.Mutex
-	clients map[string]*rpc.Client
-	cache   map[cacheKey]cacheEntry
-	clock   time.Duration
-	rnd     *rand.Rand
+	mu    sync.Mutex
+	cache map[cacheKey]cacheEntry
+	clock time.Duration
+	rnd   *rand.Rand
 
 	queriesSent int64
 	cacheHits   int64
@@ -56,26 +54,16 @@ const negativeTTL = 60 * time.Second
 // server addresses.
 func NewResolver(net transport.Network, site string, roots []string) *Resolver {
 	return &Resolver{
-		net:          net,
-		site:         site,
 		roots:        append([]string(nil), roots...),
+		clients:      rpc.NewClients(net, site),
 		CacheEnabled: true,
-		clients:      make(map[string]*rpc.Client),
 		cache:        make(map[cacheKey]cacheEntry),
 		rnd:          rand.New(rand.NewSource(1)),
 	}
 }
 
 // Close releases pooled connections.
-func (r *Resolver) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.clients {
-		c.Close()
-	}
-	r.clients = make(map[string]*rpc.Client)
-	return nil
-}
+func (r *Resolver) Close() error { return r.clients.Close() }
 
 // Advance moves the resolver's virtual clock forward, expiring cache
 // entries whose TTL has passed.
@@ -105,17 +93,6 @@ func (r *Resolver) CacheHits() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cacheHits
-}
-
-func (r *Resolver) client(addr string) *rpc.Client {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.clients[addr]
-	if !ok {
-		c = rpc.NewClient(r.net, r.site, addr)
-		r.clients[addr] = c
-	}
-	return c
 }
 
 func (r *Resolver) cacheGet(name string, t Type) (cacheEntry, bool) {
@@ -246,7 +223,7 @@ func (r *Resolver) exchange(addr string, msg *Message) (*Message, time.Duration,
 	r.mu.Lock()
 	r.queriesSent++
 	r.mu.Unlock()
-	respBody, cost, err := r.client(addr).Call(OpDNS, body)
+	respBody, cost, err := r.clients.Get(addr).Call(OpDNS, body)
 	if err != nil {
 		return nil, cost, err
 	}

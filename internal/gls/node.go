@@ -158,18 +158,6 @@ type recShard struct {
 	recs map[ids.OID]*record
 }
 
-// clientShards stripes the outbound client cache so descent fan-out
-// does not serialize on one mutex.
-const clientShards = 8
-
-// clientShard is one stripe of the outbound rpc.Client cache. Only
-// construction happens under the mutex (NewClient dials lazily);
-// calls and Close always happen outside it.
-type clientShard struct {
-	mu sync.Mutex
-	m  map[string]*rpc.Client
-}
-
 // counters is the atomic backing of the exported Counters snapshot:
 // per-op increments must not share one mutex when sixteen resolvers
 // hit the node in parallel.
@@ -183,7 +171,6 @@ type counters struct {
 // RPC client. All methods are safe for concurrent use.
 type Node struct {
 	cfg Config
-	net transport.Network
 
 	shards [recShards]recShard
 
@@ -198,7 +185,7 @@ type Node struct {
 
 	stats counters
 
-	clients [clientShards]clientShard
+	clients *rpc.Clients // parent, children and pointer targets
 
 	journal *journal // nil unless cfg.StateDir is set
 
@@ -234,7 +221,6 @@ func Start(net transport.Network, cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:      cfg,
-		net:      net,
 		drained:  make(map[string]bool),
 		sessions: make(map[ids.OID]*session),
 		rnd:      rand.New(rand.NewSource(cfg.Seed)),
@@ -242,9 +228,7 @@ func Start(net transport.Network, cfg Config) (*Node, error) {
 	for i := range n.shards {
 		n.shards[i].recs = make(map[ids.OID]*record)
 	}
-	for i := range n.clients {
-		n.clients[i].m = make(map[string]*rpc.Client)
-	}
+	n.clients = rpc.NewClients(net, cfg.Site, clientWrap(cfg.Auth)...)
 	// Recover persisted state before serving: no request may observe
 	// (or journal over) a half-replayed node.
 	if cfg.StateDir != "" {
@@ -294,19 +278,7 @@ func (n *Node) Close() error {
 			err = jerr
 		}
 	}
-	var open []*rpc.Client
-	for i := range n.clients {
-		sh := &n.clients[i]
-		sh.mu.Lock()
-		for _, c := range sh.m {
-			open = append(open, c)
-		}
-		sh.m = make(map[string]*rpc.Client)
-		sh.mu.Unlock()
-	}
-	for _, c := range open {
-		c.Close()
-	}
+	n.clients.Close()
 	return err
 }
 
@@ -338,32 +310,7 @@ func (n *Node) Records() int {
 	return total
 }
 
-// clientStripe hashes a transport address onto a client-cache stripe
-// (FNV-1a, folded to the stripe count).
-func clientStripe(addr string) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(addr); i++ {
-		h ^= uint32(addr[i])
-		h *= 16777619
-	}
-	return int(h) & (clientShards - 1)
-}
-
-func (n *Node) client(addr string) *rpc.Client {
-	sh := &n.clients[clientStripe(addr)]
-	sh.mu.Lock()
-	c, ok := sh.m[addr]
-	if !ok {
-		var opts []rpc.ClientOption
-		if n.cfg.Auth != nil {
-			opts = append(opts, rpc.WithClientWrapper(n.cfg.Auth.WrapClient))
-		}
-		c = rpc.NewClient(n.net, n.cfg.Site, addr, opts...)
-		sh.m[addr] = c
-	}
-	sh.mu.Unlock()
-	return c
-}
+func (n *Node) client(addr string) *rpc.Client { return n.clients.Get(addr) }
 
 func (n *Node) isRoot() bool { return n.cfg.Parent.IsZero() }
 

@@ -2,7 +2,6 @@ package gls
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"gdn/internal/ids"
@@ -18,13 +17,9 @@ import (
 // directory node of the leaf domain the client is located in" (§3.5).
 // Resolvers are safe for concurrent use.
 type Resolver struct {
-	net  transport.Network
-	site string
-	leaf Ref
-	auth *sec.Config
-
-	mu      sync.Mutex
-	clients map[string]*rpc.Client
+	leaf    Ref
+	auth    *sec.Config
+	clients *rpc.Clients
 }
 
 // ResolverOption configures a Resolver.
@@ -40,38 +35,27 @@ func WithResolverAuth(cfg *sec.Config) ResolverOption {
 // NewResolver returns a resolver for a client at the given site whose
 // leaf domain directory node is leaf.
 func NewResolver(net transport.Network, site string, leaf Ref, opts ...ResolverOption) *Resolver {
-	r := &Resolver{net: net, site: site, leaf: leaf, clients: make(map[string]*rpc.Client)}
+	r := &Resolver{leaf: leaf}
 	for _, o := range opts {
 		o(r)
 	}
+	r.clients = rpc.NewClients(net, site, clientWrap(r.auth)...)
 	return r
 }
 
-// Close releases pooled connections.
-func (r *Resolver) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.clients {
-		c.Close()
+// clientWrap returns the client options that dial through auth's
+// security channels, none when auth is nil.
+func clientWrap(auth *sec.Config) []rpc.ClientOption {
+	if auth == nil {
+		return nil
 	}
-	r.clients = make(map[string]*rpc.Client)
-	return nil
+	return []rpc.ClientOption{rpc.WithClientWrapper(auth.WrapClient)}
 }
 
-func (r *Resolver) client(addr string) *rpc.Client {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.clients[addr]
-	if !ok {
-		var opts []rpc.ClientOption
-		if r.auth != nil {
-			opts = append(opts, rpc.WithClientWrapper(r.auth.WrapClient))
-		}
-		c = rpc.NewClient(r.net, r.site, addr, opts...)
-		r.clients[addr] = c
-	}
-	return c
-}
+// Close releases pooled connections.
+func (r *Resolver) Close() error { return r.clients.Close() }
+
+func (r *Resolver) client(addr string) *rpc.Client { return r.clients.Get(addr) }
 
 // Lookup maps an object identifier to the contact addresses of the
 // nearest healthy replicas — falling back to draining ones when the

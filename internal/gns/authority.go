@@ -63,7 +63,6 @@ type AuthorityConfig struct {
 // turns changes into batched, TSIG-signed dynamic updates.
 type Authority struct {
 	cfg AuthorityConfig
-	net transport.Network
 
 	mu       sync.Mutex
 	names    map[string]ids.OID         // object name -> OID
@@ -71,8 +70,7 @@ type Authority struct {
 	pending  []dns.RR
 	flushes  int64
 
-	clientMu sync.Mutex
-	clients  map[string]*rpc.Client
+	clients *rpc.Clients // the zone's name servers
 
 	server *rpc.Server
 }
@@ -97,10 +95,9 @@ func StartAuthority(net transport.Network, cfg AuthorityConfig) (*Authority, err
 	}
 	a := &Authority{
 		cfg:      cfg,
-		net:      net,
 		names:    make(map[string]ids.OID),
 		children: make(map[string]map[string]bool),
-		clients:  make(map[string]*rpc.Client),
+		clients:  rpc.NewClients(net, cfg.Site),
 	}
 	opts := []rpc.ServerOption{rpc.WithServerLog(cfg.Logf)}
 	if cfg.Auth != nil {
@@ -121,12 +118,7 @@ func (a *Authority) Addr() string { return a.cfg.Addr }
 // recovery re-derives them from the registered-names snapshot.
 func (a *Authority) Close() error {
 	err := a.server.Close()
-	a.clientMu.Lock()
-	for _, c := range a.clients {
-		c.Close()
-	}
-	a.clients = make(map[string]*rpc.Client)
-	a.clientMu.Unlock()
+	a.clients.Close()
 	return err
 }
 
@@ -148,17 +140,6 @@ func (a *Authority) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func (a *Authority) client(addr string) *rpc.Client {
-	a.clientMu.Lock()
-	defer a.clientMu.Unlock()
-	c, ok := a.clients[addr]
-	if !ok {
-		c = rpc.NewClient(a.net, a.cfg.Site, addr)
-		a.clients[addr] = c
-	}
-	return c
 }
 
 func (a *Authority) handle(call *rpc.Call) ([]byte, error) {
@@ -371,7 +352,7 @@ func (a *Authority) flushLocked(call *rpc.Call) error {
 		return err
 	}
 	for _, server := range a.cfg.Servers {
-		respBody, cost, err := a.client(server).Call(dns.OpDNS, body)
+		respBody, cost, err := a.clients.Get(server).Call(dns.OpDNS, body)
 		if call != nil {
 			call.Charge(cost)
 		}

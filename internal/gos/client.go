@@ -31,6 +31,10 @@ func NewClient(net transport.Network, site, addr string, auth *sec.Config) *Clie
 	return &Client{rpc: rpc.NewClient(net, site, addr, opts...)}
 }
 
+// ClientOf commands the server at c's address over c, a client the
+// caller borrows from its table; the table's owner closes it.
+func ClientOf(c *rpc.Client) *Client { return &Client{rpc: c} }
+
 // Addr returns the server's command address.
 func (c *Client) Addr() string { return c.rpc.Addr() }
 

@@ -59,10 +59,12 @@ func newFixture(t *testing.T, auths map[string]*sec.Config) *fixture {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { res.Close() })
-		f.rts[site] = core.NewRuntime(core.RuntimeConfig{
+		rt := core.NewRuntime(core.RuntimeConfig{
 			Site: site, Net: f.net, Resolver: res, Registry: f.reg,
 			Auth: auths[site],
 		})
+		t.Cleanup(func() { rt.Close() })
+		f.rts[site] = rt
 	}
 	return f
 }

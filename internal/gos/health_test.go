@@ -86,9 +86,11 @@ func newHealthFixture(t *testing.T) *healthFixture {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { res.Close() })
-		f.rts[site] = core.NewRuntime(core.RuntimeConfig{
+		rt := core.NewRuntime(core.RuntimeConfig{
 			Site: site, Net: f.net, Resolver: res, Registry: f.reg,
 		})
+		t.Cleanup(func() { rt.Close() })
+		f.rts[site] = rt
 	}
 	return f
 }

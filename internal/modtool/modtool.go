@@ -32,6 +32,7 @@ import (
 	"gdn/internal/ids"
 	"gdn/internal/pkgobj"
 	"gdn/internal/repl"
+	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/transport"
 )
@@ -70,8 +71,9 @@ type Config struct {
 
 // Tool is a moderator tool instance.
 type Tool struct {
-	cfg Config
-	gns *gns.Client
+	cfg  Config
+	gns  *gns.Client
+	cmds *rpc.Clients // object-server command clients, one per server
 }
 
 // New builds a moderator tool.
@@ -82,14 +84,23 @@ func New(cfg Config) (*Tool, error) {
 	if cfg.NamingAuthority == "" {
 		return nil, fmt.Errorf("modtool: config needs the naming authority address")
 	}
+	var opts []rpc.ClientOption
+	if cfg.Auth != nil {
+		opts = append(opts, rpc.WithClientWrapper(cfg.Auth.WrapClient))
+	}
 	return &Tool{
-		cfg: cfg,
-		gns: gns.NewClient(cfg.Net, cfg.Site, cfg.NamingAuthority, cfg.Auth),
+		cfg:  cfg,
+		gns:  gns.NewClient(cfg.Net, cfg.Site, cfg.NamingAuthority, cfg.Auth),
+		cmds: rpc.NewClients(cfg.Net, cfg.Site, opts...),
 	}, nil
 }
 
-// Close releases connections.
-func (t *Tool) Close() error { return t.gns.Close() }
+// Close releases the tool's connections. The runtime belongs to
+// whoever built it.
+func (t *Tool) Close() error {
+	t.cmds.Close()
+	return t.gns.Close()
+}
 
 // headRole returns the role of a scenario's first replica.
 func headRole(protocol string) (string, error) {
@@ -190,7 +201,6 @@ func (t *Tool) CreatePackage(name string, scenario core.Scenario, pkg Package) (
 	// package whose content the server mostly has — a version bump of
 	// a large mostly-unchanged tree — uploads only the new chunks.
 	first := t.gosClient(scenario.Servers[0])
-	defer first.Close()
 	_, cost, err := first.PutChunks(staged.Store(), refs)
 	total += cost
 	if err != nil {
@@ -216,8 +226,7 @@ func (t *Tool) CreatePackage(name string, scenario core.Scenario, pkg Package) (
 			return ids.Nil, total, err
 		}
 		for _, server := range scenario.Servers[1:] {
-			cl := t.gosClient(server)
-			_, _, cost, err := cl.CreateReplica(gos.CreateRequest{
+			_, _, cost, err := t.gosClient(server).CreateReplica(gos.CreateRequest{
 				OID:      oid,
 				Impl:     pkgobj.Impl,
 				Protocol: scenario.Protocol,
@@ -225,7 +234,6 @@ func (t *Tool) CreatePackage(name string, scenario core.Scenario, pkg Package) (
 				Params:   scenario.Params,
 				Peers:    []gls.ContactAddress{firstCA},
 			})
-			cl.Close()
 			total += cost
 			if err != nil {
 				return ids.Nil, total, fmt.Errorf("modtool: create replica at %s: %w", server, err)
@@ -268,6 +276,7 @@ func (t *Tool) RemovePackage(name string) (time.Duration, error) {
 	if err != nil {
 		return total, err
 	}
+	oid := lr.OID()
 	stub := pkgobj.NewStub(lr)
 	scenario, err := t.recordedScenario(stub)
 	total += stub.TakeCost()
@@ -275,25 +284,18 @@ func (t *Tool) RemovePackage(name string) (time.Duration, error) {
 	if err != nil {
 		return total, err
 	}
-	oid, cost, err := t.cfg.Runtime.Names().Resolve(name)
-	total += cost
-	if err != nil {
-		return total, err
-	}
 
 	// Tear replicas down back to front so the state-holding head goes
 	// last: protocols that pull state keep working while tails vanish.
 	for i := len(scenario.Servers) - 1; i >= 0; i-- {
-		cl := t.gosClient(scenario.Servers[i])
-		cost, err := cl.RemoveReplica(oid)
-		cl.Close()
+		cost, err := t.gosClient(scenario.Servers[i]).RemoveReplica(oid)
 		total += cost
 		if err != nil {
 			return total, fmt.Errorf("modtool: remove replica at %s: %w", scenario.Servers[i], err)
 		}
 	}
 
-	cost, err = t.gns.Remove(name)
+	cost, err := t.gns.Remove(name)
 	total += cost
 	if err != nil {
 		return total, fmt.Errorf("modtool: deregister name %q: %w", name, err)
@@ -328,12 +330,7 @@ func (t *Tool) AddReplica(name, server string) (time.Duration, error) {
 		return total, err
 	}
 
-	oid, cost, err := t.cfg.Runtime.Names().Resolve(name)
-	total += cost
-	if err != nil {
-		total += stub.TakeCost()
-		return total, err
-	}
+	oid := lr.OID()
 	// The head replica's contact address gives the new replica its
 	// state source; it is the first entry of the recorded scenario.
 	headCl := t.gosClient(scenario.Servers[0])
@@ -342,7 +339,6 @@ func (t *Tool) AddReplica(name, server string) (time.Duration, error) {
 	if err == nil {
 		srvInfo, err = headCl.Info()
 	}
-	headCl.Close()
 	if err != nil {
 		total += stub.TakeCost()
 		return total, err
@@ -363,8 +359,7 @@ func (t *Tool) AddReplica(name, server string) (time.Duration, error) {
 		return total, fmt.Errorf("modtool: head server %s no longer hosts %q", scenario.Servers[0], name)
 	}
 
-	cl := t.gosClient(server)
-	_, _, cost, err = cl.CreateReplica(gos.CreateRequest{
+	_, _, cost, err := t.gosClient(server).CreateReplica(gos.CreateRequest{
 		OID:      oid,
 		Impl:     pkgobj.Impl,
 		Protocol: scenario.Protocol,
@@ -372,7 +367,6 @@ func (t *Tool) AddReplica(name, server string) (time.Duration, error) {
 		Params:   scenario.Params,
 		Peers:    []gls.ContactAddress{headCA},
 	})
-	cl.Close()
 	total += cost
 	if err != nil {
 		return total, err
@@ -421,7 +415,7 @@ func (t *Tool) List(dir string) ([]string, error) {
 }
 
 func (t *Tool) gosClient(cmdAddr string) *gos.Client {
-	return gos.NewClient(t.cfg.Net, t.cfg.Site, cmdAddr, t.cfg.Auth)
+	return gos.ClientOf(t.cmds.Get(cmdAddr))
 }
 
 // SearchResult is one attribute-search hit.

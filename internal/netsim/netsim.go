@@ -609,6 +609,11 @@ func (c *conn) SendFrames(frames []transport.Frame) (int64, error) {
 	defer c.sendMu.Unlock()
 	for i := range frames {
 		if err := c.sendLocked(&frames[i]); err != nil {
+			if i == 0 {
+				// Frames go out one by one: a refused first frame means
+				// nothing of this call reached the link.
+				err = transport.NotSent(err)
+			}
 			return 0, err
 		}
 	}
@@ -635,19 +640,25 @@ func (c *conn) sendLocked(fr *transport.Frame) error {
 }
 
 // deliver enqueues one frame toward the peer, taking ownership of its
-// pooled payload.
+// pooled payload. A connection already closed at either end refuses
+// the frame before offering it — a select among ready cases picks at
+// random, and a frame slipped into a dead peer's buffer would be lost
+// without an error, the way a write into a half-closed socket is.
 func (c *conn) deliver(f frame, class LinkClass) error {
 	select {
 	case <-c.closed:
-		transport.PutFrame(f.payload)
-		return transport.ErrClosed
 	case <-c.peerClosed:
-		transport.PutFrame(f.payload)
-		return transport.ErrClosed
-	case c.out <- f:
-		c.net.record(class, len(f.payload))
-		return nil
+	default:
+		select {
+		case <-c.closed:
+		case <-c.peerClosed:
+		case c.out <- f:
+			c.net.record(class, len(f.payload))
+			return nil
+		}
 	}
+	transport.PutFrame(f.payload)
+	return transport.ErrClosed
 }
 
 // Recv implements transport.Conn.

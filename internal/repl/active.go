@@ -97,7 +97,6 @@ func (s *sequencer) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 
 func (s *sequencer) Close() error {
 	s.env.Disp.Unregister(s.env.OID)
-	s.closePeers()
 	return nil
 }
 
@@ -198,7 +197,7 @@ func newActivePeer(env *core.Env) (core.Replication, error) {
 	}
 	p := &activePeer{replicaBase: newReplicaBase(env), seqAddr: seqs[0].Address}
 
-	_, version, state, pins, _, err := p.fetchState(obs.SpanContext{}, p.peer(p.seqAddr), 0)
+	_, version, state, pins, _, err := p.fetchState(obs.SpanContext{}, p.env.Dial(p.seqAddr), 0)
 	if err != nil {
 		return nil, fmt.Errorf("repl: %s peer: initial state transfer: %w", Active, err)
 	}
@@ -217,7 +216,7 @@ func newActivePeer(env *core.Env) (core.Replication, error) {
 
 func (p *activePeer) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 	if inv.Write {
-		return p.peer(p.seqAddr).Call(core.OpInvoke, inv.Encode())
+		return p.env.Dial(p.seqAddr).Call(core.OpInvoke, inv.Encode())
 	}
 	out, err := p.env.Exec.Execute(inv)
 	return out, 0, err
@@ -226,7 +225,6 @@ func (p *activePeer) Invoke(inv core.Invocation) ([]byte, time.Duration, error) 
 func (p *activePeer) Close() error {
 	p.env.Disp.Unregister(p.env.OID)
 	p.unsubscribeFrom(p.seqAddr, p.env.Disp.Addr())
-	p.closePeers()
 	return nil
 }
 
@@ -236,7 +234,7 @@ func (p *activePeer) handle(call *rpc.Call) ([]byte, error) {
 	}
 	if call.Op == opPeerRoster {
 		// The sequencer owns the authoritative roster; relay.
-		resp, cost, err := p.peer(p.seqAddr).Call(opPeerRoster, call.Body)
+		resp, cost, err := p.env.Dial(p.seqAddr).Call(opPeerRoster, call.Body)
 		call.Charge(cost)
 		return resp, err
 	}
@@ -250,7 +248,7 @@ func (p *activePeer) handle(call *rpc.Call) ([]byte, error) {
 			if err := authorizeWrite(p.env, call); err != nil {
 				return nil, err
 			}
-			resp, cost, err := p.peer(p.seqAddr).Call(core.OpInvoke, call.Body)
+			resp, cost, err := p.env.Dial(p.seqAddr).Call(core.OpInvoke, call.Body)
 			call.Charge(cost)
 			return resp, err
 		}
@@ -285,7 +283,7 @@ func (p *activePeer) apply(call *rpc.Call) error {
 		p.version = version
 		return nil
 	default:
-		fresh, v, state, pins, cost, err := p.fetchState(call.TC, p.peer(p.seqAddr), p.version)
+		fresh, v, state, pins, cost, err := p.fetchState(call.TC, p.env.Dial(p.seqAddr), p.version)
 		call.Charge(cost)
 		if err != nil {
 			return fmt.Errorf("repl: %s peer: resync after gap: %w", Active, err)
@@ -445,4 +443,4 @@ func (p *activeProxy) PushChunks(chunks [][]byte) (time.Duration, error) {
 	return total, nil
 }
 
-func (p *activeProxy) Close() error { return p.peers.Close() }
+func (p *activeProxy) Close() error { return nil }

@@ -215,8 +215,6 @@ func (c *CacheReplica) Close() error {
 			c.unsubscribeFrom(subscribed, c.env.Disp.Addr())
 		}
 	}
-	c.parents.Close()
-	c.closePeers()
 	return nil
 }
 

@@ -53,7 +53,6 @@ func (s *csServer) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 
 func (s *csServer) Close() error {
 	s.env.Disp.Unregister(s.env.OID)
-	s.closePeers()
 	return nil
 }
 
@@ -148,7 +147,7 @@ func (p *forwardingProxy) PushChunks(chunks [][]byte) (time.Duration, error) {
 	return pushChunksVia(p.peers, chunks)
 }
 
-func (p *forwardingProxy) Close() error { return p.peers.Close() }
+func (p *forwardingProxy) Close() error { return nil }
 
 // Peers exposes the ranked peer set; tests and experiments read its
 // failover counters.

@@ -61,7 +61,6 @@ func (m *msMaster) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 
 func (m *msMaster) Close() error {
 	m.env.Disp.Unregister(m.env.OID)
-	m.closePeers()
 	return nil
 }
 
@@ -168,7 +167,7 @@ func newMSSlave(env *core.Env) (core.Replication, error) {
 
 	// State transfer, then subscription; a push racing between the two
 	// only delivers a version we already have or newer.
-	_, version, state, pins, _, err := s.fetchState(obs.SpanContext{}, s.peer(s.masterAddr), 0)
+	_, version, state, pins, _, err := s.fetchState(obs.SpanContext{}, s.env.Dial(s.masterAddr), 0)
 	if err != nil {
 		return nil, fmt.Errorf("repl: %s slave: initial state transfer: %w", MasterSlave, err)
 	}
@@ -189,7 +188,7 @@ func (s *msSlave) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 	if inv.Write {
 		// Writes go to the single writer; the master pushes the
 		// resulting state back to us before acknowledging.
-		return s.peer(s.masterAddr).Call(core.OpInvoke, inv.Encode())
+		return s.env.Dial(s.masterAddr).Call(core.OpInvoke, inv.Encode())
 	}
 	out, err := s.env.Exec.Execute(inv)
 	return out, 0, err
@@ -198,7 +197,6 @@ func (s *msSlave) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 func (s *msSlave) Close() error {
 	s.env.Disp.Unregister(s.env.OID)
 	s.unsubscribeFrom(s.masterAddr, s.env.Disp.Addr())
-	s.closePeers()
 	return nil
 }
 
@@ -225,7 +223,7 @@ func (s *msSlave) handle(call *rpc.Call) ([]byte, error) {
 			if err := authorizeWrite(s.env, call); err != nil {
 				return nil, err
 			}
-			resp, cost, err := s.peer(s.masterAddr).Call(core.OpInvoke, call.Body)
+			resp, cost, err := s.env.Dial(s.masterAddr).Call(core.OpInvoke, call.Body)
 			call.Charge(cost)
 			return resp, err
 		}
@@ -245,7 +243,7 @@ func (s *msSlave) handle(call *rpc.Call) ([]byte, error) {
 		// missing back from the master before installing — the delta
 		// that makes an append to a huge package cost only the
 		// appended chunks, not a full-state reship.
-		pins, cost, err := s.fillChunks(call.TC, s.peer(s.masterAddr), state)
+		pins, cost, err := s.fillChunks(call.TC, s.env.Dial(s.masterAddr), state)
 		call.Charge(cost)
 		if err != nil {
 			return nil, err
@@ -308,7 +306,7 @@ func (p *msProxy) PushChunks(chunks [][]byte) (time.Duration, error) {
 	return pushChunksVia(p.peers, chunks)
 }
 
-func (p *msProxy) Close() error { return p.peers.Close() }
+func (p *msProxy) Close() error { return nil }
 
 // Peers exposes the ranked peer set for tests and experiments.
 func (p *msProxy) Peers() *core.PeerSet { return p.peers }

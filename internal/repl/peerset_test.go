@@ -88,7 +88,7 @@ func TestTwoProxiesOfOneObjectSpreadReads(t *testing.T) {
 	const proxies, reads = 2, 32
 	for i := 0; i < proxies; i++ {
 		p, err := proto.NewProxy(&core.Env{
-			OID: oid, Site: "us-client", Net: f.net, Peers: peers,
+			OID: oid, Site: "us-client", Clients: f.clients("us-client"), Peers: peers,
 			Logf: func(string, ...any) {},
 		})
 		if err != nil {
@@ -123,7 +123,7 @@ func TestUnaryReadFailsOverToNextReplica(t *testing.T) {
 
 	proto := MasterSlaveProtocol()
 	p, err := proto.NewProxy(&core.Env{
-		OID: oid, Site: "us-client", Net: f.net,
+		OID: oid, Site: "us-client", Clients: f.clients("us-client"),
 		Peers: []gls.ContactAddress{
 			masterCA,
 			{Protocol: MasterSlave, Role: RoleSlave, Address: "eu-client:objects"},
@@ -188,8 +188,7 @@ func TestCacheForwardsChunkNegotiationToParent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pc := core.DialPeer(f.net, "us-client", oid, "eu-client:objects", nil)
-	defer pc.Close()
+	pc := f.peer("us-client", oid, "eu-client:objects")
 
 	// Negotiate THROUGH the cache: the server has `present`, so only
 	// the absent ref may come back missing — even though the cache's
@@ -257,7 +256,7 @@ func TestBulkReadResumesMidStreamOnReplicaDeath(t *testing.T) {
 
 	proto := MasterSlaveProtocol()
 	p, err := proto.NewProxy(&core.Env{
-		OID: oid, Site: "us-client", Net: f.net,
+		OID: oid, Site: "us-client", Clients: f.clients("us-client"),
 		Peers: []gls.ContactAddress{masterCA, slaveCA},
 		Logf:  func(string, ...any) {},
 	})
@@ -338,7 +337,7 @@ func TestBulkRangeReadResumesAtPartialChunkOffset(t *testing.T) {
 
 	proto := MasterSlaveProtocol()
 	p, err := proto.NewProxy(&core.Env{
-		OID: oid, Site: "us-client", Net: f.net,
+		OID: oid, Site: "us-client", Clients: f.clients("us-client"),
 		Peers: []gls.ContactAddress{masterCA, slaveCA},
 		Logf:  func(string, ...any) {},
 	})
@@ -385,8 +384,7 @@ func TestRelayedChunkOpsPropagateTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pc := core.DialPeer(f.net, "us-client", oid, "eu-client:objects", nil)
-	defer pc.Close()
+	pc := f.peer("us-client", oid, "eu-client:objects")
 
 	root := obs.StartTrace("test.chunk-negotiate")
 	refs := []store.Ref{store.RefOf([]byte("chunk nobody has"))}

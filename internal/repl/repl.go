@@ -88,46 +88,21 @@ type subscriber struct {
 }
 
 // replicaBase carries the bookkeeping every hosted replica shares:
-// a state version, the subscriber set, and cached peer connections.
+// a state version and the subscriber set. Peer connections belong to
+// the hosting runtime's table (Env.Dial).
 type replicaBase struct {
 	env *core.Env
 
 	mu      sync.Mutex
 	version uint64
 	subs    map[string]subscriber // keyed by address
-
-	peerMu sync.Mutex
-	peers  map[string]*core.PeerClient
 }
 
 func newReplicaBase(env *core.Env) *replicaBase {
 	return &replicaBase{
-		env:   env,
-		subs:  make(map[string]subscriber),
-		peers: make(map[string]*core.PeerClient),
+		env:  env,
+		subs: make(map[string]subscriber),
 	}
-}
-
-// peer returns a cached connection to a remote dispatcher.
-func (rb *replicaBase) peer(addr string) *core.PeerClient {
-	rb.peerMu.Lock()
-	defer rb.peerMu.Unlock()
-	p, ok := rb.peers[addr]
-	if !ok {
-		p = rb.env.Dial(addr)
-		rb.peers[addr] = p
-	}
-	return p
-}
-
-// closePeers releases all cached connections.
-func (rb *replicaBase) closePeers() {
-	rb.peerMu.Lock()
-	defer rb.peerMu.Unlock()
-	for _, p := range rb.peers {
-		p.Close()
-	}
-	rb.peers = make(map[string]*core.PeerClient)
 }
 
 // bumpVersion marks the state as changed and returns the new version.
@@ -340,7 +315,7 @@ func (rb *replicaBase) handleChunkPut(call *rpc.Call) ([]byte, error) {
 func (rb *replicaBase) relayChunkOps(call *rpc.Call, upstream string) (handled bool, resp []byte, err error) {
 	switch call.Op {
 	case core.OpChunkHave:
-		resp, cost, err := rb.peer(upstream).CallT(call.TC, core.OpChunkHave, call.Body)
+		resp, cost, err := rb.env.Dial(upstream).CallT(call.TC, core.OpChunkHave, call.Body)
 		call.Charge(cost)
 		return true, resp, err
 	case core.OpChunkPut:
@@ -358,11 +333,11 @@ func (rb *replicaBase) relayChunkPut(call *rpc.Call, upstream string) ([]byte, e
 	ur := call.Upload()
 	if ur == nil {
 		// Unary batch shape: forward the body as-is.
-		resp, cost, err := rb.peer(upstream).CallT(call.TC, core.OpChunkPut, call.Body)
+		resp, cost, err := rb.env.Dial(upstream).CallT(call.TC, core.OpChunkPut, call.Body)
 		call.Charge(cost)
 		return resp, err
 	}
-	us, err := rb.peer(upstream).CallUploadT(call.TC, core.OpChunkPut, nil)
+	us, err := rb.env.Dial(upstream).CallUploadT(call.TC, core.OpChunkPut, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -840,7 +815,7 @@ func (rb *replicaBase) subscribeTo(parentAddr, ownAddr, role string) error {
 	w := wire.NewWriter(64)
 	w.Str(ownAddr)
 	w.Str(role)
-	_, _, err := rb.peer(parentAddr).Call(core.OpSubscribe, w.Bytes())
+	_, _, err := rb.env.Dial(parentAddr).Call(core.OpSubscribe, w.Bytes())
 	return err
 }
 
@@ -850,7 +825,7 @@ func (rb *replicaBase) unsubscribeFrom(parentAddr, ownAddr string) {
 	w := wire.NewWriter(64)
 	w.Str(ownAddr)
 	w.Str("")
-	rb.peer(parentAddr).Call(core.OpUnsubscribe, w.Bytes()) //nolint:errcheck
+	rb.env.Dial(parentAddr).Call(core.OpUnsubscribe, w.Bytes()) //nolint:errcheck
 }
 
 // fetchState pulls state from a parent replica. It returns fresh=true
@@ -923,7 +898,7 @@ func (rb *replicaBase) pushAll(addrs []string, op uint16, body []byte) (time.Dur
 	results := make(chan result, len(addrs))
 	for _, addr := range addrs {
 		go func(addr string) {
-			_, cost, err := rb.peer(addr).Call(op, body)
+			_, cost, err := rb.env.Dial(addr).Call(op, body)
 			results <- result{cost, err}
 		}(addr)
 	}

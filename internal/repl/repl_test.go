@@ -14,6 +14,7 @@ import (
 	"gdn/internal/gls"
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
+	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/wire"
 )
@@ -170,12 +171,27 @@ func newFixture(t *testing.T, auths map[string]*sec.Config) *fixture {
 		}
 		t.Cleanup(func() { disp.Close() })
 		f.disps[s] = disp
-		f.rts[s] = core.NewRuntime(core.RuntimeConfig{
+		rt := core.NewRuntime(core.RuntimeConfig{
 			Site: s, Net: f.net, Resolver: res, Registry: reg,
 			Auth: auth, Clock: f.clock.Now,
 		})
+		t.Cleanup(func() { rt.Close() })
+		f.rts[s] = rt
 	}
 	return f
+}
+
+// clients returns a fresh client table at site, closed with the test.
+func (f *fixture) clients(site string) *rpc.Clients {
+	c := rpc.NewClients(f.net, site)
+	f.t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// peer reaches object oid's representative at addr from site, outside
+// any runtime.
+func (f *fixture) peer(site string, oid ids.OID, addr string) *core.PeerClient {
+	return (&core.Env{OID: oid, Clients: f.clients(site)}).Dial(addr)
 }
 
 // replica creates a hosted representative at site and registers it in
@@ -378,8 +394,7 @@ func TestActivePeerGapRecovery(t *testing.T) {
 	// Simulate a missed apply by injecting one with a version far
 	// ahead: the peer must fall back to a full state transfer instead
 	// of applying out of order.
-	pc := core.DialPeer(f.net, "origin", oid, peerCA.Address, nil)
-	defer pc.Close()
+	pc := f.peer("origin", oid, peerCA.Address)
 	ghost := core.Invocation{Method: "set", Write: true, Args: setArgs("ghost", "x")}
 	if _, _, err := pc.Call(core.OpApply, applyBody(99, ghost)); err != nil {
 		t.Fatal(err)

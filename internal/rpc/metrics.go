@@ -12,7 +12,7 @@ var (
 	mCallErrors = obs.Default.Counter("gdn_rpc_client_call_errors_total",
 		"unary calls that returned an error")
 	mRetries = obs.Default.Counter("gdn_rpc_client_retries_total",
-		"provably-unsent failures retried inside CallTimeout")
+		"requests a dead connection never sent, redialed within the Retries budget")
 	mTimeouts = obs.Default.Counter("gdn_rpc_client_timeouts_total",
 		"pending calls expired by the deadline sweeper")
 

@@ -41,10 +41,12 @@ const (
 )
 
 // unsentError marks a failure that provably happened before the request
-// left this process (dial failed, or the shared connection was already
-// dead at registration). Such failures are always safe to retry — on
-// this client or on another replica — because the remote cannot have
-// executed anything.
+// left this process: the dial failed, the shared connection was already
+// dead at registration, or the connection died while the request was
+// still queued or was refused by the transport before a byte of it was
+// written. Such failures are always safe to retry — on this client or
+// on another replica — because the remote cannot have executed
+// anything.
 type unsentError struct{ err error }
 
 func (e *unsentError) Error() string { return e.err.Error() }
@@ -76,11 +78,12 @@ type Client struct {
 	// forever.
 	Timeout time.Duration
 
-	// Retries is the per-call retry budget for provably-unsent
-	// failures (IsUnsent): dial errors and dead-at-registration
-	// connections. The default 0 keeps the seed behaviour — failover
-	// across replicas belongs to core.PeerSet; this budget is for
-	// callers with a single backend riding out a redial.
+	// Retries is the per-call budget of redials after a request that a
+	// dead connection provably never sent (IsUnsent). NewClient leaves
+	// it 0; a Clients table sets 1, so a shared connection whose peer
+	// restarted costs a redial, not a failed call. A failed dial is not
+	// retried: the dial-backoff gate and failover across replicas
+	// (core.PeerSet) deal with a dead remote.
 	Retries int
 
 	slots []*connSlot
@@ -291,30 +294,40 @@ func (c *Client) CallTimeoutT(tc obs.SpanContext, op uint16, body []byte, timeou
 	span := obs.StartSpan(tc, "rpc.call op 0x"+strconv.FormatUint(uint64(op), 16))
 	wtc := span.Context()
 	start := time.Now()
+	var resp []byte
 	var cost time.Duration
-	for attempt := 0; ; attempt++ {
+	err := c.withConn(func(mc *muxConn) error {
+		r, cc, err := mc.call(op, body, timeout, wtc)
+		resp = r
+		cost += cc
+		return err
+	})
+	mCallSeconds.ObserveSince(start)
+	if err != nil {
+		mCallErrors.Inc()
+	}
+	span.SetError(err)
+	span.End()
+	return resp, cost, err
+}
+
+// withConn runs one call attempt on a live connection. When the
+// connection turns out dead and the request provably never left it,
+// the attempt is redialed, within the Retries budget: the remote cannot
+// have executed anything, so the retry is safe even for non-idempotent
+// ops. Timeouts and failures after a byte went out are never retried —
+// the request's fate is unknown.
+func (c *Client) withConn(attempt func(*muxConn) error) error {
+	for n := 0; ; n++ {
 		mc, err := c.conn()
-		var resp []byte
-		if err == nil {
-			var cc time.Duration
-			resp, cc, err = mc.call(op, body, timeout, wtc)
-			cost += cc
+		if err != nil {
+			return err
 		}
-		// Only provably-unsent failures are retried: the remote cannot
-		// have executed anything, so the retry is safe even for
-		// non-idempotent ops. Timeouts are never retried here — the
-		// request's fate is unknown.
-		if err == nil || attempt >= c.Retries || !IsUnsent(err) {
-			mCallSeconds.ObserveSince(start)
-			if err != nil {
-				mCallErrors.Inc()
-			}
-			span.SetError(err)
-			span.End()
-			return resp, cost, err
+		err = attempt(mc)
+		if err == nil || n >= c.Retries || !IsUnsent(err) {
+			return err
 		}
 		mRetries.Inc()
-		time.Sleep(transport.Backoff(attempt+1, 5*time.Millisecond, 250*time.Millisecond))
 	}
 }
 
@@ -330,12 +343,12 @@ func (c *Client) CallStream(op uint16, body []byte) (*Stream, error) {
 // rides the request frame so the serving hop's spans join tc's trace.
 // The stream's duration is recorded by the serving handler's span, not
 // a client span — the client cannot know when the consumer finishes.
-func (c *Client) CallStreamT(tc obs.SpanContext, op uint16, body []byte) (*Stream, error) {
-	mc, err := c.conn()
-	if err != nil {
-		return nil, err
-	}
-	return mc.callStream(op, body, c.timeout(), tc)
+func (c *Client) CallStreamT(tc obs.SpanContext, op uint16, body []byte) (st *Stream, err error) {
+	err = c.withConn(func(mc *muxConn) error {
+		st, err = mc.callStream(op, body, c.timeout(), tc)
+		return err
+	})
+	return st, err
 }
 
 // CallUpload opens one request whose body arrives at the server as a
@@ -350,12 +363,12 @@ func (c *Client) CallUpload(op uint16, header []byte) (*UploadStream, error) {
 
 // CallUploadT is CallUpload carrying a trace context; it rides the
 // upload-open envelope frame, so the handler's span joins tc's trace.
-func (c *Client) CallUploadT(tc obs.SpanContext, op uint16, header []byte) (*UploadStream, error) {
-	mc, err := c.conn()
-	if err != nil {
-		return nil, err
-	}
-	return mc.callUpload(op, header, c.timeout(), tc)
+func (c *Client) CallUploadT(tc obs.SpanContext, op uint16, header []byte) (us *UploadStream, err error) {
+	err = c.withConn(func(mc *muxConn) error {
+		us, err = mc.callUpload(op, header, c.timeout(), tc)
+		return err
+	})
+	return us, err
 }
 
 // callResult is what the demux goroutine (or the deadline sweeper, or a
@@ -374,7 +387,23 @@ type pendingCall struct {
 	done     chan callResult // buffered; exactly one result is ever sent
 	stream   *Stream         // non-nil for streaming (download) calls
 	upload   *UploadStream   // non-nil for upload calls
+
+	// wire says whether the request frame may have reached the peer.
+	// The sender moves it reqUnsent → reqSent before handing the frame
+	// to the transport (and back if the transport wrote nothing); a
+	// registrant that finds the connection dead moves it reqUnsent →
+	// reqAbandoned, and the sender then skips the frame. Whoever wins
+	// the swap decides: a failure delivered while it is not reqSent is
+	// provably unsent.
+	wire atomic.Int32
 }
+
+// pendingCall.wire states.
+const (
+	reqUnsent int32 = iota
+	reqSent
+	reqAbandoned
+)
 
 // pendShards stripes the pending-call table. Every frame sent and
 // received crosses the table, so under high pipelining (64 in-flight
@@ -494,8 +523,15 @@ func (m *muxConn) registerFrame(pc *pendingCall, op uint16, body []byte, tc obs.
 	}
 	// Hand the frame to the flush-combining sender. A send failure
 	// condemns the connection, and the failure broadcast delivers the
-	// error to our pending entry — no per-call error path needed.
-	m.sender.enqueue(w)
+	// error to our pending entry — no per-call error path needed. But
+	// when the connection is already dead on return (a shared conn whose
+	// peer went away, found by this very send) and the frame provably
+	// never went out, say so now: streams and uploads would otherwise
+	// learn it only at their first Recv, too late for a redial.
+	m.sender.enqueueOut(outFrame{w: w, pc: pc})
+	if m.dead.Load() && pc.wire.CompareAndSwap(reqUnsent, reqAbandoned) {
+		return 0, &unsentError{m.deadErr}
+	}
 	return id, nil
 }
 
@@ -748,7 +784,11 @@ func (m *muxConn) fail(err error) {
 		sh.mu.Unlock()
 		for _, pc := range pend {
 			m.inflight.Add(-1)
-			deliverFailure(pc, err)
+			if pc.wire.Load() != reqSent {
+				deliverFailure(pc, &unsentError{err})
+			} else {
+				deliverFailure(pc, err)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"os"
 	"sync"
 
@@ -32,6 +33,11 @@ type outFrame struct {
 	file    *os.File
 	fileN   int64
 	release func()
+
+	// pc is the pending call a request frame opens, nil for every other
+	// frame; the sender records on it whether the frame reached the
+	// transport (see pendingCall.wire).
+	pc *pendingCall
 }
 
 // done releases everything the sender owned for this frame.
@@ -134,11 +140,17 @@ func (s *connSender) flush() {
 
 // send transmits one drained batch in a single SendFrames call, in
 // queue order — a stream's data frames and its trailer ride the same
-// queue — and counts how the payload bytes traveled.
+// queue — and counts how the payload bytes traveled. A request whose
+// caller already abandoned it (see pendingCall.wire) is skipped; the
+// others are marked sent before the transport sees them, and unmarked
+// again if it refused the batch before writing a byte.
 func (s *connSender) send(batch []outFrame) error {
 	var vecFrames, vecBytes, fileFrames int64
 	for i := range batch {
 		f := &batch[i]
+		if f.pc != nil && !f.pc.wire.CompareAndSwap(reqUnsent, reqSent) {
+			continue
+		}
 		s.frames = append(s.frames, transport.Frame{Head: f.w.Bytes(), Body: f.body, File: f.file, FileN: f.fileN})
 		if f.body != nil {
 			vecFrames++
@@ -148,9 +160,20 @@ func (s *connSender) send(batch []outFrame) error {
 			fileFrames++
 		}
 	}
-	spliced, err := s.conn.SendFrames(s.frames)
+	var spliced int64
+	var err error
+	if len(s.frames) > 0 {
+		spliced, err = s.conn.SendFrames(s.frames)
+	}
 	clear(s.frames)
 	s.frames = s.frames[:0]
+	if errors.Is(err, transport.ErrNotSent) {
+		for i := range batch {
+			if pc := batch[i].pc; pc != nil {
+				pc.wire.CompareAndSwap(reqSent, reqUnsent)
+			}
+		}
+	}
 	if vecFrames > 0 {
 		mSendVecFrames.Add(vecFrames)
 		mSendVecBytes.Add(vecBytes)

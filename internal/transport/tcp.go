@@ -69,6 +69,7 @@ type framedConn struct {
 	splice bool
 
 	sendMu   sync.Mutex
+	wrote    bool        // some byte of the current call reached the socket
 	prefixes []byte      // one 4-byte length prefix per frame of a call
 	iov      net.Buffers // parts gathered for the next writev
 	wv       net.Buffers // the vector being written (WriteTo consumes it)
@@ -107,6 +108,7 @@ func (f *framedConn) SendFrames(frames []Frame) (spliced int64, err error) {
 	}
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
+	f.wrote = false
 	if cap(f.prefixes) < 4*len(frames) {
 		f.prefixes = make([]byte, 4*len(frames))
 	}
@@ -129,7 +131,7 @@ func (f *framedConn) SendFrames(frames []Frame) (spliced int64, err error) {
 			spliced += n
 		}
 		if err != nil {
-			return spliced, err
+			return spliced, f.sendErr(err, n)
 		}
 	}
 	return spliced, f.writev()
@@ -139,9 +141,20 @@ func (f *framedConn) SendFrames(frames []Frame) (spliced int64, err error) {
 // references to the callers' buffers. Caller holds sendMu.
 func (f *framedConn) writev() error {
 	f.wv = f.iov
-	_, err := f.wv.WriteTo(f.c)
+	n, err := f.wv.WriteTo(f.c)
 	clear(f.iov)
 	f.iov, f.wv = f.iov[:0], nil
+	return f.sendErr(err, n)
+}
+
+// sendErr records that n bytes of the current call went out and marks
+// a failure that no byte of the call preceded as ErrNotSent. Caller
+// holds sendMu.
+func (f *framedConn) sendErr(err error, n int64) error {
+	if err != nil && n == 0 && !f.wrote {
+		return NotSent(err)
+	}
+	f.wrote = f.wrote || n > 0
 	return err
 }
 

@@ -38,7 +38,8 @@ type Conn interface {
 	// one vectored write, with file sections spliced by sendfile(2).
 	// Every frame is checked against MaxFrame before any byte is
 	// written, so ErrFrameSize leaves the connection usable; after any
-	// other error it is not. The frames' buffers are only read during
+	// other error it is not. A failure that wrote no byte of the call
+	// matches ErrNotSent. The frames' buffers are only read during
 	// the call and each file's offset advances by exactly its FileN.
 	// spliced counts the file bytes the kernel moved without a
 	// user-space copy; it is 0 on transports that read file sections
@@ -120,7 +121,20 @@ var (
 	ErrNoListener  = errors.New("transport: no listener at address")
 	ErrUnreachable = errors.New("transport: destination unreachable")
 	ErrFrameSize   = errors.New("transport: frame exceeds size limit")
+	// ErrNotSent marks a SendFrames failure that happened before any
+	// byte of the call reached the connection, so the peer cannot have
+	// seen any of its frames. errors.Is matches it alongside the cause.
+	ErrNotSent = errors.New("transport: nothing sent")
 )
+
+// notSentError carries a send failure's cause and matches ErrNotSent.
+type notSentError struct{ error }
+
+func (e notSentError) Is(target error) bool { return target == ErrNotSent }
+func (e notSentError) Unwrap() error        { return e.error }
+
+// NotSent marks err as a failure that wrote nothing; see ErrNotSent.
+func NotSent(err error) error { return notSentError{err} }
 
 // MaxFrame bounds a single frame. It is sized for one file chunk plus
 // protocol overhead; anything larger indicates a protocol bug or an

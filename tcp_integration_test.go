@@ -2,11 +2,15 @@ package gdn_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"gdn/internal/core"
 	"gdn/internal/daemon"
@@ -16,6 +20,7 @@ import (
 	"gdn/internal/gos"
 	"gdn/internal/httpd"
 	"gdn/internal/modtool"
+	"gdn/internal/obs"
 	"gdn/internal/pkgobj"
 	"gdn/internal/transport"
 )
@@ -32,19 +37,28 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-// TestFullStackOverTCP assembles the complete GDN — location service,
-// DNS, naming authority, two object servers, moderator tool and a
-// GDN-HTTPD — on real localhost TCP sockets, exactly as the cmd/
-// daemons do, and runs the paper's end-to-end flow: publish, resolve,
-// bind, download, verify, remove.
-func TestFullStackOverTCP(t *testing.T) {
+// tcpStack is the complete GDN — location service, DNS, naming
+// authority and two object servers — on real localhost TCP sockets,
+// assembled exactly as the cmd/ daemons assemble it. Runtimes made by
+// newRuntime are closed with the test, like every service.
+type tcpStack struct {
+	t          *testing.T
+	leafA      string
+	leafB      string
+	naAddr     string
+	gosCmds    []string
+	newRuntime func(leaf string) (*core.Runtime, func())
+}
+
+func startTCPStack(t *testing.T) *tcpStack {
 	tcp := transport.TCP{}
+	st := &tcpStack{t: t}
 
 	// --- location service: root → region → two leaves ---------------
 	rootAddr := freeAddr(t)
 	euAddr := freeAddr(t)
-	leafA := freeAddr(t)
-	leafB := freeAddr(t)
+	st.leafA = freeAddr(t)
+	st.leafB = freeAddr(t)
 
 	startNode := func(domain, addr string, parent []string) *gls.Node {
 		node, err := gls.Start(tcp, gls.Config{
@@ -60,8 +74,8 @@ func TestFullStackOverTCP(t *testing.T) {
 	}
 	startNode("root", rootAddr, nil)
 	startNode("eu", euAddr, []string{rootAddr})
-	startNode("eu/a", leafA, []string{euAddr})
-	startNode("eu/b", leafB, []string{euAddr})
+	startNode("eu/a", st.leafA, []string{euAddr})
+	startNode("eu/b", st.leafB, []string{euAddr})
 
 	// --- DNS: root server delegating the GDN zone -------------------
 	const zoneName = "gdn.test"
@@ -92,9 +106,9 @@ func TestFullStackOverTCP(t *testing.T) {
 	zone.AllowUpdate("na-key", secret)
 	zoneDNS.AddZone(zone)
 
-	naAddr := freeAddr(t)
+	st.naAddr = freeAddr(t)
 	authority, err := gns.StartAuthority(tcp, gns.AuthorityConfig{
-		Zone: zoneName, Site: "local", Addr: naAddr,
+		Zone: zoneName, Site: "local", Addr: st.naAddr,
 		Servers: []string{zoneDNSAddr},
 		TSIGKey: "na-key", TSIGSecret: secret,
 	})
@@ -104,41 +118,66 @@ func TestFullStackOverTCP(t *testing.T) {
 	t.Cleanup(func() { authority.Close() })
 
 	// --- runtimes and object servers ---------------------------------
-	newRuntime := func(leaf string) *core.Runtime {
-		return core.NewRuntime(core.RuntimeConfig{
+	st.newRuntime = func(leaf string) (*core.Runtime, func()) {
+		res := gls.NewResolver(tcp, "local", gls.Ref{Addrs: []string{leaf}})
+		dnsRes := dns.NewResolver(tcp, "local", []string{rootDNSAddr})
+		rt := core.NewRuntime(core.RuntimeConfig{
 			Site: "local", Net: tcp,
-			Resolver: gls.NewResolver(tcp, "local", gls.Ref{Addrs: []string{leaf}}),
-			Names:    gns.NewNameService(dns.NewResolver(tcp, "local", []string{rootDNSAddr}), zoneName),
+			Resolver: res,
+			Names:    gns.NewNameService(dnsRes, zoneName),
 			Registry: daemon.Registry(),
 		})
+		closeAll := func() { rt.Close(); res.Close(); dnsRes.Close() }
+		t.Cleanup(closeAll)
+		return rt, closeAll
 	}
 
-	var gosCmds []string
-	for _, leaf := range []string{leafA, leafB} {
+	for _, leaf := range []string{st.leafA, st.leafB} {
 		cmdAddr := freeAddr(t)
 		objAddr := freeAddr(t)
+		rt, _ := st.newRuntime(leaf)
 		srv, err := gos.Start(tcp, gos.Config{
 			Site: "local", CmdAddr: cmdAddr, ObjAddr: objAddr,
-			Runtime: newRuntime(leaf),
+			Runtime: rt,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		gosCmds = append(gosCmds, cmdAddr)
+		st.gosCmds = append(st.gosCmds, cmdAddr)
+	}
+	return st
+}
+
+// moderator starts a moderator tool attached to leaf A. shut closes
+// the tool and its runtime; the test's cleanup does too.
+func (st *tcpStack) moderator() (tool *modtool.Tool, shut func()) {
+	rt, closeRT := st.newRuntime(st.leafA)
+	tool, err := modtool.New(modtool.Config{
+		Site: "local", Net: transport.TCP{},
+		Runtime:         rt,
+		NamingAuthority: st.naAddr,
+	})
+	if err != nil {
+		st.t.Fatal(err)
+	}
+	shut = func() { tool.Close(); closeRT() }
+	st.t.Cleanup(shut)
+	return tool, shut
+}
+
+// TestFullStackOverTCP runs the paper's end-to-end flow on the TCP
+// stack: publish, resolve, bind, download, verify, remove.
+func TestFullStackOverTCP(t *testing.T) {
+	st := startTCPStack(t)
+	tool, _ := st.moderator()
+	leafB, gosCmds := st.leafB, st.gosCmds
+	newRuntime := func(leaf string) *core.Runtime {
+		rt, _ := st.newRuntime(leaf)
+		return rt
 	}
 
 	// --- moderator publishes a replicated package --------------------
-	tool, err := modtool.New(modtool.Config{
-		Site: "local", Net: tcp,
-		Runtime:         newRuntime(leafA),
-		NamingAuthority: naAddr,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tool.Close() })
-
 	content := bytes.Repeat([]byte("tcp"), 100_000)
 	if _, _, err := tool.CreatePackage("/apps/tcp-demo", core.Scenario{
 		Protocol: "masterslave",
@@ -193,6 +232,83 @@ func TestFullStackOverTCP(t *testing.T) {
 	}
 	if _, _, err := userRT.BindName("/apps/tcp-demo"); err == nil {
 		t.Fatal("bind after removal must fail")
+	}
+}
+
+// TestPublishCyclesReuseConnections: once a moderator and a user have
+// gone through one create → bind → read → remove cycle, further cycles
+// dial nothing. The moderator's object-server command clients, the
+// user's bindings to the object servers and every resolver borrow
+// their owner's shared connection per peer. Closing the owners
+// (Runtime.Close, Tool.Close) leaves none of their connections' demux
+// goroutines behind while the servers stay up.
+func TestPublishCyclesReuseConnections(t *testing.T) {
+	st := startTCPStack(t)
+	scenario := core.Scenario{Protocol: "masterslave", Servers: st.gosCmds}
+	content := bytes.Repeat([]byte("cycle"), 20_000)
+	seq := 0
+	cycle := func(tool *modtool.Tool, user *core.Runtime) {
+		t.Helper()
+		seq++
+		name := fmt.Sprintf("/apps/cycle-%d", seq)
+		if _, _, err := tool.CreatePackage(name, scenario, modtool.Package{
+			Files: map[string][]byte{"cycle.bin": content},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		lr, _, err := user.BindName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pkgobj.NewStub(lr).GetFileContents("cycle.bin")
+		lr.Close()
+		if err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("read %s: %d bytes, %v", name, len(got), err)
+		}
+		if _, err := tool.RemovePackage(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dials := func() int64 { return obs.Default.CounterValue(`gdn_rpc_dials_total{outcome="ok"}`) }
+	// side runs a warm cycle and then cycles more from a fresh
+	// moderator and user, checks the extra cycles dialed nothing, and
+	// closes both.
+	side := func(cycles int) {
+		tool, closeTool := st.moderator()
+		user, closeUser := st.newRuntime(st.leafB)
+		cycle(tool, user)
+		before := dials()
+		for range cycles {
+			cycle(tool, user)
+		}
+		if got := dials() - before; got != 0 {
+			t.Errorf("%d warm publish cycles dialed %d connections, want 0", cycles, got)
+		}
+		closeTool()
+		closeUser()
+	}
+
+	side(20)
+	time.Sleep(100 * time.Millisecond)
+	base := recvLoops()
+	side(1)
+	for deadline := time.Now().Add(5 * time.Second); recvLoops() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connection demux goroutines after closing a moderator and a user, %d before", recvLoops(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// recvLoops counts the goroutines demultiplexing a client connection.
+func recvLoops() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "rpc.(*muxConn).recvLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 
