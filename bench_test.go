@@ -796,11 +796,7 @@ func BenchmarkDeploy_Redeploy(b *testing.B) {
 	}
 	b.Cleanup(w.Close)
 
-	staged := pkgobj.New()
-	if err := pkgobj.NewStub(core.NewLocalLR(ids.Nil, staged)).UploadFile("blob", make([]byte, 16<<20)); err != nil {
-		b.Fatal(err)
-	}
-	state, err := staged.MarshalState()
+	state, chunks, err := pkgobj.Stage(map[string][]byte{"blob": make([]byte, 16<<20)}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -812,13 +808,13 @@ func BenchmarkDeploy_Redeploy(b *testing.B) {
 	b.Cleanup(func() { cl.Close() })
 	// First deploy moves the content; every measured iteration re-runs
 	// the full PutChunks and must move none.
-	if _, _, err := cl.PutChunks(staged.Store(), refs); err != nil {
+	if _, _, err := cl.PutChunks(chunks, refs); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		stats, _, err := cl.PutChunks(staged.Store(), refs)
+		stats, _, err := cl.PutChunks(chunks, refs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -341,6 +342,40 @@ func TestResolverCaching(t *testing.T) {
 	}
 	if sent := res.QueriesSent() - before; sent < 3 {
 		t.Fatalf("cache disabled: %d messages for 3 queries", sent)
+	}
+}
+
+// TestResolverCacheIsBounded resolves ten times the cache cap in
+// distinct names on a clock that never advances, as in a daemon: the
+// cache keeps at most the cap, and the newest answer is still cached.
+func TestResolverCacheIsBounded(t *testing.T) {
+	_, _, _, res := dnsWorld(t)
+	for i := 0; i < 10*maxCacheEntries; i++ {
+		if _, err := res.Query(fmt.Sprintf("n%d.gdn.cs.vu.nl", i), TypeTXT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res.mu.Lock()
+	n := len(res.cache)
+	res.mu.Unlock()
+	if n > maxCacheEntries {
+		t.Fatalf("cache holds %d entries, cap is %d", n, maxCacheEntries)
+	}
+	r, err := res.Query(fmt.Sprintf("n%d.gdn.cs.vu.nl", 10*maxCacheEntries-1), TypeTXT)
+	if err != nil || !r.FromCache {
+		t.Fatalf("newest answer not cached: %+v, %v", r, err)
+	}
+
+	// Once entries expire, a full cache drops those first.
+	res.Advance(negativeTTL)
+	if _, _, err := res.QueryTXT("gimp.gdn.cs.vu.nl"); err != nil {
+		t.Fatal(err)
+	}
+	res.mu.Lock()
+	n = len(res.cache)
+	res.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("cache holds %d entries after every earlier one expired, want 1", n)
 	}
 }
 

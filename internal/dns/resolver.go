@@ -2,6 +2,7 @@ package dns
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -18,7 +19,9 @@ import (
 //
 // Time for cache expiry is virtual: the resolver's clock only advances
 // when the caller calls Advance, so simulations control TTL behaviour
-// deterministically. Resolvers are safe for concurrent use.
+// deterministically. Daemons never call Advance, so their entries never
+// expire; the cache holds at most maxCacheEntries instead. Resolvers
+// are safe for concurrent use.
 type Resolver struct {
 	roots   []string
 	clients *rpc.Clients
@@ -30,7 +33,10 @@ type Resolver struct {
 	mu    sync.Mutex
 	cache map[cacheKey]cacheEntry
 	clock time.Duration
-	rnd   *rand.Rand
+	// minExpire is a lower bound on every cached entry's expireAt: while
+	// clock is below it, nothing in the cache has expired.
+	minExpire time.Duration
+	rnd       *rand.Rand
 
 	queriesSent int64
 	cacheHits   int64
@@ -49,6 +55,11 @@ type cacheEntry struct {
 
 // negativeTTL is how long NXDOMAIN/NODATA answers are cached.
 const negativeTTL = 60 * time.Second
+
+// maxCacheEntries bounds the cache, so a long-running process that
+// resolves ever new names (a moderator publishing packages) holds a
+// fixed amount of it.
+const maxCacheEntries = 1024
 
 // NewResolver returns a caching resolver at site using the given root
 // server addresses.
@@ -128,7 +139,37 @@ func (r *Resolver) cachePut(name string, t Type, rrs []RR, rcode RCode) {
 	if ttl <= 0 {
 		return
 	}
-	r.cache[cacheKey{name, t}] = cacheEntry{rrs: rrs, rcode: rcode, expireAt: r.clock + ttl}
+	key := cacheKey{name, t}
+	if _, ok := r.cache[key]; !ok && len(r.cache) >= maxCacheEntries {
+		r.evictLocked()
+	}
+	expireAt := r.clock + ttl
+	r.cache[key] = cacheEntry{rrs: rrs, rcode: rcode, expireAt: expireAt}
+	r.minExpire = min(r.minExpire, expireAt)
+}
+
+// evictLocked makes room for one entry in a full cache: it drops every
+// expired entry or, when none has expired, one arbitrary entry. Caller
+// holds r.mu.
+func (r *Resolver) evictLocked() {
+	if r.clock >= r.minExpire {
+		next := time.Duration(math.MaxInt64)
+		for k, e := range r.cache {
+			if e.expireAt <= r.clock {
+				delete(r.cache, k)
+			} else {
+				next = min(next, e.expireAt)
+			}
+		}
+		r.minExpire = next
+	}
+	if len(r.cache) < maxCacheEntries {
+		return
+	}
+	for k := range r.cache {
+		delete(r.cache, k)
+		break
+	}
 }
 
 // Result is the outcome of one resolution.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gdn"
-	"gdn/internal/core"
 	"gdn/internal/gos"
 	"gdn/internal/pkgobj"
 )
@@ -82,12 +81,7 @@ func runE9(size int) (ckptMS, diskKB, recMS float64, verified bool) {
 	for i := range content {
 		content[i] = byte(i)
 	}
-	staged := pkgobj.New()
-	stub := pkgobj.NewStub(core.NewLocalLR(gdn.OID{}, staged))
-	if err := stub.AddFile("pkg.tar", content); err != nil {
-		panic(err)
-	}
-	state, err := staged.MarshalState()
+	state, chunks, err := pkgobj.Stage(map[string][]byte{"pkg.tar": content}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -96,7 +90,7 @@ func runE9(size int) (ckptMS, diskKB, recMS float64, verified bool) {
 		panic(err)
 	}
 	cl := gos.NewClient(w.Net, site, site+":gos9-cmd", nil)
-	if _, _, err := cl.PutChunks(staged.Store(), refs); err != nil {
+	if _, _, err := cl.PutChunks(chunks, refs); err != nil {
 		panic(err)
 	}
 	oid, _, _, err := cl.CreateReplica(gos.CreateRequest{

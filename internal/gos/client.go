@@ -124,6 +124,12 @@ func (c *Client) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, er
 	}, refs)
 }
 
+// ChunkSource supplies chunk bodies by content address for an upload:
+// a *store.Store, or the chunks pkgobj.Stage produced.
+type ChunkSource interface {
+	Get(ref store.Ref) ([]byte, error)
+}
+
 // PutChunks makes every listed chunk present in the server's store,
 // shipping only the ones it is missing: a which-of-these-do-you-have
 // negotiation (OpChunkHave) names the gaps, and their bodies flow over
@@ -131,7 +137,7 @@ func (c *Client) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, er
 // buffering is O(chunk) at both ends and a re-deploy of unchanged
 // content uploads nothing. A moderator deploying a package runs this
 // before sending the manifest-bearing create command.
-func (c *Client) PutChunks(src *store.Store, refs []store.Ref) (UploadStats, time.Duration, error) {
+func (c *Client) PutChunks(src ChunkSource, refs []store.Ref) (UploadStats, time.Duration, error) {
 	refs = dedupRefs(refs)
 	stats := UploadStats{Offered: len(refs)}
 

@@ -16,7 +16,6 @@ package gos
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -614,18 +613,7 @@ func (s *Server) handleChunkHave(call *rpc.Call) ([]byte, error) {
 // (ref, bytes) pairs.
 func (s *Server) handlePutChunks(call *rpc.Call) ([]byte, error) {
 	if ur := call.Upload(); ur != nil {
-		for {
-			data, err := ur.Recv()
-			if err == io.EOF {
-				return nil, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			if _, err := s.chunks.Put(data); err != nil {
-				return nil, err
-			}
-		}
+		return nil, s.chunks.Ingest(ur)
 	}
 	r := wire.NewReader(call.Body)
 	n := r.Count()

@@ -7,26 +7,19 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gdn/internal/core"
 	"gdn/internal/gls"
-	"gdn/internal/ids"
 	"gdn/internal/pkgobj"
 	"gdn/internal/repl"
 	"gdn/internal/store"
 )
 
-// stagePackage builds a staged package with one deterministic file of
-// the given size and returns it with its marshalled state and refs.
-func stagePackage(t *testing.T, name string, size int) (*pkgobj.Package, []byte, []store.Ref, []byte) {
+// stagePackage stages a package with one deterministic file of the
+// given size and returns its chunks, marshalled state and refs.
+func stagePackage(t *testing.T, name string, size int) (pkgobj.Chunks, []byte, []store.Ref, []byte) {
 	t.Helper()
 	content := make([]byte, size)
 	rand.New(rand.NewSource(7)).Read(content)
-	staged := pkgobj.New()
-	stub := pkgobj.NewStub(core.NewLocalLR(ids.Nil, staged))
-	if err := stub.UploadFile(name, content); err != nil {
-		t.Fatal(err)
-	}
-	state, err := staged.MarshalState()
+	state, staged, err := pkgobj.Stage(map[string][]byte{name: content}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +44,7 @@ func TestRedeployUnchangedPackageUploadsNoChunks(t *testing.T) {
 	cl := NewClient(f.net, "mod", "eu-gos:gos-cmd", nil)
 	defer cl.Close()
 
-	stats, _, err := cl.PutChunks(staged.Store(), refs)
+	stats, _, err := cl.PutChunks(staged, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +61,7 @@ func TestRedeployUnchangedPackageUploadsNoChunks(t *testing.T) {
 	// Re-deploy: the negotiation names nothing missing.
 	before := srv.Chunks().Stats()
 	f.net.ResetMeter()
-	stats, _, err = cl.PutChunks(staged.Store(), refs)
+	stats, _, err = cl.PutChunks(staged, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +97,7 @@ func TestScrubbedChunkRepairedByNextFetch(t *testing.T) {
 	defer euCl.Close()
 	usCl := NewClient(f.net, "mod", "us-gos:gos-cmd", nil)
 	defer usCl.Close()
-	if _, _, err := euCl.PutChunks(staged.Store(), refs); err != nil {
+	if _, _, err := euCl.PutChunks(staged, refs); err != nil {
 		t.Fatal(err)
 	}
 	oid, masterCA, _, err := euCl.CreateReplica(CreateRequest{

@@ -21,7 +21,6 @@ package modtool
 import (
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -47,9 +46,12 @@ const ScenarioMetaKey = "gdn.scenario"
 // serves it as Last-Modified for clients too dumb for ETags.
 const ModifiedMetaKey = pkgobj.MetaModified
 
+// modifiedNow renders the current time as a ModifiedMetaKey value.
+func modifiedNow() string { return fmt.Sprintf("%d", time.Now().Unix()) }
+
 // stampModified records the change time on a package.
 func stampModified(stub *pkgobj.Stub) error {
-	return stub.SetMeta(ModifiedMetaKey, fmt.Sprintf("%d", time.Now().Unix()))
+	return stub.SetMeta(ModifiedMetaKey, modifiedNow())
 }
 
 // Config assembles a moderator tool.
@@ -150,34 +152,17 @@ func (t *Tool) CreatePackage(name string, scenario core.Scenario, pkg Package) (
 		}
 	}
 
-	// Stage the content in a local, network-free representative — the
-	// moderator tool's working copy.
-	staged := pkgobj.New()
-	stagedStub := pkgobj.NewStub(core.NewLocalLR(ids.Nil, staged))
-	paths := make([]string, 0, len(pkg.Files))
-	for path := range pkg.Files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		if err := stagedStub.UploadFile(path, pkg.Files[path]); err != nil {
-			return ids.Nil, 0, fmt.Errorf("modtool: stage %q: %w", path, err)
-		}
-	}
+	// Stage the content: the state the first replica starts from and
+	// the chunk bodies it references, sliced from pkg.Files.
+	meta := make(map[string]string, len(pkg.Meta)+2)
 	for key, val := range pkg.Meta {
-		if err := stagedStub.SetMeta(key, val); err != nil {
-			return ids.Nil, 0, err
-		}
+		meta[key] = val
 	}
-	if err := stagedStub.SetMeta(ScenarioMetaKey, hex.EncodeToString(scenario.Encode())); err != nil {
-		return ids.Nil, 0, err
-	}
-	if err := stampModified(stagedStub); err != nil {
-		return ids.Nil, 0, err
-	}
-	state, err := staged.MarshalState()
+	meta[ScenarioMetaKey] = hex.EncodeToString(scenario.Encode())
+	meta[ModifiedMetaKey] = modifiedNow()
+	state, chunks, err := pkgobj.Stage(pkg.Files, meta)
 	if err != nil {
-		return ids.Nil, 0, err
+		return ids.Nil, 0, fmt.Errorf("modtool: stage: %w", err)
 	}
 
 	var total time.Duration
@@ -201,7 +186,7 @@ func (t *Tool) CreatePackage(name string, scenario core.Scenario, pkg Package) (
 	// package whose content the server mostly has — a version bump of
 	// a large mostly-unchanged tree — uploads only the new chunks.
 	first := t.gosClient(scenario.Servers[0])
-	_, cost, err := first.PutChunks(staged.Store(), refs)
+	_, cost, err := first.PutChunks(chunks, refs)
 	total += cost
 	if err != nil {
 		return ids.Nil, total, fmt.Errorf("modtool: upload content to %s: %w", scenario.Servers[0], err)

@@ -571,6 +571,22 @@ func encodeManifest(w *wire.Writer, path string, f *file) {
 	}
 }
 
+// Smallest encodings of the counted elements of a state: a chunk entry
+// (ref, size), a file manifest (empty path, size, digest, chunk count),
+// a meta entry (two empty strings) and a version (empty label, file
+// count).
+const (
+	chunkEncSize    = 32 + 8
+	manifestEncSize = 2 + 8 + 32 + 4
+	metaEncSize     = 2 + 2
+	versionEncSize  = 2 + 4
+)
+
+// fit caps a decoded element count at how many elements of at least
+// minSize bytes the rest of r can hold: the count is untrusted, so it
+// may size a preallocation only as far as the input backs it.
+func fit(r *wire.Reader, n, minSize int) int { return min(n, r.Remaining()/minSize) }
+
 // decodeManifest reads one file manifest. Sizes are untrusted input:
 // a chunk size must be positive (a negative or zero length would
 // corrupt the offset arithmetic of every later read) and the sizes
@@ -585,17 +601,18 @@ func decodeManifest(r *wire.Reader) (path string, f *file, err error) {
 	if f.size < 0 {
 		return "", nil, fmt.Errorf("pkgobj: manifest for %q claims negative size", path)
 	}
-	f.chunks = make([]store.Chunk, n)
+	f.chunks = make([]store.Chunk, 0, fit(r, n, chunkEncSize))
 	var total int64
 	for i := 0; i < n; i++ {
-		f.chunks[i] = store.Chunk{Ref: r.Hash(), Size: r.Int64()}
-		if r.Err() == nil && f.chunks[i].Size <= 0 {
-			return "", nil, fmt.Errorf("pkgobj: manifest for %q has a %d-byte chunk", path, f.chunks[i].Size)
+		c := store.Chunk{Ref: r.Hash(), Size: r.Int64()}
+		if err := r.Err(); err != nil {
+			return "", nil, err
 		}
-		total += f.chunks[i].Size
-	}
-	if err := r.Err(); err != nil {
-		return "", nil, err
+		if c.Size <= 0 {
+			return "", nil, fmt.Errorf("pkgobj: manifest for %q has a %d-byte chunk", path, c.Size)
+		}
+		f.chunks = append(f.chunks, c)
+		total += c.Size
 	}
 	if total != f.size {
 		return "", nil, fmt.Errorf("pkgobj: manifest for %q sums to %d bytes, claims %d", path, total, f.size)
@@ -646,7 +663,7 @@ func (p *Package) UnmarshalState(b []byte) error {
 
 	mr := wire.NewReader(metaBytes)
 	nMeta := mr.Count()
-	meta := make(map[string]string, nMeta)
+	meta := make(map[string]string, fit(mr, nMeta, metaEncSize))
 	for i := 0; i < nMeta; i++ {
 		k := mr.Str()
 		meta[k] = mr.Str()
@@ -655,7 +672,7 @@ func (p *Package) UnmarshalState(b []byte) error {
 		return err
 	}
 
-	next := &Package{meta: meta, files: make(map[string]*file, count), chunkSize: chunkSize, st: p.st}
+	next := &Package{meta: meta, files: make(map[string]*file, fit(r, count, manifestEncSize)), chunkSize: chunkSize, st: p.st}
 	for i := 0; i < count; i++ {
 		path, f, err := decodeManifest(r)
 		if err != nil {

@@ -173,14 +173,14 @@ func decodeVersions(r *wire.Reader) (map[string]version, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	out := make(map[string]version, n)
+	out := make(map[string]version, fit(r, n, versionEncSize))
 	for i := 0; i < n; i++ {
 		label := r.Str()
 		nf := r.Count()
 		if r.Err() != nil {
 			return nil, r.Err()
 		}
-		v := version{files: make(map[string]*file, nf)}
+		v := version{files: make(map[string]*file, fit(r, nf, manifestEncSize))}
 		for j := 0; j < nf; j++ {
 			path, f, err := decodeManifest(r)
 			if err != nil {

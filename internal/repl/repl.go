@@ -273,18 +273,7 @@ func (rb *replicaBase) handleChunkPut(call *rpc.Call) ([]byte, error) {
 		return nil, fmt.Errorf("repl: %s has no chunk store", rb.env.OID.Short())
 	}
 	if ur := call.Upload(); ur != nil {
-		for {
-			data, err := ur.Recv()
-			if err == io.EOF {
-				return nil, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			if _, err := rb.env.Store.Put(data); err != nil {
-				return nil, err
-			}
-		}
+		return nil, rb.env.Store.Ingest(ur)
 	}
 	r := wire.NewReader(call.Body)
 	n := r.Count()

@@ -63,7 +63,11 @@
 //
 // A disk-backed store (Open with a directory) writes each chunk to a
 // temporary file, fsyncs it, and renames it into place, so a crash
-// leaves either the whole chunk or nothing. Orphans from a crash —
+// leaves either the whole chunk or nothing. Ingest, which stores an
+// upload stream, overlaps those fsyncs across a few goroutines but
+// returns only once every chunk is renamed, its directory fsynced and
+// the chunk indexed; a crash before that leaves temporary files, which
+// Open deletes. Orphans from a crash —
 // chunks written but never referenced by a durable manifest — are
 // reclaimed by Sweep, which object servers run after recovery.
 package store

@@ -226,15 +226,15 @@ func (s *Store) path(ref Ref) string {
 // content-addressing dedup). The chunk enters unreferenced; callers
 // that hold it in a manifest must Retain it.
 func (s *Store) Put(data []byte) (Ref, error) {
-	ref := RefOf(data)
-	return ref, s.putRef(ref, data, false)
+	return s.put(data, nil, false)
 }
 
 // PutRef stores data that is claimed to have address ref, verifying
 // the claim — the integrity gate every chunk received from the
 // network passes through.
 func (s *Store) PutRef(ref Ref, data []byte) error {
-	return s.putRef(ref, data, false)
+	_, err := s.put(data, &ref, false)
+	return err
 }
 
 // PutPinned stores data with one reference already held, atomically
@@ -242,33 +242,51 @@ func (s *Store) PutRef(ref Ref, data []byte) error {
 // eviction its own arrival triggers, even when the pinned working
 // set already exceeds a cache store's capacity.
 func (s *Store) PutPinned(data []byte) (Ref, error) {
-	ref := RefOf(data)
-	return ref, s.putRef(ref, data, true)
+	return s.put(data, nil, true)
 }
 
-func (s *Store) putRef(ref Ref, data []byte, pin bool) error {
+// put hashes data once, checks the result against a claimed address
+// when there is one, and inserts the chunk under it.
+func (s *Store) put(data []byte, claimed *Ref, pin bool) (Ref, error) {
 	start := time.Now()
 	defer mPutSeconds.ObserveSince(start)
 	mPutBytes.Observe(int64(len(data)))
-	if RefOf(data) != ref {
-		return fmt.Errorf("%w: got %d bytes hashing to %s, want %s",
-			ErrCorrupt, len(data), RefOf(data).Short(), ref.Short())
+	ref := RefOf(data)
+	if claimed != nil && ref != *claimed {
+		return ref, fmt.Errorf("%w: got %d bytes hashing to %s, want %s",
+			ErrCorrupt, len(data), ref.Short(), claimed.Short())
 	}
+	if s.present(ref, pin) {
+		return ref, nil
+	}
+	var mem []byte
+	if s.dir == "" {
+		mem = append([]byte(nil), data...)
+	} else if err := s.writeChunk(ref, data); err != nil {
+		return ref, err
+	}
+	s.admit(ref, int64(len(data)), mem, pin)
+	return ref, nil
+}
+
+// present reports whether ref is already resident (and not
+// quarantined), accounting the dedup and taking the pin when it is.
+func (s *Store) present(ref Ref, pin bool) bool {
 	sh := s.shardOf(ref)
 	sh.mu.Lock()
-	if e, ok := sh.chunks[ref]; ok && !e.gone {
-		s.dedupLocked(sh, ref, e, pin)
-		sh.mu.Unlock()
-		return nil
+	defer sh.mu.Unlock()
+	e, ok := sh.chunks[ref]
+	if !ok || e.gone {
+		return false
 	}
-	sh.mu.Unlock()
+	s.dedupLocked(sh, ref, e, pin)
+	return true
+}
 
-	if s.dir != "" {
-		if err := s.writeChunk(ref, data); err != nil {
-			return err
-		}
-	}
-
+// admit indexes a chunk of size bytes: durable on disk, or held in
+// mem, the store's own copy, for memory stores.
+func (s *Store) admit(ref Ref, size int64, mem []byte, pin bool) {
+	sh := s.shardOf(ref)
 	sh.mu.Lock()
 	if e, ok := sh.chunks[ref]; ok {
 		if e.gone {
@@ -278,10 +296,8 @@ func (s *Store) putRef(ref Ref, data []byte, pin bool) error {
 			// corruption-and-repair round trip.
 			e.gone = false
 			sh.gone--
-			e.size = int64(len(data))
-			if s.dir == "" {
-				e.data = append([]byte(nil), data...)
-			}
+			e.size = size
+			e.data = mem
 			s.bytes.Add(e.size)
 			s.repaired.Add(1)
 			mRepaired.Inc()
@@ -292,17 +308,14 @@ func (s *Store) putRef(ref Ref, data []byte, pin bool) error {
 			}
 			sh.mu.Unlock()
 			s.evict()
-			return nil
+			return
 		}
 		// Raced with another Put of the same content.
 		s.dedupLocked(sh, ref, e, pin)
 		sh.mu.Unlock()
-		return nil
+		return
 	}
-	e := &entry{size: int64(len(data))}
-	if s.dir == "" {
-		e.data = append([]byte(nil), data...)
-	}
+	e := &entry{size: size, data: mem}
 	if pin {
 		e.refs = 1
 	} else {
@@ -312,7 +325,6 @@ func (s *Store) putRef(ref Ref, data []byte, pin bool) error {
 	s.bytes.Add(e.size)
 	sh.mu.Unlock()
 	s.evict()
-	return nil
 }
 
 // dedupLocked accounts a Put that found its chunk already present,
@@ -344,19 +356,37 @@ func (s *Store) writeChunk(ref Ref, data []byte) error {
 // so the rename itself survives a crash. The store uses it for
 // chunks; object servers use it for checkpoint manifests.
 func WriteFileSync(name string, data []byte) error {
-	dir := filepath.Dir(name)
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(name)+".tmp")
+	tmp, err := writeTemp(name, data)
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
+	return commitTemp(tmp, name)
+}
+
+// writeTemp writes data to a fresh temporary file next to name, the
+// first half of WriteFileSync. On error nothing is left behind.
+func writeTemp(name string, data []byte) (*os.File, error) {
+	dir := filepath.Dir(name)
+	if err := os.MkdirAll(dir, 0o700); err != nil {
+		return nil, err
+	}
+	tmp, err := os.CreateTemp(dir, filepath.Base(name)+".tmp")
+	if err != nil {
+		return nil, err
+	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
-		return err
+		os.Remove(tmp.Name())
+		return nil, err
 	}
+	return tmp, nil
+}
+
+// commitTemp makes a writeTemp file durable under name: fsync, close,
+// rename into place, fsync the directory. On error the temporary file
+// is removed.
+func commitTemp(tmp *os.File, name string) error {
+	defer os.Remove(tmp.Name()) // no-op once renamed
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return err
@@ -367,11 +397,93 @@ func WriteFileSync(name string, data []byte) error {
 	if err := os.Rename(tmp.Name(), name); err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(name)); err == nil {
 		d.Sync() //nolint:errcheck // advisory; some filesystems refuse dir fsync
 		d.Close()
 	}
 	return nil
+}
+
+// Frames is a stream of chunk bodies, one per Recv, ended by io.EOF.
+// A body is valid only until the next Recv; rpc.UploadReader fits.
+type Frames interface {
+	Recv() ([]byte, error)
+}
+
+// ingestWorkers is how many chunk commits (fsync, rename, directory
+// fsync, index) one Ingest runs at once; four covers the 2–7 chunks of
+// a typical package upload.
+const ingestWorkers = 4
+
+// Ingest stores every chunk body src delivers, unreferenced, as Put
+// would: each body is hashed once and skipped if already present. On a
+// disk store the body goes to a temporary file before the next Recv,
+// so src may recycle it; the commit that makes the chunk durable and
+// indexes it then runs on its own goroutine, at most ingestWorkers at
+// a time, overlapping the fsyncs of consecutive chunks. (A body the
+// stream repeats while its first copy is still committing is written
+// again, and counted as a dedup when indexed.) Ingest returns once
+// every commit has finished: a nil error means every chunk is on disk,
+// renamed into place and indexed. It stops at the first failure and
+// returns it; a failed chunk leaves no index entry and no temporary
+// file. Memory stores Put each body.
+func (s *Store) Ingest(src Frames) error {
+	var wg sync.WaitGroup
+	errs := make(chan error, 1) // holds the first failure
+	fail := func(err error) {
+		select {
+		case errs <- err:
+		default:
+		}
+	}
+	commits := make(chan struct{}, ingestWorkers) // semaphore
+	for len(errs) == 0 {
+		data, err := src.Recv()
+		if err != nil {
+			if err != io.EOF {
+				fail(err)
+			}
+			break
+		}
+		if s.dir == "" {
+			if _, err := s.Put(data); err != nil {
+				fail(err)
+			}
+			continue
+		}
+		start := time.Now()
+		mPutBytes.Observe(int64(len(data)))
+		ref := RefOf(data)
+		if s.present(ref, false) {
+			mPutSeconds.ObserveSince(start)
+			continue
+		}
+		tmp, err := writeTemp(s.path(ref), data)
+		if err != nil {
+			fail(err)
+			break
+		}
+		size := int64(len(data))
+		commits <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-commits }()
+			defer mPutSeconds.ObserveSince(start)
+			if err := commitTemp(tmp, s.path(ref)); err != nil {
+				fail(err)
+				return
+			}
+			s.admit(ref, size, nil, false)
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		return err
+	default:
+		return nil
+	}
 }
 
 // Get returns a chunk's bytes. Disk reads are verified against the

@@ -11,9 +11,7 @@ import (
 	"testing"
 
 	"gdn"
-	"gdn/internal/core"
 	"gdn/internal/gos"
-	"gdn/internal/ids"
 	"gdn/internal/pkgobj"
 	"gdn/internal/transport"
 )
@@ -148,11 +146,7 @@ func TestLargeFileRoundTrip(t *testing.T) {
 	// Re-deploying the unchanged 64 MiB package short-circuits: the
 	// OpChunkHave negotiation names nothing missing and no chunk body
 	// crosses the wire.
-	staged := pkgobj.New()
-	if err := pkgobj.NewStub(core.NewLocalLR(ids.Nil, staged)).UploadFile("dvd.iso", content); err != nil {
-		t.Fatal(err)
-	}
-	state, err := staged.MarshalState()
+	state, chunks, err := pkgobj.Stage(map[string][]byte{"dvd.iso": content}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +156,7 @@ func TestLargeFileRoundTrip(t *testing.T) {
 	}
 	cl := gos.NewClient(w.Net, "eu-de-tu", w.GOSAddrs("eu-nl-vu")[0], nil)
 	defer cl.Close()
-	stats, _, err := cl.PutChunks(staged.Store(), refs)
+	stats, _, err := cl.PutChunks(chunks, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
