@@ -27,6 +27,7 @@ import (
 	"gdn/internal/gos"
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 	"gdn/internal/pkgobj"
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
@@ -770,7 +771,7 @@ func BenchmarkUpload_Stream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		us, err := cl.CallUpload(1, nil)
+		us, err := cl.CallUpload(obs.SpanContext{}, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,7 +17,7 @@ func dropOnClient(tc obs.SpanContext, c *rpc.Client) error {
 }
 
 func dropOnPeer(tc obs.SpanContext, p *core.PeerClient) error {
-	_, err := p.CallStream(2, nil) // want `call to CallStream drops the trace .* call CallStreamT`
+	_, _, err := p.Call(2, nil) // want `call to Call drops the trace .* call CallT`
 	return err
 }
 

@@ -16,7 +16,7 @@ func forwards(tc obs.SpanContext, c *rpc.Client) error {
 }
 
 func forwardsPeer(tc obs.SpanContext, p *core.PeerClient) error {
-	_, err := p.CallStreamT(tc, 2, nil)
+	_, err := p.CallStream(tc, 2, nil)
 	return err
 }
 

@@ -174,30 +174,21 @@ func (p *PeerClient) CallT(tc obs.SpanContext, op uint16, body []byte) ([]byte, 
 	return p.rpc.CallT(tc, op, buf)
 }
 
-// CallStream opens a streaming replica-protocol call (OpBulkRead),
-// prefixing the object identifier.
-func (p *PeerClient) CallStream(op uint16, body []byte) (*rpc.Stream, error) {
-	return p.CallStreamT(obs.SpanContext{}, op, body)
-}
-
-// CallStreamT is CallStream carrying a trace context.
-func (p *PeerClient) CallStreamT(tc obs.SpanContext, op uint16, body []byte) (*rpc.Stream, error) {
+// CallStream opens a streaming replica-protocol call (OpBulkRead)
+// under trace context tc, prefixing the object identifier.
+func (p *PeerClient) CallStream(tc obs.SpanContext, op uint16, body []byte) (*rpc.Stream, error) {
 	buf := make([]byte, 0, ids.Size+len(body))
 	buf = append(buf, p.oid[:]...)
 	buf = append(buf, body...)
-	return p.rpc.CallStreamT(tc, op, buf)
+	return p.rpc.CallStream(tc, op, buf)
 }
 
-// CallUpload opens an upload-stream replica-protocol call
-// (OpChunkPut), prefixing the object identifier to the header.
-func (p *PeerClient) CallUpload(op uint16, header []byte) (*rpc.UploadStream, error) {
-	return p.CallUploadT(obs.SpanContext{}, op, header)
-}
-
-// CallUploadT is CallUpload carrying a trace context.
-func (p *PeerClient) CallUploadT(tc obs.SpanContext, op uint16, header []byte) (*rpc.UploadStream, error) {
+// CallUpload opens an upload-stream replica-protocol call (OpChunkPut)
+// under trace context tc, prefixing the object identifier to the
+// header.
+func (p *PeerClient) CallUpload(tc obs.SpanContext, op uint16, header []byte) (*rpc.UploadStream, error) {
 	buf := make([]byte, 0, ids.Size+len(header))
 	buf = append(buf, p.oid[:]...)
 	buf = append(buf, header...)
-	return p.rpc.CallUploadT(tc, op, buf)
+	return p.rpc.CallUpload(tc, op, buf)
 }

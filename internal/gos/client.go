@@ -7,6 +7,7 @@ import (
 	"gdn/internal/core"
 	"gdn/internal/gls"
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/store"
@@ -149,7 +150,7 @@ func (c *Client) PutChunks(src ChunkSource, refs []store.Ref) (UploadStats, time
 		return stats, total, nil
 	}
 
-	us, err := c.rpc.CallUpload(OpPutChunks, nil)
+	us, err := c.rpc.CallUpload(obs.SpanContext{}, OpPutChunks, nil)
 	if err != nil {
 		return stats, total, err
 	}

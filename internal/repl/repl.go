@@ -326,7 +326,7 @@ func (rb *replicaBase) relayChunkPut(call *rpc.Call, upstream string) ([]byte, e
 		call.Charge(cost)
 		return resp, err
 	}
-	us, err := rb.env.Dial(upstream).CallUploadT(call.TC, core.OpChunkPut, nil)
+	us, err := rb.env.Dial(upstream).CallUpload(call.TC, core.OpChunkPut, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +390,7 @@ func pushChunksTo(pc *core.PeerClient, chunks [][]byte) (time.Duration, error) {
 	if len(chunks) == 0 {
 		return 0, nil
 	}
-	us, err := pc.CallUpload(core.OpChunkPut, nil)
+	us, err := pc.CallUpload(obs.SpanContext{}, core.OpChunkPut, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -685,7 +685,7 @@ func streamBulkFrom(tc obs.SpanContext, pc *core.PeerClient, path string, off, n
 	w.Str(path)
 	w.Int64(off)
 	w.Int64(n)
-	st, err := pc.CallStreamT(span.Context(), core.OpBulkRead, w.Bytes())
+	st, err := pc.CallStream(span.Context(), core.OpBulkRead, w.Bytes())
 	if err != nil {
 		return core.Manifest{}, 0, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 )
 
 // Stream benchmarks: one op moves benchFrames frames of benchFrameSize
@@ -50,8 +51,8 @@ func BenchmarkStream(b *testing.B) {
 
 	b.SetBytes(benchFrames * benchFrameSize)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		st, err := cl.CallStream(1, nil)
+	for b.Loop() {
+		st, err := cl.CallStream(obs.SpanContext{}, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,8 +95,8 @@ func BenchmarkUpload(b *testing.B) {
 	payload := make([]byte, benchFrameSize)
 	b.SetBytes(benchFrames * benchFrameSize)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		us, err := cl.CallUpload(1, nil)
+	for b.Loop() {
+		us, err := cl.CallUpload(obs.SpanContext{}, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gdn/internal/obs"
 	"gdn/internal/transport"
 )
 
@@ -145,7 +146,7 @@ func TestSharedConnRidesOutPeerRestart(t *testing.T) {
 			}
 
 			restart()
-			st, err := tbl.Get(addr).CallStream(opStream, nil)
+			st, err := tbl.Get(addr).CallStream(obs.SpanContext{}, opStream, nil)
 			if err != nil {
 				t.Fatalf("first stream after restart: %v", err)
 			}

@@ -18,11 +18,13 @@
 // in-flight requests, identified by a per-connection 64-bit request ID.
 // The frame layouts are
 //
-//	request:  id uint64 | op uint16 | body bytes32
+//	request:  id uint64 | op uint16 | body bytes32 [| trace uint64 | span uint64]
 //	response: id uint64 | status uint8 | errmsg str16 | cost int64 | body bytes32
 //
-// all encoded with package wire. A client sends requests from any number
-// of goroutines; a single demux goroutine per connection receives
+// all encoded with package wire. The 16-byte trace tail is optional: a
+// traced request carries its span context there, and an untraced one
+// ends after the body. A client sends requests from any number of
+// goroutines; a single demux goroutine per connection receives
 // responses and routes each to the waiting caller recorded in the
 // pending-call table. The table is striped (request IDs are sequential,
 // so id mod stripes balances perfectly); call timeouts are deadlines on
@@ -36,19 +38,54 @@
 // frame's own cost is added by the demux goroutine before the caller is
 // woken.
 //
+// # Streams
+//
+// A stream carries a call's data as a sequence of frames under the
+// call's request ID, so a bulk transfer never materializes as one giant
+// frame and peak buffering stays O(frame). It runs in either direction,
+// with the same two roles: the sending half and the receiving half.
+//
+//	response stream (Client.CallStream, Call.OpenStream)
+//	  client  request op          body               the call
+//	  server  response status 2   data               data frames ...
+//	  client  request 0xFFFF      count uint32       credit
+//	  server  response status 0/1 trailer or error   final
+//
+//	upload (Client.CallUpload, Call.Upload)
+//	  client  request 0xFFFD      op uint16 | header bytes32   open
+//	  client  request 0xFFFC      data               data frames ...
+//	  server  response status 3   count uint32       credit
+//	  client  request 0xFFFB      empty              end of data
+//	  server  response status 0/1 answer or error    final
+//
+// The receiver grants credit for every half window it consumes. Ops at
+// or above 0xFF00 are reserved for the protocol. Either side abandons a
+// stream: the client with a cancel frame (request op 0xFFFE, empty
+// body), the server by answering — a response stream's handler returns
+// early, an upload's handler answers before the end frame, which fails
+// the client's further Sends.
+//
 // # Credit window
 //
-// Streaming responses (and uploads, symmetrically) are flow controlled
-// by credits, never by trusting TCP backpressure: a stream may send
-// streamWindow data frames before it must park waiting for the receiver
-// to acknowledge consumption with a credit frame (opStreamAck). The
-// invariant is that at most streamWindow frames are in flight per
-// stream, so a slow consumer bounds the memory a fast producer can pin
-// at one window — on a connection shared by many calls, one stalled
-// download cannot balloon the process or starve unrelated requests.
-// Cancellation (opStreamCancel) and call timeout release a parked
-// producer; a receiver that overruns its advertised window condemns the
-// connection, because a peer that ignores flow control is broken.
+// Streams are flow controlled by credits, never by trusting TCP
+// backpressure: a sender may have streamWindow data frames outstanding
+// before it must park waiting for the receiver to acknowledge
+// consumption with a credit frame. The invariant is that at most
+// streamWindow frames are in flight per stream, so a slow consumer
+// bounds the memory a fast producer can pin at one window — on a
+// connection shared by many calls, one stalled transfer cannot balloon
+// the process or starve unrelated requests. Cancellation and call
+// timeout release a parked sender; a sender that overruns its window
+// condemns the connection, because a peer that ignores flow control is
+// broken. So does a peer that opens a second stream under a live
+// request ID.
+//
+// A server connection holds at most maxConnStreams (128, half its
+// handler workers) open streams, both directions together; the next
+// open fails with ErrTooManyStreams. A stream parks its handler's
+// worker (a response stream on credit, an upload on data), and keeping
+// half the worker pool stream-free lets the read loop always hand off
+// the frames that unpark the rest.
 //
 // # Buffer ownership on the send path
 //

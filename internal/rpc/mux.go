@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"strconv"
@@ -10,7 +11,6 @@ import (
 
 	"gdn/internal/obs"
 	"gdn/internal/transport"
-	"gdn/internal/wire"
 )
 
 // pipelineTarget is the in-flight depth at which a client configured
@@ -332,43 +332,45 @@ func (c *Client) withConn(attempt func(*muxConn) error) error {
 }
 
 // CallStream sends one request whose response arrives as a stream of
-// data frames — the bulk-transfer call shape. The client's Timeout
-// applies per frame (an idle limit), so arbitrarily large transfers
-// survive as long as data keeps flowing.
-func (c *Client) CallStream(op uint16, body []byte) (*Stream, error) {
-	return c.CallStreamT(obs.SpanContext{}, op, body)
-}
-
-// CallStreamT is CallStream carrying a trace context: the context
-// rides the request frame so the serving hop's spans join tc's trace.
-// The stream's duration is recorded by the serving handler's span, not
+// data frames — the bulk-transfer call shape. tc (zero when untraced)
+// rides the request frame so the serving hop's spans join its trace;
+// the stream's duration is recorded by the serving handler's span, not
 // a client span — the client cannot know when the consumer finishes.
-func (c *Client) CallStreamT(tc obs.SpanContext, op uint16, body []byte) (st *Stream, err error) {
+// The client's Timeout applies per frame (an idle limit), so
+// arbitrarily large transfers survive as long as data keeps flowing.
+func (c *Client) CallStream(tc obs.SpanContext, op uint16, body []byte) (st *Stream, err error) {
 	err = c.withConn(func(mc *muxConn) error {
-		st, err = mc.callStream(op, body, c.timeout(), tc)
+		st = &Stream{mc: mc}
+		st.init(mc.sender, encodeAck)
+		st.id, err = mc.register(mc.pending(op, c.timeout(), &st.recvHalf, nil), op, body, tc)
 		return err
 	})
-	return st, err
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // CallUpload opens one request whose body arrives at the server as a
 // stream of data frames — the bulk-transfer call shape in the
 // deploying direction. header is delivered as the handler's request
-// body; the handler's return value answers CloseAndRecv. The client's
-// Timeout acts per credit grant (an idle limit), so arbitrarily large
-// uploads survive as long as the server keeps consuming.
-func (c *Client) CallUpload(op uint16, header []byte) (*UploadStream, error) {
-	return c.CallUploadT(obs.SpanContext{}, op, header)
-}
-
-// CallUploadT is CallUpload carrying a trace context; it rides the
-// upload-open envelope frame, so the handler's span joins tc's trace.
-func (c *Client) CallUploadT(tc obs.SpanContext, op uint16, header []byte) (us *UploadStream, err error) {
+// body; the handler's return value answers CloseAndRecv. tc rides the
+// upload-open frame, so the handler's span joins its trace. The
+// client's Timeout acts per credit grant (an idle limit), so
+// arbitrarily large uploads survive as long as the server keeps
+// consuming.
+func (c *Client) CallUpload(tc obs.SpanContext, op uint16, header []byte) (us *UploadStream, err error) {
 	err = c.withConn(func(mc *muxConn) error {
-		us, err = mc.callUpload(op, header, c.timeout(), tc)
+		us = &UploadStream{mc: mc}
+		us.init(mc.sender)
+		us.pc = mc.pending(op, c.timeout(), nil, &us.sendHalf)
+		us.id, err = mc.register(us.pc, opUploadOpen, encodeUploadOpen(op, header), tc)
 		return err
 	})
-	return us, err
+	if err != nil {
+		return nil, err
+	}
+	return us, nil
 }
 
 // callResult is what the demux goroutine (or the deadline sweeper, or a
@@ -385,8 +387,11 @@ type pendingCall struct {
 	timeout  time.Duration
 	deadline time.Time       // zero when the call has no timeout
 	done     chan callResult // buffered; exactly one result is ever sent
-	stream   *Stream         // non-nil for streaming (download) calls
-	upload   *UploadStream   // non-nil for upload calls
+
+	// A stream call's half on this side: recv for a response stream,
+	// send for an upload; both nil for a unary call.
+	recv *recvHalf
+	send *sendHalf
 
 	// wire says whether the request frame may have reached the peer.
 	// The sender moves it reqUnsent → reqSent before handing the frame
@@ -469,23 +474,23 @@ func (m *muxConn) pendingLen() int {
 	return n
 }
 
-// register installs a pending call and sends its request frame. It
-// reports the assigned ID and whether registration succeeded; on an
-// encode failure the call is withdrawn and the error returned.
-func (m *muxConn) register(pc *pendingCall, op uint16, body []byte, tc obs.SpanContext) (uint64, error) {
-	if op >= opReserved {
+// pending returns a fresh pending call for op, with the stream half a
+// stream call carries on this side.
+func (m *muxConn) pending(op uint16, timeout time.Duration, recv *recvHalf, send *sendHalf) *pendingCall {
+	return &pendingCall{op: op, timeout: timeout, done: make(chan callResult, 1), recv: recv, send: send}
+}
+
+// register installs a pending call and sends its request frame, whose
+// op is pc.op — or opUploadOpen, for an upload, whose envelope body
+// carries pc.op. It reports the assigned ID; on an encode failure the
+// call is withdrawn and the error returned.
+func (m *muxConn) register(pc *pendingCall, frameOp uint16, body []byte, tc obs.SpanContext) (uint64, error) {
+	if pc.op >= opReserved {
 		// Reserved ops are consumed by the RPC layer on the server; a
 		// service call using one would be misread as flow control and
 		// hang or condemn the shared connection. Fail loudly instead.
-		return 0, fmt.Errorf("rpc: op %#x is reserved for the protocol", op)
+		return 0, errReservedOp(pc.op)
 	}
-	return m.registerFrame(pc, op, body, tc)
-}
-
-// registerFrame is register without the reserved-op guard: upload
-// opens legitimately carry a reserved frame op (the real op rides the
-// envelope body).
-func (m *muxConn) registerFrame(pc *pendingCall, op uint16, body []byte, tc obs.SpanContext) (uint64, error) {
 	if m.dead.Load() {
 		// Dead at registration: the request was never sent, which makes
 		// the failure safe to retry here or on another replica.
@@ -511,7 +516,7 @@ func (m *muxConn) registerFrame(pc *pendingCall, op uint16, body []byte, tc obs.
 		return id, nil
 	}
 
-	w := encodeRequest(id, op, body, tc)
+	w := encodeRequest(id, frameOp, body, tc)
 	if err := w.Err(); err != nil {
 		// The body cannot be encoded (e.g. over the wire size limits).
 		// Fail just this call; the connection is untouched.
@@ -536,45 +541,12 @@ func (m *muxConn) registerFrame(pc *pendingCall, op uint16, body []byte, tc obs.
 }
 
 func (m *muxConn) call(op uint16, body []byte, timeout time.Duration, tc obs.SpanContext) ([]byte, time.Duration, error) {
-	pc := &pendingCall{op: op, timeout: timeout, done: make(chan callResult, 1)}
+	pc := m.pending(op, timeout, nil, nil)
 	if _, err := m.register(pc, op, body, tc); err != nil {
 		return nil, 0, err
 	}
 	r := <-pc.done
 	return r.resp, r.cost, r.err
-}
-
-// callStream opens a streaming call. The returned Stream yields the
-// response's data frames; the call's timeout acts per frame (an idle
-// limit), not on the whole transfer.
-func (m *muxConn) callStream(op uint16, body []byte, timeout time.Duration, tc obs.SpanContext) (*Stream, error) {
-	st := &Stream{mc: m, events: make(chan streamEvent, streamWindow+2)}
-	pc := &pendingCall{op: op, timeout: timeout, done: make(chan callResult, 1), stream: st}
-	id, err := m.register(pc, op, body, tc)
-	if err != nil {
-		return nil, err
-	}
-	st.id = id
-	return st, nil
-}
-
-// callUpload opens an upload call. The returned UploadStream carries
-// data frames to the handler; its timeout acts per credit grant (an
-// idle limit), not on the whole transfer.
-func (m *muxConn) callUpload(op uint16, header []byte, timeout time.Duration, tc obs.SpanContext) (*UploadStream, error) {
-	if op >= opReserved {
-		return nil, fmt.Errorf("rpc: op %#x is reserved for the protocol", op)
-	}
-	us := &UploadStream{mc: m, credits: streamWindow}
-	us.cond = sync.NewCond(&us.mu)
-	pc := &pendingCall{op: op, timeout: timeout, done: make(chan callResult, 1), upload: us}
-	us.pc = pc
-	id, err := m.registerFrame(pc, opUploadOpen, encodeUploadOpen(op, header), tc)
-	if err != nil {
-		return nil, err
-	}
-	us.id = id
-	return us, nil
 }
 
 // withdraw removes one pending call, reporting whether this caller
@@ -592,56 +564,34 @@ func (m *muxConn) withdraw(id uint64) bool {
 	return true
 }
 
-// sendCredit grants the server n more data frames for a stream.
-func (m *muxConn) sendCredit(id uint64, n uint32) {
-	ack := encodeAckBody(n)
-	w := wire.GetWriter(18)
-	w.Uint64(id)
-	w.Uint16(opStreamAck)
-	w.Bytes32(ack[:])
-	m.sender.enqueue(w)
-}
-
-// touchStream refreshes a stream's idle deadline on consumer
-// progress. Frame arrival refreshes it too, but a consumer slower
-// than the flow-control window would otherwise see no arrivals for a
-// whole timeout despite actively reading.
-func (m *muxConn) touchStream(id uint64) {
+// touch refreshes a stream call's idle deadline on progress — a data
+// frame or credit arriving, or the consumer taking a frame — and
+// returns the call (nil once it left the table). The timeout bounds
+// silence, not the whole transfer; a consumer slower than the window
+// would otherwise see no arrivals for a whole timeout despite reading.
+func (m *muxConn) touch(id uint64) *pendingCall {
 	sh := m.pendShardOf(id)
 	sh.mu.Lock()
-	if pc, ok := sh.pending[id]; ok && pc.timeout > 0 {
+	defer sh.mu.Unlock()
+	pc := sh.pending[id]
+	if pc != nil && (pc.recv != nil || pc.send != nil) && pc.timeout > 0 {
 		pc.deadline = time.Now().Add(pc.timeout)
 		m.armSweepLocked(sh, pc.deadline)
 	}
-	sh.mu.Unlock()
+	return pc
 }
 
-// cancelStream withdraws a stream's pending entry and tells the
-// server to stop sending.
-func (m *muxConn) cancelStream(id uint64) {
-	m.withdraw(id)
-	if m.dead.Load() {
-		return
-	}
-	m.sendCancelFrame(id)
-}
-
-// sendCancelFrame tells the server to abort one response stream, so
-// its handler does not stay parked waiting for flow-control credit
-// that will never come.
-func (m *muxConn) sendCancelFrame(id uint64) {
-	w := wire.GetWriter(14)
-	w.Uint64(id)
-	w.Uint16(opStreamCancel)
-	w.Bytes32(nil)
-	m.sender.enqueue(w)
+// sendCancel tells the server to abort one stream, so its handler does
+// not stay parked waiting for credit or data that will never come.
+func (m *muxConn) sendCancel(id uint64) {
+	m.sender.enqueue(encodeRequest(id, opStreamCancel, nil, obs.SpanContext{}))
 }
 
 // recvLoop is the per-connection demux goroutine: it receives response
 // frames, adds each frame's own virtual cost to the server-reported
 // cost, and wakes the caller registered under the frame's request ID.
-// Stream data frames are routed to their Stream without completing
-// the call; each one also refreshes the call's idle deadline.
+// Stream data and upload credit frames go to the call's stream half
+// without completing the call; each one refreshes its idle deadline.
 func (m *muxConn) recvLoop() {
 	for {
 		frame, frameCost, err := m.conn.Recv()
@@ -657,61 +607,38 @@ func (m *muxConn) recvLoop() {
 			return
 		}
 
-		if status == statusCredit {
-			// Upload flow control: more data frames granted. Progress
-			// refreshes the idle deadline like stream data frames do.
-			sh := m.pendShardOf(id)
-			sh.mu.Lock()
-			pc := sh.pending[id]
-			if pc != nil && pc.upload != nil && pc.timeout > 0 {
-				pc.deadline = time.Now().Add(pc.timeout)
-				m.armSweepLocked(sh, pc.deadline)
-			}
-			sh.mu.Unlock()
-			if pc != nil && pc.upload != nil {
-				n, err := decodeAck(body)
-				if err != nil {
-					transport.PutFrame(frame)
-					m.fail(fmt.Errorf("rpc: malformed credit from %s: %w", m.addr, err))
-					return
-				}
-				pc.upload.addCredit(n)
-			}
-			transport.PutFrame(frame)
-			continue
-		}
-
-		if status == statusStream {
-			sh := m.pendShardOf(id)
-			sh.mu.Lock()
-			pc := sh.pending[id]
-			if pc != nil && pc.stream != nil && pc.timeout > 0 {
-				// Progress resets the clock: the timeout bounds silence,
-				// not the whole transfer.
-				pc.deadline = time.Now().Add(pc.timeout)
-				m.armSweepLocked(sh, pc.deadline)
-			}
-			sh.mu.Unlock()
+		if status == statusStream || status == statusCredit {
+			pc := m.touch(id)
 			switch {
 			case pc == nil:
 				// Canceled or timed-out stream; drop the late frame.
-				transport.PutFrame(frame)
-			case pc.stream == nil:
-				// A data frame for a unary call: op/shape mismatch.
-				// Fail the call and stop the sender instead of wedging.
-				m.withdraw(id)
-				pc.done <- callResult{err: fmt.Errorf("rpc: streaming response to unary call (op %d)", pc.op)}
-				m.cancelStream(id)
-				transport.PutFrame(frame)
-			default:
-				if !pc.stream.deliver(streamEvent{data: body, frame: frame, cost: frameCost}) {
-					// deliver refused, so the frame was not enqueued
-					// and is still ours to recycle.
-					transport.PutFrame(frame)
-					m.fail(fmt.Errorf("rpc: %s overran the stream window", m.addr))
-					return
+			case status == statusCredit:
+				if pc.send != nil {
+					n, err := decodeAck(body)
+					if err != nil {
+						transport.PutFrame(frame)
+						m.fail(fmt.Errorf("rpc: malformed credit from %s: %w", m.addr, err))
+						return
+					}
+					pc.send.grant(n)
 				}
+			case pc.recv == nil:
+				// A data frame for a call that is no response stream:
+				// op/shape mismatch. Fail the call and stop the sender
+				// instead of wedging.
+				if m.withdraw(id) {
+					pc.done <- callResult{err: fmt.Errorf("rpc: streaming response to unary call (op %d)", pc.op)}
+					m.sendCancel(id)
+				}
+			case !pc.recv.deliver(streamEvent{data: body, frame: frame, cost: frameCost}):
+				// The frame was not queued and is still ours to recycle.
+				transport.PutFrame(frame)
+				m.fail(fmt.Errorf("rpc: %s overran the stream window", m.addr))
+				return
+			default:
+				continue // the stream owns the frame now
 			}
+			transport.PutFrame(frame)
 			continue
 		}
 
@@ -728,21 +655,10 @@ func (m *muxConn) recvLoop() {
 			// A response with no pending entry belongs to a call that
 			// timed out; recycle and drop it.
 			transport.PutFrame(frame)
-		case pc.stream != nil:
+		case pc.recv != nil:
 			// The trailer's bytes escape to the stream consumer, so its
 			// frame is not recycled.
-			pc.stream.deliver(streamEvent{final: true, resp: body, cost: frameCost + cost, err: rerr})
-		case pc.upload != nil:
-			// The server answered the upload (the handler returned,
-			// possibly before the client finished sending): unblock a
-			// parked Send and hand CloseAndRecv the result.
-			var resp []byte
-			if len(body) > 0 {
-				resp = make([]byte, len(body))
-				copy(resp, body)
-			}
-			transport.PutFrame(frame)
-			pc.upload.finish(callResult{resp: resp, cost: frameCost + cost, err: rerr})
+			pc.recv.deliver(streamEvent{final: true, resp: body, cost: frameCost + cost, err: rerr})
 		default:
 			// The response body escapes to the caller; hand it a
 			// right-sized copy so the (size-classed, typically larger)
@@ -754,6 +670,11 @@ func (m *muxConn) recvLoop() {
 				copy(resp, body)
 			}
 			transport.PutFrame(frame)
+			if pc.send != nil {
+				// The server answered an upload, possibly before the
+				// client finished sending: fail further Sends.
+				pc.send.abort(cmp.Or(rerr, errUploadFinished))
+			}
 			pc.done <- callResult{resp: resp, cost: frameCost + cost, err: rerr}
 		}
 	}
@@ -794,15 +715,15 @@ func (m *muxConn) fail(err error) {
 }
 
 // deliverFailure completes one withdrawn pending call with err,
-// through its stream when it has one.
+// through its response stream when it has one.
 func deliverFailure(pc *pendingCall, err error) {
-	if pc.stream != nil {
-		pc.stream.deliver(streamEvent{final: true, err: err})
+	if pc.recv != nil {
+		pc.recv.abort(err)
 		return
 	}
-	if pc.upload != nil {
+	if pc.send != nil {
 		// Wake a Send parked on credit before completing the call.
-		pc.upload.abort(err)
+		pc.send.abort(err)
 	}
 	pc.done <- callResult{err: err}
 }
@@ -881,12 +802,11 @@ func (m *muxConn) sweep(sh *pendShard) {
 	for _, e := range expired {
 		mTimeouts.Inc()
 		deliverFailure(e.pc, fmt.Errorf("rpc: call to %s op %d timed out after %v", m.addr, e.pc.op, e.pc.timeout))
-		if (e.pc.stream != nil || e.pc.upload != nil) && !m.dead.Load() {
+		if e.pc.recv != nil || e.pc.send != nil {
 			// The server side of a timed-out stream is still parked
-			// waiting for credit (or for upload data frames); release
-			// it, or its handler goroutine would be leaked for the life
-			// of the connection.
-			m.sendCancelFrame(e.id)
+			// waiting for credit or data; release it, or its handler
+			// goroutine would be leaked for the life of the connection.
+			m.sendCancel(e.id)
 		}
 	}
 	if wedged {

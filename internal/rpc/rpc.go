@@ -3,7 +3,6 @@ package rpc
 import (
 	"errors"
 	"fmt"
-	"log"
 	"strconv"
 	"sync"
 	"time"
@@ -52,32 +51,43 @@ type Call struct {
 
 	cost time.Duration
 
-	// openStream is installed by the server so handlers can switch the
-	// response into the streaming shape; nil for calls constructed
-	// outside a served connection.
-	openStream func() (*StreamWriter, error)
-
-	// upload carries the client's data frames when the call was opened
-	// as an upload stream; nil for unary calls.
-	upload *UploadReader
+	// req is the served request this call was decoded from; nil for
+	// calls constructed outside a served connection. Copies of the Call
+	// share it, so a stream opened through any copy is recorded there.
+	req *serverRequest
 }
 
 // OpenStream switches this call's response into the streaming shape:
 // the returned writer sends data frames to the caller, and the
 // handler's eventual return value becomes the stream's trailer. Only
-// calls delivered by a Server can stream.
+// calls delivered by a Server can stream, and not uploads.
 func (c *Call) OpenStream() (*StreamWriter, error) {
-	if c.openStream == nil {
+	r := c.req
+	if r == nil || r.stream.r != nil {
 		return nil, errNotStreamable
 	}
-	return c.openStream()
+	if r.stream.w == nil {
+		sw := &StreamWriter{}
+		sw.init(r.streams.sender)
+		sw.id = r.id
+		if err := r.streams.open(r.id, serverStream{w: sw}); err != nil {
+			return nil, err
+		}
+		r.stream.w = sw
+	}
+	return r.stream.w, nil
 }
 
 // Upload returns the reader for the client's data frames when this
 // call was opened as an upload stream (Client.CallUpload), nil for a
 // unary call. Handlers that accept both shapes probe it and fall back
 // to decoding the request body.
-func (c *Call) Upload() *UploadReader { return c.upload }
+func (c *Call) Upload() *UploadReader {
+	if c.req == nil {
+		return nil
+	}
+	return c.req.stream.r
+}
 
 // Charge adds the virtual cost of a nested call made while serving this
 // request; it is reflected back to the caller in the response. Each
@@ -231,21 +241,17 @@ func (s *Server) serveConn(raw transport.Conn) {
 	// concurrently completing handlers cost one vectored write. A send
 	// failure closes the connection, which the read loop observes.
 	sender := newConnSender(conn, func(error) { conn.Close() })
-	// Response streams for this connection; torn down with it so no
-	// handler stays blocked on flow-control credit.
-	streams := newStreamTable(sender)
+	// The connection's streams, both directions; torn down with it so no
+	// handler stays parked on credit or data that can never arrive.
+	streams := &streamTable{sender: sender, m: make(map[uint64]serverStream)}
 	defer streams.closeAll(transport.ErrClosed)
-	// Inbound upload streams; torn down with the connection so no
-	// handler stays parked in Recv.
-	uploads := newUploadTable(sender)
-	defer uploads.closeAll(transport.ErrClosed)
 	// Requests are dispatched to a lazily grown per-connection worker
 	// pool: steady pipelined traffic reuses parked goroutines instead of
 	// spawning one per request. The hand-off channel is unbuffered, so a
 	// try-send succeeds only when a worker is actually parked waiting —
 	// a request is never queued behind a busy worker while the pool has
 	// room to grow. At the cap the blocking send is the backpressure.
-	reqs := make(chan serverRequest)
+	reqs := make(chan *serverRequest)
 	defer close(reqs)
 	var workers int
 	for {
@@ -258,93 +264,105 @@ func (s *Server) serveConn(raw transport.Conn) {
 			s.logf("rpc: malformed request from %s: %v", conn.RemoteAddr(), err)
 			return
 		}
+		var upload *UploadReader
 		if call.Op >= opReserved {
-			// Stream flow-control and upload frames are consumed by the
-			// RPC layer itself, never dispatched — except opUploadOpen,
-			// which unwraps into an ordinary dispatch with a reader
-			// attached.
-			switch call.Op {
-			case opStreamAck:
-				n, err := decodeAck(call.Body)
-				if err != nil {
-					s.logf("rpc: %v from %s", err, conn.RemoteAddr())
-					return
-				}
-				streams.ack(id, n)
-			case opStreamCancel:
-				// A request ID names at most one stream direction; tell
-				// both tables and let the other shrug.
-				streams.cancel(id)
-				uploads.cancel(id)
-			case opUploadOpen:
-				innerOp, header, err := decodeUploadOpen(call.Body)
-				if err != nil {
-					s.logf("rpc: malformed upload open from %s: %v", conn.RemoteAddr(), err)
-					return
-				}
-				if innerOp >= opReserved {
-					sender.enqueue(encodeResponse(id, nil, fmt.Errorf("rpc: op %#x is reserved for the protocol", innerOp), frameCost))
-					break
-				}
-				ur, err := uploads.open(id)
-				if err != nil {
-					// Over the upload cap (or racing teardown): answer the
-					// call with the error instead of wedging the uploader.
-					sender.enqueue(encodeResponse(id, nil, err, frameCost))
-					break
-				}
-				call.Op = innerOp
-				call.Body = header
-				call.upload = ur
-				goto dispatch
-			case opUploadData:
-				if ok, overrun := uploads.deliver(id, uploadEvent{data: call.Body, frame: frame, cost: frameCost}); ok {
-					continue // the reader owns the frame now
-				} else if overrun {
-					s.logf("rpc: %s overran the upload window", conn.RemoteAddr())
-					return
-				}
-				// No reader (handler already answered); drop the frame.
-			case opUploadEnd:
-				uploads.deliver(id, uploadEvent{final: true, cost: frameCost}) //nolint:errcheck // late end frames are harmless
-			default:
-				s.logf("rpc: unknown reserved op %d from %s", call.Op, conn.RemoteAddr())
+			if upload, err = s.control(streams, id, &call, frame, frameCost); err != nil {
+				s.logf("rpc: %v from %s", err, conn.RemoteAddr())
+				return
 			}
-			transport.PutFrame(frame)
-			continue
+			if upload == nil {
+				continue
+			}
 		}
-	dispatch:
 		call.Peer = peer
 		call.RemoteAddr = conn.RemoteAddr()
-		call.openStream = func() (*StreamWriter, error) { return streams.open(id) }
-		r := serverRequest{id: id, call: call, frameCost: frameCost, frame: frame}
+		r := &serverRequest{call: call, id: id, frame: frame, frameCost: frameCost, streams: streams, stream: serverStream{r: upload}}
+		r.call.req = r
 		select {
 		case reqs <- r:
 		default:
 			if workers < maxConnRequests {
 				workers++
-				go s.connWorker(sender, streams, uploads, reqs)
+				go s.connWorker(reqs)
 			}
 			reqs <- r
 		}
 	}
 }
 
-type serverRequest struct {
-	id        uint64
-	call      *Call
-	frameCost time.Duration
-	frame     []byte
+// control consumes one reserved-op frame: stream credit and cancel, and
+// the upload frames. An upload open returns the reader to dispatch the
+// call with, the call rewritten to the inner op and header. An error
+// condemns the connection.
+func (s *Server) control(streams *streamTable, id uint64, call *Call, frame []byte, frameCost time.Duration) (*UploadReader, error) {
+	switch call.Op {
+	case opStreamAck:
+		n, err := decodeAck(call.Body)
+		if err != nil {
+			return nil, err
+		}
+		if sw := streams.lookup(id).w; sw != nil {
+			sw.grant(n)
+		}
+	case opStreamCancel:
+		streams.lookup(id).abort(ErrStreamCanceled)
+	case opUploadOpen:
+		op, header, err := decodeUploadOpen(call.Body)
+		if err != nil {
+			return nil, fmt.Errorf("malformed upload open: %w", err)
+		}
+		if op >= opReserved {
+			err = errReservedOp(op)
+		} else {
+			ur := &UploadReader{}
+			ur.init(streams.sender, encodeCredit)
+			ur.id = id
+			if err = streams.open(id, serverStream{r: ur}); err == nil {
+				call.Op, call.Body = op, header
+				return ur, nil
+			}
+		}
+		// Answer the call with the error (over the stream cap, say)
+		// instead of wedging the uploader.
+		streams.sender.enqueue(encodeResponse(id, nil, err, frameCost))
+	case opUploadData:
+		accepted, overrun := streams.deliver(id, streamEvent{data: call.Body, frame: frame, cost: frameCost})
+		if overrun {
+			return nil, errors.New("upload window overrun")
+		}
+		if accepted {
+			return nil, nil // the reader owns the frame now
+		}
+		// No reader (the handler already answered); drop the frame.
+	case opUploadEnd:
+		streams.deliver(id, streamEvent{final: true, cost: frameCost}) //nolint:errcheck // late end frames are harmless
+	default:
+		s.logf("rpc: unknown reserved op %d", call.Op)
+	}
+	transport.PutFrame(frame)
+	return nil, nil
 }
 
-func (s *Server) connWorker(sender *connSender, streams *streamTable, uploads *uploadTable, reqs <-chan serverRequest) {
+// serverRequest is one request read off a served connection, with the
+// stream it opened in either direction: the stream its handler's
+// completion unlinks, and no other.
+type serverRequest struct {
+	call      Call
+	id        uint64
+	frame     []byte
+	frameCost time.Duration
+	streams   *streamTable
+	stream    serverStream
+}
+
+func (s *Server) connWorker(reqs <-chan *serverRequest) {
 	for r := range reqs {
-		s.handleRequest(sender, streams, uploads, r)
+		s.handleRequest(r)
 	}
 }
 
-func (s *Server) handleRequest(sender *connSender, streams *streamTable, uploads *uploadTable, r serverRequest) {
-	id, call := r.id, r.call
+func (s *Server) handleRequest(r *serverRequest) {
+	id, call, sender := r.id, &r.call, r.streams.sender
 	// Regenerate the span at this hop: the handler runs under a fresh
 	// server-side span whose context rides call.TC into any nested
 	// calls the handler makes. Untraced requests get a nil span and an
@@ -356,12 +374,15 @@ func (s *Server) handleRequest(sender *connSender, streams *streamTable, uploads
 	mServeSeconds.ObserveSince(start)
 	span.SetError(herr)
 	span.End()
-	if call.upload != nil {
-		// The handler is done with the upload: withdraw the reader so
-		// late data frames are dropped, recycle anything it never
-		// consumed, and fold the data frames' virtual cost into the
-		// response like any nested charge.
-		if ur := uploads.take(id); ur != nil {
+	if r.stream != (serverStream{}) {
+		// The handler is done with its stream: unlink it so late frames
+		// for it are dropped. An upload's reader then recycles anything
+		// the handler never consumed, and the data frames' virtual cost
+		// joins the response like any nested charge. A response
+		// stream's data frames are already queued ahead of the trailer
+		// below on the same sender, so ordering holds.
+		r.streams.remove(id, r.stream)
+		if ur := r.stream.r; ur != nil {
 			call.Charge(ur.drain())
 		}
 	}
@@ -373,10 +394,6 @@ func (s *Server) handleRequest(sender *connSender, streams *streamTable, uploads
 		w.Free()
 		w = encodeResponse(id, nil, fmt.Errorf("response unencodable: %v", err), r.frameCost+call.Cost())
 	}
-	// If the handler streamed, its return value travels as the final
-	// (trailer) frame; data frames are already queued ahead of it on
-	// the same sender, so ordering holds.
-	streams.take(id)
 	sender.enqueue(w)
 	// The handler is done with the request body; recycle its frame.
 	transport.PutFrame(r.frame)
@@ -396,11 +413,12 @@ func (s *Server) safeHandle(call *Call) (body []byte, err error) {
 	return s.handler(call)
 }
 
-// decodeRequest splits a request frame. The 16-byte trace tail is
-// optional: frames from peers predating trace propagation simply end
-// after the body and decode to an untraced call, so the wire format
-// stays compatible in both directions.
-func decodeRequest(frame []byte) (uint64, *Call, error) {
+// decodeRequest splits a request frame. The call is returned by value:
+// reserved-op frames never reach a handler, so they allocate nothing.
+// The 16-byte trace tail is optional: frames from peers predating trace
+// propagation simply end after the body and decode to an untraced call,
+// so the wire format stays compatible in both directions.
+func decodeRequest(frame []byte) (uint64, Call, error) {
 	r := wire.NewReader(frame)
 	id := r.Uint64()
 	op := r.Uint16()
@@ -411,9 +429,9 @@ func decodeRequest(frame []byte) (uint64, *Call, error) {
 		tc.Span = r.Uint64()
 	}
 	if err := r.Done(); err != nil {
-		return 0, nil, err
+		return 0, Call{}, err
 	}
-	return id, &Call{Op: op, Body: body, TC: tc}, nil
+	return id, Call{Op: op, Body: body, TC: tc}, nil
 }
 
 // traceTailLen is the size of the optional trace context appended to
@@ -436,22 +454,24 @@ func encodeRequest(id uint64, op uint16, body []byte, tc obs.SpanContext) *wire.
 	return w
 }
 
-// encodeResponse builds a response frame in a pooled writer. The caller
-// must Free it once the frame has been sent.
+// encodeResponse builds a call's final response frame: the handler's
+// body, or its error.
 func encodeResponse(id uint64, body []byte, herr error, cost time.Duration) *wire.Writer {
-	w := wire.GetWriter(24 + len(body))
-	w.Uint64(id)
 	if herr != nil {
-		w.Uint8(1)
-		w.Str(truncateErr(herr.Error()))
-		w.Int64(int64(cost))
-		w.Bytes32(nil)
-	} else {
-		w.Uint8(0)
-		w.Str("")
-		w.Int64(int64(cost))
-		w.Bytes32(body)
+		return responseFrame(id, statusErr, truncateErr(herr.Error()), cost, nil)
 	}
+	return responseFrame(id, statusOK, "", cost, body)
+}
+
+// responseFrame builds a response frame in a pooled writer. The caller
+// must Free it once the frame has been sent.
+func responseFrame(id uint64, status uint8, msg string, cost time.Duration, body []byte) *wire.Writer {
+	w := wire.GetWriter(27 + len(msg) + len(body))
+	w.Uint64(id)
+	w.Uint8(status)
+	w.Str(msg)
+	w.Int64(int64(cost))
+	w.Bytes32(body)
 	return w
 }
 
@@ -485,13 +505,5 @@ func decodeResponse(frame []byte) (id uint64, status uint8, body []byte, cost ti
 		// An unknown status byte means a corrupt or incompatible peer;
 		// condemn the connection like any other malformed frame.
 		return 0, 0, nil, 0, nil, fmt.Errorf("rpc: unknown response status %d", status)
-	}
-}
-
-// LogTo is the default diagnostic sink for servers created without
-// WithServerLog by cmd/ daemons.
-func LogTo(prefix string) func(string, ...any) {
-	return func(format string, args ...any) {
-		log.Printf(prefix+": "+format, args...)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gdn/internal/obs"
 	"gdn/internal/transport"
 )
 
@@ -44,7 +45,7 @@ func TestStreamDeliversFramesInOrder(t *testing.T) {
 	cl := NewClient(n, "client", "server:stream")
 	defer cl.Close()
 
-	st, err := cl.CallStream(7, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestStreamFlowControlBlocksServer(t *testing.T) {
 	cl := NewClient(n, "client", "server:flow")
 	defer cl.Close()
 
-	st, err := cl.CallStream(1, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestStreamCancelUnblocksHandler(t *testing.T) {
 	cl := NewClient(n, "client", "server:cancel")
 	defer cl.Close()
 
-	st, err := cl.CallStream(1, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestStreamRemoteError(t *testing.T) {
 	cl := NewClient(n, "client", "server:fail")
 	defer cl.Close()
 
-	st, err := cl.CallStream(1, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestCallStreamOnUnaryHandler(t *testing.T) {
 	cl := NewClient(n, "client", "server:unary")
 	defer cl.Close()
 
-	st, err := cl.CallStream(3, []byte{42})
+	st, err := cl.CallStream(obs.SpanContext{}, 3, []byte{42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestStreamInterleavesWithUnaryCalls(t *testing.T) {
 	cl := NewClient(n, "client", "server:mixed")
 	defer cl.Close()
 
-	st, err := cl.CallStream(99, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 99, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestStreamOverTCP(t *testing.T) {
 	cl := NewClient(tcp, "", srv.Addr())
 	defer cl.Close()
 
-	st, err := cl.CallStream(1, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

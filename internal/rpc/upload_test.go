@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 	"gdn/internal/transport"
 )
 
@@ -51,7 +52,7 @@ func TestUploadDeliversFramesInOrder(t *testing.T) {
 	defer cl.Close()
 
 	const frames, size = 100, 8 << 10
-	us, err := cl.CallUpload(7, nil)
+	us, err := cl.CallUpload(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestUploadHeaderReachesHandler(t *testing.T) {
 	cl := NewClient(n, "client", "server:hdr")
 	defer cl.Close()
 
-	us, err := cl.CallUpload(42, []byte("manifest"))
+	us, err := cl.CallUpload(obs.SpanContext{}, 42, []byte("manifest"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestUploadFlowControlBoundsOutstanding(t *testing.T) {
 	cl := NewClient(n, "client", "server:fc")
 	defer cl.Close()
 
-	us, err := cl.CallUpload(7, nil)
+	us, err := cl.CallUpload(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestUploadServerEarlyAnswerUnblocksSender(t *testing.T) {
 	cl := NewClient(n, "client", "server:early")
 	defer cl.Close()
 
-	us, err := cl.CallUpload(7, nil)
+	us, err := cl.CallUpload(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestUploadCancelUnblocksHandler(t *testing.T) {
 	cl := NewClient(n, "client", "server:cancel")
 	defer cl.Close()
 
-	us, err := cl.CallUpload(7, nil)
+	us, err := cl.CallUpload(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestUploadConnectionDeathFailsBothSides(t *testing.T) {
 	cl := NewClient(n, "client", "server:death")
 	defer cl.Close()
 
-	us, err := cl.CallUpload(7, nil)
+	us, err := cl.CallUpload(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestUploadInterleavesWithUnaryCalls(t *testing.T) {
 	cl := NewClient(n, "client", "server:mix")
 	defer cl.Close()
 
-	us, err := cl.CallUpload(7, nil)
+	us, err := cl.CallUpload(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +341,7 @@ func TestUploadReservedInnerOpRejected(t *testing.T) {
 	defer srv.Close()
 	cl := NewClient(n, "client", "server:resv")
 	defer cl.Close()
-	if _, err := cl.CallUpload(opStreamAck, nil); err == nil {
+	if _, err := cl.CallUpload(obs.SpanContext{}, opStreamAck, nil); err == nil {
 		t.Fatalf("reserved inner op accepted")
 	}
 }
@@ -356,7 +357,7 @@ func TestUploadOverTCP(t *testing.T) {
 	defer cl.Close()
 
 	const frames, size = 64, 64 << 10
-	us, err := cl.CallUpload(7, nil)
+	us, err := cl.CallUpload(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestUploadSweeperFailsWaitersOnWedgedConn(t *testing.T) {
 
 	cl := NewClient(n, "client", "server:wedge")
 	cl.Timeout = 200 * time.Millisecond
-	us, err := cl.CallUpload(9, nil)
+	us, err := cl.CallUpload(obs.SpanContext{}, 9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestSendOwnedReleasesExactlyOnceOnSuccess(t *testing.T) {
 	cl := NewClient(n, "client", "server:zc")
 	defer cl.Close()
 
-	st, err := cl.CallStream(7, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSendOwnedReleasesOnConnectionDeath(t *testing.T) {
 	cl := NewClient(n, "client", "server:zcdeath")
 	defer cl.Close()
 
-	st, err := cl.CallStream(7, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestSendFileStreamsFileBytes(t *testing.T) {
 	cl := NewClient(n, "client", "server:zcfile")
 	defer cl.Close()
 
-	st, err := cl.CallStream(7, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func streamFile(t *testing.T, net transport.Network, addr, from string, content 
 	defer srv.Close()
 	cl := NewClient(net, from, srv.Addr(), cliOpts...)
 	defer cl.Close()
-	st, err := cl.CallStream(7, nil)
+	st, err := cl.CallStream(obs.SpanContext{}, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
