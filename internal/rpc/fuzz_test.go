@@ -127,7 +127,9 @@ func FuzzServerFrames(f *testing.F) {
 				}
 			}
 		}()
-		for _, frame := range append(fuzzFrames(in), encodeRequest(fence, 1, nil, obs.SpanContext{}).Bytes()) {
+		last := encodeRequest(fence, 1, nil, obs.SpanContext{})
+		defer last.Free()
+		for _, frame := range append(fuzzFrames(in), last.Bytes()) {
 			if conn.Send(frame) != nil {
 				break
 			}

@@ -627,7 +627,7 @@ func (m *muxConn) recvLoop() {
 				// op/shape mismatch. Fail the call and stop the sender
 				// instead of wedging.
 				if m.withdraw(id) {
-					pc.done <- callResult{err: fmt.Errorf("rpc: streaming response to unary call (op %d)", pc.op)}
+					deliverFailure(pc, fmt.Errorf("rpc: streaming response to unary call (op %d)", pc.op))
 					m.sendCancel(id)
 				}
 			case !pc.recv.deliver(streamEvent{data: body, frame: frame, cost: frameCost}):
