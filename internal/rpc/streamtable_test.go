@@ -235,3 +235,64 @@ func TestStreamCapCoversBothDirections(t *testing.T) {
 		t.Fatalf("Recv after the refusal: %v, want io.EOF", err)
 	}
 }
+
+// A server answering an upload with response-stream data is broken; the
+// call fails, and so does a Send parked on the upload's window.
+func TestStreamDataOnUploadFailsParkedSend(t *testing.T) {
+	n := simNet(t)
+	l, err := n.Listen("server:shape")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	reply := make(chan struct{})
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		frame, _, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		id, _, err := decodeRequest(frame)
+		if err != nil {
+			return
+		}
+		<-reply
+		w := responseFrame(id, statusStream, "", 0, []byte("x"))
+		conn.Send(w.Bytes())
+		w.Free()
+		for {
+			if _, _, err := conn.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	cl := NewClient(n, "client", "server:shape")
+	defer cl.Close()
+	us, err := cl.CallUpload(obs.SpanContext{}, 7, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < streamWindow; i++ {
+		if err := us.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- us.Send([]byte("parked")) }()
+	close(reply)
+	select {
+	case err := <-parked:
+		if err == nil {
+			t.Fatal("Send beyond the window succeeded without credit")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send still parked after the call failed")
+	}
+	if _, _, err := us.CloseAndRecv(); err == nil {
+		t.Fatal("CloseAndRecv succeeded on a mis-shaped answer")
+	}
+}
