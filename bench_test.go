@@ -274,9 +274,9 @@ func BenchmarkE3_LookupPartitionedRoot16(b *testing.B) {
 // --- Registration sessions: control-plane renewal cost ----------------
 
 // benchLeaseWorld deploys a one-leaf tree (janitor off, so the timer
-// measures renewal, not sweeping) and registers `replicas` entries for
-// one server address.
-func benchLeaseWorld(b *testing.B, replicas int) (*gls.Resolver, *gls.ServerSession, []ids.OID) {
+// measures renewal, not sweeping) and attaches `replicas` entries to
+// one server's registration session.
+func benchLeaseWorld(b *testing.B, replicas int) *gls.ServerSession {
 	b.Helper()
 	net := netsim.New(nil)
 	net.AddSite("hub", "hub", "core")
@@ -298,41 +298,20 @@ func benchLeaseWorld(b *testing.B, replicas int) (*gls.Resolver, *gls.ServerSess
 	if err != nil {
 		b.Fatal(err)
 	}
-	oids := make([]ids.OID, replicas)
 	ca := gls.ContactAddress{Protocol: "clientserver", Address: "gos:gos-obj", Impl: pkgobj.Impl, Role: "server"}
-	for i := range oids {
-		oid, _, err := sess.Attach(ids.Nil, ca)
-		if err != nil {
+	for i := 0; i < replicas; i++ {
+		if _, _, err := sess.Attach(ids.Nil, ca); err != nil {
 			b.Fatal(err)
 		}
-		oids[i] = oid
 	}
-	return res, sess, oids
+	return sess
 }
 
-// BenchmarkLeaseRenewal pins the control-plane cost of keeping 1000
-// replicas registered: the pre-session protocol re-inserts every entry
-// per heartbeat (1000 RPCs), the session protocol renews once. Both
-// run against the same tree so BENCH_ci.json tracks the ratio per
-// commit.
-func BenchmarkLeaseRenewal_PerReplica1k(b *testing.B) {
-	res, _, oids := benchLeaseWorld(b, 1000)
-	ca := gls.ContactAddress{Protocol: "clientserver", Address: "gos:gos-obj", Impl: pkgobj.Impl, Role: "server"}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// One heartbeat interval, the old way: one InsertLease per
-		// hosted replica.
-		for _, oid := range oids {
-			if _, _, err := res.InsertLease(oid, ca, time.Hour); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(oids)), "rpcs/heartbeat")
-}
-
+// BenchmarkLeaseRenewal_Session1k pins the control-plane cost of
+// keeping 1000 replicas registered: one batched session renewal per
+// heartbeat, however many entries ride the session.
 func BenchmarkLeaseRenewal_Session1k(b *testing.B) {
-	_, sess, _ := benchLeaseWorld(b, 1000)
+	sess := benchLeaseWorld(b, 1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// One heartbeat interval, the session way: one batched renew

@@ -9,14 +9,13 @@
 //	gdn-gls -domain eu   -addr :7002 -self :7002 -parent :7001
 //	gdn-gls -domain eu/nl -addr :7003 -self :7003 -parent :7002
 //
-// Persistence (§7) comes in two shapes. The preferred one is
-// -state-dir: the node keeps a base snapshot plus an append-only
-// journal there, batching mutations to disk every -flush-every and
-// folding the journal into a fresh base once it outgrows
-// -compact-bytes — steady-state traffic costs appends, never a full
-// rewrite. The legacy -snapshot flag still writes one monolithic
-// snapshot file on shutdown (and periodically, as crash insurance)
-// and restores it on start; old v1/v2 snapshot files restore fine.
+// Persistence (§7) is -state-dir: the node keeps a base snapshot plus
+// an append-only journal there, batching mutations to disk every
+// -flush-every and folding the journal into a fresh base once it
+// outgrows -compact-bytes — steady-state traffic costs appends, never
+// a full rewrite. Without -state-dir the node keeps its state in
+// memory only; servers holding registration sessions re-attach their
+// entries to a restarted node on their next heartbeat.
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 		self     = flag.String("self", "", "comma-separated addresses of all subnodes of this domain (default: -addr)")
 		parent   = flag.String("parent", "", "comma-separated parent node addresses (empty for the root)")
 		seed     = flag.Int64("seed", 1, "seed for random forwarding-pointer choice")
-		snapshot = flag.String("snapshot", "", "legacy monolithic snapshot file (prefer -state-dir)")
 		stateDir = flag.String("state-dir", "", "directory for the base snapshot + append journal")
 		flushEv  = flag.Duration("flush-every", time.Second, "journal flush (write+fsync) interval for -state-dir")
 		compact  = flag.Int64("compact-bytes", 8<<20, "journal size that triggers compaction into a new base snapshot")
@@ -72,50 +70,12 @@ func main() {
 		fmt.Printf("gdn-gls: journaling state to %s (flush %v, compact at %d bytes)\n",
 			*stateDir, *flushEv, *compact)
 	}
-
-	if *snapshot != "" {
-		if b, err := os.ReadFile(*snapshot); err == nil {
-			if err := node.Restore(b); err != nil {
-				daemon.Fatal(fmt.Errorf("restore %s: %w", *snapshot, err))
-			}
-			fmt.Printf("gdn-gls: restored %d records from %s\n", node.Records(), *snapshot)
-		}
-	}
 	fmt.Printf("gdn-gls: directory node for %q serving on %s\n", *domain, *addr)
 	if dbg := df.Serve(daemon.Logf("gdn-gls")); dbg != "" {
 		fmt.Printf("gdn-gls: debug endpoint on http://%s/debug/gdn/metrics\n", dbg)
 	}
 
-	// Legacy snapshot mode has no journal: flush a periodic snapshot so
-	// a crash loses minutes of registrations, not all of them.
-	var stopFlush chan struct{}
-	if *snapshot != "" && *stateDir == "" {
-		stopFlush = make(chan struct{})
-		go func() {
-			t := time.NewTicker(5 * time.Minute)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := os.WriteFile(*snapshot, node.Snapshot(), 0o600); err != nil {
-						daemon.Logf("gdn-gls")("periodic snapshot: %v", err)
-					}
-				case <-stopFlush:
-					return
-				}
-			}
-		}()
-	}
-
 	sig := daemon.WaitForSignal()
 	fmt.Printf("gdn-gls: %v, shutting down\n", sig)
-	if stopFlush != nil {
-		close(stopFlush)
-	}
-	if *snapshot != "" {
-		if err := os.WriteFile(*snapshot, node.Snapshot(), 0o600); err != nil {
-			daemon.Fatal(err)
-		}
-	}
 	node.Close()
 }

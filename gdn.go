@@ -586,7 +586,7 @@ type HTTPDConfig struct {
 	// ("" = in-memory).
 	StateDir string
 	// LeaseTTL is the registration-session lifetime for registered
-	// caches (0 = default 30s, negative = permanent registrations).
+	// caches (<= 0 = default 30s).
 	LeaseTTL time.Duration
 	// RenewEvery overrides the session heartbeat cadence (negative
 	// disables the loop; tests renew by hand).

@@ -53,16 +53,6 @@ func (df *DebugFlags) Register(fs *flag.FlagSet) {
 // errors are fatal because an operator who asked for the endpoint
 // needs to know it is not there.
 func (df *DebugFlags) Serve(logf func(string, ...any)) string {
-	return df.serveMux(DebugMux(), logf)
-}
-
-// ServeWith serves extra handlers alongside the debug set on the same
-// listener — the httpd daemon mounts its site mux this way.
-func (df *DebugFlags) ServeWith(mux *http.ServeMux, logf func(string, ...any)) string {
-	return df.serveMux(mux, logf)
-}
-
-func (df *DebugFlags) serveMux(mux *http.ServeMux, logf func(string, ...any)) string {
 	if df.Addr == "" {
 		return ""
 	}
@@ -71,7 +61,7 @@ func (df *DebugFlags) serveMux(mux *http.ServeMux, logf func(string, ...any)) st
 		Fatal(err)
 	}
 	go func() {
-		if err := http.Serve(ln, mux); err != nil {
+		if err := http.Serve(ln, DebugMux()); err != nil {
 			logf("debug endpoint: %v", err)
 		}
 	}()

@@ -190,8 +190,8 @@ func (s *Server) applyUpdate(msg *Message) *Message {
 }
 
 // NewUpdate builds an unsigned RFC 2136 update message for a zone.
-// Append records with AddInsert/AddDeleteRRset/AddDeleteRR, then sign
-// with SignTSIG and send through a resolver or client.
+// Append records with AddInsert, then sign with SignTSIG and send
+// through a resolver or client.
 func NewUpdate(zone string) *Message {
 	return &Message{
 		Opcode:    OpcodeUpdate,
@@ -203,18 +203,5 @@ func NewUpdate(zone string) *Message {
 func AddInsert(m *Message, rr RR) {
 	rr.Name = CanonicalName(rr.Name)
 	rr.Class = ClassIN
-	m.Authority = append(m.Authority, rr)
-}
-
-// AddDeleteRRset appends a delete-RRset operation.
-func AddDeleteRRset(m *Message, name string, t Type) {
-	m.Authority = append(m.Authority, RR{Name: CanonicalName(name), Type: t, Class: ClassANY})
-}
-
-// AddDeleteRR appends a delete-exact-record operation.
-func AddDeleteRR(m *Message, rr RR) {
-	rr.Name = CanonicalName(rr.Name)
-	rr.Class = ClassNone
-	rr.TTL = 0
 	m.Authority = append(m.Authority, rr)
 }

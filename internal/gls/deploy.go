@@ -49,7 +49,6 @@ type deployOptions struct {
 	service string
 	clock   func() time.Time
 	sweep   time.Duration
-	logf    func(string, ...any)
 }
 
 // WithTreeClock installs a time source on every directory node; lease
@@ -74,11 +73,6 @@ func WithTreeAuth(cfg *sec.Config) DeployOption {
 // "gls"); tests deploying several trees on one network need it.
 func WithServiceName(s string) DeployOption {
 	return func(o *deployOptions) { o.service = s }
-}
-
-// WithTreeLog directs node diagnostics to logf.
-func WithTreeLog(logf func(string, ...any)) DeployOption {
-	return func(o *deployOptions) { o.logf = logf }
 }
 
 // Deploy starts a directory node for every domain in the hierarchy
@@ -126,7 +120,6 @@ func (t *Tree) deploy(spec DomainSpec, parent Ref, o *deployOptions) error {
 			Auth:       o.auth,
 			Clock:      o.clock,
 			SweepEvery: o.sweep,
-			Logf:       o.logf,
 		})
 		if err != nil {
 			for _, n := range d.nodes {

@@ -71,17 +71,6 @@ const (
 	OpRemovePtr
 	// OpStats returns the node's operation counters.
 	OpStats
-	// OpDump returns the node's full state; used by persistence and tests.
-	OpDump
-	// OpDrain marks (or unmarks) a transport address as draining at this
-	// node: its contact addresses stop appearing in lookup responses
-	// while other replicas remain, without deleting any registration
-	// state. Object servers send it when their chunk store turns
-	// chronically corrupt, so traffic shifts to healthy replicas until
-	// the store heals (ROADMAP: "scrub results feed the GLS"). When the
-	// address belongs to a registration session the flag is recorded on
-	// the session, so it survives snapshot/restore with it.
-	OpDrain
 	// OpSessionOpen opens (or refreshes) a registration session: one
 	// lease covering every contact address a server attaches through it.
 	// The body carries the session identifier (allocated by the server),
@@ -262,7 +251,7 @@ type Counters struct {
 	Deletes       int64 // deregistrations
 	PtrOps        int64 // forwarding-pointer installs and removals
 	Expiries      int64 // leased contact addresses aged out
-	Drains        int64 // drain/undrain requests handled
+	Drains        int64 // drain-state changes applied
 	SessionOpens  int64 // registration sessions opened (or reopened)
 	SessionRenews int64 // batched session renewals handled
 	SessionCloses int64 // orderly session closes handled

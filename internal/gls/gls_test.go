@@ -1,9 +1,11 @@
 package gls
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -419,8 +421,12 @@ func TestSnapshotRestore(t *testing.T) {
 // emptySnapshot builds the snapshot of a record-less node for the given
 // domain, mimicking the state a freshly started node would checkpoint.
 func emptySnapshot(domain string) []byte {
-	w := wire.NewWriter(16)
+	w := wire.NewWriter(32)
+	w.Str(snapshotMagic)
 	w.Str(domain)
+	w.Count(0)  // drained addresses
+	w.Count(0)  // sessions
+	w.Uint32(1) // one record group
 	w.Count(0)
 	return w.Bytes()
 }
@@ -604,6 +610,23 @@ func TestEncodeDecodeAddrsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeAddrsForgedCountAllocatesNothing: a 4-byte body claiming
+// 2^20 contact addresses fails before the decoder preallocates for
+// them (64 MiB of ContactAddress headers at the old bound).
+func TestDecodeAddrsForgedCountAllocatesNothing(t *testing.T) {
+	body := binary.BigEndian.AppendUint32(nil, wire.MaxCount)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeAddrs(body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("forged address count decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("failed decode of a 4-byte body allocated %d bytes", got)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // persistence path. Layout on disk, under Config.StateDir:
 //
 //	base.snap    "gls-base/1" header + generation + a v3 Snapshot
-//	journal.log  walog frames: a "gls-journal/1" header frame carrying
+//	journal.log  walog frames: a "gls-journal/2" header frame carrying
 //	             the generation, then one frame per mutation
 //
 // Every mutation handler appends one entry after releasing its shard
@@ -33,20 +33,22 @@ import (
 // (kill -9 mid-append) is truncated by walog; everything before it
 // replays.
 //
-// Replay follows the restore clock contract: leases and session TTLs
-// restart relative to the recovering node's clock, so a dead server's
-// entries age out within one TTL of the restart, and session owners
-// repair anything in the loss window (mutations since the last flush)
-// through the renewal attached-count echo.
+// Replay follows the restore clock contract: session TTLs restart
+// relative to the recovering node's clock, so a dead server's entries
+// age out within one TTL of the restart, and session owners repair
+// anything in the loss window (mutations since the last flush) through
+// the renewal attached-count echo. A journal with another header magic
+// (the retired "gls-journal/1", whose insert entries carried a
+// per-entry TTL) is refused rather than misparsed.
 const (
 	baseMagic    = "gls-base/1"
-	journalMagic = "gls-journal/1"
+	journalMagic = "gls-journal/2"
 	baseFile     = "base.snap"
 	journalFile  = "journal.log"
 )
 
-// Journal entry kinds, one per mutating op. Lease expiry needs none:
-// a replayed lease re-expires against the restored clock on its own.
+// Journal entry kinds, one per mutating op. Session expiry needs none:
+// a replayed session re-expires against the restored clock on its own.
 const (
 	jInsert = uint8(iota + 1)
 	jDelete
@@ -276,7 +278,6 @@ func (n *Node) applyLogEntry(p []byte) error {
 	case jInsert:
 		oid := r.OID()
 		ca := decodeContactAddress(r)
-		ttlSecs := r.Uint32()
 		sid := r.OID()
 		if err := r.Done(); err != nil {
 			return err
@@ -290,10 +291,6 @@ func (n *Node) applyLogEntry(p []byte) error {
 				return nil // session gone by end of log; entry is moot
 			}
 		}
-		var expires time.Time
-		if sess == nil && ttlSecs > 0 {
-			expires = now.Add(time.Duration(ttlSecs) * time.Second)
-		}
 		sh := n.shard(oid)
 		sh.mu.Lock()
 		rec := sh.recs[oid]
@@ -301,7 +298,7 @@ func (n *Node) applyLogEntry(p []byte) error {
 			rec = &record{}
 			sh.recs[oid] = rec
 		}
-		attachAddr(rec, ca, expires, sess)
+		attachAddr(rec, ca, sess)
 		sh.mu.Unlock()
 	case jDelete:
 		oid := r.OID()
@@ -431,7 +428,7 @@ func (n *Node) applyLogEntry(p []byte) error {
 // the journal; they no-op on nodes running without a StateDir. They
 // are called after the mutation's shard lock is released.
 
-func (n *Node) journalInsert(oid ids.OID, ca ContactAddress, ttlSecs uint32, sid ids.OID) {
+func (n *Node) journalInsert(oid ids.OID, ca ContactAddress, sid ids.OID) {
 	if n.journal == nil {
 		return
 	}
@@ -439,7 +436,6 @@ func (n *Node) journalInsert(oid ids.OID, ca ContactAddress, ttlSecs uint32, sid
 	w.Uint8(jInsert)
 	w.OID(oid)
 	ca.encode(w)
-	w.Uint32(ttlSecs)
 	w.OID(sid)
 	n.journal.append(w.Bytes())
 }

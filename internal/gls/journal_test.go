@@ -5,23 +5,23 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
+	"gdn/internal/walog"
 	"gdn/internal/wire"
 )
 
-// soloWorld starts one root directory node with incremental
-// persistence in dir and returns it with a bound resolver. Restarting
-// is Close + another soloWorld on the same dir.
-func soloWorld(t *testing.T, dir string) (*netsim.Network, *Node, *Resolver) {
-	t.Helper()
+// soloConfig returns a fresh network and the config of one root
+// directory node on it with incremental persistence in dir.
+func soloConfig(dir string) (*netsim.Network, Config) {
 	net := netsim.New(nil)
 	net.AddSite("solo-site", "solo", "eu")
 	addr := "solo-site:gls-solo-0"
-	n, err := Start(net, Config{
+	return net, Config{
 		Domain:     "solo",
 		Site:       "solo-site",
 		Addr:       addr,
@@ -30,11 +30,19 @@ func soloWorld(t *testing.T, dir string) (*netsim.Network, *Node, *Resolver) {
 		SweepEvery: -1,
 		StateDir:   dir,
 		FlushEvery: time.Hour, // flush by hand; no timing in tests
-	})
+	}
+}
+
+// soloWorld starts the soloConfig node and returns it with a bound
+// resolver. Restarting is Close + another soloWorld on the same dir.
+func soloWorld(t *testing.T, dir string) (*netsim.Network, *Node, *Resolver) {
+	t.Helper()
+	net, cfg := soloConfig(dir)
+	n, err := Start(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := NewResolver(net, "solo-site", Ref{Addrs: []string{addr}})
+	res := NewResolver(net, "solo-site", cfg.Self)
 	t.Cleanup(func() { res.Close() })
 	return net, n, res
 }
@@ -258,71 +266,6 @@ func TestJournalSteadyStateAppendsOnly(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2StillRestores hand-encodes the version-2 layout (flat
-// record list, whole-node consistency) and restores it into a striped
-// node: one permanent entry, one session entry, one drained address.
-func TestSnapshotV2StillRestores(t *testing.T) {
-	_, tree := deployWorld(t)
-	leaf := tree.domains["eu/nl"].nodes[0]
-	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
-
-	permOID, sessOID := ids.New(), ids.New()
-	sid := ids.New()
-	w := wire.NewWriter(512)
-	w.Str("gls-snapshot/2")
-	w.Str("eu/nl")
-	w.Count(1) // drained addresses
-	w.Str("eu-de-tu:gos/obj")
-	w.Count(1) // sessions
-	w.OID(sid)
-	w.Str("eu-nl-vu:gos/obj")
-	w.Uint32(30) // ttl seconds
-	w.Uint32(30) // remaining seconds
-	w.Bool(false)
-	w.Count(2) // flat record list — v2 has no shard grouping
-	w.OID(permOID)
-	w.Count(1)
-	testAddr("eu-nl-vu").encode(w)
-	w.Uint8(leasePermanent)
-	w.Count(0) // no pointers
-	w.OID(sessOID)
-	w.Count(1)
-	testAddr("eu-nl-vu").encode(w)
-	w.Uint8(leaseSession)
-	w.OID(sid)
-	w.Count(0)
-
-	if err := leaf.Restore(w.Bytes()); err != nil {
-		t.Fatalf("v2 restore: %v", err)
-	}
-	if got := leaf.Records(); got != 2 {
-		t.Fatalf("restored %d records, want 2", got)
-	}
-	for _, oid := range []ids.OID{permOID, sessOID} {
-		if _, _, err := res.Lookup(oid); err != nil {
-			t.Fatalf("lookup %s after v2 restore: %v", oid.Short(), err)
-		}
-	}
-
-	// v2 is strict about unknown sessions: written under one lock, a
-	// dangling reference means corruption, not a benign race.
-	bad := wire.NewWriter(256)
-	bad.Str("gls-snapshot/2")
-	bad.Str("eu/nl")
-	bad.Count(0)
-	bad.Count(0) // no sessions...
-	bad.Count(1)
-	bad.OID(ids.New())
-	bad.Count(1)
-	testAddr("eu-nl-vu").encode(bad)
-	bad.Uint8(leaseSession)
-	bad.OID(ids.New()) // ...but an entry referencing one
-	bad.Count(0)
-	if err := leaf.Restore(bad.Bytes()); err == nil {
-		t.Fatal("v2 restore accepted an entry referencing an unknown session")
-	}
-}
-
 // TestSnapshotV3DropsEntriesRacingTheSessionBlock checks the v3
 // per-stripe consistency contract: an entry referencing a session the
 // session block missed restores as dropped, not as an error.
@@ -351,36 +294,147 @@ func TestSnapshotV3DropsEntriesRacingTheSessionBlock(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripMatrix restores snapshots of every lineage
-// version into a fresh node and re-snapshots: v1 and v2 content must
-// survive conversion to the v3 writer.
+// TestSnapshotRoundTripMatrix restores a snapshot of every kind of
+// state a node holds — permanent and session-attached entries, a
+// drained address — and re-snapshots it: every kind must survive two
+// hops through the writer and the reader.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
-	_, tree := deployWorld(t)
+	tree, _ := deployLeaseWorld(t)
 	leaf := tree.domains["eu/nl"].nodes[0]
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
+	permOID, _, err := res.Insert(ids.Nil, testAddr("eu-de-tu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, sessOID := attachOne(t, res, testAddr("eu-nl-vu"), 30*time.Second)
+	if _, _, err := res.Insert(sessOID, testAddr("eu-de-tu")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Drain(true); err != nil {
+		t.Fatal(err)
+	}
+
+	for hop := 0; hop < 2; hop++ {
+		if err := leaf.Restore(leaf.Snapshot()); err != nil {
+			t.Fatalf("hop %d: restore: %v", hop, err)
+		}
+		if addrs, _, err := res.Lookup(permOID); err != nil || len(addrs) != 1 {
+			t.Fatalf("hop %d: permanent record: %v (%d addrs)", hop, err, len(addrs))
+		}
+		addrs, _, err := res.Lookup(sessOID)
+		if err != nil || len(addrs) != 1 || addrs[0] != testAddr("eu-de-tu") {
+			t.Fatalf("hop %d: drained session entry not hidden: %v %v", hop, addrs, err)
+		}
+		if !leaf.Draining(sess.Addr()) || leaf.Sessions() != 1 {
+			t.Fatalf("hop %d: draining=%v sessions=%d", hop, leaf.Draining(sess.Addr()), leaf.Sessions())
+		}
+	}
+	// The restored session still counts its entry: a renewal needs no
+	// repair.
+	before := leaf.Stats()
+	if _, err := sess.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	if got := leaf.Stats().Inserts - before.Inserts; got != 0 {
+		t.Fatalf("renew after round trips re-attached %d entries, want 0", got)
+	}
+}
+
+// TestRestoreRejectsRetiredFormats: the v1 layout (no magic, bare
+// contact addresses), the v2 layout and a v3 image carrying a retired
+// per-entry lease are refused with an error, and the node keeps its
+// state.
+func TestRestoreRejectsRetiredFormats(t *testing.T) {
+	_, tree := deployWorld(t)
+	leaf := tree.domains["eu/nl"].nodes[0]
+	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	oid, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct {
-		name string
-		snap func() []byte
-	}{
-		{"v1->v3", func() []byte { return encodeV1Snapshot(leaf) }},
-		{"v3->v3", leaf.Snapshot},
-	} {
-		b := tc.snap()
-		if err := leaf.Restore(b); err != nil {
-			t.Fatalf("%s: restore: %v", tc.name, err)
+	v1 := wire.NewWriter(256)
+	v1.Str("eu/nl")
+	v1.Count(1)
+	v1.OID(ids.New())
+	v1.Count(1)
+	testAddr("eu-de-tu").encode(v1)
+	v1.Count(0)
+
+	v2 := wire.NewWriter(256)
+	v2.Str(strings.TrimSuffix(snapshotMagic, "3") + "2") // the retired v2 magic
+	v2.Str("eu/nl")
+	v2.Count(0) // drained
+	v2.Count(0) // sessions
+	v2.Count(1) // flat record list
+	v2.OID(ids.New())
+	v2.Count(1)
+	testAddr("eu-de-tu").encode(v2)
+	v2.Uint8(leasePermanent)
+	v2.Count(0)
+
+	ownLease := wire.NewWriter(256)
+	ownLease.Str(snapshotMagic)
+	ownLease.Str("eu/nl")
+	ownLease.Count(0)  // drained
+	ownLease.Count(0)  // sessions
+	ownLease.Uint32(1) // one record group
+	ownLease.Count(1)
+	ownLease.OID(ids.New())
+	ownLease.Count(1)
+	testAddr("eu-de-tu").encode(ownLease)
+	ownLease.Uint8(1) // the retired per-entry lease kind
+	ownLease.Uint32(30)
+	ownLease.Count(0)
+
+	for name, img := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes(), "own-lease": ownLease.Bytes()} {
+		if err := leaf.Restore(img); err == nil {
+			t.Fatalf("%s image restored, want an error", name)
 		}
-		again := leaf.Snapshot() // must re-encode as v3...
-		if err := leaf.Restore(again); err != nil {
-			t.Fatalf("%s: second hop: %v", tc.name, err)
+		if got := leaf.Records(); got != 1 {
+			t.Fatalf("%s: records after refused restore = %d, want 1", name, got)
 		}
-		if _, _, err := res.Lookup(oid); err != nil {
-			t.Fatalf("%s: record lost in round trip: %v", tc.name, err)
+		if addrs, _, err := res.Lookup(oid); err != nil || len(addrs) != 1 {
+			t.Fatalf("%s: lookup after refused restore: %v (%d addrs)", name, err, len(addrs))
 		}
+	}
+}
+
+// TestJournalRefusesRetiredFormat: a state directory whose journal
+// carries the retired "gls-journal/1" header fails the node's start
+// instead of being misparsed, and the file is left as it was.
+func TestJournalRefusesRetiredFormat(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.log")
+	lg, err := walog.Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := wire.NewWriter(32)
+	hdr.Str("gls-journal/1")
+	hdr.Uint64(0)
+	lg.Append(hdr.Bytes())
+	if _, err := lg.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if n, err := Start(soloConfig(dir)); err == nil {
+		n.Close()
+		t.Fatal("node started on a retired journal format")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("refused journal was modified")
 	}
 }

@@ -43,23 +43,38 @@ func deployLeaseWorld(t *testing.T) (*Tree, *fakeClock) {
 	return tree, clock
 }
 
-func TestLeaseExpiresOutOfLookups(t *testing.T) {
-	tree, clock := deployLeaseWorld(t)
-	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
-
-	oid, _, err := res.InsertLease(ids.Nil, testAddr("eu-nl-vu"), 10*time.Second)
+// attachOne opens a session for the contact address's transport
+// address and attaches ca through it under a fresh identifier.
+func attachOne(t *testing.T, res *Resolver, ca ContactAddress, ttl time.Duration) (*ServerSession, ids.OID) {
+	t.Helper()
+	sess := openTestSession(t, res, ca.Address, ttl)
+	oid, _, err := sess.Attach(ids.Nil, ca)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if addrs, _, err := res.Lookup(oid); err != nil || len(addrs) != 1 {
-		t.Fatalf("lookup within lease: %v (%d addrs)", err, len(addrs))
+	return sess, oid
+}
+
+func TestLeaseExpiresOutOfLookups(t *testing.T) {
+	tree, clock := deployLeaseWorld(t)
+	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	far := mustResolver(t, tree, "us-ca-ucb", "us/ca")
+
+	_, oid := attachOne(t, res, testAddr("eu-nl-vu"), 10*time.Second)
+	for _, r := range []*Resolver{res, far} {
+		if addrs, _, err := r.Lookup(oid); err != nil || len(addrs) != 1 {
+			t.Fatalf("lookup within lease: %v (%d addrs)", err, len(addrs))
+		}
 	}
 
 	// Past the TTL the entry stops appearing even before any janitor
-	// runs: expiry is enforced lazily at lookup time.
+	// runs: expiry is enforced lazily at lookup time, also at the end
+	// of a far client's descent along a still-installed pointer chain.
 	clock.Advance(11 * time.Second)
-	if _, _, err := res.Lookup(oid); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("lookup after expiry = %v, want ErrNotFound", err)
+	for _, r := range []*Resolver{res, far} {
+		if _, _, err := r.Lookup(oid); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("lookup after expiry = %v, want ErrNotFound", err)
+		}
 	}
 }
 
@@ -67,16 +82,12 @@ func TestLeaseRenewalKeepsEntryAlive(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	ca := testAddr("eu-nl-vu")
-	oid, _, err := res.InsertLease(ids.Nil, ca, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, oid := attachOne(t, res, testAddr("eu-nl-vu"), 10*time.Second)
 	// Heartbeat: renew every 6s; the entry must survive well past the
 	// original TTL.
 	for i := 0; i < 5; i++ {
 		clock.Advance(6 * time.Second)
-		if _, _, err := res.InsertLease(oid, ca, 10*time.Second); err != nil {
+		if _, err := sess.Renew(); err != nil {
 			t.Fatalf("renewal %d: %v", i, err)
 		}
 	}
@@ -88,18 +99,21 @@ func TestLeaseRenewalKeepsEntryAlive(t *testing.T) {
 	if _, _, err := res.Lookup(oid); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("lookup after heartbeats stop = %v, want ErrNotFound", err)
 	}
+	// A late renewal that beats the sweep revives the entry in place.
+	if _, err := sess.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	if addrs, _, err := res.Lookup(oid); err != nil || len(addrs) != 1 {
+		t.Fatalf("lookup after late renewal: %v (%d addrs)", err, len(addrs))
+	}
 }
 
 func TestLeaseExpiryOfOneReplicaLeavesOthers(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	leased := testAddr("eu-nl-vu")
 	permanent := testAddr("eu-de-tu")
-	oid, _, err := res.InsertLease(ids.Nil, leased, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, oid := attachOne(t, res, testAddr("eu-nl-vu"), 10*time.Second)
 	if _, _, err := res.Insert(oid, permanent); err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +132,7 @@ func TestSweepTearsDownPointerChain(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	if _, _, err := res.InsertLease(ids.Nil, testAddr("eu-nl-vu"), 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
+	attachOne(t, res, testAddr("eu-nl-vu"), 10*time.Second)
 	root := tree.Nodes("root")[0]
 	if root.Records() != 1 {
 		t.Fatalf("root records after insert = %d, want 1 (the pointer chain)", root.Records())
@@ -151,36 +163,46 @@ func TestDrainHidesAddressWhileOthersRemain(t *testing.T) {
 
 	sick := testAddr("eu-nl-vu")
 	healthy := testAddr("eu-de-tu")
-	oid, _, err := res.Insert(ids.Nil, sick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, oid := attachOne(t, res, sick, 10*time.Second)
 	if _, _, err := res.Insert(oid, healthy); err != nil {
 		t.Fatal(err)
 	}
-
-	if _, err := res.Drain(sick.Address, true); err != nil {
-		t.Fatal(err)
-	}
-	addrs, _, err := res.Lookup(oid)
+	// A permanent registration at the drained transport address is
+	// hidden too: the drain is address-wide, not per session entry.
+	permOID, _, err := res.Insert(ids.Nil, sick)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(addrs) != 1 || addrs[0] != healthy {
-		t.Fatalf("addrs while drained = %v, want just %v", addrs, healthy)
+	if _, _, err := res.Insert(permOID, healthy); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := sess.Drain(true); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []ids.OID{oid, permOID} {
+		addrs, _, err := res.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(addrs) != 1 || addrs[0] != healthy {
+			t.Fatalf("addrs while drained = %v, want just %v", addrs, healthy)
+		}
 	}
 
 	// Undrain restores the address without any re-registration: the
 	// lease state was never deleted.
-	if _, err := res.Drain(sick.Address, false); err != nil {
+	if _, err := sess.Drain(false); err != nil {
 		t.Fatal(err)
 	}
-	addrs, _, err = res.Lookup(oid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 2 {
-		t.Fatalf("addrs after undrain = %v, want both", addrs)
+	for _, id := range []ids.OID{oid, permOID} {
+		addrs, _, err := res.Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(addrs) != 2 {
+			t.Fatalf("addrs after undrain = %v, want both", addrs)
+		}
 	}
 }
 
@@ -191,14 +213,11 @@ func TestDrainedReplicaDoesNotShadowHealthySibling(t *testing.T) {
 
 	sick := testAddr("eu-nl-vu")
 	healthy := testAddr("us-ca-ucb")
-	oid, _, err := euRes.Insert(ids.Nil, sick)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, oid := attachOne(t, euRes, sick, 10*time.Second)
 	if _, _, err := usRes.Insert(oid, healthy); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := euRes.Drain(sick.Address, true); err != nil {
+	if _, err := sess.Drain(true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -235,11 +254,8 @@ func TestDrainedLastReplicaStillServes(t *testing.T) {
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
 	only := testAddr("eu-nl-vu")
-	oid, _, err := res.Insert(ids.Nil, only)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := res.Drain(only.Address, true); err != nil {
+	sess, oid := attachOne(t, res, only, 10*time.Second)
+	if _, err := sess.Drain(true); err != nil {
 		t.Fatal(err)
 	}
 	// A degraded replica beats no replica: when every live address is

@@ -46,13 +46,11 @@ var opNames = map[uint16]string{
 	OpDelete:          "delete",
 	OpInstallPtr:      "install_ptr",
 	OpRemovePtr:       "remove_ptr",
-	OpDrain:           "drain",
 	OpSessionOpen:     "session_open",
 	OpSessionRenew:    "session_renew",
 	OpSessionClose:    "session_close",
 	OpSessionReattach: "session_reattach",
 	OpStats:           "stats",
-	OpDump:            "dump",
 }
 
 // mOpSeconds holds one histogram per known op, keyed by op code, so

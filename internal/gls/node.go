@@ -116,20 +116,15 @@ func (s *session) fields() (addr string, ttl time.Duration) {
 
 // leasedAddr is one registered contact address with its liveness
 // contract: attached to a session (sess non-nil — expiry and drain
-// follow the session), under its own lease (expires non-zero), or
-// permanent (the pre-lease behaviour, still used by experiments that
+// follow the session), or permanent (still used by experiments that
 // register addresses by hand and never heartbeat).
 type leasedAddr struct {
-	ca      ContactAddress
-	expires time.Time
-	sess    *session
+	ca   ContactAddress
+	sess *session
 }
 
 func (la leasedAddr) expired(now time.Time) bool {
-	if la.sess != nil {
-		return la.sess.expired(now)
-	}
-	return !la.expires.IsZero() && now.After(la.expires)
+	return la.sess != nil && la.sess.expired(now)
 }
 
 // record is one object's entry in a directory node: contact addresses
@@ -333,8 +328,6 @@ func (n *Node) handle(call *rpc.Call) ([]byte, error) {
 		return n.handleInstallPtr(call)
 	case OpRemovePtr:
 		return n.handleRemovePtr(call)
-	case OpDrain:
-		return n.handleDrain(call)
 	case OpSessionOpen:
 		return n.handleSessionOpen(call)
 	case OpSessionRenew:
@@ -345,8 +338,6 @@ func (n *Node) handle(call *rpc.Call) ([]byte, error) {
 		return n.handleSessionReattach(call)
 	case OpStats:
 		return n.handleStats()
-	case OpDump:
-		return n.Snapshot(), nil
 	default:
 		return nil, fmt.Errorf("gls: unknown op %d", call.Op)
 	}
@@ -405,9 +396,9 @@ func (n *Node) handleLookup(call *rpc.Call, down bool) ([]byte, error) {
 	if rec != nil {
 		for _, la := range rec.addrs {
 			if la.expired(now) {
-				// A lease (or session) its owner stopped renewing: the
-				// replica is gone (or cut off); it must not be handed to
-				// clients. The sweep janitor reclaims the entry itself.
+				// A session its owner stopped renewing: the replica is
+				// gone (or cut off); it must not be handed to clients.
+				// The sweep janitor reclaims the entry itself.
 				continue
 			}
 			cands = append(cands, candidate{
@@ -535,14 +526,13 @@ func (n *Node) lookupSession(sid ids.OID) (*session, error) {
 	return sess, nil
 }
 
-// attachAddr adds ca to rec, or renews it in place — a re-registration
-// is a lease renewal, and may also move the entry between liveness
-// contracts (attach it to a session, or upgrade it to permanent with
-// ttl 0 and no session). The caller holds the record's shard lock.
-func attachAddr(rec *record, ca ContactAddress, expires time.Time, sess *session) {
+// attachAddr adds ca to rec, or keeps it in place — a re-registration
+// may move the entry between liveness contracts (attach it to a
+// session, or make it permanent with no session). The caller holds
+// the record's shard lock.
+func attachAddr(rec *record, ca ContactAddress, sess *session) {
 	for i, have := range rec.addrs {
 		if have.ca == ca {
-			rec.addrs[i].expires = expires
 			if old := rec.addrs[i].sess; old != sess {
 				if old != nil {
 					old.attached.Add(-1)
@@ -555,16 +545,15 @@ func attachAddr(rec *record, ca ContactAddress, expires time.Time, sess *session
 			return
 		}
 	}
-	rec.addrs = append(rec.addrs, leasedAddr{ca: ca, expires: expires, sess: sess})
+	rec.addrs = append(rec.addrs, leasedAddr{ca: ca, sess: sess})
 	if sess != nil {
 		sess.attached.Add(1)
 	}
 }
 
 // handleInsert registers a contact address at this node — attached to a
-// registration session when the request names one, as a per-entry lease
-// when it carries a TTL (renewed by re-inserting), permanent otherwise —
-// and installs the chain of forwarding pointers up to the root. The
+// registration session when the request names one, permanent otherwise
+// — and installs the chain of forwarding pointers up to the root. The
 // response carries the object identifier, which the service allocates
 // when the request's is nil.
 func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
@@ -574,7 +563,6 @@ func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
 	r := wire.NewReader(call.Body)
 	oid := r.OID()
 	ca := decodeContactAddress(r)
-	ttlSecs := r.Uint32()
 	sid := r.OID()
 	if err := r.Done(); err != nil {
 		return nil, err
@@ -584,21 +572,16 @@ func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
 	}
 	n.stats.inserts.Add(1)
 
-	var expires time.Time
-	if ttlSecs > 0 {
-		expires = n.cfg.Clock().Add(time.Duration(ttlSecs) * time.Second)
-	}
 	var sess *session
 	if !sid.IsNil() {
-		// Session attach: liveness (and drain) follow the session, so the
-		// request's TTL is ignored. An unknown session means this node
-		// lost it (restart, age-out); the owner must reopen before
-		// attaching, or the entry would never expire with its server.
+		// Session attach: liveness (and drain) follow the session. An
+		// unknown session means this node lost it (restart, age-out);
+		// the owner must reopen before attaching, or the entry would
+		// never expire with its server.
 		var err error
 		if sess, err = n.lookupSession(sid); err != nil {
 			return nil, err
 		}
-		expires = time.Time{}
 	}
 	sh := n.shard(oid)
 	sh.mu.Lock()
@@ -608,9 +591,9 @@ func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
 		rec = &record{}
 		sh.recs[oid] = rec
 	}
-	attachAddr(rec, ca, expires, sess)
+	attachAddr(rec, ca, sess)
 	sh.mu.Unlock()
-	n.journalInsert(oid, ca, ttlSecs, sid)
+	n.journalInsert(oid, ca, sid)
 
 	// A pre-existing record (addresses or pointers) implies the chain
 	// of forwarding pointers above this node is already installed, so
@@ -792,36 +775,6 @@ func (n *Node) drainState(addr string) bool {
 	return n.drained[addr]
 }
 
-// handleDrain marks or clears the draining state of one transport
-// address — the standalone op, kept as the compatibility path for
-// sessionless registrants; servers with a registration session
-// piggyback the same bit on OpSessionRenew instead. Draining is
-// node-local and address-wide: every record whose contact addresses
-// live at that address stops returning them while alternatives exist.
-// Registrations (and their leases) are untouched, so undraining
-// restores service instantly — the point of drain over delete. When
-// the address belongs to a registration session the flag is recorded
-// on the session too, so it rides the session through
-// snapshot/restore instead of evaporating on a node restart.
-func (n *Node) handleDrain(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(call.Body)
-	addr := r.Str()
-	draining := r.Bool()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if addr == "" {
-		return nil, fmt.Errorf("gls: drain without a transport address")
-	}
-	n.stats.drains.Add(1)
-	n.applyDrain(addr, draining)
-	n.journalDrain(addr, draining)
-	return nil, nil
-}
-
 // applySessionOpen creates or refreshes a session — shared by the
 // open and reattach handlers and by journal replay.
 func (n *Node) applySessionOpen(sid ids.OID, addr string, ttl time.Duration, now time.Time) *session {
@@ -879,10 +832,11 @@ func (n *Node) handleSessionOpen(call *rpc.Call) ([]byte, error) {
 // unknown one tells the owner to reopen and re-attach.
 //
 // The request may carry an optional drain tail (two booleans:
-// presence, then the desired state) — the batched replacement for the
-// OpDrain fan-out: a server flips its drain bit on the heartbeat it
-// was going to send anyway, and the node applies it address-wide
-// exactly as OpDrain would.
+// presence, then the desired state) — the one drain path: a server
+// flips its drain bit on the heartbeat it was going to send anyway,
+// and the node applies it address-wide. Draining hides every contact
+// address at that address while alternatives exist, without deleting
+// any registration, so undraining restores service at once.
 func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
 		return nil, err
@@ -1034,7 +988,7 @@ func (n *Node) attachBatch(entries []reattachEntry, sess *session) []ids.OID {
 			sh.recs[e.oid] = rec
 			fresh = append(fresh, e.oid)
 		}
-		attachAddr(rec, e.ca, time.Time{}, sess)
+		attachAddr(rec, e.ca, sess)
 		sh.mu.Unlock()
 	}
 	return fresh
@@ -1081,10 +1035,10 @@ func (n *Node) sweepLoop(stop <-chan struct{}) {
 	}
 }
 
-// sweepShard removes aged-out leases from one record stripe and tears
-// down the pointer chains of records it emptied. Expiries need no
-// journal entries: a replayed lease re-expires against the restored
-// clock on its own.
+// sweepShard removes entries of expired sessions from one record stripe
+// and tears down the pointer chains of records it emptied. Expiries
+// need no journal entries: a replayed session re-expires against the
+// restored clock on its own.
 func (n *Node) sweepShard(si int, now time.Time) int {
 	sh := &n.shards[si]
 	var emptied []ids.OID

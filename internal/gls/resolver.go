@@ -85,21 +85,10 @@ func (r *Resolver) Lookup(oid ids.OID) ([]ContactAddress, time.Duration, error) 
 // Insert registers a contact address in the client's leaf domain,
 // permanently (no lease). A nil oid asks the service to allocate a
 // fresh identifier; the identifier actually registered is returned
-// either way.
+// either way. Servers whose registrations must age out with them
+// attach through a registration session (OpenSession) instead.
 func (r *Resolver) Insert(oid ids.OID, ca ContactAddress) (ids.OID, time.Duration, error) {
-	return r.insertAt(r.leaf, oid, ca, 0, ids.Nil)
-}
-
-// InsertLease registers a contact address as a lease that ages out of
-// lookups after ttl unless renewed by re-inserting — the per-entry
-// liveness contract single-replica clients heartbeat under, so a
-// crashed owner's entry vanishes from the location service within one
-// TTL instead of 502ing clients forever. Servers hosting many replicas
-// batch their liveness through a registration session instead
-// (OpenSession). A ttl of 0 is a permanent Insert; sub-second TTLs
-// round up to one second (the wire carries whole seconds).
-func (r *Resolver) InsertLease(oid ids.OID, ca ContactAddress, ttl time.Duration) (ids.OID, time.Duration, error) {
-	return r.insertAt(r.leaf, oid, ca, ttl, ids.Nil)
+	return r.insertAt(r.leaf, oid, ca, ids.Nil)
 }
 
 // InsertAt registers a contact address at an arbitrary directory node
@@ -107,10 +96,10 @@ func (r *Resolver) InsertLease(oid ids.OID, ca ContactAddress, ttl time.Duration
 // node trades lookup locality for cheaper updates on highly mobile
 // objects (§3.5); the E2 ablation uses this.
 func (r *Resolver) InsertAt(node Ref, oid ids.OID, ca ContactAddress) (ids.OID, time.Duration, error) {
-	return r.insertAt(node, oid, ca, 0, ids.Nil)
+	return r.insertAt(node, oid, ca, ids.Nil)
 }
 
-func (r *Resolver) insertAt(node Ref, oid ids.OID, ca ContactAddress, ttl time.Duration, sid ids.OID) (ids.OID, time.Duration, error) {
+func (r *Resolver) insertAt(node Ref, oid ids.OID, ca ContactAddress, sid ids.OID) (ids.OID, time.Duration, error) {
 	if node.IsZero() {
 		return ids.Nil, 0, ErrNoAddrs
 	}
@@ -120,14 +109,9 @@ func (r *Resolver) insertAt(node Ref, oid ids.OID, ca ContactAddress, ttl time.D
 	if oid.IsNil() {
 		oid = ids.New()
 	}
-	ttlSecs := uint32(0)
-	if ttl > 0 {
-		ttlSecs = uint32((ttl + time.Second - 1) / time.Second)
-	}
 	w := wire.NewWriter(96)
 	w.OID(oid)
 	ca.encode(w)
-	w.Uint32(ttlSecs)
 	w.OID(sid)
 	resp, cost, err := r.client(node.Route(oid)).Call(OpInsert, w.Bytes())
 	if err != nil {
@@ -138,39 +122,6 @@ func (r *Resolver) insertAt(node Ref, oid ids.OID, ca ContactAddress, ttl time.D
 		return ids.Nil, cost, err
 	}
 	return got, cost, nil
-}
-
-// Drain marks (draining=true) or clears (false) the draining state of
-// a transport address at every subnode of the client's leaf directory
-// node — the node where that address's replicas registered. Drained
-// addresses stop appearing in lookups while healthy alternatives
-// exist; registrations stay intact, so recovery is one Drain(false)
-// away.
-//
-// This is the compatibility shim for sessionless registrants: it fans
-// one OpDrain RPC out to every leaf subnode. Servers holding a
-// registration session use ServerSession.Drain instead, which
-// piggybacks the bit on the batched renewal heartbeat.
-func (r *Resolver) Drain(addr string, draining bool) (time.Duration, error) {
-	if r.leaf.IsZero() {
-		return 0, ErrNoAddrs
-	}
-	w := wire.NewWriter(16 + len(addr))
-	w.Str(addr)
-	w.Bool(draining)
-	body := w.Bytes()
-	var total time.Duration
-	var firstErr error
-	// Drain state is per subnode; every subnode of the leaf must hear
-	// it, since each owns a slice of the identifier space.
-	for _, sub := range r.leaf.Addrs {
-		_, cost, err := r.client(sub).Call(OpDrain, body)
-		total += cost
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return total, firstErr
 }
 
 // Delete deregisters the contact address with the given transport

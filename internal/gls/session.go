@@ -130,14 +130,14 @@ func (s *ServerSession) Attach(oid ids.OID, ca ContactAddress) (ids.OID, time.Du
 	if oid.IsNil() {
 		oid = ids.New()
 	}
-	got, cost, err := s.res.insertAt(s.res.leaf, oid, ca, 0, s.id)
+	got, cost, err := s.res.insertAt(s.res.leaf, oid, ca, s.id)
 	if IsUnknownSession(err) {
 		c, oerr := s.reopenAt(s.res.leaf.Route(oid))
 		cost += c
 		if oerr != nil {
 			return ids.Nil, cost, fmt.Errorf("gls: reopen session: %w", oerr)
 		}
-		got, c, err = s.res.insertAt(s.res.leaf, oid, ca, 0, s.id)
+		got, c, err = s.res.insertAt(s.res.leaf, oid, ca, s.id)
 		cost += c
 	}
 	if err != nil {
@@ -342,12 +342,12 @@ func (s *ServerSession) drainState() (set, draining bool) {
 }
 
 // Drain marks (or clears) the session's transport address as draining:
-// attached entries stop appearing in lookups while healthy alternatives
-// exist, without losing any registration state. The bit rides the
-// session heartbeat — Drain records the desired state and performs one
-// immediate Renew, so the change reaches every leaf subnode in the one
-// batched RPC a renewal already costs (the OpDrain fan-out this
-// replaces paid a dedicated RPC per subnode), and every subsequent
+// every contact address registered at it stops appearing in lookups
+// while healthy alternatives exist, without losing any registration
+// state. This is the location service's one drain path. The bit rides
+// the session heartbeat — Drain records the desired state and performs
+// one immediate Renew, so the change reaches every leaf subnode in the
+// one batched RPC a renewal already costs, and every subsequent
 // heartbeat re-asserts it. The directory node records the flag on the
 // session, so it survives a snapshot restore with it.
 func (s *ServerSession) Drain(draining bool) (time.Duration, error) {

@@ -7,7 +7,6 @@ import (
 
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
-	"gdn/internal/wire"
 )
 
 // Registration-session tests: one leased session per server covers
@@ -226,16 +225,18 @@ func TestSnapshotPersistsLeaseDeadlines(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	// One per-entry lease and one permanent entry.
-	leased := testAddr("eu-nl-vu")
+	// One session-attached entry and one permanent entry. The session
+	// has 6 of its 10 seconds left when the snapshot is taken.
+	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
 	permanent := testAddr("eu-de-tu")
-	oid, _, err := res.InsertLease(ids.Nil, leased, 10*time.Second)
+	oid, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := res.Insert(oid, permanent); err != nil {
 		t.Fatal(err)
 	}
+	clock.Advance(4 * time.Second)
 
 	leaf := tree.Nodes("eu/nl")[0]
 	snap := leaf.Snapshot()
@@ -243,15 +244,17 @@ func TestSnapshotPersistsLeaseDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Within the restored TTL both entries serve.
+	// Within the restored deadline both entries serve.
+	clock.Advance(5 * time.Second)
 	addrs, _, err := res.Lookup(oid)
 	if err != nil || len(addrs) != 2 {
 		t.Fatalf("lookup within restored lease: %v (%d addrs)", err, len(addrs))
 	}
 
-	// Past it, the leased entry is gone — a restored node can no longer
-	// resurrect a dead server's replicas as permanent (the PR 4 bug).
-	clock.Advance(11 * time.Second)
+	// Past it, the session entry is gone — the snapshot carries the
+	// remaining time, not the full TTL, and a restored node can never
+	// resurrect a dead server's replicas as permanent.
+	clock.Advance(2 * time.Second)
 	addrs, _, err = res.Lookup(oid)
 	if err != nil {
 		t.Fatal(err)
@@ -421,53 +424,6 @@ func TestAttachUnknownSessionReopens(t *testing.T) {
 	if addrs, _, err := res.Lookup(oid); err != nil || len(addrs) != 1 {
 		t.Fatalf("lookup after reopened attach: %v (%d addrs)", err, len(addrs))
 	}
-}
-
-func TestV1SnapshotStillRestores(t *testing.T) {
-	tree, _ := deployLeaseWorld(t)
-	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
-	leaf := tree.Nodes("eu/nl")[0]
-
-	oid, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hand-build the version-1 layout for the same record set the node
-	// holds: domain, then per-record bare contact addresses + pointers.
-	v1 := encodeV1Snapshot(leaf)
-	if err := leaf.Restore(v1); err != nil {
-		t.Fatalf("restore v1 snapshot: %v", err)
-	}
-	if addrs, _, err := res.Lookup(oid); err != nil || len(addrs) != 1 {
-		t.Fatalf("lookup after v1 restore: %v (%d addrs)", err, len(addrs))
-	}
-}
-
-// encodeV1Snapshot re-encodes a node's records in the pre-session
-// snapshot layout (domain first, bare contact addresses) — the image a
-// daemon checkpointed before this PR.
-func encodeV1Snapshot(n *Node) []byte {
-	w := wire.NewWriter(1024)
-	w.Str(n.cfg.Domain)
-	w.Count(n.Records())
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.mu.RLock()
-		for oid, rec := range sh.recs {
-			w.OID(oid)
-			w.Count(len(rec.addrs))
-			for _, la := range rec.addrs {
-				la.ca.encode(w)
-			}
-			w.Count(len(rec.ptrs))
-			for child, ref := range rec.ptrs {
-				w.Str(child)
-				ref.encode(w)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return w.Bytes()
 }
 
 // TestReattachIsOneMessagePerSubnode: repairing an amnesiac leaf must

@@ -40,17 +40,18 @@ func TestShardDistribution(t *testing.T) {
 }
 
 // TestConcurrentLookupInsertExpiry hammers one directory node with
-// parallel lookups, inserts and lease expiries; run under -race it
-// proves the striped table needs no global lock.
+// parallel lookups, session attaches and session expiries; run under
+// -race it proves the striped table needs no global lock.
 func TestConcurrentLookupInsertExpiry(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
 	leaf := tree.domains["eu/nl"].nodes[0]
 
-	// Seed a working set the lookers race over.
+	// Seed a working set the lookers race over, on an hour-long session.
 	seedRes := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	seedSess := openTestSession(t, seedRes, "eu-nl-vu:gos/seed", time.Hour)
 	var seeded []ids.OID
 	for i := 0; i < 64; i++ {
-		oid, _, err := seedRes.InsertLease(ids.Nil, testAddr("eu-nl-vu"), time.Hour)
+		oid, _, err := seedSess.Attach(ids.Nil, testAddr("eu-nl-vu"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,18 +65,19 @@ func TestConcurrentLookupInsertExpiry(t *testing.T) {
 
 	for w := 0; w < workers; w++ {
 		r := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+		short := openTestSession(t, r, "eu-nl-vu:gos/short", time.Second)
 		wg.Add(3)
-		// Inserters: short leases, so the sweeps below find work.
-		go func(r *Resolver) {
+		// Attachers: short sessions, so the sweeps below find work.
+		go func() {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 50; i++ {
-				if _, _, err := r.InsertLease(ids.Nil, testAddr("eu-nl-vu"), time.Second); err != nil {
+				if _, _, err := short.Attach(ids.Nil, testAddr("eu-nl-vu")); err != nil {
 					errc <- err
 					return
 				}
 			}
-		}(r)
+		}()
 		// Lookers over the stable seeded set.
 		go func(r *Resolver) {
 			defer wg.Done()
@@ -103,7 +105,7 @@ func TestConcurrentLookupInsertExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Expire the short leases and sweep every stripe: only the
+	// Expire the short sessions and sweep every stripe: only the
 	// hour-long seeds must survive.
 	clock.Advance(2 * time.Second)
 	leaf.SweepExpired()
@@ -127,9 +129,11 @@ func TestLookupDescentRacesSweep(t *testing.T) {
 	// pointer chain back down into eu/nl.
 	far := mustResolver(t, tree, "us-ca-ucb", "us/ca")
 
+	stableSess := openTestSession(t, res, "eu-nl-vu:gos/stable", time.Hour)
+	churnSess := openTestSession(t, res, "eu-nl-vu:gos/churn", time.Second)
 	var stable []ids.OID
 	for i := 0; i < 32; i++ {
-		oid, _, err := res.InsertLease(ids.Nil, testAddr("eu-nl-vu"), time.Hour)
+		oid, _, err := stableSess.Attach(ids.Nil, testAddr("eu-nl-vu"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,14 +155,14 @@ func TestLookupDescentRacesSweep(t *testing.T) {
 			}
 		}
 	}()
-	// Churner: short-lease inserts whose pointer chains the janitor
+	// Churner: short-session attaches whose pointer chains the janitor
 	// tears down mid-run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		<-start
 		for i := 0; i < 40; i++ {
-			if _, _, err := res.InsertLease(ids.Nil, testAddr("eu-nl-vu"), time.Second); err != nil {
+			if _, _, err := churnSess.Attach(ids.Nil, testAddr("eu-nl-vu")); err != nil {
 				errc <- err
 				return
 			}

@@ -8,51 +8,38 @@ import (
 	"gdn/internal/wire"
 )
 
-// Snapshot format lineage:
-//
-//   - v1 started straight with the domain string and carried bare
-//     contact addresses; entries restore as permanent.
-//   - v2 ("gls-snapshot/2") added registration sessions, per-entry
-//     lease deadlines (as seconds remaining) and drain flags, written
-//     under one whole-node lock.
-//   - v3 ("gls-snapshot/3") keeps v2's content but groups records by
-//     record shard: the writer holds one stripe read lock at a time,
-//     so snapshotting a million-record node never freezes the whole
-//     table. The price is per-stripe (not whole-node) consistency —
-//     an entry can reference a session born after the session block
-//     was written. Restore drops such entries; the owner's next
-//     renewal notices the attached-count mismatch and re-attaches,
-//     the same self-healing that repairs a rollback to an old
-//     snapshot.
-//
-// Restore accepts all three; Snapshot writes v3.
-const (
-	snapshotMagic   = "gls-snapshot/2"
-	snapshotMagicV3 = "gls-snapshot/3"
-)
+// The snapshot format ("gls-snapshot/3") carries the drain set, the
+// registration sessions and the records grouped by record shard: the
+// writer holds one stripe read lock at a time, so snapshotting a
+// million-record node never freezes the whole table. The price is
+// per-stripe (not whole-node) consistency — an entry can reference a
+// session born after the session block was written. Restore drops
+// such entries; the owner's next renewal notices the attached-count
+// mismatch and re-attaches, the same self-healing that repairs a
+// rollback to an old snapshot. Restore accepts this format only.
+const snapshotMagic = "gls-snapshot/3"
 
-// Lease kinds in a version-2/3 snapshot entry.
+// Liveness kinds of a snapshot entry. The values are on the wire; 1
+// was the retired per-entry lease and is rejected.
 const (
-	leasePermanent = uint8(iota) // no expiry
-	leaseOwn                     // per-entry lease; remaining seconds follow
-	leaseSession                 // attached to a session; its id follows
+	leasePermanent = uint8(0) // no expiry
+	leaseSession   = uint8(2) // attached to a session; its id follows
 )
 
 // Snapshot serializes the node's state for persistent storage. The
 // paper's Java GLS supports "persistent storage of the state of a
 // directory node (location information and forwarding pointers)" (§7);
-// object servers and the gdn-gls daemon checkpoint with this. Liveness
+// the gdn-gls daemon's journal folds it into its base file. Liveness
 // state is part of the image: registration sessions with their
-// remaining TTL and drain attribute, per-entry lease deadlines (as
-// seconds remaining, so the restored clock regime does not matter) and
-// the address drain set — a restored node can therefore never
-// resurrect a dead server's replicas as permanent, which the
-// version-1 layout did. Entries and sessions already expired at
-// snapshot time are not encoded.
+// remaining TTL (as seconds remaining, so the restored clock regime
+// does not matter) and drain attribute, and the address drain set — a
+// restored node can therefore never resurrect a dead server's replicas
+// as permanent. Entries and sessions already expired at snapshot time
+// are not encoded.
 func (n *Node) Snapshot() []byte {
 	now := n.cfg.Clock()
 	w := wire.NewWriter(1024)
-	w.Str(snapshotMagicV3)
+	w.Str(snapshotMagic)
 	w.Str(n.cfg.Domain)
 
 	n.drainMu.RLock()
@@ -96,14 +83,10 @@ func (n *Node) Snapshot() []byte {
 			w.Count(len(kept))
 			for _, la := range kept {
 				la.ca.encode(w)
-				switch {
-				case la.sess != nil:
+				if la.sess != nil {
 					w.Uint8(leaseSession)
 					w.OID(la.sess.id)
-				case !la.expires.IsZero():
-					w.Uint8(leaseOwn)
-					w.Uint32(remainingSeconds(now, la.expires))
-				default:
+				} else {
 					w.Uint8(leasePermanent)
 				}
 			}
@@ -132,37 +115,21 @@ func remainingSeconds(now, deadline time.Time) uint32 {
 	return wholeSeconds(deadline.Sub(now))
 }
 
-// Restore replaces the node's state with a snapshot taken by Snapshot
-// (any format version). The snapshot must come from a node serving the
-// same domain. Lease deadlines restart relative to the restoring
-// node's clock: an entry snapshot with five seconds left has five
-// seconds to be renewed after the restore, and a dead server's entries
-// age out within one TTL of the restart instead of living forever.
+// Restore replaces the node's state with a snapshot taken by Snapshot.
+// The snapshot must come from a node serving the same domain. Session
+// deadlines restart relative to the restoring node's clock: a session
+// snapshot with five seconds left has five seconds to be renewed after
+// the restore, and a dead server's entries age out within one TTL of
+// the restart instead of living forever. The record groups carry their
+// count on the wire, so the stripe constant can change without a
+// format bump. Any other image — including the retired v1 and v2
+// layouts — is rejected with the node's state untouched: decoding
+// completes before anything is installed.
 func (n *Node) Restore(b []byte) error {
 	r := wire.NewReader(b)
-	first := r.Str()
-	if r.Err() != nil {
-		return r.Err()
+	if magic := r.Str(); r.Err() == nil && magic != snapshotMagic {
+		return fmt.Errorf("gls: not a %s image (magic %q)", snapshotMagic, magic)
 	}
-	switch first {
-	case snapshotMagicV3:
-		return n.restoreV23(r, true)
-	case snapshotMagic:
-		return n.restoreV23(r, false)
-	default:
-		// Version-1 layout: the first string is the domain and every
-		// entry restores as permanent.
-		return n.restoreV1(first, r)
-	}
-}
-
-// restoreV23 decodes the v2 and v3 layouts, which differ only in the
-// record section: v2 is one flat record list; v3 is a list per shard
-// (with the shard count on the wire, so the stripe constant can change
-// without a format bump). v3 additionally tolerates entries whose
-// session is missing — the per-stripe consistency documented on
-// Snapshot — where v2, written atomically, treats that as corruption.
-func (n *Node) restoreV23(r *wire.Reader, v3 bool) error {
 	domain := r.Str()
 	if r.Err() != nil {
 		return r.Err()
@@ -198,15 +165,12 @@ func (n *Node) restoreV23(r *wire.Reader, v3 bool) error {
 		sessions[sess.id] = sess
 	}
 
-	groups := 1
-	if v3 {
-		groups = int(r.Uint32())
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if groups == 0 || groups > 1<<10 {
-			return fmt.Errorf("gls: snapshot carries implausible shard count %d", groups)
-		}
+	groups := int(r.Uint32())
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if groups == 0 || groups > 1<<10 {
+		return fmt.Errorf("gls: snapshot carries implausible shard count %d", groups)
 	}
 	recs := make(map[ids.OID]*record)
 	for g := 0; g < groups; g++ {
@@ -223,33 +187,29 @@ func (n *Node) restoreV23(r *wire.Reader, v3 bool) error {
 			}
 			for j := 0; j < na; j++ {
 				la := leasedAddr{ca: decodeContactAddress(r)}
-				keep := true
-				switch r.Uint8() {
-				case leaseOwn:
-					la.expires = now.Add(time.Duration(r.Uint32()) * time.Second)
+				switch kind := r.Uint8(); kind {
+				case leasePermanent:
 				case leaseSession:
-					sid := r.OID()
-					la.sess = sessions[sid]
+					la.sess = sessions[r.OID()]
 					if r.Err() == nil && la.sess == nil {
-						if !v3 {
-							return fmt.Errorf("gls: snapshot entry references unknown session %s", sid.Short())
-						}
 						// The session raced the shard-by-shard writer; drop
 						// the entry and let its owner re-attach.
-						keep = false
+						continue
 					}
-					if la.sess != nil {
-						// Counts are recomputed from the entries themselves, so
-						// the snapshot cannot carry a stale tally.
-						la.sess.attached.Add(1)
+				default:
+					if r.Err() == nil {
+						return fmt.Errorf("gls: snapshot entry has unknown liveness kind %d", kind)
 					}
 				}
 				if r.Err() != nil {
 					return r.Err()
 				}
-				if keep {
-					rec.addrs = append(rec.addrs, la)
+				if la.sess != nil {
+					// Counts are recomputed from the entries themselves, so
+					// the snapshot cannot carry a stale tally.
+					la.sess.attached.Add(1)
 				}
+				rec.addrs = append(rec.addrs, la)
 			}
 			np := r.Count()
 			if r.Err() != nil {
@@ -271,47 +231,6 @@ func (n *Node) restoreV23(r *wire.Reader, v3 bool) error {
 		return err
 	}
 	n.installState(recs, drained, sessions)
-	return nil
-}
-
-// restoreV1 decodes the pre-session snapshot layout; r is positioned
-// just past the leading domain string.
-func (n *Node) restoreV1(domain string, r *wire.Reader) error {
-	if domain != n.cfg.Domain {
-		return fmt.Errorf("gls: snapshot is for domain %q, node serves %q", domain, n.cfg.Domain)
-	}
-	count := r.Count()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	recs := make(map[ids.OID]*record, count)
-	for i := 0; i < count; i++ {
-		oid := r.OID()
-		rec := &record{}
-		na := r.Count()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		for j := 0; j < na; j++ {
-			rec.addrs = append(rec.addrs, leasedAddr{ca: decodeContactAddress(r)})
-		}
-		np := r.Count()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if np > 0 {
-			rec.ptrs = make(map[string]Ref, np)
-		}
-		for j := 0; j < np; j++ {
-			child := r.Str()
-			rec.ptrs[child] = decodeRef(r)
-		}
-		recs[oid] = rec
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	n.installState(recs, make(map[string]bool), make(map[ids.OID]*session))
 	return nil
 }
 

@@ -48,15 +48,6 @@ func TestCheckpointLogSupersedesAndTombstones(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(stateDir, "checkpoints.log")); err != nil {
 		t.Fatalf("no checkpoint log: %v", err)
 	}
-	entries, err := os.ReadDir(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".replica" {
-			t.Fatalf("legacy per-replica file written: %s", e.Name())
-		}
-	}
 
 	srv.Close() // crash
 	srv2 := f.restartGOS("eu-gos", stateDir)
@@ -68,62 +59,5 @@ func TestCheckpointLogSupersedesAndTombstones(t *testing.T) {
 	}
 	if _, ok := srv2.HostedLR(doomed); ok {
 		t.Fatalf("removed replica %s resurrected from stale image frames", doomed.Short())
-	}
-}
-
-// TestLegacyReplicaFileMigratesIntoLog checks the upgrade path: a
-// per-replica checkpoint file from an older server recovers, and the
-// next checkpoint retires it in favour of a log frame.
-func TestLegacyReplicaFileMigratesIntoLog(t *testing.T) {
-	f := newFixture(t, nil)
-	stateDir := t.TempDir()
-	srv := f.startGOS("eu-gos", stateDir, nil)
-
-	cl := NewClient(f.net, "mod", "eu-gos:gos-cmd", nil)
-	defer cl.Close()
-	oid, _, _, err := cl.CreateReplica(CreateRequest{
-		Impl: pkgobj.Impl, Protocol: repl.ClientServer, Role: repl.RoleServer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Rewrite history into the legacy layout: the image as a
-	// per-replica file, no checkpoint log.
-	srv.mu.Lock()
-	img := append([]byte(nil), srv.ckptImages[oid]...)
-	srv.mu.Unlock()
-	if len(img) == 0 {
-		t.Fatal("no image recorded for checkpointed replica")
-	}
-	srv.Close() // crash
-	if err := os.WriteFile(srv.checkpointName(oid), img, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(stateDir, "checkpoints.log")); err != nil {
-		t.Fatal(err)
-	}
-
-	srv2 := f.restartGOS("eu-gos", stateDir)
-	if srv2.Hosted() != 1 {
-		t.Fatalf("recovered %d replicas from legacy file, want 1", srv2.Hosted())
-	}
-	// The next checkpoint supersedes the legacy file with a log frame.
-	cl2 := NewClient(f.net, "mod", "eu-gos:gos-cmd2", nil)
-	defer cl2.Close()
-	if err := cl2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(srv2.checkpointName(oid)); !os.IsNotExist(err) {
-		t.Fatalf("legacy file not retired after checkpoint: %v", err)
-	}
-	srv2.Close()
-	srv3 := f.restartGOS("eu-gos", stateDir)
-	_ = srv3
-	if srv3.Hosted() != 1 {
-		t.Fatalf("recovered %d replicas from migrated log, want 1", srv3.Hosted())
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -75,7 +74,7 @@ type Config struct {
 	// the address part of every contact address this server registers.
 	ObjAddr string
 	// Runtime supplies the implementation registry and the location-
-	// service resolver used for registration.
+	// service resolver used for registration; both are required.
 	Runtime *core.Runtime
 	// StateDir is the checkpoint directory; "" disables persistence.
 	StateDir string
@@ -91,9 +90,8 @@ type Config struct {
 	// all with a single batched call per leaf subnode — renewal traffic
 	// is O(servers), not O(replicas) — so entries stay live while the
 	// server does and age out of lookups within one TTL of a crash: the
-	// location layer stops advertising dead replicas. 0 selects the
-	// default (30s); negative disables leasing (permanent
-	// registrations, no heartbeat — the pre-session behaviour).
+	// location layer stops advertising dead replicas. A value <= 0
+	// selects the default (30s).
 	LeaseTTL time.Duration
 	// DrainAfter is the cumulative count of scrubber-quarantined chunks
 	// at which the server declares its store chronically corrupt and
@@ -149,12 +147,10 @@ type Server struct {
 	// stopScrub halts the background chunk scrubber; nil when
 	// scrubbing is disabled.
 	stopScrub func()
-	// stopHeartbeat halts the session-renewal loop; nil when leasing is
-	// disabled.
+	// stopHeartbeat halts the session-renewal loop.
 	stopHeartbeat func()
 	// sess is the registration session every hosted replica's contact
-	// address is attached to; nil when leasing is disabled (or the
-	// runtime has no resolver).
+	// address is attached to.
 	sess *gls.ServerSession
 
 	// healthMu guards the scrub-health accounting feeding GLS drain.
@@ -198,8 +194,8 @@ type Server struct {
 // Start launches an object server and recovers any replicas found in
 // its state directory, re-registering their contact addresses.
 func Start(net transport.Network, cfg Config) (*Server, error) {
-	if cfg.Runtime == nil {
-		return nil, fmt.Errorf("gos: config needs a runtime")
+	if cfg.Runtime == nil || cfg.Runtime.Resolver() == nil {
+		return nil, fmt.Errorf("gos: config needs a runtime with a location-service resolver")
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -230,14 +226,12 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	// One registration session covers every replica this server will
 	// host: replicas attach to it as they are created or recovered, and
 	// the heartbeat renews them all with a single batched call.
-	if ttl := s.leaseTTL(); ttl > 0 && cfg.Runtime.Resolver() != nil {
-		sess, _, err := cfg.Runtime.Resolver().OpenSession(disp.Addr(), ttl)
-		if err != nil {
-			disp.Close()
-			return nil, fmt.Errorf("gos: open registration session: %w", err)
-		}
-		s.sess = sess
+	sess, _, err := cfg.Runtime.Resolver().OpenSession(disp.Addr(), s.leaseTTL())
+	if err != nil {
+		disp.Close()
+		return nil, fmt.Errorf("gos: open registration session: %w", err)
 	}
+	s.sess = sess
 
 	// Recover before the command endpoint opens: the recovery sweep
 	// reclaims every unreferenced chunk, and a moderator upload
@@ -289,23 +283,16 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	// Heartbeat: renew the registration session at a third of the lease
 	// TTL, so every attached registration stays live exactly as long as
 	// the server does.
-	if s.sess != nil {
-		s.stopHeartbeat = s.startHeartbeat(s.leaseTTL() / 3)
-	}
+	s.stopHeartbeat = s.startHeartbeat(s.leaseTTL() / 3)
 	return s, nil
 }
 
-// leaseTTL returns the effective registration TTL (0 when leasing is
-// disabled).
+// leaseTTL returns the effective registration-session TTL.
 func (s *Server) leaseTTL() time.Duration {
-	switch {
-	case s.cfg.LeaseTTL < 0:
-		return 0
-	case s.cfg.LeaseTTL == 0:
+	if s.cfg.LeaseTTL <= 0 {
 		return defaultLeaseTTL
-	default:
-		return s.cfg.LeaseTTL
 	}
+	return s.cfg.LeaseTTL
 }
 
 // drainAfter returns the effective chronic-corruption threshold (0
@@ -319,27 +306,6 @@ func (s *Server) drainAfter() int {
 	default:
 		return s.cfg.DrainAfter
 	}
-}
-
-// register inserts one replica's contact address — attached to the
-// server's registration session when leasing is on, permanent
-// otherwise.
-func (s *Server) register(oid ids.OID, ca gls.ContactAddress) (time.Duration, error) {
-	if s.sess != nil {
-		_, cost, err := s.sess.Attach(oid, ca)
-		return cost, err
-	}
-	_, cost, err := s.cfg.Runtime.Resolver().Insert(oid, ca)
-	return cost, err
-}
-
-// deregister removes one replica's contact address and, when leasing is
-// on, drops it from the session's re-attach set.
-func (s *Server) deregister(oid ids.OID) (time.Duration, error) {
-	if s.sess != nil {
-		return s.sess.Detach(oid)
-	}
-	return s.cfg.Runtime.Resolver().Delete(oid, s.disp.Addr())
 }
 
 // startHeartbeat renews every hosted replica's lease on a ticker.
@@ -371,9 +337,6 @@ func (s *Server) startHeartbeat(every time.Duration) func() {
 // there are. The background loop calls it on a ticker; tests call it
 // directly.
 func (s *Server) Heartbeat() {
-	if s.sess == nil {
-		return
-	}
 	if _, err := s.sess.Renew(); err != nil {
 		s.cfg.Logf("gos: renew registration session: %v", err)
 	}
@@ -458,18 +421,10 @@ func (s *Server) Drained() bool {
 }
 
 // setDrain tells the location service to hide (or restore) every
-// contact address at this server's replica endpoint. With a
-// registration session the bit rides the next batched renewal
-// (ServerSession.Drain) — no per-subnode fan-out; sessionless servers
-// fall back to the OpDrain compatibility shim.
+// contact address at this server's replica endpoint. The bit rides
+// the registration session's batched renewal (ServerSession.Drain).
 func (s *Server) setDrain(draining bool) {
-	var err error
-	if s.sess != nil {
-		_, err = s.sess.Drain(draining)
-	} else {
-		_, err = s.cfg.Runtime.Resolver().Drain(s.disp.Addr(), draining)
-	}
-	if err != nil {
+	if _, err := s.sess.Drain(draining); err != nil {
 		s.cfg.Logf("gos: drain(%v) %s: %v", draining, s.disp.Addr(), err)
 		return
 	}
@@ -511,9 +466,7 @@ func (s *Server) HostedLR(oid ids.OID) (*core.LR, bool) {
 // renewed and ages out with its entries), which is what recovery
 // builds on.
 func (s *Server) Close() error {
-	if s.stopHeartbeat != nil {
-		s.stopHeartbeat()
-	}
+	s.stopHeartbeat()
 	if s.stopScrub != nil {
 		s.stopScrub()
 	}
@@ -756,7 +709,7 @@ func (s *Server) create(req CreateRequest) (oid ids.OID, ca gls.ContactAddress, 
 		return ids.Nil, gls.ContactAddress{}, 0, err
 	}
 
-	insCost, err := s.register(oid, ca)
+	_, insCost, err := s.sess.Attach(oid, ca)
 	if err != nil {
 		lr.Close()
 		return ids.Nil, gls.ContactAddress{}, insCost, fmt.Errorf("gos: register %s: %w", oid.Short(), err)
@@ -788,7 +741,7 @@ func (s *Server) handleRemove(call *rpc.Call) ([]byte, error) {
 		return nil, fmt.Errorf("gos: not hosting %s", oid.Short())
 	}
 
-	cost, err := s.deregister(oid)
+	cost, err := s.sess.Detach(oid)
 	call.Charge(cost)
 	if err != nil {
 		s.cfg.Logf("gos: deregister %s: %v", oid.Short(), err)
@@ -827,11 +780,6 @@ func (s *Server) handleList() ([]byte, error) {
 }
 
 // --- persistence -----------------------------------------------------
-
-// checkpointName is the stable file name for one replica's checkpoint.
-func (s *Server) checkpointName(oid ids.OID) string {
-	return filepath.Join(s.cfg.StateDir, oid.String()+".replica")
-}
 
 // CheckpointAll writes every hosted replica's state to the state
 // directory.
@@ -912,10 +860,6 @@ func (s *Server) checkpoint(h *hosted) error {
 			s.chunks.Release(refs)
 			return err
 		}
-		// The log frame supersedes any legacy per-replica file from an
-		// older server; retire it so recovery cannot resurrect stale
-		// state after a later tombstone.
-		os.Remove(s.checkpointName(h.spec.OID))
 		s.mu.Lock()
 		if s.objects[h.spec.OID] != h && !s.closing {
 			// The replica was removed while we checkpointed; a durable
@@ -951,7 +895,6 @@ func (s *Server) removeCheckpoint(oid ids.OID) {
 	if s.cfg.StateDir == "" {
 		return
 	}
-	os.Remove(s.checkpointName(oid))
 	s.appendTombstone(oid)
 	s.mu.Lock()
 	refs := s.pins[oid]
@@ -1069,9 +1012,8 @@ func rolePriority(role string) int {
 
 // recover reconstructs replicas from the state directory and
 // re-registers their contact addresses with the location service (§4).
-// Legacy per-replica files are read first, then the checkpoint log is
-// replayed over them: the last frame per object wins, and a tombstone
-// retracts the object entirely.
+// The checkpoint log is replayed: the last frame per object wins, and a
+// tombstone retracts the object entirely.
 func (s *Server) recover() error {
 	if s.cfg.StateDir == "" {
 		return nil
@@ -1079,26 +1021,8 @@ func (s *Server) recover() error {
 	if err := os.MkdirAll(s.cfg.StateDir, 0o700); err != nil {
 		return err
 	}
-	entries, err := os.ReadDir(s.cfg.StateDir)
-	if err != nil {
-		return err
-	}
 
 	images := make(map[ids.OID][]byte)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".replica") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(s.cfg.StateDir, e.Name()))
-		if err != nil {
-			return err
-		}
-		spec, err := decodeCheckpoint(b)
-		if err != nil {
-			return fmt.Errorf("gos: checkpoint %s: %w", e.Name(), err)
-		}
-		images[spec.OID] = b
-	}
 
 	lg, err := walog.Open(s.ckptLogName(), func(p []byte) error {
 		if len(p) < 1 {
@@ -1151,7 +1075,7 @@ func (s *Server) recover() error {
 		if err != nil {
 			return fmt.Errorf("gos: recover %s: %w", p.spec.OID.Short(), err)
 		}
-		if _, err := s.register(p.spec.OID, ca); err != nil {
+		if _, _, err := s.sess.Attach(p.spec.OID, ca); err != nil {
 			lr.Close()
 			return fmt.Errorf("gos: re-register %s: %w", p.spec.OID.Short(), err)
 		}

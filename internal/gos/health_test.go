@@ -148,6 +148,34 @@ func TestCrashedServerLeaseAgesOut(t *testing.T) {
 	}
 }
 
+// TestDefaultConfigRegistersOnlyThroughSession: without a LeaseTTL (or
+// with a negative one) a server still registers every replica through
+// its one registration session, so a crash ages them out within the
+// default TTL — there is no permanent-registration mode.
+func TestDefaultConfigRegistersOnlyThroughSession(t *testing.T) {
+	for _, ttl := range []time.Duration{0, -time.Second} {
+		f := newHealthFixture(t)
+		srv := f.startGOS("eu-gos", Config{LeaseTTL: ttl})
+		cl := NewClient(f.net, "mod", "eu-gos:gos-cmd", nil)
+		oid, _, _, err := cl.CreateReplica(CreateRequest{
+			Impl: pkgobj.Impl, Protocol: repl.ClientServer, Role: repl.RoleServer,
+		})
+		cl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := f.tree.Nodes("lan")[0]
+		if got := leaf.Sessions(); got != 1 {
+			t.Fatalf("LeaseTTL %v: %d sessions at the leaf, want 1", ttl, got)
+		}
+		srv.Close() // crash
+		f.clock.Advance(defaultLeaseTTL + time.Second)
+		if _, err := f.lookup(oid); !errors.Is(err, gls.ErrNotFound) {
+			t.Fatalf("LeaseTTL %v: lookup one default TTL after crash = %v, want ErrNotFound", ttl, err)
+		}
+	}
+}
+
 // TestHeartbeatIsOneRenewalForManyReplicas pins the control-plane
 // contract of registration sessions: a server hosting N replicas costs
 // the location service O(1) RPCs per heartbeat interval, not O(N) —

@@ -78,9 +78,7 @@ type Config struct {
 	// registration is attached to one session, renewed by a single
 	// batched heartbeat, so a killed proxy's caches vanish from
 	// lookups within one TTL — exactly the liveness contract object
-	// servers run under. 0 selects the default (30s); negative
-	// disables leasing (permanent registrations, the pre-session
-	// behaviour).
+	// servers run under. A value <= 0 selects the default (30s).
 	LeaseTTL time.Duration
 	// RenewEvery overrides the heartbeat cadence (default LeaseTTL/3);
 	// negative disables the background loop (tests renew by hand with
@@ -161,7 +159,7 @@ type Handler struct {
 	stopScrub func()
 
 	// sess is the registration session cache registrations attach to
-	// (RegisterCaches mode with leasing); nil otherwise.
+	// (RegisterCaches mode); nil otherwise.
 	sess *gls.ServerSession
 	// stopRenew halts the session heartbeat loop.
 	stopRenew func()
@@ -261,13 +259,13 @@ func New(cfg Config) (*Handler, error) {
 	// session covers every cache registration, and a single batched
 	// renewal per heartbeat keeps them all alive — so a killed proxy's
 	// caches age out of lookups within one TTL instead of lingering
-	// forever (the old permanent-registration behaviour).
-	if cfg.CacheObjects && cfg.RegisterCaches && cfg.LeaseTTL >= 0 {
+	// forever.
+	if cfg.CacheObjects && cfg.RegisterCaches {
 		if cfg.Runtime.Resolver() == nil {
 			return nil, fmt.Errorf("httpd: registering caches needs a location-service resolver")
 		}
 		ttl := cfg.LeaseTTL
-		if ttl == 0 {
+		if ttl <= 0 {
 			ttl = defaultLeaseTTL
 		}
 		sess, _, err := cfg.Runtime.Resolver().OpenSession(cfg.Disp.Addr(), ttl)
@@ -346,13 +344,11 @@ func (h *Handler) Close() error {
 	h.mu.Lock()
 	bindings := h.bindings
 	h.bindings = make(map[string]*binding)
-	if h.sess != nil {
-		// The session close below expires every attached registration
-		// in one round trip per subnode; per-binding deregistration
-		// would just repeat that N times.
-		for _, b := range bindings {
-			b.registered = false
-		}
+	// The session close below expires every attached registration in
+	// one round trip per subnode; per-binding deregistration would just
+	// repeat that N times.
+	for _, b := range bindings {
+		b.registered = false
 	}
 	h.mu.Unlock()
 	for _, b := range bindings {
@@ -368,14 +364,7 @@ func (h *Handler) Close() error {
 
 func (h *Handler) releaseBinding(b *binding) {
 	if b.registered {
-		oid := b.stub.LR().OID()
-		var err error
-		if h.sess != nil {
-			_, err = h.sess.Detach(oid)
-		} else {
-			_, err = h.cfg.Runtime.Resolver().Delete(oid, h.cfg.Disp.Addr())
-		}
-		if err != nil {
+		if _, err := h.sess.Detach(b.stub.LR().OID()); err != nil {
 			h.cfg.Logf("httpd: deregister cache for %s: %v", b.name, err)
 		}
 	}
@@ -482,16 +471,9 @@ func (h *Handler) bind(objectName string) (*binding, time.Duration, error) {
 		if err != nil {
 			return nil, cost, err
 		}
-		if h.cfg.RegisterCaches {
-			// Leased (attached to the proxy's registration session) when
-			// leasing is on, permanent otherwise.
-			var regCost time.Duration
-			var regErr error
-			if h.sess != nil {
-				_, regCost, regErr = h.sess.Attach(oid, ca)
-			} else {
-				_, regCost, regErr = rt.Resolver().Insert(oid, ca)
-			}
+		if h.sess != nil {
+			// Leased: attached to the proxy's registration session.
+			_, regCost, regErr := h.sess.Attach(oid, ca)
 			if regErr != nil {
 				h.cfg.Logf("httpd: register cache for %s: %v", objectName, regErr)
 			} else {

@@ -30,9 +30,9 @@
 //     short bounds scan plus three atomic adds — no locks, no
 //     allocation. Call sites cache instrument handles in package-level
 //     vars so the registry map is never touched per request.
-//   - An untraced request carries a zero SpanContext: no extra wire
-//     bytes (the 16-byte trace tail is appended only when valid), nil
-//     *Span no-ops everywhere, zero ring writes. Only requests that a
+//   - An untraced request carries a zero SpanContext: sixteen zero
+//     bytes in the request frame's fixed trace tail, nil *Span no-ops
+//     everywhere, zero ring writes. Only requests that a
 //     root (the HTTPD, or a traced experiment) explicitly traces pay
 //     for spans, and a recorded span costs one short mutexed ring
 //     write at End.
@@ -46,9 +46,9 @@
 //
 // # Trace propagation
 //
-// A SpanContext is 16 bytes on the wire: trace ID then span ID,
-// appended to the RPC request frame as an optional tail (old frames
-// without it still decode). Each hop regenerates the span: the client
+// A SpanContext is 16 bytes on the wire: trace ID then span ID, the
+// tail every RPC request frame ends in (a frame without it is
+// malformed). Each hop regenerates the span: the client
 // sends its own span's context, the server starts a fresh child span
 // for the handler and propagates that context into any nested calls
 // the handler makes, so one HTTP download threads a single trace ID

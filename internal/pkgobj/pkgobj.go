@@ -774,12 +774,3 @@ func StateRefs(state []byte) ([]store.Ref, error) {
 
 // Files returns the number of files; tests and checkpoint logs use it.
 func (p *Package) Files() int { return len(p.files) }
-
-// TotalSize sums all file sizes.
-func (p *Package) TotalSize() int64 {
-	var total int64
-	for _, f := range p.files {
-		total += f.size
-	}
-	return total
-}

@@ -384,9 +384,9 @@ func (ds *digestSink) sum() [sha256.Size]byte {
 	return got
 }
 
-// ReadFileRangeTo streams the byte range [off, off+n) of a file into w
-// with chunk-bounded buffering (n < 0 means to end of file) and
-// returns the byte count written. Unlike ReadFileTo there is no
+// ReadFileRangeToT streams the byte range [off, off+n) of a file into
+// w with chunk-bounded buffering (n < 0 means to end of file), carrying
+// the trace context tc, and returns the byte count written. Unlike ReadFileTo there is no
 // whole-file digest to verify — a partial body cannot be checked
 // against the manifest's digest — so integrity rests on the chunk
 // layer: stores verify chunk bytes against their content address on
@@ -394,11 +394,6 @@ func (ds *digestSink) sum() [sha256.Size]byte {
 // verification fetch the whole file or check the assembled ranges
 // against the digest themselves (it rides the X-GDN-Digest header on
 // the HTTP path).
-func (s *Stub) ReadFileRangeTo(w io.Writer, path string, off, n int64) (int64, error) {
-	return s.ReadFileRangeToT(obs.SpanContext{}, w, path, off, n)
-}
-
-// ReadFileRangeToT is ReadFileRangeTo carrying a trace context.
 func (s *Stub) ReadFileRangeToT(tc obs.SpanContext, w io.Writer, path string, off, n int64) (int64, error) {
 	var written int64
 	sink := func(p []byte) error {

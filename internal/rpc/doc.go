@@ -18,12 +18,12 @@
 // in-flight requests, identified by a per-connection 64-bit request ID.
 // The frame layouts are
 //
-//	request:  id uint64 | op uint16 | body bytes32 [| trace uint64 | span uint64]
+//	request:  id uint64 | op uint16 | body bytes32 | trace uint64 | span uint64
 //	response: id uint64 | status uint8 | errmsg str16 | cost int64 | body bytes32
 //
-// all encoded with package wire. The 16-byte trace tail is optional: a
-// traced request carries its span context there, and an untraced one
-// ends after the body. A client sends requests from any number of
+// all encoded with package wire. Every request ends in the 16-byte
+// trace tail: a traced request carries its span context there, an
+// untraced one zeros; a frame without the tail is malformed. A client sends requests from any number of
 // goroutines; a single demux goroutine per connection receives
 // responses and routes each to the waiting caller recorded in the
 // pending-call table. The table is striped (request IDs are sequential,

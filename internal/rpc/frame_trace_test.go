@@ -8,42 +8,42 @@ import (
 	"gdn/internal/wire"
 )
 
-// TestRequestFrameOldFormatCompat pins the wire compatibility contract
-// of the optional trace tail: an untraced request encodes to exactly
-// the pre-trace frame layout, and a frame from a peer predating trace
-// propagation (no 16-byte tail) decodes to an untraced call.
-func TestRequestFrameOldFormatCompat(t *testing.T) {
+// TestRequestFrameWithoutTraceTailRejected pins the request frame
+// layout: every frame ends in the 16-byte trace tail, so a frame that
+// stops after the body — the layout before trace propagation — is
+// malformed, as is one with a partial tail.
+func TestRequestFrameWithoutTraceTailRejected(t *testing.T) {
 	const id, op = uint64(7), uint16(42)
 	body := []byte("chunk request body")
 
-	// The seed frame layout: id, op, length-prefixed body. Nothing else.
 	old := wire.GetWriter(0)
 	defer old.Free()
 	old.Uint64(id)
 	old.Uint16(op)
 	old.Bytes32(body)
+	if _, _, err := decodeRequest(old.Bytes()); err == nil {
+		t.Fatal("decodeRequest accepted a frame without the trace tail")
+	}
 
 	w := encodeRequest(id, op, body, obs.SpanContext{})
 	defer w.Free()
-	if !bytes.Equal(w.Bytes(), old.Bytes()) {
-		t.Fatalf("untraced request frame differs from the pre-trace layout:\n got %x\nwant %x",
-			w.Bytes(), old.Bytes())
+	if want := old.Len() + traceTailLen; w.Len() != want {
+		t.Fatalf("untraced request frame is %d bytes, want %d (body + tail)", w.Len(), want)
 	}
-
-	gotID, call, err := decodeRequest(old.Bytes())
+	if _, _, err := decodeRequest(w.Bytes()[:w.Len()-1]); err == nil {
+		t.Fatal("decodeRequest accepted a frame with a partial trace tail")
+	}
+	gotID, call, err := decodeRequest(w.Bytes())
 	if err != nil {
-		t.Fatalf("decodeRequest(old frame): %v", err)
+		t.Fatalf("decodeRequest(untraced frame): %v", err)
 	}
-	if gotID != id || call.Op != op || !bytes.Equal(call.Body, body) {
-		t.Fatalf("old frame decoded to id=%d op=%d body=%q", gotID, call.Op, call.Body)
-	}
-	if call.TC.Valid() {
-		t.Fatalf("old frame decoded to a traced call: %+v", call.TC)
+	if gotID != id || call.Op != op || !bytes.Equal(call.Body, body) || call.TC.Valid() {
+		t.Fatalf("untraced frame decoded to id=%d op=%d body=%q tc=%+v", gotID, call.Op, call.Body, call.TC)
 	}
 }
 
 // TestRequestFrameTraceRoundTrip checks the traced side of the same
-// contract: a valid span context rides the 16-byte tail and survives
+// layout: a valid span context rides the 16-byte tail and survives
 // encode/decode intact.
 func TestRequestFrameTraceRoundTrip(t *testing.T) {
 	tc := obs.SpanContext{Trace: 0xdeadbeefcafe, Span: 0x1234567890ab}
@@ -54,9 +54,9 @@ func TestRequestFrameTraceRoundTrip(t *testing.T) {
 
 	untraced := encodeRequest(9, 3, body, obs.SpanContext{})
 	defer untraced.Free()
-	if w.Len() != untraced.Len()+traceTailLen {
-		t.Fatalf("traced frame is %d bytes, want untraced %d + tail %d",
-			w.Len(), untraced.Len(), traceTailLen)
+	if w.Len() != untraced.Len() {
+		t.Fatalf("traced frame is %d bytes, want the untraced frame's %d: both carry the tail",
+			w.Len(), untraced.Len())
 	}
 
 	_, call, err := decodeRequest(w.Bytes())

@@ -415,42 +415,33 @@ func (s *Server) safeHandle(call *Call) (body []byte, err error) {
 
 // decodeRequest splits a request frame. The call is returned by value:
 // reserved-op frames never reach a handler, so they allocate nothing.
-// The 16-byte trace tail is optional: frames from peers predating trace
-// propagation simply end after the body and decode to an untraced call,
-// so the wire format stays compatible in both directions.
+// Every request frame ends in the 16-byte trace tail; a frame without
+// it is malformed.
 func decodeRequest(frame []byte) (uint64, Call, error) {
 	r := wire.NewReader(frame)
 	id := r.Uint64()
 	op := r.Uint16()
 	body := r.Bytes32()
-	var tc obs.SpanContext
-	if r.Remaining() == traceTailLen {
-		tc.Trace = r.Uint64()
-		tc.Span = r.Uint64()
-	}
+	tc := obs.SpanContext{Trace: r.Uint64(), Span: r.Uint64()}
 	if err := r.Done(); err != nil {
 		return 0, Call{}, err
 	}
 	return id, Call{Op: op, Body: body, TC: tc}, nil
 }
 
-// traceTailLen is the size of the optional trace context appended to
-// request frames: trace ID then span ID, both uint64.
+// traceTailLen is the size of the trace context that ends every request
+// frame: trace ID then span ID, both uint64 (zero for an untraced call).
 const traceTailLen = 16
 
 // encodeRequest builds a request frame in a pooled writer. The caller
-// must Free it once the frame has been sent. A valid trace context is
-// appended as the optional 16-byte tail; untraced requests keep the
-// seed frame layout byte for byte.
+// must Free it once the frame has been sent.
 func encodeRequest(id uint64, op uint16, body []byte, tc obs.SpanContext) *wire.Writer {
 	w := wire.GetWriter(14 + traceTailLen + len(body))
 	w.Uint64(id)
 	w.Uint16(op)
 	w.Bytes32(body)
-	if tc.Valid() {
-		w.Uint64(tc.Trace)
-		w.Uint64(tc.Span)
-	}
+	w.Uint64(tc.Trace)
+	w.Uint64(tc.Span)
 	return w
 }
 

@@ -384,7 +384,11 @@ func (r *Reader) OID() ids.OID {
 	return o
 }
 
-// Count decodes a list length prefix, bounded by MaxCount.
+// Count decodes a list length prefix, bounded by MaxCount and by the
+// undecoded bytes: every encoded element takes at least one byte, so a
+// count the rest of the message cannot hold is a truncated message.
+// Callers may therefore preallocate from the count — a forged one
+// cannot make a decoder allocate beyond a multiple of its input.
 func (r *Reader) Count() int {
 	n := r.Uint32()
 	if r.err != nil {
@@ -392,6 +396,10 @@ func (r *Reader) Count() int {
 	}
 	if n > MaxCount {
 		r.fail(ErrTooLarge)
+		return 0
+	}
+	if int(n) > r.Remaining() {
+		r.fail(ErrTruncated)
 		return 0
 	}
 	return int(n)

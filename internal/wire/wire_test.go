@@ -25,6 +25,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 	w.Str("gdn")
 	w.OID(o)
 	w.Count(7)
+	for i := 0; i < 7; i++ {
+		w.Uint8(uint8(i)) // a count is followed by its elements
+	}
 
 	r := NewReader(w.Bytes())
 	if got := r.Uint8(); got != 0xab {
@@ -62,6 +65,11 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 	if got := r.Count(); got != 7 {
 		t.Errorf("Count = %d", got)
+	}
+	for i := 0; i < 7; i++ {
+		if got := r.Uint8(); got != uint8(i) {
+			t.Errorf("element %d = %d", i, got)
+		}
 	}
 	if err := r.Done(); err != nil {
 		t.Fatalf("Done: %v", err)
@@ -129,6 +137,32 @@ func TestCountLimit(t *testing.T) {
 	}
 	if !errors.Is(r.Err(), ErrTooLarge) {
 		t.Fatalf("err = %v, want ErrTooLarge", r.Err())
+	}
+}
+
+// TestCountBeyondRemainingRejected: a count within MaxCount that the
+// rest of the message cannot hold (every element takes at least one
+// byte) fails as truncated, so no caller preallocates from it; a count
+// the remaining bytes can hold still decodes.
+func TestCountBeyondRemainingRejected(t *testing.T) {
+	w := NewWriter(0)
+	w.Count(MaxCount)
+	r := NewReader(w.Bytes())
+	if got := r.Count(); got != 0 {
+		t.Fatalf("Count over remaining = %d, want 0", got)
+	}
+	if !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", r.Err())
+	}
+
+	w = NewWriter(0)
+	w.Count(3)
+	w.Uint8(1)
+	w.Uint8(2)
+	w.Uint8(3)
+	r = NewReader(w.Bytes())
+	if got := r.Count(); got != 3 || r.Err() != nil {
+		t.Fatalf("Count = %d, err %v; want 3, nil", got, r.Err())
 	}
 }
 
