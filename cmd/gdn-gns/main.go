@@ -8,7 +8,7 @@
 //
 //	gdn-gns -dns-addr :8001 -root                      # root, delegating
 //	gdn-gns -dns-addr :8002 -zone gdn.cs.vu.nl         # zone server
-//	gdn-gns -na-addr :8010 -servers :8002 -zone gdn.cs.vu.nl
+//	gdn-gns -na-addr :8010 -servers :8002 -zone gdn.cs.vu.nl -state-dir /var/lib/gdn-na
 //
 // The TSIG secret shared between the authority and the zone servers
 // comes from -tsig-secret (both sides must match).
@@ -35,7 +35,7 @@ func main() {
 		servers  = flag.String("servers", "", "comma-separated zone-server addresses the authority updates")
 		tsig     = flag.String("tsig-secret", "gdn-dev-secret", "TSIG key secret shared with the zone servers")
 		batch    = flag.Int("batch", 1, "naming-authority update batch size")
-		snapshot = flag.String("snapshot", "", "authority name-table snapshot file")
+		stateDir = flag.String("state-dir", "", "directory of the authority's durable name table (empty: in memory only)")
 	)
 	var df daemon.DebugFlags
 	df.Register(flag.CommandLine)
@@ -76,10 +76,8 @@ func main() {
 		}
 	}
 
-	var authority *gns.Authority
 	if *naAddr != "" {
-		var err error
-		authority, err = gns.StartAuthority(daemon.Net, gns.AuthorityConfig{
+		authority, err := gns.StartAuthority(daemon.Net, gns.AuthorityConfig{
 			Zone:       *zoneName,
 			Site:       "local",
 			Addr:       *naAddr,
@@ -87,24 +85,14 @@ func main() {
 			TSIGKey:    "na-key",
 			TSIGSecret: []byte(*tsig),
 			BatchSize:  *batch,
+			StateDir:   *stateDir,
 			Logf:       daemon.Logf("gdn-gns/na"),
 		})
 		if err != nil {
 			daemon.Fatal(err)
 		}
 		defer authority.Close()
-		if *snapshot != "" {
-			if b, err := os.ReadFile(*snapshot); err == nil {
-				if err := authority.Restore(b); err != nil {
-					daemon.Fatal(err)
-				}
-				if err := authority.ResyncZone(); err != nil {
-					daemon.Fatal(err)
-				}
-				fmt.Printf("gdn-gns: restored %d names and resynced the zone\n", len(authority.Names()))
-			}
-		}
-		fmt.Printf("gdn-gns: naming authority for %q on %s (batch %d)\n", *zoneName, *naAddr, *batch)
+		fmt.Printf("gdn-gns: naming authority for %q on %s (batch %d, %d names)\n", *zoneName, *naAddr, *batch, len(authority.Names()))
 	}
 	if dbg := df.Serve(daemon.Logf("gdn-gns")); dbg != "" {
 		fmt.Printf("gdn-gns: debug endpoint on http://%s/debug/gdn/metrics\n", dbg)
@@ -112,9 +100,4 @@ func main() {
 
 	sig := daemon.WaitForSignal()
 	fmt.Printf("gdn-gns: %v, shutting down\n", sig)
-	if authority != nil && *snapshot != "" {
-		if err := os.WriteFile(*snapshot, authority.Snapshot(), 0o600); err != nil {
-			daemon.Fatal(err)
-		}
-	}
 }

@@ -2,6 +2,8 @@ package gns
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/transport"
+	"gdn/internal/walog"
 	"gdn/internal/wire"
 )
 
@@ -52,6 +55,10 @@ type AuthorityConfig struct {
 	// Auth, when non-nil, restricts Add and Remove to authenticated
 	// moderators and administrators (paper §6.1, requirement 3).
 	Auth *sec.Config
+	// StateDir holds the durable name table; "" keeps it in memory only.
+	// Every Add and Remove is on disk before it is acknowledged, and a
+	// restart replays the table and resyncs the zone from it.
+	StateDir string
 	// Now supplies the TSIG clock (defaults to wall time).
 	Now func() int64
 	// Logf receives diagnostics; nil discards them.
@@ -65,10 +72,11 @@ type Authority struct {
 	cfg AuthorityConfig
 
 	mu       sync.Mutex
-	names    map[string]ids.OID         // object name -> OID
-	children map[string]map[string]bool // directory -> child labels
+	names    map[string]ids.OID // object name -> OID
+	children tree
 	pending  []dns.RR
 	flushes  int64
+	table    *walog.Table // the durable names; nil without a StateDir
 
 	clients *rpc.Clients // the zone's name servers
 
@@ -96,8 +104,12 @@ func StartAuthority(net transport.Network, cfg AuthorityConfig) (*Authority, err
 	a := &Authority{
 		cfg:      cfg,
 		names:    make(map[string]ids.OID),
-		children: make(map[string]map[string]bool),
+		children: make(tree),
 		clients:  rpc.NewClients(net, cfg.Site),
+	}
+	if err := a.recover(); err != nil {
+		a.close()
+		return nil, err
 	}
 	opts := []rpc.ServerOption{rpc.WithServerLog(cfg.Logf)}
 	if cfg.Auth != nil {
@@ -105,21 +117,62 @@ func StartAuthority(net transport.Network, cfg AuthorityConfig) (*Authority, err
 	}
 	srv, err := rpc.Serve(net, cfg.Addr, a.handle, opts...)
 	if err != nil {
+		a.close()
 		return nil, err
 	}
 	a.server = srv
 	return a, nil
 }
 
+// recover opens the durable name table, rebuilds the names and the
+// directory tree from it, and pushes them to the name servers, which
+// may have lost their zones since.
+func (a *Authority) recover() error {
+	if a.cfg.StateDir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(a.cfg.StateDir, 0o700); err != nil {
+		return err
+	}
+	tab, err := walog.OpenTable(filepath.Join(a.cfg.StateDir, "names.log"), "gdn-gns names "+a.cfg.Zone)
+	if err != nil {
+		return fmt.Errorf("gns: open name table: %w", err)
+	}
+	a.table = tab
+	for name, v := range tab.Live() {
+		oid, err := ids.FromBytes(v)
+		if c, cerr := canonicalName(name); err != nil || cerr != nil || c != name {
+			return fmt.Errorf("gns: name table entry %q is not a canonical name and an OID", name)
+		}
+		a.names[name] = oid
+		a.children.link(name, nil)
+	}
+	if len(a.names) == 0 {
+		return nil
+	}
+	a.cfg.Logf("gns: recovered %d names from %s; resyncing the zone", len(a.names), a.cfg.StateDir)
+	return a.ResyncZone()
+}
+
 // Addr returns the authority's RPC address.
 func (a *Authority) Addr() string { return a.cfg.Addr }
 
 // Close stops the authority. Pending updates are not flushed; restart
-// recovery re-derives them from the registered-names snapshot.
+// recovery re-derives them from the durable name table.
 func (a *Authority) Close() error {
 	err := a.server.Close()
-	a.clients.Close()
+	if cerr := a.close(); err == nil {
+		err = cerr
+	}
 	return err
+}
+
+func (a *Authority) close() error {
+	a.clients.Close()
+	if a.table == nil {
+		return nil
+	}
+	return a.table.Close()
 }
 
 // Flushes returns how many update messages have been sent to the name
@@ -183,64 +236,29 @@ func (a *Authority) handleAdd(call *rpc.Call) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	parts, err := SplitObjectName(name)
+	canonical, err := canonicalName(name)
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: cannot register the root directory", ErrBadObjectName)
-	}
-	canonical := "/" + strings.Join(parts, "/")
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, taken := a.names[canonical]; taken {
 		return nil, fmt.Errorf("%w: %s", ErrExists, canonical)
 	}
+	if a.table != nil {
+		if err := a.table.Put(canonical, oid[:]); err != nil {
+			return nil, fmt.Errorf("gns: persist %s: %w", canonical, err)
+		}
+	}
 	a.names[canonical] = oid
-
-	dnsName, err := NameToDNS(canonical, a.cfg.Zone)
-	if err != nil {
-		return nil, err
-	}
-	a.stage(dns.RR{Name: dnsName, Type: dns.TypeTXT, Class: dns.ClassIN, TTL: recordTTL, Data: EncodeOIDRecord(oid)})
-
-	// Register the name in each directory above it that does not list it
-	// yet, creating directories on demand.
-	dirs, err := ParentDirs(canonical)
-	if err != nil {
-		return nil, err
-	}
-	child := parts[len(parts)-1]
+	a.stageTXT(canonical, dns.ClassIN, EncodeOIDRecord(oid))
 	// The immediate parent additionally gets a package marker, so a
 	// single listing query classifies this child as an object — even
 	// when the entry chain already existed (the name was a directory
 	// before it became a package too).
-	parentDNS, err := NameToDNS(dirs[0], a.cfg.Zone)
-	if err != nil {
-		return nil, err
-	}
-	a.stage(dns.RR{Name: parentDNS, Type: dns.TypeTXT, Class: dns.ClassIN, TTL: recordTTL, Data: EncodePkgRecord(child)})
-	for i, dir := range dirs {
-		kids := a.children[dir]
-		if kids == nil {
-			kids = make(map[string]bool)
-			a.children[dir] = kids
-		}
-		if kids[child] {
-			break // the chain above already exists
-		}
-		kids[child] = true
-		dirDNS, err := NameToDNS(dir, a.cfg.Zone)
-		if err != nil {
-			return nil, err
-		}
-		a.stage(dns.RR{Name: dirDNS, Type: dns.TypeTXT, Class: dns.ClassIN, TTL: recordTTL, Data: EncodeEntryRecord(child)})
-		// The next level up must list this directory.
-		if i+1 < len(dirs) {
-			child = lastLabel(dir)
-		}
-	}
+	a.stageTXT(parentDir(canonical), dns.ClassIN, EncodePkgRecord(lastLabel(canonical)))
+	a.children.link(canonical, a.stageEntry)
 	return nil, a.maybeFlushLocked(call)
 }
 
@@ -253,14 +271,10 @@ func (a *Authority) handleRemove(call *rpc.Call) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	parts, err := SplitObjectName(name)
+	canonical, err := canonicalName(name)
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("%w: cannot remove the root directory", ErrBadObjectName)
-	}
-	canonical := "/" + strings.Join(parts, "/")
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -268,50 +282,68 @@ func (a *Authority) handleRemove(call *rpc.Call) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, canonical)
 	}
+	if a.table != nil {
+		if err := a.table.Delete(canonical); err != nil {
+			return nil, fmt.Errorf("gns: persist removal of %s: %w", canonical, err)
+		}
+	}
 	delete(a.names, canonical)
-
-	dnsName, err := NameToDNS(canonical, a.cfg.Zone)
-	if err != nil {
-		return nil, err
-	}
-	a.stage(dns.RR{Name: dnsName, Type: dns.TypeTXT, Class: dns.ClassNone, Data: EncodeOIDRecord(oid)})
-
-	// Unlink from parent directories while they become empty. A name
-	// that still has children stays listed: it is also a directory.
-	dirs, err := ParentDirs(canonical)
-	if err != nil {
-		return nil, err
-	}
-	current := canonical
-	child := parts[len(parts)-1]
+	a.stageTXT(canonical, dns.ClassNone, EncodeOIDRecord(oid))
 	// The object is gone, so its package marker at the immediate parent
 	// goes regardless of whether the name survives as a directory.
-	parentDNS, err := NameToDNS(dirs[0], a.cfg.Zone)
-	if err != nil {
-		return nil, err
-	}
-	a.stage(dns.RR{Name: parentDNS, Type: dns.TypeTXT, Class: dns.ClassNone, Data: EncodePkgRecord(child)})
-	for _, dir := range dirs {
-		if len(a.children[current]) > 0 {
-			break // still a non-empty directory; keep its entry
+	a.stageTXT(parentDir(canonical), dns.ClassNone, EncodePkgRecord(lastLabel(canonical)))
+	// Unlink from parent directories while they become empty. A name
+	// that still has children (it is also a directory) or is itself
+	// registered stays listed.
+	for cur := canonical; cur != "/" && len(a.children[cur]) == 0; cur = parentDir(cur) {
+		if _, isObject := a.names[cur]; isObject {
+			break
 		}
-		if _, isObject := a.names[current]; isObject {
-			break // another registration (multi-name) keeps it alive
-		}
-		kids := a.children[dir]
-		delete(kids, child)
-		if len(kids) == 0 {
+		dir, child := parentDir(cur), lastLabel(cur)
+		delete(a.children[dir], child)
+		if len(a.children[dir]) == 0 {
 			delete(a.children, dir)
 		}
-		dirDNS, err := NameToDNS(dir, a.cfg.Zone)
-		if err != nil {
-			return nil, err
-		}
-		a.stage(dns.RR{Name: dirDNS, Type: dns.TypeTXT, Class: dns.ClassNone, Data: EncodeEntryRecord(child)})
-		current = dir
-		child = lastLabel(dir)
+		a.stageTXT(dir, dns.ClassNone, EncodeEntryRecord(child))
 	}
 	return nil, a.maybeFlushLocked(call)
+}
+
+// canonicalName validates an object name and returns its canonical
+// form. The root directory is not an object name.
+func canonicalName(name string) (string, error) {
+	parts, err := SplitObjectName(name)
+	if err != nil {
+		return "", err
+	}
+	if len(parts) == 0 {
+		return "", fmt.Errorf("%w: the root directory is not an object", ErrBadObjectName)
+	}
+	return "/" + strings.Join(parts, "/"), nil
+}
+
+// tree is the directory structure the registered names imply:
+// directory -> the child labels it lists.
+type tree map[string]map[string]bool
+
+// link lists a canonical name in every directory above it, creating
+// directories on demand, and reports each entry it adds to added
+// (which may be nil). It stops at the first directory that already
+// lists its child: the chain above exists.
+func (t tree) link(name string, added func(dir, child string)) {
+	for ; name != "/"; name = parentDir(name) {
+		dir, child := parentDir(name), lastLabel(name)
+		if t[dir][child] {
+			return
+		}
+		if t[dir] == nil {
+			t[dir] = make(map[string]bool)
+		}
+		t[dir][child] = true
+		if added != nil {
+			added(dir, child)
+		}
+	}
 }
 
 // recordTTL is the TTL for GNS records. The paper leans on the
@@ -319,8 +351,20 @@ func (a *Authority) handleRemove(call *rpc.Call) ([]byte, error) {
 // appropriate; resolvers cache it.
 const recordTTL = 300
 
-func (a *Authority) stage(rr dns.RR) {
+// stageTXT stages one TXT record change at a canonical object name or
+// one of its directories: class IN adds the record, class NONE deletes
+// it. Such names always map into the zone.
+func (a *Authority) stageTXT(name string, class dns.Class, data string) {
+	dnsName, _ := NameToDNS(name, a.cfg.Zone)
+	rr := dns.RR{Name: dnsName, Type: dns.TypeTXT, Class: class, Data: data}
+	if class == dns.ClassIN {
+		rr.TTL = recordTTL
+	}
 	a.pending = append(a.pending, rr)
+}
+
+func (a *Authority) stageEntry(dir, child string) {
+	a.stageTXT(dir, dns.ClassIN, EncodeEntryRecord(child))
 }
 
 func (a *Authority) maybeFlushLocked(call *rpc.Call) error {
@@ -372,104 +416,27 @@ func (a *Authority) flushLocked(call *rpc.Call) error {
 	return nil
 }
 
-// Snapshot serializes the authority's name table for crash recovery.
-func (a *Authority) Snapshot() []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	w := wire.NewWriter(1024)
-	w.Str(a.cfg.Zone)
-	w.Count(len(a.names))
-	for name, oid := range a.names {
-		w.Str(name)
-		w.OID(oid)
-	}
-	return w.Bytes()
-}
-
-// Restore rebuilds the name table (and the derived directory tree) from
-// a snapshot. It does not emit DNS updates: the zone content either
-// survived with the name servers or is re-pushed with ResyncZone.
-func (a *Authority) Restore(b []byte) error {
-	r := wire.NewReader(b)
-	zone := r.Str()
-	count := r.Count()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if zone != a.cfg.Zone {
-		return fmt.Errorf("gns: snapshot is for zone %q, authority serves %q", zone, a.cfg.Zone)
-	}
-	names := make(map[string]ids.OID, count)
-	for i := 0; i < count; i++ {
-		name := r.Str()
-		oid := r.OID()
-		names[name] = oid
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-
-	children := make(map[string]map[string]bool)
-	for name := range names {
-		parts, err := SplitObjectName(name)
-		if err != nil {
-			return err
-		}
-		dirs, err := ParentDirs(name)
-		if err != nil {
-			return err
-		}
-		child := parts[len(parts)-1]
-		for _, dir := range dirs {
-			kids := children[dir]
-			if kids == nil {
-				kids = make(map[string]bool)
-				children[dir] = kids
-			}
-			kids[child] = true
-			child = lastLabel(dir)
-		}
-	}
-
-	a.mu.Lock()
-	a.names = names
-	a.children = children
-	a.pending = nil
-	a.mu.Unlock()
-	return nil
-}
-
-// ResyncZone re-stages every registered name as an update, bringing
-// freshly initialized name servers to the authority's state.
+// ResyncZone re-stages every registered name, its package marker and
+// its directory entries, bringing freshly initialized name servers to
+// the authority's state.
 func (a *Authority) ResyncZone() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	linked := make(tree)
 	for name, oid := range a.names {
-		dnsName, err := NameToDNS(name, a.cfg.Zone)
-		if err != nil {
-			return err
-		}
-		a.stage(dns.RR{Name: dnsName, Type: dns.TypeTXT, Class: dns.ClassIN, TTL: recordTTL, Data: EncodeOIDRecord(oid)})
-		dirs, err := ParentDirs(name)
-		if err != nil {
-			return err
-		}
-		parentDNS, err := NameToDNS(dirs[0], a.cfg.Zone)
-		if err != nil {
-			return err
-		}
-		a.stage(dns.RR{Name: parentDNS, Type: dns.TypeTXT, Class: dns.ClassIN, TTL: recordTTL, Data: EncodePkgRecord(lastLabel(name))})
-	}
-	for dir, kids := range a.children {
-		dirDNS, err := NameToDNS(dir, a.cfg.Zone)
-		if err != nil {
-			return err
-		}
-		for child := range kids {
-			a.stage(dns.RR{Name: dirDNS, Type: dns.TypeTXT, Class: dns.ClassIN, TTL: recordTTL, Data: EncodeEntryRecord(child)})
-		}
+		a.stageTXT(name, dns.ClassIN, EncodeOIDRecord(oid))
+		a.stageTXT(parentDir(name), dns.ClassIN, EncodePkgRecord(lastLabel(name)))
+		linked.link(name, a.stageEntry)
 	}
 	return a.flushLocked(nil)
+}
+
+// parentDir returns the directory holding a canonical object name.
+func parentDir(name string) string {
+	if i := strings.LastIndexByte(name, '/'); i > 0 {
+		return name[:i]
+	}
+	return "/"
 }
 
 // lastLabel returns the final path component of an object name, or ""

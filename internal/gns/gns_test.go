@@ -1,8 +1,11 @@
 package gns
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,9 +61,10 @@ func TestNameValidation(t *testing.T) {
 }
 
 func TestParentDirs(t *testing.T) {
-	dirs, err := ParentDirs("/apps/graphics/gimp")
-	if err != nil {
-		t.Fatal(err)
+	var dirs []string
+	for name := "/apps/graphics/gimp"; name != "/"; {
+		name = parentDir(name)
+		dirs = append(dirs, name)
 	}
 	want := []string{"/apps/graphics", "/apps", "/"}
 	if len(dirs) != len(want) {
@@ -105,7 +109,7 @@ type gnsWorld struct {
 
 const testZone = "gdn.cs.vu.nl"
 
-func newGNSWorld(t *testing.T, batchSize int, auth *sec.Config, clientAuth *sec.Config) *gnsWorld {
+func newGNSWorld(t testing.TB, batchSize int, auth *sec.Config, clientAuth *sec.Config) *gnsWorld {
 	t.Helper()
 	net := netsim.New(nil)
 	net.AddSite("ns1", "eu-nl", "eu")
@@ -425,68 +429,173 @@ func TestAuthorityAdmissionControl(t *testing.T) {
 	}
 }
 
-func TestAuthoritySnapshotRestoreAndResync(t *testing.T) {
-	w := newGNSWorld(t, 1, nil, nil)
-	names := []string{"/apps/a", "/apps/b", "/os/c"}
-	for _, n := range names {
-		if _, err := w.client.Add(n, ids.Derive(n)); err != nil {
+// startAuthority starts a second authority in w at addr, keeping its
+// name table in stateDir ("" for memory only).
+func startAuthority(w *gnsWorld, addr, zone, stateDir string) (*Authority, error) {
+	return StartAuthority(w.net, AuthorityConfig{
+		Zone: zone, Site: "na", Addr: addr,
+		Servers: []string{"ns1:dns", "ns2:dns"},
+		TSIGKey: "na-key", TSIGSecret: []byte("na-secret"),
+		StateDir: stateDir,
+		Now:      func() int64 { return 0 },
+	})
+}
+
+// copyDir copies the files of src into a fresh directory: the on-disk
+// state a kill -9 of a process writing src would leave.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o600); err != nil {
 			t.Fatal(err)
 		}
 	}
-	snap := w.authority.Snapshot()
+	return dst
+}
 
-	// A replacement authority restores the table and can re-push the
-	// whole zone to a fresh name server.
-	w.authority.Close()
-	net := w.net
-	secret := []byte("na-secret")
-	restored, err := StartAuthority(net, AuthorityConfig{
-		Zone: testZone, Site: "na", Addr: "na:gns-authority2",
-		Servers: []string{"ns1:dns", "ns2:dns"},
-		TSIGKey: "na-key", TSIGSecret: secret,
-		Now: func() int64 { return 0 },
-	})
+// TestAuthorityKillRestartResync: every Add and Remove the authority
+// acknowledged is on disk at once. A second authority started on a copy
+// of the live state directory (what kill -9 leaves) holds exactly the
+// acknowledged names, and repopulates wiped name servers by itself.
+func TestAuthorityKillRestartResync(t *testing.T) {
+	w := newGNSWorld(t, 1, nil, nil)
+	live := t.TempDir()
+	first, err := startAuthority(w, "na:gns-durable", testZone, live)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
-	if err := restored.Restore(snap); err != nil {
+	defer first.Close()
+	cl := NewClient(w.net, "client", "na:gns-durable", nil)
+	defer cl.Close()
+	for _, n := range []string{"/apps/a", "/apps/b", "/os/c", "/apps/sub/d"} {
+		if _, err := cl.Add(n, ids.Derive(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cl.Remove("/apps/b"); err != nil {
 		t.Fatal(err)
 	}
-	got := restored.Names()
-	if len(got) != len(names) {
-		t.Fatalf("restored names = %v", got)
+	crashed := copyDir(t, live) // first is still running
+
+	// Both name servers lose their zones.
+	for _, srv := range w.servers {
+		fresh := dns.NewZone(testZone)
+		fresh.AllowUpdate("na-key", []byte("na-secret"))
+		srv.AddZone(fresh)
+	}
+	restarted, err := startAuthority(w, "na:gns-restarted", testZone, crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	want := []string{"/apps/a", "/apps/sub/d", "/os/c"}
+	if got := restarted.Names(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered names = %v, want %v", got, want)
 	}
 
-	// Wipe one server's zone, then resync.
-	fresh := dns.NewZone(testZone)
-	fresh.AllowUpdate("na-key", secret)
-	w.servers[0].AddZone(fresh)
-	if err := restored.ResyncZone(); err != nil {
+	w.resolver.FlushCache()
+	var walked []string
+	if _, err := w.service.Walk("/", func(name string, oid ids.OID) error {
+		if oid != ids.Derive(name) {
+			t.Errorf("%s resolves to %s", name, oid)
+		}
+		walked = append(walked, name)
+		return nil
+	}); err != nil {
+		t.Fatalf("walk after resync: %v", err)
+	}
+	if fmt.Sprint(walked) != fmt.Sprint(want) {
+		t.Fatalf("resynced zone walks %v, want %v", walked, want)
+	}
+	if _, _, err := w.service.Resolve("/apps/b"); err == nil {
+		t.Fatal("a removed name came back")
+	}
+
+	// The restarted authority keeps persisting.
+	rc := NewClient(w.net, "client", "na:gns-restarted", nil)
+	defer rc.Close()
+	if _, err := rc.Remove("/os/c"); err != nil {
 		t.Fatal(err)
 	}
-	if len(fresh.Dump()) == 0 {
-		t.Fatal("resync must repopulate the zone")
+	again, err := startAuthority(w, "na:gns-again", testZone, copyDir(t, crashed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	w.resolver.FlushCache()
-	if _, _, err := w.service.Resolve("/apps/a"); err != nil {
-		t.Fatalf("resolve after resync: %v", err)
+	defer again.Close()
+	if got := again.Names(); fmt.Sprint(got) != "[/apps/a /apps/sub/d]" {
+		t.Fatalf("names after a second restart = %v", got)
 	}
 }
 
-func TestRestoreRejectsWrongZone(t *testing.T) {
+// TestStartRejectsOtherZoneStateDir: a state directory written for one
+// zone fails an authority for another zone and is left byte-identical.
+func TestStartRejectsOtherZoneStateDir(t *testing.T) {
 	w := newGNSWorld(t, 1, nil, nil)
-	other, err := StartAuthority(w.net, AuthorityConfig{
-		Zone: "other.zone", Site: "na", Addr: "na:gns-other",
-		Servers: []string{"ns1:dns"},
-		TSIGKey: "k", TSIGSecret: []byte("s"),
-	})
+	dir := t.TempDir()
+	a, err := startAuthority(w, "na:gns-durable", testZone, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
-	if err := other.Restore(w.authority.Snapshot()); err == nil {
-		t.Fatal("cross-zone restore must fail")
+	cl := NewClient(w.net, "client", "na:gns-durable", nil)
+	defer cl.Close()
+	if _, err := cl.Add("/apps/x", ids.Derive("x")); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	path := filepath.Join(dir, "names.log")
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other, err := startAuthority(w, "na:gns-other", "other.zone", dir); err == nil {
+		other.Close()
+		t.Fatal("start on another zone's state dir must fail")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("failed start changed the state file")
+	}
+}
+
+// BenchmarkAuthorityAdd prices one acknowledged Add end to end (RPC,
+// staging, a signed update to two name servers) with the name table in
+// memory and in a StateDir, where each Add adds one table append and
+// fsync.
+func BenchmarkAuthorityAdd(b *testing.B) {
+	for _, durable := range []bool{false, true} {
+		name, dir := "memory", ""
+		if durable {
+			name = "state-dir"
+		}
+		b.Run(name, func(b *testing.B) {
+			if durable {
+				dir = b.TempDir()
+			}
+			w := newGNSWorld(b, 1, nil, nil)
+			a, err := startAuthority(w, "na:gns-bench", testZone, dir)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer a.Close()
+			cl := NewClient(w.net, "client", "na:gns-bench", nil)
+			defer cl.Close()
+			oid := ids.Derive("bench")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cl.Add(fmt.Sprintf("/bench/n%d", i), oid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -132,24 +132,6 @@ func DNSToName(dnsName, zone string) (string, error) {
 	return "/" + strings.Join(rev, "/"), nil
 }
 
-// ParentDirs returns every directory above an object name, nearest
-// first: /apps/graphics/gimp → /apps/graphics, /apps, /.
-func ParentDirs(objectName string) ([]string, error) {
-	parts, err := SplitObjectName(objectName)
-	if err != nil {
-		return nil, err
-	}
-	var dirs []string
-	for i := len(parts) - 1; i >= 0; i-- {
-		if i == 0 {
-			dirs = append(dirs, "/")
-		} else {
-			dirs = append(dirs, "/"+strings.Join(parts[:i], "/"))
-		}
-	}
-	return dirs, nil
-}
-
 // EncodeOIDRecord renders an OID as TXT record data.
 func EncodeOIDRecord(oid ids.OID) string { return oidPrefix + oid.String() }
 

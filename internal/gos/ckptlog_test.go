@@ -1,18 +1,21 @@
 package gos
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"gdn/internal/ids"
 	"gdn/internal/pkgobj"
 	"gdn/internal/repl"
+	"gdn/internal/walog"
 )
 
-// TestCheckpointLogSupersedesAndTombstones drives the append-log
-// checkpoint lifecycle: repeated checkpoints append superseding image
-// frames, removal appends a tombstone, and recovery replays to the
-// latest surviving image per object.
+// TestCheckpointLogSupersedesAndTombstones drives the checkpoint
+// table's lifecycle: repeated checkpoints append superseding puts,
+// removal appends a delete, and recovery replays to the latest
+// surviving image per object.
 func TestCheckpointLogSupersedesAndTombstones(t *testing.T) {
 	f := newFixture(t, nil)
 	stateDir := t.TempDir()
@@ -59,5 +62,39 @@ func TestCheckpointLogSupersedesAndTombstones(t *testing.T) {
 	}
 	if _, ok := srv2.HostedLR(doomed); ok {
 		t.Fatalf("removed replica %s resurrected from stale image frames", doomed.Short())
+	}
+}
+
+// TestStartRejectsHeaderlessCheckpointLog: a checkpoints.log in the
+// retired headerless format (a kind byte, then the image) fails Start
+// and is left byte-identical, so no checkpoint is silently dropped.
+func TestStartRejectsHeaderlessCheckpointLog(t *testing.T) {
+	f := newFixture(t, nil)
+	stateDir := t.TempDir()
+	path := filepath.Join(stateDir, "checkpoints.log")
+	lg, err := walog.Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oid := ids.Derive("old-format")
+	lg.Append(append([]byte{1}, oid[:]...)) // an image frame
+	lg.Append(append([]byte{2}, oid[:]...)) // a tombstone frame
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Start(f.net, Config{
+		Site: "eu-gos", CmdAddr: "eu-gos:gos-cmd", ObjAddr: "eu-gos:gos-obj",
+		Runtime: f.rts["eu-gos"], StateDir: stateDir,
+	})
+	if err == nil {
+		srv.Close()
+		t.Fatal("Start accepted a headerless checkpoint log")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("failed Start changed the checkpoint log")
 	}
 }

@@ -16,7 +16,6 @@ package gos
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -130,7 +129,7 @@ type hosted struct {
 	spec core.ReplicaSpec
 	ca   gls.ContactAddress
 	// ckptMu serializes checkpoints of this replica: concurrent
-	// OpCheckpoint commands could otherwise interleave the file rename
+	// OpCheckpoint commands could otherwise interleave the table Put
 	// and the pin swap in opposite orders, leaving the durable
 	// manifest's chunks unpinned.
 	ckptMu sync.Mutex
@@ -174,21 +173,12 @@ type Server struct {
 	// until the checkpoint is superseded or removed, so live-state
 	// churn can never delete a chunk an on-disk manifest still needs.
 	pins map[ids.OID][]store.Ref
-	// ckptImages holds the latest durable checkpoint image per object
-	// — the live set a checkpoint-log compaction rewrites the log
-	// from. Guarded by mu.
-	ckptImages map[ids.OID][]byte
 
-	// ckptLog is the append-only checkpoint log: each checkpoint is
-	// one appended frame instead of a whole-file rewrite per replica,
-	// so checkpointing N replicas costs one fsync batch, not N
-	// rename+fsync pairs. Nil when StateDir is unset. ckptLogMu
-	// serializes appends against compaction (a Rewrite must not lose
-	// a frame appended after its live-image scan); lock order is
-	// ckptLogMu before mu.
-	ckptLog      *walog.Log
-	ckptLogMu    sync.Mutex
-	ckptLogClose sync.Once
+	// ckpts is the durable checkpoint table, keyed by OID: each
+	// checkpoint is one appended frame instead of a whole-file rewrite,
+	// and checkpointing N replicas costs N appends of one fsync each.
+	// Nil when StateDir is unset.
+	ckpts *walog.Table
 }
 
 // Start launches an object server and recovers any replicas found in
@@ -201,11 +191,10 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Server{
-		cfg:        cfg,
-		net:        net,
-		objects:    make(map[ids.OID]*hosted),
-		pins:       make(map[ids.OID][]store.Ref),
-		ckptImages: make(map[ids.OID][]byte),
+		cfg:     cfg,
+		net:     net,
+		objects: make(map[ids.OID]*hosted),
+		pins:    make(map[ids.OID][]store.Ref),
 	}
 	chunkDir := ""
 	if cfg.StateDir != "" {
@@ -236,33 +225,23 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	// Recover before the command endpoint opens: the recovery sweep
 	// reclaims every unreferenced chunk, and a moderator upload
 	// accepted mid-recovery would be unreferenced by definition.
-	if err := s.recover(); err != nil {
-		disp.Close()
-		for _, h := range s.objects {
-			h.lr.Close()
-		}
-		if s.ckptLog != nil {
-			s.ckptLog.Close()
-		}
-		return nil, err
-	}
-
 	opts := []rpc.ServerOption{rpc.WithServerLog(cfg.Logf)}
 	if cfg.Auth != nil {
 		opts = append(opts, rpc.WithServerWrapper(cfg.Auth.WrapServer))
 	}
-	cmd, err := rpc.Serve(net, cfg.CmdAddr, s.handle, opts...)
+	if err = s.recover(); err == nil {
+		s.cmd, err = rpc.Serve(net, cfg.CmdAddr, s.handle, opts...)
+	}
 	if err != nil {
 		disp.Close()
 		for _, h := range s.objects {
 			h.lr.Close()
 		}
-		if s.ckptLog != nil {
-			s.ckptLog.Close()
+		if s.ckpts != nil {
+			s.ckpts.Close()
 		}
 		return nil, err
 	}
-	s.cmd = cmd
 
 	// Background scrubbing re-verifies the durable chunks this server
 	// is trusted to serve; a quarantined chunk is refetched by the next
@@ -482,12 +461,10 @@ func (s *Server) Close() error {
 	for _, h := range objects {
 		h.lr.Close()
 	}
-	if s.ckptLog != nil {
-		s.ckptLogClose.Do(func() {
-			if cerr := s.ckptLog.Close(); err == nil {
-				err = cerr
-			}
-		})
+	if s.ckpts != nil {
+		if cerr := s.ckpts.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
@@ -782,11 +759,8 @@ func (s *Server) handleList() ([]byte, error) {
 // --- persistence -----------------------------------------------------
 
 // CheckpointAll writes every hosted replica's state to the state
-// directory.
+// directory: one table Put, and so one fsync, per replica.
 func (s *Server) CheckpointAll() error {
-	if s.cfg.StateDir == "" {
-		return nil
-	}
 	s.mu.Lock()
 	hs := make([]*hosted, 0, len(s.objects))
 	for _, h := range s.objects {
@@ -802,7 +776,7 @@ func (s *Server) CheckpointAll() error {
 }
 
 // checkpoint writes one replica's spec and current state durably, as
-// one frame appended to the checkpoint log (batched write + fsync).
+// one Put into the checkpoint table (one write + one fsync).
 // The state is a manifest into the server's chunk store, so
 // checkpointing a huge package appends a few kilobytes of manifest —
 // the chunks are already durable, written when the content arrived.
@@ -856,19 +830,18 @@ func (s *Server) checkpoint(h *hosted) error {
 		w.Bytes32(gls.EncodeAddrs(h.spec.Peers))
 		w.Bytes32(state)
 
-		if err := s.appendCheckpoint(h.spec.OID, w.Bytes()); err != nil {
+		if err := s.ckpts.Put(string(h.spec.OID[:]), w.Bytes()); err != nil {
 			s.chunks.Release(refs)
-			return err
+			return fmt.Errorf("gos: checkpoint %s: %w", h.spec.OID.Short(), err)
 		}
 		s.mu.Lock()
 		if s.objects[h.spec.OID] != h && !s.closing {
 			// The replica was removed while we checkpointed; a durable
-			// image would resurrect it on the next reboot. Undo with a
-			// tombstone. (On server close the map is emptied too, but
-			// there the image must survive — that is the crash-recovery
-			// contract.)
+			// image would resurrect it on the next reboot. Undo it. (On
+			// server close the map is emptied too, but there the image
+			// must survive — that is the crash-recovery contract.)
 			s.mu.Unlock()
-			s.appendTombstone(h.spec.OID)
+			s.deleteCheckpoint(h.spec.OID)
 			s.chunks.Release(refs)
 			return nil
 		}
@@ -876,7 +849,6 @@ func (s *Server) checkpoint(h *hosted) error {
 		s.pins[h.spec.OID] = refs
 		s.mu.Unlock()
 		s.chunks.Release(old)
-		s.maybeCompactCkptLog()
 		return nil
 	}
 }
@@ -895,7 +867,7 @@ func (s *Server) removeCheckpoint(oid ids.OID) {
 	if s.cfg.StateDir == "" {
 		return
 	}
-	s.appendTombstone(oid)
+	s.deleteCheckpoint(oid)
 	s.mu.Lock()
 	refs := s.pins[oid]
 	delete(s.pins, oid)
@@ -903,99 +875,12 @@ func (s *Server) removeCheckpoint(oid ids.OID) {
 	s.chunks.Release(refs)
 }
 
-// Checkpoint-log frame kinds: an image frame carries a full replica
-// checkpoint (spec + state manifest), a tombstone retracts every
-// earlier image for its object.
-const (
-	ckptImage     = uint8(1)
-	ckptTombstone = uint8(2)
-)
-
-// ckptLogName is the append-only checkpoint log all replicas share.
-func (s *Server) ckptLogName() string {
-	return filepath.Join(s.cfg.StateDir, "checkpoints.log")
-}
-
-// ckptCompactMin is the smallest checkpoint log worth compacting.
-const ckptCompactMin = 1 << 20
-
-// appendCheckpoint appends one image frame and makes it durable.
-func (s *Server) appendCheckpoint(oid ids.OID, img []byte) error {
-	s.ckptLogMu.Lock()
-	defer s.ckptLogMu.Unlock()
-	if s.ckptLog == nil {
-		return fmt.Errorf("gos: checkpoint log closed")
-	}
-	p := make([]byte, 1+len(img))
-	p[0] = ckptImage
-	copy(p[1:], img)
-	s.ckptLog.Append(p)
-	if _, err := s.ckptLog.Flush(); err != nil {
-		return fmt.Errorf("gos: checkpoint append %s: %w", oid.Short(), err)
-	}
-	s.mu.Lock()
-	s.ckptImages[oid] = img
-	s.mu.Unlock()
-	return nil
-}
-
-// appendTombstone retracts an object's checkpoints from the log.
-// Best-effort: a tombstone that fails to flush costs one resurrected
-// replica on the next reboot, which the moderator can remove again.
-func (s *Server) appendTombstone(oid ids.OID) {
-	s.ckptLogMu.Lock()
-	defer s.ckptLogMu.Unlock()
-	if s.ckptLog == nil {
-		return
-	}
-	p := make([]byte, 1+ids.Size)
-	p[0] = ckptTombstone
-	copy(p[1:], oid[:])
-	s.ckptLog.Append(p)
-	if _, err := s.ckptLog.Flush(); err != nil {
-		s.cfg.Logf("gos: checkpoint tombstone %s: %v", oid.Short(), err)
-	}
-	s.mu.Lock()
-	delete(s.ckptImages, oid)
-	s.mu.Unlock()
-}
-
-// maybeCompactCkptLog folds the checkpoint log down to the latest
-// image per live object once superseded frames dominate it. Holding
-// ckptLogMu across the scan-and-rewrite keeps concurrent appends from
-// being dropped by the Rewrite.
-func (s *Server) maybeCompactCkptLog() {
-	s.ckptLogMu.Lock()
-	defer s.ckptLogMu.Unlock()
-	if s.ckptLog == nil {
-		return
-	}
-	// All ckptImages writers hold ckptLogMu, so the map is stable for
-	// the duration of the scan; mu still covers the reads.
-	s.mu.Lock()
-	live := int64(0)
-	for _, img := range s.ckptImages {
-		live += int64(len(img)) + 16
-	}
-	s.mu.Unlock()
-	threshold := 2 * live
-	if threshold < ckptCompactMin {
-		threshold = ckptCompactMin
-	}
-	if s.ckptLog.Size()+int64(s.ckptLog.Buffered()) <= threshold {
-		return
-	}
-	s.mu.Lock()
-	payloads := make([][]byte, 0, len(s.ckptImages))
-	for _, img := range s.ckptImages {
-		p := make([]byte, 1+len(img))
-		p[0] = ckptImage
-		copy(p[1:], img)
-		payloads = append(payloads, p)
-	}
-	s.mu.Unlock()
-	if err := s.ckptLog.Rewrite(payloads); err != nil {
-		s.cfg.Logf("gos: compact checkpoint log: %v", err)
+// deleteCheckpoint retracts an object's checkpoint. Best-effort: a
+// delete that fails costs one resurrected replica on the next reboot,
+// which the moderator can remove again.
+func (s *Server) deleteCheckpoint(oid ids.OID) {
+	if err := s.ckpts.Delete(string(oid[:])); err != nil {
+		s.cfg.Logf("gos: delete checkpoint %s: %v", oid.Short(), err)
 	}
 }
 
@@ -1012,87 +897,54 @@ func rolePriority(role string) int {
 
 // recover reconstructs replicas from the state directory and
 // re-registers their contact addresses with the location service (§4).
-// The checkpoint log is replayed: the last frame per object wins, and a
-// tombstone retracts the object entirely.
+// The checkpoint table, next to the chunk store in StateDir, holds the
+// latest image of every replica not removed since.
 func (s *Server) recover() error {
 	if s.cfg.StateDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(s.cfg.StateDir, 0o700); err != nil {
-		return err
-	}
-
-	images := make(map[ids.OID][]byte)
-
-	lg, err := walog.Open(s.ckptLogName(), func(p []byte) error {
-		if len(p) < 1 {
-			return fmt.Errorf("empty checkpoint frame")
-		}
-		switch p[0] {
-		case ckptImage:
-			img := append([]byte(nil), p[1:]...)
-			r := wire.NewReader(img)
-			oid := r.OID()
-			if r.Err() != nil {
-				return fmt.Errorf("checkpoint frame: %w", r.Err())
-			}
-			images[oid] = img
-		case ckptTombstone:
-			oid, err := ids.FromBytes(p[1:])
-			if err != nil {
-				return fmt.Errorf("tombstone frame: %w", err)
-			}
-			delete(images, oid)
-		default:
-			return fmt.Errorf("unknown checkpoint frame kind %d", p[0])
-		}
-		return nil
-	})
+	tab, err := walog.OpenTable(filepath.Join(s.cfg.StateDir, "checkpoints.log"), "gdn-gos checkpoints")
 	if err != nil {
-		return fmt.Errorf("gos: open checkpoint log: %w", err)
+		return fmt.Errorf("gos: open checkpoint table: %w", err)
 	}
-	s.ckptLog = lg
-	s.ckptImages = images
+	s.ckpts = tab
 
-	type pending struct {
-		spec core.ReplicaSpec
-	}
-	var specs []pending
-	for oid, b := range images {
+	var specs []core.ReplicaSpec
+	for _, b := range tab.Live() {
 		spec, err := decodeCheckpoint(b)
 		if err != nil {
-			return fmt.Errorf("gos: checkpoint %s: %w", oid.Short(), err)
+			return fmt.Errorf("gos: checkpoint: %w", err)
 		}
-		specs = append(specs, pending{spec: spec})
+		specs = append(specs, spec)
 	}
 	sort.SliceStable(specs, func(i, j int) bool {
-		return rolePriority(specs[i].spec.Role) < rolePriority(specs[j].spec.Role)
+		return rolePriority(specs[i].Role) < rolePriority(specs[j].Role)
 	})
 
-	for _, p := range specs {
-		p.spec.Store = s.chunks
-		lr, ca, err := s.cfg.Runtime.NewReplica(p.spec, s.disp)
+	for _, spec := range specs {
+		spec.Store = s.chunks
+		lr, ca, err := s.cfg.Runtime.NewReplica(spec, s.disp)
 		if err != nil {
-			return fmt.Errorf("gos: recover %s: %w", p.spec.OID.Short(), err)
+			return fmt.Errorf("gos: recover %s: %w", spec.OID.Short(), err)
 		}
-		if _, _, err := s.sess.Attach(p.spec.OID, ca); err != nil {
+		if _, _, err := s.sess.Attach(spec.OID, ca); err != nil {
 			lr.Close()
-			return fmt.Errorf("gos: re-register %s: %w", p.spec.OID.Short(), err)
+			return fmt.Errorf("gos: re-register %s: %w", spec.OID.Short(), err)
 		}
 		// Re-pin the surviving checkpoint's refs so the durable image
 		// keeps protecting its chunks until the next checkpoint.
-		refs, err := stateRefsOf(lr.Semantics(), p.spec.InitState)
+		refs, err := stateRefsOf(lr.Semantics(), spec.InitState)
 		if err == nil && refs != nil {
 			if err := s.chunks.Retain(refs); err == nil {
 				s.mu.Lock()
-				s.pins[p.spec.OID] = refs
+				s.pins[spec.OID] = refs
 				s.mu.Unlock()
 			}
 		}
 		s.mu.Lock()
-		s.objects[p.spec.OID] = &hosted{lr: lr, spec: p.spec, ca: ca}
+		s.objects[spec.OID] = &hosted{lr: lr, spec: spec, ca: ca}
 		s.mu.Unlock()
-		s.cfg.Logf("gos: recovered replica %s (%s/%s)", p.spec.OID.Short(), p.spec.Protocol, p.spec.Role)
+		s.cfg.Logf("gos: recovered replica %s (%s/%s)", spec.OID.Short(), spec.Protocol, spec.Role)
 	}
 	// Everything the recovered manifests reference is now retained;
 	// whatever remains unreferenced is an orphan a crash left behind

@@ -1,18 +1,20 @@
 // Package walog implements the framed append-only log underneath the
-// incremental persistence paths: the GLS journal and the GOS
-// checkpoint log. Each entry is length-prefixed and CRC-protected, so
-// a reader can stream a log back and stop cleanly at a torn tail — the
-// frame a crash interrupted mid-write is detected by its checksum and
+// incremental persistence paths, and the durable keyed Table built on
+// it. It has two users: the GLS operation journal appends to a Log
+// directly, and the GOS checkpoints and the GNS name table share one
+// Table. Each entry is length-prefixed and CRC-protected, so a reader
+// can stream a log back and stop cleanly at a torn tail — the frame a
+// crash interrupted mid-write is detected by its checksum and
 // truncated away, and everything before it replays intact. Appends are
 // buffered in memory until Flush, which writes the pending frames in
-// one syscall and fsyncs once: the batching that makes per-operation
-// journaling affordable. Compaction rewrites the log atomically
+// one syscall and fsyncs once. Compaction rewrites the log atomically
 // (tmp + fsync + rename), the same durable-write discipline as
 // store.WriteFileSync.
 package walog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -88,16 +90,14 @@ func Open(path string, fn func(payload []byte) error) (*Log, error) {
 // make buffered entries durable in one batched write+fsync.
 func (l *Log) Append(payload []byte) {
 	l.mu.Lock()
-	l.appendLocked(payload)
+	l.buf = appendFrame(l.buf, payload)
 	l.mu.Unlock()
 }
 
-func (l *Log) appendLocked(payload []byte) {
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, payload...)
+func appendFrame(b, payload []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
 }
 
 // Flush writes every buffered entry and fsyncs. It returns the number
@@ -134,13 +134,6 @@ func (l *Log) Size() int64 {
 	return l.size
 }
 
-// Buffered returns the number of bytes waiting for the next Flush.
-func (l *Log) Buffered() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
-
 // Rewrite atomically replaces the log's contents with the given
 // entries — the compaction primitive. The replacement is built in a
 // temporary file, fsynced, and renamed over the log; a crash at any
@@ -157,37 +150,28 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 	}
 	var out []byte
 	for _, p := range payloads {
-		var hdr [frameHeader]byte
-		binary.BigEndian.PutUint32(hdr[0:], uint32(len(p)))
-		binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p))
-		out = append(out, hdr[:]...)
-		out = append(out, p...)
+		out = appendFrame(out, p)
 	}
-	if _, err := nf.Write(out); err != nil {
+	_, err = nf.Write(out)
+	if err == nil {
+		err = nf.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, l.path)
+	}
+	if err != nil {
 		nf.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("walog: rewrite %s: %w", l.path, err)
 	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("walog: fsync rewrite of %s: %w", l.path, err)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		nf.Close()
-		os.Remove(tmp)
-		return err
-	}
-	// Make the rename durable before retiring the old file handle.
+	// Make the rename durable before retiring the old file handle. The
+	// new handle's offset is already at its end.
 	if dir, err := os.Open(filepath.Dir(l.path)); err == nil {
 		dir.Sync()
 		dir.Close()
 	}
 	l.f.Close()
 	l.f = nf
-	if _, err := nf.Seek(int64(len(out)), 0); err != nil {
-		return err
-	}
 	l.size = int64(len(out))
 	l.buf = l.buf[:0]
 	return nil
@@ -198,9 +182,5 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	_, ferr := l.flushLocked()
-	cerr := l.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	return errors.Join(ferr, l.f.Close())
 }
