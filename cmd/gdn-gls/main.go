@@ -9,20 +9,18 @@
 //	gdn-gls -domain eu   -addr :7002 -self :7002 -parent :7001
 //	gdn-gls -domain eu/nl -addr :7003 -self :7003 -parent :7002
 //
-// Persistence (§7) is -state-dir: the node keeps a base snapshot plus
-// an append-only journal there, batching mutations to disk every
-// -flush-every and folding the journal into a fresh base once it
-// outgrows -compact-bytes — steady-state traffic costs appends, never
-// a full rewrite. Without -state-dir the node keeps its state in
-// memory only; servers holding registration sessions re-attach their
-// entries to a restarted node on their next heartbeat.
+// Persistence (§7) is -state-dir: the node keeps its records, sessions
+// and drained addresses in one durable table there (state.log) and
+// writes the ones that changed once a second. Without -state-dir the
+// node keeps its state in memory only; servers holding registration
+// sessions re-attach their entries to a restarted node on their next
+// heartbeat.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"gdn/internal/daemon"
 	"gdn/internal/gls"
@@ -35,9 +33,7 @@ func main() {
 		self     = flag.String("self", "", "comma-separated addresses of all subnodes of this domain (default: -addr)")
 		parent   = flag.String("parent", "", "comma-separated parent node addresses (empty for the root)")
 		seed     = flag.Int64("seed", 1, "seed for random forwarding-pointer choice")
-		stateDir = flag.String("state-dir", "", "directory for the base snapshot + append journal")
-		flushEv  = flag.Duration("flush-every", time.Second, "journal flush (write+fsync) interval for -state-dir")
-		compact  = flag.Int64("compact-bytes", 8<<20, "journal size that triggers compaction into a new base snapshot")
+		stateDir = flag.String("state-dir", "", "directory for the node's durable state table")
 	)
 	var df daemon.DebugFlags
 	df.Register(flag.CommandLine)
@@ -52,23 +48,20 @@ func main() {
 		selfAddrs = []string{*addr}
 	}
 	node, err := gls.Start(daemon.Net, gls.Config{
-		Domain:       *domain,
-		Site:         "local",
-		Addr:         *addr,
-		Self:         gls.Ref{Addrs: selfAddrs},
-		Parent:       gls.Ref{Addrs: daemon.SplitList(*parent)},
-		Seed:         *seed,
-		Logf:         daemon.Logf("gdn-gls"),
-		StateDir:     *stateDir,
-		FlushEvery:   *flushEv,
-		CompactBytes: *compact,
+		Domain:   *domain,
+		Site:     "local",
+		Addr:     *addr,
+		Self:     gls.Ref{Addrs: selfAddrs},
+		Parent:   gls.Ref{Addrs: daemon.SplitList(*parent)},
+		Seed:     *seed,
+		Logf:     daemon.Logf("gdn-gls"),
+		StateDir: *stateDir,
 	})
 	if err != nil {
 		daemon.Fatal(err)
 	}
 	if *stateDir != "" {
-		fmt.Printf("gdn-gls: journaling state to %s (flush %v, compact at %d bytes)\n",
-			*stateDir, *flushEv, *compact)
+		fmt.Printf("gdn-gls: keeping state in %s\n", *stateDir)
 	}
 	fmt.Printf("gdn-gls: directory node for %q serving on %s\n", *domain, *addr)
 	if dbg := df.Serve(daemon.Logf("gdn-gls")); dbg != "" {

@@ -38,7 +38,7 @@ var ErrNoAddrs = errors.New("gls: directory node reference has no addresses")
 
 // ErrUnknownSession is returned by session-scoped operations naming a
 // session the directory node does not hold — the node restarted without
-// its snapshot, or the session aged out. The owner reacts by reopening
+// its state, or the session aged out. The owner reacts by reopening
 // the session and re-attaching its registrations.
 var ErrUnknownSession = errors.New("gls: unknown registration session")
 

@@ -383,6 +383,7 @@ func TestSubnodePartitioningSpreadsLoad(t *testing.T) {
 
 func TestSnapshotRestore(t *testing.T) {
 	_, tree := deployWorld(t)
+	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
 	var oids []ids.OID
@@ -393,50 +394,19 @@ func TestSnapshotRestore(t *testing.T) {
 		}
 		oids = append(oids, oid)
 	}
+	saved := saveState(t, leaf)
 
-	leaf := tree.Nodes("eu/nl")[0]
-	snap := leaf.Snapshot()
-
-	// Simulate a crash losing all records, then recovery from the
-	// checkpoint.
-	if err := leaf.Restore(emptySnapshot(leaf.Domain())); err != nil {
-		t.Fatal(err)
+	// A restart that lost all records, then recovery from the copy.
+	if leaf = restartNode(t, tree, "eu/nl", t.TempDir()); leaf.Records() != 0 {
+		t.Fatal("node must be empty after a restart on an empty directory")
 	}
-	if leaf.Records() != 0 {
-		t.Fatal("node must be empty after clearing")
-	}
-	if err := leaf.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if leaf.Records() != len(oids) {
+	if leaf = restartNode(t, tree, "eu/nl", saved); leaf.Records() != len(oids) {
 		t.Fatalf("restored records = %d, want %d", leaf.Records(), len(oids))
 	}
 	for _, oid := range oids {
 		if _, _, err := res.Lookup(oid); err != nil {
 			t.Fatalf("lookup %s after restore: %v", oid.Short(), err)
 		}
-	}
-}
-
-// emptySnapshot builds the snapshot of a record-less node for the given
-// domain, mimicking the state a freshly started node would checkpoint.
-func emptySnapshot(domain string) []byte {
-	w := wire.NewWriter(32)
-	w.Str(snapshotMagic)
-	w.Str(domain)
-	w.Count(0)  // drained addresses
-	w.Count(0)  // sessions
-	w.Uint32(1) // one record group
-	w.Count(0)
-	return w.Bytes()
-}
-
-func TestRestoreRejectsWrongDomain(t *testing.T) {
-	_, tree := deployWorld(t)
-	nl := tree.Nodes("eu/nl")[0]
-	de := tree.Nodes("eu/de")[0]
-	if err := nl.Restore(de.Snapshot()); err == nil {
-		t.Fatal("restore must reject a snapshot from another domain")
 	}
 }
 

@@ -20,13 +20,10 @@ var (
 	mSessionsExpired = obs.Default.Counter("gdn_gls_sessions_expired_total",
 		"registration sessions reaped by the lease sweeper")
 	mSnapshotAppendSeconds = obs.Default.Histogram("gdn_gls_snapshot_append_seconds",
-		"journal flush latency: one batched append write plus fsync",
-		obs.Seconds, obs.TimeBuckets)
-	mSnapshotCompactSeconds = obs.Default.Histogram("gdn_gls_snapshot_compact_seconds",
-		"latency of folding the journal into a fresh base snapshot",
+		"state-table flush latency: one batched append write plus fsync",
 		obs.Seconds, obs.TimeBuckets)
 	mLogBytesTotal = obs.Default.Counter("gdn_gls_log_bytes_total",
-		"bytes appended to GLS journals across all subnodes")
+		"bytes appended to GLS state tables across all subnodes")
 )
 
 // LookupLatency and RenewLatency expose the resolver-side latency

@@ -50,22 +50,13 @@ type Config struct {
 	// (ticking recShards times per SweepEvery), so no single sweep ever
 	// write-locks more than 1/16th of the table.
 	SweepEvery time.Duration
-	// StateDir, when non-empty, enables incremental persistence: the
-	// node restores from <StateDir>/base.snap plus <StateDir>/journal.log
-	// at start, appends every mutation to the journal (flushed and
-	// fsynced in batches every FlushEvery), and folds the journal into a
-	// fresh base snapshot whenever it outgrows CompactBytes. Empty
-	// leaves persistence to the caller via Snapshot/Restore.
+	// StateDir, when non-empty, makes the node's state durable: it
+	// loads <StateDir>/state.log at start and writes every changed
+	// record, session and drained address there once a second (see
+	// state.go). The second since the last flush is the crash-loss
+	// window, and session owners repair it on their next renewal.
+	// Empty keeps the state in memory only.
 	StateDir string
-	// FlushEvery is the journal flush cadence; zero means one second.
-	// Mutations appended since the last flush are the crash loss
-	// window — and lease semantics absorb it: a replayed journal
-	// restarts every lease relative to the restoring clock, and session
-	// owners re-attach anything the node forgot.
-	FlushEvery time.Duration
-	// CompactBytes is the journal size that triggers folding it into
-	// the base snapshot; zero means 8 MiB.
-	CompactBytes int64
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -91,15 +82,15 @@ type session struct {
 
 	expiresNano atomic.Int64
 	closed      atomic.Bool
-	// drained records the drain state as a session attribute, so a
-	// snapshot restore brings the drain back with the session instead
-	// of forgetting it until the server's next scrub pass.
+	// drained mirrors the drain state of the session's address
+	// (applySessionOpen and applyDrain keep them equal), so every entry
+	// riding the session drains with it, whatever its own address.
 	drained atomic.Bool
 	// attached counts the entries riding this session. Renewal
-	// responses echo it, so a server can tell that the node rolled
-	// back to a snapshot older than some attaches (the count
-	// disagrees with its own books) and re-attach — the self-healing
-	// the per-replica heartbeat used to provide for free.
+	// responses echo it, so a server can tell that the node restarted
+	// from state older than some attaches (the count disagrees with its
+	// own books) and re-attach — the self-healing the per-replica
+	// heartbeat used to provide for free.
 	attached atomic.Int64
 }
 
@@ -149,8 +140,9 @@ const recShards = 16
 // map surgery only — never across an RPC, which the lockrpc analyzer
 // enforces through the "shard" in the type name.
 type recShard struct {
-	mu   sync.RWMutex
-	recs map[ids.OID]*record
+	mu    sync.RWMutex
+	recs  map[ids.OID]*record
+	dirty map[ids.OID]struct{} // records changed since the last flush
 }
 
 // counters is the atomic backing of the exported Counters snapshot:
@@ -169,11 +161,13 @@ type Node struct {
 
 	shards [recShards]recShard
 
-	sessMu   sync.RWMutex
-	sessions map[ids.OID]*session
+	sessMu    sync.RWMutex
+	sessions  map[ids.OID]*session
+	sessDirty map[ids.OID]struct{} // sessions changed since the last flush
 
-	drainMu sync.RWMutex
-	drained map[string]bool // transport address -> draining
+	drainMu    sync.RWMutex
+	drained    map[string]bool     // transport address -> draining
+	drainDirty map[string]struct{} // addresses changed since the last flush
 
 	rndMu sync.Mutex
 	rnd   *rand.Rand
@@ -182,7 +176,7 @@ type Node struct {
 
 	clients *rpc.Clients // parent, children and pointer targets
 
-	journal *journal // nil unless cfg.StateDir is set
+	state *persister // nil unless cfg.StateDir is set
 
 	server    *rpc.Server
 	stopSweep chan struct{}
@@ -224,14 +218,12 @@ func Start(net transport.Network, cfg Config) (*Node, error) {
 		n.shards[i].recs = make(map[ids.OID]*record)
 	}
 	n.clients = rpc.NewClients(net, cfg.Site, clientWrap(cfg.Auth)...)
-	// Recover persisted state before serving: no request may observe
-	// (or journal over) a half-replayed node.
+	// Load persisted state before serving: no request may observe (or
+	// overwrite) a half-loaded node.
 	if cfg.StateDir != "" {
-		j, err := openJournal(n)
-		if err != nil {
+		if err := openState(n); err != nil {
 			return nil, err
 		}
-		n.journal = j
 	}
 	opts := []rpc.ServerOption{rpc.WithServerLog(cfg.Logf)}
 	if cfg.Auth != nil {
@@ -239,14 +231,14 @@ func Start(net transport.Network, cfg Config) (*Node, error) {
 	}
 	srv, err := rpc.Serve(net, cfg.Addr, n.handle, opts...)
 	if err != nil {
-		if n.journal != nil {
-			n.journal.close()
+		if n.state != nil {
+			n.closeState()
 		}
 		return nil, err
 	}
 	n.server = srv
-	if n.journal != nil {
-		n.journal.startFlusher()
+	if n.state != nil {
+		n.startFlusher()
 	}
 	if cfg.SweepEvery > 0 {
 		n.stopSweep = make(chan struct{})
@@ -261,16 +253,16 @@ func (n *Node) Domain() string { return n.cfg.Domain }
 // Addr returns the subnode's transport address.
 func (n *Node) Addr() string { return n.cfg.Addr }
 
-// Close stops serving, flushes the journal when one is open, and
+// Close stops serving, flushes the state table when one is open, and
 // releases client connections.
 func (n *Node) Close() error {
 	if n.stopSweep != nil {
 		n.sweepOnce.Do(func() { close(n.stopSweep) })
 	}
 	err := n.server.Close()
-	if n.journal != nil {
-		if jerr := n.journal.close(); err == nil {
-			err = jerr
+	if n.state != nil {
+		if serr := n.closeState(); err == nil {
+			err = serr
 		}
 	}
 	n.clients.Close()
@@ -528,27 +520,30 @@ func (n *Node) lookupSession(sid ids.OID) (*session, error) {
 
 // attachAddr adds ca to rec, or keeps it in place — a re-registration
 // may move the entry between liveness contracts (attach it to a
-// session, or make it permanent with no session). The caller holds
-// the record's shard lock.
-func attachAddr(rec *record, ca ContactAddress, sess *session) {
+// session, or make it permanent with no session) — and reports whether
+// the record changed. The caller holds the record's shard lock.
+func attachAddr(rec *record, ca ContactAddress, sess *session) bool {
 	for i, have := range rec.addrs {
 		if have.ca == ca {
-			if old := rec.addrs[i].sess; old != sess {
-				if old != nil {
-					old.attached.Add(-1)
-				}
-				if sess != nil {
-					sess.attached.Add(1)
-				}
-				rec.addrs[i].sess = sess
+			old := rec.addrs[i].sess
+			if old == sess {
+				return false
 			}
-			return
+			if old != nil {
+				old.attached.Add(-1)
+			}
+			if sess != nil {
+				sess.attached.Add(1)
+			}
+			rec.addrs[i].sess = sess
+			return true
 		}
 	}
 	rec.addrs = append(rec.addrs, leasedAddr{ca: ca, sess: sess})
 	if sess != nil {
 		sess.attached.Add(1)
 	}
+	return true
 }
 
 // handleInsert registers a contact address at this node — attached to a
@@ -591,9 +586,10 @@ func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
 		rec = &record{}
 		sh.recs[oid] = rec
 	}
-	attachAddr(rec, ca, sess)
+	if attachAddr(rec, ca, sess) {
+		n.markRecord(sh, oid)
+	}
 	sh.mu.Unlock()
-	n.journalInsert(oid, ca, sid)
 
 	// A pre-existing record (addresses or pointers) implies the chain
 	// of forwarding pointers above this node is already installed, so
@@ -650,8 +646,8 @@ func (n *Node) handleInstallPtr(call *rpc.Call) ([]byte, error) {
 	}
 	_, existed := rec.ptrs[child]
 	rec.ptrs[child] = ref
+	n.markRecord(sh, oid)
 	sh.mu.Unlock()
-	n.journalInstallPtr(oid, child, ref)
 
 	// An existing pointer implies the chain above is already installed.
 	if existed {
@@ -687,6 +683,9 @@ func (n *Node) handleDelete(call *rpc.Call) ([]byte, error) {
 				la.sess.attached.Add(-1)
 			}
 		}
+		if len(kept) != len(rec.addrs) {
+			n.markRecord(sh, oid)
+		}
 		rec.addrs = kept
 		if rec.empty() {
 			delete(sh.recs, oid)
@@ -694,7 +693,6 @@ func (n *Node) handleDelete(call *rpc.Call) ([]byte, error) {
 		}
 	}
 	sh.mu.Unlock()
-	n.journalDelete(oid, addr)
 
 	if removedAll {
 		return nil, n.propagateRemove(call, oid)
@@ -735,13 +733,13 @@ func (n *Node) handleRemovePtr(call *rpc.Call) ([]byte, error) {
 	nowEmpty := false
 	if rec != nil && rec.ptrs != nil {
 		delete(rec.ptrs, child)
+		n.markRecord(sh, oid)
 		if rec.empty() {
 			delete(sh.recs, oid)
 			nowEmpty = true
 		}
 	}
 	sh.mu.Unlock()
-	n.journalRemovePtr(oid, child)
 
 	if nowEmpty {
 		return nil, n.propagateRemove(call, oid)
@@ -753,6 +751,9 @@ func (n *Node) handleRemovePtr(call *rpc.Call) ([]byte, error) {
 // mirrors it onto every session registered from that address.
 func (n *Node) applyDrain(addr string, draining bool) {
 	n.drainMu.Lock()
+	if n.drained[addr] != draining {
+		n.markDrain(addr)
+	}
 	if draining {
 		n.drained[addr] = true
 	} else {
@@ -776,7 +777,7 @@ func (n *Node) drainState(addr string) bool {
 }
 
 // applySessionOpen creates or refreshes a session — shared by the
-// open and reattach handlers and by journal replay.
+// open and reattach handlers.
 func (n *Node) applySessionOpen(sid ids.OID, addr string, ttl time.Duration, now time.Time) *session {
 	n.sessMu.Lock()
 	sess := n.sessions[sid]
@@ -784,11 +785,14 @@ func (n *Node) applySessionOpen(sid ids.OID, addr string, ttl time.Duration, now
 		sess = &session{id: sid}
 		n.sessions[sid] = sess
 	}
-	n.sessMu.Unlock()
 	sess.mu.Lock()
-	sess.addr = addr
-	sess.ttl = ttl
+	if sess.addr != addr || sess.ttl != ttl {
+		sess.addr = addr
+		sess.ttl = ttl
+		n.markSession(sid)
+	}
 	sess.mu.Unlock()
+	n.sessMu.Unlock()
 	sess.expiresNano.Store(now.Add(ttl).UnixNano())
 	sess.closed.Store(false)
 	// A fresh session inherits the address-wide drain state: a server
@@ -819,15 +823,14 @@ func (n *Node) handleSessionOpen(call *rpc.Call) ([]byte, error) {
 	n.stats.sessionOpens.Add(1)
 	mSessionsOpened.Inc()
 	n.applySessionOpen(sid, addr, time.Duration(ttlSecs)*time.Second, n.cfg.Clock())
-	n.journalSessionOpen(sid, addr, ttlSecs)
 	return nil, nil
 }
 
 // handleSessionRenew extends a session's lease — the one-round-trip
 // heartbeat covering every entry attached to it. The response reports
 // whether the session is known here and how many entries ride it, so
-// the owner can detect a node that rolled back to a snapshot older
-// than some attaches and repair it. Renewing an expired-but-unswept
+// the owner can detect a node that restarted from state older than
+// some attaches and repair it. Renewing an expired-but-unswept
 // session revives it (and with it every attached entry), while an
 // unknown one tells the owner to reopen and re-attach.
 //
@@ -861,20 +864,24 @@ func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 	attached := 0
 	if known {
 		sess.mu.Lock()
-		if ttlSecs > 0 {
+		newTTL := ttlSecs > 0 && sess.ttl != time.Duration(ttlSecs)*time.Second
+		if newTTL {
 			sess.ttl = time.Duration(ttlSecs) * time.Second
 		}
 		ttl := sess.ttl
 		addr := sess.addr
 		sess.mu.Unlock()
+		if newTTL {
+			n.sessMu.Lock()
+			n.markSession(sid)
+			n.sessMu.Unlock()
+		}
 		sess.expiresNano.Store(now.Add(ttl).UnixNano())
 		attached = int(sess.attached.Load())
 		if hasDrain && (sess.drained.Load() != drain || n.drainState(addr) != drain) {
 			n.stats.drains.Add(1)
 			n.applyDrain(addr, drain)
-			n.journalDrain(addr, drain)
 		}
-		n.journalSessionRenew(sid, ttlSecs)
 	}
 	w := wire.NewWriter(8)
 	w.Bool(known)
@@ -902,15 +909,15 @@ func (n *Node) handleSessionClose(call *rpc.Call) ([]byte, error) {
 		// expires them all at once, wherever they are referenced.
 		sess.closed.Store(true)
 		delete(n.sessions, sid)
+		n.markSession(sid)
 	}
 	n.sessMu.Unlock()
-	n.journalSessionClose(sid)
 	return nil, nil
 }
 
 // handleSessionReattach reopens a session and re-attaches a batch of
 // entries in one round trip — the repair path after this subnode lost
-// the session (restart without a snapshot, or age-out behind a
+// the session (restart without its state, or age-out behind a
 // partition), and the bulk-registration path for servers bringing a
 // large replica population online. Semantically it is one
 // OpSessionOpen followed by one OpInsert per entry, collapsed into a
@@ -953,13 +960,11 @@ func (n *Node) handleSessionReattach(call *rpc.Call) ([]byte, error) {
 	if hasDrain && n.drainState(addr) != drain {
 		n.stats.drains.Add(1)
 		n.applyDrain(addr, drain)
-		n.journalDrain(addr, drain)
 	}
 	// Attach every entry, remembering which objects had no record here:
 	// only those pay the pointer-chain climb. Entries hash across the
 	// record stripes, so each attach holds only its own stripe.
 	fresh := n.attachBatch(entries, sess)
-	n.journalReattach(sid, addr, ttlSecs, entries)
 	for _, oid := range fresh {
 		if err := n.propagateInstall(call, oid); err != nil {
 			return nil, err
@@ -988,7 +993,9 @@ func (n *Node) attachBatch(entries []reattachEntry, sess *session) []ids.OID {
 			sh.recs[e.oid] = rec
 			fresh = append(fresh, e.oid)
 		}
-		attachAddr(rec, e.ca, sess)
+		if attachAddr(rec, e.ca, sess) {
+			n.markRecord(sh, e.oid)
+		}
 		sh.mu.Unlock()
 	}
 	return fresh
@@ -1036,9 +1043,7 @@ func (n *Node) sweepLoop(stop <-chan struct{}) {
 }
 
 // sweepShard removes entries of expired sessions from one record stripe
-// and tears down the pointer chains of records it emptied. Expiries
-// need no journal entries: a replayed session re-expires against the
-// restored clock on its own.
+// and tears down the pointer chains of records it emptied.
 func (n *Node) sweepShard(si int, now time.Time) int {
 	sh := &n.shards[si]
 	var emptied []ids.OID
@@ -1055,6 +1060,9 @@ func (n *Node) sweepShard(si int, now time.Time) int {
 			} else {
 				kept = append(kept, la)
 			}
+		}
+		if len(kept) != len(rec.addrs) {
+			n.markRecord(sh, oid)
 		}
 		rec.addrs = kept
 		if rec.empty() {
@@ -1097,6 +1105,7 @@ func (n *Node) reapSessions(now time.Time) {
 	for sid, sess := range n.sessions {
 		if sess.expired(now) {
 			delete(n.sessions, sid)
+			n.markSession(sid)
 			mSessionsExpired.Inc()
 		}
 	}

@@ -21,7 +21,7 @@ import (
 // subnode, attaches route to the subnode owning each identifier, and
 // Renew touches each subnode once. The session remembers what it
 // attached, so a directory subnode that lost the session (restarted
-// without its snapshot, or reaped it after missed heartbeats) is
+// without its state, or reaped it after missed heartbeats) is
 // repaired transparently: the next Renew reopens the session there and
 // re-attaches the entries that subnode owns.
 //
@@ -165,7 +165,7 @@ func (s *ServerSession) Detach(oid ids.OID) (time.Duration, error) {
 // Renew extends the session lease — one round trip per leaf subnode, no
 // matter how many entries are attached. A subnode whose state disagrees
 // with the server's books is repaired in place: one that lost the
-// session entirely (known=false), or one that rolled back to a snapshot
+// session entirely (known=false), or one that restarted from state
 // older than some attaches (its attached-entry count differs), gets the
 // session reopened and the entries that subnode owns re-attached.
 func (s *ServerSession) Renew() (time.Duration, error) {
@@ -255,7 +255,7 @@ func (s *ServerSession) reopenAt(sub string) (time.Duration, error) {
 }
 
 // reattachAt repairs a directory subnode that lost the session
-// (restarted without — or rolled back beyond — its snapshot): one
+// (restarted without — or rolled back beyond — its state): one
 // OpSessionReattach round trip reopens the session there and
 // re-registers every attached entry that subnode owns. The batched op
 // replaces the earlier open-plus-insert-per-entry sequence, whose cost
@@ -348,8 +348,8 @@ func (s *ServerSession) drainState() (set, draining bool) {
 // the session heartbeat — Drain records the desired state and performs
 // one immediate Renew, so the change reaches every leaf subnode in the
 // one batched RPC a renewal already costs, and every subsequent
-// heartbeat re-asserts it. The directory node records the flag on the
-// session, so it survives a snapshot restore with it.
+// heartbeat re-asserts it. The directory node records the drain with
+// its state, so it survives a node restart.
 func (s *ServerSession) Drain(draining bool) (time.Duration, error) {
 	s.drainMu.Lock()
 	s.drainSet = true

@@ -170,6 +170,7 @@ func TestSessionCloseExpiresAttachedEntries(t *testing.T) {
 
 func TestSessionDrainIsASessionAttribute(t *testing.T) {
 	tree, _ := deployLeaseWorld(t)
+	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
 
@@ -194,13 +195,9 @@ func TestSessionDrainIsASessionAttribute(t *testing.T) {
 		t.Fatalf("addrs while drained = %v, want just %v", addrs, healthy)
 	}
 
-	// The drain travels with the session through snapshot/restore: a
-	// node restart no longer forgets it until the next scrub pass.
-	leaf := tree.Nodes("eu/nl")[0]
-	snap := leaf.Snapshot()
-	if err := leaf.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
+	// The drain survives a node restart with the session: the node
+	// does not forget it until the next scrub pass.
+	restartNode(t, tree, "eu/nl", leaf.cfg.StateDir)
 	addrs, _, err = res.Lookup(oid)
 	if err != nil {
 		t.Fatal(err)
@@ -223,10 +220,11 @@ func TestSessionDrainIsASessionAttribute(t *testing.T) {
 
 func TestSnapshotPersistsLeaseDeadlines(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
+	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
 	// One session-attached entry and one permanent entry. The session
-	// has 6 of its 10 seconds left when the snapshot is taken.
+	// has 6 of its 10 seconds left when the node restarts.
 	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
 	permanent := testAddr("eu-de-tu")
 	oid, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
@@ -237,22 +235,17 @@ func TestSnapshotPersistsLeaseDeadlines(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(4 * time.Second)
+	restartNode(t, tree, "eu/nl", leaf.cfg.StateDir)
 
-	leaf := tree.Nodes("eu/nl")[0]
-	snap := leaf.Snapshot()
-	if err := leaf.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-
-	// Within the restored deadline both entries serve.
-	clock.Advance(5 * time.Second)
+	// The restarted session runs one full TTL on the restarted node's
+	// clock: within it both entries serve.
+	clock.Advance(9 * time.Second)
 	addrs, _, err := res.Lookup(oid)
 	if err != nil || len(addrs) != 2 {
 		t.Fatalf("lookup within restored lease: %v (%d addrs)", err, len(addrs))
 	}
 
-	// Past it, the session entry is gone — the snapshot carries the
-	// remaining time, not the full TTL, and a restored node can never
+	// Past it, the session entry is gone — a restarted node can never
 	// resurrect a dead server's replicas as permanent.
 	clock.Advance(2 * time.Second)
 	addrs, _, err = res.Lookup(oid)
@@ -266,6 +259,7 @@ func TestSnapshotPersistsLeaseDeadlines(t *testing.T) {
 
 func TestSnapshotRestoreRenewRoundTrip(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
+	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
 
@@ -279,13 +273,9 @@ func TestSnapshotRestoreRenewRoundTrip(t *testing.T) {
 		oids = append(oids, oid)
 	}
 
-	// Snapshot, restart the node (restore), and keep heartbeating: the
+	// Restart the node from its state and keep heartbeating: the
 	// restored session accepts renewals — no re-registration storm.
-	leaf := tree.Nodes("eu/nl")[0]
-	snap := leaf.Snapshot()
-	if err := leaf.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
+	leaf = restartNode(t, tree, "eu/nl", saveState(t, leaf))
 	before := leaf.Stats()
 	for i := 0; i < 4; i++ {
 		clock.Advance(6 * time.Second)
@@ -294,7 +284,7 @@ func TestSnapshotRestoreRenewRoundTrip(t *testing.T) {
 		}
 	}
 	if got := leaf.Stats().Inserts - before.Inserts; got != 0 {
-		t.Fatalf("renewals after restore performed %d inserts, want 0 (session survived the snapshot)", got)
+		t.Fatalf("renewals after restore performed %d inserts, want 0 (session survived the restart)", got)
 	}
 	for _, oid := range oids {
 		if _, _, err := res.Lookup(oid); err != nil {
@@ -313,10 +303,7 @@ func TestSessionLossReattachesOnRenew(t *testing.T) {
 	tree, _ := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	// Capture the node's empty state, then attach through a session.
-	leaf := tree.Nodes("eu/nl")[0]
-	empty := leaf.Snapshot()
-
+	// Attach through a session.
 	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
 	ca := testAddr("eu-nl-vu")
 	var oids []ids.OID
@@ -328,11 +315,9 @@ func TestSessionLossReattachesOnRenew(t *testing.T) {
 		oids = append(oids, oid)
 	}
 
-	// The node restarts having lost everything since the empty
-	// snapshot: session and entries are gone.
-	if err := leaf.Restore(empty); err != nil {
-		t.Fatal(err)
-	}
+	// The node restarts having lost everything: session and entries
+	// are gone.
+	restartNode(t, tree, "eu/nl", t.TempDir())
 	if _, _, err := res.Lookup(oids[0]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("lookup after amnesiac restart = %v, want ErrNotFound", err)
 	}
@@ -351,6 +336,7 @@ func TestSessionLossReattachesOnRenew(t *testing.T) {
 
 func TestRenewRepairsSnapshotRollback(t *testing.T) {
 	tree, _ := deployLeaseWorld(t)
+	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
 
@@ -363,9 +349,8 @@ func TestRenewRepairsSnapshotRollback(t *testing.T) {
 		}
 		oids = append(oids, oid)
 	}
-	// Snapshot, then attach two more entries the snapshot predates.
-	leaf := tree.Nodes("eu/nl")[0]
-	snap := leaf.Snapshot()
+	// Save the state, then attach two more entries the copy predates.
+	saved := saveState(t, leaf)
 	for i := 0; i < 2; i++ {
 		oid, _, err := sess.Attach(ids.Nil, ca)
 		if err != nil {
@@ -374,13 +359,11 @@ func TestRenewRepairsSnapshotRollback(t *testing.T) {
 		oids = append(oids, oid)
 	}
 
-	// The node rolls back: the session is known (it is in the
-	// snapshot), but the two young attaches are gone — the dangerous
+	// The node rolls back: the session is known (it is in the saved
+	// state), but the two young attaches are gone — the dangerous
 	// case, since a bare known/unknown bit would report all-is-well
 	// forever.
-	if err := leaf.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
+	leaf = restartNode(t, tree, "eu/nl", saved)
 	if _, _, err := res.Lookup(oids[4]); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("young attach after rollback = %v, want ErrNotFound", err)
 	}
@@ -409,14 +392,10 @@ func TestAttachUnknownSessionReopens(t *testing.T) {
 	tree, _ := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	leaf := tree.Nodes("eu/nl")[0]
-	empty := leaf.Snapshot()
 	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
 
 	// Node forgets the session before the first attach.
-	if err := leaf.Restore(empty); err != nil {
-		t.Fatal(err)
-	}
+	restartNode(t, tree, "eu/nl", t.TempDir())
 	oid, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
 	if err != nil {
 		t.Fatalf("attach after session loss: %v", err)
@@ -439,8 +418,6 @@ func TestReattachIsOneMessagePerSubnode(t *testing.T) {
 	t.Cleanup(tree.Close)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	leaf := tree.Nodes("eu/nl")[0]
-	empty := leaf.Snapshot()
 	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
 
 	const n = 40
@@ -455,9 +432,7 @@ func TestReattachIsOneMessagePerSubnode(t *testing.T) {
 	}
 
 	// The leaf restarts with no memory; the next heartbeat repairs it.
-	if err := leaf.Restore(empty); err != nil {
-		t.Fatal(err)
-	}
+	restartNode(t, tree, "eu/nl", t.TempDir())
 	net.ResetMeter()
 	if _, err := sess.Renew(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package gos
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,7 +11,6 @@ import (
 	"gdn/internal/ids"
 	"gdn/internal/pkgobj"
 	"gdn/internal/repl"
-	"gdn/internal/walog"
 )
 
 // TestCheckpointLogSupersedesAndTombstones drives the checkpoint
@@ -72,18 +73,17 @@ func TestStartRejectsHeaderlessCheckpointLog(t *testing.T) {
 	f := newFixture(t, nil)
 	stateDir := t.TempDir()
 	path := filepath.Join(stateDir, "checkpoints.log")
-	lg, err := walog.Open(path, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	oid := ids.Derive("old-format")
-	lg.Append(append([]byte{1}, oid[:]...)) // an image frame
-	lg.Append(append([]byte{2}, oid[:]...)) // a tombstone frame
-	if err := lg.Close(); err != nil {
-		t.Fatal(err)
+	var before []byte
+	for _, p := range [][]byte{
+		append([]byte{1}, oid[:]...), // an image frame
+		append([]byte{2}, oid[:]...), // a tombstone frame
+	} {
+		before = binary.BigEndian.AppendUint32(before, uint32(len(p)))
+		before = binary.BigEndian.AppendUint32(before, crc32.ChecksumIEEE(p))
+		before = append(before, p...)
 	}
-	before, err := os.ReadFile(path)
-	if err != nil {
+	if err := os.WriteFile(path, before, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := Start(f.net, Config{

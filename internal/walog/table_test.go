@@ -54,7 +54,7 @@ func runOps(t testing.TB, path, kind string, ops []tableOp) ([]int64, []map[stri
 	}
 	defer tab.Close()
 	state := map[string]string{}
-	sizes := []int64{tab.log.Size()}
+	sizes := []int64{tab.log.end}
 	states := []map[string]string{maps.Clone(state)}
 	for _, op := range ops {
 		if op.del {
@@ -67,7 +67,7 @@ func runOps(t testing.TB, path, kind string, ops []tableOp) ([]int64, []map[stri
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, tab.log.Size())
+		sizes = append(sizes, tab.log.end)
 		states = append(states, maps.Clone(state))
 	}
 	if got := liveStrings(tab); !maps.Equal(got, state) {
@@ -163,21 +163,21 @@ func TestTableRejectsOtherHeaders(t *testing.T) {
 	runOps(t, other, "zone-a", []tableOp{{key: "k", val: "v"}})
 
 	headerless := filepath.Join(dir, "headerless.log")
-	lg, err := Open(headerless, nil)
+	lg, err := openLog(headerless, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Append([]byte{tablePut, 1, 'k', 'v'})
-	lg.Close()
+	lg.append([]byte{tablePut, 1, 'k', 'v'})
+	lg.close()
 
 	unknown := filepath.Join(dir, "unknown.log")
-	lg, err = Open(unknown, nil)
+	lg, err = openLog(unknown, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lg.Append([]byte(tableMagic + "zone-b"))
-	lg.Append([]byte{9, 'k'})
-	lg.Close()
+	lg.append([]byte(tableMagic + "zone-b"))
+	lg.append([]byte{9, 'k'})
+	lg.close()
 
 	for _, path := range []string{other, headerless, unknown} {
 		before, err := os.ReadFile(path)
@@ -191,6 +191,55 @@ func TestTableRejectsOtherHeaders(t *testing.T) {
 		if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
 			t.Fatalf("%s: failed open changed the file", filepath.Base(path))
 		}
+	}
+}
+
+// TestTableWriteBatch: one Write applies its puts and deletes in order
+// with one append. A delete of an absent key writes nothing, a key put
+// and deleted in one batch ends absent, and a batch that changes
+// nothing leaves the file as it was.
+func TestTableWriteBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.log")
+	tab, err := OpenTable(path, "batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := tab.log.end
+	var b Batch
+	b.Put("a", []byte("1"))
+	b.Put("b", []byte("2"))
+	b.Delete("absent")
+	b.Put("c", []byte("3"))
+	b.Delete("c")
+	n, err := tab.Write(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.log.end - before; got != int64(n) || n == 0 {
+		t.Fatalf("write reported %d bytes, the log grew by %d", n, got)
+	}
+	want := map[string]string{"a": "1", "b": "2"}
+	if got := liveStrings(tab); !maps.Equal(got, want) {
+		t.Fatalf("live map = [%s], want [%s]", summary(got), summary(want))
+	}
+	var nop Batch
+	nop.Delete("absent")
+	nop.Delete("c")
+	file, _ := os.ReadFile(path)
+	if n, err := tab.Write(&nop); n != 0 || err != nil {
+		t.Fatalf("a batch of absent deletes wrote %d bytes (%v)", n, err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, file) {
+		t.Fatal("a batch that changes nothing changed the file")
+	}
+	tab.Close()
+	tab, err = OpenTable(path, "batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	if got := liveStrings(tab); !maps.Equal(got, want) {
+		t.Fatalf("reopened to [%s], want [%s]", summary(got), summary(want))
 	}
 }
 

@@ -1,15 +1,14 @@
-// Package walog implements the framed append-only log underneath the
-// incremental persistence paths, and the durable keyed Table built on
-// it. It has two users: the GLS operation journal appends to a Log
-// directly, and the GOS checkpoints and the GNS name table share one
-// Table. Each entry is length-prefixed and CRC-protected, so a reader
-// can stream a log back and stop cleanly at a torn tail — the frame a
-// crash interrupted mid-write is detected by its checksum and
-// truncated away, and everything before it replays intact. Appends are
-// buffered in memory until Flush, which writes the pending frames in
-// one syscall and fsyncs once. Compaction rewrites the log atomically
-// (tmp + fsync + rename), the same durable-write discipline as
-// store.WriteFileSync.
+// Package walog implements the durable keyed Table that the GLS
+// directory nodes, the GOS checkpoints and the GNS name table persist
+// through, on a framed append-only log. Each log entry is
+// length-prefixed and CRC-protected, so a reader can stream a log back
+// and stop cleanly at a torn tail — the frame a crash interrupted
+// mid-write is detected by its checksum, and everything before it
+// replays intact; the tail is cut off before the next write. Appends
+// are buffered in memory until flush, which writes the pending frames
+// in one syscall and fsyncs once. Compaction rewrites the log
+// atomically (tmp + fsync + rename), the same durable-write discipline
+// as store.WriteFileSync.
 package walog
 
 import (
@@ -19,7 +18,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
 )
 
 // frameHeader is [u32 payload length][u32 CRC-32 (IEEE) of payload].
@@ -29,22 +27,24 @@ const frameHeader = 8
 // as tail corruption, not an allocation request.
 const maxFrame = 64 << 20
 
-// Log is an append-only frame log on disk. All methods are safe for
-// concurrent use.
-type Log struct {
-	mu   sync.Mutex
+// frameLog is an append-only frame log on disk. It is not safe for
+// concurrent use: the Table serialises its calls.
+type frameLog struct {
 	path string
 	f    *os.File
 	buf  []byte // frames appended but not yet written
-	size int64  // bytes durably on disk
+	end  int64  // bytes durably on disk
+	torn bool   // bytes past end remain from a torn tail
 }
 
-// Open replays the log at path (creating it empty if absent), calling
-// fn for each intact entry in append order, then opens it for further
-// appends. A torn or corrupt tail — the mark of a crash mid-append —
-// is truncated away; entries before it are delivered normally. The
-// payload passed to fn is only valid during the call.
-func Open(path string, fn func(payload []byte) error) (*Log, error) {
+// openLog replays the log at path (creating it empty if absent),
+// calling fn for each intact entry in append order, then opens it for
+// further appends. A torn or corrupt tail — the mark of a crash
+// mid-append — ends the replay; it stays on disk until the first
+// flush cuts it off, so a caller that rejects the replayed state
+// leaves the file as it found it. The payload passed to fn is only
+// valid during the call.
+func openLog(path string, fn func(payload []byte) error) (*frameLog, error) {
 	b, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("walog: read %s: %w", path, err)
@@ -73,25 +73,17 @@ func Open(path string, fn func(payload []byte) error) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(b)) > good {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("walog: truncate torn tail of %s: %w", path, err)
-		}
-	}
 	if _, err := f.Seek(good, 0); err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &Log{path: path, f: f, size: good}, nil
+	return &frameLog{path: path, f: f, end: good, torn: int64(len(b)) > good}, nil
 }
 
-// Append buffers one entry. It does not touch the disk; call Flush to
-// make buffered entries durable in one batched write+fsync.
-func (l *Log) Append(payload []byte) {
-	l.mu.Lock()
+// append buffers one entry. It does not touch the disk; flush makes
+// buffered entries durable in one batched write+fsync.
+func (l *frameLog) append(payload []byte) {
 	l.buf = appendFrame(l.buf, payload)
-	l.mu.Unlock()
 }
 
 func appendFrame(b, payload []byte) []byte {
@@ -100,49 +92,39 @@ func appendFrame(b, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// Flush writes every buffered entry and fsyncs. It returns the number
-// of bytes written this flush (zero when nothing was pending).
-func (l *Log) Flush() (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flushLocked()
-}
-
-func (l *Log) flushLocked() (int, error) {
+// flush writes every buffered entry and fsyncs. It returns the number
+// of bytes written (zero when nothing was pending).
+func (l *frameLog) flush() (int, error) {
 	if len(l.buf) == 0 {
 		return 0, nil
 	}
+	if l.torn {
+		if err := l.f.Truncate(l.end); err != nil {
+			return 0, fmt.Errorf("walog: truncate torn tail of %s: %w", l.path, err)
+		}
+		l.torn = false
+	}
 	nw, err := l.f.Write(l.buf)
 	if err != nil {
-		// A short write leaves a torn tail; the next Open truncates it.
+		// A short write leaves a torn tail; the next open stops at it.
 		l.buf = l.buf[nw:]
 		return nw, fmt.Errorf("walog: append to %s: %w", l.path, err)
 	}
 	if err := l.f.Sync(); err != nil {
 		return nw, fmt.Errorf("walog: fsync %s: %w", l.path, err)
 	}
-	l.size += int64(nw)
-	l.buf = l.buf[:0]
+	l.end += int64(nw)
+	l.buf = nil // a batch's buffer is not kept for the next one
 	return nw, nil
 }
 
-// Size returns the durable length of the log in bytes (buffered
-// entries not yet flushed are excluded).
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
-// Rewrite atomically replaces the log's contents with the given
+// rewrite atomically replaces the log's contents with the given
 // entries — the compaction primitive. The replacement is built in a
 // temporary file, fsynced, and renamed over the log; a crash at any
 // point leaves either the old log or the new one, never a mix.
 // Buffered entries not yet flushed are discarded: the caller folds the
 // state they described into the replacement entries.
-func (l *Log) Rewrite(payloads [][]byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+func (l *frameLog) rewrite(payloads [][]byte) error {
 	tmp := l.path + ".tmp"
 	nf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -172,15 +154,14 @@ func (l *Log) Rewrite(payloads [][]byte) error {
 	}
 	l.f.Close()
 	l.f = nf
-	l.size = int64(len(out))
+	l.end = int64(len(out))
+	l.torn = false
 	l.buf = l.buf[:0]
 	return nil
 }
 
-// Close flushes buffered entries and closes the file.
-func (l *Log) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, ferr := l.flushLocked()
+// close flushes buffered entries and closes the file.
+func (l *frameLog) close() error {
+	_, ferr := l.flush()
 	return errors.Join(ferr, l.f.Close())
 }

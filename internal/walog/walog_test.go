@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-func replayAll(t *testing.T, path string) ([][]byte, *Log) {
+func replayAll(t *testing.T, path string) ([][]byte, *frameLog) {
 	t.Helper()
 	var got [][]byte
-	l, err := Open(path, func(p []byte) error {
+	l, err := openLog(path, func(p []byte) error {
 		got = append(got, bytes.Clone(p))
 		return nil
 	})
@@ -23,7 +23,7 @@ func replayAll(t *testing.T, path string) ([][]byte, *Log) {
 
 func TestAppendFlushReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.log")
-	l, err := Open(path, nil)
+	l, err := openLog(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,23 +31,23 @@ func TestAppendFlushReplay(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p := []byte(fmt.Sprintf("entry-%d", i))
 		want = append(want, p)
-		l.Append(p)
+		l.append(p)
 	}
-	if l.Size() != 0 {
-		t.Fatalf("size before flush = %d, want 0", l.Size())
+	if l.end != 0 {
+		t.Fatalf("size before flush = %d, want 0", l.end)
 	}
-	if n, err := l.Flush(); err != nil || n == 0 {
+	if n, err := l.flush(); err != nil || n == 0 {
 		t.Fatalf("flush = %d, %v", n, err)
 	}
-	if n, err := l.Flush(); err != nil || n != 0 {
+	if n, err := l.flush(); err != nil || n != 0 {
 		t.Fatalf("idempotent flush = %d, %v; want 0, nil", n, err)
 	}
-	if err := l.Close(); err != nil {
+	if err := l.close(); err != nil {
 		t.Fatal(err)
 	}
 
 	got, l2 := replayAll(t, path)
-	defer l2.Close()
+	defer l2.close()
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d entries, want %d", len(got), len(want))
 	}
@@ -63,16 +63,16 @@ func TestAppendFlushReplay(t *testing.T) {
 // entries before it must survive.
 func TestTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.log")
-	l, err := Open(path, nil)
+	l, err := openLog(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("good-1"))
-	l.Append([]byte("good-2"))
-	if _, err := l.Flush(); err != nil {
+	l.append([]byte("good-1"))
+	l.append([]byte("good-2"))
+	if _, err := l.flush(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
+	l.close()
 
 	// Crash mid-append: a header promising 100 bytes, with only 3 written.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -81,19 +81,28 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	f.Write([]byte{0, 0, 0, 100, 0xde, 0xad, 0xbe, 0xef, 'x', 'y', 'z'})
 	f.Close()
+	torn, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	got, l2 := replayAll(t, path)
 	if len(got) != 2 || string(got[0]) != "good-1" || string(got[1]) != "good-2" {
 		t.Fatalf("replay after torn tail = %q", got)
 	}
+	// Opening alone leaves the file as it was; the first write cuts
+	// the torn tail off.
+	if b, _ := os.ReadFile(path); !bytes.Equal(b, torn) {
+		t.Fatal("open changed the file before any write")
+	}
 	// The truncated log must accept further appends cleanly.
-	l2.Append([]byte("good-3"))
-	if _, err := l2.Flush(); err != nil {
+	l2.append([]byte("good-3"))
+	if _, err := l2.flush(); err != nil {
 		t.Fatal(err)
 	}
-	l2.Close()
+	l2.close()
 	got, l3 := replayAll(t, path)
-	defer l3.Close()
+	defer l3.close()
 	if len(got) != 3 || string(got[2]) != "good-3" {
 		t.Fatalf("replay after recovery append = %q", got)
 	}
@@ -103,16 +112,16 @@ func TestTornTailTruncated(t *testing.T) {
 // rotted (or were half-written) fails its CRC and is dropped.
 func TestCorruptTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.log")
-	l, err := Open(path, nil)
+	l, err := openLog(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("keep"))
-	l.Append([]byte("rot!"))
-	if _, err := l.Flush(); err != nil {
+	l.append([]byte("keep"))
+	l.append([]byte("rot!"))
+	if _, err := l.flush(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
+	l.close()
 
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -124,7 +133,7 @@ func TestCorruptTailTruncated(t *testing.T) {
 	}
 
 	got, l2 := replayAll(t, path)
-	defer l2.Close()
+	defer l2.close()
 	if len(got) != 1 || string(got[0]) != "keep" {
 		t.Fatalf("replay after corrupt tail = %q", got)
 	}
@@ -132,32 +141,32 @@ func TestCorruptTailTruncated(t *testing.T) {
 
 func TestRewrite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "a.log")
-	l, err := Open(path, nil)
+	l, err := openLog(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		l.Append([]byte(fmt.Sprintf("old-%d", i)))
+		l.append([]byte(fmt.Sprintf("old-%d", i)))
 	}
-	if _, err := l.Flush(); err != nil {
+	if _, err := l.flush(); err != nil {
 		t.Fatal(err)
 	}
-	before := l.Size()
-	if err := l.Rewrite([][]byte{[]byte("compacted")}); err != nil {
+	before := l.end
+	if err := l.rewrite([][]byte{[]byte("compacted")}); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() >= before {
-		t.Fatalf("rewrite did not shrink the log: %d -> %d", before, l.Size())
+	if l.end >= before {
+		t.Fatalf("rewrite did not shrink the log: %d -> %d", before, l.end)
 	}
 	// Appends after a rewrite land in the new file.
-	l.Append([]byte("tail"))
-	if _, err := l.Flush(); err != nil {
+	l.append([]byte("tail"))
+	if _, err := l.flush(); err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
+	l.close()
 
 	got, l2 := replayAll(t, path)
-	defer l2.Close()
+	defer l2.close()
 	if len(got) != 2 || string(got[0]) != "compacted" || string(got[1]) != "tail" {
 		t.Fatalf("replay after rewrite = %q", got)
 	}
