@@ -228,7 +228,11 @@ func benchGLS(b *testing.B, rootSubnodes int) (oid ids.OID, near, far *gls.Resol
 	}
 	b.Cleanup(func() { far.Close() })
 
-	oid, _, err = near.Insert(ids.Nil, gls.ContactAddress{
+	sess, _, err := near.OpenSession("eu-a:gos", time.Hour)
+	if err != nil {
+		b.Fatal(err)
+	}
+	oid, _, err = sess.Attach(ids.Nil, gls.ContactAddress{
 		Protocol: "clientserver", Address: "eu-a:gos", Impl: pkgobj.Impl, Role: "server",
 	})
 	if err != nil {

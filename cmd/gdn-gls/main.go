@@ -9,9 +9,9 @@
 //	gdn-gls -domain eu   -addr :7002 -self :7002 -parent :7001
 //	gdn-gls -domain eu/nl -addr :7003 -self :7003 -parent :7002
 //
-// Persistence (§7) is -state-dir: the node keeps its records, sessions
-// and drained addresses in one durable table there (state.log) and
-// writes the ones that changed once a second. Without -state-dir the
+// Persistence (§7) is -state-dir: the node keeps its records and
+// sessions (with their drain flags) in one durable table there
+// (state.log) and writes the ones that changed once a second. Without -state-dir the
 // node keeps its state in memory only; servers holding registration
 // sessions re-attach their entries to a restarted node on their next
 // heartbeat.

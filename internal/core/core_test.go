@@ -182,6 +182,7 @@ type world struct {
 	serverRT *Runtime
 	clientRT *Runtime
 	disp     *Dispatcher
+	sess     *gls.ServerSession // the server's registrations; see register
 }
 
 func newWorld(t *testing.T) *world {
@@ -239,6 +240,23 @@ func newWorld(t *testing.T) *world {
 	return w
 }
 
+// register attaches ca to oid in the GLS through the server's
+// registration session, opened on first use with a TTL no test
+// outlives.
+func (w *world) register(t *testing.T, oid ids.OID, ca gls.ContactAddress) {
+	t.Helper()
+	if w.sess == nil {
+		sess, _, err := w.serverRT.Resolver().OpenSession(ca.Address, time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.sess = sess
+	}
+	if _, _, err := w.sess.Attach(oid, ca); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // createCounter hosts a counter replica and registers it in the GLS.
 func (w *world) createCounter(t *testing.T) (ids.OID, *LR) {
 	t.Helper()
@@ -250,9 +268,7 @@ func (w *world) createCounter(t *testing.T) (ids.OID, *LR) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lr.Close() })
-	if _, _, err := w.serverRT.Resolver().Insert(oid, ca); err != nil {
-		t.Fatal(err)
-	}
+	w.register(t, oid, ca)
 	return oid, lr
 }
 
@@ -300,9 +316,7 @@ func TestBindMissingImplementation(t *testing.T) {
 	// Register a contact address naming an implementation the client
 	// does not hold.
 	ca := gls.ContactAddress{Protocol: "testproto", Address: "server-site:objects", Impl: "exotic/9", Role: "server"}
-	if _, _, err := w.serverRT.Resolver().Insert(oid, ca); err != nil {
-		t.Fatal(err)
-	}
+	w.register(t, oid, ca)
 	_, _, err := w.clientRT.Bind(oid)
 	if !errors.Is(err, ErrNoImplementation) {
 		t.Fatalf("err = %v, want ErrNoImplementation", err)
@@ -313,9 +327,7 @@ func TestBindMissingProtocol(t *testing.T) {
 	w := newWorld(t)
 	oid := ids.New()
 	ca := gls.ContactAddress{Protocol: "exoticproto", Address: "server-site:objects", Impl: "counter/1", Role: "server"}
-	if _, _, err := w.serverRT.Resolver().Insert(oid, ca); err != nil {
-		t.Fatal(err)
-	}
+	w.register(t, oid, ca)
 	_, _, err := w.clientRT.Bind(oid)
 	if !errors.Is(err, ErrNoProtocol) {
 		t.Fatalf("err = %v, want ErrNoProtocol", err)
@@ -338,9 +350,7 @@ func TestReplicaSeedState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lr.Close()
-	if _, _, err := w.serverRT.Resolver().Insert(oid, ca); err != nil {
-		t.Fatal(err)
-	}
+	w.register(t, oid, ca)
 
 	proxy, _, err := w.clientRT.Bind(oid)
 	if err != nil {

@@ -69,7 +69,6 @@ type PeerSet struct {
 	resolvedAt time.Time
 
 	failovers atomic.Int64
-	resolves  atomic.Int64
 }
 
 // Operation classes for per-peer health. A one-way partition can leave
@@ -237,7 +236,6 @@ func (ps *PeerSet) refresh(force bool) (time.Duration, bool) {
 		return 0, false
 	}
 	addrs, cost, err := ps.env.Resolve()
-	ps.resolves.Add(1)
 	mResolves.Inc()
 	if err != nil {
 		// A failed lookup (location service unreachable, or the object
@@ -517,9 +515,6 @@ func (ps *PeerSet) Call(op uint16, body []byte, write bool) ([]byte, time.Durati
 // Failovers returns how many attempts were retried on another
 // candidate; tests assert failover happened (or didn't).
 func (ps *PeerSet) Failovers() int64 { return ps.failovers.Load() }
-
-// Resolves returns how many re-resolve lookups ran.
-func (ps *PeerSet) Resolves() int64 { return ps.resolves.Load() }
 
 // Addrs returns the current candidate addresses, unranked.
 func (ps *PeerSet) Addrs() []string {

@@ -6,7 +6,6 @@ import (
 
 	"gdn"
 	"gdn/internal/dns"
-	"gdn/internal/gls"
 	"gdn/internal/gns"
 	"gdn/internal/gos"
 	"gdn/internal/ids"
@@ -89,9 +88,7 @@ func E10Admission() *Table {
 	if err != nil {
 		panic(err)
 	}
-	_, _, err = userRes.Insert(ids.Nil, gls.ContactAddress{
-		Protocol: "clientserver", Address: "evil:addr", Impl: pkgobj.Impl, Role: "server",
-	})
+	_, _, err = userRes.OpenSession("evil:addr", time.Minute)
 	record("user contact-address registration at GLS", err != nil)
 
 	// 4. A user asks the naming authority to add a name.

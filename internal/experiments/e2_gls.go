@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"gdn/internal/gls"
 	"gdn/internal/ids"
@@ -37,6 +38,28 @@ func e2World() (*netsim.Network, *gls.Tree) {
 	return net, tree
 }
 
+// registerServer opens a registration session for a server at site
+// through domain's directory node: its leaf, or an intermediate node
+// when addresses are stored there (§3.5). The TTL outlasts any
+// experiment, none of which renews it. Closing the resolver releases
+// the session's connections.
+func registerServer(tree *gls.Tree, site, domain string) (*gls.Resolver, *gls.ServerSession) {
+	res, err := tree.Resolver(site, domain)
+	if err != nil {
+		panic(err)
+	}
+	sess, _, err := res.OpenSession(site+":gos-obj", time.Hour)
+	if err != nil {
+		panic(err)
+	}
+	return res, sess
+}
+
+// serverAddr is the contact address a registerServer session attaches.
+func serverAddr(sess *gls.ServerSession) gls.ContactAddress {
+	return gls.ContactAddress{Protocol: "clientserver", Address: sess.Addr(), Impl: "package/1", Role: "server"}
+}
+
 // E2LookupDistance reproduces the paper's central GLS property: "the
 // cost of a look up increases proportional to the distance between
 // client and nearest representative" (§3.5). One object is registered
@@ -45,14 +68,9 @@ func E2LookupDistance() *Table {
 	_, tree := e2World()
 	defer tree.Close()
 
-	owner, err := tree.Resolver("eu-a", "eu/a")
-	if err != nil {
-		panic(err)
-	}
+	owner, sess := registerServer(tree, "eu-a", "eu/a")
 	defer owner.Close()
-	oid, _, err := owner.Insert(ids.Nil, gls.ContactAddress{
-		Protocol: "clientserver", Address: "eu-a:gos-obj", Impl: "package/1", Role: "server",
-	})
+	oid, _, err := sess.Attach(ids.Nil, serverAddr(sess))
 	if err != nil {
 		panic(err)
 	}
@@ -96,21 +114,11 @@ func E2MobileAblation() *Table {
 	_, tree := e2World()
 	defer tree.Close()
 
-	euRef, _ := tree.Ref("eu")
-	resA, err := tree.Resolver("eu-a", "eu/a")
+	client, err := tree.Resolver("eu-a", "eu/a")
 	if err != nil {
 		panic(err)
 	}
-	defer resA.Close()
-	resB, err := tree.Resolver("eu-b", "eu/b")
-	if err != nil {
-		panic(err)
-	}
-	defer resB.Close()
-
-	ca := func(site string) gls.ContactAddress {
-		return gls.ContactAddress{Protocol: "clientserver", Address: site + ":gos-obj", Impl: "package/1", Role: "server"}
-	}
+	defer client.Close()
 
 	const moves = 8
 	t := &Table{
@@ -120,91 +128,44 @@ func E2MobileAblation() *Table {
 		Notes:   "object relocates between eu/a and eu/b; intermediate placement keeps updates off the pointer chain",
 	}
 
-	// Leaf placement: a move inserts the new address first, then
-	// deletes the old one, so the shared part of the pointer chain
-	// never tears down — but the two leaf nodes and the region node
-	// still see pointer churn.
-	leafOID := ids.Derive("mobile-leaf")
-	var moveCost, lookupCost int64
-	if _, _, err := resA.Insert(leafOID, ca("eu-a")); err != nil {
-		panic(err)
-	}
-	at := "a"
-	for i := 0; i < moves; i++ {
-		var c1, c2 int64
-		if at == "a" {
-			_, d1, err := resB.Insert(leafOID, ca("eu-b"))
-			if err != nil {
-				panic(err)
-			}
-			d2, err := resA.Delete(leafOID, "eu-a:gos-obj")
-			if err != nil {
-				panic(err)
-			}
-			c1, c2, at = int64(d1), int64(d2), "b"
-		} else {
-			_, d1, err := resA.Insert(leafOID, ca("eu-a"))
-			if err != nil {
-				panic(err)
-			}
-			d2, err := resB.Delete(leafOID, "eu-b:gos-obj")
-			if err != nil {
-				panic(err)
-			}
-			c1, c2, at = int64(d1), int64(d2), "a"
-		}
-		moveCost += c1 + c2
-		_, lc, err := resA.Lookup(leafOID)
-		if err != nil {
+	// The servers at eu-a and eu-b register through sessions at the
+	// nodes that store the address. A move attaches the new address
+	// first, then detaches the old one, so the shared part of the
+	// pointer chain never tears down. With leaf placement the two leaf
+	// nodes and the region node still see pointer churn; with
+	// intermediate placement a move is an insert and a delete at the
+	// "eu" node with no pointer churn at all.
+	place := func(placement, domA, domB string, oid ids.OID) {
+		resA, from := registerServer(tree, "eu-a", domA)
+		defer resA.Close()
+		resB, to := registerServer(tree, "eu-b", domB)
+		defer resB.Close()
+		if _, _, err := from.Attach(oid, serverAddr(from)); err != nil {
 			panic(err)
 		}
-		lookupCost += int64(lc)
-	}
-	t.AddRow("leaf nodes", fmt.Sprint(moves),
-		fmt.Sprintf("%.2f", float64(moveCost)/1e6),
-		fmt.Sprintf("%.2f", float64(lookupCost)/float64(moves)/1e6))
-
-	// Intermediate placement: the address lives at "eu"; a move is an
-	// insert and a delete at the same node with no pointer churn at all.
-	midOID := ids.Derive("mobile-mid")
-	moveCost, lookupCost = 0, 0
-	if _, _, err := resA.InsertAt(euRef, midOID, ca("eu-a")); err != nil {
-		panic(err)
-	}
-	at = "a"
-	for i := 0; i < moves; i++ {
-		var c1, c2 int64
-		if at == "a" {
-			_, d1, err := resB.InsertAt(euRef, midOID, ca("eu-b"))
+		var moveCost, lookupCost time.Duration
+		for i := 0; i < moves; i++ {
+			_, d1, err := to.Attach(oid, serverAddr(to))
 			if err != nil {
 				panic(err)
 			}
-			d2, err := resA.DeleteAt(euRef, midOID, "eu-a:gos-obj")
+			d2, err := from.Detach(oid)
 			if err != nil {
 				panic(err)
 			}
-			c1, c2, at = int64(d1), int64(d2), "b"
-		} else {
-			_, d1, err := resA.InsertAt(euRef, midOID, ca("eu-a"))
+			moveCost += d1 + d2
+			from, to = to, from
+			_, lc, err := client.Lookup(oid)
 			if err != nil {
 				panic(err)
 			}
-			d2, err := resB.DeleteAt(euRef, midOID, "eu-b:gos-obj")
-			if err != nil {
-				panic(err)
-			}
-			c1, c2, at = int64(d1), int64(d2), "a"
+			lookupCost += lc
 		}
-		moveCost += c1 + c2
-		_, lc, err := resA.Lookup(midOID)
-		if err != nil {
-			panic(err)
-		}
-		lookupCost += int64(lc)
+		t.AddRow(placement, fmt.Sprint(moves),
+			fmt.Sprintf("%.2f", float64(moveCost)/1e6),
+			fmt.Sprintf("%.2f", float64(lookupCost)/float64(moves)/1e6))
 	}
-	t.AddRow("intermediate (eu) node", fmt.Sprint(moves),
-		fmt.Sprintf("%.2f", float64(moveCost)/1e6),
-		fmt.Sprintf("%.2f", float64(lookupCost)/float64(moves)/1e6))
-
+	place("leaf nodes", "eu/a", "eu/b", ids.Derive("mobile-leaf"))
+	place("intermediate (eu) node", "eu", "eu", ids.Derive("mobile-mid"))
 	return t
 }

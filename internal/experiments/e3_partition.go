@@ -95,10 +95,7 @@ func E3OneWayPartition() *Table {
 	}
 	defer tree.Close()
 
-	owner, err := tree.Resolver("eu-a", "eu/a")
-	if err != nil {
-		panic(err)
-	}
+	owner, sess := registerServer(tree, "eu-a", "eu/a")
 	defer owner.Close()
 	remote, err := tree.Resolver("us-a", "us/a")
 	if err != nil {
@@ -109,9 +106,7 @@ func E3OneWayPartition() *Table {
 	const objects = 8
 	oids := make([]ids.OID, objects)
 	for i := range oids {
-		oid, _, err := owner.Insert(ids.Nil, gls.ContactAddress{
-			Protocol: "clientserver", Address: "eu-a:gos-obj", Impl: "package/1", Role: "server",
-		})
+		oid, _, err := sess.Attach(ids.Nil, serverAddr(sess))
 		if err != nil {
 			panic(err)
 		}
@@ -198,10 +193,7 @@ func runE3(cfg E3Config, subnodes int) (total, maxLoad, minLoad int64) {
 	}
 	defer tree.Close()
 
-	owner, err := tree.Resolver("eu-a", "eu/a")
-	if err != nil {
-		panic(err)
-	}
+	owner, sess := registerServer(tree, "eu-a", "eu/a")
 	defer owner.Close()
 	remote, err := tree.Resolver("us-a", "us/a")
 	if err != nil {
@@ -211,9 +203,7 @@ func runE3(cfg E3Config, subnodes int) (total, maxLoad, minLoad int64) {
 
 	oids := make([]ids.OID, cfg.Objects)
 	for i := range oids {
-		oid, _, err := owner.Insert(ids.Nil, gls.ContactAddress{
-			Protocol: "clientserver", Address: "eu-a:gos-obj", Impl: "package/1", Role: "server",
-		})
+		oid, _, err := sess.Attach(ids.Nil, serverAddr(sess))
 		if err != nil {
 			panic(err)
 		}

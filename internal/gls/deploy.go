@@ -33,22 +33,17 @@ type Tree struct {
 }
 
 type deployedDomain struct {
-	spec  DomainSpec
 	ref   Ref
 	nodes []*Node
-	// leaf reports whether the domain has no children; resolvers bind
-	// to leaf domains.
-	leaf bool
 }
 
 // DeployOption configures Deploy.
 type DeployOption func(*deployOptions)
 
 type deployOptions struct {
-	auth    *sec.Config
-	service string
-	clock   func() time.Time
-	sweep   time.Duration
+	auth  *sec.Config
+	clock func() time.Time
+	sweep time.Duration
 }
 
 // WithTreeClock installs a time source on every directory node; lease
@@ -69,18 +64,12 @@ func WithTreeAuth(cfg *sec.Config) DeployOption {
 	return func(o *deployOptions) { o.auth = cfg }
 }
 
-// WithServiceName changes the service part of node addresses (default
-// "gls"); tests deploying several trees on one network need it.
-func WithServiceName(s string) DeployOption {
-	return func(o *deployOptions) { o.service = s }
-}
-
 // Deploy starts a directory node for every domain in the hierarchy
 // rooted at spec and wires parents to children. It returns a Tree for
 // creating resolvers and inspecting nodes. On error, nodes already
 // started are shut down.
 func Deploy(net transport.Network, spec DomainSpec, opts ...DeployOption) (*Tree, error) {
-	o := deployOptions{service: "gls"}
+	var o deployOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -105,10 +94,10 @@ func (t *Tree) deploy(spec DomainSpec, parent Ref, o *deployOptions) error {
 
 	self := Ref{Addrs: make([]string, len(spec.Sites))}
 	for i, site := range spec.Sites {
-		self.Addrs[i] = fmt.Sprintf("%s:%s-%s-%d", site, o.service, spec.Name, i)
+		self.Addrs[i] = fmt.Sprintf("%s:gls-%s-%d", site, spec.Name, i)
 	}
 
-	d := &deployedDomain{spec: spec, ref: self, leaf: len(spec.Children) == 0}
+	d := &deployedDomain{ref: self}
 	for i, site := range spec.Sites {
 		node, err := Start(t.net, Config{
 			Domain:     spec.Name,
@@ -162,18 +151,6 @@ func (t *Tree) Nodes(domain string) []*Node {
 // creation order.
 func (t *Tree) Domains() []string {
 	out := append([]string(nil), t.order...)
-	sort.Strings(out)
-	return out
-}
-
-// LeafDomains lists the leaf domains clients can attach to.
-func (t *Tree) LeafDomains() []string {
-	var out []string
-	for name, d := range t.domains {
-		if d.leaf {
-			out = append(out, name)
-		}
-	}
 	sort.Strings(out)
 	return out
 }

@@ -17,9 +17,10 @@ import (
 // byte-identical, or starts a node whose every session counts exactly
 // the entries riding it and none of whose entries rides a session it
 // lacks. The committed corpus (testdata/fuzz/FuzzNodeRestore) holds a
-// compacted state with one of everything a node persists — a session,
-// entries attached to it, a permanent entry, a forwarding pointer and a
-// drained address — and the same state with a torn tail.
+// compacted state with one of everything a node persists — a drained
+// session, entries attached to it and a forwarding pointer — the same
+// state with a torn tail, and testdata/parent-state.log, a state of
+// the format before sessions carried their drain flag.
 func FuzzNodeRestore(f *testing.F) {
 	net := netsim.New(nil)
 	net.AddSite("solo-site", "solo", "eu")

@@ -57,9 +57,10 @@ const (
 	OpLookup uint16 = iota + 1
 	// OpLookupDown descends a tree of forwarding pointers.
 	OpLookupDown
-	// OpInsert registers a contact address at this node. A nil OID asks
-	// the service to allocate a fresh identifier (paper §6.1: "an object
-	// identifier is allocated for the DSO by the GLS").
+	// OpInsert attaches a contact address to the registration session
+	// the request names; a nil or unknown session is refused. A nil OID
+	// asks the service to allocate a fresh identifier (paper §6.1: "an
+	// object identifier is allocated for the DSO by the GLS").
 	OpInsert
 	// OpDelete deregisters one contact address.
 	OpDelete
@@ -247,7 +248,7 @@ func decodeRef(r *wire.Reader) Ref {
 type Counters struct {
 	Lookups       int64 // up-phase lookups handled
 	Descends      int64 // down-phase lookups handled
-	Inserts       int64 // contact-address registrations (including renewals)
+	Inserts       int64 // entries attached (one per OpInsert or reattached entry)
 	Deletes       int64 // deregistrations
 	PtrOps        int64 // forwarding-pointer installs and removals
 	Expiries      int64 // leased contact addresses aged out

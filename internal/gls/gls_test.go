@@ -78,12 +78,9 @@ func TestInsertLookupSameLeaf(t *testing.T) {
 	_, tree := deployWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	oid, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, oid := attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), longTTL)
 	if oid.IsNil() {
-		t.Fatal("insert must allocate an OID")
+		t.Fatal("attach must allocate an OID")
 	}
 
 	addrs, cost, err := res.Lookup(oid)
@@ -104,10 +101,7 @@ func TestLookupCostProportionalToDistance(t *testing.T) {
 	sameRegion := mustResolver(t, tree, "eu-de-tu", "eu/de")
 	far := mustResolver(t, tree, "us-ca-ucb", "us/ca")
 
-	oid, _, err := near.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, oid := attachOne(t, near, ids.Nil, testAddr("eu-nl-vu"), longTTL)
 
 	_, costNear, err := near.Lookup(oid)
 	if err != nil {
@@ -133,13 +127,8 @@ func TestLookupFindsNearestReplica(t *testing.T) {
 	eu := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	us := mustResolver(t, tree, "us-ca-ucb", "us/ca")
 
-	oid, _, err := eu.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := us.Insert(oid, testAddr("us-ca-ucb")); err != nil {
-		t.Fatal(err)
-	}
+	_, oid := attachOne(t, eu, ids.Nil, testAddr("eu-nl-vu"), longTTL)
+	attachOne(t, us, oid, testAddr("us-ca-ucb"), longTTL)
 
 	// Each client's lookup should terminate at its local replica without
 	// consulting the other region.
@@ -164,10 +153,7 @@ func TestLookupFromReplicalessLeafDescends(t *testing.T) {
 	eu := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	de := mustResolver(t, tree, "eu-de-tu", "eu/de")
 
-	oid, _, err := eu.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, oid := attachOne(t, eu, ids.Nil, testAddr("eu-nl-vu"), longTTL)
 
 	// The German client has no local entry: the lookup climbs to "eu",
 	// finds a forwarding pointer, and descends into eu/nl.
@@ -194,19 +180,16 @@ func TestDeleteTearsDownPointerChain(t *testing.T) {
 	_, tree := deployWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	oid, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, oid := attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), longTTL)
 
-	// The insert must have installed pointers at eu and root.
+	// The attach must have installed pointers at eu and root.
 	for _, domain := range []string{"eu/nl", "eu", "root"} {
 		if got := tree.Nodes(domain)[0].Records(); got != 1 {
 			t.Fatalf("%s records = %d before delete, want 1", domain, got)
 		}
 	}
 
-	if _, err := res.Delete(oid, "eu-nl-vu:gos/obj"); err != nil {
+	if _, err := sess.Detach(oid); err != nil {
 		t.Fatal(err)
 	}
 	for _, domain := range []string{"eu/nl", "eu", "root"} {
@@ -225,14 +208,9 @@ func TestDeleteOneOfTwoReplicasKeepsOther(t *testing.T) {
 	eu := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	us := mustResolver(t, tree, "us-ca-ucb", "us/ca")
 
-	oid, _, err := eu.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := us.Insert(oid, testAddr("us-ca-ucb")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eu.Delete(oid, "eu-nl-vu:gos/obj"); err != nil {
+	sess, oid := attachOne(t, eu, ids.Nil, testAddr("eu-nl-vu"), longTTL)
+	attachOne(t, us, oid, testAddr("us-ca-ucb"), longTTL)
+	if _, err := sess.Detach(oid); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,11 +228,8 @@ func TestInsertIdempotent(t *testing.T) {
 	_, tree := deployWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	oid, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := res.Insert(oid, testAddr("eu-nl-vu")); err != nil {
+	sess, oid := attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), longTTL)
+	if _, _, err := sess.Attach(oid, testAddr("eu-nl-vu")); err != nil {
 		t.Fatal(err)
 	}
 	addrs, _, err := res.Lookup(oid)
@@ -268,16 +243,12 @@ func TestInsertIdempotent(t *testing.T) {
 
 func TestInsertAtIntermediateNode(t *testing.T) {
 	_, tree := deployWorld(t)
-	eu, _ := tree.Ref("eu")
-	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
-
-	oid, _, err := res.InsertAt(eu, ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The server's session is opened at "eu", so its entries live there.
+	_, oid := attachOne(t, mustResolver(t, tree, "eu-nl-vu", "eu"), ids.Nil, testAddr("eu-nl-vu"), longTTL)
 
 	// The address lives at "eu": both European leaves find it, and the
 	// leaf nodes hold no state for it.
+	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	de := mustResolver(t, tree, "eu-de-tu", "eu/de")
 	for _, r := range []*Resolver{res, de} {
 		addrs, _, err := r.Lookup(oid)
@@ -299,13 +270,8 @@ func TestMultipleChildPointersRandomDescent(t *testing.T) {
 	de := mustResolver(t, tree, "eu-de-tu", "eu/de")
 	us := mustResolver(t, tree, "us-ca-ucb", "us/ca")
 
-	oid, _, err := eu.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := de.Insert(oid, testAddr("eu-de-tu")); err != nil {
-		t.Fatal(err)
-	}
+	_, oid := attachOne(t, eu, ids.Nil, testAddr("eu-nl-vu"), longTTL)
+	attachOne(t, de, oid, testAddr("eu-de-tu"), longTTL)
 
 	// The US client's lookup reaches the root, which holds one pointer
 	// (to eu); eu holds two pointers and picks one at random. Both
@@ -339,10 +305,11 @@ func TestSubnodePartitioningSpreadsLoad(t *testing.T) {
 	defer tree.Close()
 
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	sess := openTestSession(t, res, "eu-nl-vu:gos/obj", longTTL)
 	const objects = 64
 	oids := make([]ids.OID, 0, objects)
 	for i := 0; i < objects; i++ {
-		oid, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu"))
+		oid, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,10 +352,11 @@ func TestSnapshotRestore(t *testing.T) {
 	_, tree := deployWorld(t)
 	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	sess := openTestSession(t, res, "eu-nl-vu:gos/obj", longTTL)
 
 	var oids []ids.OID
 	for i := 0; i < 10; i++ {
-		oid, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu"))
+		oid, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,16 +419,16 @@ func TestAdmissionControl(t *testing.T) {
 	defer user.Close()
 
 	// An object server may register; a user may not (paper §6.1 req 2).
-	oid, _, err := gos.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatalf("gos insert: %v", err)
-	}
-	if _, _, err := user.Insert(ids.Nil, testAddr("eu-de-tu")); err == nil {
-		t.Fatal("user insert must be rejected")
+	_, oid := attachOne(t, gos, ids.Nil, testAddr("eu-nl-vu"), longTTL)
+	if _, _, err := user.OpenSession("eu-de-tu:gos/obj", longTTL); err == nil {
+		t.Fatal("user session open must be rejected")
 	} else if !strings.Contains(err.Error(), "unauthorized") && !strings.Contains(err.Error(), "not authorized") {
 		t.Fatalf("unexpected rejection: %v", err)
 	}
-	if _, err := user.Delete(oid, "eu-nl-vu:gos/obj"); err == nil {
+	w := wire.NewWriter(64)
+	w.OID(oid)
+	w.Str("eu-nl-vu:gos/obj")
+	if _, _, err := user.client(leaf.Route(oid)).Call(OpDelete, w.Bytes()); err == nil {
 		t.Fatal("user delete must be rejected")
 	}
 
@@ -473,10 +441,7 @@ func TestAdmissionControl(t *testing.T) {
 func TestStatsOverRPC(t *testing.T) {
 	_, tree := deployWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
-	oid, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, oid := attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), longTTL)
 	if _, _, err := res.Lookup(oid); err != nil {
 		t.Fatal(err)
 	}
@@ -520,15 +485,15 @@ func TestRouteConsistency(t *testing.T) {
 }
 
 func TestRandomChurnInvariant(t *testing.T) {
-	// Property: after an arbitrary interleaving of inserts and deletes
-	// that ends with every address deleted, the whole tree is empty —
+	// Property: after an arbitrary interleaving of attaches and detaches
+	// that ends with every address detached, the whole tree is empty —
 	// no leaked records or dangling pointers anywhere.
 	_, tree := deployWorld(t)
 	leaves := []string{"eu/nl", "eu/de", "us/ca", "us/ny"}
 	sites := []string{"eu-nl-vu", "eu-de-tu", "us-ca-ucb", "us-ny-cu"}
-	resolvers := make([]*Resolver, len(leaves))
+	sessions := make([]*ServerSession, len(leaves))
 	for i := range leaves {
-		resolvers[i] = mustResolver(t, tree, sites[i], leaves[i])
+		sessions[i] = openTestSession(t, mustResolver(t, tree, sites[i], leaves[i]), sites[i]+":gos/obj", longTTL)
 	}
 
 	rnd := rand.New(rand.NewSource(42))
@@ -540,7 +505,7 @@ func TestRandomChurnInvariant(t *testing.T) {
 	for step := 0; step < 300; step++ {
 		if len(live) == 0 || rnd.Intn(2) == 0 {
 			leaf := rnd.Intn(len(leaves))
-			oid, _, err := resolvers[leaf].Insert(ids.Nil, testAddr(sites[leaf]))
+			oid, _, err := sessions[leaf].Attach(ids.Nil, testAddr(sites[leaf]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -548,14 +513,14 @@ func TestRandomChurnInvariant(t *testing.T) {
 		} else {
 			i := rnd.Intn(len(live))
 			p := live[i]
-			if _, err := resolvers[p.leaf].Delete(p.oid, sites[p.leaf]+":gos/obj"); err != nil {
+			if _, err := sessions[p.leaf].Detach(p.oid); err != nil {
 				t.Fatal(err)
 			}
 			live = append(live[:i], live[i+1:]...)
 		}
 	}
 	for _, p := range live {
-		if _, err := resolvers[p.leaf].Delete(p.oid, sites[p.leaf]+":gos/obj"); err != nil {
+		if _, err := sessions[p.leaf].Detach(p.oid); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -622,10 +587,7 @@ func TestLookupCostIsWallClockIndependent(t *testing.T) {
 	_, tree := deployWorld(t)
 	eu := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	us := mustResolver(t, tree, "us-ca-ucb", "us/ca")
-	oid, _, err := eu.Insert(ids.Nil, testAddr("eu-nl-vu"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, oid := attachOne(t, eu, ids.Nil, testAddr("eu-nl-vu"), longTTL)
 	start := time.Now()
 	_, cost, err := us.Lookup(oid)
 	if err != nil {

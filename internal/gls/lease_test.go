@@ -43,12 +43,17 @@ func deployLeaseWorld(t *testing.T) (*Tree, *fakeClock) {
 	return tree, clock
 }
 
-// attachOne opens a session for the contact address's transport
-// address and attaches ca through it under a fresh identifier.
-func attachOne(t *testing.T, res *Resolver, ca ContactAddress, ttl time.Duration) (*ServerSession, ids.OID) {
+// longTTL is the lease of a server that stays alive for the rest of a
+// test without renewing.
+const longTTL = time.Hour
+
+// attachOne is how tests register: it opens a session for ca's
+// transport address at res's node and attaches ca to oid through it (a
+// nil oid mints one).
+func attachOne(t *testing.T, res *Resolver, oid ids.OID, ca ContactAddress, ttl time.Duration) (*ServerSession, ids.OID) {
 	t.Helper()
 	sess := openTestSession(t, res, ca.Address, ttl)
-	oid, _, err := sess.Attach(ids.Nil, ca)
+	oid, _, err := sess.Attach(oid, ca)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,7 @@ func TestLeaseExpiresOutOfLookups(t *testing.T) {
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 	far := mustResolver(t, tree, "us-ca-ucb", "us/ca")
 
-	_, oid := attachOne(t, res, testAddr("eu-nl-vu"), 10*time.Second)
+	_, oid := attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), 10*time.Second)
 	for _, r := range []*Resolver{res, far} {
 		if addrs, _, err := r.Lookup(oid); err != nil || len(addrs) != 1 {
 			t.Fatalf("lookup within lease: %v (%d addrs)", err, len(addrs))
@@ -82,7 +87,7 @@ func TestLeaseRenewalKeepsEntryAlive(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	sess, oid := attachOne(t, res, testAddr("eu-nl-vu"), 10*time.Second)
+	sess, oid := attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), 10*time.Second)
 	// Heartbeat: renew every 6s; the entry must survive well past the
 	// original TTL.
 	for i := 0; i < 5; i++ {
@@ -112,19 +117,17 @@ func TestLeaseExpiryOfOneReplicaLeavesOthers(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	permanent := testAddr("eu-de-tu")
-	_, oid := attachOne(t, res, testAddr("eu-nl-vu"), 10*time.Second)
-	if _, _, err := res.Insert(oid, permanent); err != nil {
-		t.Fatal(err)
-	}
+	survivor := testAddr("eu-de-tu")
+	_, oid := attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), 10*time.Second)
+	attachOne(t, res, oid, survivor, longTTL)
 
 	clock.Advance(11 * time.Second)
 	addrs, _, err := res.Lookup(oid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(addrs) != 1 || addrs[0] != permanent {
-		t.Fatalf("addrs after one lease expired = %v, want just %v", addrs, permanent)
+	if len(addrs) != 1 || addrs[0] != survivor {
+		t.Fatalf("addrs after one lease expired = %v, want just %v", addrs, survivor)
 	}
 }
 
@@ -132,7 +135,7 @@ func TestSweepTearsDownPointerChain(t *testing.T) {
 	tree, clock := deployLeaseWorld(t)
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	attachOne(t, res, testAddr("eu-nl-vu"), 10*time.Second)
+	attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), 10*time.Second)
 	root := tree.Nodes("root")[0]
 	if root.Records() != 1 {
 		t.Fatalf("root records after insert = %d, want 1 (the pointer chain)", root.Records())
@@ -163,31 +166,18 @@ func TestDrainHidesAddressWhileOthersRemain(t *testing.T) {
 
 	sick := testAddr("eu-nl-vu")
 	healthy := testAddr("eu-de-tu")
-	sess, oid := attachOne(t, res, sick, 10*time.Second)
-	if _, _, err := res.Insert(oid, healthy); err != nil {
-		t.Fatal(err)
-	}
-	// A permanent registration at the drained transport address is
-	// hidden too: the drain is address-wide, not per session entry.
-	permOID, _, err := res.Insert(ids.Nil, sick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := res.Insert(permOID, healthy); err != nil {
-		t.Fatal(err)
-	}
+	sess, oid := attachOne(t, res, ids.Nil, sick, 10*time.Second)
+	attachOne(t, res, oid, healthy, longTTL)
 
 	if _, err := sess.Drain(true); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []ids.OID{oid, permOID} {
-		addrs, _, err := res.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(addrs) != 1 || addrs[0] != healthy {
-			t.Fatalf("addrs while drained = %v, want just %v", addrs, healthy)
-		}
+	addrs, _, err := res.Lookup(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(addrs) != 1 || addrs[0] != healthy {
+		t.Fatalf("addrs while drained = %v, want just %v", addrs, healthy)
 	}
 
 	// Undrain restores the address without any re-registration: the
@@ -195,14 +185,11 @@ func TestDrainHidesAddressWhileOthersRemain(t *testing.T) {
 	if _, err := sess.Drain(false); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []ids.OID{oid, permOID} {
-		addrs, _, err := res.Lookup(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(addrs) != 2 {
-			t.Fatalf("addrs after undrain = %v, want both", addrs)
-		}
+	if addrs, _, err = res.Lookup(oid); err != nil {
+		t.Fatal(err)
+	}
+	if len(addrs) != 2 {
+		t.Fatalf("addrs after undrain = %v, want both", addrs)
 	}
 }
 
@@ -213,10 +200,8 @@ func TestDrainedReplicaDoesNotShadowHealthySibling(t *testing.T) {
 
 	sick := testAddr("eu-nl-vu")
 	healthy := testAddr("us-ca-ucb")
-	sess, oid := attachOne(t, euRes, sick, 10*time.Second)
-	if _, _, err := usRes.Insert(oid, healthy); err != nil {
-		t.Fatal(err)
-	}
+	sess, oid := attachOne(t, euRes, ids.Nil, sick, 10*time.Second)
+	usSess, _ := attachOne(t, usRes, oid, healthy, longTTL)
 	if _, err := sess.Drain(true); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +222,7 @@ func TestDrainedReplicaDoesNotShadowHealthySibling(t *testing.T) {
 
 	// Once the healthy replica deregisters, the drained one is the
 	// tree-wide last resort.
-	if _, err := usRes.Delete(oid, healthy.Address); err != nil {
+	if _, err := usSess.Detach(oid); err != nil {
 		t.Fatal(err)
 	}
 	addrs, _, err := euRes.Lookup(oid)
@@ -254,7 +239,7 @@ func TestDrainedLastReplicaStillServes(t *testing.T) {
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
 	only := testAddr("eu-nl-vu")
-	sess, oid := attachOne(t, res, only, 10*time.Second)
+	sess, oid := attachOne(t, res, ids.Nil, only, 10*time.Second)
 	if _, err := sess.Drain(true); err != nil {
 		t.Fatal(err)
 	}
@@ -266,5 +251,37 @@ func TestDrainedLastReplicaStillServes(t *testing.T) {
 	}
 	if len(addrs) != 1 || addrs[0] != only {
 		t.Fatalf("addrs with all drained = %v, want %v", addrs, only)
+	}
+}
+
+// TestRestartedServerIsNotDrained: a server drains its session and dies;
+// its successor at the same transport address opens a fresh session,
+// re-attaches the same entry and heartbeats. The drain belonged to the
+// dead session, so a lookup beside the successor finds it, not only the
+// remote replica.
+func TestRestartedServerIsNotDrained(t *testing.T) {
+	tree, clock := deployLeaseWorld(t)
+	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	local, remote := testAddr("eu-nl-vu"), testAddr("eu-de-tu")
+
+	dead, oid := attachOne(t, res, ids.Nil, local, 10*time.Second)
+	attachOne(t, mustResolver(t, tree, "eu-de-tu", "eu/de"), oid, remote, longTTL)
+	if _, err := dead.Drain(true); err != nil {
+		t.Fatal(err)
+	}
+
+	successor, _ := attachOne(t, res, oid, local, 10*time.Second)
+	for i := 0; i < 5; i++ {
+		clock.Advance(6 * time.Second)
+		if _, err := successor.Renew(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addrs, _, err := res.Lookup(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(addrs) != 1 || addrs[0] != local {
+		t.Fatalf("lookup beside the restarted server = %v, want just %v", addrs, local)
 	}
 }

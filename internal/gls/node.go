@@ -52,7 +52,7 @@ type Config struct {
 	SweepEvery time.Duration
 	// StateDir, when non-empty, makes the node's state durable: it
 	// loads <StateDir>/state.log at start and writes every changed
-	// record, session and drained address there once a second (see
+	// record and session there once a second (see
 	// state.go). The second since the last flush is the crash-loss
 	// window, and session owners repair it on their next renewal.
 	// Empty keeps the state in memory only.
@@ -66,13 +66,14 @@ type Config struct {
 const defaultSweepEvery = 5 * time.Second
 
 // session is one server's registration session: a single lease covering
-// every contact address the server attached through it. Renewal touches
-// the session, not the entries, so a server hosting thousands of
-// replicas keeps them all alive with one renew per heartbeat — and a
-// server that dies takes every attached entry out of lookups within one
-// TTL. The hot fields are atomics because lookups consult sessions
-// while holding only a record-shard read lock; addr and ttl are guarded
-// by the session's own mutex.
+// every contact address the server attached through it, and the only
+// owner of those entries' liveness and drain. Renewal touches the
+// session, not the entries, so a server hosting thousands of replicas
+// keeps them all alive with one renew per heartbeat — and a server that
+// dies takes every attached entry out of lookups within one TTL. The
+// hot fields are atomics because lookups consult sessions while holding
+// only a record-shard read lock; addr and ttl are guarded by the
+// session's own mutex.
 type session struct {
 	id ids.OID
 
@@ -82,9 +83,10 @@ type session struct {
 
 	expiresNano atomic.Int64
 	closed      atomic.Bool
-	// drained mirrors the drain state of the session's address
-	// (applySessionOpen and applyDrain keep them equal), so every entry
-	// riding the session drains with it, whatever its own address.
+	// drained is the drain bit the owner last sent on a renewal or
+	// reattach: every entry riding the session drains with it. A new
+	// session starts undrained, so a server process that drained and
+	// died does not hide its successor at the same address.
 	drained atomic.Bool
 	// attached counts the entries riding this session. Renewal
 	// responses echo it, so a server can tell that the node restarted
@@ -105,17 +107,11 @@ func (s *session) fields() (addr string, ttl time.Duration) {
 	return s.addr, s.ttl
 }
 
-// leasedAddr is one registered contact address with its liveness
-// contract: attached to a session (sess non-nil — expiry and drain
-// follow the session), or permanent (still used by experiments that
-// register addresses by hand and never heartbeat).
+// leasedAddr is one registered contact address and the session it
+// rides: expiry and drain follow the session.
 type leasedAddr struct {
 	ca   ContactAddress
 	sess *session
-}
-
-func (la leasedAddr) expired(now time.Time) bool {
-	return la.sess != nil && la.sess.expired(now)
 }
 
 // record is one object's entry in a directory node: contact addresses
@@ -165,10 +161,6 @@ type Node struct {
 	sessions  map[ids.OID]*session
 	sessDirty map[ids.OID]struct{} // sessions changed since the last flush
 
-	drainMu    sync.RWMutex
-	drained    map[string]bool     // transport address -> draining
-	drainDirty map[string]struct{} // addresses changed since the last flush
-
 	rndMu sync.Mutex
 	rnd   *rand.Rand
 
@@ -210,7 +202,6 @@ func Start(net transport.Network, cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:      cfg,
-		drained:  make(map[string]bool),
 		sessions: make(map[ids.OID]*session),
 		rnd:      rand.New(rand.NewSource(cfg.Seed)),
 	}
@@ -371,51 +362,32 @@ func (n *Node) handleLookup(call *rpc.Call, down bool) ([]byte, error) {
 		n.stats.lookups.Add(1)
 	}
 
-	// Collect the record's live entries under the shard read lock only;
-	// the address-wide drain set is consulted after release, and the
-	// session drain flag is an atomic — no lock ordering to get wrong,
-	// and the stripe is never held across the drain map.
-	type candidate struct {
-		ca          ContactAddress
-		sessDrained bool
-	}
+	// Classify the record's live entries under the shard read lock; a
+	// session's expiry and drain flag are atomics.
 	now := n.cfg.Clock()
 	sh := n.shard(oid)
 	sh.mu.RLock()
 	rec := sh.recs[oid]
-	var cands []candidate
+	var addrs, drainedAddrs []ContactAddress
 	var childRefs []Ref
 	if rec != nil {
 		for _, la := range rec.addrs {
-			if la.expired(now) {
+			switch {
+			case la.sess.expired(now):
 				// A session its owner stopped renewing: the replica is
 				// gone (or cut off); it must not be handed to clients.
 				// The sweep janitor reclaims the entry itself.
-				continue
+			case la.sess.drained.Load():
+				drainedAddrs = append(drainedAddrs, la.ca)
+			default:
+				addrs = append(addrs, la.ca)
 			}
-			cands = append(cands, candidate{
-				ca:          la.ca,
-				sessDrained: la.sess != nil && la.sess.drained.Load(),
-			})
 		}
 		for _, ref := range rec.ptrs {
 			childRefs = append(childRefs, ref)
 		}
 	}
 	sh.mu.RUnlock()
-
-	var addrs, drainedAddrs []ContactAddress
-	if len(cands) > 0 {
-		n.drainMu.RLock()
-		for _, c := range cands {
-			if c.sessDrained || n.drained[c.ca.Address] {
-				drainedAddrs = append(drainedAddrs, c.ca)
-			} else {
-				addrs = append(addrs, c.ca)
-			}
-		}
-		n.drainMu.RUnlock()
-	}
 
 	// Healthy contact addresses stored here end the search immediately;
 	// a local drained set is only the fallback of last resort.
@@ -518,39 +490,31 @@ func (n *Node) lookupSession(sid ids.OID) (*session, error) {
 	return sess, nil
 }
 
-// attachAddr adds ca to rec, or keeps it in place — a re-registration
-// may move the entry between liveness contracts (attach it to a
-// session, or make it permanent with no session) — and reports whether
-// the record changed. The caller holds the record's shard lock.
+// attachAddr adds ca to rec riding sess, or moves an existing entry for
+// ca onto sess — a restarted server's new session takes over the
+// entries of the one that died — and reports whether the record
+// changed. The caller holds the record's shard lock.
 func attachAddr(rec *record, ca ContactAddress, sess *session) bool {
 	for i, have := range rec.addrs {
 		if have.ca == ca {
-			old := rec.addrs[i].sess
-			if old == sess {
+			if have.sess == sess {
 				return false
 			}
-			if old != nil {
-				old.attached.Add(-1)
-			}
-			if sess != nil {
-				sess.attached.Add(1)
-			}
+			have.sess.attached.Add(-1)
+			sess.attached.Add(1)
 			rec.addrs[i].sess = sess
 			return true
 		}
 	}
 	rec.addrs = append(rec.addrs, leasedAddr{ca: ca, sess: sess})
-	if sess != nil {
-		sess.attached.Add(1)
-	}
+	sess.attached.Add(1)
 	return true
 }
 
-// handleInsert registers a contact address at this node — attached to a
-// registration session when the request names one, permanent otherwise
-// — and installs the chain of forwarding pointers up to the root. The
-// response carries the object identifier, which the service allocates
-// when the request's is nil.
+// handleInsert attaches a contact address to the registration session
+// the request names and installs the chain of forwarding pointers up to
+// the root. The response carries the object identifier, which the
+// service allocates when the request's is nil.
 func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
 	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
 		return nil, err
@@ -567,16 +531,12 @@ func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
 	}
 	n.stats.inserts.Add(1)
 
-	var sess *session
-	if !sid.IsNil() {
-		// Session attach: liveness (and drain) follow the session. An
-		// unknown session means this node lost it (restart, age-out);
-		// the owner must reopen before attaching, or the entry would
-		// never expire with its server.
-		var err error
-		if sess, err = n.lookupSession(sid); err != nil {
-			return nil, err
-		}
+	// An unknown (or nil) session means this node lost it (restart,
+	// age-out) or never had one; the owner must reopen before
+	// attaching, or the entry would never expire with its server.
+	sess, err := n.lookupSession(sid)
+	if err != nil {
+		return nil, err
 	}
 	sh := n.shard(oid)
 	sh.mu.Lock()
@@ -679,7 +639,7 @@ func (n *Node) handleDelete(call *rpc.Call) ([]byte, error) {
 		for _, la := range rec.addrs {
 			if la.ca.Address != addr {
 				kept = append(kept, la)
-			} else if la.sess != nil {
+			} else {
 				la.sess.attached.Add(-1)
 			}
 		}
@@ -747,33 +707,16 @@ func (n *Node) handleRemovePtr(call *rpc.Call) ([]byte, error) {
 	return nil, nil
 }
 
-// applyDrain flips the node-local, address-wide draining state and
-// mirrors it onto every session registered from that address.
-func (n *Node) applyDrain(addr string, draining bool) {
-	n.drainMu.Lock()
-	if n.drained[addr] != draining {
-		n.markDrain(addr)
+// applyDrain sets the session's drain flag from a renewal's or
+// reattach's drain tail, marking the session for the next flush when
+// the flag changed.
+func (n *Node) applyDrain(sess *session, draining bool) {
+	if sess.drained.Swap(draining) != draining {
+		n.stats.drains.Add(1)
+		n.sessMu.Lock()
+		n.markSession(sess.id)
+		n.sessMu.Unlock()
 	}
-	if draining {
-		n.drained[addr] = true
-	} else {
-		delete(n.drained, addr)
-	}
-	n.drainMu.Unlock()
-	n.sessMu.RLock()
-	for _, sess := range n.sessions {
-		if a, _ := sess.fields(); a == addr {
-			sess.drained.Store(draining)
-		}
-	}
-	n.sessMu.RUnlock()
-}
-
-// drainState reports the current address-wide draining flag.
-func (n *Node) drainState(addr string) bool {
-	n.drainMu.RLock()
-	defer n.drainMu.RUnlock()
-	return n.drained[addr]
 }
 
 // applySessionOpen creates or refreshes a session — shared by the
@@ -795,10 +738,6 @@ func (n *Node) applySessionOpen(sid ids.OID, addr string, ttl time.Duration, now
 	n.sessMu.Unlock()
 	sess.expiresNano.Store(now.Add(ttl).UnixNano())
 	sess.closed.Store(false)
-	// A fresh session inherits the address-wide drain state: a server
-	// that drained itself, crashed and reopened is still draining until
-	// it says otherwise.
-	sess.drained.Store(n.drainState(addr))
 	return sess
 }
 
@@ -837,9 +776,9 @@ func (n *Node) handleSessionOpen(call *rpc.Call) ([]byte, error) {
 // The request may carry an optional drain tail (two booleans:
 // presence, then the desired state) — the one drain path: a server
 // flips its drain bit on the heartbeat it was going to send anyway,
-// and the node applies it address-wide. Draining hides every contact
-// address at that address while alternatives exist, without deleting
-// any registration, so undraining restores service at once.
+// and the node sets it on the session. Draining hides every entry
+// riding the session while alternatives exist, without deleting any
+// registration, so undraining restores service at once.
 func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
 		return nil, err
@@ -869,7 +808,6 @@ func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 			sess.ttl = time.Duration(ttlSecs) * time.Second
 		}
 		ttl := sess.ttl
-		addr := sess.addr
 		sess.mu.Unlock()
 		if newTTL {
 			n.sessMu.Lock()
@@ -877,11 +815,10 @@ func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 			n.sessMu.Unlock()
 		}
 		sess.expiresNano.Store(now.Add(ttl).UnixNano())
-		attached = int(sess.attached.Load())
-		if hasDrain && (sess.drained.Load() != drain || n.drainState(addr) != drain) {
-			n.stats.drains.Add(1)
-			n.applyDrain(addr, drain)
+		if hasDrain {
+			n.applyDrain(sess, drain)
 		}
+		attached = int(sess.attached.Load())
 	}
 	w := wire.NewWriter(8)
 	w.Bool(known)
@@ -957,9 +894,8 @@ func (n *Node) handleSessionReattach(call *rpc.Call) ([]byte, error) {
 	mSessionsOpened.Inc()
 	now := n.cfg.Clock()
 	sess := n.applySessionOpen(sid, addr, time.Duration(ttlSecs)*time.Second, now)
-	if hasDrain && n.drainState(addr) != drain {
-		n.stats.drains.Add(1)
-		n.applyDrain(addr, drain)
+	if hasDrain {
+		n.applyDrain(sess, drain)
 	}
 	// Attach every entry, remembering which objects had no record here:
 	// only those pay the pointer-chain climb. Entries hash across the
@@ -1009,12 +945,6 @@ func (n *Node) Sessions() int {
 	return len(n.sessions)
 }
 
-// Draining reports whether an address is currently drained at this
-// subnode; tests and diagnostics read it.
-func (n *Node) Draining(addr string) bool {
-	return n.drainState(addr)
-}
-
 // sweepLoop is the lease janitor: it visits one record shard per tick,
 // recShards ticks per SweepEvery, so every shard is swept once per
 // SweepEvery but no sweep ever write-locks more than one stripe — a
@@ -1052,11 +982,9 @@ func (n *Node) sweepShard(si int, now time.Time) int {
 	for oid, rec := range sh.recs {
 		kept := rec.addrs[:0]
 		for _, la := range rec.addrs {
-			if la.expired(now) {
+			if la.sess.expired(now) {
 				expired++
-				if la.sess != nil {
-					la.sess.attached.Add(-1)
-				}
+				la.sess.attached.Add(-1)
 			} else {
 				kept = append(kept, la)
 			}

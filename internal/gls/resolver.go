@@ -82,67 +82,6 @@ func (r *Resolver) Lookup(oid ids.OID) ([]ContactAddress, time.Duration, error) 
 	return nil, cost, fmt.Errorf("%w: %s", ErrNotFound, oid.Short())
 }
 
-// Insert registers a contact address in the client's leaf domain,
-// permanently (no lease). A nil oid asks the service to allocate a
-// fresh identifier; the identifier actually registered is returned
-// either way. Servers whose registrations must age out with them
-// attach through a registration session (OpenSession) instead.
-func (r *Resolver) Insert(oid ids.OID, ca ContactAddress) (ids.OID, time.Duration, error) {
-	return r.insertAt(r.leaf, oid, ca, ids.Nil)
-}
-
-// InsertAt registers a contact address at an arbitrary directory node
-// instead of the client's leaf. Storing addresses at an intermediate
-// node trades lookup locality for cheaper updates on highly mobile
-// objects (§3.5); the E2 ablation uses this.
-func (r *Resolver) InsertAt(node Ref, oid ids.OID, ca ContactAddress) (ids.OID, time.Duration, error) {
-	return r.insertAt(node, oid, ca, ids.Nil)
-}
-
-func (r *Resolver) insertAt(node Ref, oid ids.OID, ca ContactAddress, sid ids.OID) (ids.OID, time.Duration, error) {
-	if node.IsZero() {
-		return ids.Nil, 0, ErrNoAddrs
-	}
-	// Allocating the identifier client-side keeps subnode routing
-	// consistent: the request must reach the subnode that will own the
-	// identifier, which cannot be known before the identifier exists.
-	if oid.IsNil() {
-		oid = ids.New()
-	}
-	w := wire.NewWriter(96)
-	w.OID(oid)
-	ca.encode(w)
-	w.OID(sid)
-	resp, cost, err := r.client(node.Route(oid)).Call(OpInsert, w.Bytes())
-	if err != nil {
-		return ids.Nil, cost, err
-	}
-	got, err := ids.FromBytes(resp)
-	if err != nil {
-		return ids.Nil, cost, err
-	}
-	return got, cost, nil
-}
-
-// Delete deregisters the contact address with the given transport
-// address from the client's leaf domain.
-func (r *Resolver) Delete(oid ids.OID, addr string) (time.Duration, error) {
-	return r.DeleteAt(r.leaf, oid, addr)
-}
-
-// DeleteAt deregisters from an arbitrary directory node; the counterpart
-// of InsertAt.
-func (r *Resolver) DeleteAt(node Ref, oid ids.OID, addr string) (time.Duration, error) {
-	if node.IsZero() {
-		return 0, ErrNoAddrs
-	}
-	w := wire.NewWriter(64)
-	w.OID(oid)
-	w.Str(addr)
-	_, cost, err := r.client(node.Route(oid)).Call(OpDelete, w.Bytes())
-	return cost, err
-}
-
 // Stats fetches the operation counters of one subnode.
 func (r *Resolver) Stats(addr string) (Counters, error) {
 	resp, _, err := r.client(addr).Call(OpStats, nil)

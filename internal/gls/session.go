@@ -2,6 +2,7 @@ package gls
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -23,7 +24,11 @@ import (
 // attached, so a directory subnode that lost the session (restarted
 // without its state, or reaped it after missed heartbeats) is
 // repaired transparently: the next Renew reopens the session there and
-// re-attaches the entries that subnode owns.
+// re-attaches the entries that subnode owns. It also remembers entries
+// the node may hold beyond its books — a Detach whose delete failed, an
+// Attach whose answer was lost after the node applied it — and Renew
+// deletes those again before it compares counts: re-attach only adds
+// entries, so a count the node holds too high would never settle.
 //
 // ServerSession is safe for concurrent use.
 type ServerSession struct {
@@ -34,6 +39,7 @@ type ServerSession struct {
 
 	mu       sync.Mutex
 	attached map[ids.OID]ContactAddress
+	stale    map[ids.OID]string // entries to delete again: oid -> transport address
 
 	// drainSet/draining are the server's declared drain state. Once set,
 	// every renewal (and re-attach repair) carries the bit, so the
@@ -78,6 +84,7 @@ func (r *Resolver) OpenSession(addr string, ttl time.Duration) (*ServerSession, 
 		addr:     addr,
 		ttl:      ttl,
 		attached: make(map[ids.OID]ContactAddress),
+		stale:    make(map[ids.OID]string),
 	}
 	var total time.Duration
 	for _, sub := range r.leaf.Addrs {
@@ -99,13 +106,6 @@ func (s *ServerSession) Addr() string { return s.addr }
 // TTL returns the session lease lifetime.
 func (s *ServerSession) TTL() time.Duration { return s.ttl }
 
-// Attached returns how many registrations ride this session.
-func (s *ServerSession) Attached() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.attached)
-}
-
 func (s *ServerSession) ttlSecs() uint32 {
 	return uint32((s.ttl + time.Second - 1) / time.Second)
 }
@@ -125,32 +125,39 @@ func (s *ServerSession) openAt(sub string) (time.Duration, error) {
 // asks the service to allocate a fresh identifier; the identifier
 // actually registered is returned either way. When the owning subnode
 // no longer knows the session, Attach reopens it there and retries
-// once.
+// once. A failed Attach may still have reached the node, so the entry
+// is deleted again on the next Renew unless a later Attach of the same
+// object succeeds first.
 func (s *ServerSession) Attach(oid ids.OID, ca ContactAddress) (ids.OID, time.Duration, error) {
 	if oid.IsNil() {
 		oid = ids.New()
 	}
-	got, cost, err := s.res.insertAt(s.res.leaf, oid, ca, s.id)
+	cost, err := s.insert(oid, ca)
 	if IsUnknownSession(err) {
 		c, oerr := s.reopenAt(s.res.leaf.Route(oid))
 		cost += c
 		if oerr != nil {
 			return ids.Nil, cost, fmt.Errorf("gls: reopen session: %w", oerr)
 		}
-		got, c, err = s.res.insertAt(s.res.leaf, oid, ca, s.id)
+		c, err = s.insert(oid, ca)
 		cost += c
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err != nil {
+		if have, ok := s.attached[oid]; !ok || have.Address != ca.Address {
+			s.stale[oid] = ca.Address
+		}
 		return ids.Nil, cost, err
 	}
-	s.mu.Lock()
-	s.attached[got] = ca
-	s.mu.Unlock()
-	return got, cost, nil
+	s.attached[oid] = ca
+	delete(s.stale, oid)
+	return oid, cost, nil
 }
 
 // Detach deregisters one attached entry now (rather than letting it die
-// with the session) and drops it from the session's re-attach set.
+// with the session) and drops it from the session's re-attach set. When
+// the delete fails, the next Renew deletes the entry again.
 func (s *ServerSession) Detach(oid ids.OID) (time.Duration, error) {
 	s.mu.Lock()
 	ca, ok := s.attached[oid]
@@ -159,18 +166,78 @@ func (s *ServerSession) Detach(oid ids.OID) (time.Duration, error) {
 	if !ok {
 		return 0, nil
 	}
-	return s.res.Delete(oid, ca.Address)
+	cost, err := s.delete(oid, ca.Address)
+	if err != nil {
+		s.mu.Lock()
+		if _, again := s.attached[oid]; !again {
+			s.stale[oid] = ca.Address
+		}
+		s.mu.Unlock()
+	}
+	return cost, err
+}
+
+// insert attaches ca to the session at the subnode owning oid.
+func (s *ServerSession) insert(oid ids.OID, ca ContactAddress) (time.Duration, error) {
+	w := wire.NewWriter(96)
+	w.OID(oid)
+	ca.encode(w)
+	w.OID(s.id)
+	_, cost, err := s.res.client(s.res.leaf.Route(oid)).Call(OpInsert, w.Bytes())
+	return cost, err
+}
+
+// delete removes oid's contact addresses at addr from the subnode owning
+// oid.
+func (s *ServerSession) delete(oid ids.OID, addr string) (time.Duration, error) {
+	w := wire.NewWriter(64)
+	w.OID(oid)
+	w.Str(addr)
+	_, cost, err := s.res.client(s.res.leaf.Route(oid)).Call(OpDelete, w.Bytes())
+	return cost, err
+}
+
+// deleteStale deletes every stale entry again and forgets the ones whose
+// delete succeeded.
+func (s *ServerSession) deleteStale() (time.Duration, error) {
+	s.mu.Lock()
+	if len(s.stale) == 0 { // the steady state: a heartbeat allocates nothing here
+		s.mu.Unlock()
+		return 0, nil
+	}
+	stale := maps.Clone(s.stale)
+	s.mu.Unlock()
+	var total time.Duration
+	var firstErr error
+	for oid, addr := range stale {
+		cost, err := s.delete(oid, addr)
+		total += cost
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("gls: delete stale entry %s: %w", oid.Short(), err)
+			}
+			continue
+		}
+		s.mu.Lock()
+		if s.stale[oid] == addr {
+			delete(s.stale, oid)
+		}
+		s.mu.Unlock()
+	}
+	return total, firstErr
 }
 
 // Renew extends the session lease — one round trip per leaf subnode, no
-// matter how many entries are attached. A subnode whose state disagrees
-// with the server's books is repaired in place: one that lost the
-// session entirely (known=false), or one that restarted from state
-// older than some attaches (its attached-entry count differs), gets the
-// session reopened and the entries that subnode owns re-attached.
+// matter how many entries are attached. Stale entries are deleted
+// first. A subnode whose state then disagrees with the server's books
+// is repaired in place: one that lost the session entirely
+// (known=false), or one that restarted from state older than some
+// attaches (its attached-entry count differs), gets the session
+// reopened and the entries that subnode owns re-attached.
 func (s *ServerSession) Renew() (time.Duration, error) {
 	start := time.Now()
 	defer mSessionRenewSeconds.ObserveSince(start)
+	total, firstErr := s.deleteStale()
 	w := wire.NewWriter(32)
 	w.OID(s.id)
 	w.Uint32(s.ttlSecs())
@@ -194,8 +261,6 @@ func (s *ServerSession) Renew() (time.Duration, error) {
 	}
 	s.mu.Unlock()
 
-	var total time.Duration
-	var firstErr error
 	for _, sub := range s.res.leaf.Addrs {
 		resp, cost, err := s.res.client(sub).Call(OpSessionRenew, body)
 		total += cost
@@ -329,6 +394,7 @@ func (s *ServerSession) AttachBatch(entries map[ids.OID]ContactAddress) (time.Du
 	s.mu.Lock()
 	for oid, ca := range entries {
 		s.attached[oid] = ca
+		delete(s.stale, oid)
 	}
 	s.mu.Unlock()
 	return total, nil
@@ -341,15 +407,16 @@ func (s *ServerSession) drainState() (set, draining bool) {
 	return s.drainSet, s.draining
 }
 
-// Drain marks (or clears) the session's transport address as draining:
-// every contact address registered at it stops appearing in lookups
-// while healthy alternatives exist, without losing any registration
-// state. This is the location service's one drain path. The bit rides
-// the session heartbeat — Drain records the desired state and performs
-// one immediate Renew, so the change reaches every leaf subnode in the
-// one batched RPC a renewal already costs, and every subsequent
-// heartbeat re-asserts it. The directory node records the drain with
-// its state, so it survives a node restart.
+// Drain marks (or clears) the session as draining: every entry attached
+// through it stops appearing in lookups while healthy alternatives
+// exist, without losing any registration state. This is the location
+// service's one drain path. The bit rides the session heartbeat —
+// Drain records the desired state and performs one immediate Renew, so
+// the change reaches every leaf subnode in the one batched RPC a
+// renewal already costs, and every subsequent heartbeat re-asserts it.
+// The directory node stores the drain flag with the session, so it
+// survives a node restart but not the session: a new session, such as
+// a restarted server's, starts undrained.
 func (s *ServerSession) Drain(draining bool) (time.Duration, error) {
 	s.drainMu.Lock()
 	s.drainSet = true

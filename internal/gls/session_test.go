@@ -180,9 +180,7 @@ func TestSessionDrainIsASessionAttribute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := res.Insert(oid, healthy); err != nil {
-		t.Fatal(err)
-	}
+	attachOne(t, res, oid, healthy, longTTL)
 
 	if _, err := sess.Drain(true); err != nil {
 		t.Fatal(err)
@@ -223,17 +221,15 @@ func TestSnapshotPersistsLeaseDeadlines(t *testing.T) {
 	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	// One session-attached entry and one permanent entry. The session
-	// has 6 of its 10 seconds left when the node restarts.
+	// Two servers' entries for one object. The short session has 6 of
+	// its 10 seconds left when the node restarts.
 	sess := openTestSession(t, res, "eu-nl-vu:gos-obj", 10*time.Second)
-	permanent := testAddr("eu-de-tu")
+	survivor := testAddr("eu-de-tu")
 	oid, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := res.Insert(oid, permanent); err != nil {
-		t.Fatal(err)
-	}
+	attachOne(t, res, oid, survivor, longTTL)
 	clock.Advance(4 * time.Second)
 	restartNode(t, tree, "eu/nl", leaf.cfg.StateDir)
 
@@ -245,15 +241,15 @@ func TestSnapshotPersistsLeaseDeadlines(t *testing.T) {
 		t.Fatalf("lookup within restored lease: %v (%d addrs)", err, len(addrs))
 	}
 
-	// Past it, the session entry is gone — a restarted node can never
-	// resurrect a dead server's replicas as permanent.
+	// Past it, the short session's entry is gone — a restarted node
+	// can never keep a dead server's replicas alive.
 	clock.Advance(2 * time.Second)
 	addrs, _, err = res.Lookup(oid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(addrs) != 1 || addrs[0] != permanent {
-		t.Fatalf("addrs after restored lease expired = %v, want just %v", addrs, permanent)
+	if len(addrs) != 1 || addrs[0] != survivor {
+		t.Fatalf("addrs after restored lease expired = %v, want just %v", addrs, survivor)
 	}
 }
 
@@ -483,5 +479,74 @@ func TestSessionCloseBoundedWhenLeafUnreachable(t *testing.T) {
 	}
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("close took %v, want bounded by the per-subnode deadline", took)
+	}
+}
+
+// TestRenewDeletesStaleEntries: when the node holds an entry the
+// server's books do not — a Detach whose delete failed, an Attach whose
+// answer was lost after the node applied it — the node's count stays
+// above the books, and re-attach only adds entries. The next renewal
+// deletes the stale entry again instead, and the one after repairs
+// nothing.
+func TestRenewDeletesStaleEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// strand leaves one entry at the node that the session's books
+		// do not hold, and returns its object.
+		strand func(t *testing.T, net *netsim.Network, sess *ServerSession, oids []ids.OID) ids.OID
+	}{
+		{"failed-detach", func(t *testing.T, net *netsim.Network, sess *ServerSession, oids []ids.OID) ids.OID {
+			net.Partition("eu-de-tu", "eu-nl-vu")
+			defer net.Heal("eu-de-tu", "eu-nl-vu")
+			if _, err := sess.Detach(oids[0]); err == nil {
+				t.Fatal("detach through a partition must fail")
+			}
+			return oids[0]
+		}},
+		{"lost-attach", func(t *testing.T, net *netsim.Network, sess *ServerSession, _ []ids.OID) ids.OID {
+			net.PartitionOneWay("eu-nl-vu", "eu-de-tu")
+			defer net.HealOneWay("eu-nl-vu", "eu-de-tu")
+			oid := ids.New()
+			if _, _, err := sess.Attach(oid, testAddr("eu-de-tu")); err == nil {
+				t.Fatal("attach whose answer is lost must fail")
+			}
+			return oid
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, tree := deployWorld(t)
+			// The server lives one site over from its leaf, so the link
+			// between them can be cut.
+			res := mustResolver(t, tree, "eu-de-tu", "eu/nl")
+			sess := openTestSession(t, res, "eu-de-tu:gos/obj", longTTL)
+			const n = 100
+			oids := make([]ids.OID, n)
+			for i := range oids {
+				oid, _, err := sess.Attach(ids.Nil, testAddr("eu-de-tu"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				oids[i] = oid
+			}
+			stale := tc.strand(t, net, sess, oids)
+			if _, _, err := res.Lookup(stale); err != nil {
+				t.Fatalf("the node does not hold the stranded entry: %v", err)
+			}
+
+			if _, err := sess.Renew(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := res.Lookup(stale); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("stale entry after one renewal: lookup = %v, want ErrNotFound", err)
+			}
+			leaf := tree.Nodes("eu/nl")[0]
+			before := leaf.Stats()
+			if _, err := sess.Renew(); err != nil {
+				t.Fatal(err)
+			}
+			if got := leaf.Stats().Inserts - before.Inserts; got != 0 {
+				t.Fatalf("second renewal re-attached %d entries, want 0", got)
+			}
+		})
 	}
 }

@@ -14,11 +14,11 @@ import (
 // skewed map would quietly serialize the "parallel" hot path.
 func TestShardDistribution(t *testing.T) {
 	_, tree := deployWorld(t)
-	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	sess := openTestSession(t, mustResolver(t, tree, "eu-nl-vu", "eu/nl"), "eu-nl-vu:gos/obj", longTTL)
 
 	const inserts = 512
 	for i := 0; i < inserts; i++ {
-		if _, _, err := res.Insert(ids.Nil, testAddr("eu-nl-vu")); err != nil {
+		if _, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu")); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,14 +20,18 @@ import (
 // operations, one key per item:
 //
 //	'r' + object id   the record: its contact addresses, each with the
-//	                  id of the session it rides (nil for a permanent
-//	                  entry), and its forwarding pointers
-//	's' + session id  the session: the server's address and its TTL
-//	'd' + address     a drained address (empty value)
+//	                  id of the session it rides, and its forwarding
+//	                  pointers
+//	's' + session id  the session: the server's address, its TTL and
+//	                  its drain flag (one byte)
 //
-// A session's drain flag is not stored: applySessionOpen and applyDrain
-// keep it equal to its address's drain state, so it is derived at
-// load, and so is every session's attached count.
+// Every entry rides a session, and a session's attached count is
+// derived at load. A table written before sessions carried the drain
+// byte still loads: a session value without it is undrained, a 'd'
+// (drained address) key is deleted — an owner still draining
+// re-asserts the drain on its next renewal, and a successor at the same
+// address must not inherit it — and an entry of a nil session is
+// dropped like any entry whose session is absent.
 //
 // Every change marks its key dirty under the lock it already holds.
 // Once a second the flusher collects the dirty keys stripe by stripe,
@@ -54,11 +58,12 @@ const (
 // dropped.
 var retiredStateFiles = []string{"base.snap", "journal.log"}
 
-// Key kinds of the state table.
+// Key kinds of the state table. keyRetiredDrain marks the drained
+// addresses of the earlier format, which loading deletes.
 const (
-	keyRecord  = 'r'
-	keySession = 's'
-	keyDrain   = 'd'
+	keyRecord       = 'r'
+	keySession      = 's'
+	keyRetiredDrain = 'd'
 )
 
 // persister is the node's durable state table and its flusher.
@@ -96,7 +101,11 @@ func openState(n *Node) error {
 		return fmt.Errorf("gls: open state table: %w", err)
 	}
 	n.state = &persister{tab: tab}
-	if err := n.loadState(tab.Live()); err != nil {
+	retired, err := n.loadState(tab.Live())
+	if err == nil {
+		_, err = tab.Write(&retired) // an empty batch touches no disk
+	}
+	if err != nil {
 		n.state = nil
 		tab.Close()
 		return fmt.Errorf("gls: %s: %w", filepath.Join(dir, stateFile), err)
@@ -104,52 +113,51 @@ func openState(n *Node) error {
 	return nil
 }
 
-// loadState decodes the table's live keys — sessions and drains first,
-// then the records that reference them — into the node. Records that
-// lost an entry to an absent session are marked dirty, so the next
-// flush rewrites them. It runs before the node serves or flushes, so
-// it fills the tables without their locks; a failed load discards the
-// node.
-func (n *Node) loadState(live map[string][]byte) error {
+// loadState decodes the table's live keys — sessions first, then the
+// records that reference them — into the node, and returns the deletes
+// of the retired keys it skipped. Records that lost an entry to an
+// absent session are marked dirty, so the next flush rewrites them. It
+// runs before the node serves or flushes, so it fills the tables
+// without their locks; a failed load discards the node.
+func (n *Node) loadState(live map[string][]byte) (retired walog.Batch, err error) {
 	now := n.cfg.Clock()
-	drained := make(map[string]bool)
 	sessions := make(map[ids.OID]*session)
 	for key, v := range live {
 		if key == "" {
-			return fmt.Errorf("empty state key")
+			return retired, fmt.Errorf("empty state key")
 		}
 		switch key[0] {
-		case keyDrain:
-			drained[key[1:]] = true
+		case keyRetiredDrain:
+			retired.Delete(key)
 		case keySession:
 			r := wire.NewReader(v)
 			sess := &session{id: oidFromKey(key), addr: r.Str(), ttl: time.Duration(r.Uint32()) * time.Second}
+			if r.Remaining() > 0 {
+				sess.drained.Store(r.Bool())
+			}
 			if err := r.Done(); err != nil || len(key) != 1+ids.Size {
-				return fmt.Errorf("bad session entry %x: %v", key, err)
+				return retired, fmt.Errorf("bad session entry %x: %v", key, err)
 			}
 			sess.expiresNano.Store(now.Add(sess.ttl).UnixNano())
 			sessions[sess.id] = sess
 		case keyRecord:
 		default:
-			return fmt.Errorf("unknown state key %x", key)
+			return retired, fmt.Errorf("unknown state key %x", key)
 		}
 	}
-	for _, sess := range sessions {
-		sess.drained.Store(drained[sess.addr])
-	}
-	n.drained, n.sessions = drained, sessions
+	n.sessions = sessions
 	records := 0
 	for key, v := range live {
 		if key[0] != keyRecord {
 			continue
 		}
 		if len(key) != 1+ids.Size {
-			return fmt.Errorf("bad record key %x", key)
+			return retired, fmt.Errorf("bad record key %x", key)
 		}
 		oid := oidFromKey(key)
 		rec, dropped, err := decodeRecord(v, sessions)
 		if err != nil {
-			return fmt.Errorf("record %s: %w", oid.Short(), err)
+			return retired, fmt.Errorf("record %s: %w", oid.Short(), err)
 		}
 		sh := n.shard(oid)
 		if dropped {
@@ -161,10 +169,9 @@ func (n *Node) loadState(live map[string][]byte) error {
 		}
 	}
 	if len(live) > 0 {
-		n.cfg.Logf("gls: %s: recovered %d records, %d sessions and %d drained addresses",
-			n.cfg.Domain, records, len(sessions), len(drained))
+		n.cfg.Logf("gls: %s: recovered %d records and %d sessions", n.cfg.Domain, records, len(sessions))
 	}
-	return nil
+	return retired, nil
 }
 
 func oidFromKey(key string) ids.OID {
@@ -178,11 +185,7 @@ func encodeRecord(w *wire.Writer, rec *record) {
 	w.Count(len(rec.addrs))
 	for _, la := range rec.addrs {
 		la.ca.encode(w)
-		sid := ids.Nil
-		if la.sess != nil {
-			sid = la.sess.id
-		}
-		w.OID(sid)
+		w.OID(la.sess.id)
 	}
 	w.Count(len(rec.ptrs))
 	for child, ref := range rec.ptrs {
@@ -192,18 +195,16 @@ func encodeRecord(w *wire.Writer, rec *record) {
 }
 
 // decodeRecord reverses encodeRecord, attaching each entry to its
-// session and counting it there. An entry whose session is absent is
-// dropped, and dropped reports it.
+// session and counting it there. An entry whose session is absent (or
+// nil) is dropped, and dropped reports it.
 func decodeRecord(v []byte, sessions map[ids.OID]*session) (rec *record, dropped bool, err error) {
 	r := wire.NewReader(v)
 	rec = &record{}
 	for i, na := 0, r.Count(); i < na && r.Err() == nil; i++ {
 		la := leasedAddr{ca: decodeContactAddress(r)}
-		if sid := r.OID(); !sid.IsNil() {
-			if la.sess = sessions[sid]; la.sess == nil {
-				dropped = true
-				continue
-			}
+		if la.sess = sessions[r.OID()]; la.sess == nil {
+			dropped = true
+			continue
 		}
 		rec.addrs = append(rec.addrs, la)
 	}
@@ -218,17 +219,14 @@ func decodeRecord(v []byte, sessions map[ids.OID]*session) (rec *record, dropped
 		return nil, false, err
 	}
 	for _, la := range rec.addrs {
-		if la.sess != nil {
-			la.sess.attached.Add(1)
-		}
+		la.sess.attached.Add(1)
 	}
 	return rec, dropped, nil
 }
 
-// markRecord, markSession and markDrain note a changed key for the
-// next flush; the caller holds the lock guarding the changed state
-// (the stripe's, sessMu and drainMu respectively). Without a state
-// table they do nothing.
+// markRecord and markSession note a changed key for the next flush;
+// the caller holds the lock guarding the changed state (the stripe's
+// and sessMu respectively). Without a state table they do nothing.
 func (n *Node) markRecord(sh *recShard, oid ids.OID) {
 	if n.state != nil {
 		if sh.dirty == nil {
@@ -244,15 +242,6 @@ func (n *Node) markSession(sid ids.OID) {
 			n.sessDirty = make(map[ids.OID]struct{})
 		}
 		n.sessDirty[sid] = struct{}{}
-	}
-}
-
-func (n *Node) markDrain(addr string) {
-	if n.state != nil {
-		if n.drainDirty == nil {
-			n.drainDirty = make(map[string]struct{})
-		}
-		n.drainDirty[addr] = struct{}{}
 	}
 }
 
@@ -290,6 +279,7 @@ func (n *Node) Flush() error {
 			w.Reset()
 			w.Str(addr)
 			w.Uint32(uint32(ttl / time.Second))
+			w.Bool(sess.drained.Load())
 			b.Put(oidKey(keySession, sid), w.Bytes())
 		} else {
 			b.Delete(oidKey(keySession, sid))
@@ -297,16 +287,6 @@ func (n *Node) Flush() error {
 	}
 	n.sessDirty = nil
 	n.sessMu.Unlock()
-	n.drainMu.Lock()
-	for addr := range n.drainDirty {
-		if n.drained[addr] {
-			b.Put(string(keyDrain)+addr, nil)
-		} else {
-			b.Delete(string(keyDrain) + addr)
-		}
-	}
-	n.drainDirty = nil
-	n.drainMu.Unlock()
 
 	start := time.Now()
 	nw, err := n.state.tab.Write(&b)

@@ -3,6 +3,7 @@ package gls
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"maps"
@@ -100,11 +101,8 @@ func checkSessions(t testing.TB, n *Node) {
 		sh.mu.RLock()
 		for oid, rec := range sh.recs {
 			for _, la := range rec.addrs {
-				if la.sess == nil {
-					continue
-				}
-				if n.sessions[la.sess.id] != la.sess {
-					t.Fatalf("entry of %s rides session %s, which the node does not hold", oid.Short(), la.sess.id.Short())
+				if la.sess == nil || n.sessions[la.sess.id] != la.sess {
+					t.Fatalf("entry of %s rides a session the node does not hold", oid.Short())
 				}
 				riding[la.sess]++
 			}
@@ -133,16 +131,18 @@ func bigAddr(site string) ContactAddress {
 	return ContactAddress{Protocol: pad, Address: site + ":big/" + pad, Impl: pad, Role: pad}
 }
 
-// compactState inserts five big entries, flushes, and deletes them in
-// one batch: the table's log then holds over a megabyte, most of it
-// superseded, and compacts. It returns the state file's bytes right
-// after the compaction.
+// compactState attaches five big entries through a session of their
+// own, flushes, and detaches them and closes the session in one batch:
+// the table's log then holds over a megabyte, most of it superseded,
+// and compacts. It returns the state file's bytes right after the
+// compaction.
 func compactState(t *testing.T, n *Node, res *Resolver) []byte {
 	t.Helper()
 	ca := bigAddr("solo-site")
+	sess := openTestSession(t, res, ca.Address, longTTL)
 	var oids []ids.OID
 	for i := 0; i < 5; i++ {
-		oid, _, err := res.Insert(ids.Nil, ca)
+		oid, _, err := sess.Attach(ids.Nil, ca)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,9 +158,12 @@ func compactState(t *testing.T, n *Node, res *Resolver) []byte {
 	}
 	n.state.flushMu.Lock() // hold the flusher off: the deletes land in one batch
 	for _, oid := range oids {
-		if _, err := res.Delete(oid, ca.Address); err != nil {
+		if _, err := sess.Detach(oid); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := sess.Close(); err != nil {
+		t.Fatal(err)
 	}
 	n.state.flushMu.Unlock()
 	if err := n.Flush(); err != nil {
@@ -180,12 +183,8 @@ func TestJournalRestartRecoversRecordsAndSessions(t *testing.T) {
 	dir := t.TempDir()
 	net, n, res := soloWorld(t, dir)
 
-	// A permanent record, a session, entries attached to it, a
-	// forwarding pointer and a drained address.
-	permOID, _, err := res.Insert(ids.Nil, testAddr("solo-site"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A session, entries attached to it, a forwarding pointer and the
+	// session's drain flag.
 	sess, _, err := res.OpenSession("solo-site:gos/obj", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +205,9 @@ func TestJournalRestartRecoversRecordsAndSessions(t *testing.T) {
 	if _, _, err := res.client(n.Addr()).Call(OpInstallPtr, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	n.applyDrain("solo-site:drained/obj", true)
+	if _, err := sess.Drain(true); err != nil {
+		t.Fatal(err)
+	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +219,8 @@ func TestJournalRestartRecoversRecordsAndSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n2.Close()
-	if got := n2.Records(); got != 5 {
-		t.Fatalf("recovered %d records, want 5", got)
-	}
-	if _, _, err := res.Lookup(permOID); err != nil {
-		t.Fatalf("permanent record lost: %v", err)
+	if got := n2.Records(); got != 4 {
+		t.Fatalf("recovered %d records, want 4", got)
 	}
 	for _, oid := range attached {
 		if _, _, err := res.Lookup(oid); err != nil {
@@ -232,8 +230,8 @@ func TestJournalRestartRecoversRecordsAndSessions(t *testing.T) {
 	if ref := n2.shard(ptrOID).recs[ptrOID].ptrs["solo/child"]; len(ref.Addrs) != 1 {
 		t.Fatalf("forwarding pointer lost: %v", ref)
 	}
-	if !n2.Draining("solo-site:drained/obj") {
-		t.Fatal("drained address forgotten")
+	if !n2.sessions[sess.ID()].drained.Load() {
+		t.Fatal("session drain forgotten")
 	}
 	checkSessions(t, n2)
 	// The session survived the restart: the owner's next renewal
@@ -250,10 +248,11 @@ func TestJournalRestartRecoversRecordsAndSessions(t *testing.T) {
 func TestJournalCrashMidAppendRecovers(t *testing.T) {
 	dir := t.TempDir()
 	net, n, res := soloWorld(t, dir)
+	sess := openTestSession(t, res, "solo-site:gos/obj", longTTL)
 
 	var oids []ids.OID
 	for i := 0; i < 8; i++ {
-		oid, _, err := res.Insert(ids.Nil, testAddr("solo-site"))
+		oid, _, err := sess.Attach(ids.Nil, testAddr("solo-site"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,9 +287,9 @@ func TestJournalCrashMidAppendRecovers(t *testing.T) {
 			t.Fatalf("record %s lost to torn tail: %v", oid.Short(), err)
 		}
 	}
-	// The recovered node keeps writing: a new insert survives the next
+	// The recovered node keeps writing: a new attach survives the next
 	// restart, so the table was reopened writable at the torn tail.
-	fresh, _, err := res.Insert(ids.Nil, testAddr("solo-site"))
+	fresh, _, err := sess.Attach(ids.Nil, testAddr("solo-site"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +312,9 @@ func TestJournalCrashMidAppendRecovers(t *testing.T) {
 func TestJournalCompactionFoldsLog(t *testing.T) {
 	dir := t.TempDir()
 	net, n, res := soloWorld(t, dir)
+	sess := openTestSession(t, res, "solo-site:gos/obj", longTTL)
 	for i := 0; i < 16; i++ {
-		if _, _, err := res.Insert(ids.Nil, testAddr("solo-site")); err != nil {
+		if _, _, err := sess.Attach(ids.Nil, testAddr("solo-site")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -392,8 +392,8 @@ func TestJournalSteadyStateAppendsOnly(t *testing.T) {
 
 // TestStateCrashPoints flushes one batch that attaches entries to a
 // durable session, opens a session, attaches entries to it, installs a
-// forwarding pointer and drains an address,
-// on a table that compacted just before. It cuts a copy of the state
+// forwarding pointer and drains the new session, on a table that
+// compacted just before. It cuts a copy of the state
 // file at the compaction boundary and at every byte of that batch and
 // restarts on each: every restart succeeds, no entry rides a session
 // the node lacks, and one renewal round by the owners makes every
@@ -464,8 +464,10 @@ func TestStateCrashPoints(t *testing.T) {
 			t.Fatalf("cut at byte %d: restart: %v", c, err)
 		}
 		checkSessions(t, n)
-		if c == len(final) && (!n.Draining(fresh.Addr()) || n.Sessions() != 2) {
-			t.Fatalf("whole batch restarted with draining=%v and %d sessions", n.Draining(fresh.Addr()), n.Sessions())
+		if c == len(final) {
+			if s := n.sessions[fresh.ID()]; s == nil || !s.drained.Load() || n.Sessions() != 2 {
+				t.Fatalf("whole batch restarted without the drained session, or with %d sessions", n.Sessions())
+			}
 		}
 		for _, s := range []*ServerSession{old, fresh} {
 			if _, err := s.Renew(); err != nil {
@@ -483,8 +485,8 @@ func TestStateCrashPoints(t *testing.T) {
 	}
 }
 
-// dumpState renders a node's records, sessions and drains as
-// comparable strings.
+// dumpState renders a node's records and sessions as comparable
+// strings.
 func dumpState(n *Node) map[string]string {
 	m := map[string]string{}
 	for i := range n.shards {
@@ -503,12 +505,59 @@ func dumpState(n *Node) map[string]string {
 		m["s"+sid.String()] = fmt.Sprint(addr, ttl, sess.drained.Load())
 	}
 	n.sessMu.RUnlock()
-	n.drainMu.RLock()
-	for addr := range n.drained {
-		m["d"+addr] = ""
-	}
-	n.drainMu.RUnlock()
 	return m
+}
+
+// TestStateLoadsParentFormat starts a node on testdata/parent-state.log,
+// written by the format before sessions carried their drain byte. It
+// holds two sessions with entries, the first one drained; a
+// sessionless entry beside a session entry and one alone; a forwarding
+// pointer; and the drained-address keys of the first session and of an
+// address no session holds. The sessions, their entries and the
+// pointer load, the sessionless entries are dropped, nothing loads
+// drained, and the drained-address keys are deleted from the table.
+func TestStateLoadsParentFormat(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "parent-state.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, stateFile), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, n, res := soloWorld(t, dir)
+	defer n.Close()
+	checkSessions(t, n)
+	if n.Sessions() != 2 || n.Records() != 4 {
+		t.Fatalf("loaded %d sessions and %d records, want 2 and 4", n.Sessions(), n.Records())
+	}
+	for _, sess := range n.sessions {
+		if sess.drained.Load() {
+			t.Fatalf("session at %s loaded drained", sess.addr)
+		}
+	}
+	for name, addr := range map[string]string{
+		"parent-a-only":          "solo-site:gos/a",
+		"parent-a-and-permanent": "solo-site:gos/a",
+		"parent-b-only":          "solo-site:gos/b",
+	} {
+		want := ContactAddress{Protocol: "clientserver", Address: addr, Impl: "pkg/1", Role: "server"}
+		if addrs, _, err := res.Lookup(ids.Derive(name)); err != nil || len(addrs) != 1 || addrs[0] != want {
+			t.Fatalf("%s: lookup = %v, %v; want just %v", name, addrs, err, want)
+		}
+	}
+	if _, _, err := res.Lookup(ids.Derive("parent-permanent-only")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("sessionless entry: lookup = %v, want ErrNotFound", err)
+	}
+	ptr := ids.Derive("parent-pointer")
+	if rec := n.shard(ptr).recs[ptr]; rec == nil || len(rec.ptrs["solo/child"].Addrs) != 1 {
+		t.Fatal("forwarding pointer lost")
+	}
+	for key := range n.state.tab.Live() {
+		if key[0] == keyRetiredDrain {
+			t.Fatalf("drained-address key %q kept", key[1:])
+		}
+	}
 }
 
 // TestStateFlushConcurrentWithChurn: servers attach, detach, change
@@ -623,10 +672,7 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 func TestRestoreRejectsWrongDomain(t *testing.T) {
 	_, tree := deployWorld(t)
 	de := restartNode(t, tree, "eu/de", t.TempDir())
-	res := mustResolver(t, tree, "eu-de-tu", "eu/de")
-	if _, _, err := res.Insert(ids.Nil, testAddr("eu-de-tu")); err != nil {
-		t.Fatal(err)
-	}
+	attachOne(t, mustResolver(t, tree, "eu-de-tu", "eu/de"), ids.Nil, testAddr("eu-de-tu"), longTTL)
 	cfg := tree.Nodes("eu/nl")[0].cfg
 	cfg.Addr = "eu-nl-vu:gls-eu/nl-spare"
 	cfg.StateDir = saveState(t, de)
@@ -663,36 +709,27 @@ func refuseStart(t *testing.T, net transport.Network, cfg Config) {
 }
 
 // TestSnapshotRoundTripMatrix restarts a node holding every kind of
-// state — permanent and session-attached entries, a drained address —
-// twice from its state directory: every kind must survive both hops.
+// state — a drained and an undrained session and their entries — twice
+// from its state directory: every kind must survive both hops.
 func TestSnapshotRoundTripMatrix(t *testing.T) {
 	tree, _ := deployLeaseWorld(t)
 	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
 	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
 
-	permOID, _, err := res.Insert(ids.Nil, testAddr("eu-de-tu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, sessOID := attachOne(t, res, testAddr("eu-nl-vu"), 30*time.Second)
-	if _, _, err := res.Insert(sessOID, testAddr("eu-de-tu")); err != nil {
-		t.Fatal(err)
-	}
+	sess, sessOID := attachOne(t, res, ids.Nil, testAddr("eu-nl-vu"), 30*time.Second)
+	healthy, _ := attachOne(t, res, sessOID, testAddr("eu-de-tu"), longTTL)
 	if _, err := sess.Drain(true); err != nil {
 		t.Fatal(err)
 	}
 
 	for hop := 0; hop < 2; hop++ {
 		leaf = restartNode(t, tree, "eu/nl", leaf.cfg.StateDir)
-		if addrs, _, err := res.Lookup(permOID); err != nil || len(addrs) != 1 {
-			t.Fatalf("hop %d: permanent record: %v (%d addrs)", hop, err, len(addrs))
-		}
 		addrs, _, err := res.Lookup(sessOID)
 		if err != nil || len(addrs) != 1 || addrs[0] != testAddr("eu-de-tu") {
 			t.Fatalf("hop %d: drained session entry not hidden: %v %v", hop, addrs, err)
 		}
-		if !leaf.Draining(sess.Addr()) || leaf.Sessions() != 1 {
-			t.Fatalf("hop %d: draining=%v sessions=%d", hop, leaf.Draining(sess.Addr()), leaf.Sessions())
+		if !leaf.sessions[sess.ID()].drained.Load() || leaf.sessions[healthy.ID()].drained.Load() || leaf.Sessions() != 2 {
+			t.Fatalf("hop %d: drain flags lost, or %d sessions", hop, leaf.Sessions())
 		}
 	}
 	// The restarted session still counts its entry: a renewal needs no

@@ -81,8 +81,6 @@ type Config struct {
 	// over the disk chunk store (persistent servers only). 0 selects a
 	// default; negative disables scrubbing.
 	ScrubEvery time.Duration
-	// ScrubBytes bounds one scrubbing pass; 0 selects a default.
-	ScrubBytes int64
 	// LeaseTTL is the lifetime of this server's registration session
 	// with the location service. Every hosted replica is attached to
 	// the one session, and a heartbeat (a third of the TTL) renews them
@@ -249,14 +247,11 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	// results feed the location service: chronic corruption drains
 	// this server's replicas out of lookups until the store heals.
 	if cfg.StateDir != "" && cfg.ScrubEvery >= 0 {
-		every, bytes := cfg.ScrubEvery, cfg.ScrubBytes
+		every := cfg.ScrubEvery
 		if every == 0 {
 			every = defaultScrubEvery
 		}
-		if bytes == 0 {
-			bytes = defaultScrubBytes
-		}
-		s.stopScrub = s.startScrubLoop(every, bytes)
+		s.stopScrub = s.startScrubLoop(every, defaultScrubBytes)
 	}
 
 	// Heartbeat: renew the registration session at a third of the lease
@@ -348,13 +343,10 @@ func (s *Server) startScrubLoop(every time.Duration, bytesPerPass int64) func() 
 // replicas out of location-service lookups; a full wrap over the
 // store with zero corruption and every quarantined ref re-fetched
 // undrains them. The background loop calls it on a ticker; tests call
-// it directly. limit <= 0 selects the configured pass bound.
+// it directly. limit <= 0 selects the default pass bound.
 func (s *Server) ScrubPass(limit int64) store.ScrubResult {
 	if limit <= 0 {
-		limit = s.cfg.ScrubBytes
-		if limit <= 0 {
-			limit = defaultScrubBytes
-		}
+		limit = defaultScrubBytes
 	}
 	res := s.chunks.Scrub(limit)
 	for _, ref := range res.Quarantined {

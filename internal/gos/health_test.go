@@ -323,3 +323,53 @@ func TestChronicScrubCorruptionDrainsThenHeals(t *testing.T) {
 		t.Fatalf("addrs after heal = %v, want both replicas", addrs)
 	}
 }
+
+// TestDrainedServerRestartsUndrained: a drained server crashes, and
+// the process restarted on its state directory recovers its replica
+// through a fresh registration session. The drain belonged to the dead
+// session, so the replica is back in lookups without an undrain.
+func TestDrainedServerRestartsUndrained(t *testing.T) {
+	f := newHealthFixture(t)
+	cfg := Config{StateDir: t.TempDir(), ScrubEvery: -1}
+	master := f.startGOS("eu-gos", cfg)
+	slave := f.startGOS("us-gos", Config{})
+
+	mcl := NewClient(f.net, "mod", "eu-gos:gos-cmd", nil)
+	defer mcl.Close()
+	oid, masterCA, _, err := mcl.CreateReplica(CreateRequest{
+		Impl: pkgobj.Impl, Protocol: repl.MasterSlave, Role: repl.RoleMaster,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scl := NewClient(f.net, "mod", "us-gos:gos-cmd", nil)
+	defer scl.Close()
+	if _, _, _, err := scl.CreateReplica(CreateRequest{
+		OID: oid, Impl: pkgobj.Impl, Protocol: repl.MasterSlave, Role: repl.RoleSlave,
+		Peers: []gls.ContactAddress{masterCA},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// What the scrub policy does on chronic corruption.
+	master.setDrain(true)
+	if addrs, err := f.lookup(oid); err != nil || len(addrs) != 1 || addrs[0].Address != "us-gos:gos-obj" {
+		t.Fatalf("addrs while drained = %v (%v), want just the slave", addrs, err)
+	}
+
+	// Crash, restart on the same state, and heartbeat past the dead
+	// session's lease.
+	master.Close()
+	restarted := f.startGOS("eu-gos", cfg)
+	for i := 0; i < 4; i++ {
+		f.clock.Advance(10 * time.Second)
+		restarted.Heartbeat()
+		slave.Heartbeat()
+	}
+	if restarted.Drained() {
+		t.Fatal("restarted server reports itself drained")
+	}
+	if addrs, err := f.lookup(oid); err != nil || len(addrs) != 2 {
+		t.Fatalf("addrs after restart = %v (%v), want both replicas", addrs, err)
+	}
+}

@@ -97,8 +97,6 @@ type Config struct {
 	// ScrubEvery is the interval between background scrubbing passes
 	// over a disk-backed cache. 0 selects a default; negative disables.
 	ScrubEvery time.Duration
-	// ScrubBytes bounds one scrubbing pass; 0 selects a default.
-	ScrubBytes int64
 	// Logf receives diagnostics; nil discards them.
 	Logf func(string, ...any)
 }
@@ -238,14 +236,11 @@ func New(cfg Config) (*Handler, error) {
 			}
 			h.chunks = chunks
 			if cfg.ScrubEvery >= 0 {
-				every, bytes := cfg.ScrubEvery, cfg.ScrubBytes
+				every := cfg.ScrubEvery
 				if every == 0 {
 					every = defaultScrubEvery
 				}
-				if bytes == 0 {
-					bytes = defaultScrubBytes
-				}
-				h.stopScrub = chunks.StartScrubber(every, bytes, func(bad []store.Ref) {
+				h.stopScrub = chunks.StartScrubber(every, defaultScrubBytes, func(bad []store.Ref) {
 					for _, ref := range bad {
 						cfg.Logf("httpd: scrub quarantined corrupt cache chunk %s", ref.Short())
 					}

@@ -172,9 +172,6 @@ func (c *CacheReplica) Parent() string {
 	return addr
 }
 
-// Parents exposes the ranked parent set for tests and experiments.
-func (c *CacheReplica) Parents() *core.PeerSet { return c.parents }
-
 func (c *CacheReplica) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 	if inv.Write {
 		// Write-through: the parent's protocol handles consistency; our

@@ -23,9 +23,7 @@ func pkgReplica(t *testing.T, f *fixture, oid ids.OID, site, protocol, role stri
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lr.Close() })
-	if _, _, err := f.rts[site].Resolver().Insert(oid, ca); err != nil {
-		t.Fatal(err)
-	}
+	f.register(site, oid, ca)
 	return lr, ca
 }
 

@@ -109,6 +109,7 @@ type fixture struct {
 	rts   map[string]*core.Runtime
 	disps map[string]*core.Dispatcher
 	clock *virtualClock
+	sess  map[string]*gls.ServerSession // per site; see register
 }
 
 type virtualClock struct {
@@ -137,6 +138,7 @@ func newFixture(t *testing.T, auths map[string]*sec.Config) *fixture {
 		rts:   make(map[string]*core.Runtime),
 		disps: make(map[string]*core.Dispatcher),
 		clock: &virtualClock{now: time.Unix(1_000_000, 0)},
+		sess:  make(map[string]*gls.ServerSession),
 	}
 	f.net.AddSite("hub", "hub", "core")
 	f.net.AddSite("origin", "nl", "eu")
@@ -206,10 +208,25 @@ func (f *fixture) replica(oid ids.OID, site, protocol, role string, params map[s
 		f.t.Fatal(err)
 	}
 	f.t.Cleanup(func() { lr.Close() })
-	if _, _, err := f.rts[site].Resolver().Insert(oid, ca); err != nil {
+	f.register(site, oid, ca)
+	return lr, ca
+}
+
+// register attaches ca to oid in the GLS through site's registration
+// session, opened on first use with a TTL no test outlives.
+func (f *fixture) register(site string, oid ids.OID, ca gls.ContactAddress) {
+	f.t.Helper()
+	sess := f.sess[site]
+	if sess == nil {
+		var err error
+		if sess, _, err = f.rts[site].Resolver().OpenSession(ca.Address, time.Hour); err != nil {
+			f.t.Fatal(err)
+		}
+		f.sess[site] = sess
+	}
+	if _, _, err := sess.Attach(oid, ca); err != nil {
 		f.t.Fatal(err)
 	}
-	return lr, ca
 }
 
 func (f *fixture) bind(site string, oid ids.OID) *core.LR {
