@@ -418,14 +418,32 @@ func TestAdmissionControl(t *testing.T) {
 	}))
 	defer user.Close()
 
-	// An object server may register; a user may not (paper §6.1 req 2).
-	_, oid := attachOne(t, gos, ids.Nil, testAddr("eu-nl-vu"), longTTL)
-	if _, _, err := user.OpenSession("eu-de-tu:gos/obj", longTTL); err == nil {
-		t.Fatal("user session open must be rejected")
-	} else if !strings.Contains(err.Error(), "unauthorized") && !strings.Contains(err.Error(), "not authorized") {
-		t.Fatalf("unexpected rejection: %v", err)
+	// An object server may register; a user may not (paper §6.1 req 2),
+	// neither through a session of its own nor by attaching to one whose
+	// identifier it learned.
+	sess, oid := attachOne(t, gos, ids.Nil, testAddr("eu-nl-vu"), longTTL)
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("user %s must be rejected", what)
+		}
+		if !strings.Contains(err.Error(), "unauthorized") && !strings.Contains(err.Error(), "not authorized") {
+			t.Fatalf("unexpected rejection of user %s: %v", what, err)
+		}
 	}
-	w := wire.NewWriter(64)
+	_, _, err = user.OpenSession("eu-de-tu:gos/obj", longTTL)
+	refused("session open", err)
+	evil := ids.New()
+	w := wire.NewWriter(96)
+	w.OID(evil)
+	testAddr("eu-de-tu").encode(w)
+	w.OID(sess.ID())
+	_, _, err = user.client(leaf.Route(evil)).Call(OpInsert, w.Bytes())
+	refused("insert into another server's session", err)
+	if _, _, err := gos.Lookup(evil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("lookup of the refused insert = %v, want ErrNotFound", err)
+	}
+	w = wire.NewWriter(64)
 	w.OID(oid)
 	w.Str("eu-nl-vu:gos/obj")
 	if _, _, err := user.client(leaf.Route(oid)).Call(OpDelete, w.Bytes()); err == nil {

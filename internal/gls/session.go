@@ -2,7 +2,6 @@ package gls
 
 import (
 	"fmt"
-	"maps"
 	"sync"
 	"time"
 
@@ -27,8 +26,8 @@ import (
 // re-attaches the entries that subnode owns. It also remembers entries
 // the node may hold beyond its books — a Detach whose delete failed, an
 // Attach whose answer was lost after the node applied it — and Renew
-// deletes those again before it compares counts: re-attach only adds
-// entries, so a count the node holds too high would never settle.
+// deletes those again at each subnode that answers it: re-attach only
+// adds entries, so a count the node holds too high would never settle.
 //
 // ServerSession is safe for concurrent use.
 type ServerSession struct {
@@ -61,10 +60,11 @@ type reopenFlight struct {
 	err  error
 }
 
-// sessionCloseTimeout bounds each per-subnode RPC in Close. Close runs
-// on shutdown paths, and an unreachable subnode (crashed, or behind a
-// partition) must not wedge them: its entries age out within one
-// session TTL anyway, so waiting longer buys nothing.
+// sessionCloseTimeout bounds each per-subnode RPC in Close, and each
+// delete of a stale entry in Renew. Close runs on shutdown paths, and
+// an unreachable subnode (crashed, or behind a partition) must not
+// wedge them: its entries age out within one session TTL anyway, so
+// waiting longer buys nothing.
 var sessionCloseTimeout = 2 * time.Second
 
 // OpenSession opens a registration session for a server at the given
@@ -166,7 +166,7 @@ func (s *ServerSession) Detach(oid ids.OID) (time.Duration, error) {
 	if !ok {
 		return 0, nil
 	}
-	cost, err := s.delete(oid, ca.Address)
+	cost, err := s.delete(oid, ca.Address, 0)
 	if err != nil {
 		s.mu.Lock()
 		if _, again := s.attached[oid]; !again {
@@ -188,56 +188,62 @@ func (s *ServerSession) insert(oid ids.OID, ca ContactAddress) (time.Duration, e
 }
 
 // delete removes oid's contact addresses at addr from the subnode owning
-// oid.
-func (s *ServerSession) delete(oid ids.OID, addr string) (time.Duration, error) {
+// oid; a zero timeout selects the client's.
+func (s *ServerSession) delete(oid ids.OID, addr string, timeout time.Duration) (time.Duration, error) {
 	w := wire.NewWriter(64)
 	w.OID(oid)
 	w.Str(addr)
-	_, cost, err := s.res.client(s.res.leaf.Route(oid)).Call(OpDelete, w.Bytes())
+	_, cost, err := s.res.client(s.res.leaf.Route(oid)).CallTimeout(OpDelete, w.Bytes(), timeout)
 	return cost, err
 }
 
-// deleteStale deletes every stale entry again and forgets the ones whose
-// delete succeeded.
-func (s *ServerSession) deleteStale() (time.Duration, error) {
+// deleteStaleAt deletes again the stale entries that subnode sub owns,
+// forgets each whose delete succeeded, and reports how many did. Each
+// delete is bounded like a close, and the first failure ends the pass:
+// the entries left over wait for the next renewal.
+func (s *ServerSession) deleteStaleAt(sub string) (total time.Duration, deleted int, err error) {
 	s.mu.Lock()
-	if len(s.stale) == 0 { // the steady state: a heartbeat allocates nothing here
-		s.mu.Unlock()
-		return 0, nil
+	var stale map[ids.OID]string // stays nil in the steady state: a heartbeat allocates nothing here
+	for oid, addr := range s.stale {
+		if s.res.leaf.Route(oid) == sub {
+			if stale == nil {
+				stale = make(map[ids.OID]string)
+			}
+			stale[oid] = addr
+		}
 	}
-	stale := maps.Clone(s.stale)
 	s.mu.Unlock()
-	var total time.Duration
-	var firstErr error
 	for oid, addr := range stale {
-		cost, err := s.delete(oid, addr)
+		cost, err := s.delete(oid, addr, sessionCloseTimeout)
 		total += cost
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gls: delete stale entry %s: %w", oid.Short(), err)
-			}
-			continue
+			return total, deleted, fmt.Errorf("gls: delete stale entry %s: %w", oid.Short(), err)
 		}
+		deleted++
 		s.mu.Lock()
 		if s.stale[oid] == addr {
 			delete(s.stale, oid)
 		}
 		s.mu.Unlock()
 	}
-	return total, firstErr
+	return total, deleted, nil
 }
 
 // Renew extends the session lease — one round trip per leaf subnode, no
-// matter how many entries are attached. Stale entries are deleted
-// first. A subnode whose state then disagrees with the server's books
-// is repaired in place: one that lost the session entirely
-// (known=false), or one that restarted from state older than some
-// attaches (its attached-entry count differs), gets the session
-// reopened and the entries that subnode owns re-attached.
+// matter how many entries are attached. A subnode that answered then
+// gets its stale entries deleted again; one that did not keeps them for
+// the next renewal, so an unreachable subnode costs one timeout however
+// many entries it holds. A subnode whose state disagrees with the
+// server's books is repaired in place: one that lost the session
+// entirely (known=false), or one that restarted from state older than
+// some attaches (its attached-entry count differs), gets the session
+// reopened and the entries that subnode owns re-attached. A count
+// answered before stale deletes is compared on the next renewal.
 func (s *ServerSession) Renew() (time.Duration, error) {
 	start := time.Now()
 	defer mSessionRenewSeconds.ObserveSince(start)
-	total, firstErr := s.deleteStale()
+	var total time.Duration
+	var firstErr error
 	w := wire.NewWriter(32)
 	w.OID(s.id)
 	w.Uint32(s.ttlSecs())
@@ -279,7 +285,12 @@ func (s *ServerSession) Renew() (time.Duration, error) {
 			}
 			continue
 		}
-		if !known || attached != expect[sub] {
+		cost, deleted, err := s.deleteStaleAt(sub)
+		total += cost
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		if !known || (deleted == 0 && attached != expect[sub]) {
 			cost, err := s.reattachAt(sub)
 			total += cost
 			if err != nil && firstErr == nil {

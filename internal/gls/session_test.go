@@ -550,3 +550,77 @@ func TestRenewDeletesStaleEntries(t *testing.T) {
 		})
 	}
 }
+
+// TestRenewStaleEntriesWaitForTheirSubnode: a subnode's stale entries
+// are deleted only once it answers the renewal. While one subnode of a
+// two-subnode leaf takes requests but never answers, a renewal costs
+// one timeout there — not one per stale entry it owns, which would
+// hold up the other subnode's renewal past its lease — and the entries
+// go on the first renewal after it answers again.
+func TestRenewStaleEntriesWaitForTheirSubnode(t *testing.T) {
+	net := worldNet(t)
+	net.AddSite("eu-nl-os", "eu-nl", "eu")      // the server, local to the near subnode
+	net.AddSite("eu-nl-far", "eu-nl-far", "eu") // the far subnode, regional to the server
+	spec := worldSpec()
+	spec.Children[0].Children[0].Sites = []string{"eu-nl-vu", "eu-nl-far"}
+	tree, err := Deploy(net, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tree.Close)
+	res := mustResolver(t, tree, "eu-nl-os", "eu/nl")
+	far := res.leaf.Addrs[1]
+	sess := openTestSession(t, res, "eu-nl-os:gos/obj", longTTL)
+
+	// While the far subnode's answers are cut off, each attach routed
+	// there is applied but reported failed: a stale entry.
+	const k = 6
+	net.PartitionOneWay("eu-nl-far", "eu-nl-os")
+	var stale []ids.OID
+	for len(stale) < k {
+		oid := ids.New()
+		if res.leaf.Route(oid) != far {
+			continue
+		}
+		if _, _, err := sess.Attach(oid, testAddr("eu-nl-os")); err == nil {
+			t.Fatal("attach whose answer is lost must fail")
+		}
+		stale = append(stale, oid)
+	}
+	net.HealOneWay("eu-nl-far", "eu-nl-os")
+
+	// Regional links stall silently: the far subnode never answers.
+	const timeout = 150 * time.Millisecond
+	res.client(far).Timeout = timeout
+	net.SetLinkFaults(netsim.Regional, netsim.LinkFaults{Loss: 1})
+	start := time.Now()
+	if _, err := sess.Renew(); err == nil {
+		t.Fatal("renewal at a silent subnode must fail")
+	}
+	if took := time.Since(start); took >= 4*timeout {
+		t.Fatalf("renewal took %v with %d stale entries at the silent subnode, want about one %v timeout", took, k, timeout)
+	}
+
+	net.ClearFaults()
+	if _, err := sess.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	for _, oid := range stale {
+		if _, _, err := res.Lookup(oid); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("stale entry after the subnode answered: lookup = %v, want ErrNotFound", err)
+		}
+	}
+	inserts := func() (n int64) {
+		for _, node := range tree.Nodes("eu/nl") {
+			n += node.Stats().Inserts
+		}
+		return n
+	}
+	before := inserts()
+	if _, err := sess.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	if got := inserts() - before; got != 0 {
+		t.Fatalf("renewal after the repair re-attached %d entries, want 0", got)
+	}
+}

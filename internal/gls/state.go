@@ -102,8 +102,12 @@ func openState(n *Node) error {
 	}
 	n.state = &persister{tab: tab}
 	retired, err := n.loadState(tab.Live())
-	if err == nil {
-		_, err = tab.Write(&retired) // an empty batch touches no disk
+	if err == nil && len(retired) > 0 { // a start on a current-format table writes nothing
+		var b walog.Batch
+		for _, key := range retired {
+			b.Delete(key)
+		}
+		_, err = tab.Write(&b)
 	}
 	if err != nil {
 		n.state = nil
@@ -114,12 +118,12 @@ func openState(n *Node) error {
 }
 
 // loadState decodes the table's live keys — sessions first, then the
-// records that reference them — into the node, and returns the deletes
-// of the retired keys it skipped. Records that lost an entry to an
+// records that reference them — into the node, and returns the retired
+// keys it skipped. Records that lost an entry to an
 // absent session are marked dirty, so the next flush rewrites them. It
 // runs before the node serves or flushes, so it fills the tables
 // without their locks; a failed load discards the node.
-func (n *Node) loadState(live map[string][]byte) (retired walog.Batch, err error) {
+func (n *Node) loadState(live map[string][]byte) (retired []string, err error) {
 	now := n.cfg.Clock()
 	sessions := make(map[ids.OID]*session)
 	for key, v := range live {
@@ -128,7 +132,7 @@ func (n *Node) loadState(live map[string][]byte) (retired walog.Batch, err error
 		}
 		switch key[0] {
 		case keyRetiredDrain:
-			retired.Delete(key)
+			retired = append(retired, key)
 		case keySession:
 			r := wire.NewReader(v)
 			sess := &session{id: oidFromKey(key), addr: r.Str(), ttl: time.Duration(r.Uint32()) * time.Second}
