@@ -37,6 +37,8 @@ func BenchmarkNodeAttach(b *testing.B) {
 					w.OID(sid)
 					w.Str("solo-site:gos/obj")
 					w.Uint32(30)
+					w.Bool(false) // not draining
+					w.Uint8(reattachAdd)
 					w.Count(batch)
 					for j := 0; j < batch; j++ {
 						w.OID(ids.New())

@@ -79,24 +79,54 @@ const (
 	OpSessionOpen
 	// OpSessionRenew renews a session's lease in one round trip — the
 	// batched heartbeat that keeps renewal traffic O(servers) rather
-	// than O(replicas). The response reports whether the node knows the
-	// session; an unknown session must be reopened and its entries
-	// re-attached.
+	// than O(replicas). The body carries the session identifier, the TTL
+	// in whole seconds and the owner's drain bit. The response reports
+	// whether the node knows the session and the digest of the entries
+	// riding it there (see entryHash); an unknown session or a digest
+	// that differs from the owner's books is repaired with a replacing
+	// OpSessionReattach.
 	OpSessionRenew
 	// OpSessionClose ends a session; every entry attached to it expires
 	// immediately. The orderly-shutdown counterpart of letting the
 	// session age out.
 	OpSessionClose
-	// OpSessionReattach reopens a session and re-attaches a batch of
-	// entries in one round trip — the repair path after a directory
-	// subnode lost the session (restart, age-out behind a partition).
-	// Without it a heal triggered one insert RPC per attached entry, a
-	// reopen storm proportional to the server's replica count. The body
-	// carries the session open fields (identifier, address, TTL)
-	// followed by the entries: a count, then (oid, contact address)
-	// pairs.
+	// OpSessionReattach reopens a session and attaches a batch of
+	// entries in one round trip. The body carries the session open
+	// fields (identifier, address, TTL), the drain bit, a mode byte and
+	// the entries: a count, then (oid, contact address) pairs. In
+	// reattachReplace mode — the renewal's repair — the listed entries
+	// become all that ride the session at this subnode; in reattachAdd
+	// mode — AttachBatch, the bulk path — they are added to it.
 	OpSessionReattach
 )
+
+// Modes of OpSessionReattach.
+const (
+	reattachAdd uint8 = iota
+	reattachReplace
+)
+
+// entryHash is the 64-bit FNV-1a hash of one (object, contact address)
+// pair, each string preceded by its length. A session's digest at a
+// subnode is the sum mod 2⁶⁴ of entryHash over the entries riding it
+// there: independent of order, kept in step in O(1) per attach and
+// detach on both the node and the owner, and exact enough that any
+// difference between the two — a lost, stale or swapped entry — shows
+// on the next renewal. It does not allocate.
+func entryHash(oid ids.OID, ca ContactAddress) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, b := range oid {
+		h = (h ^ uint64(b)) * prime
+	}
+	for _, f := range [...]string{ca.Protocol, ca.Address, ca.Impl, ca.Role} {
+		h = (h ^ uint64(len(f))) * prime
+		for i := 0; i < len(f); i++ {
+			h = (h ^ uint64(f[i])) * prime
+		}
+	}
+	return h
+}
 
 // ContactAddress describes where one local representative of an object
 // lives and how to talk to it (paper §3.4): the replication protocol it

@@ -88,12 +88,12 @@ type session struct {
 	// session starts undrained, so a server process that drained and
 	// died does not hide its successor at the same address.
 	drained atomic.Bool
-	// attached counts the entries riding this session. Renewal
-	// responses echo it, so a server can tell that the node restarted
-	// from state older than some attaches (the count disagrees with its
-	// own books) and re-attach — the self-healing the per-replica
-	// heartbeat used to provide for free.
-	attached atomic.Int64
+	// digest is the sum mod 2⁶⁴ of entryHash over the entries riding
+	// this session. Renewal responses carry it, so the owner sees any
+	// difference between this node's entries and its own books — a
+	// restart from older state, a lost or stale entry — and repairs it
+	// with a replacing reattach.
+	digest atomic.Uint64
 }
 
 func (s *session) expired(now time.Time) bool {
@@ -490,24 +490,25 @@ func (n *Node) lookupSession(sid ids.OID) (*session, error) {
 	return sess, nil
 }
 
-// attachAddr adds ca to rec riding sess, or moves an existing entry for
-// ca onto sess — a restarted server's new session takes over the
-// entries of the one that died — and reports whether the record
-// changed. The caller holds the record's shard lock.
-func attachAddr(rec *record, ca ContactAddress, sess *session) bool {
+// attachAddr adds ca to oid's record rec riding sess, or moves an
+// existing entry for ca onto sess — a restarted server's new session
+// takes over the entries of the one that died — and reports whether the
+// record changed. The caller holds the record's shard lock.
+func attachAddr(rec *record, oid ids.OID, ca ContactAddress, sess *session) bool {
 	for i, have := range rec.addrs {
 		if have.ca == ca {
 			if have.sess == sess {
 				return false
 			}
-			have.sess.attached.Add(-1)
-			sess.attached.Add(1)
+			h := entryHash(oid, ca)
+			have.sess.digest.Add(-h)
+			sess.digest.Add(h)
 			rec.addrs[i].sess = sess
 			return true
 		}
 	}
 	rec.addrs = append(rec.addrs, leasedAddr{ca: ca, sess: sess})
-	sess.attached.Add(1)
+	sess.digest.Add(entryHash(oid, ca))
 	return true
 }
 
@@ -546,7 +547,7 @@ func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
 		rec = &record{}
 		sh.recs[oid] = rec
 	}
-	if attachAddr(rec, ca, sess) {
+	if attachAddr(rec, oid, ca, sess) {
 		n.markRecord(sh, oid)
 	}
 	sh.mu.Unlock()
@@ -640,7 +641,7 @@ func (n *Node) handleDelete(call *rpc.Call) ([]byte, error) {
 			if la.ca.Address != addr {
 				kept = append(kept, la)
 			} else {
-				la.sess.attached.Add(-1)
+				la.sess.digest.Add(-entryHash(oid, la.ca))
 			}
 		}
 		if len(kept) != len(rec.addrs) {
@@ -708,7 +709,7 @@ func (n *Node) handleRemovePtr(call *rpc.Call) ([]byte, error) {
 }
 
 // applyDrain sets the session's drain flag from a renewal's or
-// reattach's drain tail, marking the session for the next flush when
+// reattach's drain bit, marking the session for the next flush when
 // the flag changed.
 func (n *Node) applyDrain(sess *session, draining bool) {
 	if sess.drained.Swap(draining) != draining {
@@ -766,19 +767,16 @@ func (n *Node) handleSessionOpen(call *rpc.Call) ([]byte, error) {
 }
 
 // handleSessionRenew extends a session's lease — the one-round-trip
-// heartbeat covering every entry attached to it. The response reports
-// whether the session is known here and how many entries ride it, so
-// the owner can detect a node that restarted from state older than
-// some attaches and repair it. Renewing an expired-but-unswept
-// session revives it (and with it every attached entry), while an
-// unknown one tells the owner to reopen and re-attach.
-//
-// The request may carry an optional drain tail (two booleans:
-// presence, then the desired state) — the one drain path: a server
-// flips its drain bit on the heartbeat it was going to send anyway,
-// and the node sets it on the session. Draining hides every entry
-// riding the session while alternatives exist, without deleting any
-// registration, so undraining restores service at once.
+// heartbeat covering every entry attached to it — and sets the
+// session's drain flag from the owner's drain bit: the one drain path,
+// riding the heartbeat the server sends anyway. Draining hides every
+// entry riding the session while alternatives exist, without deleting
+// any registration, so undraining restores service at once. The
+// response reports whether the session is known here and the digest of
+// the entries riding it, so the owner can detect any difference from
+// its books and repair it. Renewing an expired-but-unswept session
+// revives it (and with it every attached entry), while an unknown one
+// tells the owner to reattach.
 func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
 		return nil, err
@@ -786,11 +784,7 @@ func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 	r := wire.NewReader(call.Body)
 	sid := r.OID()
 	ttlSecs := r.Uint32()
-	hasDrain, drain := false, false
-	if r.Remaining() > 0 {
-		hasDrain = r.Bool()
-		drain = r.Bool()
-	}
+	drain := r.Bool()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -800,7 +794,7 @@ func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 	sess := n.sessions[sid]
 	n.sessMu.RUnlock()
 	known := sess != nil && !sess.closed.Load()
-	attached := 0
+	var digest uint64
 	if known {
 		sess.mu.Lock()
 		newTTL := ttlSecs > 0 && sess.ttl != time.Duration(ttlSecs)*time.Second
@@ -815,14 +809,12 @@ func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 			n.sessMu.Unlock()
 		}
 		sess.expiresNano.Store(now.Add(ttl).UnixNano())
-		if hasDrain {
-			n.applyDrain(sess, drain)
-		}
-		attached = int(sess.attached.Load())
+		n.applyDrain(sess, drain)
+		digest = sess.digest.Load()
 	}
-	w := wire.NewWriter(8)
+	w := wire.NewWriter(9)
 	w.Bool(known)
-	w.Uint32(uint32(attached))
+	w.Uint64(digest)
 	return w.Bytes(), nil
 }
 
@@ -852,16 +844,17 @@ func (n *Node) handleSessionClose(call *rpc.Call) ([]byte, error) {
 	return nil, nil
 }
 
-// handleSessionReattach reopens a session and re-attaches a batch of
-// entries in one round trip — the repair path after this subnode lost
-// the session (restart without its state, or age-out behind a
-// partition), and the bulk-registration path for servers bringing a
-// large replica population online. Semantically it is one
-// OpSessionOpen followed by one OpInsert per entry, collapsed into a
-// single message so a partition-heal does not cost a storm of RPCs
-// proportional to the server's replica count. Like OpSessionRenew it
-// accepts an optional drain tail, so a draining server's repair
-// traffic re-establishes the drain too.
+// handleSessionReattach reopens a session, sets its drain flag and
+// attaches a batch of entries in one round trip — the repair path of a
+// renewal whose answer disagreed with the owner's books, and the
+// bulk-registration path for servers bringing a large replica
+// population online. Semantically it is one OpSessionOpen followed by
+// one OpInsert per entry, collapsed into a single message so a
+// partition heal does not cost a storm of RPCs proportional to the
+// server's replica count. In reattachReplace mode it then drops every
+// entry riding the session here that the message does not list,
+// through the janitor's removal and pointer-teardown path: one scan of
+// the record table, paid only on a mismatch.
 func (n *Node) handleSessionReattach(call *rpc.Call) ([]byte, error) {
 	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
 		return nil, err
@@ -870,6 +863,8 @@ func (n *Node) handleSessionReattach(call *rpc.Call) ([]byte, error) {
 	sid := r.OID()
 	addr := r.Str()
 	ttlSecs := r.Uint32()
+	drain := r.Bool()
+	mode := r.Uint8()
 	cnt := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -878,29 +873,39 @@ func (n *Node) handleSessionReattach(call *rpc.Call) ([]byte, error) {
 	for i := 0; i < cnt; i++ {
 		entries = append(entries, reattachEntry{oid: r.OID(), ca: decodeContactAddress(r)})
 	}
-	hasDrain, drain := false, false
-	if r.Remaining() > 0 {
-		hasDrain = r.Bool()
-		drain = r.Bool()
-	}
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if sid.IsNil() || addr == "" || ttlSecs == 0 {
-		return nil, fmt.Errorf("gls: session reattach needs an identifier, an address and a TTL")
+	if sid.IsNil() || addr == "" || ttlSecs == 0 || mode > reattachReplace {
+		return nil, fmt.Errorf("gls: session reattach needs an identifier, an address, a TTL and a known mode")
 	}
 	n.stats.sessionOpens.Add(1)
 	n.stats.inserts.Add(int64(len(entries)))
 	mSessionsOpened.Inc()
-	now := n.cfg.Clock()
-	sess := n.applySessionOpen(sid, addr, time.Duration(ttlSecs)*time.Second, now)
-	if hasDrain {
-		n.applyDrain(sess, drain)
-	}
+	sess := n.applySessionOpen(sid, addr, time.Duration(ttlSecs)*time.Second, n.cfg.Clock())
+	n.applyDrain(sess, drain)
 	// Attach every entry, remembering which objects had no record here:
 	// only those pay the pointer-chain climb. Entries hash across the
 	// record stripes, so each attach holds only its own stripe.
 	fresh := n.attachBatch(entries, sess)
+	if mode == reattachReplace {
+		listed := make(map[reattachEntry]struct{}, len(entries))
+		for _, e := range entries {
+			listed[e] = struct{}{}
+		}
+		unlisted := func(oid ids.OID, la leasedAddr) bool {
+			if la.sess != sess {
+				return false
+			}
+			_, ok := listed[reattachEntry{oid: oid, ca: la.ca}]
+			return !ok
+		}
+		dropped := 0
+		for i := range n.shards {
+			dropped += n.sweepShard(call, i, unlisted)
+		}
+		n.stats.deletes.Add(int64(dropped))
+	}
 	for _, oid := range fresh {
 		if err := n.propagateInstall(call, oid); err != nil {
 			return nil, err
@@ -929,7 +934,7 @@ func (n *Node) attachBatch(entries []reattachEntry, sess *session) []ids.OID {
 			sh.recs[e.oid] = rec
 			fresh = append(fresh, e.oid)
 		}
-		if attachAddr(rec, e.ca, sess) {
+		if attachAddr(rec, e.oid, e.ca, sess) {
 			n.markRecord(sh, e.oid)
 		}
 		sh.mu.Unlock()
@@ -963,7 +968,7 @@ func (n *Node) sweepLoop(stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-ticker.C:
-			n.sweepShard(si, n.cfg.Clock())
+			n.stats.expiries.Add(int64(n.sweepShard(nil, si, expiredAt(n.cfg.Clock()))))
 			si = (si + 1) % recShards
 			if si == 0 {
 				n.reapSessions(n.cfg.Clock())
@@ -972,19 +977,28 @@ func (n *Node) sweepLoop(stop <-chan struct{}) {
 	}
 }
 
-// sweepShard removes entries of expired sessions from one record stripe
-// and tears down the pointer chains of records it emptied.
-func (n *Node) sweepShard(si int, now time.Time) int {
+// expiredAt is the janitor's drop predicate: the entry's session ran
+// out or was closed by now.
+func expiredAt(now time.Time) func(ids.OID, leasedAddr) bool {
+	return func(_ ids.OID, la leasedAddr) bool { return la.sess.expired(now) }
+}
+
+// sweepShard removes the entries drop selects from one record stripe,
+// taking each out of its session's digest, tears down the pointer
+// chains of records it emptied, and returns how many entries it
+// removed. The janitor drops expired entries; a replacing reattach
+// drops the entries of its session that it does not list.
+func (n *Node) sweepShard(call *rpc.Call, si int, drop func(ids.OID, leasedAddr) bool) int {
 	sh := &n.shards[si]
 	var emptied []ids.OID
-	expired := 0
+	removed := 0
 	sh.mu.Lock()
 	for oid, rec := range sh.recs {
 		kept := rec.addrs[:0]
 		for _, la := range rec.addrs {
-			if la.sess.expired(now) {
-				expired++
-				la.sess.attached.Add(-1)
+			if drop(oid, la) {
+				removed++
+				la.sess.digest.Add(-entryHash(oid, la.ca))
 			} else {
 				kept = append(kept, la)
 			}
@@ -999,12 +1013,9 @@ func (n *Node) sweepShard(si int, now time.Time) int {
 		}
 	}
 	sh.mu.Unlock()
-	if expired > 0 {
-		n.stats.expiries.Add(int64(expired))
-	}
 	for _, oid := range emptied {
-		if err := n.propagateRemove(nil, oid); err != nil {
-			n.cfg.Logf("gls: %s: tear down pointers for expired %s: %v", n.cfg.Domain, oid.Short(), err)
+		if err := n.propagateRemove(call, oid); err != nil {
+			n.cfg.Logf("gls: %s: tear down pointers for %s: %v", n.cfg.Domain, oid.Short(), err)
 			continue
 		}
 		// A renewal racing the teardown can re-create the record between
@@ -1016,12 +1027,12 @@ func (n *Node) sweepShard(si int, now time.Time) int {
 		revived := sh.recs[oid] != nil
 		sh.mu.RUnlock()
 		if revived {
-			if err := n.propagateInstall(nil, oid); err != nil {
+			if err := n.propagateInstall(call, oid); err != nil {
 				n.cfg.Logf("gls: %s: reinstall pointers for revived %s: %v", n.cfg.Domain, oid.Short(), err)
 			}
 		}
 	}
-	return expired
+	return removed
 }
 
 // reapSessions deletes sessions whose lease ran out; their entries
@@ -1047,8 +1058,9 @@ func (n *Node) SweepExpired() int {
 	now := n.cfg.Clock()
 	total := 0
 	for i := range n.shards {
-		total += n.sweepShard(i, now)
+		total += n.sweepShard(nil, i, expiredAt(now))
 	}
+	n.stats.expiries.Add(int64(total))
 	n.reapSessions(now)
 	return total
 }

@@ -3,6 +3,7 @@ package gls
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gdn/internal/ids"
@@ -19,15 +20,14 @@ import (
 // A leaf directory node may be partitioned into subnodes, each owning a
 // slice of the object-identifier space; the session is opened at every
 // subnode, attaches route to the subnode owning each identifier, and
-// Renew touches each subnode once. The session remembers what it
-// attached, so a directory subnode that lost the session (restarted
-// without its state, or reaped it after missed heartbeats) is
-// repaired transparently: the next Renew reopens the session there and
-// re-attaches the entries that subnode owns. It also remembers entries
-// the node may hold beyond its books — a Detach whose delete failed, an
-// Attach whose answer was lost after the node applied it — and Renew
-// deletes those again at each subnode that answers it: re-attach only
-// adds entries, so a count the node holds too high would never settle.
+// Renew touches each subnode once. The session keeps books of what it
+// attached and, per subnode, their digest (see entryHash); each renewal
+// answer carries the digest of the entries riding the session at that
+// subnode. Any difference — the subnode lost the session, restarted
+// from state older than some attaches or detaches, or holds an entry
+// whose Detach failed or whose Attach answer was lost — is repaired by
+// one reattach that replaces the session's entries there with the
+// books.
 //
 // ServerSession is safe for concurrent use.
 type ServerSession struct {
@@ -36,17 +36,20 @@ type ServerSession struct {
 	addr string
 	ttl  time.Duration
 
+	// repairMu keeps a repair from removing an acknowledged entry:
+	// Attach, Detach and AttachBatch hold it shared from their RPC until
+	// the books record the outcome, a repair holds it exclusively from
+	// its snapshot of the books until its reattach returns.
+	repairMu sync.RWMutex
+
 	mu       sync.Mutex
 	attached map[ids.OID]ContactAddress
-	stale    map[ids.OID]string // entries to delete again: oid -> transport address
+	digests  []uint64 // per leaf subnode: the digest of the attached entries it owns
 
-	// drainSet/draining are the server's declared drain state. Once set,
-	// every renewal (and re-attach repair) carries the bit, so the
-	// drain both propagates in the heartbeat the server was sending
-	// anyway and re-establishes itself on subnodes that lost it.
-	drainMu  sync.Mutex
-	drainSet bool
-	draining bool
+	// draining is the server's declared drain state; every renewal and
+	// reattach carries it, so the drain rides the heartbeat and
+	// re-establishes itself on subnodes that lost it.
+	draining atomic.Bool
 
 	reopenMu  sync.Mutex
 	reopening map[string]*reopenFlight
@@ -60,11 +63,10 @@ type reopenFlight struct {
 	err  error
 }
 
-// sessionCloseTimeout bounds each per-subnode RPC in Close, and each
-// delete of a stale entry in Renew. Close runs on shutdown paths, and
-// an unreachable subnode (crashed, or behind a partition) must not
-// wedge them: its entries age out within one session TTL anyway, so
-// waiting longer buys nothing.
+// sessionCloseTimeout bounds each per-subnode RPC in Close. Close runs
+// on shutdown paths, and an unreachable subnode (crashed, or behind a
+// partition) must not wedge them: its entries age out within one
+// session TTL anyway, so waiting longer buys nothing.
 var sessionCloseTimeout = 2 * time.Second
 
 // OpenSession opens a registration session for a server at the given
@@ -84,7 +86,7 @@ func (r *Resolver) OpenSession(addr string, ttl time.Duration) (*ServerSession, 
 		addr:     addr,
 		ttl:      ttl,
 		attached: make(map[ids.OID]ContactAddress),
-		stale:    make(map[ids.OID]string),
+		digests:  make([]uint64, len(r.leaf.Addrs)),
 	}
 	var total time.Duration
 	for _, sub := range r.leaf.Addrs {
@@ -120,18 +122,34 @@ func (s *ServerSession) openAt(sub string) (time.Duration, error) {
 	return cost, err
 }
 
+// book records ca as oid's entry in the books, or drops oid's entry
+// when remove is set, keeping the owning subnode's digest in step. The
+// caller holds s.mu.
+func (s *ServerSession) book(oid ids.OID, ca ContactAddress, remove bool) {
+	digest := &s.digests[oid.Subnode(len(s.digests))]
+	if old, ok := s.attached[oid]; ok {
+		*digest -= entryHash(oid, old)
+		delete(s.attached, oid)
+	}
+	if !remove {
+		s.attached[oid] = ca
+		*digest += entryHash(oid, ca)
+	}
+}
+
 // Attach registers one contact address through the session: the entry
 // stays in lookups exactly as long as the session is renewed. A nil oid
 // asks the service to allocate a fresh identifier; the identifier
 // actually registered is returned either way. When the owning subnode
 // no longer knows the session, Attach reopens it there and retries
-// once. A failed Attach may still have reached the node, so the entry
-// is deleted again on the next Renew unless a later Attach of the same
-// object succeeds first.
+// once. A failed Attach leaves the books as they were, so whatever it
+// did at the node goes with the next renewal's repair.
 func (s *ServerSession) Attach(oid ids.OID, ca ContactAddress) (ids.OID, time.Duration, error) {
 	if oid.IsNil() {
 		oid = ids.New()
 	}
+	s.repairMu.RLock()
+	defer s.repairMu.RUnlock()
 	cost, err := s.insert(oid, ca)
 	if IsUnknownSession(err) {
 		c, oerr := s.reopenAt(s.res.leaf.Route(oid))
@@ -142,38 +160,32 @@ func (s *ServerSession) Attach(oid ids.OID, ca ContactAddress) (ids.OID, time.Du
 		c, err = s.insert(oid, ca)
 		cost += c
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err != nil {
-		if have, ok := s.attached[oid]; !ok || have.Address != ca.Address {
-			s.stale[oid] = ca.Address
-		}
 		return ids.Nil, cost, err
 	}
-	s.attached[oid] = ca
-	delete(s.stale, oid)
+	s.mu.Lock()
+	s.book(oid, ca, false)
+	s.mu.Unlock()
 	return oid, cost, nil
 }
 
 // Detach deregisters one attached entry now (rather than letting it die
-// with the session) and drops it from the session's re-attach set. When
-// the delete fails, the next Renew deletes the entry again.
+// with the session) and drops it from the books. When the delete fails,
+// the next renewal's repair removes the entry.
 func (s *ServerSession) Detach(oid ids.OID) (time.Duration, error) {
+	s.repairMu.RLock()
+	defer s.repairMu.RUnlock()
 	s.mu.Lock()
 	ca, ok := s.attached[oid]
-	delete(s.attached, oid)
+	s.book(oid, ca, true)
 	s.mu.Unlock()
 	if !ok {
 		return 0, nil
 	}
-	cost, err := s.delete(oid, ca.Address, 0)
-	if err != nil {
-		s.mu.Lock()
-		if _, again := s.attached[oid]; !again {
-			s.stale[oid] = ca.Address
-		}
-		s.mu.Unlock()
-	}
+	w := wire.NewWriter(64)
+	w.OID(oid)
+	w.Str(ca.Address)
+	_, cost, err := s.res.client(s.res.leaf.Route(oid)).Call(OpDelete, w.Bytes())
 	return cost, err
 }
 
@@ -187,115 +199,41 @@ func (s *ServerSession) insert(oid ids.OID, ca ContactAddress) (time.Duration, e
 	return cost, err
 }
 
-// delete removes oid's contact addresses at addr from the subnode owning
-// oid; a zero timeout selects the client's.
-func (s *ServerSession) delete(oid ids.OID, addr string, timeout time.Duration) (time.Duration, error) {
-	w := wire.NewWriter(64)
-	w.OID(oid)
-	w.Str(addr)
-	_, cost, err := s.res.client(s.res.leaf.Route(oid)).CallTimeout(OpDelete, w.Bytes(), timeout)
-	return cost, err
-}
-
-// deleteStaleAt deletes again the stale entries that subnode sub owns,
-// forgets each whose delete succeeded, and reports how many did. Each
-// delete is bounded like a close, and the first failure ends the pass:
-// the entries left over wait for the next renewal.
-func (s *ServerSession) deleteStaleAt(sub string) (total time.Duration, deleted int, err error) {
-	s.mu.Lock()
-	var stale map[ids.OID]string // stays nil in the steady state: a heartbeat allocates nothing here
-	for oid, addr := range s.stale {
-		if s.res.leaf.Route(oid) == sub {
-			if stale == nil {
-				stale = make(map[ids.OID]string)
-			}
-			stale[oid] = addr
-		}
-	}
-	s.mu.Unlock()
-	for oid, addr := range stale {
-		cost, err := s.delete(oid, addr, sessionCloseTimeout)
-		total += cost
-		if err != nil {
-			return total, deleted, fmt.Errorf("gls: delete stale entry %s: %w", oid.Short(), err)
-		}
-		deleted++
-		s.mu.Lock()
-		if s.stale[oid] == addr {
-			delete(s.stale, oid)
-		}
-		s.mu.Unlock()
-	}
-	return total, deleted, nil
-}
-
 // Renew extends the session lease — one round trip per leaf subnode, no
-// matter how many entries are attached. A subnode that answered then
-// gets its stale entries deleted again; one that did not keeps them for
-// the next renewal, so an unreachable subnode costs one timeout however
-// many entries it holds. A subnode whose state disagrees with the
-// server's books is repaired in place: one that lost the session
-// entirely (known=false), or one that restarted from state older than
-// some attaches (its attached-entry count differs), gets the session
-// reopened and the entries that subnode owns re-attached. A count
-// answered before stale deletes is compared on the next renewal.
+// matter how many entries are attached. Each answer says whether the
+// subnode knows the session and carries its digest of the entries
+// riding it there; a subnode that does not know the session, or whose
+// digest differs from the books', is repaired in place by reattachAt.
+// An unreachable subnode costs one timeout and is repaired on the
+// first renewal it answers.
 func (s *ServerSession) Renew() (time.Duration, error) {
 	start := time.Now()
 	defer mSessionRenewSeconds.ObserveSince(start)
-	var total time.Duration
-	var firstErr error
 	w := wire.NewWriter(32)
 	w.OID(s.id)
 	w.Uint32(s.ttlSecs())
-	if hasDrain, draining := s.drainState(); hasDrain {
-		w.Bool(true)
-		w.Bool(draining)
-	}
+	w.Bool(s.draining.Load())
 	body := w.Bytes()
-
-	// What each subnode should be holding, by the server's own books. A
-	// single-subnode leaf skips the per-entry routing pass: with a
-	// million attached entries the renewal must stay O(1), not O(n).
-	expect := make(map[string]int, len(s.res.leaf.Addrs))
-	s.mu.Lock()
-	if len(s.res.leaf.Addrs) == 1 {
-		expect[s.res.leaf.Addrs[0]] = len(s.attached)
-	} else {
-		for oid := range s.attached {
-			expect[s.res.leaf.Route(oid)]++
-		}
-	}
-	s.mu.Unlock()
-
-	for _, sub := range s.res.leaf.Addrs {
+	var total time.Duration
+	var firstErr error
+	for i, sub := range s.res.leaf.Addrs {
 		resp, cost, err := s.res.client(sub).Call(OpSessionRenew, body)
 		total += cost
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("gls: renew session at %s: %w", sub, err)
+		if err == nil {
+			r := wire.NewReader(resp)
+			known, digest := r.Bool(), r.Uint64()
+			if err = r.Done(); err == nil {
+				s.mu.Lock()
+				match := known && digest == s.digests[i]
+				s.mu.Unlock()
+				if !match {
+					cost, err = s.reattachAt(i)
+					total += cost
+				}
 			}
-			continue
 		}
-		r := wire.NewReader(resp)
-		known := r.Bool()
-		attached := int(r.Uint32())
-		if err := r.Done(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		cost, deleted, err := s.deleteStaleAt(sub)
-		total += cost
 		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		if !known || (deleted == 0 && attached != expect[sub]) {
-			cost, err := s.reattachAt(sub)
-			total += cost
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
+			firstErr = fmt.Errorf("gls: renew session at %s: %w", sub, err)
 		}
 	}
 	return total, firstErr
@@ -330,39 +268,45 @@ func (s *ServerSession) reopenAt(sub string) (time.Duration, error) {
 	return f.cost, f.err
 }
 
-// reattachAt repairs a directory subnode that lost the session
-// (restarted without — or rolled back beyond — its state): one
-// OpSessionReattach round trip reopens the session there and
-// re-registers every attached entry that subnode owns. The batched op
-// replaces the earlier open-plus-insert-per-entry sequence, whose cost
-// after a partition heal grew with the server's replica count.
-func (s *ServerSession) reattachAt(sub string) (time.Duration, error) {
+// reattachAt repairs leaf subnode i: one OpSessionReattach round trip
+// reopens the session there and makes the books' entries that subnode
+// owns exactly the entries riding the session there — it attaches the
+// missing ones and drops the rest. It holds repairMu exclusively from
+// its snapshot of the books until the answer, so no Attach is in flight
+// whose entry the snapshot lacks.
+func (s *ServerSession) reattachAt(i int) (time.Duration, error) {
+	s.repairMu.Lock()
+	defer s.repairMu.Unlock()
 	s.mu.Lock()
-	entries := make(map[ids.OID]ContactAddress, len(s.attached))
+	entries := make([]reattachEntry, 0, len(s.attached))
 	for oid, ca := range s.attached {
-		if s.res.leaf.Route(oid) == sub {
-			entries[oid] = ca
+		if oid.Subnode(len(s.digests)) == i {
+			entries = append(entries, reattachEntry{oid: oid, ca: ca})
 		}
 	}
 	s.mu.Unlock()
+	cost, err := s.reattach(s.res.leaf.Addrs[i], reattachReplace, entries)
+	if err != nil {
+		return cost, fmt.Errorf("re-attach: %w", err)
+	}
+	return cost, nil
+}
+
+// reattach sends one OpSessionReattach of entries to subnode sub.
+func (s *ServerSession) reattach(sub string, mode uint8, entries []reattachEntry) (time.Duration, error) {
 	w := wire.NewWriter(64 + len(s.addr) + 80*len(entries))
 	w.OID(s.id)
 	w.Str(s.addr)
 	w.Uint32(s.ttlSecs())
+	w.Bool(s.draining.Load())
+	w.Uint8(mode)
 	w.Count(len(entries))
-	for oid, ca := range entries {
-		w.OID(oid)
-		ca.encode(w)
-	}
-	if hasDrain, draining := s.drainState(); hasDrain {
-		w.Bool(true)
-		w.Bool(draining)
+	for _, e := range entries {
+		w.OID(e.oid)
+		e.ca.encode(w)
 	}
 	_, cost, err := s.res.client(sub).Call(OpSessionReattach, w.Bytes())
-	if err != nil {
-		return cost, fmt.Errorf("gls: re-attach session at %s: %w", sub, err)
-	}
-	return cost, nil
+	return cost, err
 }
 
 // AttachBatch registers many contact addresses through the session in
@@ -370,7 +314,9 @@ func (s *ServerSession) reattachAt(sub string) (time.Duration, error) {
 // bulk path for a server bringing a large replica population online,
 // where per-entry Attach RPCs would cost a round trip each. Callers
 // mint the identifiers themselves (a nil identifier is rejected, since
-// a batch cannot report per-entry allocations).
+// a batch cannot report per-entry allocations). The batch adds to what
+// the session holds; the books take each subnode's entries once that
+// subnode acknowledged them.
 func (s *ServerSession) AttachBatch(entries map[ids.OID]ContactAddress) (time.Duration, error) {
 	bySub := make(map[string][]reattachEntry, len(s.res.leaf.Addrs))
 	for oid, ca := range entries {
@@ -380,42 +326,22 @@ func (s *ServerSession) AttachBatch(entries map[ids.OID]ContactAddress) (time.Du
 		sub := s.res.leaf.Route(oid)
 		bySub[sub] = append(bySub[sub], reattachEntry{oid: oid, ca: ca})
 	}
-	hasDrain, draining := s.drainState()
+	s.repairMu.RLock()
+	defer s.repairMu.RUnlock()
 	var total time.Duration
 	for sub, batch := range bySub {
-		w := wire.NewWriter(64 + len(s.addr) + 80*len(batch))
-		w.OID(s.id)
-		w.Str(s.addr)
-		w.Uint32(s.ttlSecs())
-		w.Count(len(batch))
-		for _, e := range batch {
-			w.OID(e.oid)
-			e.ca.encode(w)
-		}
-		if hasDrain {
-			w.Bool(true)
-			w.Bool(draining)
-		}
-		_, cost, err := s.res.client(sub).Call(OpSessionReattach, w.Bytes())
+		cost, err := s.reattach(sub, reattachAdd, batch)
 		total += cost
 		if err != nil {
 			return total, fmt.Errorf("gls: batch attach at %s: %w", sub, err)
 		}
+		s.mu.Lock()
+		for _, e := range batch {
+			s.book(e.oid, e.ca, false)
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	for oid, ca := range entries {
-		s.attached[oid] = ca
-		delete(s.stale, oid)
-	}
-	s.mu.Unlock()
 	return total, nil
-}
-
-// drainState returns the declared drain bit and whether one was set.
-func (s *ServerSession) drainState() (set, draining bool) {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	return s.drainSet, s.draining
 }
 
 // Drain marks (or clears) the session as draining: every entry attached
@@ -429,10 +355,7 @@ func (s *ServerSession) drainState() (set, draining bool) {
 // survives a node restart but not the session: a new session, such as
 // a restarted server's, starts undrained.
 func (s *ServerSession) Drain(draining bool) (time.Duration, error) {
-	s.drainMu.Lock()
-	s.drainSet = true
-	s.draining = draining
-	s.drainMu.Unlock()
+	s.draining.Store(draining)
 	return s.Renew()
 }
 

@@ -2,6 +2,9 @@ package gls
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -364,8 +367,8 @@ func TestRenewRepairsSnapshotRollback(t *testing.T) {
 		t.Fatalf("young attach after rollback = %v, want ErrNotFound", err)
 	}
 
-	// The next heartbeat sees the attached-entry count disagree with
-	// its books and re-attaches.
+	// The next heartbeat sees the node's digest disagree with its
+	// books and re-attaches.
 	if _, err := sess.Renew(); err != nil {
 		t.Fatal(err)
 	}
@@ -484,10 +487,9 @@ func TestSessionCloseBoundedWhenLeafUnreachable(t *testing.T) {
 
 // TestRenewDeletesStaleEntries: when the node holds an entry the
 // server's books do not — a Detach whose delete failed, an Attach whose
-// answer was lost after the node applied it — the node's count stays
-// above the books, and re-attach only adds entries. The next renewal
-// deletes the stale entry again instead, and the one after repairs
-// nothing.
+// answer was lost after the node applied it — the node's digest
+// differs from the books'. The next renewal's replacing reattach
+// removes the stale entry, and the one after repairs nothing.
 func TestRenewDeletesStaleEntries(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -552,7 +554,7 @@ func TestRenewDeletesStaleEntries(t *testing.T) {
 }
 
 // TestRenewStaleEntriesWaitForTheirSubnode: a subnode's stale entries
-// are deleted only once it answers the renewal. While one subnode of a
+// are removed only once it answers the renewal. While one subnode of a
 // two-subnode leaf takes requests but never answers, a renewal costs
 // one timeout there — not one per stale entry it owns, which would
 // hold up the other subnode's renewal past its lease — and the entries
@@ -622,5 +624,187 @@ func TestRenewStaleEntriesWaitForTheirSubnode(t *testing.T) {
 	}
 	if got := inserts() - before; got != 0 {
 		t.Fatalf("renewal after the repair re-attached %d entries, want 0", got)
+	}
+}
+
+// TestRenewRepairsSwapAfterRollback: the server attaches A, the node
+// saves its state, the server attaches B and detaches A, and the node
+// restarts from the saved state. Node and books then hold one entry
+// each, but not the same one: only a digest of the entries tells the
+// two apart, and only a replacing reattach removes A.
+func TestRenewRepairsSwapAfterRollback(t *testing.T) {
+	tree, _ := deployLeaseWorld(t)
+	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
+	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	sess := openTestSession(t, res, "eu-nl-vu:gos/obj", longTTL)
+
+	a, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := saveState(t, leaf)
+	b, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Detach(a); err != nil {
+		t.Fatal(err)
+	}
+	restartNode(t, tree, "eu/nl", saved)
+
+	if _, err := sess.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	if addrs, _, err := res.Lookup(b); err != nil || len(addrs) != 1 {
+		t.Fatalf("attached entry after one renewal: %v (%d addrs)", err, len(addrs))
+	}
+	if _, _, err := res.Lookup(a); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("detached entry after one renewal: lookup = %v, want ErrNotFound", err)
+	}
+}
+
+// TestReattachChangedContactAddressConverges: attaching an object again
+// with a contact address that differs only in its role replaces the
+// entry in the books, while the node holds both addresses. One renewal
+// leaves only the new address, and the next renews without repairing.
+func TestReattachChangedContactAddressConverges(t *testing.T) {
+	tree, _ := deployLeaseWorld(t)
+	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	sess := openTestSession(t, res, "eu-nl-vu:gos/obj", longTTL)
+
+	ca := testAddr("eu-nl-vu")
+	moved := ca
+	moved.Role = "master"
+	oid, _, err := sess.Attach(ids.Nil, ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Attach(oid, moved); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := sess.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	addrs, _, err := res.Lookup(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(addrs) != 1 || addrs[0] != moved {
+		t.Fatalf("addrs after one renewal = %v, want just %v", addrs, moved)
+	}
+	leaf := tree.Nodes("eu/nl")[0]
+	before := leaf.Stats()
+	if _, err := sess.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	if got := leaf.Stats().Inserts - before.Inserts; got != 0 {
+		t.Fatalf("second renewal re-attached %d entries, want 0", got)
+	}
+}
+
+// TestAttachDuringRepairIsNeverDropped races attaches against renewals
+// forced into repair: the leaf restarts from a saved state older than
+// the session's entries, and attaches applied at the node but not yet
+// in the books make the digests differ. A repair replaces the entries
+// riding the session with its snapshot of the books, so it must not
+// run while an Attach is in flight: every Attach that returned success
+// resolves once the next renewal completes. Run it under -race.
+func TestAttachDuringRepairIsNeverDropped(t *testing.T) {
+	tree, _ := deployLeaseWorld(t)
+	leaf := restartNode(t, tree, "eu/nl", t.TempDir())
+	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	sess := openTestSession(t, res, "eu-nl-vu:gos/obj", longTTL)
+	saved := saveState(t, leaf)
+
+	var mu sync.Mutex
+	var acked []ids.OID
+	checked := 0
+	// check renews, then looks up every entry acknowledged since the
+	// last check.
+	check := func() error {
+		if _, err := sess.Renew(); err != nil {
+			return err
+		}
+		mu.Lock()
+		fresh := slices.Clone(acked[checked:])
+		checked = len(acked)
+		mu.Unlock()
+		for _, oid := range fresh {
+			if _, _, err := res.Lookup(oid); err != nil {
+				return fmt.Errorf("acknowledged %s: %w", oid.Short(), err)
+			}
+		}
+		return nil
+	}
+	for round := 0; round < 3; round++ {
+		restartNode(t, tree, "eu/nl", saved)
+		checked = 0 // the rollback lost every entry: check them all again
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					oid, _, err := sess.Attach(ids.Nil, testAddr("eu-nl-vu"))
+					if err != nil {
+						t.Errorf("attach: %v", err)
+						return
+					}
+					mu.Lock()
+					acked = append(acked, oid)
+					mu.Unlock()
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for attaching := true; attaching; {
+			select {
+			case <-done:
+				attaching = false
+			default:
+			}
+			if err := check(); err != nil {
+				<-done
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+}
+
+// TestRenewIsO1PerSubnode: on a two-subnode leaf a renewal allocates
+// the same with 10 and with 10,000 attached entries — it neither walks
+// nor copies the books.
+func TestRenewIsO1PerSubnode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	allocs := map[int]float64{}
+	for _, n := range []int{10, 10_000} {
+		spec := worldSpec()
+		spec.Children[0].Children[0].Sites = []string{"eu-nl-vu", "eu-nl-vu"}
+		tree, err := Deploy(worldNet(t), spec, WithTreeSweep(-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tree.Close)
+		res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+		sess := openTestSession(t, res, "eu-nl-vu:gos/obj", longTTL)
+		entries := make(map[ids.OID]ContactAddress, n)
+		for len(entries) < n {
+			entries[ids.New()] = testAddr("eu-nl-vu")
+		}
+		if _, err := sess.AttachBatch(entries); err != nil {
+			t.Fatal(err)
+		}
+		allocs[n] = testing.AllocsPerRun(50, func() {
+			if _, err := sess.Renew(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[10] != allocs[10_000] {
+		t.Fatalf("renewal allocates %v with 10 entries, %v with 10,000", allocs[10], allocs[10_000])
 	}
 }

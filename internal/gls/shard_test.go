@@ -94,7 +94,7 @@ func TestConcurrentLookupInsertExpiry(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 40; i++ {
-				leaf.sweepShard(i%recShards, clock.Now())
+				leaf.sweepShard(nil, i%recShards, expiredAt(clock.Now()))
 			}
 		}()
 	}
@@ -175,7 +175,7 @@ func TestLookupDescentRacesSweep(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 60; i++ {
-				n.sweepShard(i%recShards, clock.Now())
+				n.sweepShard(nil, i%recShards, expiredAt(clock.Now()))
 			}
 		}(n)
 	}

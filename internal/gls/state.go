@@ -25,8 +25,8 @@ import (
 //	's' + session id  the session: the server's address, its TTL and
 //	                  its drain flag (one byte)
 //
-// Every entry rides a session, and a session's attached count is
-// derived at load. A table written before sessions carried the drain
+// Every entry rides a session, and a session's digest of its entries
+// is derived at load. A table written before sessions carried the drain
 // byte still loads: a session value without it is undrained, a 'd'
 // (drained address) key is deleted — an owner still draining
 // re-asserts the drain on its next renewal, and a successor at the same
@@ -45,7 +45,8 @@ import (
 // restart clock contract: sessions restart with their full TTL on the
 // recovering node's clock, so a dead server's entries still age out
 // within one TTL, and a session owner repairs whatever the window lost
-// through the attached-count echo of its next renewal. An entry whose
+// or kept beyond its books on its next renewal, whose answer carries
+// the session's digest. An entry whose
 // session is absent is dropped at load for the same reason.
 const (
 	stateFile  = "state.log"
@@ -159,7 +160,7 @@ func (n *Node) loadState(live map[string][]byte) (retired []string, err error) {
 			return retired, fmt.Errorf("bad record key %x", key)
 		}
 		oid := oidFromKey(key)
-		rec, dropped, err := decodeRecord(v, sessions)
+		rec, dropped, err := decodeRecord(v, oid, sessions)
 		if err != nil {
 			return retired, fmt.Errorf("record %s: %w", oid.Short(), err)
 		}
@@ -198,10 +199,10 @@ func encodeRecord(w *wire.Writer, rec *record) {
 	}
 }
 
-// decodeRecord reverses encodeRecord, attaching each entry to its
-// session and counting it there. An entry whose session is absent (or
-// nil) is dropped, and dropped reports it.
-func decodeRecord(v []byte, sessions map[ids.OID]*session) (rec *record, dropped bool, err error) {
+// decodeRecord reverses encodeRecord for oid's record, attaching each
+// entry to its session and adding it to the session's digest. An entry
+// whose session is absent (or nil) is dropped, and dropped reports it.
+func decodeRecord(v []byte, oid ids.OID, sessions map[ids.OID]*session) (rec *record, dropped bool, err error) {
 	r := wire.NewReader(v)
 	rec = &record{}
 	for i, na := 0, r.Count(); i < na && r.Err() == nil; i++ {
@@ -223,7 +224,7 @@ func decodeRecord(v []byte, sessions map[ids.OID]*session) (rec *record, dropped
 		return nil, false, err
 	}
 	for _, la := range rec.addrs {
-		la.sess.attached.Add(1)
+		la.sess.digest.Add(entryHash(oid, la.ca))
 	}
 	return rec, dropped, nil
 }

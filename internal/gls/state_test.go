@@ -91,27 +91,32 @@ func saveState(t testing.TB, n *Node) string {
 	return dir
 }
 
-// checkSessions fails unless every entry at n rides a session n knows
-// and every session's attached count equals the entries riding it.
+// checkSessions fails unless every entry at n rides a session n holds
+// (or a closed one, whose entries the janitor reclaims) and every
+// session's digest equals the one recomputed from the entries riding
+// it.
 func checkSessions(t testing.TB, n *Node) {
 	t.Helper()
-	riding := map[*session]int64{}
+	riding := map[*session]uint64{}
+	for _, sess := range n.sessions {
+		riding[sess] = 0
+	}
 	for i := range n.shards {
 		sh := &n.shards[i]
 		sh.mu.RLock()
 		for oid, rec := range sh.recs {
 			for _, la := range rec.addrs {
-				if la.sess == nil || n.sessions[la.sess.id] != la.sess {
+				if la.sess == nil || (n.sessions[la.sess.id] != la.sess && !la.sess.closed.Load()) {
 					t.Fatalf("entry of %s rides a session the node does not hold", oid.Short())
 				}
-				riding[la.sess]++
+				riding[la.sess] += entryHash(oid, la.ca)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	for _, sess := range n.sessions {
-		if got := sess.attached.Load(); got != riding[sess] {
-			t.Fatalf("session %s counts %d attached entries, %d ride it", sess.id.Short(), got, riding[sess])
+	for sess, want := range riding {
+		if got := sess.digest.Load(); got != want {
+			t.Fatalf("session %s has digest %x, the entries riding it sum to %x", sess.id.Short(), got, want)
 		}
 	}
 }
@@ -235,7 +240,7 @@ func TestJournalRestartRecoversRecordsAndSessions(t *testing.T) {
 	}
 	checkSessions(t, n2)
 	// The session survived the restart: the owner's next renewal
-	// agrees on the attached count and re-attaches nothing.
+	// agrees on the digest and re-attaches nothing.
 	before := n2.Stats()
 	if _, err := sess.Renew(); err != nil {
 		t.Fatalf("renew after restart: %v", err)
@@ -413,7 +418,7 @@ func TestStateCrashPoints(t *testing.T) {
 	compacted := compactState(t, n, res)
 
 	// The batch: entries for the durable session, whose loss only its
-	// attached count reveals, and a fresh session with its own.
+	// digest reveals, and a fresh session with its own.
 	for i := 0; i < 2; i++ {
 		oid, _, err := old.Attach(ids.Nil, testAddr("solo-site"))
 		if err != nil {
