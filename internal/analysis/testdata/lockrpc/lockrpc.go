@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"gdn/internal/core"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/transport"
 )
@@ -25,7 +26,7 @@ func callUnderLock(sh *tableShard, c *rpc.Client) {
 
 func peerCallUnderLock(sh *tableShard, p *core.PeerClient) {
 	sh.mu.Lock()
-	p.Call(1, nil) // want `core\.PeerClient\.Call while holding`
+	p.Call(obs.SpanContext{}, 1, nil) // want `core\.PeerClient\.Call while holding`
 	sh.mu.Unlock()
 }
 

@@ -16,8 +16,10 @@ func dropOnClient(tc obs.SpanContext, c *rpc.Client) error {
 	return err
 }
 
-func dropOnPeer(tc obs.SpanContext, p *core.PeerClient) error {
-	_, _, err := p.Call(2, nil) // want `call to Call drops the trace .* call CallT`
+// rerootOnPeer: PeerClient.Call has no untraced twin, so a traced
+// caller can only lose the trace by passing the zero context.
+func rerootOnPeer(tc obs.SpanContext, p *core.PeerClient) error {
+	_, _, err := p.Call(obs.SpanContext{}, 2, nil) // want `zero obs\.SpanContext\{\} re-roots the trace`
 	return err
 }
 

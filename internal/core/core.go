@@ -92,8 +92,8 @@ func DecodeInvocation(b []byte) (Invocation, error) {
 
 // Semantics is the semantics subobject: user-defined application logic
 // written without any distribution or replication concerns (§3.3).
-// Implementations need not be safe for concurrent use; the framework
-// serializes access through LocalExec.
+// Implementations need not be safe for concurrent use: the framework
+// wraps each one in a LocalExec, which serializes access.
 type Semantics interface {
 	// Invoke executes one marshalled method against local state and
 	// returns the marshalled result.
@@ -231,58 +231,44 @@ type ChunkedState interface {
 }
 
 // LocalExec gives replication subobjects serialized access to the
-// semantics subobject co-resident in their LR.
-type LocalExec interface {
-	// Execute runs an invocation against the local semantics.
-	Execute(inv Invocation) ([]byte, error)
-	// MarshalState and UnmarshalState expose state transfer.
-	MarshalState() ([]byte, error)
-	UnmarshalState(b []byte) error
-}
-
-// BulkExec is the serialized counterpart of BulkSource; the standard
-// LocalExec implementation provides it when the wrapped semantics
-// does.
-type BulkExec interface {
-	FileManifest(path string) (Manifest, error)
-}
-
-// RefExec is the serialized counterpart of ChunkedState. A nil ref
-// slice with nil error means the semantics does not chunk its state.
-type RefExec interface {
-	StateRefs(state []byte) ([]store.Ref, error)
-}
-
-// NewLocalExec wraps a semantics subobject with a mutex so the local
-// client and inbound protocol traffic may run concurrently.
-func NewLocalExec(sem Semantics) LocalExec {
-	return &lockedExec{sem: sem}
-}
-
-type lockedExec struct {
+// semantics subobject co-resident in their LR: a mutex lets the local
+// client and inbound protocol traffic run concurrently. Bulk and
+// chunked-state access degrade to ErrNoBulk and nil refs for
+// semantics that lack them.
+type LocalExec struct {
 	mu  sync.Mutex
 	sem Semantics
 }
 
-func (le *lockedExec) Execute(inv Invocation) ([]byte, error) {
+// NewLocalExec wraps a semantics subobject for serialized access.
+func NewLocalExec(sem Semantics) *LocalExec {
+	return &LocalExec{sem: sem}
+}
+
+// Execute runs an invocation against the local semantics.
+func (le *LocalExec) Execute(inv Invocation) ([]byte, error) {
 	le.mu.Lock()
 	defer le.mu.Unlock()
 	return le.sem.Invoke(inv)
 }
 
-func (le *lockedExec) MarshalState() ([]byte, error) {
+// MarshalState serializes the local semantics' state.
+func (le *LocalExec) MarshalState() ([]byte, error) {
 	le.mu.Lock()
 	defer le.mu.Unlock()
 	return le.sem.MarshalState()
 }
 
-func (le *lockedExec) UnmarshalState(b []byte) error {
+// UnmarshalState replaces the local semantics' state.
+func (le *LocalExec) UnmarshalState(b []byte) error {
 	le.mu.Lock()
 	defer le.mu.Unlock()
 	return le.sem.UnmarshalState(b)
 }
 
-func (le *lockedExec) FileManifest(path string) (Manifest, error) {
+// FileManifest is the serialized BulkSource.FileManifest; ErrNoBulk
+// when the semantics keeps no bulk content.
+func (le *LocalExec) FileManifest(path string) (Manifest, error) {
 	bs, ok := le.sem.(BulkSource)
 	if !ok {
 		return Manifest{}, ErrNoBulk
@@ -292,13 +278,35 @@ func (le *lockedExec) FileManifest(path string) (Manifest, error) {
 	return bs.FileManifest(path)
 }
 
-func (le *lockedExec) StateRefs(state []byte) ([]store.Ref, error) {
+// StateRefs is ChunkedState.StateRefs; a nil ref slice with nil error
+// means the semantics does not chunk its state.
+func (le *LocalExec) StateRefs(state []byte) ([]store.Ref, error) {
 	cs, ok := le.sem.(ChunkedState)
 	if !ok {
 		return nil, nil
 	}
 	// The parse is stateless; no lock needed.
 	return cs.StateRefs(state)
+}
+
+// ReadBulk is the local half of Replication.ReadBulk, shared by every
+// representative whose content is co-resident: it feeds fn the byte
+// range [off, off+n) of the named item straight out of st (n < 0
+// means to end), holding the manifest's chunks retained for the walk.
+func (le *LocalExec) ReadBulk(tc obs.SpanContext, st *store.Store, path string, off, n int64, fn func([]byte) error) (Manifest, error) {
+	if st == nil {
+		return Manifest{}, ErrNoBulk
+	}
+	m, err := le.FileManifest(path)
+	if err != nil {
+		return Manifest{}, err
+	}
+	defer st.Release(m.Refs())
+	span := obs.StartSpan(tc, "store.walk "+path)
+	err = m.WalkRange(st, off, n, fn)
+	span.SetError(err)
+	span.End()
+	return m, err
 }
 
 // Replication is the replication subobject's standard interface. A
@@ -309,25 +317,22 @@ type Replication interface {
 	// Invoke routes one invocation through the protocol and returns the
 	// marshalled result plus the virtual network cost incurred.
 	Invoke(inv Invocation) ([]byte, time.Duration, error)
+	// ReadBulk streams a bulk item: fn receives the byte range
+	// [off, off+n) of the named item in chunk-sized slices (n < 0 means
+	// to end of item), valid only during the callback. Representatives
+	// holding the content read their local store (LocalExec.ReadBulk);
+	// proxies open an OpBulkRead stream to a remote representative, so
+	// peak buffering is O(chunk) either way. The returned manifest
+	// carries at least the item's Size and Digest for end-to-end
+	// verification.
+	//
+	// tc is the caller's trace context: proxies carry it across the
+	// OpBulkRead hop (and any cache-fill calls it forces) so a traced
+	// download's hop chain stays connected; the zero context means
+	// untraced and costs nothing.
+	ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func(p []byte) error) (Manifest, time.Duration, error)
 	// Close detaches from peers and releases endpoints.
 	Close() error
-}
-
-// BulkReader is the optional replication-subobject interface for
-// streamed bulk reads: fn receives the byte range [off, off+n) of the
-// named item in chunk-sized slices (n < 0 means to end of item), valid
-// only during the callback. Replica-side implementations read their
-// local store; proxy-side implementations open an OpBulkRead stream to
-// a remote representative, so peak buffering is O(chunk) either way.
-// The returned manifest carries at least the item's Size and Digest
-// for end-to-end verification.
-//
-// tc is the caller's trace context: proxy-side implementations carry
-// it across the OpBulkRead hop (and any cache-fill calls it forces)
-// so a traced download's hop chain stays connected; the zero context
-// means untraced and costs nothing.
-type BulkReader interface {
-	ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func(p []byte) error) (Manifest, time.Duration, error)
 }
 
 // ChunkNegotiator is the optional replication-subobject interface

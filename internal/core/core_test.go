@@ -14,6 +14,7 @@ import (
 	"gdn/internal/gls"
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/wire"
 )
@@ -140,7 +141,11 @@ type testProxy struct {
 }
 
 func (p *testProxy) Invoke(inv Invocation) ([]byte, time.Duration, error) {
-	return p.peer.Call(OpInvoke, inv.Encode())
+	return p.peer.Call(obs.SpanContext{}, OpInvoke, inv.Encode())
+}
+
+func (p *testProxy) ReadBulk(obs.SpanContext, string, int64, int64, func([]byte) error) (Manifest, time.Duration, error) {
+	return Manifest{}, 0, ErrNoBulk
 }
 
 func (p *testProxy) Close() error { return nil }
@@ -152,6 +157,10 @@ type testReplica struct {
 func (r *testReplica) Invoke(inv Invocation) ([]byte, time.Duration, error) {
 	out, err := r.env.Exec.Execute(inv)
 	return out, 0, err
+}
+
+func (r *testReplica) ReadBulk(obs.SpanContext, string, int64, int64, func([]byte) error) (Manifest, time.Duration, error) {
+	return Manifest{}, 0, ErrNoBulk
 }
 
 func (r *testReplica) Close() error {
@@ -421,7 +430,7 @@ func TestDispatcherRejectsUnknownObject(t *testing.T) {
 	cl := rpc.NewClient(w.net, "client-site", w.disp.Addr())
 	defer cl.Close()
 	peer := &PeerClient{oid: ids.Derive("unknown"), rpc: cl}
-	if _, _, err := peer.Call(OpInvoke, Invocation{Method: "get"}.Encode()); err == nil {
+	if _, _, err := peer.Call(obs.SpanContext{}, OpInvoke, Invocation{Method: "get"}.Encode()); err == nil {
 		t.Fatal("unknown object must be rejected")
 	}
 }
@@ -487,7 +496,7 @@ func TestCostFlowsThroughDispatcher(t *testing.T) {
 	cl := rpc.NewClient(w.net, "client-site", w.disp.Addr())
 	defer cl.Close()
 	peer := &PeerClient{oid: oid, rpc: cl}
-	_, cost, err := peer.Call(OpInvoke, nil)
+	_, cost, err := peer.Call(obs.SpanContext{}, OpInvoke, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

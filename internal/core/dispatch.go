@@ -159,15 +159,9 @@ type PeerClient struct {
 // Addr returns the remote dispatcher address.
 func (p *PeerClient) Addr() string { return p.rpc.Addr() }
 
-// Call sends one replica-protocol operation, prefixing the object
-// identifier.
-func (p *PeerClient) Call(op uint16, body []byte) ([]byte, time.Duration, error) {
-	return p.CallT(obs.SpanContext{}, op, body)
-}
-
-// CallT is Call carrying a trace context into the RPC layer, so a
-// replica-protocol hop joins the caller's trace.
-func (p *PeerClient) CallT(tc obs.SpanContext, op uint16, body []byte) ([]byte, time.Duration, error) {
+// Call sends one replica-protocol operation under trace context tc,
+// prefixing the object identifier; the zero context means untraced.
+func (p *PeerClient) Call(tc obs.SpanContext, op uint16, body []byte) ([]byte, time.Duration, error) {
 	buf := make([]byte, 0, ids.Size+len(body))
 	buf = append(buf, p.oid[:]...)
 	buf = append(buf, body...)

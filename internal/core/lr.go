@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 )
 
 // LR is a local representative: the composition of subobjects that
@@ -64,18 +65,24 @@ func (lr *LR) Close() error {
 // NewLocalLR composes a representative whose replication subobject
 // executes invocations directly against the given semantics — a single
 // local copy with no network presence. Moderator tools stage new
-// objects with it before shipping their state to object servers.
+// objects with it before shipping their state to object servers. Bulk
+// reads stream from the semantics' own chunk store.
 func NewLocalLR(oid ids.OID, sem Semantics) *LR {
 	return newLR(oid, sem, localOnly{exec: NewLocalExec(sem)}, "")
 }
 
 type localOnly struct {
-	exec LocalExec
+	exec *LocalExec
 }
 
 func (l localOnly) Invoke(inv Invocation) ([]byte, time.Duration, error) {
 	out, err := l.exec.Execute(inv)
 	return out, 0, err
+}
+
+func (l localOnly) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (Manifest, time.Duration, error) {
+	m, err := l.exec.ReadBulk(tc, semStore(l.exec.sem, nil), path, off, n, fn)
+	return m, 0, err
 }
 
 func (l localOnly) Close() error { return nil }

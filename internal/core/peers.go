@@ -135,10 +135,10 @@ const (
 )
 
 // peerSeed distinguishes every PeerSet's RNG. Seeding from object
-// bytes (the old msProxy scheme) made every proxy of one object pick
-// the same "random" replica order world-wide, herding its whole read
-// load onto one slave; a process-wide counter keeps instances
-// independent while staying deterministic enough to debug.
+// bytes would make every proxy of one object pick the same "random"
+// replica order world-wide, herding its whole read load onto one
+// slave; a process-wide counter keeps instances independent while
+// staying deterministic enough to debug.
 var peerSeed atomic.Int64
 
 // NewPeerSet builds the ranked peer-set for a proxy or a hosted
@@ -503,7 +503,7 @@ func (ps *PeerSet) Do(write bool, attempt func(addr string, pc *PeerClient) (tim
 func (ps *PeerSet) Call(op uint16, body []byte, write bool) ([]byte, time.Duration, error) {
 	var resp []byte
 	cost, err := ps.Do(write, func(_ string, pc *PeerClient) (time.Duration, error) {
-		r, c, err := pc.Call(op, body)
+		r, c, err := pc.Call(obs.SpanContext{}, op, body)
 		if err == nil {
 			resp = r
 		}

@@ -27,7 +27,7 @@ type Env struct {
 	Clients *rpc.Clients
 	// Exec executes invocations against the co-resident semantics
 	// subobject.
-	Exec LocalExec
+	Exec *LocalExec
 	// Disp is the listening endpoint; nil for pure client proxies that
 	// are not contactable.
 	Disp *Dispatcher

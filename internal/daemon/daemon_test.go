@@ -29,7 +29,7 @@ func TestRegistryHasPackageAndProtocols(t *testing.T) {
 		t.Fatal(err)
 	}
 	protos := reg.Protocols()
-	want := map[string]bool{"clientserver": true, "masterslave": true, "active": true, "cache": true, "local": true}
+	want := map[string]bool{"clientserver": true, "masterslave": true, "active": true, "cache": true}
 	for _, p := range protos {
 		delete(want, p)
 	}

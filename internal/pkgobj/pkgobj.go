@@ -179,7 +179,7 @@ type version struct {
 
 // Package is the package DSO semantics subobject. The zero value is
 // not usable; call New. It is not safe for concurrent use — the
-// framework serializes access (core.NewLocalExec).
+// framework wraps it in a core.LocalExec, which serializes access.
 type Package struct {
 	meta      map[string]string
 	files     map[string]*file

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"gdn/internal/core"
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 )
 
 // newLocalStub wraps a package in a local, network-free representative
@@ -102,6 +104,49 @@ func TestChunkedReads(t *testing.T) {
 	chunk, err = s.GetFileChunk("blob", 990, 100)
 	if err != nil || len(chunk) != 10 {
 		t.Fatalf("tail read: %d bytes, %v", len(chunk), err)
+	}
+}
+
+func TestLocalStreamReads(t *testing.T) {
+	// A local representative streams out of its own store like any
+	// replica: ranges are cut from 64-byte chunks with no chunk RPCs.
+	p := New()
+	p.chunkSize = 64
+	s := newLocalStub(t, p)
+	content := make([]byte, 1000) // 15 full chunks and a 40-byte tail
+	rand.New(rand.NewSource(6)).Read(content)
+	if err := s.AddFile("blob", content); err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(content))
+
+	for _, c := range []struct {
+		name   string
+		off, n int64
+		want   []byte
+	}{
+		{"whole", 0, -1, content},
+		{"across-boundary", 60, 10, content[60:70]},
+		{"past-eof", 980, 100, content[980:]},
+		{"at-eof", size, 10, nil},
+	} {
+		var buf bytes.Buffer
+		n, err := s.ReadFileRangeToT(obs.SpanContext{}, &buf, "blob", c.off, c.n)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n != int64(len(c.want)) || !bytes.Equal(buf.Bytes(), c.want) {
+			t.Fatalf("%s: read %d bytes, want %d", c.name, n, len(c.want))
+		}
+	}
+
+	var buf bytes.Buffer
+	n, err := s.ReadFileTo(&buf, "blob")
+	if err != nil || n != size || !bytes.Equal(buf.Bytes(), content) {
+		t.Fatalf("ReadFileTo = %d bytes, %v; want %d", n, err, size)
+	}
+	if _, err := s.ReadFileTo(io.Discard, "missing"); !errors.Is(err, ErrNoFile) {
+		t.Fatalf("missing file: err = %v, want ErrNoFile", err)
 	}
 }
 

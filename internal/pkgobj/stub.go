@@ -269,16 +269,12 @@ func (s *Stub) Stat(path string) (FileInfo, error) {
 	return fi, nil
 }
 
-// streamChunkSize is the fallback read size when the replication
-// subobject cannot stream and ReadFileTo degrades to chunk RPCs.
-const streamChunkSize = int64(DefaultChunkSize)
-
 // ReadFileTo streams a file's full content into w with chunk-bounded
 // buffering and verifies the SHA-256 digest end to end as the bytes
 // flow — the GDN's integrity guarantee (§6.1) on the download path.
-// When the replication subobject supports bulk streaming the content
-// arrives as a frame stream over one call; otherwise it degrades to a
-// sequence of chunk reads. It returns the byte count written.
+// The content arrives through the replication subobject's ReadBulk: a
+// frame stream over one call from a remote representative, or a walk
+// of the local store. It returns the byte count written.
 func (s *Stub) ReadFileTo(w io.Writer, path string) (int64, error) {
 	return s.ReadFileToT(obs.SpanContext{}, w, path)
 }
@@ -289,42 +285,15 @@ func (s *Stub) ReadFileToT(tc obs.SpanContext, w io.Writer, path string) (int64,
 	ds := newDigestSink(w)
 	defer ds.stop()
 
-	if br, ok := s.lr.Replication().(core.BulkReader); ok {
-		m, cost, err := br.ReadBulk(tc, path, 0, -1, ds.sink)
-		s.mu.Lock()
-		s.cost += cost
-		s.mu.Unlock()
-		if err != nil {
-			return ds.written, err
-		}
-		if ds.written != m.Size {
-			return ds.written, fmt.Errorf("pkgobj: %q truncated: %d of %d bytes", path, ds.written, m.Size)
-		}
-		if ds.sum() != m.Digest {
-			return ds.written, fmt.Errorf("pkgobj: %q digest mismatch: content corrupted in transit or at a replica", path)
-		}
-		return ds.written, nil
-	}
-
-	// Fallback: chunk-at-a-time reads through the invocation path.
-	fi, err := s.Stat(path)
+	m, cost, err := s.lr.Replication().ReadBulk(tc, path, 0, -1, ds.sink)
+	s.addCost(cost)
 	if err != nil {
-		return 0, err
+		return ds.written, err
 	}
-	for off := int64(0); off < fi.Size; {
-		chunk, err := s.GetFileChunk(path, off, streamChunkSize)
-		if err != nil {
-			return ds.written, err
-		}
-		if len(chunk) == 0 {
-			return ds.written, fmt.Errorf("pkgobj: %q truncated at offset %d", path, off)
-		}
-		if err := ds.sink(chunk); err != nil {
-			return ds.written, err
-		}
-		off += int64(len(chunk))
+	if ds.written != m.Size {
+		return ds.written, fmt.Errorf("pkgobj: %q truncated: %d of %d bytes", path, ds.written, m.Size)
 	}
-	if ds.sum() != fi.Digest {
+	if ds.sum() != m.Digest {
 		return ds.written, fmt.Errorf("pkgobj: %q digest mismatch: content corrupted in transit or at a replica", path)
 	}
 	return ds.written, nil
@@ -401,39 +370,9 @@ func (s *Stub) ReadFileRangeToT(tc obs.SpanContext, w io.Writer, path string, of
 		written += int64(m)
 		return err
 	}
-	if br, ok := s.lr.Replication().(core.BulkReader); ok {
-		_, cost, err := br.ReadBulk(tc, path, off, n, sink)
-		s.addCost(cost)
-		return written, err
-	}
-
-	// Fallback: chunk-at-a-time reads through the invocation path.
-	fi, err := s.Stat(path)
-	if err != nil {
-		return 0, err
-	}
-	end := fi.Size
-	if n >= 0 && off+n < end {
-		end = off + n
-	}
-	for pos := off; pos < end; {
-		want := end - pos
-		if want > streamChunkSize {
-			want = streamChunkSize
-		}
-		chunk, err := s.GetFileChunk(path, pos, want)
-		if err != nil {
-			return written, err
-		}
-		if len(chunk) == 0 {
-			return written, fmt.Errorf("pkgobj: %q truncated at offset %d", path, pos)
-		}
-		if err := sink(chunk); err != nil {
-			return written, err
-		}
-		pos += int64(len(chunk))
-	}
-	return written, nil
+	_, cost, err := s.lr.Replication().ReadBulk(tc, path, off, n, sink)
+	s.addCost(cost)
+	return written, err
 }
 
 // VerifyFile downloads a file with chunk-bounded buffering and checks

@@ -253,7 +253,7 @@ func (s *Stub) getVersionChunked(label, path string) ([]byte, error) {
 		w.Str(label)
 		w.Str(path)
 		w.Int64(off)
-		w.Int64(streamChunkSize)
+		w.Int64(DefaultChunkSize)
 		chunk, err := s.invoke(MethodGetChunkAt, false, w.Bytes())
 		if err != nil {
 			return nil, err

@@ -216,7 +216,7 @@ func newActivePeer(env *core.Env) (core.Replication, error) {
 
 func (p *activePeer) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 	if inv.Write {
-		return p.env.Dial(p.seqAddr).Call(core.OpInvoke, inv.Encode())
+		return p.env.Dial(p.seqAddr).Call(obs.SpanContext{}, core.OpInvoke, inv.Encode())
 	}
 	out, err := p.env.Exec.Execute(inv)
 	return out, 0, err
@@ -234,7 +234,7 @@ func (p *activePeer) handle(call *rpc.Call) ([]byte, error) {
 	}
 	if call.Op == opPeerRoster {
 		// The sequencer owns the authoritative roster; relay.
-		resp, cost, err := p.env.Dial(p.seqAddr).Call(opPeerRoster, call.Body)
+		resp, cost, err := p.env.Dial(p.seqAddr).Call(call.TC, opPeerRoster, call.Body)
 		call.Charge(cost)
 		return resp, err
 	}
@@ -248,7 +248,7 @@ func (p *activePeer) handle(call *rpc.Call) ([]byte, error) {
 			if err := authorizeWrite(p.env, call); err != nil {
 				return nil, err
 			}
-			resp, cost, err := p.env.Dial(p.seqAddr).Call(core.OpInvoke, call.Body)
+			resp, cost, err := p.env.Dial(p.seqAddr).Call(call.TC, core.OpInvoke, call.Body)
 			call.Charge(cost)
 			return resp, err
 		}
@@ -318,32 +318,20 @@ func decodeApply(b []byte) (uint64, core.Invocation, error) {
 	return binary.BigEndian.Uint64(b), inv, err
 }
 
-// activeProxy sends reads to a healthy peer replica (spread by the
-// ranked peer set) and writes to the sequencer, failing over to a
-// forwarding peer when the sequencer address is unreachable.
+// activeProxy is the proxy that reads from a healthy peer replica and
+// writes to the sequencer (through a forwarding peer when the
+// sequencer address is unreachable). Only chunk negotiation differs
+// from the shared proxy: it must reach every replica of the roster.
 type activeProxy struct {
-	env   *core.Env
-	peers *core.PeerSet
+	*proxy
 }
 
 func newActiveProxy(env *core.Env) (core.Replication, error) {
-	ps, err := core.NewPeerSet(env, "",
-		[]string{RolePeer, RoleSequencer},
-		[]string{RoleSequencer, RolePeer})
+	p, err := newProxy(env, []string{RolePeer, RoleSequencer}, []string{RoleSequencer, RolePeer})
 	if err != nil {
-		return nil, fmt.Errorf("repl: %s proxy for %s: %w", Active, env.OID.Short(), err)
+		return nil, err
 	}
-	return &activeProxy{env: env, peers: ps}, nil
-}
-
-func (p *activeProxy) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
-	return p.peers.Call(core.OpInvoke, inv.Encode(), inv.Write)
-}
-
-// ReadBulk implements core.BulkReader by streaming from a read peer,
-// resuming on the next candidate when one dies mid-stream.
-func (p *activeProxy) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
-	return streamBulkVia(tc, p.peers, path, off, n, fn)
+	return &activeProxy{proxy: p}, nil
 }
 
 // roster fetches the full replica roster (sequencer first) through any
@@ -353,7 +341,7 @@ func (p *activeProxy) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn
 func (p *activeProxy) roster() ([]string, time.Duration, error) {
 	var addrs []string
 	cost, err := p.peers.Do(false, func(_ string, pc *core.PeerClient) (time.Duration, error) {
-		resp, c, err := pc.Call(opPeerRoster, nil)
+		resp, c, err := pc.Call(obs.SpanContext{}, opPeerRoster, nil)
 		if err != nil {
 			return c, err
 		}
@@ -442,5 +430,3 @@ func (p *activeProxy) PushChunks(chunks [][]byte) (time.Duration, error) {
 	}
 	return total, nil
 }
-
-func (p *activeProxy) Close() error { return nil }

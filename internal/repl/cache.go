@@ -28,7 +28,7 @@ import (
 func CacheProtocol() *core.Protocol {
 	return &core.Protocol{
 		Name:     Cache,
-		NewProxy: newForwardingProxy,
+		NewProxy: proxyOf(forwardPrefs, forwardPrefs),
 		NewReplica: func(env *core.Env) (core.Replication, error) {
 			return NewCacheReplica(env)
 		},
@@ -190,7 +190,7 @@ func (c *CacheReplica) Invoke(inv core.Invocation) ([]byte, time.Duration, error
 	return out, cost, err
 }
 
-// ReadBulk implements core.BulkReader: the cache fills (or
+// ReadBulk implements core.Replication: the cache fills (or
 // revalidates) first, then streams from its local copy — repeated
 // downloads through a GDN proxy cost no upstream traffic.
 func (c *CacheReplica) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
@@ -198,8 +198,8 @@ func (c *CacheReplica) ReadBulk(tc obs.SpanContext, path string, off, n int64, f
 	if err != nil {
 		return core.Manifest{}, cost, err
 	}
-	m, readCost, err := c.readLocalBulk(tc, path, off, n, fn)
-	return m, cost + readCost, err
+	m, err := c.env.Exec.ReadBulk(tc, c.env.Store, path, off, n, fn)
+	return m, cost, err
 }
 
 func (c *CacheReplica) Close() error {

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"gdn/internal/core"
-	"gdn/internal/obs"
 	"gdn/internal/rpc"
-	"gdn/internal/store"
 )
 
 // ClientServerProtocol returns the client/(single) server protocol: one
@@ -19,7 +17,7 @@ import (
 func ClientServerProtocol() *core.Protocol {
 	return &core.Protocol{
 		Name:       ClientServer,
-		NewProxy:   newForwardingProxy,
+		NewProxy:   proxyOf(forwardPrefs, forwardPrefs),
 		NewReplica: newCSServer,
 	}
 }
@@ -99,59 +97,11 @@ func (s *csServer) invalidateCaches() (time.Duration, error) {
 	return s.pushAll(addrs, core.OpInvalidate, nil)
 }
 
-// forwardingProxyPrefs is the capability order forwardingProxy ranks
-// candidates by: the most capable representative the location service
-// returned serves every invocation.
-var forwardingProxyPrefs = []string{RoleServer, RoleMaster, RoleSlave, RoleCache, RoleSequencer, RolePeer}
-
-// forwardingProxy is the proxy side shared by clientserver and cache:
-// every invocation is forwarded to a remote representative chosen from
-// a ranked peer set — failing over to the next candidate (and
-// re-resolving through the location service) when the bound one dies,
-// instead of staying pinned to a bind-time corpse.
-type forwardingProxy struct {
-	env   *core.Env
-	peers *core.PeerSet
-}
-
-func newForwardingProxy(env *core.Env) (core.Replication, error) {
-	ps, err := core.NewPeerSet(env, "", forwardingProxyPrefs, forwardingProxyPrefs)
-	if err != nil {
-		return nil, fmt.Errorf("repl: %w", err)
-	}
-	return &forwardingProxy{env: env, peers: ps}, nil
-}
-
-func (p *forwardingProxy) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
-	return p.peers.Call(core.OpInvoke, inv.Encode(), inv.Write)
-}
-
-// ReadBulk implements core.BulkReader by streaming from a forwarded
-// representative, resuming at the current offset on another replica
-// when one dies mid-stream.
-func (p *forwardingProxy) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
-	return streamBulkVia(tc, p.peers, path, off, n, fn)
-}
-
-// MissingChunks and PushChunks implement core.ChunkNegotiator: every
-// candidate either executes manifest writes itself (the clientserver
-// server) or forwards chunk traffic to the replica that does, so a
-// chunk a candidate confirms holding is a chunk the manifest write
-// will find.
-func (p *forwardingProxy) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, error) {
-	return missingChunksVia(p.peers, refs)
-}
-
-// PushChunks implements core.ChunkNegotiator.
-func (p *forwardingProxy) PushChunks(chunks [][]byte) (time.Duration, error) {
-	return pushChunksVia(p.peers, chunks)
-}
-
-func (p *forwardingProxy) Close() error { return nil }
-
-// Peers exposes the ranked peer set; tests and experiments read its
-// failover counters.
-func (p *forwardingProxy) Peers() *core.PeerSet { return p.peers }
+// forwardPrefs is the capability order clientserver and cache proxies
+// rank candidates by, for reads and writes alike: the most capable
+// representative the location service returned serves every
+// invocation.
+var forwardPrefs = []string{RoleServer, RoleMaster, RoleSlave, RoleCache, RoleSequencer, RolePeer}
 
 // pickPeer returns the address of the first peer matching the earliest
 // role in prefs; an empty role preference matches anything.

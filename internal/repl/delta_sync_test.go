@@ -9,6 +9,7 @@ import (
 	"gdn/internal/gls"
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 	"gdn/internal/pkgobj"
 )
 
@@ -96,8 +97,8 @@ func TestProxyStreamedReadVerifies(t *testing.T) {
 	}
 
 	clientLR := f.bind("us-client", oid)
-	if _, ok := clientLR.Replication().(core.BulkReader); !ok {
-		t.Fatal("client proxy must support streamed bulk reads")
+	if _, _, err := clientLR.Replication().ReadBulk(obs.SpanContext{}, "blob", 0, 0, func([]byte) error { return nil }); err != nil {
+		t.Fatalf("client proxy must support streamed bulk reads: %v", err)
 	}
 	stub := pkgobj.NewStub(clientLR)
 	var buf bytes.Buffer

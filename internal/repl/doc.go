@@ -7,8 +7,6 @@
 //
 // The protocols:
 //
-//   - "local": a single non-contactable copy; no network traffic. Used
-//     for objects private to one address space.
 //   - "clientserver": one server replica holds the state; proxies
 //     forward every invocation to it. One of the two protocols the
 //     paper ships (§7).

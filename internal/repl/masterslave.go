@@ -8,7 +8,6 @@ import (
 	"gdn/internal/core"
 	"gdn/internal/obs"
 	"gdn/internal/rpc"
-	"gdn/internal/store"
 )
 
 // MasterSlaveProtocol returns the master/slave protocol: one master
@@ -20,8 +19,12 @@ import (
 // protocol favours.
 func MasterSlaveProtocol() *core.Protocol {
 	return &core.Protocol{
-		Name:     MasterSlave,
-		NewProxy: newMSProxy,
+		Name: MasterSlave,
+		// Proxies read from a healthy slave (the location service
+		// returned the nearest representatives, and the peer set spreads
+		// load across them) and write to the master — directly when
+		// known, else through a slave.
+		NewProxy: proxyOf([]string{RoleSlave, RoleMaster}, []string{RoleMaster, RoleSlave}),
 		NewReplica: func(env *core.Env) (core.Replication, error) {
 			switch env.Role {
 			case RoleMaster:
@@ -188,7 +191,7 @@ func (s *msSlave) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 	if inv.Write {
 		// Writes go to the single writer; the master pushes the
 		// resulting state back to us before acknowledging.
-		return s.env.Dial(s.masterAddr).Call(core.OpInvoke, inv.Encode())
+		return s.env.Dial(s.masterAddr).Call(obs.SpanContext{}, core.OpInvoke, inv.Encode())
 	}
 	out, err := s.env.Exec.Execute(inv)
 	return out, 0, err
@@ -223,7 +226,7 @@ func (s *msSlave) handle(call *rpc.Call) ([]byte, error) {
 			if err := authorizeWrite(s.env, call); err != nil {
 				return nil, err
 			}
-			resp, cost, err := s.env.Dial(s.masterAddr).Call(core.OpInvoke, call.Body)
+			resp, cost, err := s.env.Dial(s.masterAddr).Call(call.TC, core.OpInvoke, call.Body)
 			call.Charge(cost)
 			return resp, err
 		}
@@ -259,54 +262,3 @@ func (s *msSlave) handle(call *rpc.Call) ([]byte, error) {
 		return nil, fmt.Errorf("repl: %s slave: unexpected op %d", MasterSlave, call.Op)
 	}
 }
-
-// msProxy is the binding client's subobject: reads go to a healthy
-// slave (the location service returned the nearest representatives,
-// and the peer set spreads load across them), writes go to the master
-// — directly when known, else through a slave. Candidate health,
-// failover and re-resolution live in the shared core.PeerSet.
-type msProxy struct {
-	env   *core.Env
-	peers *core.PeerSet
-}
-
-func newMSProxy(env *core.Env) (core.Replication, error) {
-	ps, err := core.NewPeerSet(env, "",
-		[]string{RoleSlave, RoleMaster},
-		[]string{RoleMaster, RoleSlave})
-	if err != nil {
-		return nil, fmt.Errorf("repl: %s proxy for %s: %w", MasterSlave, env.OID.Short(), err)
-	}
-	return &msProxy{env: env, peers: ps}, nil
-}
-
-func (p *msProxy) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
-	return p.peers.Call(core.OpInvoke, inv.Encode(), inv.Write)
-}
-
-// ReadBulk implements core.BulkReader by streaming from a read
-// replica, resuming on the next candidate when one dies mid-stream.
-func (p *msProxy) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
-	return streamBulkVia(tc, p.peers, path, off, n, fn)
-}
-
-// MissingChunks and PushChunks implement core.ChunkNegotiator. The
-// store that is probed and fed is always the master's — slaves forward
-// both ops there — so the manifest write (which the protocol also
-// routes to the master) finds every chunk the negotiation promised,
-// and state pushes carry the new chunks onward to the slaves by delta
-// sync. Negotiation therefore no longer needs a direct master contact
-// address.
-func (p *msProxy) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, error) {
-	return missingChunksVia(p.peers, refs)
-}
-
-// PushChunks implements core.ChunkNegotiator.
-func (p *msProxy) PushChunks(chunks [][]byte) (time.Duration, error) {
-	return pushChunksVia(p.peers, chunks)
-}
-
-func (p *msProxy) Close() error { return nil }
-
-// Peers exposes the ranked peer set for tests and experiments.
-func (p *msProxy) Peers() *core.PeerSet { return p.peers }

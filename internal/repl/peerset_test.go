@@ -68,10 +68,10 @@ func countingBackend(t *testing.T, f *fixture, site string, oid ids.OID) *atomic
 }
 
 func TestTwoProxiesOfOneObjectSpreadReads(t *testing.T) {
-	// The seed bug this guards against: msProxy used to seed its
-	// read-replica RNG from the OID's first bytes, so every proxy of a
-	// given object world-wide picked the same slave order and herded
-	// the object's whole read load onto one replica.
+	// The bug this guards against: a proxy seeding its read-replica
+	// RNG from the OID's first bytes makes every proxy of a given
+	// object world-wide pick the same slave order, herding the
+	// object's whole read load onto one replica.
 	f := newFixture(t, nil)
 	oid := ids.New()
 	// Both slaves sit in the caller's far region at equal distance, so
@@ -134,7 +134,7 @@ func TestUnaryReadFailsOverToNextReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	mp := p.(*msProxy)
+	mp := p.(*proxy)
 
 	if _, _, err := p.Invoke(core.Invocation{Method: "set", Write: true, Args: setArgs("k", "v")}); err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestBulkReadResumesMidStreamOnReplicaDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	mp := p.(*msProxy)
+	mp := p.(*proxy)
 
 	// Stream the file; after the first frame lands, crash the replica
 	// serving it (reads prefer the slave). The stream must resume on
@@ -274,7 +274,7 @@ func TestBulkReadResumesMidStreamOnReplicaDeath(t *testing.T) {
 	root := obs.StartTrace("test.failover-read")
 	var got bytes.Buffer
 	var killOnce sync.Once
-	m, _, err := p.(core.BulkReader).ReadBulk(root.Context(), "blob", 0, -1, func(b []byte) error {
+	m, _, err := p.ReadBulk(root.Context(), "blob", 0, -1, func(b []byte) error {
 		got.Write(b)
 		killOnce.Do(func() { f.net.SetDown("eu-client", true) })
 		return nil
@@ -350,7 +350,7 @@ func TestBulkRangeReadResumesAtPartialChunkOffset(t *testing.T) {
 	const off, n = 300_000, 5_000_000
 	var got bytes.Buffer
 	var killOnce sync.Once
-	_, _, err = p.(core.BulkReader).ReadBulk(obs.SpanContext{}, "blob", off, n, func(b []byte) error {
+	_, _, err = p.ReadBulk(obs.SpanContext{}, "blob", off, n, func(b []byte) error {
 		got.Write(b)
 		killOnce.Do(func() { f.net.SetDown("eu-client", true) })
 		return nil
@@ -361,7 +361,7 @@ func TestBulkRangeReadResumesAtPartialChunkOffset(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), content[off:off+n]) {
 		t.Fatalf("range content mismatch after failover: got %d bytes, want %d", got.Len(), n)
 	}
-	if fo := p.(*msProxy).Peers().Failovers(); fo != 1 {
+	if fo := p.(*proxy).Peers().Failovers(); fo != 1 {
 		t.Fatalf("failovers = %d, want exactly 1", fo)
 	}
 }
@@ -389,7 +389,7 @@ func TestRelayedChunkOpsPropagateTrace(t *testing.T) {
 	root := obs.StartTrace("test.chunk-negotiate")
 	refs := []store.Ref{store.RefOf([]byte("chunk nobody has"))}
 	missing, _, err := core.MissingChunksVia(func(body []byte) ([]byte, time.Duration, error) {
-		return pc.CallT(root.Context(), core.OpChunkHave, body)
+		return pc.Call(root.Context(), core.OpChunkHave, body)
 	}, refs)
 	root.End()
 	if err != nil {

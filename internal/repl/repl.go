@@ -19,7 +19,6 @@ import (
 
 // Protocol names.
 const (
-	Local        = "local"
 	ClientServer = "clientserver"
 	MasterSlave  = "masterslave"
 	Active       = "active"
@@ -38,7 +37,6 @@ const (
 
 // RegisterAll installs every protocol in a registry.
 func RegisterAll(reg *core.Registry) {
-	reg.RegisterProtocol(LocalProtocol())
 	reg.RegisterProtocol(ClientServerProtocol())
 	reg.RegisterProtocol(MasterSlaveProtocol())
 	reg.RegisterProtocol(ActiveProtocol())
@@ -304,7 +302,7 @@ func (rb *replicaBase) handleChunkPut(call *rpc.Call) ([]byte, error) {
 func (rb *replicaBase) relayChunkOps(call *rpc.Call, upstream string) (handled bool, resp []byte, err error) {
 	switch call.Op {
 	case core.OpChunkHave:
-		resp, cost, err := rb.env.Dial(upstream).CallT(call.TC, core.OpChunkHave, call.Body)
+		resp, cost, err := rb.env.Dial(upstream).Call(call.TC, core.OpChunkHave, call.Body)
 		call.Charge(cost)
 		return true, resp, err
 	case core.OpChunkPut:
@@ -322,7 +320,7 @@ func (rb *replicaBase) relayChunkPut(call *rpc.Call, upstream string) ([]byte, e
 	ur := call.Upload()
 	if ur == nil {
 		// Unary batch shape: forward the body as-is.
-		resp, cost, err := rb.env.Dial(upstream).CallT(call.TC, core.OpChunkPut, call.Body)
+		resp, cost, err := rb.env.Dial(upstream).Call(call.TC, core.OpChunkPut, call.Body)
 		call.Charge(cost)
 		return resp, err
 	}
@@ -350,11 +348,75 @@ func (rb *replicaBase) relayChunkPut(call *rpc.Call, upstream string) ([]byte, e
 	return resp, err
 }
 
+// proxy is the binding client's replication subobject, one type for
+// every protocol: each invocation goes to a remote representative
+// chosen from a ranked peer set — reads by the protocol's read-role
+// preference, writes by its write-role preference — failing over to
+// the next candidate (and re-resolving through the location service)
+// when the chosen one dies. Candidate health, failover and
+// re-resolution live in the shared core.PeerSet.
+type proxy struct {
+	env   *core.Env
+	peers *core.PeerSet
+}
+
+func newProxy(env *core.Env, readPrefs, writePrefs []string) (*proxy, error) {
+	ps, err := core.NewPeerSet(env, "", readPrefs, writePrefs)
+	if err != nil {
+		return nil, fmt.Errorf("repl: proxy for %s: %w", env.OID.Short(), err)
+	}
+	return &proxy{env: env, peers: ps}, nil
+}
+
+// proxyOf is the Protocol.NewProxy constructor for a protocol with the
+// given role preferences.
+func proxyOf(readPrefs, writePrefs []string) func(*core.Env) (core.Replication, error) {
+	return func(env *core.Env) (core.Replication, error) {
+		p, err := newProxy(env, readPrefs, writePrefs)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+}
+
+func (p *proxy) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
+	return p.peers.Call(core.OpInvoke, inv.Encode(), inv.Write)
+}
+
+// ReadBulk streams from a read-ranked representative, resuming at the
+// delivered offset on the next candidate when one dies mid-stream.
+func (p *proxy) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
+	return streamBulkVia(tc, p.peers, path, off, n, fn)
+}
+
+// MissingChunks and PushChunks implement core.ChunkNegotiator: every
+// candidate either executes manifest writes itself (the clientserver
+// server, the masterslave master) or relays chunk traffic to the
+// replica that does (slaves to their master, caches to their parent),
+// so a chunk a candidate confirms holding is a chunk the manifest
+// write will find, and no direct contact address of the write target
+// is needed.
+func (p *proxy) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, error) {
+	return missingChunksVia(p.peers, refs)
+}
+
+// PushChunks implements core.ChunkNegotiator.
+func (p *proxy) PushChunks(chunks [][]byte) (time.Duration, error) {
+	return pushChunksVia(p.peers, chunks)
+}
+
+func (p *proxy) Close() error { return nil }
+
+// Peers exposes the ranked peer set; tests and experiments read its
+// failover counters.
+func (p *proxy) Peers() *core.PeerSet { return p.peers }
+
 // missingChunksFrom runs the OpChunkHave negotiation against a remote
 // representative in bounded batches.
 func missingChunksFrom(pc *core.PeerClient, refs []store.Ref) ([]store.Ref, time.Duration, error) {
 	return core.MissingChunksVia(func(body []byte) ([]byte, time.Duration, error) {
-		return pc.Call(core.OpChunkHave, body)
+		return pc.Call(obs.SpanContext{}, core.OpChunkHave, body)
 	}, refs)
 }
 
@@ -417,11 +479,10 @@ func pushChunksTo(pc *core.PeerClient, chunks [][]byte) (time.Duration, error) {
 // the state install (successful or not) is done.
 func (rb *replicaBase) fillChunks(tc obs.SpanContext, parent *core.PeerClient, state []byte) (pinned []store.Ref, cost time.Duration, err error) {
 	st := rb.env.Store
-	re, ok := rb.env.Exec.(core.RefExec)
-	if st == nil || !ok {
+	if st == nil {
 		return nil, 0, nil
 	}
-	refs, err := re.StateRefs(state)
+	refs, err := rb.env.Exec.StateRefs(state)
 	if err != nil {
 		return nil, 0, fmt.Errorf("repl: parse state refs: %w", err)
 	}
@@ -467,7 +528,7 @@ func (rb *replicaBase) fillChunks(tc obs.SpanContext, parent *core.PeerClient, s
 			for _, ref := range batch {
 				w.Hash(ref)
 			}
-			resp, c, err := parent.CallT(tc, core.OpChunkGet, w.Bytes())
+			resp, c, err := parent.Call(tc, core.OpChunkGet, w.Bytes())
 			cost += c
 			if err != nil {
 				return nil, fmt.Errorf("repl: fetch %d chunks: %w", len(batch), err)
@@ -536,11 +597,10 @@ func (rb *replicaBase) handleBulkRead(call *rpc.Call) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	be, ok := rb.env.Exec.(core.BulkExec)
-	if !ok || rb.env.Store == nil {
+	if rb.env.Store == nil {
 		return nil, core.ErrNoBulk
 	}
-	m, err := be.FileManifest(path)
+	m, err := rb.env.Exec.FileManifest(path)
 	if err != nil {
 		return nil, err
 	}
@@ -642,37 +702,16 @@ func streamManifestRange(st *store.Store, m core.Manifest, off, n int64, sw *rpc
 	return store.Pipeline(bulkPrefetchDepth, len(spans), fetch, consume, servedChunk.discard)
 }
 
-// readLocalBulk is the replica-side core.BulkReader: it reads from
-// the co-resident store with no network traffic.
-func (rb *replicaBase) readLocalBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
-	be, ok := rb.env.Exec.(core.BulkExec)
-	if !ok || rb.env.Store == nil {
-		return core.Manifest{}, 0, core.ErrNoBulk
-	}
-	m, err := be.FileManifest(path)
-	if err != nil {
-		return core.Manifest{}, 0, err
-	}
-	defer rb.env.Store.Release(m.Refs())
-	span := obs.StartSpan(tc, "store.walk "+path)
-	err = m.WalkRange(rb.env.Store, off, n, fn)
-	span.SetError(err)
-	span.End()
-	if err != nil {
-		return m, 0, err
-	}
-	return m, 0, nil
-}
-
-// ReadBulk implements core.BulkReader for every replica type that
+// ReadBulk implements core.Replication for every replica type that
 // embeds replicaBase (method promotion): the content is local, so the
 // read never touches the network. Protocol types whose local state
 // can be stale (the cache) override it.
 func (rb *replicaBase) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
-	return rb.readLocalBulk(tc, path, off, n, fn)
+	m, err := rb.env.Exec.ReadBulk(tc, rb.env.Store, path, off, n, fn)
+	return m, 0, err
 }
 
-// streamBulkFrom is the proxy-side core.BulkReader body: it opens an
+// streamBulkFrom is the proxy-side ReadBulk body: it opens an
 // OpBulkRead stream to a remote representative and feeds each frame
 // to fn. Peak buffering is one frame.
 func streamBulkFrom(tc obs.SpanContext, pc *core.PeerClient, path string, off, n int64, fn func([]byte) error) (m core.Manifest, cost time.Duration, err error) {
@@ -804,7 +843,7 @@ func (rb *replicaBase) subscribeTo(parentAddr, ownAddr, role string) error {
 	w := wire.NewWriter(64)
 	w.Str(ownAddr)
 	w.Str(role)
-	_, _, err := rb.env.Dial(parentAddr).Call(core.OpSubscribe, w.Bytes())
+	_, _, err := rb.env.Dial(parentAddr).Call(obs.SpanContext{}, core.OpSubscribe, w.Bytes())
 	return err
 }
 
@@ -814,7 +853,7 @@ func (rb *replicaBase) unsubscribeFrom(parentAddr, ownAddr string) {
 	w := wire.NewWriter(64)
 	w.Str(ownAddr)
 	w.Str("")
-	rb.env.Dial(parentAddr).Call(core.OpUnsubscribe, w.Bytes()) //nolint:errcheck
+	rb.env.Dial(parentAddr).Call(obs.SpanContext{}, core.OpUnsubscribe, w.Bytes()) //nolint:errcheck
 }
 
 // fetchState pulls state from a parent replica. It returns fresh=true
@@ -827,7 +866,7 @@ func (rb *replicaBase) unsubscribeFrom(parentAddr, ownAddr string) {
 func (rb *replicaBase) fetchState(tc obs.SpanContext, parent *core.PeerClient, haveVersion uint64) (fresh bool, version uint64, state []byte, pins []store.Ref, cost time.Duration, err error) {
 	w := wire.NewWriter(8)
 	w.Uint64(haveVersion)
-	resp, cost, err := parent.CallT(tc, core.OpStateGet, w.Bytes())
+	resp, cost, err := parent.Call(tc, core.OpStateGet, w.Bytes())
 	if err != nil {
 		return false, 0, nil, nil, cost, err
 	}
@@ -887,7 +926,7 @@ func (rb *replicaBase) pushAll(addrs []string, op uint16, body []byte) (time.Dur
 	results := make(chan result, len(addrs))
 	for _, addr := range addrs {
 		go func(addr string) {
-			_, cost, err := rb.env.Dial(addr).Call(op, body)
+			_, cost, err := rb.env.Dial(addr).Call(obs.SpanContext{}, op, body)
 			results <- result{cost, err}
 		}(addr)
 	}

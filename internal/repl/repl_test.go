@@ -14,6 +14,7 @@ import (
 	"gdn/internal/gls"
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/wire"
@@ -257,32 +258,6 @@ func mustGet(t *testing.T, lr *core.LR, key string) (string, time.Duration) {
 	return string(out), cost
 }
 
-func TestLocalProtocolNoNetwork(t *testing.T) {
-	f := newFixture(t, nil)
-	reg := f.rts["origin"].Registry()
-	sem, err := reg.NewSemantics("kv/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	proto, err := reg.Protocol(Local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repl, err := proto.NewReplica(&core.Env{Exec: core.NewLocalExec(sem)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer repl.Close()
-
-	before := f.net.Meter()
-	if _, cost, err := repl.Invoke(core.Invocation{Method: "set", Write: true, Args: setArgs("a", "1")}); err != nil || cost != 0 {
-		t.Fatalf("cost=%v err=%v", cost, err)
-	}
-	if diff := f.net.Meter().Sub(before); diff.TotalFrames() != 0 {
-		t.Fatalf("local protocol sent %d frames", diff.TotalFrames())
-	}
-}
-
 func TestClientServerRoundTrip(t *testing.T) {
 	f := newFixture(t, nil)
 	oid := ids.New()
@@ -413,7 +388,7 @@ func TestActivePeerGapRecovery(t *testing.T) {
 	// of applying out of order.
 	pc := f.peer("origin", oid, peerCA.Address)
 	ghost := core.Invocation{Method: "set", Write: true, Args: setArgs("ghost", "x")}
-	if _, _, err := pc.Call(core.OpApply, applyBody(99, ghost)); err != nil {
+	if _, _, err := pc.Call(obs.SpanContext{}, core.OpApply, applyBody(99, ghost)); err != nil {
 		t.Fatal(err)
 	}
 
