@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,8 +139,9 @@ const (
 // peerSeed distinguishes every PeerSet's RNG. Seeding from object
 // bytes would make every proxy of one object pick the same "random"
 // replica order world-wide, herding its whole read load onto one
-// slave; a process-wide counter keeps instances independent while
-// staying deterministic enough to debug.
+// slave; a process-wide counter keeps instances independent, and a
+// seeded run that builds its peer sets in the same order replays the
+// same choices.
 var peerSeed atomic.Int64
 
 // NewPeerSet builds the ranked peer-set for a proxy or a hosted
@@ -167,7 +170,7 @@ func newPeerSet(env *Env, cas []gls.ContactAddress, protocol string, readPrefs, 
 		readPrefs:  readPrefs,
 		writePrefs: writePrefs,
 		pinned:     pinned,
-		rnd:        rand.New(rand.NewSource(peerSeed.Add(1)*0x5851F42D4C957F2D + time.Now().UnixNano())),
+		rnd:        rand.New(rand.NewSource(peerSeed.Add(1) * 0x5851F42D4C957F2D)),
 		peers:      make(map[string]*peerState),
 		resolvedAt: env.Now(),
 	}
@@ -280,7 +283,7 @@ func backoff(n int) time.Duration {
 }
 
 // prefIndex maps a role to its rank in a preference list; unlisted
-// roles rank last (still usable, like pickPeer's final fallback).
+// roles rank last (still usable, as a final fallback).
 func prefIndex(prefs []string, role string) int {
 	for i, p := range prefs {
 		if p == role {
@@ -311,13 +314,18 @@ func (ps *PeerSet) candidates(write bool) []string {
 	out := make([]ranked, 0, len(ps.peers))
 	for addr, st := range ps.peers {
 		out = append(out, ranked{
-			addr:    addr,
-			pref:    prefIndex(prefs, st.ca.Role),
-			tier:    st.tier(class, now),
-			fails:   st.fails[class],
-			ewma:    st.ewma,
-			shuffle: ps.rnd.Int(),
+			addr:  addr,
+			pref:  prefIndex(prefs, st.ca.Role),
+			tier:  st.tier(class, now),
+			fails: st.fails[class],
+			ewma:  st.ewma,
 		})
+	}
+	// Draw the tie-breaking shuffle in address order, not in the map's
+	// random one, so a seeded run replays the same choices.
+	slices.SortFunc(out, func(a, b ranked) int { return strings.Compare(a.addr, b.addr) })
+	for i := range out {
+		out[i].shuffle = ps.rnd.Int()
 	}
 	ps.mu.Unlock()
 

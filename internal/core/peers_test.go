@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -84,5 +85,31 @@ func TestPeerSetBackoffExpiryProbesInsteadOfFlapping(t *testing.T) {
 	ps.noteSuccess("a:disp", false, 0)
 	if got := st.tier(opRead, now); got != tierGood {
 		t.Fatalf("tier after successful probe = %d, want good", got)
+	}
+}
+
+// TestPeerSetSeedReplays: two peer sets drawn from the same seed rank
+// equal candidates in the same order, call after call — the shuffle
+// among equals follows the seed, not the peer map's iteration order.
+func TestPeerSetSeedReplays(t *testing.T) {
+	now := time.Unix(1e9, 0)
+	addrs := []string{"a:disp", "b:disp", "c:disp", "d:disp", "e:disp", "f:disp"}
+	rankings := func() [][]string {
+		peerSeed.Store(41)
+		ps, err := NewPeerSet(peersEnv(&now, addrs...), "", nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]string
+		for i := 0; i < 20; i++ {
+			out = append(out, ps.candidates(false))
+		}
+		return out
+	}
+	first := rankings()
+	for run := 0; run < 5; run++ {
+		if got := rankings(); !slices.EqualFunc(got, first, slices.Equal[[]string]) {
+			t.Fatalf("run %d ranked %v, the first run %v", run, got, first)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package gls
 import (
 	"bytes"
 	"encoding/binary"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +17,25 @@ import (
 	"gdn/internal/wire"
 )
 
+// quickMinimize caps how many runs the fuzzer spends minimizing one
+// input, unless -fuzzminimizetime was given. The fuzzer minimizes each
+// input that finds new coverage before it fuzzes on, and it counts no
+// progress meanwhile, so its progress line reads "execs: N (0/sec)".
+// Minimizing costs a number of runs quadratic in the input's length;
+// the inputs here are hundreds of bytes, each run stops the world twice
+// to read the memory statistics, and coverage that differs between runs
+// of one input (a latency histogram's bucket search, the last node's
+// goroutines still exiting) leaves the minimizer no shorter input to
+// keep. Under the default budget of 60 s, one input took a whole 10 s
+// run.
+func quickMinimize() {
+	set := false
+	flag.Visit(func(fl *flag.Flag) { set = set || fl.Name == "test.fuzzminimizetime" })
+	if !set {
+		flag.Set("test.fuzzminimizetime", "1000x")
+	}
+}
+
 // FuzzNodeRestore feeds arbitrary bytes to a directory node as its
 // state file. The start must not panic and must allocate in
 // proportion to the input; it either fails with the file
@@ -27,6 +47,7 @@ import (
 // state with a torn tail, and testdata/parent-state.log, a state of
 // the format before sessions carried their drain flag.
 func FuzzNodeRestore(f *testing.F) {
+	quickMinimize()
 	net := netsim.New(nil)
 	net.AddSite("solo-site", "solo", "eu")
 	_, cfg := soloConfig(f.TempDir())
@@ -66,6 +87,7 @@ func FuzzNodeRestore(f *testing.F) {
 // recomputed from the entries riding it. The seeds open, insert,
 // reattach in both modes, renew, delete, close and sweep.
 func FuzzNodeMessages(f *testing.F) {
+	quickMinimize()
 	sid, oid, other := ids.OID{1}, ids.OID{2}, ids.OID{3}
 	ca := testAddr("solo-site")
 	step := func(op uint16, fill func(w *wire.Writer)) []byte {

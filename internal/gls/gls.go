@@ -70,8 +70,7 @@ const (
 	// OpRemovePtr removes a forwarding pointer; sent by a child node to
 	// its parent when its last entry for an object disappears.
 	OpRemovePtr
-	// OpStats returns the node's operation counters.
-	OpStats
+	_ // retired: an operation-counters query; later codes keep their values
 	// OpSessionOpen opens (or refreshes) a registration session: one
 	// lease covering every contact address a server attaches through it.
 	// The body carries the session identifier (allocated by the server),
@@ -292,32 +291,4 @@ type Counters struct {
 func (c Counters) Total() int64 {
 	return c.Lookups + c.Descends + c.Inserts + c.Deletes + c.PtrOps + c.Drains +
 		c.SessionOpens + c.SessionRenews + c.SessionCloses
-}
-
-func (c Counters) encode(w *wire.Writer) {
-	w.Int64(c.Lookups)
-	w.Int64(c.Descends)
-	w.Int64(c.Inserts)
-	w.Int64(c.Deletes)
-	w.Int64(c.PtrOps)
-	w.Int64(c.Expiries)
-	w.Int64(c.Drains)
-	w.Int64(c.SessionOpens)
-	w.Int64(c.SessionRenews)
-	w.Int64(c.SessionCloses)
-}
-
-func decodeCounters(r *wire.Reader) Counters {
-	return Counters{
-		Lookups:       r.Int64(),
-		Descends:      r.Int64(),
-		Inserts:       r.Int64(),
-		Deletes:       r.Int64(),
-		PtrOps:        r.Int64(),
-		Expiries:      r.Int64(),
-		Drains:        r.Int64(),
-		SessionOpens:  r.Int64(),
-		SessionRenews: r.Int64(),
-		SessionCloses: r.Int64(),
-	}
 }

@@ -47,7 +47,6 @@ var opNames = map[uint16]string{
 	OpSessionRenew:    "session_renew",
 	OpSessionClose:    "session_close",
 	OpSessionReattach: "session_reattach",
-	OpStats:           "stats",
 }
 
 // mOpSeconds holds one histogram per known op, keyed by op code, so

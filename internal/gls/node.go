@@ -1,8 +1,11 @@
 package gls
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,48 +67,6 @@ type Config struct {
 // defaultSweepEvery is the lease-janitor interval when the config does
 // not choose one.
 const defaultSweepEvery = 5 * time.Second
-
-// session is one server's registration session: a single lease covering
-// every contact address the server attached through it, and the only
-// owner of those entries' liveness and drain. Renewal touches the
-// session, not the entries, so a server hosting thousands of replicas
-// keeps them all alive with one renew per heartbeat — and a server that
-// dies takes every attached entry out of lookups within one TTL. The
-// hot fields are atomics because lookups consult sessions while holding
-// only a record-shard read lock; addr and ttl are guarded by the
-// session's own mutex.
-type session struct {
-	id ids.OID
-
-	mu   sync.Mutex
-	addr string // the server's transport address
-	ttl  time.Duration
-
-	expiresNano atomic.Int64
-	closed      atomic.Bool
-	// drained is the drain bit the owner last sent on a renewal or
-	// reattach: every entry riding the session drains with it. A new
-	// session starts undrained, so a server process that drained and
-	// died does not hide its successor at the same address.
-	drained atomic.Bool
-	// digest is the sum mod 2⁶⁴ of entryHash over the entries riding
-	// this session. Renewal responses carry it, so the owner sees any
-	// difference between this node's entries and its own books — a
-	// restart from older state, a lost or stale entry — and repairs it
-	// with a replacing reattach.
-	digest atomic.Uint64
-}
-
-func (s *session) expired(now time.Time) bool {
-	return s.closed.Load() || now.UnixNano() > s.expiresNano.Load()
-}
-
-// fields returns the mutex-guarded addr and ttl in one acquisition.
-func (s *session) fields() (addr string, ttl time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr, s.ttl
-}
 
 // leasedAddr is one registered contact address and the session it
 // rides: expiry and drain follow the session.
@@ -292,38 +253,49 @@ func (n *Node) client(addr string) *rpc.Client { return n.clients.Get(addr) }
 
 func (n *Node) isRoot() bool { return n.cfg.Parent.IsZero() }
 
-// handle dispatches one directory-node protocol request.
+// Roles admitted to the directory-node protocol when the node runs with
+// a security configuration (paper §6.1, requirement 2): lookups from
+// anyone, pointer operations only from fellow directory nodes, and
+// every other op from object servers and administrators.
+var (
+	serverRoles = []string{sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD}
+	nodeRoles   = []string{sec.RoleGLS}
+)
+
+// handle admits and dispatches one directory-node protocol request.
 func (n *Node) handle(call *rpc.Call) ([]byte, error) {
 	if h := mOpSeconds[call.Op]; h != nil {
 		start := time.Now()
 		defer h.ObserveSince(start)
 	}
+	var serve func(*rpc.Call) ([]byte, error)
+	roles := serverRoles
 	switch call.Op {
-	case OpLookup:
-		return n.handleLookup(call, false)
-	case OpLookupDown:
-		return n.handleLookup(call, true)
+	case OpLookup, OpLookupDown:
+		return n.handleLookup(call, call.Op == OpLookupDown)
 	case OpInsert:
-		return n.handleInsert(call)
+		serve = n.handleInsert
 	case OpDelete:
-		return n.handleDelete(call)
+		serve = n.handleDelete
 	case OpInstallPtr:
-		return n.handleInstallPtr(call)
+		serve, roles = n.handleInstallPtr, nodeRoles
 	case OpRemovePtr:
-		return n.handleRemovePtr(call)
+		serve, roles = n.handleRemovePtr, nodeRoles
 	case OpSessionOpen:
-		return n.handleSessionOpen(call)
+		serve = n.handleSessionOpen
 	case OpSessionRenew:
-		return n.handleSessionRenew(call)
+		serve = n.handleSessionRenew
 	case OpSessionClose:
-		return n.handleSessionClose(call)
+		serve = n.handleSessionClose
 	case OpSessionReattach:
-		return n.handleSessionReattach(call)
-	case OpStats:
-		return n.handleStats()
+		serve = n.handleSessionReattach
 	default:
 		return nil, fmt.Errorf("gls: unknown op %d", call.Op)
 	}
+	if n.cfg.Auth != nil && !sec.HasRole(call.Peer, roles...) {
+		return nil, fmt.Errorf("%w: peer %q may not perform op %d", sec.ErrUnauthorized, call.Peer, call.Op)
+	}
+	return serve(call)
 }
 
 // charge records nested cost on a call when one exists; janitor-driven
@@ -332,19 +304,6 @@ func charge(call *rpc.Call, d time.Duration) {
 	if call != nil {
 		call.Charge(d)
 	}
-}
-
-// authorize enforces role-based admission when the node runs with a
-// security configuration. Without one (simulations, benchmarks) every
-// caller is admitted.
-func (n *Node) authorize(call *rpc.Call, roles ...string) error {
-	if n.cfg.Auth == nil {
-		return nil
-	}
-	if !sec.HasRole(call.Peer, roles...) {
-		return fmt.Errorf("%w: peer %q may not perform op %d", sec.ErrUnauthorized, call.Peer, call.Op)
-	}
-	return nil
 }
 
 // handleLookup serves both lookup phases. In the up phase a miss
@@ -396,16 +355,17 @@ func (n *Node) handleLookup(call *rpc.Call, down bool) ([]byte, error) {
 	}
 
 	// Forwarding pointers send the search down into a child subtree,
-	// starting with a random one when there are several (§3.5). A
-	// subtree whose entries all expired, died or drained does not end
-	// the search: the remaining children are tried, and in the up
-	// phase it finally continues toward the root — neither a stale
-	// pointer chain (sweep-driven teardown pending) nor a draining
-	// replica may hide replicas that are healthy elsewhere in the
-	// tree. Drained addresses encountered along the way are carried as
-	// the fallback.
+	// starting with a random one when there are several (§3.5), drawn
+	// from address order so that Config.Seed replays it. A subtree
+	// whose entries all expired, died or drained does not end the
+	// search: the remaining children are tried, and in the up phase it
+	// finally continues toward the root — neither a stale pointer chain
+	// (sweep-driven teardown pending) nor a draining replica may hide
+	// replicas that are healthy elsewhere in the tree. Drained
+	// addresses encountered along the way are carried as the fallback.
 	if len(childRefs) > 0 {
 		if len(childRefs) > 1 {
+			slices.SortFunc(childRefs, func(a, b Ref) int { return strings.Compare(a.Addrs[0], b.Addrs[0]) })
 			n.rndMu.Lock()
 			n.rnd.Shuffle(len(childRefs), func(i, j int) {
 				childRefs[i], childRefs[j] = childRefs[j], childRefs[i]
@@ -479,37 +439,86 @@ func dedupAddrs(addrs []ContactAddress) []ContactAddress {
 	return out
 }
 
-// lookupSession resolves a live session or reports ErrUnknownSession.
-func (n *Node) lookupSession(sid ids.OID) (*session, error) {
-	n.sessMu.RLock()
-	sess := n.sessions[sid]
-	n.sessMu.RUnlock()
-	if sess == nil || sess.closed.Load() {
-		return nil, fmt.Errorf("%w: %s at %s", ErrUnknownSession, sid.Short(), n.cfg.Domain)
+// attach is the one way records and entries come into being. It gets
+// or creates (fresh) oid's record in sh and, for a non-nil sess,
+// attaches ca riding sess, or moves the entry for ca onto sess: a
+// restarted server's new session takes over the entries of the one
+// that died. It marks a changed record dirty. The caller holds sh.mu
+// and installs the pointer chain of a fresh record.
+func (n *Node) attach(sh *recShard, oid ids.OID, ca ContactAddress, sess *session) (rec *record, fresh bool) {
+	rec = sh.recs[oid]
+	if fresh = rec == nil; fresh {
+		rec = &record{}
+		sh.recs[oid] = rec
 	}
-	return sess, nil
+	if sess == nil {
+		return rec, fresh
+	}
+	i := slices.IndexFunc(rec.addrs, func(la leasedAddr) bool { return la.ca == ca })
+	switch {
+	case i < 0:
+		rec.addrs = append(rec.addrs, leasedAddr{ca: ca, sess: sess})
+		sess.digest.Add(entryHash(oid, ca))
+	case rec.addrs[i].sess != sess:
+		h := entryHash(oid, ca)
+		rec.addrs[i].sess.digest.Add(-h)
+		sess.digest.Add(h)
+		rec.addrs[i].sess = sess
+	default:
+		return rec, fresh
+	}
+	n.markRecord(sh, oid)
+	return rec, fresh
 }
 
-// attachAddr adds ca to oid's record rec riding sess, or moves an
-// existing entry for ca onto sess — a restarted server's new session
-// takes over the entries of the one that died — and reports whether the
-// record changed. The caller holds the record's shard lock.
-func attachAddr(rec *record, oid ids.OID, ca ContactAddress, sess *session) bool {
-	for i, have := range rec.addrs {
-		if have.ca == ca {
-			if have.sess == sess {
-				return false
-			}
-			h := entryHash(oid, ca)
-			have.sess.digest.Add(-h)
-			sess.digest.Add(h)
-			rec.addrs[i].sess = sess
-			return true
+// drop is the one way entries and records go. It removes the entries
+// of oid's record rec (nil if absent) that pred selects (nil selects
+// none), each out of its session's digest, marks a changed record
+// dirty, deletes an empty one and reports it emptied. The caller holds
+// sh.mu and tears down the pointer chain of an emptied record.
+func (n *Node) drop(sh *recShard, oid ids.OID, rec *record, pred func(ids.OID, leasedAddr) bool) (removed int, emptied bool) {
+	if rec == nil {
+		return 0, false
+	}
+	kept := rec.addrs[:0]
+	for _, la := range rec.addrs {
+		if pred != nil && pred(oid, la) {
+			la.sess.digest.Add(-entryHash(oid, la.ca))
+		} else {
+			kept = append(kept, la)
 		}
 	}
-	rec.addrs = append(rec.addrs, leasedAddr{ca: ca, sess: sess})
-	sess.digest.Add(entryHash(oid, ca))
-	return true
+	if removed = len(rec.addrs) - len(kept); removed > 0 {
+		n.markRecord(sh, oid)
+	}
+	if rec.addrs = kept; rec.empty() {
+		delete(sh.recs, oid)
+	}
+	return removed, rec.empty()
+}
+
+// teardown removes the pointer chain above each emptied record. A
+// request can create the record again between its locked delete and
+// the removal at the parent; that request's install then loses to the
+// removal and is never repeated, since later requests find the record
+// present. So a record that came back gets its chain installed again.
+// teardown logs each failure and returns the first.
+func (n *Node) teardown(call *rpc.Call, emptied ...ids.OID) (first error) {
+	for _, oid := range emptied {
+		err := n.propagateRemove(call, oid)
+		sh := n.shard(oid)
+		sh.mu.RLock()
+		revived := err == nil && sh.recs[oid] != nil
+		sh.mu.RUnlock()
+		if revived {
+			err = n.propagateInstall(call, oid)
+		}
+		if err != nil {
+			n.cfg.Logf("gls: %s: tear down pointers for %s: %v", n.cfg.Domain, oid.Short(), err)
+			first = cmp.Or(first, err)
+		}
+	}
+	return first
 }
 
 // handleInsert attaches a contact address to the registration session
@@ -517,9 +526,6 @@ func attachAddr(rec *record, oid ids.OID, ca ContactAddress, sess *session) bool
 // the root. The response carries the object identifier, which the
 // service allocates when the request's is nil.
 func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(call.Body)
 	oid := r.OID()
 	ca := decodeContactAddress(r)
@@ -541,21 +547,13 @@ func (n *Node) handleInsert(call *rpc.Call) ([]byte, error) {
 	}
 	sh := n.shard(oid)
 	sh.mu.Lock()
-	rec := sh.recs[oid]
-	wasEmpty := rec == nil
-	if rec == nil {
-		rec = &record{}
-		sh.recs[oid] = rec
-	}
-	if attachAddr(rec, oid, ca, sess) {
-		n.markRecord(sh, oid)
-	}
+	_, fresh := n.attach(sh, oid, ca, sess)
 	sh.mu.Unlock()
 
 	// A pre-existing record (addresses or pointers) implies the chain
 	// of forwarding pointers above this node is already installed, so
 	// only the first entry for an object pays the climb to the root.
-	if wasEmpty {
+	if fresh {
 		if err := n.propagateInstall(call, oid); err != nil {
 			return nil, err
 		}
@@ -583,9 +581,6 @@ func (n *Node) propagateInstall(call *rpc.Call, oid ids.OID) error {
 }
 
 func (n *Node) handleInstallPtr(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGLS); err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(call.Body)
 	oid := r.OID()
 	child := r.Str()
@@ -597,11 +592,7 @@ func (n *Node) handleInstallPtr(call *rpc.Call) ([]byte, error) {
 
 	sh := n.shard(oid)
 	sh.mu.Lock()
-	rec := sh.recs[oid]
-	if rec == nil {
-		rec = &record{}
-		sh.recs[oid] = rec
-	}
+	rec, _ := n.attach(sh, oid, ContactAddress{}, nil)
 	if rec.ptrs == nil {
 		rec.ptrs = make(map[string]Ref)
 	}
@@ -620,9 +611,6 @@ func (n *Node) handleInstallPtr(call *rpc.Call) ([]byte, error) {
 // handleDelete removes one contact address; when the record empties, the
 // pointer chain above is torn down.
 func (n *Node) handleDelete(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(call.Body)
 	oid := r.OID()
 	addr := r.Str()
@@ -633,30 +621,10 @@ func (n *Node) handleDelete(call *rpc.Call) ([]byte, error) {
 
 	sh := n.shard(oid)
 	sh.mu.Lock()
-	rec := sh.recs[oid]
-	removedAll := false
-	if rec != nil {
-		kept := rec.addrs[:0]
-		for _, la := range rec.addrs {
-			if la.ca.Address != addr {
-				kept = append(kept, la)
-			} else {
-				la.sess.digest.Add(-entryHash(oid, la.ca))
-			}
-		}
-		if len(kept) != len(rec.addrs) {
-			n.markRecord(sh, oid)
-		}
-		rec.addrs = kept
-		if rec.empty() {
-			delete(sh.recs, oid)
-			removedAll = true
-		}
-	}
+	_, emptied := n.drop(sh, oid, sh.recs[oid], func(_ ids.OID, la leasedAddr) bool { return la.ca.Address == addr })
 	sh.mu.Unlock()
-
-	if removedAll {
-		return nil, n.propagateRemove(call, oid)
+	if emptied {
+		return nil, n.teardown(call, oid)
 	}
 	return nil, nil
 }
@@ -677,9 +645,6 @@ func (n *Node) propagateRemove(call *rpc.Call, oid ids.OID) error {
 }
 
 func (n *Node) handleRemovePtr(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGLS); err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(call.Body)
 	oid := r.OID()
 	child := r.Str()
@@ -691,55 +656,17 @@ func (n *Node) handleRemovePtr(call *rpc.Call) ([]byte, error) {
 	sh := n.shard(oid)
 	sh.mu.Lock()
 	rec := sh.recs[oid]
-	nowEmpty := false
+	emptied := false
 	if rec != nil && rec.ptrs != nil {
 		delete(rec.ptrs, child)
 		n.markRecord(sh, oid)
-		if rec.empty() {
-			delete(sh.recs, oid)
-			nowEmpty = true
-		}
+		_, emptied = n.drop(sh, oid, rec, nil)
 	}
 	sh.mu.Unlock()
-
-	if nowEmpty {
-		return nil, n.propagateRemove(call, oid)
+	if emptied {
+		return nil, n.teardown(call, oid)
 	}
 	return nil, nil
-}
-
-// applyDrain sets the session's drain flag from a renewal's or
-// reattach's drain bit, marking the session for the next flush when
-// the flag changed.
-func (n *Node) applyDrain(sess *session, draining bool) {
-	if sess.drained.Swap(draining) != draining {
-		n.stats.drains.Add(1)
-		n.sessMu.Lock()
-		n.markSession(sess.id)
-		n.sessMu.Unlock()
-	}
-}
-
-// applySessionOpen creates or refreshes a session — shared by the
-// open and reattach handlers.
-func (n *Node) applySessionOpen(sid ids.OID, addr string, ttl time.Duration, now time.Time) *session {
-	n.sessMu.Lock()
-	sess := n.sessions[sid]
-	if sess == nil {
-		sess = &session{id: sid}
-		n.sessions[sid] = sess
-	}
-	sess.mu.Lock()
-	if sess.addr != addr || sess.ttl != ttl {
-		sess.addr = addr
-		sess.ttl = ttl
-		n.markSession(sid)
-	}
-	sess.mu.Unlock()
-	n.sessMu.Unlock()
-	sess.expiresNano.Store(now.Add(ttl).UnixNano())
-	sess.closed.Store(false)
-	return sess
 }
 
 // handleSessionOpen creates (or refreshes) a registration session. The
@@ -747,9 +674,6 @@ func (n *Node) applySessionOpen(sid ids.OID, addr string, ttl time.Duration, now
 // lease and transport address, which is exactly what a server does
 // after a directory-node restart.
 func (n *Node) handleSessionOpen(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(call.Body)
 	sid := r.OID()
 	addr := r.Str()
@@ -762,25 +686,21 @@ func (n *Node) handleSessionOpen(call *rpc.Call) ([]byte, error) {
 	}
 	n.stats.sessionOpens.Add(1)
 	mSessionsOpened.Inc()
-	n.applySessionOpen(sid, addr, time.Duration(ttlSecs)*time.Second, n.cfg.Clock())
+	n.editSession(sid, func(sess *session) bool {
+		_, changed := n.openSession(sess, sid, addr, time.Duration(ttlSecs)*time.Second)
+		return changed
+	})
 	return nil, nil
 }
 
 // handleSessionRenew extends a session's lease — the one-round-trip
-// heartbeat covering every entry attached to it — and sets the
-// session's drain flag from the owner's drain bit: the one drain path,
-// riding the heartbeat the server sends anyway. Draining hides every
-// entry riding the session while alternatives exist, without deleting
-// any registration, so undraining restores service at once. The
-// response reports whether the session is known here and the digest of
-// the entries riding it, so the owner can detect any difference from
-// its books and repair it. Renewing an expired-but-unswept session
-// revives it (and with it every attached entry), while an unknown one
-// tells the owner to reattach.
+// heartbeat covering every entry attached to it — and sets its drain
+// flag from the owner's drain bit: the one drain path. Draining hides
+// the session's entries while alternatives exist, and undraining
+// restores them at once. The answer says whether the session is known
+// here and carries the digest of its entries, so the owner can repair
+// any difference from its books.
 func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(call.Body)
 	sid := r.OID()
 	ttlSecs := r.Uint32()
@@ -789,29 +709,16 @@ func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 		return nil, err
 	}
 	n.stats.sessionRenews.Add(1)
-	now := n.cfg.Clock()
-	n.sessMu.RLock()
-	sess := n.sessions[sid]
-	n.sessMu.RUnlock()
-	known := sess != nil && !sess.closed.Load()
 	var digest uint64
-	if known {
-		sess.mu.Lock()
-		newTTL := ttlSecs > 0 && sess.ttl != time.Duration(ttlSecs)*time.Second
-		if newTTL {
-			sess.ttl = time.Duration(ttlSecs) * time.Second
+	known := false
+	n.editSession(sid, func(sess *session) bool {
+		if known = sess != nil; !known {
+			return false
 		}
-		ttl := sess.ttl
-		sess.mu.Unlock()
-		if newTTL {
-			n.sessMu.Lock()
-			n.markSession(sid)
-			n.sessMu.Unlock()
-		}
-		sess.expiresNano.Store(now.Add(ttl).UnixNano())
-		n.applyDrain(sess, drain)
 		digest = sess.digest.Load()
-	}
+		ttlChanged := n.renewLease(sess, time.Duration(ttlSecs)*time.Second)
+		return n.setDrain(sess, drain) || ttlChanged
+	})
 	w := wire.NewWriter(9)
 	w.Bool(known)
 	w.Uint64(digest)
@@ -822,9 +729,6 @@ func (n *Node) handleSessionRenew(call *rpc.Call) ([]byte, error) {
 // with it (lookups filter them immediately; the sweep reclaims the
 // records and tears down their pointer chains).
 func (n *Node) handleSessionClose(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(call.Body)
 	sid := r.OID()
 	if err := r.Done(); err != nil {
@@ -832,15 +736,7 @@ func (n *Node) handleSessionClose(call *rpc.Call) ([]byte, error) {
 	}
 	n.stats.sessionCloses.Add(1)
 	mSessionsClosed.Inc()
-	n.sessMu.Lock()
-	if sess := n.sessions[sid]; sess != nil {
-		// Entries keep their pointer to the struct; marking it closed
-		// expires them all at once, wherever they are referenced.
-		sess.closed.Store(true)
-		delete(n.sessions, sid)
-		n.markSession(sid)
-	}
-	n.sessMu.Unlock()
+	n.editSession(sid, func(sess *session) bool { return sess != nil && n.endSession(sess) })
 	return nil, nil
 }
 
@@ -848,17 +744,12 @@ func (n *Node) handleSessionClose(call *rpc.Call) ([]byte, error) {
 // attaches a batch of entries in one round trip — the repair path of a
 // renewal whose answer disagreed with the owner's books, and the
 // bulk-registration path for servers bringing a large replica
-// population online. Semantically it is one OpSessionOpen followed by
-// one OpInsert per entry, collapsed into a single message so a
-// partition heal does not cost a storm of RPCs proportional to the
-// server's replica count. In reattachReplace mode it then drops every
-// entry riding the session here that the message does not list,
-// through the janitor's removal and pointer-teardown path: one scan of
-// the record table, paid only on a mismatch.
+// population online: one OpSessionOpen and one OpInsert per entry in a
+// single message, so a partition heal costs no storm of RPCs. In
+// reattachReplace mode it then drops every entry riding the session
+// here that the message does not list, through the janitor's path: one
+// scan of the record table, paid only on a mismatch.
 func (n *Node) handleSessionReattach(call *rpc.Call) ([]byte, error) {
-	if err := n.authorize(call, sec.RoleGOS, sec.RoleAdmin, sec.RoleGLS, sec.RoleHTTPD); err != nil {
-		return nil, err
-	}
 	r := wire.NewReader(call.Body)
 	sid := r.OID()
 	addr := r.Str()
@@ -882,8 +773,12 @@ func (n *Node) handleSessionReattach(call *rpc.Call) ([]byte, error) {
 	n.stats.sessionOpens.Add(1)
 	n.stats.inserts.Add(int64(len(entries)))
 	mSessionsOpened.Inc()
-	sess := n.applySessionOpen(sid, addr, time.Duration(ttlSecs)*time.Second, n.cfg.Clock())
-	n.applyDrain(sess, drain)
+	var sess *session
+	n.editSession(sid, func(s *session) bool {
+		var changed bool
+		sess, changed = n.openSession(s, sid, addr, time.Duration(ttlSecs)*time.Second)
+		return n.setDrain(sess, drain) || changed
+	})
 	// Attach every entry, remembering which objects had no record here:
 	// only those pay the pointer-chain climb. Entries hash across the
 	// record stripes, so each attach holds only its own stripe.
@@ -923,31 +818,16 @@ type reattachEntry struct {
 
 // attachBatch attaches entries to sess, returning the objects that had
 // no record before (their pointer chains need installing).
-func (n *Node) attachBatch(entries []reattachEntry, sess *session) []ids.OID {
-	var fresh []ids.OID
+func (n *Node) attachBatch(entries []reattachEntry, sess *session) (fresh []ids.OID) {
 	for _, e := range entries {
 		sh := n.shard(e.oid)
 		sh.mu.Lock()
-		rec := sh.recs[e.oid]
-		if rec == nil {
-			rec = &record{}
-			sh.recs[e.oid] = rec
+		if _, created := n.attach(sh, e.oid, e.ca, sess); created {
 			fresh = append(fresh, e.oid)
-		}
-		if attachAddr(rec, e.oid, e.ca, sess) {
-			n.markRecord(sh, e.oid)
 		}
 		sh.mu.Unlock()
 	}
 	return fresh
-}
-
-// Sessions returns the number of live registration sessions at this
-// subnode; tests and diagnostics read it.
-func (n *Node) Sessions() int {
-	n.sessMu.RLock()
-	defer n.sessMu.RUnlock()
-	return len(n.sessions)
 }
 
 // sweepLoop is the lease janitor: it visits one record shard per tick,
@@ -983,72 +863,26 @@ func expiredAt(now time.Time) func(ids.OID, leasedAddr) bool {
 	return func(_ ids.OID, la leasedAddr) bool { return la.sess.expired(now) }
 }
 
-// sweepShard removes the entries drop selects from one record stripe,
-// taking each out of its session's digest, tears down the pointer
-// chains of records it emptied, and returns how many entries it
-// removed. The janitor drops expired entries; a replacing reattach
-// drops the entries of its session that it does not list.
-func (n *Node) sweepShard(call *rpc.Call, si int, drop func(ids.OID, leasedAddr) bool) int {
+// sweepShard drops the entries pred selects from one record stripe,
+// tears down the pointer chains of the records it emptied, and returns
+// how many entries it removed. The janitor drops expired entries; a
+// replacing reattach drops the entries of its session that it does not
+// list.
+func (n *Node) sweepShard(call *rpc.Call, si int, pred func(ids.OID, leasedAddr) bool) int {
 	sh := &n.shards[si]
 	var emptied []ids.OID
 	removed := 0
 	sh.mu.Lock()
 	for oid, rec := range sh.recs {
-		kept := rec.addrs[:0]
-		for _, la := range rec.addrs {
-			if drop(oid, la) {
-				removed++
-				la.sess.digest.Add(-entryHash(oid, la.ca))
-			} else {
-				kept = append(kept, la)
-			}
-		}
-		if len(kept) != len(rec.addrs) {
-			n.markRecord(sh, oid)
-		}
-		rec.addrs = kept
-		if rec.empty() {
-			delete(sh.recs, oid)
+		k, gone := n.drop(sh, oid, rec, pred)
+		removed += k
+		if gone {
 			emptied = append(emptied, oid)
 		}
 	}
 	sh.mu.Unlock()
-	for _, oid := range emptied {
-		if err := n.propagateRemove(call, oid); err != nil {
-			n.cfg.Logf("gls: %s: tear down pointers for %s: %v", n.cfg.Domain, oid.Short(), err)
-			continue
-		}
-		// A renewal racing the teardown can re-create the record between
-		// the locked delete above and the propagateRemove: its own
-		// pointer install then loses to our removal, and — since later
-		// renewals find the record non-empty — would never be repeated.
-		// Re-check and reinstall, so the record converges to findable.
-		sh.mu.RLock()
-		revived := sh.recs[oid] != nil
-		sh.mu.RUnlock()
-		if revived {
-			if err := n.propagateInstall(call, oid); err != nil {
-				n.cfg.Logf("gls: %s: reinstall pointers for revived %s: %v", n.cfg.Domain, oid.Short(), err)
-			}
-		}
-	}
+	n.teardown(call, emptied...)
 	return removed
-}
-
-// reapSessions deletes sessions whose lease ran out; their entries
-// were (or will be) reclaimed by the shard sweeps, and a server that
-// comes back later learns from the unknown-session renewal response
-// that it must re-attach.
-func (n *Node) reapSessions(now time.Time) {
-	n.sessMu.Lock()
-	for sid, sess := range n.sessions {
-		if sess.expired(now) {
-			delete(n.sessions, sid)
-			n.markSession(sid)
-			mSessionsExpired.Inc()
-		}
-	}
-	n.sessMu.Unlock()
 }
 
 // SweepExpired sweeps every shard (and reaps expired sessions) now and
@@ -1063,12 +897,6 @@ func (n *Node) SweepExpired() int {
 	n.stats.expiries.Add(int64(total))
 	n.reapSessions(now)
 	return total
-}
-
-func (n *Node) handleStats() ([]byte, error) {
-	w := wire.NewWriter(64)
-	n.Stats().encode(w)
-	return w.Bytes(), nil
 }
 
 func encodeOID(oid ids.OID) []byte {

@@ -8,7 +8,6 @@ import (
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/transport"
-	"gdn/internal/wire"
 )
 
 // Resolver is a client of the location service. It is bound to one leaf
@@ -80,18 +79,4 @@ func (r *Resolver) Lookup(oid ids.OID) ([]ContactAddress, time.Duration, error) 
 		return drained, cost, nil
 	}
 	return nil, cost, fmt.Errorf("%w: %s", ErrNotFound, oid.Short())
-}
-
-// Stats fetches the operation counters of one subnode.
-func (r *Resolver) Stats(addr string) (Counters, error) {
-	resp, _, err := r.client(addr).Call(OpStats, nil)
-	if err != nil {
-		return Counters{}, err
-	}
-	rd := wire.NewReader(resp)
-	c := decodeCounters(rd)
-	if err := rd.Done(); err != nil {
-		return Counters{}, err
-	}
-	return c, nil
 }

@@ -217,26 +217,34 @@ func (s *ServerSession) Renew() (time.Duration, error) {
 	var total time.Duration
 	var firstErr error
 	for i, sub := range s.res.leaf.Addrs {
-		resp, cost, err := s.res.client(sub).Call(OpSessionRenew, body)
+		match, cost, err := s.renewAt(i, body)
 		total += cost
-		if err == nil {
-			r := wire.NewReader(resp)
-			known, digest := r.Bool(), r.Uint64()
-			if err = r.Done(); err == nil {
-				s.mu.Lock()
-				match := known && digest == s.digests[i]
-				s.mu.Unlock()
-				if !match {
-					cost, err = s.reattachAt(i)
-					total += cost
-				}
-			}
+		if err == nil && !match {
+			cost, err = s.reattachAt(i, body)
+			total += cost
 		}
 		if err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("gls: renew session at %s: %w", sub, err)
 		}
 	}
 	return total, firstErr
+}
+
+// renewAt sends the renewal body to leaf subnode i and reports whether
+// the subnode knows the session and its digest matches the books.
+func (s *ServerSession) renewAt(i int, body []byte) (match bool, cost time.Duration, err error) {
+	resp, cost, err := s.res.client(s.res.leaf.Addrs[i]).Call(OpSessionRenew, body)
+	if err != nil {
+		return false, cost, err
+	}
+	r := wire.NewReader(resp)
+	known, digest := r.Bool(), r.Uint64()
+	if err := r.Done(); err != nil {
+		return false, cost, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return known && digest == s.digests[i], cost, nil
 }
 
 // reopenAt coalesces concurrent session reopens at one subnode. When a
@@ -270,13 +278,17 @@ func (s *ServerSession) reopenAt(sub string) (time.Duration, error) {
 
 // reattachAt repairs leaf subnode i: one OpSessionReattach round trip
 // reopens the session there and makes the books' entries that subnode
-// owns exactly the entries riding the session there — it attaches the
-// missing ones and drops the rest. It holds repairMu exclusively from
-// its snapshot of the books until the answer, so no Attach is in flight
-// whose entry the snapshot lacks.
-func (s *ServerSession) reattachAt(i int) (time.Duration, error) {
+// owns exactly the entries riding the session there. It holds repairMu
+// exclusively, so no Attach is in flight whose entry its snapshot of the
+// books lacks, and first renews again: a mismatch seen during an Attach
+// may be just that Attach's entry, and then there is nothing to repair.
+func (s *ServerSession) reattachAt(i int, body []byte) (time.Duration, error) {
 	s.repairMu.Lock()
 	defer s.repairMu.Unlock()
+	match, cost, err := s.renewAt(i, body)
+	if err != nil || match {
+		return cost, err
+	}
 	s.mu.Lock()
 	entries := make([]reattachEntry, 0, len(s.attached))
 	for oid, ca := range s.attached {
@@ -285,11 +297,11 @@ func (s *ServerSession) reattachAt(i int) (time.Duration, error) {
 		}
 	}
 	s.mu.Unlock()
-	cost, err := s.reattach(s.res.leaf.Addrs[i], reattachReplace, entries)
+	c, err := s.reattach(s.res.leaf.Addrs[i], reattachReplace, entries)
 	if err != nil {
-		return cost, fmt.Errorf("re-attach: %w", err)
+		return cost + c, fmt.Errorf("re-attach: %w", err)
 	}
-	return cost, nil
+	return cost + c, nil
 }
 
 // reattach sends one OpSessionReattach of entries to subnode sub.
@@ -379,4 +391,143 @@ func (s *ServerSession) Close() (time.Duration, error) {
 		}
 	}
 	return total, firstErr
+}
+
+// What follows is the directory node's side of a session: the session
+// table that every entry's liveness and drain hang off, and the one path
+// by which a session changes.
+
+// session is one server's registration session: a single lease covering
+// every contact address the server attached through it, and the only
+// owner of those entries' liveness and drain. Renewal touches the
+// session, not the entries, so a server hosting thousands of replicas
+// keeps them all alive with one renew per heartbeat — and a server that
+// dies takes every attached entry out of lookups within one TTL. The
+// hot fields are atomics because lookups consult sessions while holding
+// only a record-shard read lock; addr and ttl are guarded by the node's
+// sessMu, under which every session change runs (editSession).
+type session struct {
+	id ids.OID
+
+	addr string // the server's transport address
+	ttl  time.Duration
+
+	expiresNano atomic.Int64
+	closed      atomic.Bool
+	// drained is the drain bit the owner last sent on a renewal or
+	// reattach: every entry riding the session drains with it. A new
+	// session starts undrained, so a server process that drained and
+	// died does not hide its successor at the same address.
+	drained atomic.Bool
+	// digest is the sum mod 2⁶⁴ of entryHash over the entries riding
+	// this session. Renewal responses carry it, so the owner sees any
+	// difference between this node's entries and its own books — a
+	// restart from older state, a lost or stale entry — and repairs it
+	// with a replacing reattach.
+	digest atomic.Uint64
+}
+
+func (s *session) expired(now time.Time) bool {
+	return s.closed.Load() || now.UnixNano() > s.expiresNano.Load()
+}
+
+// lookupSession resolves a session the node holds or reports
+// ErrUnknownSession. A closed session leaves the table when it closes.
+func (n *Node) lookupSession(sid ids.OID) (*session, error) {
+	n.sessMu.RLock()
+	sess := n.sessions[sid]
+	n.sessMu.RUnlock()
+	if sess == nil {
+		return nil, fmt.Errorf("%w: %s at %s", ErrUnknownSession, sid.Short(), n.cfg.Domain)
+	}
+	return sess, nil
+}
+
+// editSession is the one way a session changes: open, TTL, drain,
+// close and reap. It runs edit on session sid (nil when absent) under
+// sessMu, which guards the table and each session's addr and ttl, and
+// marks the session dirty when edit reports a change.
+func (n *Node) editSession(sid ids.OID, edit func(sess *session) (changed bool)) {
+	n.sessMu.Lock()
+	if edit(n.sessions[sid]) {
+		n.markSession(sid)
+	}
+	n.sessMu.Unlock()
+}
+
+// openSession creates session sid when sess is nil, sets its address
+// and renews it for ttl, reporting a new address or TTL (a new session
+// has neither). It runs inside editSession, as do renewLease and
+// setDrain.
+func (n *Node) openSession(sess *session, sid ids.OID, addr string, ttl time.Duration) (*session, bool) {
+	if sess == nil {
+		sess = &session{id: sid}
+		n.sessions[sid] = sess
+	}
+	moved := sess.addr != addr
+	sess.addr = addr
+	return sess, n.renewLease(sess, ttl) || moved
+}
+
+// renewLease sets a positive ttl and extends the lease by the TTL from
+// now, reporting a changed TTL. It revives an expired, unswept session
+// and every entry riding it.
+func (n *Node) renewLease(sess *session, ttl time.Duration) bool {
+	changed := ttl > 0 && ttl != sess.ttl
+	if changed {
+		sess.ttl = ttl
+	}
+	sess.expiresNano.Store(n.cfg.Clock().Add(sess.ttl).UnixNano())
+	return changed
+}
+
+// setDrain sets the drain flag from the owner's bit, reporting a change.
+func (n *Node) setDrain(sess *session, draining bool) bool {
+	if sess.drained.Swap(draining) == draining {
+		return false
+	}
+	n.stats.drains.Add(1)
+	return true
+}
+
+// endSession closes sess and removes it from the table. Entries keep
+// their pointer to the struct, so closing it expires them all at once,
+// wherever they are referenced. It runs inside editSession.
+func (n *Node) endSession(sess *session) bool {
+	sess.closed.Store(true)
+	delete(n.sessions, sess.id)
+	return true
+}
+
+// Sessions returns the number of live registration sessions at this
+// subnode; tests and diagnostics read it.
+func (n *Node) Sessions() int {
+	n.sessMu.RLock()
+	defer n.sessMu.RUnlock()
+	return len(n.sessions)
+}
+
+// reapSessions deletes sessions whose lease ran out; their entries
+// were (or will be) reclaimed by the shard sweeps, and a server that
+// comes back later learns from the unknown-session renewal response
+// that it must re-attach.
+func (n *Node) reapSessions(now time.Time) {
+	n.sessMu.RLock()
+	var dead []ids.OID
+	for sid, sess := range n.sessions {
+		if sess.expired(now) {
+			dead = append(dead, sid)
+		}
+	}
+	n.sessMu.RUnlock()
+	for _, sid := range dead {
+		n.editSession(sid, func(sess *session) bool {
+			// A renewal since the scan revives the session.
+			if sess == nil || !sess.expired(now) {
+				return false
+			}
+			mSessionsExpired.Inc()
+			return n.endSession(sess)
+		})
+	}
 }

@@ -773,6 +773,53 @@ func TestAttachDuringRepairIsNeverDropped(t *testing.T) {
 	}
 }
 
+// TestRenewDuringAttachDoesNotRepair: a renewal answered while an
+// Attach is in flight sees the node's digest include the entry the
+// books do not hold yet. It renews again once no Attach is in flight,
+// finds the digests equal, and sends no reattach.
+func TestRenewDuringAttachDoesNotRepair(t *testing.T) {
+	tree, _ := deployLeaseWorld(t)
+	res := mustResolver(t, tree, "eu-nl-vu", "eu/nl")
+	sess := openTestSession(t, res, "eu-nl-vu:gos/obj", longTTL)
+	leaf := tree.Nodes("eu/nl")[0]
+
+	// An Attach in flight: its entry is at the node, not in the books.
+	oid, ca := ids.New(), testAddr("eu-nl-vu")
+	sess.repairMu.RLock()
+	if _, err := sess.insert(oid, ca); err != nil {
+		t.Fatal(err)
+	}
+	opens := leaf.Stats().SessionOpens // each reattach counts as an open
+	renewed := make(chan error, 1)
+	go func() {
+		_, err := sess.Renew()
+		renewed <- err
+	}()
+	// A writer waiting for repairMu turns new readers away.
+	for sess.repairMu.TryRLock() {
+		sess.repairMu.RUnlock()
+		select {
+		case err := <-renewed:
+			t.Fatalf("renewal returned (%v) without wanting a repair", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	sess.mu.Lock()
+	sess.book(oid, ca, false)
+	sess.mu.Unlock()
+	sess.repairMu.RUnlock()
+
+	if err := <-renewed; err != nil {
+		t.Fatal(err)
+	}
+	if got := leaf.Stats().SessionOpens - opens; got != 0 {
+		t.Fatalf("the renewal sent %d reattaches, want 0", got)
+	}
+	if _, _, err := res.Lookup(oid); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRenewIsO1PerSubnode: on a two-subnode leaf a renewal allocates
 // the same with 10 and with 10,000 attached entries — it neither walks
 // nor copies the books.

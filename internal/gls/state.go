@@ -280,10 +280,9 @@ func (n *Node) Flush() error {
 	n.sessMu.Lock()
 	for sid := range n.sessDirty {
 		if sess := n.sessions[sid]; sess != nil {
-			addr, ttl := sess.fields()
 			w.Reset()
-			w.Str(addr)
-			w.Uint32(uint32(ttl / time.Second))
+			w.Str(sess.addr)
+			w.Uint32(uint32(sess.ttl / time.Second))
 			w.Bool(sess.drained.Load())
 			b.Put(oidKey(keySession, sid), w.Bytes())
 		} else {

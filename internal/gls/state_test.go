@@ -506,8 +506,7 @@ func dumpState(n *Node) map[string]string {
 	}
 	n.sessMu.RLock()
 	for sid, sess := range n.sessions {
-		addr, ttl := sess.fields()
-		m["s"+sid.String()] = fmt.Sprint(addr, ttl, sess.drained.Load())
+		m["s"+sid.String()] = fmt.Sprint(sess.addr, sess.ttl, sess.drained.Load())
 	}
 	n.sessMu.RUnlock()
 	return m

@@ -68,7 +68,7 @@ var invalidateParentPrefs = []string{RoleServer, RoleMaster, RoleSequencer}
 // parent is not a bind-time pin: a ranked peer set tracks every
 // eligible upstream, fills fail over to the next candidate when one
 // dies, and re-resolution discovers parents that appear after
-// construction (closing the last pickPeer pin the ROADMAP named).
+// construction.
 type CacheReplica struct {
 	*replicaBase
 	parents *core.PeerSet

@@ -10,9 +10,7 @@ import (
 
 // Cache re-parenting: the cache protocol's upstream is a ranked peer
 // set, not a bind-time pin — when the parent it has been filling from
-// dies, the next fill walks the ranking to a live one (closing the
-// ROADMAP item "pickPeer still pins the cache protocol's parent at
-// construction").
+// dies, the next fill walks the ranking to a live one.
 
 func TestCacheFailsOverToAnotherParent(t *testing.T) {
 	f := newFixture(t, nil)

@@ -102,19 +102,3 @@ func (s *csServer) invalidateCaches() (time.Duration, error) {
 // representative the location service returned serves every
 // invocation.
 var forwardPrefs = []string{RoleServer, RoleMaster, RoleSlave, RoleCache, RoleSequencer, RolePeer}
-
-// pickPeer returns the address of the first peer matching the earliest
-// role in prefs; an empty role preference matches anything.
-func pickPeer(env *core.Env, prefs ...string) string {
-	for _, role := range prefs {
-		for _, ca := range env.Peers {
-			if ca.Role == role {
-				return ca.Address
-			}
-		}
-	}
-	if len(env.Peers) > 0 {
-		return env.Peers[0].Address
-	}
-	return ""
-}

@@ -22,35 +22,6 @@ import (
 // preference, read spreading across interchangeable replicas, and
 // failover to the next candidate when the bound replica dies.
 
-func TestPickPeerRolePreferenceOrdering(t *testing.T) {
-	peers := []gls.ContactAddress{
-		{Role: RolePeer, Address: "a:peer"},
-		{Role: RoleSlave, Address: "b:slave"},
-		{Role: RoleMaster, Address: "c:master"},
-		{Role: RoleSlave, Address: "d:slave2"},
-	}
-	env := &core.Env{Peers: peers}
-
-	// The earliest role in prefs wins, regardless of peer order; among
-	// equals the first listed is picked.
-	if got := pickPeer(env, RoleMaster, RoleSlave); got != "c:master" {
-		t.Fatalf("pickPeer(master, slave) = %q", got)
-	}
-	if got := pickPeer(env, RoleSlave, RoleMaster); got != "b:slave" {
-		t.Fatalf("pickPeer(slave, master) = %q", got)
-	}
-	if got := pickPeer(env, RoleServer, RoleSequencer, RolePeer); got != "a:peer" {
-		t.Fatalf("pickPeer(..., peer) = %q", got)
-	}
-	// No preferred role present: the first peer is the fallback.
-	if got := pickPeer(env, RoleServer); got != "a:peer" {
-		t.Fatalf("pickPeer fallback = %q", got)
-	}
-	if got := pickPeer(&core.Env{}, RoleServer); got != "" {
-		t.Fatalf("pickPeer on empty set = %q", got)
-	}
-}
-
 // countingBackend registers a fake representative that answers reads
 // and counts how many it served.
 func countingBackend(t *testing.T, f *fixture, site string, oid ids.OID) *atomic.Int64 {
