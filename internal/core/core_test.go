@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"gdn/internal/netsim"
 	"gdn/internal/obs"
 	"gdn/internal/rpc"
+	"gdn/internal/store"
 	"gdn/internal/wire"
 )
 
@@ -545,5 +547,61 @@ func TestWriteReadScenarioField(t *testing.T) {
 	}
 	if r.Str() != "after" {
 		t.Fatal("suffix lost")
+	}
+}
+
+// storedCounter is a counter that keeps bulk content in a chunk store
+// it builds when first asked for one, as pkgobj packages do; stores
+// counts the stores built.
+type storedCounter struct {
+	counterSem
+	st     *store.Store
+	stores *atomic.Int32
+}
+
+func (c *storedCounter) UseStore(st *store.Store) { c.st = st }
+
+func (c *storedCounter) Store() *store.Store {
+	if c.st == nil {
+		c.stores.Add(1)
+		c.st = store.Mem()
+	}
+	return c.st
+}
+
+// TestProxyBindBuildsNoStore: a hosted replica gets the store its
+// content lives in, but a proxy, whose content is remote, gets none —
+// binding, invoking and closing it builds no store.
+func TestProxyBindBuildsNoStore(t *testing.T) {
+	w := newWorld(t)
+	var stores atomic.Int32
+	w.clientRT.Registry().RegisterSemantics("stored/1", func() Semantics {
+		return &storedCounter{stores: &stores}
+	})
+	oid := ids.New()
+	lr, ca, err := w.serverRT.NewReplica(ReplicaSpec{
+		OID: oid, Impl: "stored/1", Protocol: "testproto", Role: "server",
+	}, w.disp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lr.Close() })
+	w.register(t, oid, ca)
+	if stores.Load() != 1 {
+		t.Fatalf("hosting a replica built %d stores, want 1", stores.Load())
+	}
+
+	proxy, _, err := w.clientRT.Bind(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := proxy.Invoke("inc", true, incArgs(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := proxy.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stores.Load() - 1; got != 0 {
+		t.Fatalf("binding a proxy built %d stores", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"gdn/internal/ids"
 	"gdn/internal/obs"
+	"gdn/internal/store"
 )
 
 // LR is a local representative: the composition of subobjects that
@@ -68,11 +69,12 @@ func (lr *LR) Close() error {
 // objects with it before shipping their state to object servers. Bulk
 // reads stream from the semantics' own chunk store.
 func NewLocalLR(oid ids.OID, sem Semantics) *LR {
-	return newLR(oid, sem, localOnly{exec: NewLocalExec(sem)}, "")
+	return newLR(oid, sem, localOnly{exec: NewLocalExec(sem), st: semStore(sem, nil)}, "")
 }
 
 type localOnly struct {
 	exec *LocalExec
+	st   *store.Store
 }
 
 func (l localOnly) Invoke(inv Invocation) ([]byte, time.Duration, error) {
@@ -81,7 +83,7 @@ func (l localOnly) Invoke(inv Invocation) ([]byte, time.Duration, error) {
 }
 
 func (l localOnly) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (Manifest, time.Duration, error) {
-	m, err := l.exec.ReadBulk(tc, semStore(l.exec.sem, nil), path, off, n, fn)
+	m, err := l.exec.ReadBulk(tc, l.st, path, off, n, fn)
 	return m, 0, err
 }
 

@@ -164,7 +164,6 @@ func (rt *Runtime) proxyFromAddrs(oid ids.OID, addrs []gls.ContactAddress) (*LR,
 		},
 		Clock: rt.clock,
 		Logf:  rt.logf,
-		Store: semStore(sem, nil),
 	}
 	repl, err := proto.NewProxy(env)
 	if err != nil {

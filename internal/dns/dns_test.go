@@ -252,7 +252,7 @@ func TestTSIGSignVerify(t *testing.T) {
 
 // dnsWorld starts a root server delegating "vu.nl" to a second server
 // which hosts the GDN zone beneath it.
-func dnsWorld(t *testing.T) (*netsim.Network, *Server, *Server, *Resolver) {
+func dnsWorld(t testing.TB) (*netsim.Network, *Server, *Server, *Resolver) {
 	t.Helper()
 	net := netsim.New(nil)
 	net.AddSite("root-site", "core", "core")
@@ -366,16 +366,21 @@ func TestResolverCacheIsBounded(t *testing.T) {
 		t.Fatalf("newest answer not cached: %+v, %v", r, err)
 	}
 
-	// Once entries expire, a full cache drops those first.
+	// Once entries expire, a full cache drops those first. The vu.nl
+	// delegation's hour-long TTL outlives the negative answers, so it
+	// stays beside the new answer.
 	res.Advance(negativeTTL)
 	if _, _, err := res.QueryTXT("gimp.gdn.cs.vu.nl"); err != nil {
 		t.Fatal(err)
 	}
 	res.mu.Lock()
 	n = len(res.cache)
+	_, answer := res.cache[cacheKey{name: "gimp.gdn.cs.vu.nl", t: TypeTXT}]
+	_, cut := res.cache[cacheKey{name: "vu.nl", cut: true}]
 	res.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("cache holds %d entries after every earlier one expired, want 1", n)
+	if n != 2 || !answer || !cut {
+		t.Fatalf("cache holds %d entries after every earlier answer expired (new answer %v, vu.nl delegation %v), want just those two",
+			n, answer, cut)
 	}
 }
 

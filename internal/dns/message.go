@@ -145,12 +145,16 @@ func ValidName(s string) bool {
 	if len(s) > maxNameLen {
 		return false
 	}
-	for _, label := range strings.Split(s, ".") {
-		if len(label) == 0 || len(label) > maxLabelLen {
+	for {
+		i := strings.IndexByte(s, '.')
+		if i < 0 {
+			return len(s) > 0 && len(s) <= maxLabelLen
+		}
+		if i == 0 || i > maxLabelLen {
 			return false
 		}
+		s = s[i+1:]
 	}
-	return true
 }
 
 // InZone reports whether name lies at or below the zone apex.

@@ -17,17 +17,30 @@ import (
 // caching entries at client-side resolvers and ... replicating parts of
 // the database on multiple machines" (§5).
 //
+// It also caches the delegations it is referred through (RFC 1034
+// §5.3.3): a zone cut and the glue addresses of its servers, under the
+// NS records' TTL, in the same bounded cache as the answers. A query
+// starts at the deepest cached cut above its name, so a second cold
+// name in a zone costs one message instead of a walk from the roots.
+// Only in-bailiwick referrals are cached: the cut must be at or above
+// the query name and strictly below the zone whose server referred to
+// it, and every referral before it must have been in-bailiwick too.
+// When the first exchange from a cached cut fails or is refused, the
+// resolver drops the cut and starts once more from the roots.
+// Delegation hits do not count in CacheHits.
+//
 // Time for cache expiry is virtual: the resolver's clock only advances
 // when the caller calls Advance, so simulations control TTL behaviour
-// deterministically. Daemons never call Advance, so their entries never
-// expire; the cache holds at most maxCacheEntries instead. Resolvers
-// are safe for concurrent use.
+// deterministically. Daemons never call Advance, so their answers and
+// delegations never expire; the cache holds at most maxCacheEntries
+// instead, and a delegation whose servers moved is dropped by the
+// failure rule above. Resolvers are safe for concurrent use.
 type Resolver struct {
-	roots   []string
+	roots   []RR // ADDR records of the root servers
 	clients *rpc.Clients
 
-	// CacheEnabled controls positive and negative caching; the E7
-	// experiment compares resolution cost with and without it.
+	// CacheEnabled controls positive, negative and delegation caching;
+	// the E7 experiment compares resolution cost with and without it.
 	CacheEnabled bool
 
 	mu    sync.Mutex
@@ -42,11 +55,16 @@ type Resolver struct {
 	cacheHits   int64
 }
 
+// cacheKey names an answer (name, type) or, with cut set, the
+// delegation of the zone cut at name.
 type cacheKey struct {
 	name string
 	t    Type
+	cut  bool
 }
 
+// cacheEntry is an answer, or a delegation whose rrs are the ADDR
+// records of the cut's servers.
 type cacheEntry struct {
 	rrs      []RR
 	rcode    RCode
@@ -64,8 +82,12 @@ const maxCacheEntries = 1024
 // NewResolver returns a caching resolver at site using the given root
 // server addresses.
 func NewResolver(net transport.Network, site string, roots []string) *Resolver {
+	rootRRs := make([]RR, len(roots))
+	for i, addr := range roots {
+		rootRRs[i] = RR{Type: TypeADDR, Data: addr}
+	}
 	return &Resolver{
-		roots:        append([]string(nil), roots...),
+		roots:        rootRRs,
 		clients:      rpc.NewClients(net, site),
 		CacheEnabled: true,
 		cache:        make(map[cacheKey]cacheEntry),
@@ -112,7 +134,7 @@ func (r *Resolver) cacheGet(name string, t Type) (cacheEntry, bool) {
 	if !r.CacheEnabled {
 		return cacheEntry{}, false
 	}
-	e, ok := r.cache[cacheKey{name, t}]
+	e, ok := r.cache[cacheKey{name: name, t: t}]
 	if !ok || e.expireAt <= r.clock {
 		return cacheEntry{}, false
 	}
@@ -120,32 +142,55 @@ func (r *Resolver) cacheGet(name string, t Type) (cacheEntry, bool) {
 	return e, true
 }
 
-func (r *Resolver) cachePut(name string, t Type, rrs []RR, rcode RCode) {
+// closestCut returns the deepest cached zone cut at or above name and
+// its servers, or the root zone "" and the root servers.
+func (r *Resolver) closestCut(name string) (string, []RR) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.CacheEnabled {
-		return
+		return "", r.roots
 	}
-	ttl := negativeTTL
-	if len(rrs) > 0 {
-		min := rrs[0].TTL
-		for _, rr := range rrs {
-			if rr.TTL < min {
-				min = rr.TTL
-			}
+	for cut := name; cut != ""; cut = Parent(cut) {
+		if e, ok := r.cache[cacheKey{name: cut, cut: true}]; ok && e.expireAt > r.clock {
+			return cut, e.rrs
 		}
-		ttl = time.Duration(min) * time.Second
 	}
-	if ttl <= 0 {
+	return "", r.roots
+}
+
+// dropCut forgets the delegation of a zone cut.
+func (r *Resolver) dropCut(cut string) {
+	r.mu.Lock()
+	delete(r.cache, cacheKey{name: cut, cut: true})
+	r.mu.Unlock()
+}
+
+// put caches e under key for ttl.
+func (r *Resolver) put(key cacheKey, e cacheEntry, ttl time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.CacheEnabled || ttl <= 0 {
 		return
 	}
-	key := cacheKey{name, t}
 	if _, ok := r.cache[key]; !ok && len(r.cache) >= maxCacheEntries {
 		r.evictLocked()
 	}
-	expireAt := r.clock + ttl
-	r.cache[key] = cacheEntry{rrs: rrs, rcode: rcode, expireAt: expireAt}
-	r.minExpire = min(r.minExpire, expireAt)
+	e.expireAt = r.clock + ttl
+	r.cache[key] = e
+	r.minExpire = min(r.minExpire, e.expireAt)
+}
+
+// answerTTL is how long an answer stays cached: its records' smallest
+// TTL, or negativeTTL for NXDOMAIN and NODATA.
+func answerTTL(rrs []RR) time.Duration {
+	if len(rrs) == 0 {
+		return negativeTTL
+	}
+	m := rrs[0].TTL
+	for _, rr := range rrs[1:] {
+		m = min(m, rr.TTL)
+	}
+	return time.Duration(m) * time.Second
 }
 
 // evictLocked makes room for one entry in a full cache: it drops every
@@ -186,7 +231,8 @@ type Result struct {
 // maxChase bounds referral chains so delegation loops terminate.
 const maxChase = 16
 
-// Query resolves one question iteratively.
+// Query resolves one question iteratively, starting at the deepest
+// cached zone cut above the name.
 func (r *Resolver) Query(name string, t Type) (Result, error) {
 	name = CanonicalName(name)
 	if !ValidName(name) {
@@ -195,43 +241,64 @@ func (r *Resolver) Query(name string, t Type) (Result, error) {
 	if e, ok := r.cacheGet(name, t); ok {
 		return Result{RRs: e.rrs, RCode: e.rcode, FromCache: true}, nil
 	}
+	cut, servers := r.closestCut(name)
+	res, startFailed, err := r.iterate(name, t, cut, servers)
+	if startFailed && cut != "" {
+		// The cached servers are gone or no longer serve the zone.
+		r.dropCut(cut)
+		again, _, err := r.iterate(name, t, "", r.roots)
+		again.Cost += res.Cost
+		return again, err
+	}
+	return res, err
+}
 
-	servers := r.roots
-	var total time.Duration
+// iterate asks servers, the servers of zone, and follows referrals to
+// an answer. It caches the answer and every delegation it is referred
+// through while each referral stays in bailiwick. startFailed reports
+// an error from the first exchange, the one with the given servers.
+func (r *Resolver) iterate(name string, t Type, zone string, servers []RR) (res Result, startFailed bool, err error) {
+	inBailiwick := true
 	for hop := 0; hop < maxChase; hop++ {
 		if len(servers) == 0 {
-			return Result{Cost: total}, fmt.Errorf("dns: no servers to ask for %q", name)
+			return res, hop == 0, fmt.Errorf("dns: no servers to ask for %q", name)
 		}
-		addr := servers[r.pick(len(servers))]
+		addr := servers[r.pick(len(servers))].Data
 		resp, cost, err := r.exchange(addr, &Message{
 			ID:        uint16(r.pick(1 << 16)),
 			Opcode:    OpcodeQuery,
 			Questions: []Question{{Name: name, Type: t, Class: ClassIN}},
 		})
-		total += cost
+		res.Cost += cost
 		if err != nil {
-			return Result{Cost: total}, fmt.Errorf("dns: query %s at %s: %w", name, addr, err)
+			return res, hop == 0, fmt.Errorf("dns: query %s at %s: %w", name, addr, err)
 		}
 
 		switch {
 		case resp.RCode == RCodeNXDomain, resp.RCode == RCodeOK && len(resp.Answers) > 0,
 			resp.RCode == RCodeOK && resp.Authoritative && len(resp.Authority) == 0:
 			// Terminal: an answer, NXDOMAIN, or an authoritative NODATA.
-			r.cachePut(name, t, resp.Answers, resp.RCode)
-			return Result{RRs: resp.Answers, RCode: resp.RCode, Cost: total}, nil
+			r.put(cacheKey{name: name, t: t}, cacheEntry{rrs: resp.Answers, rcode: resp.RCode}, answerTTL(resp.Answers))
+			res.RRs, res.RCode = resp.Answers, resp.RCode
+			return res, false, nil
 		case resp.RCode == RCodeOK && len(resp.Authority) > 0:
 			// Referral: chase the delegation using supplied glue.
 			next := referralServers(resp)
 			if len(next) == 0 {
-				return Result{Cost: total}, fmt.Errorf("dns: glueless referral for %q at %s", name, addr)
+				return res, hop == 0, fmt.Errorf("dns: glueless referral for %q at %s", name, addr)
 			}
-			servers = next
+			cut, ttl := referralCut(resp)
+			inBailiwick = inBailiwick && cut != zone && InZone(cut, zone) && InZone(name, cut)
+			if inBailiwick {
+				r.put(cacheKey{name: cut, cut: true}, cacheEntry{rrs: next}, ttl)
+			}
+			zone, servers = cut, next
 		default:
-			return Result{RCode: resp.RCode, Cost: total},
-				fmt.Errorf("dns: server %s answered %v for %q", addr, resp.RCode, name)
+			res.RCode = resp.RCode
+			return res, hop == 0, fmt.Errorf("dns: server %s answered %v for %q", addr, resp.RCode, name)
 		}
 	}
-	return Result{Cost: total}, fmt.Errorf("dns: referral chain for %q exceeds %d hops", name, maxChase)
+	return res, false, fmt.Errorf("dns: referral chain for %q exceeds %d hops", name, maxChase)
 }
 
 // QueryTXT resolves the TXT records at a name and returns their data.
@@ -281,19 +348,39 @@ func (r *Resolver) pick(n int) int {
 	return r.rnd.Intn(n)
 }
 
-// referralServers extracts the next server addresses from a referral:
-// glue ADDR records matching the authority NS names.
-func referralServers(resp *Message) []string {
-	var out []string
+// referralServers extracts the glue of a referral: the ADDR records of
+// the authority NS names.
+func referralServers(resp *Message) []RR {
+	var out []RR
 	for _, ns := range resp.Authority {
 		if ns.Type != TypeNS {
 			continue
 		}
 		for _, g := range resp.Additional {
 			if g.Type == TypeADDR && g.Name == CanonicalName(ns.Data) {
-				out = append(out, g.Data)
+				out = append(out, g)
 			}
 		}
 	}
 	return out
+}
+
+// referralCut returns the zone cut a referral delegates and the
+// smallest TTL of its NS records. A referral whose NS records name
+// more than one cut delegates none: its TTL is zero, so nothing caches.
+func referralCut(resp *Message) (string, time.Duration) {
+	cut, ttl := "", time.Duration(-1)
+	for _, ns := range resp.Authority {
+		if ns.Type != TypeNS {
+			continue
+		}
+		if ttl >= 0 && ns.Name != cut {
+			return cut, 0
+		}
+		cut = ns.Name
+		if d := time.Duration(ns.TTL) * time.Second; ttl < 0 || d < ttl {
+			ttl = d
+		}
+	}
+	return cut, max(ttl, 0)
 }

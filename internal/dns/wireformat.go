@@ -170,6 +170,9 @@ func Decode(b []byte) (*Message, error) {
 		return nil, fmt.Errorf("%w: absurd record counts", ErrBadMessage)
 	}
 
+	if qd > 0 {
+		m.Questions = make([]Question, 0, min(qd, d.fit(minQuestion)))
+	}
 	for i := 0; i < qd; i++ {
 		q := Question{Name: d.name(), Type: Type(d.u16()), Class: Class(d.u16())}
 		if d.err != nil {
@@ -180,6 +183,9 @@ func Decode(b []byte) (*Message, error) {
 	counts := [3]int{an, ns, ar}
 	sections := [3]*[]RR{&m.Answers, &m.Authority, &m.Additional}
 	for i, sec := range sections {
+		if counts[i] > 0 {
+			*sec = make([]RR, 0, min(counts[i], d.fit(minRR)))
+		}
 		for j := 0; j < counts[i]; j++ {
 			rr := d.rr()
 			if d.err != nil {
@@ -199,6 +205,18 @@ type decoder struct {
 	off int
 	err error
 }
+
+// The smallest encodings of a question and a record: a one-byte name
+// (the root) and the fixed fields.
+const (
+	minQuestion = 1 + 4
+	minRR       = 1 + 10
+)
+
+// fit is how many items of at least size bytes the rest of the message
+// can hold, so a section's preallocation is bounded by the input
+// length rather than by its claimed count.
+func (d *decoder) fit(size int) int { return (len(d.buf) - d.off) / size }
 
 func (d *decoder) fail(format string, args ...any) {
 	if d.err == nil {
@@ -238,7 +256,7 @@ func (d *decoder) u32() uint32 {
 // name reads a possibly compressed label sequence starting at the
 // current offset, leaving the offset just past its in-stream encoding.
 func (d *decoder) name() string {
-	s, next := d.nameAt(d.off, 0)
+	s, next := d.nameAt(d.off)
 	if d.err != nil {
 		return ""
 	}
@@ -246,16 +264,24 @@ func (d *decoder) name() string {
 	return s
 }
 
-// nameAt decodes a name at off and returns it with the offset following
-// the name's in-stream bytes. Compression pointers may only move the
-// cursor; depth bounds pointer chains so malicious loops terminate.
-func (d *decoder) nameAt(off, depth int) (string, int) {
-	if depth > 16 {
-		d.fail("compression pointer loop")
-		return "", off
-	}
-	var labels []string
-	total := 0
+// maxPointers bounds a name's chain of compression pointers. Pointers
+// must point backwards, so a chain cannot loop; the bound caps how far
+// two bytes of input can expand into one name.
+const maxPointers = 16
+
+// nameAt decodes the name at off into one buffer, lowercased, and
+// returns it with the offset following the name's in-stream bytes.
+// Compression pointers only move the cursor. Each run of labels between
+// pointers is bounded by maxNameLen on its own. ASCII is lowercased in
+// place; a name with any byte above ASCII is lowercased as a whole by
+// strings.ToLower, which gives the same string as lowercasing each label
+// apart, since '.' never falls inside a UTF-8 sequence.
+func (d *decoder) nameAt(off int) (string, int) {
+	var stack [maxNameLen]byte
+	buf := stack[:0]
+	next := -1 // the offset after the in-stream bytes, once known
+	total, pointers := 0, 0
+	high := false
 	for {
 		if off >= len(d.buf) {
 			d.fail("name runs past message end")
@@ -264,7 +290,13 @@ func (d *decoder) nameAt(off, depth int) (string, int) {
 		c := d.buf[off]
 		switch {
 		case c == 0:
-			return strings.Join(labels, "."), off + 1
+			if next < 0 {
+				next = off + 1
+			}
+			if high {
+				return strings.ToLower(string(buf)), next
+			}
+			return string(buf), next
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(d.buf) {
 				d.fail("truncated compression pointer")
@@ -275,14 +307,14 @@ func (d *decoder) nameAt(off, depth int) (string, int) {
 				d.fail("forward compression pointer")
 				return "", off
 			}
-			rest, _ := d.nameAt(ptr, depth+1)
-			if d.err != nil {
+			if pointers++; pointers > maxPointers {
+				d.fail("compression pointer loop")
 				return "", off
 			}
-			if rest != "" {
-				labels = append(labels, rest)
+			if next < 0 {
+				next = off + 2
 			}
-			return strings.Join(labels, "."), off + 2
+			off, total = ptr, 0
 		case c&0xC0 != 0:
 			d.fail("reserved label type %#x", c)
 			return "", off
@@ -297,7 +329,16 @@ func (d *decoder) nameAt(off, depth int) (string, int) {
 				d.fail("name exceeds %d bytes", maxNameLen)
 				return "", off
 			}
-			labels = append(labels, strings.ToLower(string(d.buf[off+1:off+1+n])))
+			if len(buf) > 0 {
+				buf = append(buf, '.')
+			}
+			for _, b := range d.buf[off+1 : off+1+n] {
+				if 'A' <= b && b <= 'Z' {
+					b += 'a' - 'A'
+				}
+				high = high || b >= 0x80
+				buf = append(buf, b)
+			}
 			off += 1 + n
 		}
 	}

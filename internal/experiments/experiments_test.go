@@ -192,6 +192,21 @@ func TestE7CachingAndBatching(t *testing.T) {
 	if cacheOn >= cacheOff {
 		t.Fatalf("cache must cut mean resolution cost: %v vs %v", cacheOn, cacheOff)
 	}
+	// Cached delegations save messages but are not answers: the hit
+	// rate counts answers only. Without the cache every resolution
+	// still walks from the root, a referral and an answer.
+	for _, row := range tab.Rows {
+		switch row[0] {
+		case "cache hit rate":
+			if rate := parseF(t, strings.TrimSuffix(row[2], "%")); rate > 100 {
+				t.Fatalf("cache hit rate %v%% counts more hits than resolutions", rate)
+			}
+		case "messages sent":
+			if row[2] != "800" {
+				t.Fatalf("cache off sent %s messages for 400 resolutions, want 800", row[2])
+			}
+		}
+	}
 
 	var flushes1, flushes50 string
 	for _, row := range tab.Rows {

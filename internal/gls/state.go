@@ -78,10 +78,15 @@ type persister struct {
 }
 
 func oidKey(kind byte, oid ids.OID) string {
+	b := oidKeyBytes(kind, oid)
+	return string(b[:])
+}
+
+func oidKeyBytes(kind byte, oid ids.OID) [1 + ids.Size]byte {
 	var b [1 + ids.Size]byte
 	b[0] = kind
 	copy(b[1:], oid[:])
-	return string(b[:])
+	return b
 }
 
 // openState loads the node's state from StateDir and opens the table
@@ -253,7 +258,9 @@ func (n *Node) markSession(sid ids.OID) {
 // Flush writes the current value of every key changed since the last
 // flush in one batch — one write and one fsync — and accounts the
 // cost. The flusher calls it once a second and Close once more; tests
-// call it to bound the loss window.
+// call it to bound the loss window. A record or session created and
+// removed within one flush costs nothing: the table never held its
+// key, so there is no delete to write.
 func (n *Node) Flush() error {
 	if n.state == nil {
 		return nil
@@ -270,8 +277,8 @@ func (n *Node) Flush() error {
 				w.Reset()
 				encodeRecord(w, rec)
 				b.Put(oidKey(keyRecord, oid), w.Bytes())
-			} else {
-				b.Delete(oidKey(keyRecord, oid))
+			} else if k := oidKeyBytes(keyRecord, oid); n.state.tab.Has(k[:]) {
+				b.Delete(string(k[:]))
 			}
 		}
 		sh.dirty = nil
@@ -285,8 +292,8 @@ func (n *Node) Flush() error {
 			w.Uint32(uint32(sess.ttl / time.Second))
 			w.Bool(sess.drained.Load())
 			b.Put(oidKey(keySession, sid), w.Bytes())
-		} else {
-			b.Delete(oidKey(keySession, sid))
+		} else if k := oidKeyBytes(keySession, sid); n.state.tab.Has(k[:]) {
+			b.Delete(string(k[:]))
 		}
 	}
 	n.sessDirty = nil

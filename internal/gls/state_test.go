@@ -746,3 +746,40 @@ func TestSnapshotRoundTripMatrix(t *testing.T) {
 		t.Fatalf("renew after restarts re-attached %d entries, want 0", got)
 	}
 }
+
+// TestFlushSkipsNeverStoredKeys: a record and a session created and
+// removed within one flush leave only their dirty marks. The table
+// never held their keys, so flushing them builds no deletes: it
+// allocates no more than flushing nothing.
+func TestFlushSkipsNeverStoredKeys(t *testing.T) {
+	_, n, _ := soloWorld(t, t.TempDir())
+	defer n.Close()
+	oid, sid := ids.Derive("transient record"), ids.Derive("transient session")
+	sh := n.shard(oid)
+	mark := func() {
+		sh.mu.Lock()
+		n.markRecord(sh, oid)
+		sh.mu.Unlock()
+		n.sessMu.Lock()
+		n.markSession(sid)
+		n.sessMu.Unlock()
+	}
+	unmark := func() {
+		sh.mu.Lock()
+		sh.dirty = nil
+		sh.mu.Unlock()
+		n.sessMu.Lock()
+		n.sessDirty = nil
+		n.sessMu.Unlock()
+	}
+	flush := func() {
+		if err := n.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	empty := testing.AllocsPerRun(50, func() { mark(); unmark(); flush() })
+	transient := testing.AllocsPerRun(50, func() { mark(); flush() })
+	if transient > empty {
+		t.Fatalf("flushing a transient record and session: %v allocs, an empty flush %v", transient, empty)
+	}
+}

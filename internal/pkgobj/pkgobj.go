@@ -195,15 +195,16 @@ var (
 	_ core.ChunkedState = (*Package)(nil)
 )
 
-// New returns an empty package backed by its own private memory
-// store. Hosting infrastructure re-homes it onto a shared store with
-// UseStore before seeding state.
+// New returns an empty package with no store yet. Hosting
+// infrastructure homes it on a shared store with UseStore before
+// seeding state; otherwise the first local use gives it a private
+// memory store. A proxy's package, whose content lives remotely, never
+// gets one.
 func New() *Package {
 	return &Package{
 		meta:      make(map[string]string),
 		files:     make(map[string]*file),
 		chunkSize: DefaultChunkSize,
-		st:        store.Mem(),
 	}
 }
 
@@ -212,8 +213,14 @@ func Register(reg *core.Registry) {
 	reg.RegisterSemantics(Impl, func() core.Semantics { return New() })
 }
 
-// Store returns the chunk store backing this package's content.
-func (p *Package) Store() *store.Store { return p.st }
+// Store returns the chunk store backing this package's content,
+// giving the package a private memory store if it has none yet.
+func (p *Package) Store() *store.Store {
+	if p.st == nil {
+		p.st = store.Mem()
+	}
+	return p.st
+}
 
 // UseStore implements core.ChunkStored: it re-homes the package onto
 // st, migrating any content already stored (normally none — the
@@ -244,6 +251,9 @@ func (p *Package) UseStore(st *store.Store) {
 
 // releaseAll drops every pin this package holds in its store.
 func (p *Package) releaseAll() {
+	if p.st == nil {
+		return // nothing was ever stored
+	}
 	for _, f := range p.files {
 		p.st.Release(f.refs())
 	}
@@ -276,7 +286,7 @@ func (p *Package) FileManifest(path string) (core.Manifest, error) {
 		Size:   f.size,
 		Digest: f.digest,
 	}
-	if err := p.st.Retain(m.Refs()); err != nil {
+	if err := p.Store().Retain(m.Refs()); err != nil {
 		return core.Manifest{}, err
 	}
 	return m, nil
@@ -342,7 +352,7 @@ func (p *Package) Invoke(inv core.Invocation) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNoFile, path)
 		}
-		p.st.Release(f.refs())
+		p.Store().Release(f.refs())
 		delete(p.files, path)
 		return nil, nil
 	case MethodListContents:
@@ -362,7 +372,7 @@ func (p *Package) Invoke(inv core.Invocation) ([]byte, error) {
 		if f.size > MaxInlineRead {
 			return nil, fmt.Errorf("%w: %q is %d bytes", ErrInlineRead, path, f.size)
 		}
-		return f.read(p.st, 0, f.size)
+		return f.read(p.Store(), 0, f.size)
 	case MethodGetChunk:
 		path := r.Str()
 		off := r.Int64()
@@ -374,7 +384,7 @@ func (p *Package) Invoke(inv core.Invocation) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrNoFile, path)
 		}
-		return f.read(p.st, off, n)
+		return f.read(p.Store(), off, n)
 	case MethodStat:
 		path := r.Str()
 		if err := r.Done(); err != nil {
@@ -458,11 +468,11 @@ func (p *Package) addManifest(path string, f *file) error {
 				path, i, c.Size, p.chunkSize)
 		}
 	}
-	if err := p.st.Retain(f.refs()); err != nil {
+	if err := p.Store().Retain(f.refs()); err != nil {
 		return fmt.Errorf("pkgobj: install manifest %q: %w", path, err)
 	}
 	if old := p.files[path]; old != nil {
-		p.st.Release(old.refs())
+		p.Store().Release(old.refs())
 	}
 	p.files[path] = f
 	return nil
@@ -481,12 +491,12 @@ func (p *Package) addFile(path string, data []byte, appendTo bool) error {
 	if old == nil || !appendTo {
 		f := &file{h: sha256.New()}
 		f.h.Write(data)
-		if err := chunkInto(f, p.st, p.chunkSize, data); err != nil {
+		if err := chunkInto(f, p.Store(), p.chunkSize, data); err != nil {
 			return err
 		}
 		f.h.Sum(f.digest[:0])
 		if old != nil {
-			p.st.Release(old.refs())
+			p.Store().Release(old.refs())
 		}
 		p.files[path] = f
 		return nil
@@ -496,7 +506,7 @@ func (p *Package) addFile(path string, data []byte, appendTo bool) error {
 	if f.h == nil {
 		// First append after a state install: resume the digest from
 		// stored content.
-		if err := f.rebuildHash(p.st); err != nil {
+		if err := f.rebuildHash(p.Store()); err != nil {
 			return err
 		}
 	}
@@ -507,7 +517,7 @@ func (p *Package) addFile(path string, data []byte, appendTo bool) error {
 	f.h.Write(data)
 	if n := len(f.chunks); n > 0 && f.chunks[n-1].Size < int64(p.chunkSize) {
 		tail := f.chunks[n-1]
-		tailData, err := p.st.Get(tail.Ref)
+		tailData, err := p.Store().Get(tail.Ref)
 		if err != nil {
 			f.h = nil // the running digest already consumed data; rebuild lazily
 			return err
@@ -520,13 +530,13 @@ func (p *Package) addFile(path string, data []byte, appendTo bool) error {
 		f.chunks = f.chunks[: n-1 : n-1]
 		f.size -= tail.Size
 	}
-	if err := chunkInto(f, p.st, p.chunkSize, data); err != nil {
+	if err := chunkInto(f, p.Store(), p.chunkSize, data); err != nil {
 		f.chunks, f.size, f.digest = savedChunks, savedSize, savedDigest
 		f.h = nil
 		return err
 	}
 	f.h.Sum(f.digest[:0])
-	p.st.Release(dropTail)
+	p.Store().Release(dropTail)
 	return nil
 }
 
@@ -672,7 +682,7 @@ func (p *Package) UnmarshalState(b []byte) error {
 		return err
 	}
 
-	next := &Package{meta: meta, files: make(map[string]*file, fit(r, count, manifestEncSize)), chunkSize: chunkSize, st: p.st}
+	next := &Package{meta: meta, files: make(map[string]*file, fit(r, count, manifestEncSize)), chunkSize: chunkSize, st: p.Store()}
 	for i := 0; i < count; i++ {
 		path, f, err := decodeManifest(r)
 		if err != nil {

@@ -14,6 +14,7 @@ import (
 	"gdn/internal/core"
 	"gdn/internal/ids"
 	"gdn/internal/obs"
+	"gdn/internal/store"
 )
 
 // newLocalStub wraps a package in a local, network-free representative
@@ -532,5 +533,31 @@ func TestVersionsReplicateThroughState(t *testing.T) {
 	}
 	if !bytes.Equal(st, stB) {
 		t.Fatal("state with versions must re-marshal identically")
+	}
+}
+
+// TestStoreOnFirstLocalUse: a new package has no store, and a proxy's
+// life — constructed, closed — never builds one. UseStore homes it
+// without a private store in between; otherwise the first local write
+// builds one.
+func TestStoreOnFirstLocalUse(t *testing.T) {
+	p := New()
+	p.ReleaseStored()
+	if p.st != nil {
+		t.Fatal("a package that stored nothing built a store")
+	}
+
+	shared := store.Mem()
+	p.UseStore(shared)
+	if p.Store() != shared {
+		t.Fatal("UseStore did not home the package on the shared store")
+	}
+
+	local := New()
+	if err := newLocalStub(t, local).AddFile("a.txt", []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	if local.st == nil || !local.st.Has(store.RefOf([]byte("hello"))) {
+		t.Fatal("a local write must store its content in a private store")
 	}
 }

@@ -70,7 +70,7 @@ func (p *Package) invokeVersion(inv core.Invocation, r *wire.Reader) (handled bo
 		if f.size > MaxInlineRead {
 			return true, nil, fmt.Errorf("%w: %q@%q is %d bytes", ErrInlineRead, path, label, f.size)
 		}
-		out, err := f.read(p.st, 0, f.size)
+		out, err := f.read(p.Store(), 0, f.size)
 		return true, out, err
 	case MethodGetChunkAt:
 		label := r.Str()
@@ -88,7 +88,7 @@ func (p *Package) invokeVersion(inv core.Invocation, r *wire.Reader) (handled bo
 		if !ok {
 			return true, nil, fmt.Errorf("%w: %q at version %q", ErrNoFile, path, label)
 		}
-		out, err := f.read(p.st, off, n)
+		out, err := f.read(p.Store(), off, n)
 		return true, out, err
 	case MethodDropVersion:
 		label := r.Str()
@@ -100,7 +100,7 @@ func (p *Package) invokeVersion(inv core.Invocation, r *wire.Reader) (handled bo
 			return true, nil, fmt.Errorf("%w: %q", ErrNoVersion, label)
 		}
 		for _, f := range v.files {
-			p.st.Release(f.refs())
+			p.Store().Release(f.refs())
 		}
 		delete(p.versions, label)
 		return true, nil, nil
@@ -125,10 +125,10 @@ func (p *Package) tagVersion(label string) error {
 	snap := version{files: make(map[string]*file, len(p.files))}
 	for path, f := range p.files {
 		c := f.clone()
-		if err := p.st.Retain(c.refs()); err != nil {
+		if err := p.Store().Retain(c.refs()); err != nil {
 			// Roll back the pins taken so far.
 			for _, prev := range snap.files {
-				p.st.Release(prev.refs())
+				p.Store().Release(prev.refs())
 			}
 			return err
 		}

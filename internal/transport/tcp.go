@@ -80,6 +80,11 @@ type framedConn struct {
 
 	closed   sync.Once
 	closeErr error
+
+	// remote is the peer's address, formatted on first use: the rpc
+	// server stamps it on every request.
+	remoteOnce sync.Once
+	remote     string
 }
 
 // NewFramedConn wraps a stream connection (TCP, a net.Pipe end, or a
@@ -186,5 +191,13 @@ func (f *framedConn) Close() error {
 	return f.closeErr
 }
 
-func (f *framedConn) LocalAddr() string  { return f.c.LocalAddr().String() }
-func (f *framedConn) RemoteAddr() string { return f.c.RemoteAddr().String() }
+func (f *framedConn) LocalAddr() string { return f.c.LocalAddr().String() }
+
+func (f *framedConn) RemoteAddr() string {
+	f.remoteOnce.Do(func() {
+		if a := f.c.RemoteAddr(); a != nil {
+			f.remote = a.String()
+		}
+	})
+	return f.remote
+}

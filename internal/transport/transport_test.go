@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 )
@@ -95,5 +96,29 @@ func TestTCPDialFailure(t *testing.T) {
 	var tcp TCP
 	if _, err := tcp.Dial("", "127.0.0.1:1"); err == nil {
 		t.Fatal("dialing a closed port must fail")
+	}
+}
+
+// addrConn is a wire whose peer address is addr, which may be nil.
+type addrConn struct {
+	net.Conn
+	addr net.Addr
+}
+
+func (c addrConn) RemoteAddr() net.Addr { return c.addr }
+
+// TestRemoteAddrFormattedOnce: the rpc server stamps the peer address
+// on every request, so a framed conn formats it once, and a wire with
+// no peer address reads as "".
+func TestRemoteAddrFormattedOnce(t *testing.T) {
+	c := NewFramedConn(addrConn{addr: &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}})
+	if got := c.RemoteAddr(); got != "127.0.0.1:4242" {
+		t.Fatalf("RemoteAddr = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.RemoteAddr() }); n != 0 {
+		t.Fatalf("RemoteAddr allocates %v times per call", n)
+	}
+	if got := NewFramedConn(addrConn{}).RemoteAddr(); got != "" {
+		t.Fatalf("RemoteAddr without an address = %q", got)
 	}
 }

@@ -183,6 +183,14 @@ func (t *Table) Write(b *Batch) (int, error) {
 	return nw, nil
 }
 
+// Has reports whether key is live. It does not allocate.
+func (t *Table) Has(key []byte) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.live[string(key)]
+	return ok
+}
+
 // Live returns a copy of the live map. The values are shared with the
 // table and must not be modified.
 func (t *Table) Live() map[string][]byte {
