@@ -45,7 +45,7 @@ func benchRPCParallel(b *testing.B, cl *rpc.Client, workers int) {
 	b.Helper()
 	body := make([]byte, 128)
 	// Prime the connection outside the timer.
-	if _, _, err := cl.Call(1, body); err != nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, body); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -64,7 +64,7 @@ func benchRPCParallel(b *testing.B, cl *rpc.Client, workers int) {
 		go func(k int) {
 			defer wg.Done()
 			for i := 0; i < k; i++ {
-				if _, _, err := cl.Call(1, body); err != nil {
+				if _, _, err := cl.Call(obs.SpanContext{}, 1, body); err != nil {
 					b.Error(err)
 					return
 				}

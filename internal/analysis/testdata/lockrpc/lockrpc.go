@@ -21,7 +21,7 @@ type tableShard struct {
 func callUnderLock(sh *tableShard, c *rpc.Client) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	c.Call(1, nil) // want `rpc\.Client\.Call while holding lockrpctest\.tableShard mutex`
+	c.Call(obs.SpanContext{}, 1, nil) // want `rpc\.Client\.Call while holding lockrpctest\.tableShard mutex`
 }
 
 func peerCallUnderLock(sh *tableShard, p *core.PeerClient) {
@@ -71,7 +71,7 @@ type storeShard struct {
 func rlockCounts(sh *storeShard, c *rpc.Client) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	c.Call(1, nil) // want `rpc\.Client\.Call while holding lockrpctest\.storeShard mutex`
+	c.Call(obs.SpanContext{}, 1, nil) // want `rpc\.Client\.Call while holding lockrpctest\.storeShard mutex`
 }
 
 // recShard and clientShard mirror the GLS striped record table and
@@ -96,7 +96,7 @@ func lookupViaArrayShard(n *dirNode, c *rpc.Client) {
 	sh := &n.shards[0]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	c.Call(1, nil) // want `rpc\.Client\.Call while holding lockrpctest\.recShard mutex`
+	c.Call(obs.SpanContext{}, 1, nil) // want `rpc\.Client\.Call while holding lockrpctest\.recShard mutex`
 }
 
 func closeUnderClientStripe(n *dirNode) {

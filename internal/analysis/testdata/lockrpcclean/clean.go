@@ -6,6 +6,7 @@ package lockrpccleantest
 import (
 	"sync"
 
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/transport"
 )
@@ -25,7 +26,7 @@ func unlockThenCall(sh *tableShard, c *rpc.Client, id uint64, p []byte) {
 	if ch != nil {
 		ch <- p
 	}
-	c.Call(1, nil)
+	c.Call(obs.SpanContext{}, 1, nil)
 }
 
 // nonBlockingSend: a select with a default never parks the shard.

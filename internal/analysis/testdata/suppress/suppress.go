@@ -6,6 +6,7 @@ package suppresstest
 import (
 	"sync"
 
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 )
 
@@ -18,7 +19,7 @@ func sanctioned(sh *pendShard, c *rpc.Client) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	//gdnlint:ignore lockrpc golden fixture: the callee is a recording stub that cannot block
-	c.Call(1, nil)
+	c.Call(obs.SpanContext{}, 1, nil)
 }
 
 // unexplained carries a reasonless directive: the directive is
@@ -27,5 +28,5 @@ func unexplained(sh *pendShard, c *rpc.Client) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	//gdnlint:ignore
-	c.Call(1, nil)
+	c.Call(obs.SpanContext{}, 1, nil)
 }

@@ -11,11 +11,6 @@ import (
 	"gdn/internal/rpc"
 )
 
-func dropOnClient(tc obs.SpanContext, c *rpc.Client) error {
-	_, _, err := c.Call(1, nil) // want `call to Call drops the trace .* call CallT`
-	return err
-}
-
 // rerootOnPeer: PeerClient.Call has no untraced twin, so a traced
 // caller can only lose the trace by passing the zero context.
 func rerootOnPeer(tc obs.SpanContext, p *core.PeerClient) error {
@@ -29,7 +24,7 @@ func dropOnStub(tc obs.SpanContext, s *pkgobj.Stub, w io.Writer) error {
 }
 
 func reroot(tc obs.SpanContext, c *rpc.Client) error {
-	_, _, err := c.CallT(obs.SpanContext{}, 1, nil) // want `zero obs\.SpanContext\{\} re-roots the trace`
+	_, _, err := c.Call(obs.SpanContext{}, 1, nil) // want `zero obs\.SpanContext\{\} re-roots the trace`
 	return err
 }
 
@@ -37,7 +32,7 @@ func reroot(tc obs.SpanContext, c *rpc.Client) error {
 // spawned by a traced function.
 func rerootInClosure(tc obs.SpanContext, c *rpc.Client) func() error {
 	return func() error {
-		_, _, err := c.CallT(obs.SpanContext{}, 1, nil) // want `zero obs\.SpanContext\{\} re-roots the trace`
+		_, _, err := c.Call(obs.SpanContext{}, 1, nil) // want `zero obs\.SpanContext\{\} re-roots the trace`
 		return err
 	}
 }

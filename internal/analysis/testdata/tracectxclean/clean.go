@@ -1,17 +1,20 @@
 // Package tracectxcleantest holds the propagation idioms tracectx
-// must accept: forwarding the in-scope context through T-variants, and
-// the sanctioned untraced entry points that root a fresh trace because
-// they have no context to forward.
+// must accept: forwarding the in-scope context, and the sanctioned
+// untraced entry points that root a fresh trace because they have no
+// context to forward.
 package tracectxcleantest
 
 import (
+	"io"
+
 	"gdn/internal/core"
 	"gdn/internal/obs"
+	"gdn/internal/pkgobj"
 	"gdn/internal/rpc"
 )
 
 func forwards(tc obs.SpanContext, c *rpc.Client) error {
-	_, _, err := c.CallT(tc, 1, nil)
+	_, _, err := c.Call(tc, 1, nil)
 	return err
 }
 
@@ -23,13 +26,13 @@ func forwardsPeer(tc obs.SpanContext, p *core.PeerClient) error {
 // Entry is an untraced convenience wrapper: no span context in scope,
 // so rooting with the zero value is exactly what it should do.
 func Entry(c *rpc.Client) error {
-	_, _, err := c.CallT(obs.SpanContext{}, 1, nil)
+	_, _, err := c.Call(obs.SpanContext{}, 1, nil)
 	return err
 }
 
-// untracedCall: calling the untraced form is fine outside a traced
+// untracedRead: calling an untraced twin is fine outside a traced
 // path.
-func untracedCall(c *rpc.Client) error {
-	_, _, err := c.Call(1, nil)
+func untracedRead(s *pkgobj.Stub, w io.Writer) error {
+	_, err := s.ReadFileTo(w, "x")
 	return err
 }

@@ -16,9 +16,12 @@ import (
 //   - passing a zero obs.SpanContext{} literal re-roots the trace
 //     while a real context is in scope.
 //
-// Untraced convenience wrappers (Call delegating to CallT with a zero
-// context) are the sanctioned entry points and are not flagged: they
-// have no SpanContext parameter to propagate.
+// Most traced APIs have no twin: the context is their first parameter
+// (rpc.Client.Call, core.PeerClient.Call), so only the re-root rule
+// applies to them. The one untraced convenience wrapper left,
+// pkgobj.Stub.ReadFileTo delegating to ReadFileToT with a zero context,
+// is a sanctioned entry point and is not flagged in itself: it has no
+// SpanContext parameter to propagate.
 var TraceCtx = &Analyzer{
 	Name: "tracectx",
 	Doc: "traced code paths (functions taking obs.SpanContext) must call T-variants " +

@@ -441,7 +441,7 @@ func TestDispatcherRejectsShortBody(t *testing.T) {
 	w := newWorld(t)
 	cl := rpc.NewClient(w.net, "client-site", w.disp.Addr())
 	defer cl.Close()
-	if _, _, err := cl.Call(OpInvoke, []byte("short")); err == nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, OpInvoke, []byte("short")); err == nil {
 		t.Fatal("truncated replica message must be rejected")
 	}
 }

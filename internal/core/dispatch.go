@@ -54,9 +54,9 @@ const (
 	OpChunkHave
 	// OpChunkPut uploads content chunks into the receiver's store ahead
 	// of a manifest write that names them. It is an upload-stream call
-	// (one chunk per data frame); chunks are verified against their
-	// content address on arrival and sit unreferenced until a manifest
-	// pins them.
+	// (one chunk per data frame), and a unary call is refused; chunks
+	// are stored under the address computed on arrival and sit
+	// unreferenced until a manifest pins them.
 	OpChunkPut
 )
 
@@ -165,7 +165,7 @@ func (p *PeerClient) Call(tc obs.SpanContext, op uint16, body []byte) ([]byte, t
 	buf := make([]byte, 0, ids.Size+len(body))
 	buf = append(buf, p.oid[:]...)
 	buf = append(buf, body...)
-	return p.rpc.CallT(tc, op, buf)
+	return p.rpc.Call(tc, op, buf)
 }
 
 // CallStream opens a streaming replica-protocol call (OpBulkRead)

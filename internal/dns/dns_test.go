@@ -1,8 +1,10 @@
 package dns
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 )
 
 func TestCanonicalAndValidNames(t *testing.T) {
@@ -119,6 +122,69 @@ func TestDecodeRejectsPointerLoops(t *testing.T) {
 	b[13] = 12 // pointer to itself
 	if _, err := Decode(b); err == nil {
 		t.Fatal("self-referencing compression pointer must fail")
+	}
+}
+
+// nameOverPointer is a query whose first name takes the whole 255-byte
+// wire bound and whose second is a 3-label prefix plus a pointer to the
+// first: each run of labels fits the bound, but the second name is 383
+// bytes of text.
+func nameOverPointer() []byte {
+	b := []byte{0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0} // QDCOUNT = 2
+	label := func(c byte, n int) {
+		b = append(b, byte(n))
+		b = append(b, bytes.Repeat([]byte{c}, n)...)
+	}
+	for i, n := range []int{63, 63, 63, 61} {
+		label('a'+byte(i), n)
+	}
+	b = append(b, 0, 0, byte(TypeTXT), 0, 1)
+	for i, n := range []int{43, 42, 42} {
+		label('x'+byte(i), n)
+	}
+	return append(b, 0xC0, 12, 0, byte(TypeTXT), 0, 1)
+}
+
+// TestDecodeBoundsNameAcrossPointers: Decode bounds a name at 255 wire
+// bytes across its compression pointers, the bound Encode keeps, and
+// the 383-byte name two pointer bytes used to decode into is refused.
+func TestDecodeBoundsNameAcrossPointers(t *testing.T) {
+	b := nameOverPointer()
+	first := append([]byte(nil), b[:12+255+4]...)
+	first[5] = 1
+	m, err := Decode(first)
+	if err != nil {
+		t.Fatalf("the 255-byte name alone: %v", err)
+	}
+	name := m.Questions[0].Name
+	if again, err := Encode(m); err != nil || !bytes.Equal(again, first) {
+		t.Fatalf("the 255-byte name does not re-encode to itself: %v", err)
+	}
+	if _, err := Encode(&Message{Questions: []Question{{Name: "a" + name, Type: TypeTXT, Class: ClassIN}}}); err == nil {
+		t.Fatal("Encode accepted a 256-byte name")
+	}
+	if _, err := Decode(b); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("Decode of a 383-byte name through a pointer = %v, want the name bound", err)
+	}
+	// The same bytes are a FuzzDecode corpus seed.
+	seed, err := os.ReadFile("testdata/fuzz/FuzzDecode/name-over-pointer")
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", b); err != nil || string(seed) != want {
+		t.Fatalf("corpus seed name-over-pointer is not this message (%v)", err)
+	}
+}
+
+// TestDecodeBoundsLowercasedName: 'Ⱥ' lowercases to the longer 'ⱥ', so
+// a name that fits the wire bound can decode past it; Decode refuses it
+// as Encode would.
+func TestDecodeBoundsLowercasedName(t *testing.T) {
+	b := []byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0} // QDCOUNT = 1
+	for i := 0; i < 4; i++ {
+		b = append(b, 62)
+		b = append(b, bytes.Repeat([]byte("Ⱥ"), 31)...)
+	}
+	b = append(b, 0, 0, byte(TypeTXT), 0, 1)
+	if _, err := Decode(b); err == nil {
+		t.Fatal("Decode accepted a name that lowercases past 255 bytes")
 	}
 }
 
@@ -531,5 +597,5 @@ func TestServerSurvivesGarbage(t *testing.T) {
 
 // resolverRawCall sends raw bytes as the DNS op, bypassing Encode.
 func resolverRawCall(r *Resolver, addr string, body []byte) ([]byte, time.Duration, error) {
-	return r.clients.Get(addr).Call(OpDNS, body)
+	return r.clients.Get(addr).Call(obs.SpanContext{}, OpDNS, body)
 }

@@ -12,11 +12,13 @@ import (
 // receives them (§6.1). Decoding must not panic; it must allocate no
 // more than a constant per input byte plus the names it returns; it
 // must agree, message for message and error for error, with refDecode,
-// the label-join decoder it replaced; and a decoded message that
-// encodes must decode back to itself. The committed corpus
-// (testdata/fuzz/FuzzDecode) holds a TSIG-signed update, a referral
-// with glue and compression pointers, a pointer loop, a forward
-// pointer, and mixed-case and non-ASCII labels.
+// the label-join decoder it replaced; no decoded name may exceed the
+// RFC 1035 bound, counted across compression pointers; and a decoded
+// message that encodes must decode back to itself. The committed
+// corpus (testdata/fuzz/FuzzDecode) holds a TSIG-signed update, a
+// referral with glue and compression pointers, a pointer loop, a
+// forward pointer, mixed-case and non-ASCII labels, and a name whose
+// labels fit the bound on each side of a pointer but not together.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -37,9 +39,14 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Decode differs from the label-join decoder:\n got %+v\nwant %+v", m, ref)
 		}
 
+		eachName(m, func(s string) {
+			if len(s)+2 > maxNameLen {
+				t.Fatalf("decoded a name of %d wire bytes", len(s)+2)
+			}
+		})
 		b, err := Encode(m)
 		if err != nil {
-			return // names that decode need not encode: too long, or an empty label
+			return // a name that decodes need not encode: a '.' inside a label makes an empty one
 		}
 		again, err := Decode(b)
 		if err != nil {
@@ -60,23 +67,28 @@ func decodeBytes(data []byte) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// nameBytes is the length of every name in m, which may be nil.
-func nameBytes(m *Message) uint64 {
+// eachName calls fn with every name in m, which may be nil.
+func eachName(m *Message, fn func(string)) {
 	if m == nil {
-		return 0
+		return
 	}
-	var n int
 	for _, q := range m.Questions {
-		n += len(q.Name)
+		fn(q.Name)
 	}
 	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
 		for _, rr := range sec {
-			n += len(rr.Name)
+			fn(rr.Name)
 			if rr.Type == TypeNS || rr.Type == TypeCNAME {
-				n += len(rr.Data)
+				fn(rr.Data)
 			}
 		}
 	}
+}
+
+// nameBytes is the length of every name in m, which may be nil.
+func nameBytes(m *Message) uint64 {
+	var n int
+	eachName(m, func(s string) { n += len(s) })
 	return uint64(n)
 }
 
@@ -135,7 +147,11 @@ func refDecode(b []byte) (*Message, error) {
 type refDecoder struct{ decoder }
 
 func (d *refDecoder) name() string {
-	s, next := d.nameAt(d.off, 0)
+	total := 1 // the root's zero octet
+	s, next := d.nameAt(d.off, 0, &total)
+	if d.err == nil && len(s)+2 > maxNameLen {
+		d.fail("name exceeds %d bytes once lowercased", maxNameLen)
+	}
 	if d.err != nil {
 		return ""
 	}
@@ -143,13 +159,15 @@ func (d *refDecoder) name() string {
 	return s
 }
 
-func (d *refDecoder) nameAt(off, depth int) (string, int) {
+// nameAt decodes the labels at off and, through pointers, below it;
+// total counts the bytes of the whole name, so a name is bounded by
+// maxNameLen across its pointers, as Decode bounds it.
+func (d *refDecoder) nameAt(off, depth int, total *int) (string, int) {
 	if depth > 16 {
 		d.fail("compression pointer loop")
 		return "", off
 	}
 	var labels []string
-	total := 0
 	for {
 		if off >= len(d.buf) {
 			d.fail("name runs past message end")
@@ -169,7 +187,7 @@ func (d *refDecoder) nameAt(off, depth int) (string, int) {
 				d.fail("forward compression pointer")
 				return "", off
 			}
-			rest, _ := d.nameAt(ptr, depth+1)
+			rest, _ := d.nameAt(ptr, depth+1, total)
 			if d.err != nil {
 				return "", off
 			}
@@ -186,8 +204,8 @@ func (d *refDecoder) nameAt(off, depth int) (string, int) {
 				d.fail("label runs past message end")
 				return "", off
 			}
-			total += n + 1
-			if total > maxNameLen {
+			*total += n + 1
+			if *total > maxNameLen {
 				d.fail("name exceeds %d bytes", maxNameLen)
 				return "", off
 			}

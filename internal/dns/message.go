@@ -142,7 +142,7 @@ func ValidName(s string) bool {
 	if s == "" {
 		return true // the root
 	}
-	if len(s) > maxNameLen {
+	if len(s)+2 > maxNameLen { // on the wire: a length octet per label and the root's zero
 		return false
 	}
 	for {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/transport"
 )
@@ -194,8 +195,10 @@ func answerTTL(rrs []RR) time.Duration {
 }
 
 // evictLocked makes room for one entry in a full cache: it drops every
-// expired entry or, when none has expired, one arbitrary entry. Caller
-// holds r.mu.
+// expired entry or, when none has expired, the first answer it meets.
+// A zone cut goes only when the cache holds nothing else, since losing
+// one sends every later name below it back to the roots. Caller holds
+// r.mu.
 func (r *Resolver) evictLocked() {
 	if r.clock >= r.minExpire {
 		next := time.Duration(math.MaxInt64)
@@ -211,10 +214,15 @@ func (r *Resolver) evictLocked() {
 	if len(r.cache) < maxCacheEntries {
 		return
 	}
+	var cut cacheKey
 	for k := range r.cache {
-		delete(r.cache, k)
-		break
+		if !k.cut {
+			delete(r.cache, k)
+			return
+		}
+		cut = k
 	}
+	delete(r.cache, cut)
 }
 
 // Result is the outcome of one resolution.
@@ -331,7 +339,7 @@ func (r *Resolver) exchange(addr string, msg *Message) (*Message, time.Duration,
 	r.mu.Lock()
 	r.queriesSent++
 	r.mu.Unlock()
-	respBody, cost, err := r.clients.Get(addr).Call(OpDNS, body)
+	respBody, cost, err := r.clients.Get(addr).Call(obs.SpanContext{}, OpDNS, body)
 	if err != nil {
 		return nil, cost, err
 	}

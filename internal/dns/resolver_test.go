@@ -52,6 +52,32 @@ func TestResolverCachesDelegations(t *testing.T) {
 	}
 }
 
+// TestEvictionKeepsZoneCuts fills the cache three times over with
+// answers on a clock that never advances, as in a daemon: eviction
+// drops answers, never the vu.nl cut, so every cold name after the
+// first costs exactly one message.
+func TestEvictionKeepsZoneCuts(t *testing.T) {
+	_, _, _, res := dnsWorld(t)
+	queriesFor(t, res, "warm.gdn.cs.vu.nl")
+	before := res.QueriesSent()
+	const names = 3 * maxCacheEntries
+	for i := 0; i < names; i++ {
+		if _, err := res.Query(fmt.Sprintf("n%d.gdn.cs.vu.nl", i), TypeTXT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sent := res.QueriesSent() - before; sent != names {
+		t.Fatalf("%d cold names below a cached cut sent %d messages, want one each", names, sent)
+	}
+	res.mu.Lock()
+	n := len(res.cache)
+	_, cut := res.cache[cacheKey{name: "vu.nl", cut: true}]
+	res.mu.Unlock()
+	if n != maxCacheEntries || !cut {
+		t.Fatalf("full cache holds %d entries, vu.nl cut kept %v; want %d and true", n, cut, maxCacheEntries)
+	}
+}
+
 // TestResolverDropsDeadCut moves the vu.nl servers to a new address
 // after the resolver cached the cut: the next name fails at the cached
 // server, falls back to the root, and succeeds; the cut it caches then

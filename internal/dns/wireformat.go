@@ -271,16 +271,19 @@ const maxPointers = 16
 
 // nameAt decodes the name at off into one buffer, lowercased, and
 // returns it with the offset following the name's in-stream bytes.
-// Compression pointers only move the cursor. Each run of labels between
-// pointers is bounded by maxNameLen on its own. ASCII is lowercased in
+// Compression pointers only move the cursor, and the whole name —
+// every label it reaches through them, with its length octet, and the
+// root's zero octet — is bounded by maxNameLen (RFC 1035 §2.3.4), the
+// bound ValidName puts on what Encode emits. ASCII is lowercased in
 // place; a name with any byte above ASCII is lowercased as a whole by
 // strings.ToLower, which gives the same string as lowercasing each label
-// apart, since '.' never falls inside a UTF-8 sequence.
+// apart, since '.' never falls inside a UTF-8 sequence. Lowercasing can
+// lengthen a non-ASCII name, so the bound is checked again after it.
 func (d *decoder) nameAt(off int) (string, int) {
 	var stack [maxNameLen]byte
 	buf := stack[:0]
-	next := -1 // the offset after the in-stream bytes, once known
-	total, pointers := 0, 0
+	next := -1              // the offset after the in-stream bytes, once known
+	total, pointers := 1, 0 // the root's zero octet
 	high := false
 	for {
 		if off >= len(d.buf) {
@@ -293,10 +296,15 @@ func (d *decoder) nameAt(off int) (string, int) {
 			if next < 0 {
 				next = off + 1
 			}
-			if high {
-				return strings.ToLower(string(buf)), next
+			if !high {
+				return string(buf), next
 			}
-			return string(buf), next
+			s := strings.ToLower(string(buf))
+			if len(s)+2 > maxNameLen {
+				d.fail("name exceeds %d bytes once lowercased", maxNameLen)
+				return "", off
+			}
+			return s, next
 		case c&0xC0 == 0xC0:
 			if off+1 >= len(d.buf) {
 				d.fail("truncated compression pointer")
@@ -314,7 +322,7 @@ func (d *decoder) nameAt(off int) (string, int) {
 			if next < 0 {
 				next = off + 2
 			}
-			off, total = ptr, 0
+			off = ptr
 		case c&0xC0 != 0:
 			d.fail("reserved label type %#x", c)
 			return "", off

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 	"gdn/internal/wire"
 )
 
@@ -49,7 +50,7 @@ func BenchmarkNodeAttach(b *testing.B) {
 				base := liveHeap()
 				b.StartTimer()
 				for _, body := range bodies {
-					if _, _, err := c.Call(OpSessionReattach, body); err != nil {
+					if _, _, err := c.Call(obs.SpanContext{}, OpSessionReattach, body); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -15,6 +15,7 @@ import (
 
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/wire"
@@ -235,7 +236,7 @@ func TestDeleteRacingReinsertKeepsPointerChain(t *testing.T) {
 		if call.Op == OpRemovePtr {
 			once.Do(func() { close(held); <-release })
 		}
-		resp, _, err := fwd.Get(root.Addr()).Call(call.Op, call.Body)
+		resp, _, err := fwd.Get(root.Addr()).Call(obs.SpanContext{}, call.Op, call.Body)
 		return resp, err
 	})
 	if err != nil {
@@ -529,7 +530,7 @@ func TestAdmissionControl(t *testing.T) {
 	w.OID(evil)
 	testAddr("eu-de-tu").encode(w)
 	w.OID(sess.ID())
-	_, _, err = user.client(leaf.Route(evil)).Call(OpInsert, w.Bytes())
+	_, _, err = user.client(leaf.Route(evil)).Call(obs.SpanContext{}, OpInsert, w.Bytes())
 	refused("insert into another server's session", err)
 	if _, _, err := gos.Lookup(evil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("lookup of the refused insert = %v, want ErrNotFound", err)
@@ -537,7 +538,7 @@ func TestAdmissionControl(t *testing.T) {
 	w = wire.NewWriter(64)
 	w.OID(oid)
 	w.Str("eu-nl-vu:gos/obj")
-	if _, _, err := user.client(leaf.Route(oid)).Call(OpDelete, w.Bytes()); err == nil {
+	if _, _, err := user.client(leaf.Route(oid)).Call(obs.SpanContext{}, OpDelete, w.Bytes()); err == nil {
 		t.Fatal("user delete must be rejected")
 	}
 

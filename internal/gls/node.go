@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/transport"
@@ -374,7 +375,7 @@ func (n *Node) handleLookup(call *rpc.Call, down bool) ([]byte, error) {
 		}
 		var descendErr error
 		for _, ref := range childRefs {
-			resp, cost, err := n.client(ref.Route(oid)).Call(OpLookupDown, encodeOID(oid))
+			resp, cost, err := n.client(ref.Route(oid)).Call(obs.SpanContext{}, OpLookupDown, encodeOID(oid))
 			charge(call, cost)
 			if err != nil {
 				if descendErr == nil {
@@ -399,7 +400,7 @@ func (n *Node) handleLookup(call *rpc.Call, down bool) ([]byte, error) {
 	if !down && !n.isRoot() {
 		// Up phase: the rest of the tree may hold healthy replicas;
 		// only settle for a drained set after the root came up empty.
-		resp, cost, err := n.client(n.cfg.Parent.Route(oid)).Call(OpLookup, encodeOID(oid))
+		resp, cost, err := n.client(n.cfg.Parent.Route(oid)).Call(obs.SpanContext{}, OpLookup, encodeOID(oid))
 		charge(call, cost)
 		if err != nil {
 			if len(drainedAddrs) > 0 {
@@ -572,7 +573,7 @@ func (n *Node) propagateInstall(call *rpc.Call, oid ids.OID) error {
 	w.OID(oid)
 	w.Str(n.cfg.Domain)
 	n.cfg.Self.encode(w)
-	_, cost, err := n.client(n.cfg.Parent.Route(oid)).Call(OpInstallPtr, w.Bytes())
+	_, cost, err := n.client(n.cfg.Parent.Route(oid)).Call(obs.SpanContext{}, OpInstallPtr, w.Bytes())
 	charge(call, cost)
 	if err != nil {
 		return fmt.Errorf("gls: %s: install pointer at parent: %w", n.cfg.Domain, err)
@@ -636,7 +637,7 @@ func (n *Node) propagateRemove(call *rpc.Call, oid ids.OID) error {
 	w := wire.NewWriter(64)
 	w.OID(oid)
 	w.Str(n.cfg.Domain)
-	_, cost, err := n.client(n.cfg.Parent.Route(oid)).Call(OpRemovePtr, w.Bytes())
+	_, cost, err := n.client(n.cfg.Parent.Route(oid)).Call(obs.SpanContext{}, OpRemovePtr, w.Bytes())
 	charge(call, cost)
 	if err != nil {
 		return fmt.Errorf("gls: %s: remove pointer at parent: %w", n.cfg.Domain, err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/transport"
@@ -64,7 +65,7 @@ func (r *Resolver) client(addr string) *rpc.Client { return r.clients.Get(addr) 
 func (r *Resolver) Lookup(oid ids.OID) ([]ContactAddress, time.Duration, error) {
 	start := time.Now()
 	defer mResolverLookupSeconds.ObserveSince(start)
-	resp, cost, err := r.client(r.leaf.Route(oid)).Call(OpLookup, encodeOID(oid))
+	resp, cost, err := r.client(r.leaf.Route(oid)).Call(obs.SpanContext{}, OpLookup, encodeOID(oid))
 	if err != nil {
 		return nil, cost, err
 	}

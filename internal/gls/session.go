@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 	"gdn/internal/wire"
 )
 
@@ -118,7 +119,7 @@ func (s *ServerSession) openAt(sub string) (time.Duration, error) {
 	w.OID(s.id)
 	w.Str(s.addr)
 	w.Uint32(s.ttlSecs())
-	_, cost, err := s.res.client(sub).Call(OpSessionOpen, w.Bytes())
+	_, cost, err := s.res.client(sub).Call(obs.SpanContext{}, OpSessionOpen, w.Bytes())
 	return cost, err
 }
 
@@ -185,7 +186,7 @@ func (s *ServerSession) Detach(oid ids.OID) (time.Duration, error) {
 	w := wire.NewWriter(64)
 	w.OID(oid)
 	w.Str(ca.Address)
-	_, cost, err := s.res.client(s.res.leaf.Route(oid)).Call(OpDelete, w.Bytes())
+	_, cost, err := s.res.client(s.res.leaf.Route(oid)).Call(obs.SpanContext{}, OpDelete, w.Bytes())
 	return cost, err
 }
 
@@ -195,7 +196,7 @@ func (s *ServerSession) insert(oid ids.OID, ca ContactAddress) (time.Duration, e
 	w.OID(oid)
 	ca.encode(w)
 	w.OID(s.id)
-	_, cost, err := s.res.client(s.res.leaf.Route(oid)).Call(OpInsert, w.Bytes())
+	_, cost, err := s.res.client(s.res.leaf.Route(oid)).Call(obs.SpanContext{}, OpInsert, w.Bytes())
 	return cost, err
 }
 
@@ -233,7 +234,7 @@ func (s *ServerSession) Renew() (time.Duration, error) {
 // renewAt sends the renewal body to leaf subnode i and reports whether
 // the subnode knows the session and its digest matches the books.
 func (s *ServerSession) renewAt(i int, body []byte) (match bool, cost time.Duration, err error) {
-	resp, cost, err := s.res.client(s.res.leaf.Addrs[i]).Call(OpSessionRenew, body)
+	resp, cost, err := s.res.client(s.res.leaf.Addrs[i]).Call(obs.SpanContext{}, OpSessionRenew, body)
 	if err != nil {
 		return false, cost, err
 	}
@@ -317,7 +318,7 @@ func (s *ServerSession) reattach(sub string, mode uint8, entries []reattachEntry
 		w.OID(e.oid)
 		e.ca.encode(w)
 	}
-	_, cost, err := s.res.client(sub).Call(OpSessionReattach, w.Bytes())
+	_, cost, err := s.res.client(sub).Call(obs.SpanContext{}, OpSessionReattach, w.Bytes())
 	return cost, err
 }
 
@@ -384,7 +385,7 @@ func (s *ServerSession) Close() (time.Duration, error) {
 	var total time.Duration
 	var firstErr error
 	for _, sub := range s.res.leaf.Addrs {
-		_, cost, err := s.res.client(sub).CallTimeout(OpSessionClose, body, sessionCloseTimeout)
+		_, cost, err := s.res.client(sub).CallTimeout(obs.SpanContext{}, OpSessionClose, body, sessionCloseTimeout)
 		total += cost
 		if err != nil && firstErr == nil {
 			firstErr = err

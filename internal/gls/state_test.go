@@ -16,6 +16,7 @@ import (
 
 	"gdn/internal/ids"
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 	"gdn/internal/transport"
 	"gdn/internal/wire"
 )
@@ -207,7 +208,7 @@ func TestJournalRestartRecoversRecordsAndSessions(t *testing.T) {
 	w.OID(ptrOID)
 	w.Str("solo/child")
 	Ref{Addrs: []string{"solo-site:gls-child-0"}}.encode(w)
-	if _, _, err := res.client(n.Addr()).Call(OpInstallPtr, w.Bytes()); err != nil {
+	if _, _, err := res.client(n.Addr()).Call(obs.SpanContext{}, OpInstallPtr, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sess.Drain(true); err != nil {
@@ -438,7 +439,7 @@ func TestStateCrashPoints(t *testing.T) {
 	w.OID(ids.New())
 	w.Str("solo/child")
 	Ref{Addrs: []string{"solo-site:gls-child-0"}}.encode(w)
-	if _, _, err := res.client(n.Addr()).Call(OpInstallPtr, w.Bytes()); err != nil {
+	if _, _, err := res.client(n.Addr()).Call(obs.SpanContext{}, OpInstallPtr, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fresh.Drain(true); err != nil {

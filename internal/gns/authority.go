@@ -11,6 +11,7 @@ import (
 
 	"gdn/internal/dns"
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/transport"
@@ -396,7 +397,7 @@ func (a *Authority) flushLocked(call *rpc.Call) error {
 		return err
 	}
 	for _, server := range a.cfg.Servers {
-		respBody, cost, err := a.clients.Get(server).Call(dns.OpDNS, body)
+		respBody, cost, err := a.clients.Get(server).Call(obs.SpanContext{}, dns.OpDNS, body)
 		if call != nil {
 			call.Charge(cost)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"gdn/internal/dns"
 	"gdn/internal/ids"
+	"gdn/internal/obs"
 	"gdn/internal/rpc"
 	"gdn/internal/sec"
 	"gdn/internal/transport"
@@ -194,7 +195,7 @@ func (c *Client) Add(name string, oid ids.OID) (time.Duration, error) {
 	w := wire.NewWriter(64)
 	w.Str(name)
 	w.OID(oid)
-	_, cost, err := c.rpc.Call(OpAdd, w.Bytes())
+	_, cost, err := c.rpc.Call(obs.SpanContext{}, OpAdd, w.Bytes())
 	return cost, err
 }
 
@@ -202,20 +203,20 @@ func (c *Client) Add(name string, oid ids.OID) (time.Duration, error) {
 func (c *Client) Remove(name string) (time.Duration, error) {
 	w := wire.NewWriter(64)
 	w.Str(name)
-	_, cost, err := c.rpc.Call(OpRemove, w.Bytes())
+	_, cost, err := c.rpc.Call(obs.SpanContext{}, OpRemove, w.Bytes())
 	return cost, err
 }
 
 // Flush forces the authority to push pending updates to the name
 // servers.
 func (c *Client) Flush() (time.Duration, error) {
-	_, cost, err := c.rpc.Call(OpFlush, nil)
+	_, cost, err := c.rpc.Call(obs.SpanContext{}, OpFlush, nil)
 	return cost, err
 }
 
 // Pending returns the number of staged update records at the authority.
 func (c *Client) Pending() (int, error) {
-	resp, _, err := c.rpc.Call(OpPending, nil)
+	resp, _, err := c.rpc.Call(obs.SpanContext{}, OpPending, nil)
 	if err != nil {
 		return 0, err
 	}

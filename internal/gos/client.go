@@ -46,7 +46,7 @@ func (c *Client) Close() error { return c.rpc.Close() }
 // object identifier (allocated when the request's was nil) and the
 // registered contact address.
 func (c *Client) CreateReplica(req CreateRequest) (ids.OID, gls.ContactAddress, time.Duration, error) {
-	resp, cost, err := c.rpc.Call(OpCreateReplica, req.Encode())
+	resp, cost, err := c.rpc.Call(obs.SpanContext{}, OpCreateReplica, req.Encode())
 	if err != nil {
 		return ids.Nil, gls.ContactAddress{}, cost, err
 	}
@@ -67,13 +67,13 @@ func (c *Client) CreateReplica(req CreateRequest) (ids.OID, gls.ContactAddress, 
 func (c *Client) RemoveReplica(oid ids.OID) (time.Duration, error) {
 	w := wire.NewWriter(ids.Size)
 	w.OID(oid)
-	_, cost, err := c.rpc.Call(OpRemoveReplica, w.Bytes())
+	_, cost, err := c.rpc.Call(obs.SpanContext{}, OpRemoveReplica, w.Bytes())
 	return cost, err
 }
 
 // ListReplicas returns the replicas the server hosts.
 func (c *Client) ListReplicas() ([]ReplicaInfo, error) {
-	resp, _, err := c.rpc.Call(OpListReplicas, nil)
+	resp, _, err := c.rpc.Call(obs.SpanContext{}, OpListReplicas, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +99,7 @@ func (c *Client) ListReplicas() ([]ReplicaInfo, error) {
 
 // Checkpoint forces the server to write all replica state to disk.
 func (c *Client) Checkpoint() error {
-	_, _, err := c.rpc.Call(OpCheckpoint, nil)
+	_, _, err := c.rpc.Call(obs.SpanContext{}, OpCheckpoint, nil)
 	return err
 }
 
@@ -121,7 +121,7 @@ type UploadStats struct {
 // bodies stay kilobytes regardless of package size.
 func (c *Client) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, error) {
 	return core.MissingChunksVia(func(body []byte) ([]byte, time.Duration, error) {
-		return c.rpc.Call(OpChunkHave, body)
+		return c.rpc.Call(obs.SpanContext{}, OpChunkHave, body)
 	}, refs)
 }
 
@@ -194,7 +194,7 @@ type ServerInfo struct {
 
 // Info returns the server's site, replica-traffic address and load.
 func (c *Client) Info() (ServerInfo, error) {
-	resp, _, err := c.rpc.Call(OpServerInfo, nil)
+	resp, _, err := c.rpc.Call(obs.SpanContext{}, OpServerInfo, nil)
 	if err != nil {
 		return ServerInfo{}, err
 	}

@@ -51,10 +51,9 @@ const (
 	OpServerInfo
 	// OpPutChunks uploads content chunks into the server's chunk
 	// store ahead of a create command whose InitState references them
-	// by content address. Each chunk is verified against its claimed
-	// address on arrival. The call is normally an upload stream (one
-	// chunk per data frame); a unary body carrying a counted batch of
-	// (ref, bytes) pairs is accepted too.
+	// by content address. It is an upload-stream call (one chunk per
+	// data frame) and each chunk's address is computed on arrival; a
+	// unary call is refused.
 	OpPutChunks
 	// OpChunkHave is the which-of-these-do-you-have negotiation run
 	// before OpPutChunks: refs in, the subset the server's store lacks
@@ -105,14 +104,6 @@ type Config struct {
 	Logf func(string, ...any)
 }
 
-// Default scrubbing rate: a pass over up to 256 MiB of chunk content
-// every 30 seconds — roughly 8 MiB/s of sequential read, background
-// noise against the bulk path it protects.
-const (
-	defaultScrubEvery = 30 * time.Second
-	defaultScrubBytes = 256 << 20
-)
-
 // Default replica-health knobs: registrations live 30 seconds past
 // the last heartbeat, and four quarantined chunks mark a store as
 // chronically corrupt.
@@ -141,8 +132,8 @@ type Server struct {
 	disp *core.Dispatcher
 	cmd  *rpc.Server
 
-	// stopScrub halts the background chunk scrubber; nil when
-	// scrubbing is disabled.
+	// stopScrub halts the background chunk scrubber; nil without a
+	// state directory.
 	stopScrub func()
 	// stopHeartbeat halts the session-renewal loop.
 	stopHeartbeat func()
@@ -246,12 +237,8 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	// state transfer that needs it (repair by delta sync). Scrub
 	// results feed the location service: chronic corruption drains
 	// this server's replicas out of lookups until the store heals.
-	if cfg.StateDir != "" && cfg.ScrubEvery >= 0 {
-		every := cfg.ScrubEvery
-		if every == 0 {
-			every = defaultScrubEvery
-		}
-		s.stopScrub = s.startScrubLoop(every, defaultScrubBytes)
+	if cfg.StateDir != "" {
+		s.stopScrub = s.chunks.StartScrubber(cfg.ScrubEvery, s.scrubbed)
 	}
 
 	// Heartbeat: renew the registration session at a third of the lease
@@ -316,39 +303,21 @@ func (s *Server) Heartbeat() {
 	}
 }
 
-// startScrubLoop drives bounded scrub passes and feeds their results
-// into the drain policy.
-func (s *Server) startScrubLoop(every time.Duration, bytesPerPass int64) func() {
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				s.ScrubPass(bytesPerPass)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(stop) }); <-done }
+// ScrubPass runs one scrub pass of the background scrubber's size and
+// applies its result as the background scrubber does; tests call it
+// directly.
+func (s *Server) ScrubPass() store.ScrubResult {
+	res := s.chunks.Scrub(store.DefaultScrubBytes)
+	s.scrubbed(res)
+	return res
 }
 
-// ScrubPass runs one bounded scrub pass and applies the drain policy:
-// crossing the chronic-corruption threshold drains this server's
-// replicas out of location-service lookups; a full wrap over the
-// store with zero corruption and every quarantined ref re-fetched
-// undrains them. The background loop calls it on a ticker; tests call
-// it directly. limit <= 0 selects the default pass bound.
-func (s *Server) ScrubPass(limit int64) store.ScrubResult {
-	if limit <= 0 {
-		limit = defaultScrubBytes
-	}
-	res := s.chunks.Scrub(limit)
+// scrubbed logs a scrub pass's quarantines and applies the drain
+// policy: crossing the chronic-corruption threshold drains this
+// server's replicas out of location-service lookups; a full wrap over
+// the store with zero corruption and every quarantined ref re-fetched
+// undrains them.
+func (s *Server) scrubbed(res store.ScrubResult) {
 	for _, ref := range res.Quarantined {
 		s.cfg.Logf("gos: scrub quarantined corrupt chunk %s", ref.Short())
 	}
@@ -380,7 +349,6 @@ func (s *Server) ScrubPass(limit int64) store.ScrubResult {
 	if undrain {
 		s.setDrain(false)
 	}
-	return res
 }
 
 // Drained reports whether this server has drained its replicas out of
@@ -526,33 +494,18 @@ func (s *Server) handleChunkHave(call *rpc.Call) ([]byte, error) {
 	return core.EncodeRefs(s.chunks.Missing(refs)), nil
 }
 
-// handlePutChunks stores uploaded content chunks, verifying each
-// against its claimed content address — a moderator cannot be
-// spoofed into serving bytes that do not hash to their name, and
-// uploading a chunk the server already has is a no-op (dedup).
-// Streamed uploads carry one raw chunk per data frame (the content
-// address is recomputed on arrival); unary batches carry claimed
-// (ref, bytes) pairs.
+// handlePutChunks stores uploaded content chunks. The call is an
+// upload stream carrying one raw chunk per data frame, and a unary call
+// is refused. Each chunk's content address is recomputed on arrival, so
+// a moderator cannot be spoofed into serving bytes that do not hash to
+// their name, and uploading a chunk the server already has is a no-op
+// (dedup).
 func (s *Server) handlePutChunks(call *rpc.Call) ([]byte, error) {
-	if ur := call.Upload(); ur != nil {
-		return nil, s.chunks.Ingest(ur)
+	ur := call.Upload()
+	if ur == nil {
+		return nil, errors.New("gos: chunk upload must be an upload stream")
 	}
-	r := wire.NewReader(call.Body)
-	n := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		ref := store.Ref(r.Hash())
-		data := r.Bytes32()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if err := s.chunks.PutRef(ref, data); err != nil {
-			return nil, err
-		}
-	}
-	return nil, r.Done()
+	return nil, s.chunks.Ingest(ur)
 }
 
 // CreateRequest is the body of OpCreateReplica.

@@ -288,7 +288,7 @@ func TestChronicScrubCorruptionDrainsThenHeals(t *testing.T) {
 	// The scrub pass quarantines the chunk, crosses the chronic
 	// threshold and drains the master: fresh lookups now return only
 	// the slave, without any registration being deleted.
-	res := master.ScrubPass(0)
+	res := master.ScrubPass()
 	if len(res.Quarantined) != 1 {
 		t.Fatalf("quarantined = %v, want the corrupted chunk", res.Quarantined)
 	}
@@ -309,7 +309,7 @@ func TestChronicScrubCorruptionDrainsThenHeals(t *testing.T) {
 	if _, err := master.Chunks().Put(content); err != nil {
 		t.Fatal(err)
 	}
-	if res := master.ScrubPass(0); len(res.Quarantined) != 0 || !res.Wrapped {
+	if res := master.ScrubPass(); len(res.Quarantined) != 0 || !res.Wrapped {
 		t.Fatalf("healing pass = %+v, want clean wrap", res)
 	}
 	if master.Drained() {

@@ -5,12 +5,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gdn/internal/gls"
+	"gdn/internal/obs"
 	"gdn/internal/pkgobj"
 	"gdn/internal/repl"
 	"gdn/internal/store"
+	"gdn/internal/wire"
 )
 
 // stagePackage stages a package with one deterministic file of the
@@ -254,5 +257,28 @@ func TestUploadFileNegotiatedDelta(t *testing.T) {
 	got, err := pkgobj.NewStub(usLR).GetFileContents("big.bin")
 	if err != nil || !bytes.Equal(got, changed) {
 		t.Fatalf("slave content diverged after delta upload: %v", err)
+	}
+}
+
+// TestUnaryPutChunksRefused: OpPutChunks accepts only an upload
+// stream; the unary batch of (ref, bytes) pairs is refused and stores
+// nothing.
+func TestUnaryPutChunksRefused(t *testing.T) {
+	f := newFixture(t, nil)
+	srv := f.startGOS("eu-gos", t.TempDir(), nil)
+	cl := NewClient(f.net, "mod", "eu-gos:gos-cmd", nil)
+	defer cl.Close()
+
+	body := []byte("a chunk sent the unary way")
+	w := wire.NewWriter(64)
+	w.Count(1)
+	w.Hash(store.RefOf(body))
+	w.Bytes32(body)
+	_, _, err := cl.rpc.Call(obs.SpanContext{}, OpPutChunks, w.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "upload stream") {
+		t.Fatalf("unary OpPutChunks = %v, want refused as not an upload stream", err)
+	}
+	if srv.chunks.Has(store.RefOf(body)) {
+		t.Fatal("a refused unary upload stored its chunk")
 	}
 }

@@ -101,13 +101,6 @@ type Config struct {
 	Logf func(string, ...any)
 }
 
-// Default scrubbing rate for disk-backed caches; see gos for the
-// rationale.
-const (
-	defaultScrubEvery = 30 * time.Second
-	defaultScrubBytes = 256 << 20
-)
-
 // defaultLeaseTTL matches the object servers' registration lifetime: a
 // registered cache is a replica and lives under the same contract.
 const defaultLeaseTTL = 30 * time.Second
@@ -235,17 +228,11 @@ func New(cfg Config) (*Handler, error) {
 				return nil, fmt.Errorf("httpd: open disk cache: %w", err)
 			}
 			h.chunks = chunks
-			if cfg.ScrubEvery >= 0 {
-				every := cfg.ScrubEvery
-				if every == 0 {
-					every = defaultScrubEvery
+			h.stopScrub = chunks.StartScrubber(cfg.ScrubEvery, func(res store.ScrubResult) {
+				for _, ref := range res.Quarantined {
+					cfg.Logf("httpd: scrub quarantined corrupt cache chunk %s", ref.Short())
 				}
-				h.stopScrub = chunks.StartScrubber(every, defaultScrubBytes, func(bad []store.Ref) {
-					for _, ref := range bad {
-						cfg.Logf("httpd: scrub quarantined corrupt cache chunk %s", ref.Short())
-					}
-				})
-			}
+			})
 		} else {
 			h.chunks = store.Mem(store.WithCapacity(cfg.CacheBytes))
 		}
@@ -840,7 +827,7 @@ func (h *Handler) serveFile(w http.ResponseWriter, r *http.Request, tc obs.SpanC
 			w.WriteHeader(http.StatusPartialContent)
 			var served int64
 			if r.Method != http.MethodHead {
-				served, err = b.stub.ReadFileRangeToT(tc, w, filePath, off, n)
+				served, err = b.stub.ReadFileToT(tc, w, filePath, off, n)
 				if err != nil {
 					// Headers (and possibly bytes) are out; the response
 					// cannot be retried, only truncated.
@@ -858,7 +845,7 @@ func (h *Handler) serveFile(w http.ResponseWriter, r *http.Request, tc obs.SpanC
 	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size, 10))
 	var served int64
 	if r.Method != http.MethodHead {
-		served, err = b.stub.ReadFileToT(tc, w, filePath)
+		served, err = b.stub.ReadFileToT(tc, w, filePath, 0, -1)
 		if err != nil {
 			h.cfg.Logf("httpd: stream %s/%s after %d bytes: %v", b.name, filePath, served, err)
 		}

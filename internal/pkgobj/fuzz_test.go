@@ -15,12 +15,14 @@ func maxDecodeAlloc(n int) uint64 { return 256<<10 + 64*uint64(n) }
 // server runs on moderator-supplied state (StateRefs before fetching
 // chunks, UnmarshalState to install). They must fail cleanly, never
 // panic, and allocate in proportion to the input however its count
-// and length fields lie. The same bytes, taken as file contents, must
-// stage into a state that UnmarshalState + MarshalState reproduce byte
-// for byte once its chunk bodies are in the store. The committed
-// corpus (testdata/fuzz/FuzzStateDecode) holds staged states and
-// hostile encodings: truncations, forged counts, bad chunk sizes and
-// paths.
+// and length fields lie. Every working and tagged file of an installed
+// state must resolve through FileManifest under its own name and no
+// other. The same bytes, taken as file contents, must stage into a
+// state that UnmarshalState + MarshalState reproduce byte for byte
+// once its chunk bodies are in the store. The committed corpus
+// (testdata/fuzz/FuzzStateDecode) holds staged states and hostile
+// encodings: truncations, forged counts, bad chunk sizes and paths,
+// and versions whose labels hold '/', '@', ':' and NUL.
 func FuzzStateDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := New()
@@ -34,6 +36,9 @@ func FuzzStateDecode(f *testing.F) {
 		}
 		if installErr == nil && (refsErr != nil || len(refs) != 0) {
 			t.Fatalf("installed into an empty store a state naming %d chunks (StateRefs: %v)", len(refs), refsErr)
+		}
+		if installErr == nil {
+			checkItemNames(t, p)
 		}
 
 		// The input as a package: up to three files cut at its first
@@ -69,5 +74,6 @@ func FuzzStateDecode(f *testing.F) {
 		if !bytes.Equal(again, state) {
 			t.Fatal("staged state does not round-trip byte for byte")
 		}
+		checkItemNames(t, q)
 	})
 }

@@ -61,10 +61,10 @@ const (
 // serves it as Last-Modified.
 const MetaModified = "gdn.modified"
 
-// MaxInlineRead bounds MethodGetFile/MethodGetFileAt responses: a
-// whole-content read materializes the file in one protocol message,
-// which must stay under the wire field limit. Storage itself has no
-// ceiling — larger files are read chunked or streamed.
+// MaxInlineRead bounds MethodGetFile responses: a whole-content read
+// materializes the file in one protocol message, which must stay under
+// the wire field limit. Storage itself has no ceiling — larger files
+// are read chunked or streamed.
 const MaxInlineRead = 8 << 20
 
 // Errors reported by the package semantics.
@@ -273,13 +273,14 @@ func (p *Package) ReleaseStored() {
 	p.versions = nil
 }
 
-// FileManifest implements core.BulkSource. The returned manifest's
-// chunks are retained on the caller's behalf; the caller must Release
-// them when its read completes.
-func (p *Package) FileManifest(path string) (core.Manifest, error) {
-	f, ok := p.files[path]
-	if !ok {
-		return core.Manifest{}, fmt.Errorf("%w: %q", ErrNoFile, path)
+// FileManifest implements core.BulkSource for two kinds of item name:
+// a working file's path, and a tagged file's versionItem name. The
+// returned manifest's chunks are retained on the caller's behalf; the
+// caller must Release them when its read completes.
+func (p *Package) FileManifest(name string) (core.Manifest, error) {
+	f, err := p.item(name)
+	if err != nil {
+		return core.Manifest{}, err
 	}
 	m := core.Manifest{
 		Chunks: append([]store.Chunk(nil), f.chunks...),
@@ -290,6 +291,27 @@ func (p *Package) FileManifest(path string) (core.Manifest, error) {
 		return core.Manifest{}, err
 	}
 	return m, nil
+}
+
+// item resolves a bulk item name to its file.
+func (p *Package) item(name string) (*file, error) {
+	label, path, ok := splitVersionItem(name)
+	if !ok {
+		f, ok := p.files[name]
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", ErrNoFile, name)
+		}
+		return f, nil
+	}
+	v, ok := p.versions[label]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoVersion, label)
+	}
+	f, ok := v.files[path]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q at version %q", ErrNoFile, path, label)
+	}
+	return f, nil
 }
 
 // validPath accepts slash-separated relative paths without empty or

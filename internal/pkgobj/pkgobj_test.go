@@ -8,6 +8,8 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -132,7 +134,7 @@ func TestLocalStreamReads(t *testing.T) {
 		{"at-eof", size, 10, nil},
 	} {
 		var buf bytes.Buffer
-		n, err := s.ReadFileRangeToT(obs.SpanContext{}, &buf, "blob", c.off, c.n)
+		n, err := s.ReadFileToT(obs.SpanContext{}, &buf, "blob", c.off, c.n)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -559,5 +561,135 @@ func TestStoreOnFirstLocalUse(t *testing.T) {
 	}
 	if local.st == nil || !local.st.Has(store.RefOf([]byte("hello"))) {
 		t.Fatal("a local write must store its content in a private store")
+	}
+}
+
+// TestVersionItemNames: labels holding '/', '@', ':' and NUL round-trip
+// through their item names; no item name is a valid working path, and
+// no working path parses as an item name.
+func TestVersionItemNames(t *testing.T) {
+	labels := []string{"1.0", "a/b", "x@y", "n\x00l", "", "3:c/", "0"}
+	paths := []string{"f", "dir/f", "@/x"}
+	for _, label := range labels {
+		for _, path := range paths {
+			name := versionItem(label, path)
+			if l, p, ok := splitVersionItem(name); !ok || l != label || p != path {
+				t.Fatalf("versionItem(%q, %q) = %q splits into %q, %q, %v", label, path, name, l, p, ok)
+			}
+			if validPath(name) {
+				t.Fatalf("item name %q is a valid working path", name)
+			}
+			if _, _, ok := splitVersionItem("/0" + name[1:]); ok {
+				t.Fatalf("%q with a leading zero in its length parses", name)
+			}
+		}
+	}
+	for _, path := range append(paths, "1.0", "3:c/f") {
+		if _, _, ok := splitVersionItem(path); ok {
+			t.Fatalf("working path %q parses as an item name", path)
+		}
+	}
+	for _, bad := range []string{"/", "/:", "/1:", "/1:a", "/1:ab", "/2:a/", "/x:a/f", "/99999999999999999999:a/f"} {
+		if _, _, ok := splitVersionItem(bad); ok {
+			t.Fatalf("%q parses as an item name", bad)
+		}
+	}
+
+	// Resolution: the tagged file and the working file at the same path
+	// each resolve under their own name only.
+	p := New()
+	s := newLocalStub(t, p)
+	if err := s.AddFile("f", []byte("tagged")); err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range labels[:4] {
+		if err := s.TagVersion(label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddFile("f", []byte("working")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddFile("a/b/f", []byte("lookalike")); err != nil {
+		t.Fatal(err)
+	}
+	for _, label := range labels[:4] {
+		got, err := s.GetFileAtVersion(label, "f")
+		if err != nil || string(got) != "tagged" {
+			t.Fatalf("GetFileAtVersion(%q, f) = %q, %v", label, got, err)
+		}
+	}
+	if got, err := s.GetFileContents("f"); err != nil || string(got) != "working" {
+		t.Fatalf("working f = %q, %v", got, err)
+	}
+	checkItemNames(t, p)
+}
+
+// TestTaggedCorruptionFailsDigest: a tagged file whose chunk bytes rot
+// behind its digest fails the end-to-end check of the one read path.
+func TestTaggedCorruptionFailsDigest(t *testing.T) {
+	p := New()
+	s := newLocalStub(t, p)
+	content := make([]byte, 2*DefaultChunkSize+7)
+	rand.New(rand.NewSource(5)).Read(content)
+	if err := s.UploadFile("pkg.tar", content); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TagVersion("1.0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RemoveFile("pkg.tar"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.GetFileAtVersion("1.0", "pkg.tar"); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("tagged read before corruption: %v", err)
+	}
+	// The memory store hands out its internal slice.
+	data, err := p.Store().Get(p.versions["1.0"].files["pkg.tar"].chunks[1].Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0xFF
+	if _, err := s.GetFileAtVersion("1.0", "pkg.tar"); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+		t.Fatalf("tagged read of a corrupt chunk = %v, want a digest mismatch", err)
+	}
+}
+
+// checkItemNames asserts that every working and tagged file of p
+// resolves through FileManifest under its own name, and that near
+// misses of each name resolve to nothing.
+func checkItemNames(t *testing.T, p *Package) {
+	t.Helper()
+	want := make(map[string]*file)
+	for path, f := range p.files {
+		want[path] = f
+	}
+	for label, v := range p.versions {
+		for path, f := range v.files {
+			name := versionItem(label, path)
+			if _, dup := want[name]; dup {
+				t.Fatalf("two files named %q", name)
+			}
+			want[name] = f
+		}
+	}
+	for name, f := range want {
+		m, err := p.FileManifest(name)
+		if err != nil {
+			t.Fatalf("FileManifest(%q): %v", name, err)
+		}
+		p.Store().Release(m.Refs())
+		if m.Size != f.size || m.Digest != f.digest || !slices.Equal(m.Chunks, f.chunks) {
+			t.Fatalf("FileManifest(%q) resolves another file", name)
+		}
+		for _, miss := range []string{"/" + name, name + "/", "/0" + name[1:], name[:len(name)-1], "/1:" + name[1:]} {
+			if _, named := want[miss]; named {
+				continue
+			}
+			if m, err := p.FileManifest(miss); err == nil {
+				p.Store().Release(m.Refs())
+				t.Fatalf("FileManifest(%q) resolves, but no file has that name (near %q)", miss, name)
+			}
+		}
 	}
 }

@@ -217,9 +217,9 @@ func (s *Stub) ListContents() ([]FileInfo, error) {
 }
 
 // isInlineRead recognizes ErrInlineRead across an RPC boundary, where
-// remote errors arrive flattened to text. The one string probe both
-// whole-content fallbacks share; a structured error code over the
-// wire would replace it (ROADMAP follow-up).
+// remote errors arrive flattened to text. GetFileContents's fallback
+// to the streaming read is its one user; a structured error code over
+// the wire would replace it (ROADMAP follow-up).
 func isInlineRead(err error) bool {
 	return err != nil && strings.Contains(err.Error(), ErrInlineRead.Error())
 }
@@ -269,25 +269,36 @@ func (s *Stub) Stat(path string) (FileInfo, error) {
 	return fi, nil
 }
 
-// ReadFileTo streams a file's full content into w with chunk-bounded
-// buffering and verifies the SHA-256 digest end to end as the bytes
-// flow — the GDN's integrity guarantee (§6.1) on the download path.
-// The content arrives through the replication subobject's ReadBulk: a
-// frame stream over one call from a remote representative, or a walk
-// of the local store. It returns the byte count written.
+// ReadFileTo streams a file's full content into w and verifies it,
+// untraced; see ReadFileToT.
 func (s *Stub) ReadFileTo(w io.Writer, path string) (int64, error) {
-	return s.ReadFileToT(obs.SpanContext{}, w, path)
+	return s.ReadFileToT(obs.SpanContext{}, w, path, 0, -1)
 }
 
-// ReadFileToT is ReadFileTo carrying a trace context, so the bulk
-// stream (and any upstream fill it triggers) joins the caller's trace.
-func (s *Stub) ReadFileToT(tc obs.SpanContext, w io.Writer, path string) (int64, error) {
-	ds := newDigestSink(w)
+// ReadFileToT streams the byte range [off, off+n) of a bulk item — a
+// working file's path or a tagged file's version item — into w with
+// chunk-bounded buffering (n < 0 means to the end) and returns the
+// byte count written. The content arrives through the replication
+// subobject's ReadBulk: a frame stream over one call from a remote
+// representative, or a walk of the local store. tc joins the bulk
+// stream (and any upstream fill it triggers) to the caller's trace.
+//
+// A whole-item read (off == 0, n < 0) is checked against the
+// manifest's size and SHA-256 digest as the bytes flow — the GDN's
+// integrity guarantee (§6.1) on the download path. A partial body
+// cannot be checked against the whole-file digest, so a range read
+// rests on the chunk layer instead: stores verify chunk bytes against
+// their content address on every disk read and network fill. Callers
+// that need end-to-end verification of ranges check the assembled
+// bytes against the digest themselves (it rides the X-GDN-Digest
+// header on the HTTP path).
+func (s *Stub) ReadFileToT(tc obs.SpanContext, w io.Writer, path string, off, n int64) (int64, error) {
+	ds := newDigestSink(w, off == 0 && n < 0)
 	defer ds.stop()
 
-	m, cost, err := s.lr.Replication().ReadBulk(tc, path, 0, -1, ds.sink)
+	m, cost, err := s.lr.Replication().ReadBulk(tc, path, off, n, ds.sink)
 	s.addCost(cost)
-	if err != nil {
+	if err != nil || ds.h == nil {
 		return ds.written, err
 	}
 	if ds.written != m.Size {
@@ -299,24 +310,28 @@ func (s *Stub) ReadFileToT(tc obs.SpanContext, w io.Writer, path string) (int64,
 	return ds.written, nil
 }
 
-// digestSink verifies a download end to end while writing it out.
-// SHA-256 is the dominant CPU cost of a verified download (it touches
-// every byte once more than the copy to the consumer does), so the
-// hash runs on its own goroutine concurrently with the consumer write:
-// each chunk costs max(hash, write) instead of their sum. Chunk slices
-// are only borrowed for the duration of sink (stream frames are pooled
-// and recycled by the caller), so sink joins the hasher before
-// returning — the goroutine never retains p.
+// digestSink writes a download out, counting it, and when verifying
+// hashes it on the way. SHA-256 is the dominant CPU cost of a verified
+// download (it touches every byte once more than the copy to the
+// consumer does), so the hash runs on its own goroutine concurrently
+// with the consumer write: each chunk costs max(hash, write) instead
+// of their sum. Chunk slices are only borrowed for the duration of
+// sink (stream frames are pooled and recycled by the caller), so sink
+// joins the hasher before returning — the goroutine never retains p.
 type digestSink struct {
-	h       hash.Hash
+	h       hash.Hash // nil when not verifying
 	w       io.Writer
 	in      chan []byte
 	hashed  chan struct{}
 	written int64
 }
 
-func newDigestSink(w io.Writer) *digestSink {
-	ds := &digestSink{h: sha256.New(), w: w, in: make(chan []byte), hashed: make(chan struct{})}
+func newDigestSink(w io.Writer, verify bool) *digestSink {
+	ds := &digestSink{w: w}
+	if !verify {
+		return ds
+	}
+	ds.h, ds.in, ds.hashed = sha256.New(), make(chan []byte), make(chan struct{})
 	go func() {
 		for p := range ds.in {
 			ds.h.Write(p)
@@ -328,10 +343,14 @@ func newDigestSink(w io.Writer) *digestSink {
 }
 
 func (ds *digestSink) sink(p []byte) error {
-	ds.in <- p
+	if ds.h != nil {
+		ds.in <- p
+	}
 	n, err := ds.w.Write(p)
 	ds.written += int64(n)
-	<-ds.hashed
+	if ds.h != nil {
+		<-ds.hashed
+	}
 	return err
 }
 
@@ -351,28 +370,6 @@ func (ds *digestSink) sum() [sha256.Size]byte {
 	var got [sha256.Size]byte
 	ds.h.Sum(got[:0])
 	return got
-}
-
-// ReadFileRangeToT streams the byte range [off, off+n) of a file into
-// w with chunk-bounded buffering (n < 0 means to end of file), carrying
-// the trace context tc, and returns the byte count written. Unlike ReadFileTo there is no
-// whole-file digest to verify — a partial body cannot be checked
-// against the manifest's digest — so integrity rests on the chunk
-// layer: stores verify chunk bytes against their content address on
-// every disk read and network fill. Callers that need end-to-end
-// verification fetch the whole file or check the assembled ranges
-// against the digest themselves (it rides the X-GDN-Digest header on
-// the HTTP path).
-func (s *Stub) ReadFileRangeToT(tc obs.SpanContext, w io.Writer, path string, off, n int64) (int64, error) {
-	var written int64
-	sink := func(p []byte) error {
-		m, err := w.Write(p)
-		written += int64(m)
-		return err
-	}
-	_, cost, err := s.lr.Replication().ReadBulk(tc, path, off, n, sink)
-	s.addCost(cost)
-	return written, err
 }
 
 // VerifyFile downloads a file with chunk-bounded buffering and checks

@@ -1,8 +1,10 @@
 package pkgobj
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"gdn/internal/core"
 	"gdn/internal/wire"
@@ -20,13 +22,44 @@ import (
 const (
 	MethodTagVersion   = "tagVersion"
 	MethodListVersions = "listVersions"
-	MethodGetFileAt    = "getFileAtVersion"
-	MethodGetChunkAt   = "getFileChunkAtVersion"
 	MethodDropVersion  = "dropVersion"
 )
 
 // ErrNoVersion is returned for unknown version labels.
 var ErrNoVersion = fmt.Errorf("pkgobj: no such version")
+
+// versionItem names the file at path in version label as a bulk item,
+// the name FileManifest resolves and ReadBulk streams. It starts with
+// the '/' that validPath refuses for every working file, then holds
+// the label's length in decimal, ':', the label, '/' and the path, so
+// no working path can collide with it and any label can be addressed.
+func versionItem(label, path string) string {
+	return "/" + strconv.Itoa(len(label)) + ":" + label + "/" + path
+}
+
+// splitVersionItem is versionItem's inverse; ok is false for every
+// other name, working paths included. A length with a leading zero is
+// refused, so each tagged file has exactly one item name.
+func splitVersionItem(name string) (label, path string, ok bool) {
+	if len(name) < 3 || name[0] != '/' {
+		return "", "", false
+	}
+	n, i := 0, 1
+	for ; i < len(name) && '0' <= name[i] && name[i] <= '9'; i++ {
+		if n > len(name) {
+			return "", "", false
+		}
+		n = n*10 + int(name[i]-'0')
+	}
+	if i == 1 || (name[1] == '0' && i > 2) || i == len(name) || name[i] != ':' {
+		return "", "", false
+	}
+	rest := name[i+1:]
+	if n >= len(rest) || rest[n] != '/' {
+		return "", "", false
+	}
+	return rest[:n], rest[n+1:], true
+}
 
 // invokeVersion handles the version-management methods; it reports
 // whether the method belonged to this extension.
@@ -53,43 +86,6 @@ func (p *Package) invokeVersion(inv core.Invocation, r *wire.Reader) (handled bo
 			w.Str(l)
 		}
 		return true, w.Bytes(), nil
-	case MethodGetFileAt:
-		label := r.Str()
-		path := r.Str()
-		if err := r.Done(); err != nil {
-			return true, nil, err
-		}
-		v, ok := p.versions[label]
-		if !ok {
-			return true, nil, fmt.Errorf("%w: %q", ErrNoVersion, label)
-		}
-		f, ok := v.files[path]
-		if !ok {
-			return true, nil, fmt.Errorf("%w: %q at version %q", ErrNoFile, path, label)
-		}
-		if f.size > MaxInlineRead {
-			return true, nil, fmt.Errorf("%w: %q@%q is %d bytes", ErrInlineRead, path, label, f.size)
-		}
-		out, err := f.read(p.Store(), 0, f.size)
-		return true, out, err
-	case MethodGetChunkAt:
-		label := r.Str()
-		path := r.Str()
-		off := r.Int64()
-		n := r.Int64()
-		if err := r.Done(); err != nil {
-			return true, nil, err
-		}
-		v, ok := p.versions[label]
-		if !ok {
-			return true, nil, fmt.Errorf("%w: %q", ErrNoVersion, label)
-		}
-		f, ok := v.files[path]
-		if !ok {
-			return true, nil, fmt.Errorf("%w: %q at version %q", ErrNoFile, path, label)
-		}
-		out, err := f.read(p.Store(), off, n)
-		return true, out, err
 	case MethodDropVersion:
 		label := r.Str()
 		if err := r.Done(); err != nil {
@@ -232,38 +228,15 @@ func (s *Stub) ListVersions() ([]string, error) {
 }
 
 // GetFileAtVersion reads a file's content as it was when the version
-// was tagged. Versioned files above MaxInlineRead are assembled from
-// chunk reads, so tagged content has no size ceiling either.
+// was tagged. It streams the version item through ReadFileTo, the one
+// read path of working files too, so tagged content has no size
+// ceiling and is checked against its size and digest end to end.
 func (s *Stub) GetFileAtVersion(label, path string) ([]byte, error) {
-	w := wire.NewWriter(8 + len(label) + len(path))
-	w.Str(label)
-	w.Str(path)
-	out, err := s.invoke(MethodGetFileAt, false, w.Bytes())
-	if isInlineRead(err) {
-		return s.getVersionChunked(label, path)
+	var buf bytes.Buffer
+	if _, err := s.ReadFileTo(&buf, versionItem(label, path)); err != nil {
+		return nil, err
 	}
-	return out, err
-}
-
-// getVersionChunked reassembles a large versioned file chunk by chunk.
-func (s *Stub) getVersionChunked(label, path string) ([]byte, error) {
-	var out []byte
-	for off := int64(0); ; {
-		w := wire.NewWriter(24 + len(label) + len(path))
-		w.Str(label)
-		w.Str(path)
-		w.Int64(off)
-		w.Int64(DefaultChunkSize)
-		chunk, err := s.invoke(MethodGetChunkAt, false, w.Bytes())
-		if err != nil {
-			return nil, err
-		}
-		if len(chunk) == 0 {
-			return out, nil
-		}
-		out = append(out, chunk...)
-		off += int64(len(chunk))
-	}
+	return buf.Bytes(), nil
 }
 
 // DropVersion removes a tagged version.

@@ -3,6 +3,8 @@ package repl
 import (
 	"bytes"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"gdn/internal/core"
@@ -11,6 +13,9 @@ import (
 	"gdn/internal/netsim"
 	"gdn/internal/obs"
 	"gdn/internal/pkgobj"
+	"gdn/internal/rpc"
+	"gdn/internal/store"
+	"gdn/internal/wire"
 )
 
 // pkgReplica hosts a package replica at a site (the repl fixture's
@@ -111,5 +116,75 @@ func TestProxyStreamedReadVerifies(t *testing.T) {
 	}
 	if stub.TakeCost() <= 0 {
 		t.Fatal("streamed read lost its virtual network cost")
+	}
+}
+
+// TestTaggedReadIsOneBulkStream: a binding client reads a multi-chunk
+// tagged file through its proxy as one OpBulkRead stream, the path of
+// working files, with no per-chunk invocation.
+func TestTaggedReadIsOneBulkStream(t *testing.T) {
+	f := newFixture(t, nil)
+	pkgobj.Register(f.rts["origin"].Registry())
+
+	tagged := make([]byte, 5*pkgobj.DefaultChunkSize+999)
+	rand.New(rand.NewSource(10)).Read(tagged)
+
+	oid := ids.Derive("tagged-stream")
+	serverLR, _ := pkgReplica(t, f, oid, "origin", ClientServer, RoleServer, nil)
+	owner := pkgobj.NewStub(serverLR)
+	if err := owner.UploadFile("blob", tagged); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.TagVersion("1.0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.AddFile("blob", []byte("development moved on")); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := serverLR.Replication().(*csServer)
+	var mu sync.Mutex
+	ops := make(map[uint16]int)
+	f.disps["origin"].Register(oid, func(call *rpc.Call) ([]byte, error) {
+		mu.Lock()
+		ops[call.Op]++
+		mu.Unlock()
+		return srv.handle(call)
+	})
+
+	client := pkgobj.NewStub(f.bind("us-client", oid))
+	got, err := client.GetFileAtVersion("1.0", "blob")
+	if err != nil || !bytes.Equal(got, tagged) {
+		t.Fatalf("tagged read through the proxy: %d bytes, %v", len(got), err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if ops[core.OpBulkRead] != 1 || len(ops) != 1 {
+		t.Fatalf("tagged read reached the server as %v, want one OpBulkRead (op %d) and nothing else", ops, core.OpBulkRead)
+	}
+}
+
+// TestUnaryChunkPutRefused: OpChunkPut accepts only an upload stream,
+// at the replica that stores the chunks and at a cache that relays
+// them; a unary counted batch is refused and stores nothing.
+func TestUnaryChunkPutRefused(t *testing.T) {
+	f := newFixture(t, nil)
+	pkgobj.Register(f.rts["origin"].Registry())
+	oid := ids.Derive("unary-chunk-put")
+	serverLR, serverCA := pkgReplica(t, f, oid, "origin", ClientServer, RoleServer, nil)
+	pkgReplica(t, f, oid, "eu-client", Cache, RoleCache, []gls.ContactAddress{serverCA})
+
+	body := []byte("a chunk sent the unary way")
+	w := wire.NewWriter(64)
+	w.Count(1)
+	w.Bytes32(body)
+	for _, addr := range []string{"origin:objects", "eu-client:objects"} {
+		_, _, err := f.peer("us-client", oid, addr).Call(obs.SpanContext{}, core.OpChunkPut, w.Bytes())
+		if err == nil || !strings.Contains(err.Error(), "upload stream") {
+			t.Fatalf("unary OpChunkPut at %s = %v, want refused as not an upload stream", addr, err)
+		}
+	}
+	if serverLR.Semantics().(*pkgobj.Package).Store().Has(store.RefOf(body)) {
+		t.Fatal("a refused unary chunk put stored its chunk")
 	}
 }

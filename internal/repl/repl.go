@@ -257,12 +257,11 @@ func (rb *replicaBase) handleChunkHave(call *rpc.Call) ([]byte, error) {
 }
 
 // handleChunkPut stores uploaded chunk bodies — the supply side of a
-// negotiated bulk write. Every chunk is verified against its content
-// address (Put hashes the bytes), so a hostile writer cannot plant
-// content under a foreign name; what it can do is limited to what
-// AddFile already allows an authorized writer. The call is normally an
-// upload stream (one chunk per frame); a unary body carrying a counted
-// batch is accepted too.
+// negotiated bulk write. The call is an upload stream, one chunk per
+// frame; a unary call is refused. Every chunk is verified against its
+// content address (Ingest hashes the bytes), so a hostile writer
+// cannot plant content under a foreign name; what it can do is limited
+// to what AddFile already allows an authorized writer.
 func (rb *replicaBase) handleChunkPut(call *rpc.Call) ([]byte, error) {
 	if err := authorizeWrite(rb.env, call); err != nil {
 		return nil, err
@@ -270,25 +269,15 @@ func (rb *replicaBase) handleChunkPut(call *rpc.Call) ([]byte, error) {
 	if rb.env.Store == nil {
 		return nil, fmt.Errorf("repl: %s has no chunk store", rb.env.OID.Short())
 	}
-	if ur := call.Upload(); ur != nil {
-		return nil, rb.env.Store.Ingest(ur)
+	ur := call.Upload()
+	if ur == nil {
+		return nil, errUnaryChunkPut
 	}
-	r := wire.NewReader(call.Body)
-	n := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		data := r.Bytes32()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if _, err := rb.env.Store.Put(data); err != nil {
-			return nil, err
-		}
-	}
-	return nil, r.Done()
+	return nil, rb.env.Store.Ingest(ur)
 }
+
+// errUnaryChunkPut refuses an OpChunkPut that is not an upload stream.
+var errUnaryChunkPut = errors.New("repl: chunk put must be an upload stream")
 
 // relayChunkOps forwards chunk-negotiation traffic (OpChunkHave,
 // OpChunkPut) to the upstream representative whose store manifest
@@ -319,10 +308,7 @@ func (rb *replicaBase) relayChunkPut(call *rpc.Call, upstream string) ([]byte, e
 	}
 	ur := call.Upload()
 	if ur == nil {
-		// Unary batch shape: forward the body as-is.
-		resp, cost, err := rb.env.Dial(upstream).Call(call.TC, core.OpChunkPut, call.Body)
-		call.Charge(cost)
-		return resp, err
+		return nil, errUnaryChunkPut
 	}
 	us, err := rb.env.Dial(upstream).CallUpload(call.TC, core.OpChunkPut, nil)
 	if err != nil {

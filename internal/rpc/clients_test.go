@@ -136,12 +136,12 @@ func TestSharedConnRidesOutPeerRestart(t *testing.T) {
 
 			tbl := NewClients(hn, "client", WithTimeout(5*time.Second))
 			defer tbl.Close()
-			if _, _, err := tbl.Get(addr).Call(opRead, nil); err != nil {
+			if _, _, err := tbl.Get(addr).Call(obs.SpanContext{}, opRead, nil); err != nil {
 				t.Fatal(err)
 			}
 
 			restart()
-			if resp, _, err := tbl.Get(addr).Call(opRead, nil); err != nil || string(resp) != "ok" {
+			if resp, _, err := tbl.Get(addr).Call(obs.SpanContext{}, opRead, nil); err != nil || string(resp) != "ok" {
 				t.Fatalf("first read after restart: %q, %v", resp, err)
 			}
 
@@ -159,7 +159,7 @@ func TestSharedConnRidesOutPeerRestart(t *testing.T) {
 			st.Close()
 
 			restart()
-			if _, _, err := tbl.Get(addr).Call(opWrite, nil); err != nil {
+			if _, _, err := tbl.Get(addr).Call(obs.SpanContext{}, opWrite, nil); err != nil {
 				t.Fatalf("first write after restart: %v", err)
 			}
 			if n := writes.Load(); n != 1 {

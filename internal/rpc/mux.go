@@ -262,19 +262,14 @@ func (c *Client) timeout() time.Duration {
 	return DefaultTimeout
 }
 
-// Call sends one request and waits for the response. The returned cost
-// is the virtual network cost of the full call tree: request frame,
-// the server's nested calls, and the response frame.
-func (c *Client) Call(op uint16, body []byte) (resp []byte, cost time.Duration, err error) {
-	return c.CallTimeoutT(obs.SpanContext{}, op, body, c.Timeout)
-}
-
-// CallT is Call carrying a trace context: the request is issued under
-// a fresh child span of tc (regenerated at this hop) that travels in
-// the frame's trace tail, and the round trip is recorded as a span.
-// An invalid tc makes CallT exactly Call.
-func (c *Client) CallT(tc obs.SpanContext, op uint16, body []byte) ([]byte, time.Duration, error) {
-	return c.CallTimeoutT(tc, op, body, c.Timeout)
+// Call sends one request and waits for the response. The request is
+// issued under a fresh child span of tc (regenerated at this hop) that
+// travels in the frame's trace tail, and the round trip is recorded as
+// a span; the zero tc means untraced and costs nothing. The returned
+// cost is the virtual network cost of the full call tree: request
+// frame, the server's nested calls, and the response frame.
+func (c *Client) Call(tc obs.SpanContext, op uint16, body []byte) (resp []byte, cost time.Duration, err error) {
+	return c.CallTimeout(tc, op, body, c.Timeout)
 }
 
 // CallTimeout is Call with a per-call deadline overriding the client's
@@ -282,12 +277,7 @@ func (c *Client) CallT(tc obs.SpanContext, op uint16, body []byte) ([]byte, time
 // rest (an orderly shutdown closing sessions on a possibly-dead
 // remote). Zero or negative selects the client's Timeout; every call
 // runs under some deadline.
-func (c *Client) CallTimeout(op uint16, body []byte, timeout time.Duration) ([]byte, time.Duration, error) {
-	return c.CallTimeoutT(obs.SpanContext{}, op, body, timeout)
-}
-
-// CallTimeoutT is CallTimeout carrying a trace context.
-func (c *Client) CallTimeoutT(tc obs.SpanContext, op uint16, body []byte, timeout time.Duration) ([]byte, time.Duration, error) {
+func (c *Client) CallTimeout(tc obs.SpanContext, op uint16, body []byte, timeout time.Duration) ([]byte, time.Duration, error) {
 	if timeout <= 0 {
 		timeout = c.timeout()
 	}

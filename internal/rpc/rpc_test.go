@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gdn/internal/netsim"
+	"gdn/internal/obs"
 	"gdn/internal/transport"
 )
 
@@ -37,7 +38,7 @@ func TestCallRoundTrip(t *testing.T) {
 
 	cl := NewClient(n, "client", "server:echo")
 	defer cl.Close()
-	resp, cost, err := cl.Call(7, []byte("ping"))
+	resp, cost, err := cl.Call(obs.SpanContext{}, 7, []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestRemoteError(t *testing.T) {
 
 	cl := NewClient(n, "client", "server:err")
 	defer cl.Close()
-	_, _, err = cl.Call(1, []byte("x"))
+	_, _, err = cl.Call(obs.SpanContext{}, 1, []byte("x"))
 	if err == nil {
 		t.Fatal("expected remote error")
 	}
@@ -90,11 +91,11 @@ func TestHandlerPanicIsolated(t *testing.T) {
 
 	cl := NewClient(n, "client", "server:p")
 	defer cl.Close()
-	if _, _, err := cl.Call(666, nil); !IsRemote(err) {
+	if _, _, err := cl.Call(obs.SpanContext{}, 666, nil); !IsRemote(err) {
 		t.Fatalf("panic not converted to remote error: %v", err)
 	}
 	// The server must still serve subsequent requests.
-	resp, _, err := cl.Call(1, nil)
+	resp, _, err := cl.Call(obs.SpanContext{}, 1, nil)
 	if err != nil || string(resp) != "ok" {
 		t.Fatalf("server dead after panic: %v %q", err, resp)
 	}
@@ -116,7 +117,7 @@ func TestCostPropagation(t *testing.T) {
 	backCl := NewClient(n, "server", "backend:leaf")
 	defer backCl.Close()
 	front, err := Serve(n, "server:front", func(c *Call) ([]byte, error) {
-		resp, cost, err := backCl.Call(c.Op, c.Body)
+		resp, cost, err := backCl.Call(obs.SpanContext{}, c.Op, c.Body)
 		if err != nil {
 			return nil, err
 		}
@@ -131,14 +132,14 @@ func TestCostPropagation(t *testing.T) {
 	// Direct call to backend from client for comparison.
 	directCl := NewClient(n, "client", "backend:leaf")
 	defer directCl.Close()
-	_, directCost, err := directCl.Call(1, []byte("y"))
+	_, directCost, err := directCl.Call(obs.SpanContext{}, 1, []byte("y"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cl := NewClient(n, "client", "server:front")
 	defer cl.Close()
-	_, chainCost, err := cl.Call(1, []byte("y"))
+	_, chainCost, err := cl.Call(obs.SpanContext{}, 1, []byte("y"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			body := []byte{byte(i)}
-			resp, _, err := cl.Call(uint16(i), body)
+			resp, _, err := cl.Call(obs.SpanContext{}, uint16(i), body)
 			if err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return
@@ -202,7 +203,7 @@ func TestConnReuse(t *testing.T) {
 	cl := NewClient(n, "client", "server:reuse", WithMaxConns(1))
 	defer cl.Close()
 	for i := 0; i < 50; i++ {
-		if _, _, err := cl.Call(1, nil); err != nil {
+		if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +230,7 @@ func TestConcurrentCallsShareOneConn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, _, err := cl.Call(1, []byte("x")); err != nil {
+				if _, _, err := cl.Call(obs.SpanContext{}, 1, []byte("x")); err != nil {
 					t.Errorf("call: %v", err)
 					return
 				}
@@ -250,12 +251,12 @@ func TestServerCloseFailsCalls(t *testing.T) {
 	}
 	cl := NewClient(n, "client", "server:close")
 	defer cl.Close()
-	if _, _, err := cl.Call(1, nil); err != nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 	cl.Timeout = 2 * time.Second
-	if _, _, err := cl.Call(1, nil); err == nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); err == nil {
 		t.Fatal("call succeeded after server close")
 	}
 }
@@ -269,12 +270,12 @@ func TestClientRecoversAfterServerRestart(t *testing.T) {
 	cl := NewClient(n, "client", "server:restart")
 	cl.Timeout = 2 * time.Second
 	defer cl.Close()
-	if _, _, err := cl.Call(1, nil); err != nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 	// First call may fail while the pool drains broken conns.
-	cl.Call(1, nil)
+	cl.Call(obs.SpanContext{}, 1, nil)
 
 	srv2, err := Serve(n, "server:restart", echoHandler)
 	if err != nil {
@@ -283,7 +284,7 @@ func TestClientRecoversAfterServerRestart(t *testing.T) {
 	defer srv2.Close()
 	var ok bool
 	for i := 0; i < 5; i++ {
-		if _, _, err := cl.Call(1, nil); err == nil {
+		if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); err == nil {
 			ok = true
 			break
 		}
@@ -297,7 +298,7 @@ func TestUnreachableServer(t *testing.T) {
 	n := simNet(t)
 	cl := NewClient(n, "client", "server:none")
 	defer cl.Close()
-	if _, _, err := cl.Call(1, nil); !errors.Is(err, transport.ErrNoListener) {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); !errors.Is(err, transport.ErrNoListener) {
 		t.Fatalf("err = %v, want ErrNoListener", err)
 	}
 }
@@ -319,7 +320,7 @@ func TestCallTimeout(t *testing.T) {
 	cl.Timeout = 50 * time.Millisecond
 	defer cl.Close()
 	start := time.Now()
-	_, _, err = cl.Call(1, nil)
+	_, _, err = cl.Call(obs.SpanContext{}, 1, nil)
 	if err == nil {
 		t.Fatal("expected timeout")
 	}
@@ -347,7 +348,7 @@ func TestMalformedFrameClosesConnNotServer(t *testing.T) {
 	// A well-formed client must still work.
 	cl := NewClient(n, "client", "server:mal")
 	defer cl.Close()
-	if _, _, err := cl.Call(1, []byte("fine")); err != nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, []byte("fine")); err != nil {
 		t.Fatalf("server unusable after malformed frame: %v", err)
 	}
 }
@@ -367,7 +368,7 @@ func TestWrapperInstallsPrincipal(t *testing.T) {
 
 	cl := NewClient(n, "client", "server:auth")
 	defer cl.Close()
-	resp, _, err := cl.Call(1, nil)
+	resp, _, err := cl.Call(obs.SpanContext{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestWrapperRejectionDropsConn(t *testing.T) {
 	cl := NewClient(n, "client", "server:deny")
 	cl.Timeout = time.Second
 	defer cl.Close()
-	if _, _, err := cl.Call(1, nil); err == nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); err == nil {
 		t.Fatal("call succeeded through refused handshake")
 	}
 }
@@ -407,7 +408,7 @@ func TestOverTCP(t *testing.T) {
 
 	cl := NewClient(tcp, "", srv.Addr())
 	defer cl.Close()
-	resp, cost, err := cl.Call(9, []byte("tcp"))
+	resp, cost, err := cl.Call(obs.SpanContext{}, 9, []byte("tcp"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +442,7 @@ func TestMuxStress(t *testing.T) {
 			for i := 0; i < calls; i++ {
 				op := uint16(g*calls + i)
 				body := []byte{byte(g), byte(i)}
-				resp, _, err := cl.Call(op, body)
+				resp, _, err := cl.Call(obs.SpanContext{}, op, body)
 				if err != nil {
 					t.Errorf("g%d call %d: %v", g, i, err)
 					return
@@ -480,7 +481,7 @@ func TestConnDropFailsInFlight(t *testing.T) {
 	errs := make(chan error, inFlight)
 	for i := 0; i < inFlight; i++ {
 		go func(i int) {
-			_, _, err := cl.Call(uint16(i), nil)
+			_, _, err := cl.Call(obs.SpanContext{}, uint16(i), nil)
 			errs <- err
 		}(i)
 	}
@@ -526,7 +527,7 @@ func TestTimeoutLeavesPendingTableClean(t *testing.T) {
 	cl := NewClient(n, "client", "server:sweep")
 	defer cl.Close()
 	// Establish the shared conn.
-	if _, _, err := cl.Call(1, nil); err != nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	mc := cl.slots[0].mc.Load()
@@ -549,7 +550,7 @@ func TestTimeoutLeavesPendingTableClean(t *testing.T) {
 			case <-stopFast:
 				return
 			default:
-				cl.Call(1, nil)
+				cl.Call(obs.SpanContext{}, 1, nil)
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -561,7 +562,7 @@ func TestTimeoutLeavesPendingTableClean(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := cl.Call(2, nil); err == nil {
+			if _, _, err := cl.Call(obs.SpanContext{}, 2, nil); err == nil {
 				t.Error("blocked call did not time out")
 			}
 		}()
@@ -590,7 +591,7 @@ func TestTimeoutLeavesPendingTableClean(t *testing.T) {
 	// and the same connection must serve fresh calls correctly.
 	close(block)
 	cl.Timeout = 5 * time.Second
-	resp, _, err := cl.Call(3, nil)
+	resp, _, err := cl.Call(obs.SpanContext{}, 3, nil)
 	if err != nil || string(resp) != "ok" {
 		t.Fatalf("conn unusable after timeouts: %v %q", err, resp)
 	}
@@ -623,7 +624,7 @@ func TestWedgedConnCondemnedAndRedialed(t *testing.T) {
 	cl := NewClient(n, "client", "server:wedge")
 	cl.Timeout = 50 * time.Millisecond
 	defer cl.Close()
-	if _, _, err := cl.Call(1, nil); err == nil {
+	if _, _, err := cl.Call(obs.SpanContext{}, 1, nil); err == nil {
 		t.Fatal("call through wedged server succeeded")
 	}
 	mc := cl.slots[0].mc.Load()
@@ -638,7 +639,7 @@ func TestWedgedConnCondemnedAndRedialed(t *testing.T) {
 	// Server recovers; the client must redial and succeed.
 	wedged.Store(false)
 	cl.Timeout = 5 * time.Second
-	resp, _, err := cl.Call(1, nil)
+	resp, _, err := cl.Call(obs.SpanContext{}, 1, nil)
 	if err != nil || string(resp) != "ok" {
 		t.Fatalf("client did not recover from wedged conn: %v %q", err, resp)
 	}
@@ -657,7 +658,7 @@ func TestLargeBody(t *testing.T) {
 	cl := NewClient(n, "client", "server:big")
 	defer cl.Close()
 	body := bytes.Repeat([]byte("a"), 4<<20)
-	resp, _, err := cl.Call(1, body)
+	resp, _, err := cl.Call(obs.SpanContext{}, 1, body)
 	if err != nil {
 		t.Fatal(err)
 	}

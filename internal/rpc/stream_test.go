@@ -257,7 +257,7 @@ func TestStreamInterleavesWithUnaryCalls(t *testing.T) {
 	// Unary traffic proceeds on the shared connection while the
 	// stream is open (and stalled on flow control).
 	for i := 0; i < 10; i++ {
-		resp, _, err := cl.Call(5, []byte{byte(i)})
+		resp, _, err := cl.Call(obs.SpanContext{}, 5, []byte{byte(i)})
 		if err != nil || !bytes.Equal(resp, []byte{5, byte(i)}) {
 			t.Fatalf("unary call during stream: %v %q", err, resp)
 		}

@@ -222,7 +222,7 @@ func TestStreamCapCoversBothDirections(t *testing.T) {
 	if _, _, err := us.CloseAndRecv(); !tooMany(err) {
 		t.Fatalf("upload open over the cap: %v, want remote ErrTooManyStreams", err)
 	}
-	if resp, _, err := cl.Call(1, []byte("ping")); err != nil || string(resp) != "ping" {
+	if resp, _, err := cl.Call(obs.SpanContext{}, 1, []byte("ping")); err != nil || string(resp) != "ping" {
 		t.Fatalf("unary call at the cap: %q, %v", resp, err)
 	}
 

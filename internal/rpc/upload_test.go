@@ -320,7 +320,7 @@ func TestUploadInterleavesWithUnaryCalls(t *testing.T) {
 	// Unary traffic keeps flowing on the same connection while the
 	// upload is parked.
 	for i := 0; i < 10; i++ {
-		resp, _, err := cl.Call(9, []byte("ping"))
+		resp, _, err := cl.Call(obs.SpanContext{}, 9, []byte("ping"))
 		if err != nil || string(resp) != "unary ping" {
 			t.Fatalf("unary call during upload: %q, %v", resp, err)
 		}

@@ -146,14 +146,28 @@ func (s *Store) quarantine(ref Ref) bool {
 	return true
 }
 
+// Default background scrubbing rate: a pass over up to 256 MiB of
+// chunk content every 30 seconds — roughly 8 MiB/s of sequential read,
+// background noise against the bulk path it protects. Object servers
+// and disk-backed edge caches both scrub at it.
+const (
+	defaultScrubEvery = 30 * time.Second
+	// DefaultScrubBytes bounds each background pass; hosts that also
+	// run passes of their own size them with it.
+	DefaultScrubBytes = 256 << 20
+)
+
 // StartScrubber launches a background goroutine that scrubs up to
-// bytesPerPass of content every interval, and reports quarantined refs
-// through onBad (nil discards them). It returns a stop function; the
-// store must not be used after its stop function would race Close-like
-// teardown, so hosts call stop before discarding the store. Starting a
-// second scrubber stops the first.
-func (s *Store) StartScrubber(interval time.Duration, bytesPerPass int64, onBad func([]Ref)) (stop func()) {
-	if s.dir == "" || interval <= 0 {
+// DefaultScrubBytes of content every interval and hands each pass's
+// result to onPass. interval 0 selects the default of 30 s; a negative
+// one, or a memory store, starts nothing. It returns a stop function;
+// hosts call it before discarding the store. Starting a second
+// scrubber stops the first.
+func (s *Store) StartScrubber(interval time.Duration, onPass func(ScrubResult)) (stop func()) {
+	if interval == 0 {
+		interval = defaultScrubEvery
+	}
+	if s.dir == "" || interval < 0 {
 		return func() {}
 	}
 	s.StopScrubber()
@@ -173,10 +187,7 @@ func (s *Store) StartScrubber(interval time.Duration, bytesPerPass int64, onBad 
 			case <-stopCh:
 				return
 			case <-t.C:
-				res := s.Scrub(bytesPerPass)
-				if len(res.Quarantined) > 0 && onBad != nil {
-					onBad(res.Quarantined)
-				}
+				onPass(s.Scrub(DefaultScrubBytes))
 			}
 		}
 	}()

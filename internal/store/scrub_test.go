@@ -107,7 +107,7 @@ func TestQuarantineHealPreservesPins(t *testing.T) {
 	}
 
 	// Repair: a verified Put heals the ref in place.
-	if err := s.PutRef(ref, content); err != nil {
+	if _, err := s.Put(content); err != nil {
 		t.Fatalf("healing put: %v", err)
 	}
 	if got, err := s.Get(ref); err != nil || !bytes.Equal(got, content) {
@@ -220,9 +220,12 @@ func TestStartScrubberFindsCorruption(t *testing.T) {
 	corruptOnDisk(t, s, ref)
 
 	found := make(chan []Ref, 1)
-	stop := s.StartScrubber(time.Millisecond, -1, func(bad []Ref) {
+	stop := s.StartScrubber(time.Millisecond, func(res ScrubResult) {
+		if len(res.Quarantined) == 0 {
+			return
+		}
 		select {
-		case found <- bad:
+		case found <- res.Quarantined:
 		default:
 		}
 	})

@@ -226,15 +226,7 @@ func (s *Store) path(ref Ref) string {
 // content-addressing dedup). The chunk enters unreferenced; callers
 // that hold it in a manifest must Retain it.
 func (s *Store) Put(data []byte) (Ref, error) {
-	return s.put(data, nil, false)
-}
-
-// PutRef stores data that is claimed to have address ref, verifying
-// the claim — the integrity gate every chunk received from the
-// network passes through.
-func (s *Store) PutRef(ref Ref, data []byte) error {
-	_, err := s.put(data, &ref, false)
-	return err
+	return s.put(data, false)
 }
 
 // PutPinned stores data with one reference already held, atomically
@@ -242,20 +234,15 @@ func (s *Store) PutRef(ref Ref, data []byte) error {
 // eviction its own arrival triggers, even when the pinned working
 // set already exceeds a cache store's capacity.
 func (s *Store) PutPinned(data []byte) (Ref, error) {
-	return s.put(data, nil, true)
+	return s.put(data, true)
 }
 
-// put hashes data once, checks the result against a claimed address
-// when there is one, and inserts the chunk under it.
-func (s *Store) put(data []byte, claimed *Ref, pin bool) (Ref, error) {
+// put hashes data once and inserts the chunk under the result.
+func (s *Store) put(data []byte, pin bool) (Ref, error) {
 	start := time.Now()
 	defer mPutSeconds.ObserveSince(start)
 	mPutBytes.Observe(int64(len(data)))
 	ref := RefOf(data)
-	if claimed != nil && ref != *claimed {
-		return ref, fmt.Errorf("%w: got %d bytes hashing to %s, want %s",
-			ErrCorrupt, len(data), ref.Short(), claimed.Short())
-	}
 	if s.present(ref, pin) {
 		return ref, nil
 	}

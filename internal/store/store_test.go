@@ -38,16 +38,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPutRefRejectsMismatchedContent(t *testing.T) {
-	s := Mem()
-	if err := s.PutRef(RefOf([]byte("claimed")), []byte("actual")); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("PutRef = %v, want ErrCorrupt", err)
-	}
-	if s.Stats().Chunks != 0 {
-		t.Fatal("corrupt chunk was stored")
-	}
-}
-
 func TestDedup(t *testing.T) {
 	s := Mem()
 	data := bytes.Repeat([]byte{7}, 1024)
