@@ -336,23 +336,20 @@ type Replication interface {
 }
 
 // ChunkNegotiator is the optional replication-subobject interface
-// behind negotiated bulk writes: the uploader asks which content
-// chunks the write-target stores already have (OpChunkHave) and ships
-// only the rest (OpChunkPut, an upload stream) before a
-// manifest-bearing write names them. Proxies whose writes land on a
-// single well-known replica (the clientserver server, the masterslave
-// master) negotiate with that replica; active replication — whose
-// writes replay at every peer — negotiates with all of them, reporting
-// a chunk missing unless every replica holds it and shipping each
-// replica exactly its own gap.
+// behind negotiated bulk writes: before a manifest-bearing write names
+// content chunks, the writer makes them present at every store that
+// write will read, shipping only what each lacks (PutChunks, over
+// OpChunkHave and an OpChunkPut upload stream). Proxies whose writes
+// land on a single replica (the clientserver server, the masterslave
+// master) upload through any candidate, since every candidate either
+// is that replica or relays chunk traffic to it; active replication,
+// whose writes replay at every peer, uploads to each replica of the
+// roster in turn and fails if any is unreachable.
 type ChunkNegotiator interface {
-	// MissingChunks reports which of refs the write-target replica's
-	// store lacks, deduplicated, in first-seen order.
-	MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, error)
-	// PushChunks uploads chunk bodies into the write-target replica's
-	// store, where they sit unreferenced (and crash-sweepable) until a
-	// manifest write pins them.
-	PushChunks(chunks [][]byte) (time.Duration, error)
+	// PutChunks makes every listed chunk, read from src, present in
+	// the write-target stores, where it sits unreferenced (and
+	// crash-sweepable) until a manifest write pins it.
+	PutChunks(src ChunkSource, refs []store.Ref) (UploadStats, time.Duration, error)
 }
 
 // Control is the control subobject: the bridge between an object's

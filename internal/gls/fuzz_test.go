@@ -45,7 +45,8 @@ func quickMinimize() {
 // compacted state with one of everything a node persists — a drained
 // session, entries attached to it and a forwarding pointer — the same
 // state with a torn tail, and testdata/parent-state.log, a state of
-// the format before sessions carried their drain flag.
+// the format before sessions carried their drain flag, which the start
+// refuses.
 func FuzzNodeRestore(f *testing.F) {
 	quickMinimize()
 	net := netsim.New(nil)

@@ -26,12 +26,7 @@ import (
 //	                  its drain flag (one byte)
 //
 // Every entry rides a session, and a session's digest of its entries
-// is derived at load. A table written before sessions carried the drain
-// byte still loads: a session value without it is undrained, a 'd'
-// (drained address) key is deleted — an owner still draining
-// re-asserts the drain on its next renewal, and a successor at the same
-// address must not inherit it — and an entry of a nil session is
-// dropped like any entry whose session is absent.
+// is derived at load.
 //
 // Every change marks its key dirty under the lock it already holds.
 // Once a second the flusher collects the dirty keys stripe by stripe,
@@ -59,12 +54,10 @@ const (
 // dropped.
 var retiredStateFiles = []string{"base.snap", "journal.log"}
 
-// Key kinds of the state table. keyRetiredDrain marks the drained
-// addresses of the earlier format, which loading deletes.
+// Key kinds of the state table.
 const (
-	keyRecord       = 'r'
-	keySession      = 's'
-	keyRetiredDrain = 'd'
+	keyRecord  = 'r'
+	keySession = 's'
 )
 
 // persister is the node's durable state table and its flusher.
@@ -107,15 +100,7 @@ func openState(n *Node) error {
 		return fmt.Errorf("gls: open state table: %w", err)
 	}
 	n.state = &persister{tab: tab}
-	retired, err := n.loadState(tab.Live())
-	if err == nil && len(retired) > 0 { // a start on a current-format table writes nothing
-		var b walog.Batch
-		for _, key := range retired {
-			b.Delete(key)
-		}
-		_, err = tab.Write(&b)
-	}
-	if err != nil {
+	if err := n.loadState(tab.Live()); err != nil {
 		n.state = nil
 		tab.Close()
 		return fmt.Errorf("gls: %s: %w", filepath.Join(dir, stateFile), err)
@@ -124,35 +109,31 @@ func openState(n *Node) error {
 }
 
 // loadState decodes the table's live keys — sessions first, then the
-// records that reference them — into the node, and returns the retired
-// keys it skipped. Records that lost an entry to an
-// absent session are marked dirty, so the next flush rewrites them. It
-// runs before the node serves or flushes, so it fills the tables
-// without their locks; a failed load discards the node.
-func (n *Node) loadState(live map[string][]byte) (retired []string, err error) {
+// records that reference them — into the node. Records that lost an
+// entry to an absent session are marked dirty, so the next flush
+// rewrites them. It runs before the node serves or flushes, so it
+// fills the tables without their locks; a failed load discards the
+// node.
+func (n *Node) loadState(live map[string][]byte) error {
 	now := n.cfg.Clock()
 	sessions := make(map[ids.OID]*session)
 	for key, v := range live {
 		if key == "" {
-			return retired, fmt.Errorf("empty state key")
+			return fmt.Errorf("empty state key")
 		}
 		switch key[0] {
-		case keyRetiredDrain:
-			retired = append(retired, key)
 		case keySession:
 			r := wire.NewReader(v)
 			sess := &session{id: oidFromKey(key), addr: r.Str(), ttl: time.Duration(r.Uint32()) * time.Second}
-			if r.Remaining() > 0 {
-				sess.drained.Store(r.Bool())
-			}
+			sess.drained.Store(r.Bool())
 			if err := r.Done(); err != nil || len(key) != 1+ids.Size {
-				return retired, fmt.Errorf("bad session entry %x: %v", key, err)
+				return fmt.Errorf("bad session entry %x: %v", key, err)
 			}
 			sess.expiresNano.Store(now.Add(sess.ttl).UnixNano())
 			sessions[sess.id] = sess
 		case keyRecord:
 		default:
-			return retired, fmt.Errorf("unknown state key %x", key)
+			return fmt.Errorf("unknown state key %x", key)
 		}
 	}
 	n.sessions = sessions
@@ -162,12 +143,12 @@ func (n *Node) loadState(live map[string][]byte) (retired []string, err error) {
 			continue
 		}
 		if len(key) != 1+ids.Size {
-			return retired, fmt.Errorf("bad record key %x", key)
+			return fmt.Errorf("bad record key %x", key)
 		}
 		oid := oidFromKey(key)
 		rec, dropped, err := decodeRecord(v, oid, sessions)
 		if err != nil {
-			return retired, fmt.Errorf("record %s: %w", oid.Short(), err)
+			return fmt.Errorf("record %s: %w", oid.Short(), err)
 		}
 		sh := n.shard(oid)
 		if dropped {
@@ -181,7 +162,7 @@ func (n *Node) loadState(live map[string][]byte) (retired []string, err error) {
 	if len(live) > 0 {
 		n.cfg.Logf("gls: %s: recovered %d records and %d sessions", n.cfg.Domain, records, len(sessions))
 	}
-	return retired, nil
+	return nil
 }
 
 func oidFromKey(key string) ids.OID {

@@ -3,7 +3,6 @@ package gls
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"maps"
@@ -513,15 +512,12 @@ func dumpState(n *Node) map[string]string {
 	return m
 }
 
-// TestStateLoadsParentFormat starts a node on testdata/parent-state.log,
-// written by the format before sessions carried their drain byte. It
-// holds two sessions with entries, the first one drained; a
-// sessionless entry beside a session entry and one alone; a forwarding
-// pointer; and the drained-address keys of the first session and of an
-// address no session holds. The sessions, their entries and the
-// pointer load, the sessionless entries are dropped, nothing loads
-// drained, and the drained-address keys are deleted from the table.
-func TestStateLoadsParentFormat(t *testing.T) {
+// TestStateRefusesParentFormat: testdata/parent-state.log was written
+// by the format before sessions carried their drain byte — session
+// values without it and drained-address ('d') keys. A node refuses to
+// start on it and leaves the file byte-identical, as it does for the
+// retired snapshot and journal files.
+func TestStateRefusesParentFormat(t *testing.T) {
 	b, err := os.ReadFile(filepath.Join("testdata", "parent-state.log"))
 	if err != nil {
 		t.Fatal(err)
@@ -530,39 +526,8 @@ func TestStateLoadsParentFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, stateFile), b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, n, res := soloWorld(t, dir)
-	defer n.Close()
-	checkSessions(t, n)
-	if n.Sessions() != 2 || n.Records() != 4 {
-		t.Fatalf("loaded %d sessions and %d records, want 2 and 4", n.Sessions(), n.Records())
-	}
-	for _, sess := range n.sessions {
-		if sess.drained.Load() {
-			t.Fatalf("session at %s loaded drained", sess.addr)
-		}
-	}
-	for name, addr := range map[string]string{
-		"parent-a-only":          "solo-site:gos/a",
-		"parent-a-and-permanent": "solo-site:gos/a",
-		"parent-b-only":          "solo-site:gos/b",
-	} {
-		want := ContactAddress{Protocol: "clientserver", Address: addr, Impl: "pkg/1", Role: "server"}
-		if addrs, _, err := res.Lookup(ids.Derive(name)); err != nil || len(addrs) != 1 || addrs[0] != want {
-			t.Fatalf("%s: lookup = %v, %v; want just %v", name, addrs, err, want)
-		}
-	}
-	if _, _, err := res.Lookup(ids.Derive("parent-permanent-only")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("sessionless entry: lookup = %v, want ErrNotFound", err)
-	}
-	ptr := ids.Derive("parent-pointer")
-	if rec := n.shard(ptr).recs[ptr]; rec == nil || len(rec.ptrs["solo/child"].Addrs) != 1 {
-		t.Fatal("forwarding pointer lost")
-	}
-	for key := range n.state.tab.Live() {
-		if key[0] == keyRetiredDrain {
-			t.Fatalf("drained-address key %q kept", key[1:])
-		}
-	}
+	net, cfg := soloConfig(dir)
+	refuseStart(t, net, cfg)
 }
 
 // TestStateFlushConcurrentWithChurn: servers attach, detach, change

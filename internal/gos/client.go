@@ -1,7 +1,6 @@
 package gos
 
 import (
-	"fmt"
 	"time"
 
 	"gdn/internal/core"
@@ -103,86 +102,13 @@ func (c *Client) Checkpoint() error {
 	return err
 }
 
-// UploadStats reports what a negotiated chunk upload actually moved;
-// tests and deploy tooling read it to confirm that re-deploys of
-// unchanged content short-circuit.
-type UploadStats struct {
-	// Offered counts the deduplicated refs the deploy names.
-	Offered int
-	// Sent counts the chunk bodies that crossed the wire (the refs the
-	// server was missing).
-	Sent int
-	// SentBytes is their content size.
-	SentBytes int64
-}
-
-// MissingChunks asks the server which of refs its store lacks — the
-// negotiation run before an upload. Batches are bounded so request
-// bodies stay kilobytes regardless of package size.
-func (c *Client) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, error) {
-	return core.MissingChunksVia(func(body []byte) ([]byte, time.Duration, error) {
-		return c.rpc.Call(obs.SpanContext{}, OpChunkHave, body)
-	}, refs)
-}
-
-// ChunkSource supplies chunk bodies by content address for an upload:
-// a *store.Store, or the chunks pkgobj.Stage produced.
-type ChunkSource interface {
-	Get(ref store.Ref) ([]byte, error)
-}
-
 // PutChunks makes every listed chunk present in the server's store,
-// shipping only the ones it is missing: a which-of-these-do-you-have
-// negotiation (OpChunkHave) names the gaps, and their bodies flow over
-// one upload stream (OpPutChunks), a chunk per frame, so peak
-// buffering is O(chunk) at both ends and a re-deploy of unchanged
+// shipping only the ones it is missing (core.PutChunks over OpChunkHave
+// and an OpPutChunks upload stream), so a re-deploy of unchanged
 // content uploads nothing. A moderator deploying a package runs this
 // before sending the manifest-bearing create command.
-func (c *Client) PutChunks(src ChunkSource, refs []store.Ref) (UploadStats, time.Duration, error) {
-	refs = dedupRefs(refs)
-	stats := UploadStats{Offered: len(refs)}
-
-	missing, total, err := c.MissingChunks(refs)
-	if err != nil {
-		return stats, total, err
-	}
-	if len(missing) == 0 {
-		return stats, total, nil
-	}
-
-	us, err := c.rpc.CallUpload(obs.SpanContext{}, OpPutChunks, nil)
-	if err != nil {
-		return stats, total, err
-	}
-	for _, ref := range missing {
-		data, gerr := src.Get(ref)
-		if gerr != nil {
-			us.Cancel()
-			return stats, total, fmt.Errorf("gos: read chunk %s for upload: %w", ref.Short(), gerr)
-		}
-		if err := us.Send(data); err != nil {
-			// The server already answered; CloseAndRecv reports why.
-			break
-		}
-		stats.Sent++
-		stats.SentBytes += int64(len(data))
-	}
-	_, cost, err := us.CloseAndRecv()
-	total += cost
-	return stats, total, err
-}
-
-// dedupRefs drops duplicate refs, preserving order.
-func dedupRefs(refs []store.Ref) []store.Ref {
-	seen := make(map[store.Ref]bool, len(refs))
-	out := refs[:0:0]
-	for _, r := range refs {
-		if !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
+func (c *Client) PutChunks(src core.ChunkSource, refs []store.Ref) (core.UploadStats, time.Duration, error) {
+	return core.PutChunks(obs.SpanContext{}, c.rpc, OpChunkHave, OpPutChunks, src, refs)
 }
 
 // ServerInfo describes one object server.

@@ -452,9 +452,9 @@ func (s *Server) handle(call *rpc.Call) ([]byte, error) {
 	case OpCheckpoint:
 		return nil, s.CheckpointAll()
 	case OpPutChunks:
-		return s.handlePutChunks(call)
+		return core.ServeChunkPut(s.chunks, call)
 	case OpChunkHave:
-		return s.handleChunkHave(call)
+		return core.ServeChunkHave(s.chunks, call)
 	case OpServerInfo:
 		w := wire.NewWriter(64)
 		w.Str(s.cfg.Site)
@@ -483,30 +483,6 @@ func (s *Server) authorize(call *rpc.Call) error {
 // Chunks exposes the server's content store; tests and experiments
 // inspect it.
 func (s *Server) Chunks() *store.Store { return s.chunks }
-
-// handleChunkHave answers the upload negotiation: refs in, the subset
-// missing from the server's store out.
-func (s *Server) handleChunkHave(call *rpc.Call) ([]byte, error) {
-	refs, err := core.DecodeRefs(call.Body, core.ChunkHaveMaxRefs)
-	if err != nil {
-		return nil, err
-	}
-	return core.EncodeRefs(s.chunks.Missing(refs)), nil
-}
-
-// handlePutChunks stores uploaded content chunks. The call is an
-// upload stream carrying one raw chunk per data frame, and a unary call
-// is refused. Each chunk's content address is recomputed on arrival, so
-// a moderator cannot be spoofed into serving bytes that do not hash to
-// their name, and uploading a chunk the server already has is a no-op
-// (dedup).
-func (s *Server) handlePutChunks(call *rpc.Call) ([]byte, error) {
-	ur := call.Upload()
-	if ur == nil {
-		return nil, errors.New("gos: chunk upload must be an upload stream")
-	}
-	return nil, s.chunks.Ingest(ur)
-}
 
 // CreateRequest is the body of OpCreateReplica.
 type CreateRequest struct {

@@ -6,12 +6,16 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"gdn/internal/core"
 	"gdn/internal/gls"
+	"gdn/internal/netsim"
 	"gdn/internal/obs"
 	"gdn/internal/pkgobj"
 	"gdn/internal/repl"
+	"gdn/internal/rpc"
 	"gdn/internal/store"
 	"gdn/internal/wire"
 )
@@ -280,5 +284,48 @@ func TestUnaryPutChunksRefused(t *testing.T) {
 	}
 	if srv.chunks.Has(store.RefOf(body)) {
 		t.Fatal("a refused unary upload stored its chunk")
+	}
+}
+
+// TestPutChunksRefusesUnofferedAnswer: a server whose negotiation
+// answer names a ref the request did not offer, or one offered ref
+// twice, fails the upload with an error naming that ref, and no upload
+// stream opens.
+func TestPutChunksRefusesUnofferedAnswer(t *testing.T) {
+	net := netsim.New(nil)
+	net.AddSite("eu-gos", "nl", "eu")
+	net.AddSite("mod", "de", "eu")
+	// The source holds the stranger too, so only the negotiation rule
+	// can stop its upload.
+	a, b, c := []byte("offered chunk a"), []byte("offered chunk b"), []byte("a chunk nobody offered")
+	refs := []store.Ref{store.RefOf(a), store.RefOf(b)}
+	stranger := store.RefOf(c)
+	src := pkgobj.Chunks{refs[0]: a, refs[1]: b, stranger: c}
+	for name, answer := range map[string][]store.Ref{
+		"unoffered": {refs[0], stranger},
+		"twice":     {refs[1], refs[1]},
+	} {
+		culprit := answer[1]
+		var puts atomic.Int32
+		srv, err := rpc.Serve(net, "eu-gos:fake-"+name, func(call *rpc.Call) ([]byte, error) {
+			if call.Op == OpChunkHave {
+				return core.EncodeRefs(answer), nil
+			}
+			puts.Add(1)
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := NewClient(net, "mod", srv.Addr(), nil)
+		_, _, err = cl.PutChunks(src, refs)
+		cl.Close()
+		srv.Close()
+		if err == nil || !strings.Contains(err.Error(), culprit.Short()) {
+			t.Fatalf("%s: PutChunks = %v, want refused naming %s", name, err, culprit.Short())
+		}
+		if puts.Load() != 0 {
+			t.Fatalf("%s: %d other calls reached the server after a bad answer, want none", name, puts.Load())
+		}
 	}
 }

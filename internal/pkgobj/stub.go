@@ -116,45 +116,25 @@ func (s *Stub) UploadFile(path string, data []byte) error {
 	return nil
 }
 
-// uploadNegotiated ships data as a negotiated delta: canonical chunk
-// refs, a which-of-these-do-you-have round, missing bodies over an
-// upload stream, then the manifest write.
+// uploadNegotiated ships data as a negotiated delta: the content
+// chunks go through the one chunk upload (neg.PutChunks), then the
+// manifest write names them.
 func (s *Stub) uploadNegotiated(neg core.ChunkNegotiator, path string, data []byte) error {
-	var chunks []store.Chunk
-	bodies := make(map[store.Ref][]byte)
-	refs := make([]store.Ref, 0, len(data)/DefaultChunkSize+1)
-	for off := 0; off < len(data); {
-		n := DefaultChunkSize
-		if n > len(data)-off {
-			n = len(data) - off
-		}
-		body := data[off : off+n]
+	n := (len(data) + DefaultChunkSize - 1) / DefaultChunkSize
+	chunks := make([]store.Chunk, 0, n)
+	refs := make([]store.Ref, 0, n)
+	bodies := make(Chunks, n)
+	for off := 0; off < len(data); off += DefaultChunkSize {
+		body := data[off:min(off+DefaultChunkSize, len(data))]
 		ref := store.RefOf(body)
-		chunks = append(chunks, store.Chunk{Ref: ref, Size: int64(n)})
+		chunks = append(chunks, store.Chunk{Ref: ref, Size: int64(len(body))})
 		refs = append(refs, ref)
 		bodies[ref] = body
-		off += n
 	}
-
-	missing, cost, err := neg.MissingChunks(refs)
+	_, cost, err := neg.PutChunks(bodies, refs)
 	s.addCost(cost)
 	if err != nil {
 		return err
-	}
-	if len(missing) > 0 {
-		push := make([][]byte, 0, len(missing))
-		for _, ref := range missing {
-			body, ok := bodies[ref]
-			if !ok {
-				return fmt.Errorf("pkgobj: negotiation asked for chunk %s we never offered", ref.Short())
-			}
-			push = append(push, body)
-		}
-		cost, err := neg.PushChunks(push)
-		s.addCost(cost)
-		if err != nil {
-			return err
-		}
 	}
 
 	w := wire.NewWriter(64 + len(path) + 40*len(chunks))

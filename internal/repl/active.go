@@ -361,72 +361,30 @@ func (p *activeProxy) roster() ([]string, time.Duration, error) {
 	return addrs, cost, nil
 }
 
-// MissingChunks implements core.ChunkNegotiator for active replication
-// by negotiating against every replica in the roster: because writes
-// replay at every peer, a manifest write needs its chunks present at
-// every store, so a chunk may be skipped only when every replica
-// already holds it — the reported missing set is the complement of the
-// intersection of the replicas' have-sets. Any unreachable replica
-// aborts the negotiation (the uploader falls back to content-bearing
-// writes, which the sequencer replays with the bytes attached), so no
-// peer is ever left without the chunks a manifest names.
-func (p *activeProxy) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, error) {
+// PutChunks implements core.ChunkNegotiator for active replication:
+// writes replay at every peer, so a manifest write needs its chunks at
+// every store, and the proxy runs the one chunk upload against each
+// replica of the roster in turn — each replica is shipped exactly its
+// own gap, and an unchanged re-deploy moves no chunk bodies. Any
+// unreachable replica fails the upload (the uploader falls back to
+// content-bearing writes, which the sequencer replays with the bytes
+// attached), so no peer is left without the chunks a manifest names;
+// what already landed elsewhere sits unreferenced until swept.
+func (p *activeProxy) PutChunks(src core.ChunkSource, refs []store.Ref) (core.UploadStats, time.Duration, error) {
+	var stats core.UploadStats
 	addrs, total, err := p.roster()
 	if err != nil {
-		return nil, total, err
-	}
-	var union []store.Ref
-	seen := make(map[store.Ref]bool)
-	for _, addr := range addrs {
-		missing, cost, err := missingChunksFrom(p.peers.ClientFor(addr), refs)
-		total += cost
-		if err != nil {
-			return nil, total, fmt.Errorf("repl: %s: negotiate with %s: %w", Active, addr, err)
-		}
-		for _, ref := range missing {
-			if !seen[ref] {
-				seen[ref] = true
-				union = append(union, ref)
-			}
-		}
-	}
-	return union, total, nil
-}
-
-// PushChunks implements core.ChunkNegotiator: each roster replica
-// receives exactly the chunks its own store lacks (a per-replica
-// re-probe keeps the call stateless), so an unchanged re-deploy moves
-// zero chunk bodies and a partially-shared one ships every replica
-// only its gap.
-func (p *activeProxy) PushChunks(chunks [][]byte) (time.Duration, error) {
-	refs := make([]store.Ref, len(chunks))
-	byRef := make(map[store.Ref][]byte, len(chunks))
-	for i, data := range chunks {
-		refs[i] = store.RefOf(data)
-		byRef[refs[i]] = data
-	}
-	addrs, total, err := p.roster()
-	if err != nil {
-		return total, err
+		return stats, total, err
 	}
 	for _, addr := range addrs {
-		pc := p.peers.ClientFor(addr)
-		missing, cost, err := missingChunksFrom(pc, refs)
+		got, cost, err := putChunksTo(p.peers.ClientFor(addr), src, refs)
 		total += cost
+		stats.Offered = got.Offered
+		stats.Sent += got.Sent
+		stats.SentBytes += got.SentBytes
 		if err != nil {
-			return total, fmt.Errorf("repl: %s: negotiate with %s: %w", Active, addr, err)
-		}
-		push := make([][]byte, 0, len(missing))
-		for _, ref := range missing {
-			if body, ok := byRef[ref]; ok {
-				push = append(push, body)
-			}
-		}
-		cost, err = pushChunksTo(pc, push)
-		total += cost
-		if err != nil {
-			return total, fmt.Errorf("repl: %s: push %d chunks to %s: %w", Active, len(push), addr, err)
+			return stats, total, fmt.Errorf("repl: %s: upload chunks to %s: %w", Active, addr, err)
 		}
 	}
-	return total, nil
+	return stats, total, nil
 }

@@ -3,19 +3,20 @@ package repl
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gdn/internal/core"
 	"gdn/internal/gls"
 	"gdn/internal/ids"
 	"gdn/internal/pkgobj"
+	"gdn/internal/rpc"
 	"gdn/internal/store"
 )
 
-// Active-replication chunk negotiation: writes replay at every peer, so
-// the proxy negotiates against all of them — a chunk is skipped only
-// when every replica already holds it (the intersection of have-sets),
-// and each replica is shipped exactly its own gap. The payoff the
+// Active-replication chunk upload: writes replay at every peer, so the
+// proxy runs the one chunk upload against each of them, and each
+// replica is shipped exactly its own gap. The payoff the
 // ROADMAP asked for: an unchanged re-deploy to an active-replicated
 // object moves zero chunk bodies.
 
@@ -103,9 +104,9 @@ func TestActiveNegotiationIsUnionOfMissingSets(t *testing.T) {
 	}
 	shared := store.RefOf(content[:chunk]) // present at every replica now
 
-	// Plant a chunk in the sequencer's store only: an intersection
-	// negotiated against one replica would skip it and starve the
-	// peers; the all-peer negotiation must still report it missing.
+	// Plant a chunk in the sequencer's store only: an upload
+	// negotiated against that replica alone would skip it and starve
+	// the peers.
 	lopsided := make([]byte, chunk)
 	rand.New(rand.NewSource(13)).Read(lopsided)
 	lref, err := semStoreOf(t, seq).Put(lopsided)
@@ -113,25 +114,69 @@ func TestActiveNegotiationIsUnionOfMissingSets(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The one upload ships each replica its own gap: both peers lack
+	// the chunk and receive it, the sequencer already holds it and
+	// receives nothing, and afterwards no store lacks it.
 	neg := stub.LR().Replication().(core.ChunkNegotiator)
-	missing, _, err := neg.MissingChunks([]store.Ref{shared, lref})
+	src := pkgobj.Chunks{shared: content[:chunk], lref: lopsided}
+	stats, _, err := neg.PutChunks(src, []store.Ref{shared, lref})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) != 1 || missing[0] != lref {
-		t.Fatalf("missing = %v, want just the lopsided chunk %s", missing, lref.Short())
-	}
-
-	// PushChunks ships each replica its own gap: afterwards no store
-	// lacks the chunk (and the sequencer, which had it, took no new
-	// body — its put would just have deduplicated anyway).
-	if _, err := neg.PushChunks([][]byte{lopsided}); err != nil {
-		t.Fatal(err)
+	if stats.Offered != 2 || stats.Sent != 2 || stats.SentBytes != 2*chunk {
+		t.Fatalf("upload stats = %+v, want 2 offered and the lopsided chunk sent to each of the 2 peers", stats)
 	}
 	for name, lr := range map[string]*core.LR{"sequencer": seq, "peer1": peer1, "peer2": peer2} {
 		if m := semStoreOf(t, lr).Missing([]store.Ref{lref}); len(m) != 0 {
 			t.Fatalf("%s store still missing pushed chunk", name)
 		}
+	}
+}
+
+// TestActiveUploadNegotiatesOncePerReplica counts the ops the
+// replicas' dispatcher handlers serve during a fresh 2-chunk
+// UploadFile through the active proxy: one roster fetch (answered by
+// the sequencer, perhaps relayed by one peer), then at each of the
+// three replicas one OpChunkHave and one upload stream.
+func TestActiveUploadNegotiatesOncePerReplica(t *testing.T) {
+	f := newFixture(t, nil)
+	oid := ids.Derive("active-one-upload")
+	seq, peer1, peer2, stub := activeWorld(t, f, oid)
+
+	var mu sync.Mutex
+	ops := make(map[string]map[uint16]int)
+	for site, lr := range map[string]*core.LR{"origin": seq, "eu-client": peer1, "us-client": peer2} {
+		h := lr.Replication().(interface {
+			handle(*rpc.Call) ([]byte, error)
+		}).handle
+		ops[site] = make(map[uint16]int)
+		f.disps[site].Register(oid, func(call *rpc.Call) ([]byte, error) {
+			mu.Lock()
+			ops[site][call.Op]++
+			mu.Unlock()
+			return h(call)
+		})
+	}
+
+	content := make([]byte, 2*pkgobj.DefaultChunkSize)
+	rand.New(rand.NewSource(15)).Read(content)
+	if err := stub.UploadFile("blob", content); err != nil {
+		t.Fatal(err)
+	}
+	got, err := pkgobj.NewStub(peer1).GetFileContents("blob")
+	if err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("peer content after upload: %v", err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for site, n := range ops {
+		if n[core.OpChunkHave] != 1 || n[core.OpChunkPut] != 1 {
+			t.Fatalf("%s served %d OpChunkHave and %d OpChunkPut, want 1 and 1 (all ops: %v)", site, n[core.OpChunkHave], n[core.OpChunkPut], ops)
+		}
+	}
+	if relayed := ops["eu-client"][opPeerRoster] + ops["us-client"][opPeerRoster]; ops["origin"][opPeerRoster] != 1 || relayed > 1 {
+		t.Fatalf("roster served %d times by the sequencer and relayed %d times by peers, want one fetch (all ops: %v)", ops["origin"][opPeerRoster], relayed, ops)
 	}
 }
 
@@ -144,14 +189,15 @@ func TestActiveNegotiationAbortsWhenAPeerIsDown(t *testing.T) {
 	content := make([]byte, 2*chunk)
 	rand.New(rand.NewSource(14)).Read(content)
 
-	// With a peer unreachable the negotiation must refuse (a chunk
-	// "present everywhere reachable" may still be missing there), and
+	// With a peer unreachable the upload must fail (a chunk "present
+	// everywhere reachable" may still be missing there), and
 	// UploadFile falls back to content-bearing writes, which the
 	// sequencer journal replays when the peer resyncs.
 	f.net.SetDown("eu-client", true)
 	neg := stub.LR().Replication().(core.ChunkNegotiator)
-	if _, _, err := neg.MissingChunks([]store.Ref{store.RefOf(content)}); err == nil {
-		t.Fatal("negotiation with a dead peer must fail, forcing the content-bearing fallback")
+	ref := store.RefOf(content)
+	if _, _, err := neg.PutChunks(pkgobj.Chunks{ref: content}, []store.Ref{ref}); err == nil {
+		t.Fatal("chunk upload with a dead peer must fail, forcing the content-bearing fallback")
 	}
 	if err := stub.UploadFile("blob", content); err != nil {
 		t.Fatalf("upload must fall back to content-bearing writes: %v", err)

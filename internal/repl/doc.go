@@ -52,6 +52,19 @@
 // are terminal (core.NoFailover): retrying elsewhere would replay
 // bytes the consumer already took.
 //
+// # The chunk upload path
+//
+// A manifest-bearing write (pkgobj's UploadFile) first makes its
+// content chunks present through core.ChunkNegotiator.PutChunks, which
+// every proxy implements with the one client, core.PutChunks: an
+// OpChunkHave negotiation, then the missing bodies over one OpChunkPut
+// upload stream. The shared proxy runs it once through any candidate,
+// since slaves and caches relay both ops to the store that manifest
+// writes read; the active proxy fetches the roster once and runs it
+// against every replica, so each is shipped exactly its own gap.
+// Replicas serve both ops with core.ServeChunkHave and
+// core.ServeChunkPut behind their own write authorization.
+//
 // Cache fills ride the same pipeline shape: OpChunkGet batches are
 // fetched one request ahead of the verify-and-store consumer, and
 // every chunk is re-hashed by PutPinned before it lands, so a corrupt

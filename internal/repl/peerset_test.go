@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gdn/internal/core"
 	"gdn/internal/gls"
@@ -161,24 +160,20 @@ func TestCacheForwardsChunkNegotiationToParent(t *testing.T) {
 
 	pc := f.peer("us-client", oid, "eu-client:objects")
 
-	// Negotiate THROUGH the cache: the server has `present`, so only
-	// the absent ref may come back missing — even though the cache's
-	// own store holds neither.
+	// Upload THROUGH the cache: the server has `present`, so only the
+	// absent chunk may be reported missing and sent — even though the
+	// cache's own store holds neither — and it must land in the
+	// server's store (where a manifest write will find it), not the
+	// cache's.
 	absent := []byte("chunk nobody has yet")
 	refs := []store.Ref{store.RefOf(present), store.RefOf(absent)}
-	missing, _, err := missingChunksFrom(pc, refs)
+	src := pkgobj.Chunks{refs[0]: present, refs[1]: absent}
+	stats, _, err := putChunksTo(pc, src, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) != 1 || missing[0] != store.RefOf(absent) {
-		t.Fatalf("missing via cache = %v, want just the absent ref (cache answered from the wrong store)", missing)
-	}
-
-	// Push the absent chunk through the cache: it must land in the
-	// server's store (where a manifest write will find it), not the
-	// cache's.
-	if _, err := pushChunksTo(pc, [][]byte{absent}); err != nil {
-		t.Fatal(err)
+	if stats.Sent != 1 || stats.SentBytes != int64(len(absent)) {
+		t.Fatalf("upload via cache sent %d chunks (%d bytes), want just the absent one (cache answered from the wrong store)", stats.Sent, stats.SentBytes)
 	}
 	serverStore := serverLR.Semantics().(*pkgobj.Package).Store()
 	if !serverStore.Has(store.RefOf(absent)) {
@@ -187,6 +182,38 @@ func TestCacheForwardsChunkNegotiationToParent(t *testing.T) {
 	cacheStore := cacheLR.Semantics().(*pkgobj.Package).Store()
 	if cacheStore.Has(store.RefOf(absent)) {
 		t.Fatal("pushed chunk banked in the cache's store instead of relayed")
+	}
+}
+
+// TestProxyUploadRefusesUnofferedAnswer: a replica whose negotiation
+// answer names a ref the proxy did not offer fails the proxy's chunk
+// upload with an error naming that ref, and no upload stream opens.
+func TestProxyUploadRefusesUnofferedAnswer(t *testing.T) {
+	f := newFixture(t, nil)
+	oid := ids.Derive("unoffered-answer")
+	strangerBody := []byte("a chunk nobody offered")
+	stranger := store.RefOf(strangerBody)
+	var puts atomic.Int32
+	f.disps["origin"].Register(oid, func(call *rpc.Call) ([]byte, error) {
+		if call.Op == core.OpChunkHave {
+			return core.EncodeRefs([]store.Ref{stranger}), nil
+		}
+		puts.Add(1)
+		return nil, nil
+	})
+	f.register("origin", oid, gls.ContactAddress{Protocol: ClientServer, Address: "origin:objects", Impl: "kv/1", Role: RoleServer})
+
+	// The source holds the stranger too, so only the negotiation rule
+	// can stop its upload.
+	neg := f.bind("us-client", oid).Replication().(core.ChunkNegotiator)
+	body := []byte("offered chunk")
+	ref := store.RefOf(body)
+	src := pkgobj.Chunks{ref: body, stranger: strangerBody}
+	if _, _, err := neg.PutChunks(src, []store.Ref{ref}); err == nil || !strings.Contains(err.Error(), stranger.Short()) {
+		t.Fatalf("PutChunks = %v, want refused naming %s", err, stranger.Short())
+	}
+	if puts.Load() != 0 {
+		t.Fatalf("%d other calls reached the replica after a bad answer, want none", puts.Load())
 	}
 }
 
@@ -339,10 +366,10 @@ func TestBulkRangeReadResumesAtPartialChunkOffset(t *testing.T) {
 
 func TestRelayedChunkOpsPropagateTrace(t *testing.T) {
 	// The relay path is where a trace most easily goes dark: the cache
-	// answers OpChunkHave by making a fresh outbound call to its
-	// parent, and only call.TC threads the incoming trace into it. A
-	// traced negotiation through the cache must therefore record a
-	// server-side span at both hops under one trace ID.
+	// answers OpChunkHave and OpChunkPut by making fresh outbound calls
+	// to its parent, and only call.TC threads the incoming trace into
+	// them. A traced upload through the cache must therefore record a
+	// server-side span of each op at both hops under one trace ID.
 	f := newFixture(t, nil)
 	pkgobj.Register(f.rts["origin"].Registry())
 	oid := ids.New()
@@ -358,25 +385,26 @@ func TestRelayedChunkOpsPropagateTrace(t *testing.T) {
 	pc := f.peer("us-client", oid, "eu-client:objects")
 
 	root := obs.StartTrace("test.chunk-negotiate")
-	refs := []store.Ref{store.RefOf([]byte("chunk nobody has"))}
-	missing, _, err := core.MissingChunksVia(func(body []byte) ([]byte, time.Duration, error) {
-		return pc.Call(root.Context(), core.OpChunkHave, body)
-	}, refs)
+	body := []byte("chunk nobody has")
+	refs := []store.Ref{store.RefOf(body)}
+	stats, _, err := core.PutChunks(root.Context(), pc, core.OpChunkHave, core.OpChunkPut, pkgobj.Chunks{refs[0]: body}, refs)
 	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) != 1 {
-		t.Fatalf("missing = %v, want the one absent ref", missing)
+	if stats.Sent != 1 {
+		t.Fatalf("sent %d chunks, want the one absent chunk", stats.Sent)
 	}
 
-	var serveSpans int
+	serveSpans := make(map[string]int)
 	for _, rec := range obs.DefaultTracer.Recent() {
 		if rec.Trace == root.Context().Trace && strings.HasPrefix(rec.Name, "rpc.serve op") {
-			serveSpans++
+			serveSpans[rec.Name]++
 		}
 	}
-	if serveSpans != 2 {
-		t.Fatalf("rpc.serve spans in trace = %d, want 2 (cache hop + relayed parent hop)", serveSpans)
+	for _, op := range []uint16{core.OpChunkHave, core.OpChunkPut} {
+		if name := fmt.Sprintf("rpc.serve op %#x", op); serveSpans[name] != 2 {
+			t.Fatalf("%s spans in trace = %d, want 2 (cache hop + relayed parent hop); all: %v", name, serveSpans[name], serveSpans)
+		}
 	}
 }

@@ -163,11 +163,8 @@ func (rb *replicaBase) handleCommon(call *rpc.Call) (handled bool, resp []byte, 
 	case core.OpChunkGet:
 		resp, err = rb.handleChunkGet(call)
 		return true, resp, err
-	case core.OpChunkHave:
-		resp, err = rb.handleChunkHave(call)
-		return true, resp, err
-	case core.OpChunkPut:
-		resp, err = rb.handleChunkPut(call)
+	case core.OpChunkHave, core.OpChunkPut:
+		resp, err = rb.handleChunkUpload(call)
 		return true, resp, err
 	case core.OpBulkRead:
 		resp, err = rb.handleBulkRead(call)
@@ -199,21 +196,11 @@ func (rb *replicaBase) handleChunkGet(call *rpc.Call) ([]byte, error) {
 	if rb.env.Store == nil {
 		return nil, fmt.Errorf("repl: %s has no chunk store", rb.env.OID.Short())
 	}
-	r := wire.NewReader(call.Body)
-	n := r.Count()
-	if err := r.Err(); err != nil {
+	refs, err := core.DecodeRefs(call.Body, 0)
+	if err != nil {
 		return nil, err
 	}
-	if n > chunkGetMaxRefs {
-		n = chunkGetMaxRefs
-	}
-	refs := make([]store.Ref, 0, n)
-	for i := 0; i < n; i++ {
-		refs = append(refs, r.Hash())
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
+	refs = refs[:min(len(refs), chunkGetMaxRefs)]
 
 	w := wire.NewWriter(4096)
 	sent := 0
@@ -241,43 +228,23 @@ func (rb *replicaBase) handleChunkGet(call *rpc.Call) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// handleChunkHave answers the which-of-these-do-you-have negotiation:
-// refs in, the subset the local store lacks out. Like OpStateGet it
-// serves without write authorization — it reveals only which content
-// addresses are present, which OpChunkGet already serves by content.
-func (rb *replicaBase) handleChunkHave(call *rpc.Call) ([]byte, error) {
+// handleChunkUpload serves the chunk upload from the local store. Like
+// OpStateGet, the OpChunkHave negotiation serves without write
+// authorization: it reveals only which content addresses are present,
+// which OpChunkGet already serves by content. OpChunkPut stores bodies
+// for an authorized writer only.
+func (rb *replicaBase) handleChunkUpload(call *rpc.Call) ([]byte, error) {
 	if rb.env.Store == nil {
 		return nil, fmt.Errorf("repl: %s has no chunk store", rb.env.OID.Short())
 	}
-	refs, err := core.DecodeRefs(call.Body, core.ChunkHaveMaxRefs)
-	if err != nil {
-		return nil, err
+	if call.Op == core.OpChunkHave {
+		return core.ServeChunkHave(rb.env.Store, call)
 	}
-	return core.EncodeRefs(rb.env.Store.Missing(refs)), nil
-}
-
-// handleChunkPut stores uploaded chunk bodies — the supply side of a
-// negotiated bulk write. The call is an upload stream, one chunk per
-// frame; a unary call is refused. Every chunk is verified against its
-// content address (Ingest hashes the bytes), so a hostile writer
-// cannot plant content under a foreign name; what it can do is limited
-// to what AddFile already allows an authorized writer.
-func (rb *replicaBase) handleChunkPut(call *rpc.Call) ([]byte, error) {
 	if err := authorizeWrite(rb.env, call); err != nil {
 		return nil, err
 	}
-	if rb.env.Store == nil {
-		return nil, fmt.Errorf("repl: %s has no chunk store", rb.env.OID.Short())
-	}
-	ur := call.Upload()
-	if ur == nil {
-		return nil, errUnaryChunkPut
-	}
-	return nil, rb.env.Store.Ingest(ur)
+	return core.ServeChunkPut(rb.env.Store, call)
 }
-
-// errUnaryChunkPut refuses an OpChunkPut that is not an upload stream.
-var errUnaryChunkPut = errors.New("repl: chunk put must be an upload stream")
 
 // relayChunkOps forwards chunk-negotiation traffic (OpChunkHave,
 // OpChunkPut) to the upstream representative whose store manifest
@@ -308,7 +275,7 @@ func (rb *replicaBase) relayChunkPut(call *rpc.Call, upstream string) ([]byte, e
 	}
 	ur := call.Upload()
 	if ur == nil {
-		return nil, errUnaryChunkPut
+		return nil, core.ErrUnaryChunkPut
 	}
 	us, err := rb.env.Dial(upstream).CallUpload(call.TC, core.OpChunkPut, nil)
 	if err != nil {
@@ -376,20 +343,27 @@ func (p *proxy) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func(
 	return streamBulkVia(tc, p.peers, path, off, n, fn)
 }
 
-// MissingChunks and PushChunks implement core.ChunkNegotiator: every
-// candidate either executes manifest writes itself (the clientserver
-// server, the masterslave master) or relays chunk traffic to the
-// replica that does (slaves to their master, caches to their parent),
-// so a chunk a candidate confirms holding is a chunk the manifest
-// write will find, and no direct contact address of the write target
-// is needed.
-func (p *proxy) MissingChunks(refs []store.Ref) ([]store.Ref, time.Duration, error) {
-	return missingChunksVia(p.peers, refs)
+// PutChunks implements core.ChunkNegotiator through any candidate:
+// every candidate either executes manifest writes itself (the
+// clientserver server, the masterslave master) or relays chunk traffic
+// to the replica that does (slaves to their master, caches to their
+// parent), so a chunk a candidate confirms holding is a chunk the
+// manifest write will find. The upload is a read to the peer set (it
+// changes no object state), and chunk puts are idempotent, so a
+// transfer that died half-way is replayed against the next candidate:
+// the chunks that already landed become no-ops.
+func (p *proxy) PutChunks(src core.ChunkSource, refs []store.Ref) (core.UploadStats, time.Duration, error) {
+	var stats core.UploadStats
+	cost, err := p.peers.Do(false, func(_ string, pc *core.PeerClient) (c time.Duration, err error) {
+		stats, c, err = putChunksTo(pc, src, refs)
+		return c, err
+	})
+	return stats, cost, err
 }
 
-// PushChunks implements core.ChunkNegotiator.
-func (p *proxy) PushChunks(chunks [][]byte) (time.Duration, error) {
-	return pushChunksVia(p.peers, chunks)
+// putChunksTo runs the one chunk upload against one representative.
+func putChunksTo(pc *core.PeerClient, src core.ChunkSource, refs []store.Ref) (core.UploadStats, time.Duration, error) {
+	return core.PutChunks(obs.SpanContext{}, pc, core.OpChunkHave, core.OpChunkPut, src, refs)
 }
 
 func (p *proxy) Close() error { return nil }
@@ -397,61 +371,6 @@ func (p *proxy) Close() error { return nil }
 // Peers exposes the ranked peer set; tests and experiments read its
 // failover counters.
 func (p *proxy) Peers() *core.PeerSet { return p.peers }
-
-// missingChunksFrom runs the OpChunkHave negotiation against a remote
-// representative in bounded batches.
-func missingChunksFrom(pc *core.PeerClient, refs []store.Ref) ([]store.Ref, time.Duration, error) {
-	return core.MissingChunksVia(func(body []byte) ([]byte, time.Duration, error) {
-		return pc.Call(obs.SpanContext{}, core.OpChunkHave, body)
-	}, refs)
-}
-
-// missingChunksVia is missingChunksFrom with peer-set failover: the
-// negotiation is a read (it changes nothing), so any candidate that
-// answers — or forwards to the write-target replica — will do.
-func missingChunksVia(ps *core.PeerSet, refs []store.Ref) ([]store.Ref, time.Duration, error) {
-	var missing []store.Ref
-	cost, err := ps.Do(false, func(_ string, pc *core.PeerClient) (time.Duration, error) {
-		m, c, err := missingChunksFrom(pc, refs)
-		if err == nil {
-			missing = m
-		}
-		return c, err
-	})
-	return missing, cost, err
-}
-
-// pushChunksVia ships chunk bodies with peer-set failover. Chunk puts
-// are idempotent (content-addressed stores deduplicate), so a transfer
-// that died half-way is safely replayed against the next candidate:
-// the chunks that already landed become no-ops.
-func pushChunksVia(ps *core.PeerSet, chunks [][]byte) (time.Duration, error) {
-	return ps.Do(false, func(_ string, pc *core.PeerClient) (time.Duration, error) {
-		return pushChunksTo(pc, chunks)
-	})
-}
-
-// pushChunksTo ships chunk bodies to a remote representative over an
-// OpChunkPut upload stream, one chunk per frame — peak buffering stays
-// O(chunk) at both ends no matter how much content moves.
-func pushChunksTo(pc *core.PeerClient, chunks [][]byte) (time.Duration, error) {
-	if len(chunks) == 0 {
-		return 0, nil
-	}
-	us, err := pc.CallUpload(obs.SpanContext{}, core.OpChunkPut, nil)
-	if err != nil {
-		return 0, err
-	}
-	for _, data := range chunks {
-		if err := us.Send(data); err != nil {
-			// The server already answered (an error, or teardown); the
-			// receive below returns the authoritative result.
-			break
-		}
-	}
-	_, cost, err := us.CloseAndRecv()
-	return cost, err
-}
 
 // fillChunks makes every chunk a marshalled state references present
 // in the local store, fetching missing ones from the parent replica
@@ -509,12 +428,7 @@ func (rb *replicaBase) fillChunks(tc obs.SpanContext, parent *core.PeerClient, s
 		var leftover []store.Ref
 		fetch := func(bi int) ([]byte, error) {
 			batch := batches[bi]
-			w := wire.NewWriter(8 + 32*len(batch))
-			w.Count(len(batch))
-			for _, ref := range batch {
-				w.Hash(ref)
-			}
-			resp, c, err := parent.Call(tc, core.OpChunkGet, w.Bytes())
+			resp, c, err := parent.Call(tc, core.OpChunkGet, core.EncodeRefs(batch))
 			cost += c
 			if err != nil {
 				return nil, fmt.Errorf("repl: fetch %d chunks: %w", len(batch), err)
