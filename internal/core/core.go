@@ -34,6 +34,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,6 +55,9 @@ var (
 	// ErrNoBulk is returned when bulk (manifest) access is asked of a
 	// semantics that does not store its content in a chunk store.
 	ErrNoBulk = errors.New("core: semantics has no chunked bulk content")
+	// ErrDigestMismatch is returned by a whole-item bulk read whose
+	// bytes failed verification against the manifest's digest.
+	ErrDigestMismatch = errors.New("core: digest mismatch")
 )
 
 // Invocation is one marshalled method call: the opaque unit that
@@ -123,6 +127,18 @@ func (m Manifest) Refs() []store.Ref {
 		out[i] = c.Ref
 	}
 	return out
+}
+
+// Verify checks a whole-item read against the manifest: written bytes
+// whose SHA-256 is sum must be exactly the item's content.
+func (m Manifest) Verify(path string, written int64, sum [sha256.Size]byte) error {
+	if written != m.Size {
+		return fmt.Errorf("core: %q truncated: %d of %d bytes", path, written, m.Size)
+	}
+	if sum != m.Digest {
+		return fmt.Errorf("%w: %q: content corrupted in transit or at a replica", ErrDigestMismatch, path)
+	}
+	return nil
 }
 
 // ChunkSpan is one chunk's contribution to a byte range of a
@@ -238,6 +254,13 @@ type ChunkedState interface {
 type LocalExec struct {
 	mu  sync.Mutex
 	sem Semantics
+	// verified holds, by digest, each manifest whose chunks a
+	// whole-item read has hashed to that digest since the last write
+	// or state install (ReadBulk). An entry states a fact about
+	// content-addressed chunks, so one added by a read that raced a
+	// write is stale but still true; the clear only bounds the memo to
+	// the items of the current state.
+	verified map[[sha256.Size]byte]Manifest
 }
 
 // NewLocalExec wraps a semantics subobject for serialized access.
@@ -249,6 +272,9 @@ func NewLocalExec(sem Semantics) *LocalExec {
 func (le *LocalExec) Execute(inv Invocation) ([]byte, error) {
 	le.mu.Lock()
 	defer le.mu.Unlock()
+	if inv.Write {
+		le.verified = nil
+	}
 	return le.sem.Invoke(inv)
 }
 
@@ -263,6 +289,7 @@ func (le *LocalExec) MarshalState() ([]byte, error) {
 func (le *LocalExec) UnmarshalState(b []byte) error {
 	le.mu.Lock()
 	defer le.mu.Unlock()
+	le.verified = nil
 	return le.sem.UnmarshalState(b)
 }
 
@@ -293,6 +320,18 @@ func (le *LocalExec) StateRefs(state []byte) ([]store.Ref, error) {
 // representative whose content is co-resident: it feeds fn the byte
 // range [off, off+n) of the named item straight out of st (n < 0
 // means to end), holding the manifest's chunks retained for the walk.
+//
+// A whole-item read (off == 0, n < 0) is verified. The first one of a
+// manifest hashes the content as it flows and checks it against the
+// manifest's size and digest; on success the manifest is memoised
+// until the next write or state install. Later whole-item reads of the
+// same manifest (same digest, size, and chunk refs with sizes) run no
+// SHA-256: st checks every chunk it hands out against its address
+// (disk) or the checksum taken when the verified bytes were admitted
+// (memory), so chunks that once hashed to the digest still do. Either
+// way a chunk that fails its store check fails the read with
+// ErrDigestMismatch. A range read rests on the store's per-chunk
+// checks alone.
 func (le *LocalExec) ReadBulk(tc obs.SpanContext, st *store.Store, path string, off, n int64, fn func([]byte) error) (Manifest, error) {
 	if st == nil {
 		return Manifest{}, ErrNoBulk
@@ -303,10 +342,54 @@ func (le *LocalExec) ReadBulk(tc obs.SpanContext, st *store.Store, path string, 
 	}
 	defer st.Release(m.Refs())
 	span := obs.StartSpan(tc, "store.walk "+path)
-	err = m.WalkRange(st, off, n, fn)
+	whole := off == 0 && n < 0
+	if whole && !le.isVerified(m) {
+		err = le.walkVerify(st, path, m, fn)
+	} else {
+		err = m.WalkRange(st, off, n, fn)
+	}
+	if whole && errors.Is(err, store.ErrCorrupt) {
+		err = fmt.Errorf("%w: %q: %w", ErrDigestMismatch, path, err)
+	}
 	span.SetError(err)
 	span.End()
 	return m, err
+}
+
+// isVerified reports whether a whole-item read already verified m.
+func (le *LocalExec) isVerified(m Manifest) bool {
+	le.mu.Lock()
+	defer le.mu.Unlock()
+	v, ok := le.verified[m.Digest]
+	return ok && v.Size == m.Size && slices.Equal(v.Chunks, m.Chunks)
+}
+
+// walkVerify feeds fn the whole of m, hashing it on the way, and
+// memoises m once its content matches the digest.
+func (le *LocalExec) walkVerify(st *store.Store, path string, m Manifest, fn func([]byte) error) error {
+	h := sha256.New()
+	var written int64
+	err := m.WalkRange(st, 0, -1, func(p []byte) error {
+		h.Write(p)
+		written += int64(len(p))
+		return fn(p)
+	})
+	if err != nil {
+		return err
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	if err := m.Verify(path, written, sum); err != nil {
+		return err
+	}
+	m.Chunks = slices.Clone(m.Chunks)
+	le.mu.Lock()
+	if le.verified == nil {
+		le.verified = make(map[[sha256.Size]byte]Manifest)
+	}
+	le.verified[m.Digest] = m
+	le.mu.Unlock()
+	return nil
 }
 
 // Replication is the replication subobject's standard interface. A
@@ -323,8 +406,21 @@ type Replication interface {
 	// holding the content read their local store (LocalExec.ReadBulk);
 	// proxies open an OpBulkRead stream to a remote representative, so
 	// peak buffering is O(chunk) either way. The returned manifest
-	// carries at least the item's Size and Digest for end-to-end
-	// verification.
+	// carries at least the item's Size and Digest.
+	//
+	// A nil error on a whole-item read (off == 0, n < 0) means the
+	// bytes fn received were verified against the manifest's size and
+	// SHA-256 digest — the GDN's integrity guarantee (§6.1). Local
+	// content is hashed once per manifest and then rests on the store's
+	// per-chunk checks (LocalExec.ReadBulk); a remote stream is hashed
+	// on every read as it flows, across failover resumes. Content that
+	// fails the check ends the read with an error wrapping
+	// ErrDigestMismatch (or reporting truncation), possibly after fn
+	// took every byte, so a consumer must not treat the bytes as good
+	// until ReadBulk returns nil. A range read cannot be checked
+	// against the whole-item digest; it rests on the chunk layer (store
+	// reads and cache fills check each chunk, and the scrubber covers
+	// chunks a replica splices from disk).
 	//
 	// tc is the caller's trace context: proxies carry it across the
 	// OpBulkRead hop (and any cache-fill calls it forces) so a traced

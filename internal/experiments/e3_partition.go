@@ -106,7 +106,7 @@ func E3OneWayPartition() *Table {
 	const objects = 8
 	oids := make([]ids.OID, objects)
 	for i := range oids {
-		oid, _, err := sess.Attach(ids.Nil, serverAddr(sess))
+		oid, _, err := sess.Attach(ids.Derive(fmt.Sprintf("e3b-object-%d", i)), serverAddr(sess))
 		if err != nil {
 			panic(err)
 		}
@@ -201,9 +201,11 @@ func runE3(cfg E3Config, subnodes int) (total, maxLoad, minLoad int64) {
 	}
 	defer remote.Close()
 
+	// Derived, not minted, OIDs: the per-subnode split depends on
+	// them, so a table diff between runs or commits shows real changes.
 	oids := make([]ids.OID, cfg.Objects)
 	for i := range oids {
-		oid, _, err := sess.Attach(ids.Nil, serverAddr(sess))
+		oid, _, err := sess.Attach(ids.Derive(fmt.Sprintf("e3-object-%d", i)), serverAddr(sess))
 		if err != nil {
 			panic(err)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,6 +93,18 @@ func TestE3PartitioningSpreadsLoad(t *testing.T) {
 	// unpartitioned load.
 	if max4 > max1*0.6 {
 		t.Fatalf("partitioning too weak: %v vs %v", max4, max1)
+	}
+}
+
+// TestE3IsReplayIdentical: E3's objects carry derived OIDs, so two
+// runs of one configuration split the root's load across subnodes
+// identically, and a table diff between commits shows only real
+// changes.
+func TestE3IsReplayIdentical(t *testing.T) {
+	cfg := E3Config{Objects: 64, LookupsPerObject: 1, SubnodeCounts: []int{2, 16}}
+	a, b := E3RootPartitioning(cfg), E3RootPartitioning(cfg)
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatalf("two E3 runs differ:\n%v\n%v", a.Rows, b.Rows)
 	}
 }
 

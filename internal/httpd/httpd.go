@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"html/template"
+	"io"
 	"net/http"
 	"path"
 	"path/filepath"
@@ -744,14 +745,14 @@ func (h *Handler) serveSearch(w http.ResponseWriter, query string) {
 
 // serveFile streams a file to the browser with chunk-bounded
 // buffering: the content flows replica store → frame stream → HTTP
-// body one chunk at a time, and for whole-file downloads the stub
-// verifies the SHA-256 digest end to end as it passes through (§6.1).
-// A mismatch detected before the body completes truncates the download
-// (short of Content-Length, which HTTP clients treat as failure);
-// length-preserving corruption can only be flagged after the final
-// byte, where HTTP offers the server no in-band signal — clients with
-// end-to-end requirements verify the body against the X-GDN-Digest
-// header themselves.
+// body one chunk at a time. A whole-file download is verified against
+// the file's SHA-256 digest (§6.1) by the read beneath it, and a
+// failed check may only be known once every byte has flowed, where
+// HTTP offers the server no in-band signal. So the last declared byte
+// is held back until the read returns verified: a body that fails its
+// check reaches the client short of Content-Length, which HTTP
+// clients treat as failure, or, when nothing was sent yet, as a 502.
+// A client never receives a complete 200 for content that failed.
 //
 // The manifest's whole-file SHA-256 doubles as a strong ETag, which
 // makes the standard HTTP machinery for cheap re-fetches work against
@@ -845,8 +846,17 @@ func (h *Handler) serveFile(w http.ResponseWriter, r *http.Request, tc obs.SpanC
 	w.Header().Set("Content-Length", strconv.FormatInt(fi.Size, 10))
 	var served int64
 	if r.Method != http.MethodHead {
-		served, err = b.stub.ReadFileToT(tc, w, filePath, 0, -1)
+		body := &holdLast{w: w, left: fi.Size}
+		_, err = b.stub.ReadFileToT(tc, body, filePath, 0, -1)
+		if err == nil {
+			err = body.release()
+		}
+		served = body.passed
 		if err != nil {
+			if served == 0 {
+				h.addCost(b.stub.TakeCost())
+				return fmt.Errorf("file %s: %w", filePath, err)
+			}
 			h.cfg.Logf("httpd: stream %s/%s after %d bytes: %v", b.name, filePath, served, err)
 		}
 	}
@@ -854,6 +864,46 @@ func (h *Handler) serveFile(w http.ResponseWriter, r *http.Request, tc obs.SpanC
 	h.stats.bytesServed.Add(served)
 	h.addCost(b.stub.TakeCost())
 	return nil
+}
+
+// holdLast passes a whole-file body through to w except its final
+// declared byte, which release writes once the read has verified the
+// body; a failed read leaves the response one byte short at least.
+type holdLast struct {
+	w      io.Writer
+	left   int64 // declared bytes not yet passed through, the held one included
+	passed int64 // bytes written to w
+	last   [1]byte
+	held   bool
+}
+
+func (hl *holdLast) Write(p []byte) (int, error) {
+	if int64(len(p)) > hl.left {
+		return 0, fmt.Errorf("httpd: body runs past its %d declared bytes", hl.passed+hl.left)
+	}
+	pass := p
+	if int64(len(p)) == hl.left && len(p) > 0 {
+		hl.last[0], hl.held = p[len(p)-1], true
+		pass = p[:len(p)-1]
+	}
+	n, err := hl.w.Write(pass)
+	hl.passed += int64(n)
+	hl.left -= int64(n)
+	if err != nil {
+		return n, err
+	}
+	return len(p), nil
+}
+
+// release writes the held-back final byte.
+func (hl *holdLast) release() error {
+	if !hl.held {
+		return nil
+	}
+	hl.held = false
+	n, err := hl.w.Write(hl.last[:])
+	hl.passed += int64(n)
+	return err
 }
 
 // etagMatch implements the If-None-Match comparison: a comma-separated

@@ -693,3 +693,30 @@ func checkItemNames(t *testing.T, p *Package) {
 		}
 	}
 }
+
+// BenchmarkWholeReadCached reads a whole file, again and again, out of
+// a local representative over a memory store: the cache-hit read of a
+// caching edge. The first read hashes the file against its digest;
+// every later one rests on the store's per-chunk checksums, so the
+// cost per op is the chunk walk and CRC-32C, not SHA-256.
+func BenchmarkWholeReadCached(b *testing.B) {
+	for _, size := range []int{64 << 10, 1 << 20} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			content := make([]byte, size)
+			rand.New(rand.NewSource(1)).Read(content)
+			lr := core.NewLocalLR(ids.Derive("pkgobj-bench"), New())
+			b.Cleanup(func() { lr.Close() })
+			s := NewStub(lr)
+			if err := s.UploadFile("blob", content); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.ReadFileTo(io.Discard, "blob"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

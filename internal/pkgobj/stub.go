@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"io"
 	"strings"
 	"sync"
@@ -263,93 +262,26 @@ func (s *Stub) ReadFileTo(w io.Writer, path string) (int64, error) {
 // representative, or a walk of the local store. tc joins the bulk
 // stream (and any upstream fill it triggers) to the caller's trace.
 //
-// A whole-item read (off == 0, n < 0) is checked against the
-// manifest's size and SHA-256 digest as the bytes flow — the GDN's
-// integrity guarantee (§6.1) on the download path. A partial body
-// cannot be checked against the whole-file digest, so a range read
-// rests on the chunk layer instead: stores verify chunk bytes against
-// their content address on every disk read and network fill. Callers
-// that need end-to-end verification of ranges check the assembled
-// bytes against the digest themselves (it rides the X-GDN-Digest
-// header on the HTTP path).
+// A whole-item read (off == 0, n < 0) returns nil only for content
+// verified against the manifest's size and SHA-256 digest — the GDN's
+// integrity guarantee (§6.1) on the download path, kept by ReadBulk
+// (see core.Replication). A failed check is an error that reads
+// "digest mismatch" and may come after every byte reached w, so a
+// consumer must hold the bytes as unverified until the call returns.
+// A partial body cannot be checked against the whole-file digest, so
+// a range read rests on the chunk layer instead. Callers that need
+// end-to-end verification of ranges check the assembled bytes against
+// the digest themselves (it rides the X-GDN-Digest header on the HTTP
+// path).
 func (s *Stub) ReadFileToT(tc obs.SpanContext, w io.Writer, path string, off, n int64) (int64, error) {
-	ds := newDigestSink(w, off == 0 && n < 0)
-	defer ds.stop()
-
-	m, cost, err := s.lr.Replication().ReadBulk(tc, path, off, n, ds.sink)
+	var written int64
+	_, cost, err := s.lr.Replication().ReadBulk(tc, path, off, n, func(p []byte) error {
+		k, err := w.Write(p)
+		written += int64(k)
+		return err
+	})
 	s.addCost(cost)
-	if err != nil || ds.h == nil {
-		return ds.written, err
-	}
-	if ds.written != m.Size {
-		return ds.written, fmt.Errorf("pkgobj: %q truncated: %d of %d bytes", path, ds.written, m.Size)
-	}
-	if ds.sum() != m.Digest {
-		return ds.written, fmt.Errorf("pkgobj: %q digest mismatch: content corrupted in transit or at a replica", path)
-	}
-	return ds.written, nil
-}
-
-// digestSink writes a download out, counting it, and when verifying
-// hashes it on the way. SHA-256 is the dominant CPU cost of a verified
-// download (it touches every byte once more than the copy to the
-// consumer does), so the hash runs on its own goroutine concurrently
-// with the consumer write: each chunk costs max(hash, write) instead
-// of their sum. Chunk slices are only borrowed for the duration of
-// sink (stream frames are pooled and recycled by the caller), so sink
-// joins the hasher before returning — the goroutine never retains p.
-type digestSink struct {
-	h       hash.Hash // nil when not verifying
-	w       io.Writer
-	in      chan []byte
-	hashed  chan struct{}
-	written int64
-}
-
-func newDigestSink(w io.Writer, verify bool) *digestSink {
-	ds := &digestSink{w: w}
-	if !verify {
-		return ds
-	}
-	ds.h, ds.in, ds.hashed = sha256.New(), make(chan []byte), make(chan struct{})
-	go func() {
-		for p := range ds.in {
-			ds.h.Write(p)
-			ds.hashed <- struct{}{}
-		}
-		close(ds.hashed)
-	}()
-	return ds
-}
-
-func (ds *digestSink) sink(p []byte) error {
-	if ds.h != nil {
-		ds.in <- p
-	}
-	n, err := ds.w.Write(p)
-	ds.written += int64(n)
-	if ds.h != nil {
-		<-ds.hashed
-	}
-	return err
-}
-
-// stop joins the hasher goroutine; it is idempotent and safe after a
-// partial transfer.
-func (ds *digestSink) stop() {
-	if ds.in != nil {
-		close(ds.in)
-		<-ds.hashed
-		ds.in = nil
-	}
-}
-
-// sum joins the hasher and returns the digest of everything sunk.
-func (ds *digestSink) sum() [sha256.Size]byte {
-	ds.stop()
-	var got [sha256.Size]byte
-	ds.h.Sum(got[:0])
-	return got
+	return written, err
 }
 
 // VerifyFile downloads a file with chunk-bounded buffering and checks

@@ -50,7 +50,13 @@
 // and no gaps, regardless of where the previous stream stopped or how
 // far its server-side prefetch window had run ahead. Consumer errors
 // are terminal (core.NoFailover): retrying elsewhere would replay
-// bytes the consumer already took.
+// bytes the consumer already took. A whole-item read is hashed as it
+// flows, one hash across every resume, and checked against the size
+// and digest the final trailer carries: a serving replica splices disk
+// chunks unread, so the proxy's hash is what catches bytes changed on
+// a replica's disk. Representatives holding the content (replicas and
+// caches) read through core.LocalExec.ReadBulk instead, which hashes
+// once per manifest and then relies on the store's per-chunk checks.
 //
 // # The chunk upload path
 //

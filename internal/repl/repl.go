@@ -1,8 +1,10 @@
 package repl
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"strings"
@@ -656,7 +658,18 @@ func streamBulkFrom(tc obs.SpanContext, pc *core.PeerClient, path string, off, n
 // request instead of a failed download. Errors raised by fn itself
 // (the consumer) are terminal — retrying elsewhere would replay bytes
 // the consumer already took.
+//
+// A whole-item read (off == 0, n < 0) is hashed as it flows, across
+// resumes, and checked against the size and digest of the trailer:
+// remote content is verified on every read, since this side cannot
+// know what the serving replica read, spliced or relayed.
 func streamBulkVia(tc obs.SpanContext, ps *core.PeerSet, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
+	var ds *digestSink
+	if off == 0 && n < 0 {
+		ds = newDigestSink(fn)
+		defer ds.stop()
+		fn = ds.sink
+	}
 	var m core.Manifest
 	var delivered int64
 	cost, err := ps.Do(false, func(_ string, pc *core.PeerClient) (time.Duration, error) {
@@ -686,7 +699,63 @@ func streamBulkVia(tc obs.SpanContext, ps *core.PeerSet, path string, off, n int
 		}
 		return c, err
 	})
-	return m, cost, err
+	if err != nil || ds == nil {
+		return m, cost, err
+	}
+	return m, cost, m.Verify(path, delivered, ds.sum())
+}
+
+// digestSink feeds a remote download to its consumer and hashes it on
+// the way. SHA-256 is the dominant CPU cost of a verified download (it
+// touches every byte once more than the consumer does), so the hash
+// runs on its own goroutine concurrently with the consumer: each chunk
+// costs max(hash, consume) instead of their sum. Chunk slices are only
+// borrowed for the duration of sink (stream frames are pooled and
+// recycled by the caller), so sink joins the hasher before returning —
+// the goroutine never retains p.
+type digestSink struct {
+	fn     func([]byte) error
+	h      hash.Hash
+	in     chan []byte
+	hashed chan struct{}
+}
+
+// newDigestSink starts the hasher; the caller must stop it.
+func newDigestSink(fn func([]byte) error) *digestSink {
+	ds := &digestSink{fn: fn, h: sha256.New(), in: make(chan []byte), hashed: make(chan struct{})}
+	go func() {
+		for p := range ds.in {
+			ds.h.Write(p)
+			ds.hashed <- struct{}{}
+		}
+		close(ds.hashed)
+	}()
+	return ds
+}
+
+func (ds *digestSink) sink(p []byte) error {
+	ds.in <- p
+	err := ds.fn(p)
+	<-ds.hashed
+	return err
+}
+
+// stop joins the hasher goroutine; it is idempotent and safe after a
+// partial transfer.
+func (ds *digestSink) stop() {
+	if ds.in != nil {
+		close(ds.in)
+		<-ds.hashed
+		ds.in = nil
+	}
+}
+
+// sum joins the hasher and returns the digest of everything sunk.
+func (ds *digestSink) sum() [sha256.Size]byte {
+	ds.stop()
+	var got [sha256.Size]byte
+	ds.h.Sum(got[:0])
+	return got
 }
 
 // handleStateGet answers a versioned state fetch: when the caller's

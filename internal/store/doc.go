@@ -13,6 +13,23 @@
 // (§6.1) — and cheap delta transfer, because a receiver can name
 // exactly the chunks it lacks.
 //
+// # Verification
+//
+// Every chunk is hashed once on the way in: Put and Ingest compute the
+// ref from the bytes, so a store never holds content under a false
+// address. Reads check again at the cost the medium calls for. A disk
+// read re-hashes the chunk with SHA-256 against its address, since
+// media and other processes can change a file. A memory chunk records
+// a CRC-32C of its bytes at admission, right after the SHA-256 that
+// names them, and every Get/GetZC checks it: an order of magnitude
+// cheaper than SHA-256 on CPUs with a CRC32 instruction, and enough to
+// catch bytes changed in memory.
+// A mismatch either way is ErrCorrupt. OpenChunk alone hands out bytes
+// unchecked (see below). Readers that assemble whole files lean on
+// this: a file whose chunk list once hashed to its digest, read back
+// through checked chunks, is the same content, so the whole-file
+// digest need not be recomputed on every read (core.LocalExec.ReadBulk).
+//
 // # Ownership
 //
 // Chunks are reference counted. Retain pins a chunk on behalf of a

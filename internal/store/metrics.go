@@ -12,7 +12,7 @@ var (
 	mPutBytes = obs.Default.Histogram("gdn_store_put_bytes",
 		"chunk sizes entering the store", obs.Bytes, obs.SizeBuckets)
 	mGetSeconds = obs.Default.Histogram("gdn_store_get_seconds",
-		"chunk read latency, disk verification included",
+		"chunk read latency, the per-chunk check included",
 		obs.Seconds, obs.TimeBuckets)
 	mDedup = obs.Default.Counter("gdn_store_dedup_total",
 		"puts that found their chunk already present")

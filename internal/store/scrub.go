@@ -42,8 +42,11 @@ type ScrubResult struct {
 // their content addresses, resuming where the previous pass stopped
 // (refs are walked in ascending order, so bounded passes cover the
 // whole store over time). limit <= 0 verifies everything resident.
-// Corrupt chunks are quarantined. Memory-backed stores have nothing to
-// scrub: their bytes were verified on Put and cannot rot.
+// Corrupt chunks are quarantined. Memory-backed stores are not
+// scrubbed: their bytes were verified against the address on Put, and
+// every read checks them against the CRC-32C taken then, so a changed
+// byte fails its next read with ErrCorrupt instead of waiting for a
+// pass.
 func (s *Store) Scrub(limit int64) ScrubResult {
 	var res ScrubResult
 	if s.dir == "" {

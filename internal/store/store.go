@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -38,8 +39,9 @@ type Chunk struct {
 var (
 	// ErrMissing is returned when a referenced chunk is not present.
 	ErrMissing = errors.New("store: chunk not present")
-	// ErrCorrupt is returned when on-disk chunk bytes no longer match
-	// their content address.
+	// ErrCorrupt is returned when chunk bytes no longer match their
+	// content address (disk) or the checksum taken when they were
+	// admitted (memory).
 	ErrCorrupt = errors.New("store: chunk bytes do not match their address")
 	// ErrNotOnDisk is returned by OpenChunk when a chunk's bytes are not
 	// a plain file a transport could splice (memory-backed store).
@@ -67,7 +69,9 @@ type Stats struct {
 }
 
 // entry is the in-memory record of one chunk. data is nil for
-// disk-resident chunks; elem is non-nil while the chunk sits on its
+// disk-resident chunks; crc is the CRC-32C of data, taken at admission
+// right after the SHA-256 that names the bytes, so each read checks
+// them at CRC speed. elem is non-nil while the chunk sits on its
 // shard's cold (refs == 0) LRU list. gone marks a quarantined chunk:
 // the scrubber found its bytes corrupt and moved them aside, but live
 // manifests still pin the ref, so the entry stays in the table —
@@ -77,9 +81,14 @@ type entry struct {
 	size int64
 	refs int
 	data []byte
+	crc  uint32
 	elem *list.Element
 	gone bool
 }
+
+// castagnoli is the CRC-32C table behind the memory chunks' read
+// check; hash/crc32 runs it on the CPU's CRC32 instruction.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // numShards stripes the index so concurrent readers on the bulk serve
 // path do not serialize on one mutex. SHA-256 refs are uniformly
@@ -247,12 +256,14 @@ func (s *Store) put(data []byte, pin bool) (Ref, error) {
 		return ref, nil
 	}
 	var mem []byte
+	var crc uint32
 	if s.dir == "" {
 		mem = append([]byte(nil), data...)
+		crc = crc32.Checksum(mem, castagnoli)
 	} else if err := s.writeChunk(ref, data); err != nil {
 		return ref, err
 	}
-	s.admit(ref, int64(len(data)), mem, pin)
+	s.admit(ref, int64(len(data)), mem, crc, pin)
 	return ref, nil
 }
 
@@ -271,8 +282,8 @@ func (s *Store) present(ref Ref, pin bool) bool {
 }
 
 // admit indexes a chunk of size bytes: durable on disk, or held in
-// mem, the store's own copy, for memory stores.
-func (s *Store) admit(ref Ref, size int64, mem []byte, pin bool) {
+// mem, the store's own copy with its CRC-32C crc, for memory stores.
+func (s *Store) admit(ref Ref, size int64, mem []byte, crc uint32, pin bool) {
 	sh := s.shardOf(ref)
 	sh.mu.Lock()
 	if e, ok := sh.chunks[ref]; ok {
@@ -284,7 +295,7 @@ func (s *Store) admit(ref Ref, size int64, mem []byte, pin bool) {
 			e.gone = false
 			sh.gone--
 			e.size = size
-			e.data = mem
+			e.data, e.crc = mem, crc
 			s.bytes.Add(e.size)
 			s.repaired.Add(1)
 			mRepaired.Inc()
@@ -302,7 +313,7 @@ func (s *Store) admit(ref Ref, size int64, mem []byte, pin bool) {
 		sh.mu.Unlock()
 		return
 	}
-	e := &entry{size: size, data: mem}
+	e := &entry{size: size, data: mem, crc: crc}
 	if pin {
 		e.refs = 1
 	} else {
@@ -461,7 +472,7 @@ func (s *Store) Ingest(src Frames) error {
 				fail(err)
 				return
 			}
-			s.admit(ref, size, nil, false)
+			s.admit(ref, size, nil, 0, false)
 		}()
 	}
 	wg.Wait()
@@ -473,8 +484,9 @@ func (s *Store) Ingest(src Frames) error {
 	}
 }
 
-// Get returns a chunk's bytes. Disk reads are verified against the
-// content address, so a corrupted chunk file surfaces as ErrCorrupt
+// Get returns a chunk's bytes. Every read is checked — disk reads
+// against the content address, memory reads against the CRC-32C taken
+// at admission — so corrupted chunk bytes surface as ErrCorrupt
 // rather than as silently wrong content. Callers must not modify the
 // returned slice of a memory-backed store.
 func (s *Store) Get(ref Ref) ([]byte, error) {
@@ -509,9 +521,9 @@ var readBufPool = sync.Pool{New: func() any {
 // when it is completely done with the slice. For memory-backed stores
 // the slice aliases the immutable resident bytes and release is nil;
 // for disk-backed stores the bytes are read into a pooled buffer that
-// release recycles. Disk reads are verified against the content
-// address exactly like Get. The slice must be treated as read-only
-// and must not be used after release.
+// release recycles. The bytes are checked exactly like Get's. The
+// slice must be treated as read-only and must not be used after
+// release.
 func (s *Store) GetZC(ref Ref) (data []byte, release func(), err error) {
 	start := time.Now()
 	defer mGetSeconds.ObserveSince(start)
@@ -523,10 +535,13 @@ func (s *Store) GetZC(ref Ref) (data []byte, release func(), err error) {
 		return nil, nil, fmt.Errorf("%w: %s", ErrMissing, ref.Short())
 	}
 	sh.touchLocked(e)
-	mem := e.data
+	mem, crc := e.data, e.crc
 	size := e.size
 	sh.mu.Unlock()
 	if mem != nil {
+		if crc32.Checksum(mem, castagnoli) != crc {
+			return nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, ref.Short())
+		}
 		mServeZeroCopy.Add(int64(len(mem)))
 		return mem, nil, nil
 	}

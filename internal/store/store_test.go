@@ -237,6 +237,31 @@ func TestGetVerifiesDiskCorruption(t *testing.T) {
 	}
 }
 
+// TestGetChecksMemoryChunks: a byte changed in a memory chunk after
+// admission fails every later read with ErrCorrupt.
+func TestGetChecksMemoryChunks(t *testing.T) {
+	s := Mem()
+	ref, err := s.PutPinned([]byte("pristine"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.Get(ref) // the store's own bytes
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[3] ^= 0x20
+	if _, err := s.Get(ref); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := s.GetZC(ref); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetZC = %v, want ErrCorrupt", err)
+	}
+	data[3] ^= 0x20
+	if got, err := s.Get(ref); err != nil || string(got) != "pristine" {
+		t.Fatalf("restored chunk: %q, %v", got, err)
+	}
+}
+
 func TestMissing(t *testing.T) {
 	s := Mem()
 	have, _ := s.Put([]byte("have"))

@@ -2,11 +2,14 @@ package gdn_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -22,6 +25,7 @@ import (
 	"gdn/internal/modtool"
 	"gdn/internal/obs"
 	"gdn/internal/pkgobj"
+	"gdn/internal/store"
 	"gdn/internal/transport"
 )
 
@@ -232,6 +236,81 @@ func TestFullStackOverTCP(t *testing.T) {
 	}
 	if _, _, err := userRT.BindName("/apps/tcp-demo"); err == nil {
 		t.Fatal("bind after removal must fail")
+	}
+}
+
+// TestProxyEdgeNeverServesFailedBodyWhole: an object server with a
+// disk store splices chunk files onto the wire (sendfile) without
+// re-reading them, so a byte changed in a chunk file reaches a proxy
+// edge unchecked; the edge's whole-file hash catches it only after
+// every byte has flowed. The edge holds back the last declared byte
+// until the check passes, so the client sees a body one byte short of
+// Content-Length instead of a complete 200.
+func TestProxyEdgeNeverServesFailedBodyWhole(t *testing.T) {
+	st := startTCPStack(t)
+	tool, _ := st.moderator()
+	rt, _ := st.newRuntime(st.leafA)
+	dir := t.TempDir()
+	cmdAddr := freeAddr(t)
+	srv, err := gos.Start(transport.TCP{}, gos.Config{
+		Site: "local", CmdAddr: cmdAddr, ObjAddr: freeAddr(t),
+		Runtime: rt, StateDir: dir, ScrubEvery: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	content := make([]byte, 3*pkgobj.DefaultChunkSize+1000)
+	for i := range content {
+		content[i] = byte(i * 13 / 7)
+	}
+	if _, _, err := tool.CreatePackage("/apps/disk-demo", core.Scenario{
+		Protocol: "clientserver", Servers: []string{cmdAddr},
+	}, modtool.Package{Files: map[string][]byte{"disk.bin": content}}); err != nil {
+		t.Fatal(err)
+	}
+	edgeRT, _ := st.newRuntime(st.leafB)
+	h, err := httpd.New(httpd.Config{Runtime: edgeRT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	url := ts.URL + "/pkg/apps/disk-demo/-/disk.bin"
+	download := func() (int, []byte, error) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, body, err
+	}
+	if code, body, err := download(); code != http.StatusOK || err != nil || !bytes.Equal(body, content) {
+		t.Fatalf("clean download: %d with %d bytes, %v", code, len(body), err)
+	}
+
+	// Change one byte of the last chunk's file, keeping its length.
+	hexRef := store.RefOf(content[3*pkgobj.DefaultChunkSize:]).String()
+	name := filepath.Join(dir, "chunks", hexRef[:2], hexRef)
+	b, err := os.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if err := os.WriteFile(name, b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	opens := func() int64 { return obs.Default.CounterValue("gdn_store_serve_file_opens_total") }
+	before := opens()
+	code, body, err := download()
+	if opens() == before {
+		t.Fatal("the object server served no chunk as a file section")
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) || len(body) != len(content)-1 {
+		t.Fatalf("download of a changed chunk file: %d with %d of %d bytes, %v; want all but the last byte and an unexpected EOF", code, len(body), len(content), err)
 	}
 }
 
