@@ -163,8 +163,9 @@ func TestWholeReadOfFalseManifestFailsEveryRead(t *testing.T) {
 
 // TestChangedMemoryChunkFailsReads: once a whole-item read has
 // memoised a manifest, a byte changed in one of its memory chunks
-// fails the next whole read as a digest mismatch, and every range
-// read touching that chunk, through the store's per-chunk check.
+// fails the next whole read as a digest mismatch, through the store's
+// per-chunk check. That check quarantines the chunk, so later reads of
+// the file fail as missing until a refill heals it.
 func TestChangedMemoryChunkFailsReads(t *testing.T) {
 	st := store.Mem()
 	content := testContent()
@@ -182,8 +183,20 @@ func TestChangedMemoryChunkFailsReads(t *testing.T) {
 	if _, err := readItem(le, st, 0, -1); !errors.Is(err, ErrDigestMismatch) || !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("whole read of a changed chunk = %v, want a digest mismatch from the store check", err)
 	}
-	if _, err := readItem(le, st, 1500, 10); !errors.Is(err, store.ErrCorrupt) {
-		t.Fatalf("range read inside the changed chunk = %v, want ErrCorrupt", err)
+	if _, err := readItem(le, st, 1500, 10); !errors.Is(err, store.ErrMissing) {
+		t.Fatalf("range read inside the quarantined chunk = %v, want ErrMissing", err)
+	}
+	// The file's manifest cannot be pinned while one of its chunks is
+	// quarantined, so a range over an intact chunk fails the same way.
+	if _, err := readItem(le, st, 0, 1024); !errors.Is(err, store.ErrMissing) {
+		t.Fatalf("range read of an intact chunk of a file with a quarantined one = %v, want ErrMissing", err)
+	}
+	// A refill of the chunk heals it in place, and the file reads whole.
+	if _, err := st.Put(content[1024 : 1024+m.Chunks[1].Size]); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readItem(le, st, 0, -1); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("whole read after the refill: %d bytes, %v", len(got), err)
 	}
 	if got, err := readItem(le, st, 0, 1024); err != nil || !bytes.Equal(got, content[:1024]) {
 		t.Fatalf("range read of an intact chunk: %d bytes, %v", len(got), err)

@@ -132,9 +132,6 @@ type Server struct {
 	disp *core.Dispatcher
 	cmd  *rpc.Server
 
-	// stopScrub halts the background chunk scrubber; nil without a
-	// state directory.
-	stopScrub func()
 	// stopHeartbeat halts the session-renewal loop.
 	stopHeartbeat func()
 	// sess is the registration session every hosted replica's contact
@@ -238,7 +235,7 @@ func Start(net transport.Network, cfg Config) (*Server, error) {
 	// results feed the location service: chronic corruption drains
 	// this server's replicas out of lookups until the store heals.
 	if cfg.StateDir != "" {
-		s.stopScrub = s.chunks.StartScrubber(cfg.ScrubEvery, s.scrubbed)
+		s.chunks.StartScrubber(cfg.ScrubEvery, s.scrubbed)
 	}
 
 	// Heartbeat: renew the registration session at a third of the lease
@@ -406,9 +403,6 @@ func (s *Server) HostedLR(oid ids.OID) (*core.LR, bool) {
 // builds on.
 func (s *Server) Close() error {
 	s.stopHeartbeat()
-	if s.stopScrub != nil {
-		s.stopScrub()
-	}
 	err := s.cmd.Close()
 	if derr := s.disp.Close(); err == nil {
 		err = derr
@@ -425,6 +419,9 @@ func (s *Server) Close() error {
 		if cerr := s.ckpts.Close(); err == nil {
 			err = cerr
 		}
+	}
+	if cerr := s.chunks.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

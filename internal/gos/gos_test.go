@@ -2,6 +2,8 @@ package gos
 
 import (
 	"bytes"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"gdn/internal/pkgobj"
 	"gdn/internal/repl"
 	"gdn/internal/sec"
+	"gdn/internal/store"
 )
 
 // fixture: a two-region world with a GLS tree and two object servers.
@@ -477,5 +480,34 @@ func TestDuplicateHostingRejected(t *testing.T) {
 		OID: oid, Impl: pkgobj.Impl, Protocol: repl.ClientServer, Role: repl.RoleServer,
 	}); err == nil {
 		t.Fatal("hosting the same object twice must fail")
+	}
+}
+
+// flipChunkByte flips byte i of a chunk's body behind the store's back,
+// where OpenChunk finds it: the segment file the handle names, at the
+// handle's offset.
+func flipChunkByte(t *testing.T, st *store.Store, ref store.Ref, i int64) {
+	t.Helper()
+	h, _, err := st.OpenChunk(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := h.Seek(0, io.SeekCurrent)
+	h.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(h.Name(), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off+i); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off+i); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,8 +3,6 @@ package gos
 import (
 	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -272,18 +270,10 @@ func TestChronicScrubCorruptionDrainsThenHeals(t *testing.T) {
 		t.Fatalf("lookup with both replicas: %v (%d addrs)", err, len(addrs))
 	}
 
-	// Silent media corruption on the master's disk: flip bytes in the
-	// content chunk's backing file.
+	// Silent media corruption on the master's disk: flip a byte of the
+	// content chunk where its segment file holds it.
 	ref := store.RefOf(content)
-	chunkPath := filepath.Join(stateDir, "chunks", ref.String()[:2], ref.String())
-	data, err := os.ReadFile(chunkPath)
-	if err != nil {
-		t.Fatalf("read chunk file: %v", err)
-	}
-	data[0] ^= 0xFF
-	if err := os.WriteFile(chunkPath, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	flipChunkByte(t, master.Chunks(), ref, 0)
 
 	// The scrub pass quarantines the chunk, crosses the chronic
 	// threshold and drains the master: fresh lookups now return only

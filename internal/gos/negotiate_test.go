@@ -3,8 +3,6 @@ package gos
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -123,15 +121,7 @@ func TestScrubbedChunkRepairedByNextFetch(t *testing.T) {
 
 	// Rot one chunk on the slave's disk behind the store's back.
 	victim := refs[1]
-	chunkPath := filepath.Join(slaveDir, "chunks", victim.String()[:2], victim.String())
-	raw, err := os.ReadFile(chunkPath)
-	if err != nil {
-		t.Fatalf("read slave chunk file: %v", err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(chunkPath, raw, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	flipChunkByte(t, slaveSrv.Chunks(), victim, pkgobj.DefaultChunkSize/2)
 
 	res := slaveSrv.Chunks().Scrub(-1)
 	if len(res.Quarantined) != 1 || res.Quarantined[0] != victim {

@@ -147,8 +147,6 @@ type Handler struct {
 	// Disk-backed when Config.StateDir is set, so it also survives
 	// restarts.
 	chunks *store.Store
-	// stopScrub halts the disk cache's background scrubber.
-	stopScrub func()
 
 	// sess is the registration session cache registrations attach to
 	// (RegisterCaches mode); nil otherwise.
@@ -229,7 +227,7 @@ func New(cfg Config) (*Handler, error) {
 				return nil, fmt.Errorf("httpd: open disk cache: %w", err)
 			}
 			h.chunks = chunks
-			h.stopScrub = chunks.StartScrubber(cfg.ScrubEvery, func(res store.ScrubResult) {
+			chunks.StartScrubber(cfg.ScrubEvery, func(res store.ScrubResult) {
 				for _, ref := range res.Quarantined {
 					cfg.Logf("httpd: scrub quarantined corrupt cache chunk %s", ref.Short())
 				}
@@ -318,9 +316,6 @@ func (h *Handler) Stats() Stats {
 // ends the registration session — the orderly-shutdown path. A killed
 // proxy skips all of this; its session simply ages out.
 func (h *Handler) Close() error {
-	if h.stopScrub != nil {
-		h.stopScrub()
-	}
 	if h.stopRenew != nil {
 		h.stopRenew()
 	}
@@ -341,6 +336,9 @@ func (h *Handler) Close() error {
 		if _, err := h.sess.Close(); err != nil {
 			h.cfg.Logf("httpd: close registration session: %v", err)
 		}
+	}
+	if h.chunks != nil {
+		return h.chunks.Close()
 	}
 	return nil
 }

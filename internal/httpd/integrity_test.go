@@ -14,8 +14,10 @@ import (
 
 // TestCacheEdgeNeverServesFailedBodyWhole: a caching edge whose cached
 // chunk changed in memory after a verified download must not deliver
-// the file as a complete 200. A failure after some bytes leaves the
-// body short of Content-Length; one before any byte answers 502.
+// the file as a complete 200 of the wrong bytes. A failure after some
+// bytes leaves the body short of Content-Length; one before any byte
+// is retried on a fresh fill, which the read's quarantine of the chunk
+// makes fetch it again.
 func TestCacheEdgeNeverServesFailedBodyWhole(t *testing.T) {
 	_, h, ts := world(t, "na-ny-cu", gdn.HTTPDConfig{Caching: true, CacheParams: map[string]string{"ttl": "1h"}})
 	tar := bytes.Repeat([]byte("pixel"), 100_000)
@@ -44,13 +46,27 @@ func TestCacheEdgeNeverServesFailedBodyWhole(t *testing.T) {
 		t.Fatal("the bytes that did flow are not the file's")
 	}
 
-	// A one-chunk file fails before its first byte.
+	// A one-chunk file fails before its first byte. The failed read
+	// quarantines the chunk, so the edge's retry refills it from the
+	// object server and serves the file whole.
 	readme := []byte("The GNU Image Manipulation Program")
 	if data, err = h.Chunks().Get(store.RefOf(readme)); err != nil {
 		t.Fatal(err)
 	}
 	data[0] ^= 0xFF
-	if resp, body := get(t, ts.URL+"/pkg/apps/graphics/gimp/-/README"); resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("download of a changed one-chunk file: %d with %q, want 502", resp.StatusCode, body)
+	before := h.Chunks().Stats()
+	if resp, body := get(t, ts.URL+"/pkg/apps/graphics/gimp/-/README"); resp.StatusCode != http.StatusOK || !bytes.Equal(body, readme) {
+		t.Fatalf("download of a changed one-chunk file: %d with %q, want 200 with the README", resp.StatusCode, body)
+	}
+	// The retry's rebind released the quarantined entry's last pin, so
+	// the refill stored the chunk afresh rather than repairing it.
+	if after := h.Chunks().Stats(); after.Quarantined != before.Quarantined+1 {
+		t.Fatalf("quarantined %d → %d, want one more", before.Quarantined, after.Quarantined)
+	}
+	if !h.Chunks().Has(store.RefOf(readme)) || h.Chunks().Lost() != 0 {
+		t.Fatalf("README chunk not healed: present %v, lost %d", h.Chunks().Has(store.RefOf(readme)), h.Chunks().Lost())
+	}
+	if got, err := h.Chunks().Get(store.RefOf(readme)); err != nil || !bytes.Equal(got, readme) {
+		t.Fatalf("healed README chunk: %q, %v", got, err)
 	}
 }

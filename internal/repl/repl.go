@@ -571,7 +571,8 @@ func streamManifestRange(st *store.Store, m core.Manifest, off, n int64, sw *rpc
 					c.Ref.Short(), size, c.Size)
 			}
 			if sp.A > 0 {
-				if _, err := f.Seek(sp.A, io.SeekStart); err != nil {
+				// The handle starts at the chunk's body.
+				if _, err := f.Seek(sp.A, io.SeekCurrent); err != nil {
 					f.Close()
 					return servedChunk{}, err
 				}

@@ -3,8 +3,8 @@ package repl
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -22,8 +22,9 @@ import (
 // reach the proxy unchecked, and only the proxy's hash can stop them.
 
 // diskMaster hosts a master replica at origin whose content lives in a
-// disk store under dir, holding content as "blob".
-func diskMaster(t *testing.T, f *fixture, oid ids.OID, dir string, content []byte) gls.ContactAddress {
+// disk store under dir, holding content as "blob". It returns the
+// replica's address and its store.
+func diskMaster(t *testing.T, f *fixture, oid ids.OID, dir string, content []byte) (gls.ContactAddress, *store.Store) {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -39,21 +40,33 @@ func diskMaster(t *testing.T, f *fixture, oid ids.OID, dir string, content []byt
 	if err := pkgobj.NewStub(lr).UploadFile("blob", content); err != nil {
 		t.Fatal(err)
 	}
-	return ca
+	return ca, st
 }
 
-// flipOnDisk changes one byte of the chunk file holding body, keeping
-// its length.
-func flipOnDisk(t *testing.T, dir string, body []byte) {
+// flipOnDisk changes the middle byte of the chunk holding body in the
+// segment file that OpenChunk finds it in, keeping its length.
+func flipOnDisk(t *testing.T, st *store.Store, body []byte) {
 	t.Helper()
-	hexRef := store.RefOf(body).String()
-	name := filepath.Join(dir, hexRef[:2], hexRef)
-	b, err := os.ReadFile(name)
+	h, _, err := st.OpenChunk(store.RefOf(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)/2] ^= 0xFF
-	if err := os.WriteFile(name, b, 0o600); err != nil {
+	off, err := h.Seek(0, io.SeekCurrent)
+	h.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(h.Name(), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off+int64(len(body)/2)); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off+int64(len(body)/2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,14 +107,15 @@ func TestProxyVerifiesEveryRemoteWholeRead(t *testing.T) {
 	for i := range content {
 		content[i] = byte(i * 13 / 7)
 	}
-	p := msProxy(t, f, oid, diskMaster(t, f, oid, dir, content))
+	ca, st := diskMaster(t, f, oid, dir, content)
+	p := msProxy(t, f, oid, ca)
 
 	for range 2 {
 		if got, err := readAll(p, 0, -1); err != nil || !bytes.Equal(got, content) {
 			t.Fatalf("clean read: %d bytes, %v", len(got), err)
 		}
 	}
-	flipOnDisk(t, dir, content[pkgobj.DefaultChunkSize:2*pkgobj.DefaultChunkSize])
+	flipOnDisk(t, st, content[pkgobj.DefaultChunkSize:2*pkgobj.DefaultChunkSize])
 	for i := range 2 {
 		got, err := readAll(p, 0, -1)
 		if !errors.Is(err, core.ErrDigestMismatch) {
@@ -127,14 +141,14 @@ func TestProxyVerifiesAcrossFailover(t *testing.T) {
 	for i := range content {
 		content[i] = byte(i * 31 / 17)
 	}
-	masterCA := diskMaster(t, f, oid, dir, content)
+	masterCA, st := diskMaster(t, f, oid, dir, content)
 	_, slaveCA, err := newPkgReplica(f, oid, "eu-client", MasterSlave, RoleSlave, []gls.ContactAddress{masterCA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The slave copied its chunks before the change; only the master,
 	// which the read resumes on, serves the changed last chunk.
-	flipOnDisk(t, dir, content[len(content)-pkgobj.DefaultChunkSize:])
+	flipOnDisk(t, st, content[len(content)-pkgobj.DefaultChunkSize:])
 	p := msProxy(t, f, oid, masterCA, slaveCA)
 
 	var got bytes.Buffer

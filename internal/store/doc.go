@@ -24,7 +24,11 @@
 // names them, and every Get/GetZC checks it: an order of magnitude
 // cheaper than SHA-256 on CPUs with a CRC32 instruction, and enough to
 // catch bytes changed in memory.
-// A mismatch either way is ErrCorrupt. OpenChunk alone hands out bytes
+// A mismatch either way is ErrCorrupt, and quarantines the chunk (see
+// scrub.go): it answers ErrMissing from then on and no longer counts
+// as present, so the next state transfer or cache fill fetches it
+// again and heals it in place. Compaction and the background scrubber
+// check chunks the same way. OpenChunk alone hands out bytes
 // unchecked (see below). Readers that assemble whole files lean on
 // this: a file whose chunk list once hashed to its digest, read back
 // through checked chunks, is the same content, so the whole-file
@@ -37,8 +41,9 @@
 // server's on-disk checkpoint); Release drops the pin. What happens
 // when the count reaches zero depends on the store's mode:
 //
-//   - plain stores delete the chunk immediately — the store holds
-//     exactly the content live manifests reference;
+//   - plain stores drop the chunk immediately — the index holds
+//     exactly the content live manifests reference (on disk its record
+//     becomes dead space, reclaimed as described under Layout);
 //   - cache stores (WithCapacity) keep released chunks on an LRU list
 //     and evict from its cold end only when the capacity is exceeded.
 //     This is the proxy-cache mode: a cache replica that drops its
@@ -68,23 +73,62 @@
 // carries that same (buffer, release) pair to the transport and fires
 // release at write completion, so one chunk buffer travels
 // store→rpc→wire with zero intermediate copies. OpenChunk goes one
-// step further for disk chunks: it hands the transport an open file
-// handle to splice (sendfile on TCP) — those bytes never enter user
+// step further for disk chunks: it hands the transport an open handle
+// on the chunk's segment file, positioned at the chunk's body, to
+// splice (sendfile on TCP) — those bytes never enter user
 // space, and in exchange they are not re-verified per read; the
 // client's end-to-end digest check and the background scrubber carry
 // the integrity guarantee on that path. Pipeline overlaps chunk
 // fetches with sends, propagating ownership of unconsumed values to a
 // drop callback so cancellation can never leak a pooled buffer.
 //
+// # Layout
+//
+// A disk-backed store (Open with a directory) keeps chunk bodies in
+// append-only segment files, <dir>/seg-NNNNNNNN. Each record is a
+// 40-byte header — the ref, the body size and a CRC-32C of both —
+// followed by the body. Appends go to one active segment, which is
+// sealed at 64 MiB with one fsync; a fresh segment costs one directory
+// fsync. The index maps each ref to its segment and body offset, and
+// Open rebuilds it by walking the record headers, reading a body only
+// when a ref has a second record. A reopened store appends to its
+// newest segment.
+//
+// Releasing a chunk makes no syscall: its record becomes dead space,
+// counted against its segment's live bytes. A background reclaimer,
+// started on demand and one at a time, unlinks a sealed segment with
+// no live bytes and compacts one that is at most half live: it copies
+// the live records, each verified on the way (a corrupt one is
+// quarantined instead), to the active segment, fsyncs, repoints the
+// index and unlinks the old segment. The segment files therefore hold
+// at most twice the live record bytes plus one segment. Capacity
+// eviction frees space the same way.
+//
 // # Durability
 //
-// A disk-backed store (Open with a directory) writes each chunk to a
-// temporary file, fsyncs it, and renames it into place, so a crash
-// leaves either the whole chunk or nothing. Ingest, which stores an
-// upload stream, overlaps those fsyncs across a few goroutines but
-// returns only once every chunk is renamed, its directory fsynced and
-// the chunk indexed; a crash before that leaves temporary files, which
-// Open deletes. Orphans from a crash —
+// Ingest appends each missing body to the active segment as it
+// arrives, fsyncs once at the end of the stream (once per segment it
+// wrote, if it rolled one) and only then indexes the chunks: a nil
+// error means every chunk is durable and indexed, and a failed upload
+// indexes nothing. Put and PutPinned append, fsync and index one
+// chunk. Appends are ordered under one mutex that is not held across
+// the fsync, so concurrent uploads share fsyncs: one covers every
+// record written before it. A failed fsync fails every later fsync of
+// that segment, which takes no more appends.
+//
+// A crash can leave a torn record only at the end of the newest
+// segment, after every acknowledged one: a segment is fsynced before
+// the next is created. Open cuts the newest segment at the first
+// header that fails its CRC or whose body runs past the end of the
+// file; the same in an older segment is damage, and Open fails naming
+// the segment and offset, changing nothing. A record whose header
+// survived but whose body did not reads as ErrCorrupt and is
+// quarantined, and the next upload of the chunk heals it. A later
+// record of a ref (a second upload, or a compaction copy whose source
+// a crash kept) supersedes the earlier only if its body verifies, so a
+// torn copy never hides an acknowledged one. Orphans from a crash —
 // chunks written but never referenced by a durable manifest — are
-// reclaimed by Sweep, which object servers run after recovery.
+// reclaimed by Sweep, which object servers run after recovery. A
+// directory in the one-file-per-chunk layout of earlier versions fails
+// Open and is left untouched.
 package store

@@ -118,10 +118,11 @@ func TestIngestIsDurable(t *testing.T) {
 
 // TestIngestFailureLeavesNothing: a chunk that cannot be written fails
 // the whole call, and leaves neither an index entry nor a temporary
-// file — whether its temporary file cannot be created (a regular file
-// sits where its fanout directory goes) or its commit fails after the
-// write (a directory sits at its final path). A failing stream fails
-// the call the same way.
+// file — whether the first segment cannot be created (a regular file
+// sits at its path) or the segment roll the failing chunk needs cannot
+// (a directory sits at the next segment's path, after two chunks of
+// the upload went into the full segment before it). A failing stream
+// fails the call the same way.
 func TestIngestFailureLeavesNothing(t *testing.T) {
 	chunks := randomChunks(2, 6)
 	bad := RefOf(chunks[2])
@@ -131,11 +132,17 @@ func TestIngestFailureLeavesNothing(t *testing.T) {
 		block func(s *Store) error
 		err   error
 	}{
-		{"fanout is a file", func(s *Store) error {
-			return os.WriteFile(filepath.Dir(s.path(bad)), nil, 0o600)
+		{"next segment is a file", func(s *Store) error {
+			return os.WriteFile(filepath.Join(s.dir, segName(1)), nil, 0o600)
 		}, nil},
-		{"chunk path is a directory", func(s *Store) error {
-			return os.MkdirAll(s.path(bad), 0o700)
+		{"segment roll hits a directory", func(s *Store) error {
+			// Fill segment 1 so that chunks 0 and 1 still fit and chunk 2
+			// must roll to segment 2.
+			used := recordLen(int64(len(chunks[0]))) + recordLen(int64(len(chunks[1])))
+			if _, err := s.Put(make([]byte, segmentBytes-used-recHeader)); err != nil {
+				return err
+			}
+			return os.Mkdir(filepath.Join(s.dir, segName(2)), 0o700)
 		}, nil},
 		{"stream fails", nil, errStream},
 	} {
@@ -202,9 +209,9 @@ func BenchmarkPut(b *testing.B) {
 }
 
 // BenchmarkIngest uploads 1 and 4 fresh 256 KiB chunks per op into a
-// disk store; the 4-chunk op against four 1-chunk ops is what
-// overlapping the chunks' commits saves. The chunks are deleted again
-// between ops, off the clock.
+// disk store; the 4-chunk op against four 1-chunk ops is what sharing
+// one fsync among an upload's chunks saves. The chunks are released
+// again between ops, off the clock.
 func BenchmarkIngest(b *testing.B) {
 	for _, n := range []int{1, 4} {
 		b.Run(fmt.Sprintf("chunks=%d", n), func(b *testing.B) {
@@ -232,6 +239,41 @@ func BenchmarkIngest(b *testing.B) {
 				}
 				s.Release(refs)
 				b.StartTimer()
+			}
+		})
+	}
+}
+
+// BenchmarkIngestRelease runs the chunk store's share of one publish
+// cycle on a disk store: upload 1 or 4 fresh 256 KiB chunks, pin them
+// as a created replica does, and release them as its removal does.
+// The dead records it leaves are reclaimed in the background.
+func BenchmarkIngestRelease(b *testing.B) {
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("chunks=%d", n), func(b *testing.B) {
+			s, err := Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			buf := make([]byte, 0, chunkReadBuf)
+			b.SetBytes(int64(n * chunkReadBuf))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				chunks := stampedChunks(i, n)
+				refs := make([]Ref, n)
+				for j, c := range chunks {
+					refs[j] = RefOf(c)
+				}
+				b.StartTimer()
+				if err := s.Ingest(&frameStream{bodies: chunks, buf: buf}); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Retain(refs); err != nil {
+					b.Fatal(err)
+				}
+				s.Release(refs)
 			}
 		})
 	}

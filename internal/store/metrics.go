@@ -7,7 +7,7 @@ import "gdn/internal/obs"
 // the same events across every store in the process.
 var (
 	mPutSeconds = obs.Default.Histogram("gdn_store_put_seconds",
-		"chunk insert latency, content hashing and disk write included",
+		"chunk insert latency, content hashing, disk write and fsync included",
 		obs.Seconds, obs.TimeBuckets)
 	mPutBytes = obs.Default.Histogram("gdn_store_put_bytes",
 		"chunk sizes entering the store", obs.Bytes, obs.SizeBuckets)
@@ -19,7 +19,7 @@ var (
 	mEvictions = obs.Default.Counter("gdn_store_evictions_total",
 		"chunks dropped by the capacity policy")
 	mQuarantined = obs.Default.Counter("gdn_store_quarantined_total",
-		"chunks the scrubber found corrupt on disk and moved aside")
+		"chunks a read or the scrubber found corrupt and set aside")
 	mRepaired = obs.Default.Counter("gdn_store_repaired_total",
 		"quarantined chunks healed by a later put of the same content")
 	mScrubbedBytes = obs.Default.Counter("gdn_store_scrubbed_bytes_total",
@@ -36,7 +36,7 @@ var (
 	mServePooled = obs.Default.Counter("gdn_store_serve_pooled_bytes_total",
 		"chunk bytes read from disk into pooled, ownership-tracked buffers")
 	mServeFileOpens = obs.Default.Counter("gdn_store_serve_file_opens_total",
-		"chunk file handles handed to transports for splicing")
+		"segment file handles handed to transports for splicing a chunk")
 
 	// Prefetch pipeline counters: Pipeline fetches chunks ahead of the
 	// consumer; a stall means the consumer outran the prefetcher (the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,16 +15,16 @@ import (
 // fails mid-download. The scrubber re-reads resident chunks at a
 // bounded rate and verifies each against its content address — the
 // address is self-certifying, so no separate checksum database is
-// needed. A corrupt chunk is quarantined: its bytes move to
-// <dir>/quarantine/ for post-mortem and the ref starts answering
-// ErrMissing, so the next state transfer or cache fill that touches it
-// fetches a fresh verified copy from a peer and heals the entry
-// in place (the reference count of live manifests is preserved across
-// the round trip).
+// needed. A corrupt chunk is quarantined — by the scrubber or by any
+// read that finds it corrupt: a copy of its bytes goes to
+// <dir>/quarantine/<ref> for post-mortem, its record becomes dead
+// space, and the ref starts answering ErrMissing, so the next state
+// transfer or cache fill that touches it fetches a fresh verified copy
+// from a peer and heals the entry in place (the reference count of
+// live manifests is preserved across the round trip).
 
-// quarantineDir is the subdirectory corrupt chunk files are moved to.
-// Its name is deliberately not two hex digits, so the recovery index
-// never mistakes it for a fanout directory.
+// quarantineDir is the subdirectory post-mortem copies of corrupt
+// chunks are written to.
 const quarantineDir = "quarantine"
 
 // ScrubResult reports one scrubbing pass.
@@ -45,8 +46,8 @@ type ScrubResult struct {
 // Corrupt chunks are quarantined. Memory-backed stores are not
 // scrubbed: their bytes were verified against the address on Put, and
 // every read checks them against the CRC-32C taken then, so a changed
-// byte fails its next read with ErrCorrupt instead of waiting for a
-// pass.
+// byte fails its next read with ErrCorrupt, which quarantines the
+// chunk, instead of waiting for a pass.
 func (s *Store) Scrub(limit int64) ScrubResult {
 	var res ScrubResult
 	if s.dir == "" {
@@ -84,12 +85,11 @@ func (s *Store) Scrub(limit int64) ScrubResult {
 			res.Wrapped = true
 		}
 		ref := refs[idx]
-		size, corrupt := s.verifyDisk(ref)
+		size, corrupt := s.verify(ref)
 		res.Chunks++
 		res.Bytes += size
-		if corrupt && s.quarantine(ref) {
+		if corrupt {
 			res.Quarantined = append(res.Quarantined, ref)
-			mQuarantined.Inc()
 		}
 		s.scrubMu.Lock()
 		s.cursor = ref
@@ -101,52 +101,60 @@ func (s *Store) Scrub(limit int64) ScrubResult {
 	return res
 }
 
-// verifyDisk re-reads one chunk file and checks it hashes to its name.
-// A file that vanished is not corruption: eviction or Release raced
-// the scrub.
-func (s *Store) verifyDisk(ref Ref) (size int64, corrupt bool) {
-	data, err := os.ReadFile(s.path(ref))
+// verify re-reads one chunk and checks it hashes to its ref; a corrupt
+// chunk is quarantined by the read. A chunk that vanished is not
+// corruption: eviction or Release raced the scrub.
+func (s *Store) verify(ref Ref) (size int64, corrupt bool) {
+	data, release, err := s.read(ref, false)
 	if err != nil {
-		return 0, false
+		return 0, errors.Is(err, ErrCorrupt)
 	}
-	return int64(len(data)), RefOf(data) != ref
+	size = int64(len(data))
+	if release != nil {
+		release()
+	}
+	return size, false
 }
 
-// quarantine moves one corrupt chunk aside and marks its entry gone.
-// Unreferenced chunks are simply dropped (nothing will miss them);
-// referenced ones keep a placeholder entry so the pins of live
-// manifests survive until a verified Put heals the ref. It reports
-// whether the chunk was still resident.
-func (s *Store) quarantine(ref Ref) bool {
-	dst := filepath.Join(s.dir, quarantineDir, ref.String())
-	if err := os.MkdirAll(filepath.Dir(dst), 0o700); err == nil {
-		// Best effort: if the rename fails the file is deleted below via
-		// dropLocked, losing the post-mortem copy but never the safety.
-		os.Rename(s.path(ref), dst) //nolint:errcheck
-	}
-
+// quarantine sets one corrupt chunk aside, if the index still points
+// at the bytes found corrupt (where), writing corpse, when given, to
+// the quarantine directory. Unreferenced chunks are simply dropped
+// (nothing will miss them); referenced ones keep a placeholder entry
+// so the pins of live manifests survive until a verified Put heals the
+// ref.
+func (s *Store) quarantine(ref Ref, where at, corpse []byte) {
 	sh := s.shardOf(ref)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	e, ok := sh.chunks[ref]
-	if !ok || e.gone {
-		return false
+	if !ok || !where.is(e) {
+		sh.mu.Unlock()
+		return
 	}
 	s.quarantined.Add(1)
+	mQuarantined.Inc()
 	if e.refs == 0 {
 		s.dropLocked(sh, ref, e)
-		return true
+	} else {
+		if e.elem != nil {
+			sh.cold.Remove(e.elem)
+			e.elem = nil
+		}
+		s.bytes.Add(-e.size)
+		if e.seg != nil {
+			s.deadRecord(e.seg, e.size)
+		}
+		e.size, e.data, e.seg = 0, nil, nil
+		e.gone = true
+		sh.gone++
 	}
-	if e.elem != nil {
-		sh.cold.Remove(e.elem)
-		e.elem = nil
+	sh.mu.Unlock()
+	if s.dir != "" && corpse != nil {
+		// Best effort: the post-mortem copy is for people, not safety.
+		dst := filepath.Join(s.dir, quarantineDir, ref.String())
+		if os.MkdirAll(filepath.Dir(dst), 0o700) == nil {
+			os.WriteFile(dst, corpse, 0o600) //nolint:errcheck
+		}
 	}
-	s.bytes.Add(-e.size)
-	e.size = 0
-	e.data = nil
-	e.gone = true
-	sh.gone++
-	return true
 }
 
 // Default background scrubbing rate: a pass over up to 256 MiB of

@@ -3,26 +3,53 @@ package store
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 )
 
-// corruptOnDisk flips bytes in one chunk's backing file without the
-// store noticing — the silent media corruption the scrubber exists to
-// catch.
+// corruptOnDisk flips the first byte of one chunk's body in its
+// segment file without the store noticing — the silent media
+// corruption the scrubber exists to catch.
 func corruptOnDisk(t *testing.T, s *Store, ref Ref) {
 	t.Helper()
-	p := s.path(ref)
-	data, err := os.ReadFile(p)
+	flipChunkByte(t, s, ref, 0)
+}
+
+// flipChunkByte flips byte i of a chunk's body where OpenChunk finds
+// it: the segment file the handle names, at the handle's offset.
+func flipChunkByte(t *testing.T, s *Store, ref Ref, i int64) {
+	t.Helper()
+	name, off := chunkAt(t, s, ref)
+	f, err := os.OpenFile(name, os.O_RDWR, 0)
 	if err != nil {
-		t.Fatalf("read chunk file: %v", err)
+		t.Fatal(err)
 	}
-	data[0] ^= 0xFF
-	if err := os.WriteFile(p, data, 0o600); err != nil {
-		t.Fatalf("corrupt chunk file: %v", err)
+	defer f.Close()
+	b := make([]byte, 1)
+	if _, err := f.ReadAt(b, off+i); err != nil {
+		t.Fatalf("read chunk byte: %v", err)
 	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b, off+i); err != nil {
+		t.Fatalf("corrupt chunk byte: %v", err)
+	}
+}
+
+// chunkAt returns the file and offset holding a chunk's body.
+func chunkAt(t *testing.T, s *Store, ref Ref) (name string, off int64) {
+	t.Helper()
+	f, _, err := s.OpenChunk(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if off, err = f.Seek(0, io.SeekCurrent); err != nil {
+		t.Fatal(err)
+	}
+	return f.Name(), off
 }
 
 func TestScrubDetectsAndQuarantines(t *testing.T) {

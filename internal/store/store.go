@@ -44,7 +44,7 @@ var (
 	// admitted (memory).
 	ErrCorrupt = errors.New("store: chunk bytes do not match their address")
 	// ErrNotOnDisk is returned by OpenChunk when a chunk's bytes are not
-	// a plain file a transport could splice (memory-backed store).
+	// in a file a transport could splice (memory-backed store).
 	ErrNotOnDisk = errors.New("store: chunk bytes not file-backed")
 )
 
@@ -57,8 +57,8 @@ type Stats struct {
 	Dedup int64
 	// Evictions counts chunks dropped by the capacity policy.
 	Evictions int64
-	// Quarantined counts chunks the scrubber found corrupt on disk and
-	// moved aside (cumulative).
+	// Quarantined counts chunks a read or the scrubber found corrupt and
+	// set aside (cumulative).
 	Quarantined int64
 	// Repaired counts quarantined chunks healed by a later Put
 	// (cumulative).
@@ -68,22 +68,47 @@ type Stats struct {
 	Scrubbed int64
 }
 
-// entry is the in-memory record of one chunk. data is nil for
-// disk-resident chunks; crc is the CRC-32C of data, taken at admission
-// right after the SHA-256 that names the bytes, so each read checks
-// them at CRC speed. elem is non-nil while the chunk sits on its
-// shard's cold (refs == 0) LRU list. gone marks a quarantined chunk:
-// the scrubber found its bytes corrupt and moved them aside, but live
-// manifests still pin the ref, so the entry stays in the table —
-// carrying the reference count across the repair — while behaving as
-// absent to every reader until a fresh Put heals it.
+// entry is the in-memory record of one chunk. A memory chunk's bytes
+// are data, with crc the CRC-32C of data, taken at admission right
+// after the SHA-256 that names the bytes, so each read checks them at
+// CRC speed. A disk chunk's body sits at off in segment seg. elem is
+// non-nil while the chunk sits on its shard's cold (refs == 0) LRU
+// list. gone marks a quarantined chunk: a read found its bytes corrupt
+// and set them aside, but live manifests still pin the ref, so the
+// entry stays in the table — carrying the reference count across the
+// repair — while behaving as absent to every reader until a fresh Put
+// heals it.
 type entry struct {
 	size int64
 	refs int
 	data []byte
 	crc  uint32
+	seg  *segment
+	off  int64
 	elem *list.Element
 	gone bool
+}
+
+// at names where a read found one chunk's bytes: a record in a
+// segment, or a memory copy.
+type at struct {
+	seg *segment
+	off int64
+	mem []byte
+}
+
+// where returns the location of e's bytes.
+func (e *entry) where() at { return at{seg: e.seg, off: e.off, mem: e.data} }
+
+// is reports whether e's bytes are still the ones at a.
+func (a at) is(e *entry) bool {
+	if e.gone {
+		return false
+	}
+	if a.seg != nil {
+		return e.seg == a.seg && e.off == a.off
+	}
+	return len(a.mem) > 0 && len(e.data) > 0 && &e.data[0] == &a.mem[0]
 }
 
 // castagnoli is the CRC-32C table behind the memory chunks' read
@@ -132,6 +157,19 @@ type Store struct {
 
 	scrubStop chan struct{} // non-nil while a background scrubber runs
 	scrubDone chan struct{}
+
+	// Segment files of a disk store (segment.go). segMu orders appends
+	// and guards the segment table.
+	segMu  sync.Mutex
+	segs   map[uint32]*segment
+	active *segment
+	nextID uint32
+
+	// The background reclaimer: at most one runs, started on demand.
+	reclaiming atomic.Bool
+	reclaimMu  sync.Mutex // orders starts against Close
+	reclaimWG  sync.WaitGroup
+	closed     atomic.Bool
 }
 
 // shardOf returns the stripe owning ref.
@@ -156,9 +194,11 @@ func Mem(opts ...Option) *Store {
 
 // Open returns a store rooted at dir, creating the directory as
 // needed and indexing any chunks a previous process left behind
-// (recovery). An empty dir selects a memory-backed store.
+// (recovery). A directory in the one-file-per-chunk layout of earlier
+// versions fails Open and is left as it is. An empty dir selects a
+// memory-backed store.
 func Open(dir string, opts ...Option) (*Store, error) {
-	s := &Store{dir: dir}
+	s := &Store{dir: dir, segs: make(map[uint32]*segment)}
 	for i := range s.shards {
 		s.shards[i].chunks = make(map[Ref]*entry)
 		s.shards[i].cold = list.New()
@@ -172,63 +212,27 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, err
 	}
-	if err := s.index(); err != nil {
+	if err := s.load(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// index scans the directory for chunks left by a previous run. They
-// enter the table unreferenced; recovery retains the ones its
-// manifests name and Sweep reclaims the rest.
-func (s *Store) index() error {
-	fanouts, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
-	}
-	for _, fo := range fanouts {
-		if !fo.IsDir() || len(fo.Name()) != 2 {
-			continue
-		}
-		sub := filepath.Join(s.dir, fo.Name())
-		files, err := os.ReadDir(sub)
-		if err != nil {
-			return err
-		}
-		for _, f := range files {
-			name := f.Name()
-			b, err := hex.DecodeString(name)
-			if err != nil || len(b) != sha256.Size {
-				// Stray temporary or foreign file; a crash mid-write
-				// leaves .tmp files here. Remove it.
-				os.Remove(filepath.Join(sub, name))
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			var ref Ref
-			copy(ref[:], b)
-			sh := s.shardOf(ref)
-			e := &entry{size: info.Size()}
-			e.elem = sh.cold.PushBack(coldRef{ref})
-			sh.chunks[ref] = e
-			s.bytes.Add(e.size)
-		}
-	}
+// Close stops the store's background work and closes its segment
+// files. A closed store must not be used again; closing twice is
+// harmless.
+func (s *Store) Close() error {
+	s.StopScrubber()
+	s.reclaimMu.Lock()
+	s.closed.Store(true)
+	s.reclaimMu.Unlock()
+	s.reclaimWG.Wait()
+	s.closeSegments()
 	return nil
 }
 
 // coldRef is the LRU list payload: the ref of a refs==0 chunk.
 type coldRef struct{ ref Ref }
-
-// path returns the on-disk location of one chunk, with a two-hex-digit
-// fanout directory so no single directory grows unbounded.
-func (s *Store) path(ref Ref) string {
-	hexRef := ref.String()
-	return filepath.Join(s.dir, hexRef[:2], hexRef)
-}
 
 // Put stores data under its content address and returns the address.
 // Storing content that is already present is a cheap no-op (the
@@ -255,16 +259,16 @@ func (s *Store) put(data []byte, pin bool) (Ref, error) {
 	if s.present(ref, pin) {
 		return ref, nil
 	}
-	var mem []byte
-	var crc uint32
 	if s.dir == "" {
-		mem = append([]byte(nil), data...)
-		crc = crc32.Checksum(mem, castagnoli)
-	} else if err := s.writeChunk(ref, data); err != nil {
+		mem := append([]byte(nil), data...)
+		s.admit(ref, &entry{size: int64(len(mem)), data: mem, crc: crc32.Checksum(mem, castagnoli)}, pin)
+		return ref, nil
+	}
+	w, err := s.appendRecord(ref, data)
+	if err != nil {
 		return ref, err
 	}
-	s.admit(ref, int64(len(data)), mem, crc, pin)
-	return ref, nil
+	return ref, s.commit([]written{w}, pin)
 }
 
 // present reports whether ref is already resident (and not
@@ -281,21 +285,22 @@ func (s *Store) present(ref Ref, pin bool) bool {
 	return true
 }
 
-// admit indexes a chunk of size bytes: durable on disk, or held in
-// mem, the store's own copy with its CRC-32C crc, for memory stores.
-func (s *Store) admit(ref Ref, size int64, mem []byte, crc uint32, pin bool) {
+// admit indexes a chunk whose bytes are durable on disk, or held in
+// memory as the store's own copy: n carries its size and location.
+func (s *Store) admit(ref Ref, n *entry, pin bool) {
 	sh := s.shardOf(ref)
 	sh.mu.Lock()
 	if e, ok := sh.chunks[ref]; ok {
 		if e.gone {
-			// Healing a quarantined chunk: the fresh (verified) bytes are
-			// on disk again. The entry kept the reference count of every
+			// Healing a quarantined chunk: fresh (verified) bytes are
+			// stored again. The entry kept the reference count of every
 			// manifest that still names the ref, so pins survive the
 			// corruption-and-repair round trip.
 			e.gone = false
 			sh.gone--
-			e.size = size
-			e.data, e.crc = mem, crc
+			e.size = n.size
+			e.data, e.crc = n.data, n.crc
+			e.seg, e.off = n.seg, n.off
 			s.bytes.Add(e.size)
 			s.repaired.Add(1)
 			mRepaired.Inc()
@@ -308,12 +313,16 @@ func (s *Store) admit(ref Ref, size int64, mem []byte, crc uint32, pin bool) {
 			s.evict()
 			return
 		}
-		// Raced with another Put of the same content.
+		// Raced with another Put of the same content: its copy stays,
+		// and a second record on disk is dead.
 		s.dedupLocked(sh, ref, e, pin)
 		sh.mu.Unlock()
+		if n.seg != nil {
+			s.deadRecord(n.seg, n.size)
+		}
 		return
 	}
-	e := &entry{size: size, data: mem, crc: crc}
+	e := n
 	if pin {
 		e.refs = 1
 	} else {
@@ -342,110 +351,37 @@ func (s *Store) dedupLocked(sh *shard, ref Ref, e *entry, pin bool) {
 	_ = ref
 }
 
-// writeChunk persists one chunk durably. Concurrent writers of the
-// same content race benignly — the rename is atomic and the bytes
-// identical.
-func (s *Store) writeChunk(ref Ref, data []byte) error {
-	return WriteFileSync(s.path(ref), data)
-}
-
-// WriteFileSync writes data durably at name: temporary file in the
-// same directory, fsync, rename into place, then fsync the directory
-// so the rename itself survives a crash. The store uses it for
-// chunks; object servers use it for checkpoint manifests.
-func WriteFileSync(name string, data []byte) error {
-	tmp, err := writeTemp(name, data)
-	if err != nil {
-		return err
-	}
-	return commitTemp(tmp, name)
-}
-
-// writeTemp writes data to a fresh temporary file next to name, the
-// first half of WriteFileSync. On error nothing is left behind.
-func writeTemp(name string, data []byte) (*os.File, error) {
-	dir := filepath.Dir(name)
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(name)+".tmp")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, err
-	}
-	return tmp, nil
-}
-
-// commitTemp makes a writeTemp file durable under name: fsync, close,
-// rename into place, fsync the directory. On error the temporary file
-// is removed.
-func commitTemp(tmp *os.File, name string) error {
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), name); err != nil {
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(name)); err == nil {
-		d.Sync() //nolint:errcheck // advisory; some filesystems refuse dir fsync
-		d.Close()
-	}
-	return nil
-}
-
 // Frames is a stream of chunk bodies, one per Recv, ended by io.EOF.
 // A body is valid only until the next Recv; rpc.UploadReader fits.
 type Frames interface {
 	Recv() ([]byte, error)
 }
 
-// ingestWorkers is how many chunk commits (fsync, rename, directory
-// fsync, index) one Ingest runs at once; four covers the 2–7 chunks of
-// a typical package upload.
-const ingestWorkers = 4
-
 // Ingest stores every chunk body src delivers, unreferenced, as Put
 // would: each body is hashed once and skipped if already present. On a
-// disk store the body goes to a temporary file before the next Recv,
-// so src may recycle it; the commit that makes the chunk durable and
-// indexes it then runs on its own goroutine, at most ingestWorkers at
-// a time, overlapping the fsyncs of consecutive chunks. (A body the
-// stream repeats while its first copy is still committing is written
-// again, and counted as a dedup when indexed.) Ingest returns once
-// every commit has finished: a nil error means every chunk is on disk,
-// renamed into place and indexed. It stops at the first failure and
-// returns it; a failed chunk leaves no index entry and no temporary
-// file. Memory stores Put each body.
+// disk store each missing body is appended to the active segment
+// before the next Recv, so src may recycle it; at the end of the
+// stream one fsync per segment written makes them durable, and only
+// then are they indexed. (A body the stream repeats is appended again
+// and counted as a dedup when indexed.) A nil error means every chunk
+// is durable and indexed. On a failure Ingest indexes nothing from the
+// stream and returns the error; what it appended is dead space for
+// compaction. Memory stores Put each body.
 func (s *Store) Ingest(src Frames) error {
-	var wg sync.WaitGroup
-	errs := make(chan error, 1) // holds the first failure
-	fail := func(err error) {
-		select {
-		case errs <- err:
-		default:
-		}
-	}
-	commits := make(chan struct{}, ingestWorkers) // semaphore
-	for len(errs) == 0 {
+	var recs []written
+	var spent time.Duration // hashing and appending, all chunks
+	for {
 		data, err := src.Recv()
-		if err != nil {
-			if err != io.EOF {
-				fail(err)
-			}
+		if err == io.EOF {
 			break
+		}
+		if err != nil {
+			s.abandon(recs)
+			return err
 		}
 		if s.dir == "" {
 			if _, err := s.Put(data); err != nil {
-				fail(err)
+				return err
 			}
 			continue
 		}
@@ -456,32 +392,28 @@ func (s *Store) Ingest(src Frames) error {
 			mPutSeconds.ObserveSince(start)
 			continue
 		}
-		tmp, err := writeTemp(s.path(ref), data)
+		w, err := s.appendRecord(ref, data)
 		if err != nil {
-			fail(err)
-			break
+			s.abandon(recs)
+			return err
 		}
-		size := int64(len(data))
-		commits <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-commits }()
-			defer mPutSeconds.ObserveSince(start)
-			if err := commitTemp(tmp, s.path(ref)); err != nil {
-				fail(err)
-				return
-			}
-			s.admit(ref, size, nil, 0, false)
-		}()
+		recs = append(recs, w)
+		spent += time.Since(start)
 	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
+	if len(recs) == 0 {
 		return nil
 	}
+	start := time.Now()
+	if err := s.commit(recs, false); err != nil {
+		return err
+	}
+	// Each stored chunk is observed once, at an equal share of the
+	// upload's store time, the shared commit included.
+	per := (spent + time.Since(start)) / time.Duration(len(recs))
+	for range recs {
+		mPutSeconds.Observe(int64(per))
+	}
+	return nil
 }
 
 // Get returns a chunk's bytes. Every read is checked — disk reads
@@ -521,68 +453,88 @@ var readBufPool = sync.Pool{New: func() any {
 // when it is completely done with the slice. For memory-backed stores
 // the slice aliases the immutable resident bytes and release is nil;
 // for disk-backed stores the bytes are read into a pooled buffer that
-// release recycles. The bytes are checked exactly like Get's. The
-// slice must be treated as read-only and must not be used after
-// release.
+// release recycles. The bytes are checked exactly like Get's, and a
+// chunk that fails its check is quarantined, so the next fill fetches
+// it afresh. The slice must be treated as read-only and must not be
+// used after release.
 func (s *Store) GetZC(ref Ref) (data []byte, release func(), err error) {
 	start := time.Now()
 	defer mGetSeconds.ObserveSince(start)
-	sh := s.shardOf(ref)
-	sh.mu.Lock()
-	e, ok := sh.chunks[ref]
-	if !ok || e.gone {
-		sh.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w: %s", ErrMissing, ref.Short())
-	}
-	sh.touchLocked(e)
-	mem, crc := e.data, e.crc
-	size := e.size
-	sh.mu.Unlock()
-	if mem != nil {
-		if crc32.Checksum(mem, castagnoli) != crc {
-			return nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, ref.Short())
-		}
-		mServeZeroCopy.Add(int64(len(mem)))
-		return mem, nil, nil
-	}
-
-	f, err := os.Open(s.path(ref))
+	data, release, err = s.read(ref, true)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %s: %v", ErrMissing, ref.Short(), err)
+		return nil, nil, err
 	}
-	var bp *[]byte
-	var buf []byte
-	if size <= chunkReadBuf {
-		bp = readBufPool.Get().(*[]byte)
-		buf = (*bp)[:size]
+	if s.dir == "" {
+		mServeZeroCopy.Add(int64(len(data)))
 	} else {
-		buf = make([]byte, size)
+		mServePooled.Add(int64(len(data)))
 	}
-	_, err = io.ReadFull(f, buf)
-	f.Close()
-	if err != nil {
-		if bp != nil {
-			readBufPool.Put(bp)
-		}
-		return nil, nil, fmt.Errorf("%w: %s: %v", ErrMissing, ref.Short(), err)
-	}
-	if RefOf(buf) != ref {
-		if bp != nil {
-			readBufPool.Put(bp)
-		}
-		return nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, ref.Short())
-	}
-	mServePooled.Add(size)
-	if bp == nil {
-		return buf, nil, nil
-	}
-	return buf, func() { readBufPool.Put(bp) }, nil
+	return data, release, nil
 }
 
-// OpenChunk returns an open handle on a chunk's backing file plus its
-// size, so transports that can splice files (sendfile on TCP) serve
-// the bytes without them ever entering user space. Ownership of the
-// handle passes to the caller.
+// read returns ref's bytes, checked, refreshing its LRU position when
+// touch is set. A chunk that fails its check is quarantined and
+// answers ErrCorrupt.
+func (s *Store) read(ref Ref, touch bool) ([]byte, func(), error) {
+	for {
+		where, size, crc, err := s.locate(ref, touch)
+		if err != nil {
+			return nil, nil, err
+		}
+		if where.seg == nil {
+			if crc32.Checksum(where.mem, castagnoli) != crc {
+				s.quarantine(ref, where, nil)
+				return nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, ref.Short())
+			}
+			return where.mem, nil, nil
+		}
+		data, release, err := readBody(where.seg, where.off, size)
+		if err != nil {
+			if errClosedSegment(err) && s.moved(ref, where) {
+				continue // compaction moved the record under us
+			}
+			return nil, nil, fmt.Errorf("%w: %s: %v", ErrMissing, ref.Short(), err)
+		}
+		if RefOf(data) != ref {
+			s.quarantine(ref, where, data)
+			if release != nil {
+				release()
+			}
+			return nil, nil, fmt.Errorf("%w: %s", ErrCorrupt, ref.Short())
+		}
+		return data, release, nil
+	}
+}
+
+// locate snapshots where ref's bytes are.
+func (s *Store) locate(ref Ref, touch bool) (where at, size int64, crc uint32, err error) {
+	sh := s.shardOf(ref)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.chunks[ref]
+	if !ok || e.gone {
+		return at{}, 0, 0, fmt.Errorf("%w: %s", ErrMissing, ref.Short())
+	}
+	if touch {
+		sh.touchLocked(e)
+	}
+	return e.where(), e.size, e.crc, nil
+}
+
+// moved reports whether ref is still indexed, but no longer at where.
+func (s *Store) moved(ref Ref, where at) bool {
+	sh := s.shardOf(ref)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.chunks[ref]
+	return ok && !e.gone && !where.is(e)
+}
+
+// OpenChunk returns a fresh handle on the segment file holding a
+// chunk, positioned at the chunk's body, plus the body's size, so
+// transports that can splice files (sendfile on TCP) serve the bytes
+// without them ever entering user space. Ownership of the handle
+// passes to the caller.
 //
 // The bytes are deliberately NOT re-verified against the content
 // address on this path — that would require reading them, defeating
@@ -595,22 +547,27 @@ func (s *Store) OpenChunk(ref Ref) (*os.File, int64, error) {
 	if s.dir == "" {
 		return nil, 0, ErrNotOnDisk
 	}
-	sh := s.shardOf(ref)
-	sh.mu.Lock()
-	e, ok := sh.chunks[ref]
-	if !ok || e.gone {
-		sh.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: %s", ErrMissing, ref.Short())
+	for {
+		where, size, _, err := s.locate(ref, true)
+		if err != nil {
+			return nil, 0, err
+		}
+		f, err := os.Open(filepath.Join(s.dir, segName(where.seg.id)))
+		if err == nil {
+			_, err = f.Seek(where.off, io.SeekStart)
+			if err != nil {
+				f.Close()
+			}
+		}
+		if err != nil {
+			if errClosedSegment(err) && s.moved(ref, where) {
+				continue // compaction moved the record under us
+			}
+			return nil, 0, fmt.Errorf("%w: %s: %v", ErrMissing, ref.Short(), err)
+		}
+		mServeFileOpens.Inc()
+		return f, size, nil
 	}
-	sh.touchLocked(e)
-	size := e.size
-	sh.mu.Unlock()
-	f, err := os.Open(s.path(ref))
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: %s: %v", ErrMissing, ref.Short(), err)
-	}
-	mServeFileOpens.Inc()
-	return f, size, nil
 }
 
 // Has reports whether a chunk is present (and not quarantined).
@@ -717,9 +674,10 @@ func (s *Store) Release(refs []Ref) {
 	s.evict()
 }
 
-// Sweep deletes every unreferenced chunk — the recovery-time garbage
-// collection that reclaims orphans a crash left behind. It returns
-// the number of chunks and bytes reclaimed.
+// Sweep drops every unreferenced chunk — the recovery-time garbage
+// collection that reclaims orphans a crash left behind; their disk
+// space goes back through the reclaimer. It returns the number of
+// chunks and bytes reclaimed.
 func (s *Store) Sweep() (chunks int, bytes int64) {
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -777,7 +735,8 @@ func (s *Store) evict() {
 	}
 }
 
-// dropLocked removes one chunk from its shard's table (and disk).
+// dropLocked removes one chunk from its shard's table. Its record, if
+// any, becomes dead space for the reclaimer; nothing is unlinked here.
 // Caller holds sh.mu.
 func (s *Store) dropLocked(sh *shard, ref Ref, e *entry) {
 	if e.elem != nil {
@@ -789,8 +748,8 @@ func (s *Store) dropLocked(sh *shard, ref Ref, e *entry) {
 	}
 	delete(sh.chunks, ref)
 	s.bytes.Add(-e.size)
-	if s.dir != "" {
-		os.Remove(s.path(ref))
+	if e.seg != nil {
+		s.deadRecord(e.seg, e.size)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -74,8 +73,8 @@ func TestReleaseToZeroDeletesInPlainMode(t *testing.T) {
 	if s.Has(ref) {
 		t.Fatal("chunk survived release to zero in plain mode")
 	}
-	if _, err := os.Stat(s.path(ref)); !os.IsNotExist(err) {
-		t.Fatalf("chunk file survived: %v", err)
+	if live := s.active.live.Load(); live != 0 {
+		t.Fatalf("segment still counts %d live bytes", live)
 	}
 }
 
@@ -185,11 +184,23 @@ func TestReopenIndexesAndSweepReclaimsOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash leaving a torn temporary file as well.
-	tmp := filepath.Join(dir, keep.String()[:2], "deadbeef.tmp")
-	if err := os.WriteFile(tmp, []byte("torn"), 0o600); err != nil {
+	// Simulate a crash leaving a torn record as well: a whole header
+	// whose body never reached the disk.
+	seg, _ := chunkAt(t, s, keep)
+	whole, err := os.Stat(seg)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var torn [recHeader]byte
+	putHeader(&torn, RefOf([]byte("torn")), 4)
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(torn[:], 't')); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
 
 	// "Reboot": a fresh store over the same directory.
 	s2, err := Open(dir)
@@ -199,8 +210,8 @@ func TestReopenIndexesAndSweepReclaimsOrphans(t *testing.T) {
 	if !s2.Has(keep) || !s2.Has(orphan) {
 		t.Fatal("reopen did not index surviving chunks")
 	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("torn temporary file survived reopen")
+	if info, err := os.Stat(seg); err != nil || info.Size() != whole.Size() {
+		t.Fatalf("torn record survived reopen: %v", err)
 	}
 	// Recovery pins what its manifests reference, then sweeps.
 	if err := s2.Retain([]Ref{keep}); err != nil {
@@ -229,7 +240,14 @@ func TestGetVerifiesDiskCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(ref), []byte("tampered"), 0o600); err != nil {
+	name, off := chunkAt(t, s, ref)
+	f, err := os.OpenFile(name, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte("tampered"), off)
+	f.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Get(ref); !errors.Is(err, ErrCorrupt) {
@@ -238,7 +256,9 @@ func TestGetVerifiesDiskCorruption(t *testing.T) {
 }
 
 // TestGetChecksMemoryChunks: a byte changed in a memory chunk after
-// admission fails every later read with ErrCorrupt.
+// admission fails the next read with ErrCorrupt, and that read
+// quarantines the chunk: it answers missing, keeps its pin, and the
+// next Put of the content heals it.
 func TestGetChecksMemoryChunks(t *testing.T) {
 	s := Mem()
 	ref, err := s.PutPinned([]byte("pristine"))
@@ -253,12 +273,24 @@ func TestGetChecksMemoryChunks(t *testing.T) {
 	if _, err := s.Get(ref); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Get = %v, want ErrCorrupt", err)
 	}
-	if _, _, err := s.GetZC(ref); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("GetZC = %v, want ErrCorrupt", err)
+	if _, _, err := s.GetZC(ref); !errors.Is(err, ErrMissing) {
+		t.Fatalf("GetZC after the failed read = %v, want ErrMissing", err)
 	}
-	data[3] ^= 0x20
+	if s.Has(ref) || s.Lost() != 1 || s.Stats().Quarantined != 1 {
+		t.Fatalf("corrupt chunk not quarantined: has %v, lost %d, %+v", s.Has(ref), s.Lost(), s.Stats())
+	}
+	if _, err := s.Put([]byte("pristine")); err != nil {
+		t.Fatal(err)
+	}
 	if got, err := s.Get(ref); err != nil || string(got) != "pristine" {
-		t.Fatalf("restored chunk: %q, %v", got, err)
+		t.Fatalf("healed chunk: %q, %v", got, err)
+	}
+	if s.Stats().Repaired != 1 {
+		t.Fatalf("repaired = %d, want 1", s.Stats().Repaired)
+	}
+	s.Release([]Ref{ref}) // the pin taken before the corruption
+	if s.Has(ref) {
+		t.Fatal("healed chunk lost its pin: it outlived its release")
 	}
 }
 

@@ -7,8 +7,8 @@
 // replays intact; the tail is cut off before the next write. Appends
 // are buffered in memory until flush, which writes the pending frames
 // in one syscall and fsyncs once. Compaction rewrites the log
-// atomically (tmp + fsync + rename), the same durable-write discipline
-// as store.WriteFileSync.
+// atomically: a temporary file, fsync, rename, then an fsync of the
+// directory.
 package walog
 
 import (

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -292,15 +291,28 @@ func TestProxyEdgeNeverServesFailedBodyWhole(t *testing.T) {
 		t.Fatalf("clean download: %d with %d bytes, %v", code, len(body), err)
 	}
 
-	// Change one byte of the last chunk's file, keeping its length.
-	hexRef := store.RefOf(content[3*pkgobj.DefaultChunkSize:]).String()
-	name := filepath.Join(dir, "chunks", hexRef[:2], hexRef)
-	b, err := os.ReadFile(name)
+	// Change the first byte of the last chunk where its segment file
+	// holds it, keeping the length.
+	ch, _, err := srv.Chunks().OpenChunk(store.RefOf(content[3*pkgobj.DefaultChunkSize:]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[0] ^= 0xFF
-	if err := os.WriteFile(name, b, 0o600); err != nil {
+	off, err := ch.Seek(0, io.SeekCurrent)
+	ch.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(ch.Name(), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	if _, err = f.ReadAt(b, off); err == nil {
+		b[0] ^= 0xFF
+		_, err = f.WriteAt(b, off)
+	}
+	f.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
 	opens := func() int64 { return obs.Default.CounterValue("gdn_store_serve_file_opens_total") }
