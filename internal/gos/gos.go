@@ -117,6 +117,12 @@ type hosted struct {
 	lr   *core.LR
 	spec core.ReplicaSpec
 	ca   gls.ContactAddress
+	// ready is closed once the create command that made this replica
+	// has attached and checkpointed it, or given up; nil for a
+	// recovered replica. A remove that takes the replica meanwhile
+	// waits for it, so its detach and checkpoint delete come after the
+	// create's attach and checkpoint put.
+	ready chan struct{}
 	// ckptMu serializes checkpoints of this replica: concurrent
 	// OpCheckpoint commands could otherwise interleave the table Put
 	// and the pin swap in opposite orders, leaving the durable
@@ -545,7 +551,7 @@ func decodeCreateRequest(b []byte) (CreateRequest, error) {
 	peerBytes := r.Bytes32()
 	hasState := r.Bool()
 	if hasState {
-		cr.InitState = append([]byte(nil), r.Bytes32()...)
+		cr.InitState = append([]byte{}, r.Bytes32()...) // an empty seed stays non-nil
 	}
 	if err := r.Done(); err != nil {
 		return CreateRequest{}, err
@@ -574,7 +580,10 @@ func (s *Server) handleCreate(call *rpc.Call) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// create constructs, registers and checkpoints one replica.
+// create constructs, registers and checkpoints one replica. A failed
+// attach or checkpoint fails the create and leaves no registration,
+// checkpoint, pin or hosted entry behind; so does a remove that takes
+// the replica before the create finishes.
 func (s *Server) create(req CreateRequest) (oid ids.OID, ca gls.ContactAddress, cost time.Duration, err error) {
 	oid = req.OID
 	if oid.IsNil() {
@@ -604,21 +613,37 @@ func (s *Server) create(req CreateRequest) (oid ids.OID, ca gls.ContactAddress, 
 		return ids.Nil, gls.ContactAddress{}, 0, err
 	}
 
-	_, insCost, err := s.sess.Attach(oid, ca)
-	if err != nil {
-		lr.Close()
-		return ids.Nil, gls.ContactAddress{}, insCost, fmt.Errorf("gos: register %s: %w", oid.Short(), err)
-	}
-
-	h := &hosted{lr: lr, spec: spec, ca: ca}
+	// Hosted from here on, so the checkpoint can tell whether a remove
+	// took the replica before its put; the attach and the checkpoint
+	// run concurrently, and the create is acknowledged after both.
+	h := &hosted{lr: lr, spec: spec, ca: ca, ready: make(chan struct{})}
+	defer close(h.ready)
 	s.mu.Lock()
 	s.objects[oid] = h
 	s.mu.Unlock()
-
-	if err := s.checkpoint(h); err != nil {
-		s.cfg.Logf("gos: checkpoint %s: %v", oid.Short(), err)
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- s.checkpoint(h) }()
+	_, cost, err = s.sess.Attach(oid, ca)
+	if err != nil {
+		err = fmt.Errorf("gos: register %s: %w", oid.Short(), err)
 	}
-	return oid, ca, insCost, nil
+	err = errors.Join(err, <-ckpt)
+
+	s.mu.Lock()
+	owner := s.objects[oid] == h
+	if err != nil && owner {
+		delete(s.objects, oid)
+	}
+	s.mu.Unlock()
+	switch {
+	case !owner:
+		// A remove (which retires the replica once ready closes) or
+		// the server's Close took it.
+		return ids.Nil, gls.ContactAddress{}, cost, errors.Join(err, fmt.Errorf("gos: %s was removed before its create finished", oid.Short()))
+	case err != nil:
+		return ids.Nil, gls.ContactAddress{}, cost + s.retire(h), err
+	}
+	return oid, ca, cost, nil
 }
 
 func (s *Server) handleRemove(call *rpc.Call) ([]byte, error) {
@@ -635,15 +660,31 @@ func (s *Server) handleRemove(call *rpc.Call) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("gos: not hosting %s", oid.Short())
 	}
+	if h.ready != nil {
+		<-h.ready
+	}
+	call.Charge(s.retire(h))
+	return nil, nil
+}
 
-	cost, err := s.sess.Detach(oid)
-	call.Charge(cost)
+// retire deregisters a replica this server no longer hosts and
+// retracts its checkpoint, the two concurrently, and closes the
+// replica once it is deregistered. It returns the deregistration's
+// cost; a failed detach is logged, and the next session renewal's
+// repair removes the entry.
+func (s *Server) retire(h *hosted) time.Duration {
+	deleted := make(chan struct{})
+	go func() {
+		defer close(deleted)
+		s.removeCheckpoint(h.spec.OID)
+	}()
+	cost, err := s.sess.Detach(h.spec.OID)
 	if err != nil {
-		s.cfg.Logf("gos: deregister %s: %v", oid.Short(), err)
+		s.cfg.Logf("gos: deregister %s: %v", h.spec.OID.Short(), err)
 	}
 	h.lr.Close()
-	s.removeCheckpoint(oid)
-	return nil, nil
+	<-deleted
+	return cost
 }
 
 // ReplicaInfo describes one hosted replica in list responses.

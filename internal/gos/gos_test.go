@@ -462,6 +462,14 @@ func TestCreateRequestRoundTrip(t *testing.T) {
 	if got.InitState != nil {
 		t.Fatal("nil InitState must stay nil")
 	}
+	req.InitState = []byte{}
+	got, err = decodeCreateRequest(req.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.InitState == nil || len(got.InitState) != 0 {
+		t.Fatalf("empty InitState decoded as %v, want an empty seed", got.InitState)
+	}
 }
 
 func TestDuplicateHostingRejected(t *testing.T) {

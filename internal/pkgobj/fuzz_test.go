@@ -17,9 +17,10 @@ func maxDecodeAlloc(n int) uint64 { return 256<<10 + 64*uint64(n) }
 // panic, and allocate in proportion to the input however its count
 // and length fields lie. Every working and tagged file of an installed
 // state must resolve through FileManifest under its own name and no
-// other. The same bytes, taken as file contents, must stage into a
-// state that UnmarshalState + MarshalState reproduce byte for byte
-// once its chunk bodies are in the store. The committed corpus
+// other. The same bytes, taken as file contents, must stage into the
+// state the stub builds from them, byte for byte, and UnmarshalState +
+// MarshalState must reproduce it once its chunk bodies are in the
+// store. The committed corpus
 // (testdata/fuzz/FuzzStateDecode) holds staged states and hostile
 // encodings: truncations, forged counts, bad chunk sizes and paths,
 // and versions whose labels hold '/', '@', ':' and NUL.
@@ -54,9 +55,13 @@ func FuzzStateDecode(f *testing.F) {
 			rest = rest[cut+1:]
 		}
 		files["z"] = rest
-		state, chunks, err := Stage(files, map[string]string{"k": string(rest[:min(len(rest), 64)])})
+		meta := map[string]string{"k": string(rest[:min(len(rest), 64)])}
+		state, chunks, err := Stage(files, meta)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !bytes.Equal(state, stageThroughStub(t, files, meta)) {
+			t.Fatal("staged state differs from the stub-built one")
 		}
 		q := New()
 		for _, body := range chunks {

@@ -61,20 +61,42 @@ func randomFileSet(rng *rand.Rand) map[string][]byte {
 	return files
 }
 
+// boundaryFileSets are the chunking edges one at a time: empty, one
+// byte, one byte short of a chunk, exactly one chunk (whose digest is
+// its chunk's ref), one byte over, exactly two chunks, and two files
+// with the same one-chunk content.
+func boundaryFileSets() map[string]map[string][]byte {
+	rng := rand.New(rand.NewSource(7))
+	content := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	sets := map[string]map[string][]byte{}
+	for _, n := range []int{0, 1, DefaultChunkSize - 1, DefaultChunkSize, DefaultChunkSize + 1, 2 * DefaultChunkSize} {
+		sets[fmt.Sprintf("%d bytes", n)] = map[string][]byte{"f.bin": content(n)}
+	}
+	twin := content(DefaultChunkSize / 3)
+	sets["twin one-chunk files"] = map[string][]byte{"a.txt": twin, "copy/a.txt": twin}
+	return sets
+}
+
 // TestStageMatchesStubStaging: Stage's state is byte-identical to the
-// stub-built one over seeded random file sets, and every chunk the
-// state names has a body that hashes to its ref.
+// stub-built one over the boundary sizes and seeded random file sets,
+// and every chunk the state names has a body that hashes to its ref.
 func TestStageMatchesStubStaging(t *testing.T) {
+	sets := boundaryFileSets()
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		files := randomFileSet(rng)
-		meta := map[string]string{"description": fmt.Sprintf("seed %d", seed), MetaModified: "1700000000", "unset": ""}
+		sets[fmt.Sprintf("seed %d", seed)] = randomFileSet(rand.New(rand.NewSource(seed)))
+	}
+	for name, files := range sets {
+		meta := map[string]string{"description": name, MetaModified: "1700000000", "unset": ""}
 		state, chunks, err := Stage(files, meta)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := stageThroughStub(t, files, meta); !bytes.Equal(state, want) {
-			t.Fatalf("seed %d: staged state differs from the stub-built one (%d vs %d bytes)", seed, len(state), len(want))
+			t.Fatalf("%s: staged state differs from the stub-built one (%d vs %d bytes)", name, len(state), len(want))
 		}
 		refs, err := StateRefs(state)
 		if err != nil {
@@ -83,10 +105,10 @@ func TestStageMatchesStubStaging(t *testing.T) {
 		for _, ref := range refs {
 			body, err := chunks.Get(ref)
 			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			if store.RefOf(body) != ref {
-				t.Fatalf("seed %d: body for %s hashes elsewhere", seed, ref.Short())
+				t.Fatalf("%s: body for %s hashes elsewhere", name, ref.Short())
 			}
 		}
 	}
@@ -100,21 +122,34 @@ func TestStageRejectsBadPath(t *testing.T) {
 	}
 }
 
-// BenchmarkStage stages 1 MiB over three files. Its allocations are
-// the state and the manifests; none is content-sized.
+// BenchmarkStage stages 1 MiB over three files, and a publish-sized
+// package of four files of 16–256 KiB, each at most one chunk. Its
+// allocations are the state and the manifests; none is content-sized.
 func BenchmarkStage(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	files := map[string][]byte{}
-	for i, n := range []int{600 << 10, 300 << 10, 124 << 10} {
-		files[fmt.Sprintf("part%d.bin", i)] = make([]byte, n)
-		rng.Read(files[fmt.Sprintf("part%d.bin", i)])
-	}
-	meta := map[string]string{MetaModified: "1700000000"}
-	b.SetBytes(1 << 20)
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, _, err := Stage(files, meta); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		sizes []int
+	}{
+		{"1MiB-3files", []int{600 << 10, 300 << 10, 124 << 10}},
+		{"publish-4files", []int{16 << 10, 64 << 10, 144 << 10, 256 << 10}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			files := map[string][]byte{}
+			total := 0
+			for i, n := range c.sizes {
+				files[fmt.Sprintf("part%d.bin", i)] = make([]byte, n)
+				rng.Read(files[fmt.Sprintf("part%d.bin", i)])
+				total += n
+			}
+			meta := map[string]string{MetaModified: "1700000000"}
+			b.SetBytes(int64(total))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := Stage(files, meta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

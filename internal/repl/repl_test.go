@@ -161,6 +161,7 @@ func newFixture(t *testing.T, auths map[string]*sec.Config) *fixture {
 	reg.RegisterSemantics("kv/1", newKV)
 	RegisterAll(reg)
 
+	logf := testLogf(t)
 	for _, s := range f.sites {
 		res, err := tree.Resolver(s, "leaf-"+s)
 		if err != nil {
@@ -176,12 +177,32 @@ func newFixture(t *testing.T, auths map[string]*sec.Config) *fixture {
 		f.disps[s] = disp
 		rt := core.NewRuntime(core.RuntimeConfig{
 			Site: s, Net: f.net, Resolver: res, Registry: reg,
-			Auth: auth, Clock: f.clock.Now,
+			Auth: auth, Clock: f.clock.Now, Logf: logf,
 		})
 		t.Cleanup(func() { rt.Close() })
 		f.rts[s] = rt
 	}
 	return f
+}
+
+// testLogf returns a Logf that writes to t's log until t and its
+// cleanups have finished, and drops what a lingering goroutine logs
+// after that, where t.Logf would panic.
+func testLogf(t *testing.T) func(string, ...any) {
+	var mu sync.Mutex
+	ended := false
+	t.Cleanup(func() {
+		mu.Lock()
+		ended = true
+		mu.Unlock()
+	})
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !ended {
+			t.Logf(format, args...)
+		}
+	}
 }
 
 // clients returns a fresh client table at site, closed with the test.
