@@ -412,9 +412,15 @@ type Replication interface {
 	// bytes fn received were verified against the manifest's size and
 	// SHA-256 digest — the GDN's integrity guarantee (§6.1). Local
 	// content is hashed once per manifest and then rests on the store's
-	// per-chunk checks (LocalExec.ReadBulk); a remote stream is hashed
-	// on every read as it flows, across failover resumes. Content that
-	// fails the check ends the read with an error wrapping
+	// per-chunk checks (LocalExec.ReadBulk). A proxy hashes a remote
+	// stream once per digest: every whole read runs CRC-32C as it
+	// flows, across failover resumes; the first read of a digest also
+	// runs SHA-256 and, on a match, memoises the content's CRC, and
+	// later whole reads of that digest pass only if size and CRC match
+	// the memo (a random corruption then escapes with probability
+	// 2⁻³², not 2⁻²⁵⁶). A resume whose replica names another digest
+	// fails at once. Content that fails the check ends the read with an
+	// error wrapping
 	// ErrDigestMismatch (or reporting truncation), possibly after fn
 	// took every byte, so a consumer must not treat the bytes as good
 	// until ReadBulk returns nil. A range read cannot be checked

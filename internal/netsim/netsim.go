@@ -420,9 +420,9 @@ func (n *Network) ResetMeter() {
 	n.meterMu.Unlock()
 }
 
-func (n *Network) record(c LinkClass, bytes int) {
+func (n *Network) record(c LinkClass, frames, bytes int) {
 	n.meterMu.Lock()
-	n.frames[c]++
+	n.frames[c] += int64(frames)
 	n.bytes[c] += int64(bytes)
 	n.meterMu.Unlock()
 }
@@ -644,18 +644,25 @@ func (c *conn) sendLocked(fr *transport.Frame) error {
 // the frame before offering it — a select among ready cases picks at
 // random, and a frame slipped into a dead peer's buffer would be lost
 // without an error, the way a write into a half-closed socket is.
+//
+// The frame is metered before it is offered and unmetered if refused:
+// once the peer takes it, the receiver can finish its work and a test
+// can read Meter before this goroutine runs again, so a frame counted
+// after the offer could be missing from a window that saw it arrive.
 func (c *conn) deliver(f frame, class LinkClass) error {
+	n := len(f.payload)
 	select {
 	case <-c.closed:
 	case <-c.peerClosed:
 	default:
+		c.net.record(class, 1, n)
 		select {
 		case <-c.closed:
 		case <-c.peerClosed:
 		case c.out <- f:
-			c.net.record(class, len(f.payload))
 			return nil
 		}
+		c.net.record(class, -1, -n)
 	}
 	transport.PutFrame(f.payload)
 	return transport.ErrClosed

@@ -200,6 +200,59 @@ func TestMeterCountsByClass(t *testing.T) {
 	}
 }
 
+// TestMeterCountsFrameBeforeItArrives: a frame is metered before the
+// receiver can take it, so a receiver that reads the meter after its
+// Recv always sees the frame counted; a frame refused by a closed peer
+// is not counted.
+func TestMeterCountsFrameBeforeItArrives(t *testing.T) {
+	n := world(t)
+	l, _ := n.Listen("us-ca-ucb:svc")
+	defer l.Close()
+	const frames = 2000
+	go func() {
+		c, err := n.Dial("eu-nl-vu", "us-ca-ucb:svc")
+		if err != nil {
+			return
+		}
+		for range frames {
+			if c.Send(make([]byte, 7)) != nil {
+				return
+			}
+		}
+	}()
+	c, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frames {
+		if _, _, err := c.Recv(); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Meter().Frames[WideArea]; got < int64(i+1) {
+			t.Fatalf("after receiving frame %d the meter counts %d", i+1, got)
+		}
+	}
+	c.Close()
+	before := n.Meter()
+	// The sender's next frame meets a closed peer.
+	d, err := n.Dial("eu-nl-vu", "us-ca-ucb:svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.Close()
+	if err := d.Send(make([]byte, 7)); err == nil {
+		t.Fatal("a send to a closed peer succeeded")
+	}
+	if got := n.Meter().Sub(before); got.TotalFrames() != 0 || got.Bytes[WideArea] != 0 {
+		t.Fatalf("a refused frame was metered: %+v", got)
+	}
+	d.Close()
+}
+
 func TestMeterSub(t *testing.T) {
 	n := world(t)
 	l, _ := n.Listen("eu-nl-tud:svc")

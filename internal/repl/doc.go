@@ -43,20 +43,32 @@
 // buffers are owned by the queue, and an unlinked chunk file stays
 // readable through its open handle.
 //
-// Failover (streamBulkVia) retries a died stream on the next peer at
-// the byte offset already delivered to the consumer. The retry
-// re-plans spans from that offset — including a partial first chunk —
-// so the consumer sees one uninterrupted byte sequence, no duplicates
-// and no gaps, regardless of where the previous stream stopped or how
-// far its server-side prefetch window had run ahead. Consumer errors
-// are terminal (core.NoFailover): retrying elsewhere would replay
-// bytes the consumer already took. A whole-item read is hashed as it
-// flows, one hash across every resume, and checked against the size
-// and digest the final trailer carries: a serving replica splices disk
-// chunks unread, so the proxy's hash is what catches bytes changed on
-// a replica's disk. Representatives holding the content (replicas and
-// caches) read through core.LocalExec.ReadBulk instead, which hashes
-// once per manifest and then relies on the store's per-chunk checks.
+// Every stream opens with a head frame, sent before the first content
+// byte, and closes with a trailer; both state the file's size and
+// digest. Failover (streamBulkVia) retries a died stream on the next
+// peer at the byte offset already delivered to the consumer. The
+// retry re-plans spans from that offset — including a partial first
+// chunk — so the consumer sees one uninterrupted byte sequence, no
+// duplicates and no gaps, regardless of where the previous stream
+// stopped or how far its server-side prefetch window had run ahead. A
+// retry whose head names another digest than the first stream's fails
+// at once with core.ErrDigestMismatch, before any of its bytes flow.
+// Consumer errors are terminal (core.NoFailover): retrying elsewhere
+// would replay bytes the consumer already took.
+//
+// A whole-item read is checked as it flows, one check across every
+// resume: a serving replica splices disk chunks unread, so the
+// proxy's check is what catches bytes changed on a replica's disk.
+// CRC-32C runs on every whole read. The first whole read of a digest
+// also runs SHA-256 and, when that matches, records the content's CRC
+// in the proxy's verify memo (at most 256 digests, freed on Close).
+// Later whole reads of the digest skip SHA-256 and pass only if the
+// size and the CRC match; the digest names the content, so its CRC
+// holds whichever replica serves it. Either way a failed check is
+// reported after every byte was delivered, and the memo never learns
+// from one. Representatives holding the content (replicas and caches)
+// read through core.LocalExec.ReadBulk instead, which hashes once per
+// manifest and then relies on the store's per-chunk checks.
 //
 // # The chunk upload path
 //

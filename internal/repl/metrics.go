@@ -18,4 +18,8 @@ var (
 		"chunks pulled from a parent during delta state transfer")
 	mFillBytes = obs.Default.Counter("gdn_repl_fill_bytes_total",
 		"chunk bytes pulled from a parent during delta state transfer")
+	mVerifySHA = obs.Default.Counter(`gdn_repl_verify_bytes_total{check="sha256"}`,
+		"bytes a proxy checked on remote whole reads, by check")
+	mVerifyCRC = obs.Default.Counter(`gdn_repl_verify_bytes_total{check="crc32c"}`,
+		"bytes a proxy checked on remote whole reads, by check")
 )

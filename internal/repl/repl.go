@@ -1,10 +1,8 @@
 package repl
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"os"
 	"strings"
@@ -313,6 +311,9 @@ func (rb *replicaBase) relayChunkPut(call *rpc.Call, upstream string) ([]byte, e
 type proxy struct {
 	env   *core.Env
 	peers *core.PeerSet
+	// memo holds the CRC-32C of content whose whole reads through this
+	// proxy matched their digest (streamBulkVia).
+	memo verifyMemo
 }
 
 func newProxy(env *core.Env, readPrefs, writePrefs []string) (*proxy, error) {
@@ -342,7 +343,7 @@ func (p *proxy) Invoke(inv core.Invocation) ([]byte, time.Duration, error) {
 // ReadBulk streams from a read-ranked representative, resuming at the
 // delivered offset on the next candidate when one dies mid-stream.
 func (p *proxy) ReadBulk(tc obs.SpanContext, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
-	return streamBulkVia(tc, p.peers, path, off, n, fn)
+	return streamBulkVia(tc, p.peers, &p.memo, path, off, n, fn)
 }
 
 // PutChunks implements core.ChunkNegotiator through any candidate:
@@ -368,7 +369,10 @@ func putChunksTo(pc *core.PeerClient, src core.ChunkSource, refs []store.Ref) (c
 	return core.PutChunks(obs.SpanContext{}, pc, core.OpChunkHave, core.OpChunkPut, src, refs)
 }
 
-func (p *proxy) Close() error { return nil }
+func (p *proxy) Close() error {
+	p.memo.reset()
+	return nil
+}
 
 // Peers exposes the ranked peer set; tests and experiments read its
 // failover counters.
@@ -488,9 +492,9 @@ func (rb *replicaBase) fillChunks(tc obs.SpanContext, parent *core.PeerClient, s
 // handleBulkRead streams the byte range [off, off+n) of one file to
 // the caller in chunk-sized frames, reading straight from the content
 // store. The manifest's chunks are retained for the duration of the
-// stream so a concurrent write cannot delete them mid-transfer; the
-// trailer carries the file's size and digest for end-to-end
-// verification.
+// stream so a concurrent write cannot delete them mid-transfer. A head
+// frame before the first content byte and the trailer both carry the
+// file's size and digest for end-to-end verification.
 func (rb *replicaBase) handleBulkRead(call *rpc.Call) ([]byte, error) {
 	r := wire.NewReader(call.Body)
 	path := r.Str()
@@ -512,6 +516,10 @@ func (rb *replicaBase) handleBulkRead(call *rpc.Call) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	head := encodeBulkHead(m)
+	if err := sw.Send(head); err != nil {
+		return nil, err
+	}
 	span := obs.StartSpan(call.TC, "store.walk "+path)
 	err = streamManifestRange(rb.env.Store, m, off, n, sw)
 	span.SetError(err)
@@ -519,10 +527,7 @@ func (rb *replicaBase) handleBulkRead(call *rpc.Call) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := wire.NewWriter(48)
-	w.Int64(m.Size)
-	w.Hash(m.Digest)
-	return w.Bytes(), nil
+	return head, nil
 }
 
 // bulkPrefetchDepth is how many chunks the OpBulkRead serve loop keeps
@@ -615,9 +620,11 @@ func (rb *replicaBase) ReadBulk(tc obs.SpanContext, path string, off, n int64, f
 }
 
 // streamBulkFrom is the proxy-side ReadBulk body: it opens an
-// OpBulkRead stream to a remote representative and feeds each frame
-// to fn. Peak buffering is one frame.
-func streamBulkFrom(tc obs.SpanContext, pc *core.PeerClient, path string, off, n int64, fn func([]byte) error) (m core.Manifest, cost time.Duration, err error) {
+// OpBulkRead stream to a remote representative, hands the head frame
+// to head before any content byte, feeds each content frame to fn and
+// returns the trailer, which must state the same item as the head.
+// Peak buffering is one frame.
+func streamBulkFrom(tc obs.SpanContext, pc *core.PeerClient, path string, off, n int64, head func(core.Manifest) error, fn func([]byte) error) (m core.Manifest, cost time.Duration, err error) {
 	span := obs.StartSpan(tc, "repl.stream "+path)
 	defer func() {
 		span.SetError(err)
@@ -632,6 +639,20 @@ func streamBulkFrom(tc obs.SpanContext, pc *core.PeerClient, path string, off, n
 		return core.Manifest{}, 0, err
 	}
 	defer st.Close()
+	p, _, err := st.Recv()
+	if err == io.EOF {
+		err = errors.New("repl: bulk stream ended without a head frame")
+	}
+	if err != nil {
+		return core.Manifest{}, st.Cost(), err
+	}
+	h, err := decodeBulkHead(p)
+	if err != nil {
+		return core.Manifest{}, st.Cost(), err
+	}
+	if err := head(h); err != nil {
+		return core.Manifest{}, st.Cost(), err
+	}
 	for {
 		p, _, err := st.Recv()
 		if err == io.EOF {
@@ -644,9 +665,8 @@ func streamBulkFrom(tc obs.SpanContext, pc *core.PeerClient, path string, off, n
 			return core.Manifest{}, st.Cost(), err
 		}
 	}
-	r := wire.NewReader(st.Trailer())
-	m = core.Manifest{Size: r.Int64(), Digest: r.Hash()}
-	if err := r.Done(); err != nil {
+	m, err = decodeBulkTrailer(h, st.Trailer())
+	if err != nil {
 		return core.Manifest{}, st.Cost(), err
 	}
 	return m, st.Cost(), nil
@@ -658,20 +678,26 @@ func streamBulkFrom(tc obs.SpanContext, pc *core.PeerClient, path string, off, n
 // sees one uninterrupted range and a replica crash costs one retried
 // request instead of a failed download. Errors raised by fn itself
 // (the consumer) are terminal — retrying elsewhere would replay bytes
-// the consumer already took.
+// the consumer already took — and so is a resumed stream whose head
+// names other content than the first head did: it fails at once with
+// ErrDigestMismatch, before any of its bytes reach fn.
 //
-// A whole-item read (off == 0, n < 0) is hashed as it flows, across
-// resumes, and checked against the size and digest of the trailer:
-// remote content is verified on every read, since this side cannot
-// know what the serving replica read, spliced or relayed.
-func streamBulkVia(tc obs.SpanContext, ps *core.PeerSet, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
-	var ds *digestSink
+// A whole-item read (off == 0, n < 0) is checked as it flows, across
+// resumes, against the size and digest the heads and trailers state:
+// this side cannot know what the serving replica read, spliced or
+// relayed. CRC-32C runs on every such read. The first read of a
+// digest also runs SHA-256 and, on a match, memoises the CRC; later
+// whole reads of that digest are good only if size and CRC match the
+// memo (wholeRead).
+func streamBulkVia(tc obs.SpanContext, ps *core.PeerSet, memo *verifyMemo, path string, off, n int64, fn func([]byte) error) (core.Manifest, time.Duration, error) {
+	var wr *wholeRead
 	if off == 0 && n < 0 {
-		ds = newDigestSink(fn)
-		defer ds.stop()
-		fn = ds.sink
+		wr = &wholeRead{memo: memo, fn: fn}
+		defer wr.stop()
+		fn = wr.sink
 	}
-	var m core.Manifest
+	var first, m core.Manifest
+	seen := false
 	var delivered int64
 	cost, err := ps.Do(false, func(_ string, pc *core.PeerClient) (time.Duration, error) {
 		remaining := n
@@ -683,80 +709,38 @@ func streamBulkVia(tc obs.SpanContext, ps *core.PeerSet, path string, off, n int
 				remaining = 0
 			}
 		}
-		var sinkErr error
-		got, c, err := streamBulkFrom(tc, pc, path, off+delivered, remaining, func(p []byte) error {
+		var stop error
+		got, c, err := streamBulkFrom(tc, pc, path, off+delivered, remaining, func(h core.Manifest) error {
+			switch {
+			case !seen:
+				first, seen = h, true
+				if wr != nil {
+					wr.begin(h)
+				}
+			case !sameItem(h, first):
+				stop = fmt.Errorf("%w: %q: a resumed stream names other content than the first", core.ErrDigestMismatch, path)
+			}
+			return stop
+		}, func(p []byte) error {
 			if err := fn(p); err != nil {
-				sinkErr = err
+				stop = err
 				return err
 			}
 			delivered += int64(len(p))
 			return nil
 		})
-		if sinkErr != nil {
-			return c, core.NoFailover(sinkErr)
+		if stop != nil {
+			return c, core.NoFailover(stop)
 		}
 		if err == nil {
 			m = got
 		}
 		return c, err
 	})
-	if err != nil || ds == nil {
+	if err != nil || wr == nil {
 		return m, cost, err
 	}
-	return m, cost, m.Verify(path, delivered, ds.sum())
-}
-
-// digestSink feeds a remote download to its consumer and hashes it on
-// the way. SHA-256 is the dominant CPU cost of a verified download (it
-// touches every byte once more than the consumer does), so the hash
-// runs on its own goroutine concurrently with the consumer: each chunk
-// costs max(hash, consume) instead of their sum. Chunk slices are only
-// borrowed for the duration of sink (stream frames are pooled and
-// recycled by the caller), so sink joins the hasher before returning —
-// the goroutine never retains p.
-type digestSink struct {
-	fn     func([]byte) error
-	h      hash.Hash
-	in     chan []byte
-	hashed chan struct{}
-}
-
-// newDigestSink starts the hasher; the caller must stop it.
-func newDigestSink(fn func([]byte) error) *digestSink {
-	ds := &digestSink{fn: fn, h: sha256.New(), in: make(chan []byte), hashed: make(chan struct{})}
-	go func() {
-		for p := range ds.in {
-			ds.h.Write(p)
-			ds.hashed <- struct{}{}
-		}
-		close(ds.hashed)
-	}()
-	return ds
-}
-
-func (ds *digestSink) sink(p []byte) error {
-	ds.in <- p
-	err := ds.fn(p)
-	<-ds.hashed
-	return err
-}
-
-// stop joins the hasher goroutine; it is idempotent and safe after a
-// partial transfer.
-func (ds *digestSink) stop() {
-	if ds.in != nil {
-		close(ds.in)
-		<-ds.hashed
-		ds.in = nil
-	}
-}
-
-// sum joins the hasher and returns the digest of everything sunk.
-func (ds *digestSink) sum() [sha256.Size]byte {
-	ds.stop()
-	var got [sha256.Size]byte
-	ds.h.Sum(got[:0])
-	return got
+	return m, cost, wr.verify(path, m, delivered)
 }
 
 // handleStateGet answers a versioned state fetch: when the caller's

@@ -103,7 +103,7 @@ func getArgs(key string) []byte {
 // fixture is a five-site world: one GLS hub, one "origin" region and
 // two client regions, each with a dispatcher and runtime.
 type fixture struct {
-	t     *testing.T
+	t     testing.TB
 	net   *netsim.Network
 	tree  *gls.Tree
 	sites []string
@@ -130,7 +130,7 @@ func (vc *virtualClock) Advance(d time.Duration) {
 	vc.mu.Unlock()
 }
 
-func newFixture(t *testing.T, auths map[string]*sec.Config) *fixture {
+func newFixture(t testing.TB, auths map[string]*sec.Config) *fixture {
 	t.Helper()
 	f := &fixture{
 		t:     t,
@@ -188,7 +188,7 @@ func newFixture(t *testing.T, auths map[string]*sec.Config) *fixture {
 // testLogf returns a Logf that writes to t's log until t and its
 // cleanups have finished, and drops what a lingering goroutine logs
 // after that, where t.Logf would panic.
-func testLogf(t *testing.T) func(string, ...any) {
+func testLogf(t testing.TB) func(string, ...any) {
 	var mu sync.Mutex
 	ended := false
 	t.Cleanup(func() {

@@ -24,7 +24,15 @@ import (
 // diskMaster hosts a master replica at origin whose content lives in a
 // disk store under dir, holding content as "blob". It returns the
 // replica's address and its store.
-func diskMaster(t *testing.T, f *fixture, oid ids.OID, dir string, content []byte) (gls.ContactAddress, *store.Store) {
+func diskMaster(t testing.TB, f *fixture, oid ids.OID, dir string, content []byte) (gls.ContactAddress, *store.Store) {
+	t.Helper()
+	_, ca, st := diskMasterLR(t, f, oid, dir, content)
+	return ca, st
+}
+
+// diskMasterLR is diskMaster that also returns the master's local
+// representative, for tests that write to it again.
+func diskMasterLR(t testing.TB, f *fixture, oid ids.OID, dir string, content []byte) (*core.LR, gls.ContactAddress, *store.Store) {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -40,7 +48,7 @@ func diskMaster(t *testing.T, f *fixture, oid ids.OID, dir string, content []byt
 	if err := pkgobj.NewStub(lr).UploadFile("blob", content); err != nil {
 		t.Fatal(err)
 	}
-	return ca, st
+	return lr, ca, st
 }
 
 // flipOnDisk changes the middle byte of the chunk holding body in the
@@ -72,7 +80,7 @@ func flipOnDisk(t *testing.T, st *store.Store, body []byte) {
 }
 
 // msProxy binds a masterslave proxy at us-client over the given peers.
-func msProxy(t *testing.T, f *fixture, oid ids.OID, peers ...gls.ContactAddress) *proxy {
+func msProxy(t testing.TB, f *fixture, oid ids.OID, peers ...gls.ContactAddress) *proxy {
 	t.Helper()
 	p, err := MasterSlaveProtocol().NewProxy(&core.Env{
 		OID: oid, Site: "us-client", Clients: f.clients("us-client"),

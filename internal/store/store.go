@@ -538,11 +538,14 @@ func (s *Store) moved(ref Ref, where at) bool {
 //
 // The bytes are deliberately NOT re-verified against the content
 // address on this path — that would require reading them, defeating
-// the splice. Integrity is still covered twice over: the client
-// verifies the whole file's end-to-end digest from the manifest, and
-// the background scrubber re-reads resident chunks and quarantines
-// corruption at the source. Memory-backed stores return ErrNotOnDisk;
-// callers fall back to GetZC.
+// the splice; on a secured channel the transport reads them once,
+// into the sealed record, and still does not hash them. Integrity is
+// still covered twice over: the reading proxy checks every whole read
+// against the file's digest from the manifest (SHA-256 on the first
+// read of a digest, then CRC-32C against the CRC that read memoised),
+// and the background scrubber re-reads resident chunks and
+// quarantines corruption at the source. Memory-backed stores return
+// ErrNotOnDisk; callers fall back to GetZC.
 func (s *Store) OpenChunk(ref Ref) (*os.File, int64, error) {
 	if s.dir == "" {
 		return nil, 0, ErrNotOnDisk
